@@ -141,7 +141,7 @@ let create ?(topo = Topology.paper_machine) ?(costs = Costs.default)
         Cpu.create engine topo costs ~id ~safe:opts.Opts.safe ?tlb_capacity ())
   in
   let registry = Cache.create_registry topo costs in
-  let percpu = Array.map (fun cpu -> Percpu.create cpu registry ~n_cpus:n) cpus in
+  let percpu = Array.map (fun cpu -> Percpu.create cpu registry) cpus in
   let apic = Apic.create engine topo costs ~cpus in
   let metrics = Metrics.create ~enabled:metering () in
   let phases = register_phases metrics in

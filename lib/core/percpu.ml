@@ -37,12 +37,13 @@ type t = {
   csq : cfd Queue.t;
   line_tlb : Cache.line;
   line_csq : Cache.line;
-  csd_lines : Cache.line option array;
-      (* created on first shootdown to that destination via [csd_line]: the
-         full n_cpus^2 matrix of line records (and their lazy-name thunks)
-         was over half of Machine.create's allocation at 56 CPUs and would
-         be ~1M records at 1024, while a workload only ever touches the
-         (initiator, responder) pairs it actually shoots down. *)
+  mutable csd_lines : Cache.line option array;
+      (* indexed by destination, created on first shootdown to it via
+         [csd_line], and the array itself grown by doubling to cover the
+         highest destination shot down: a workload only ever touches the
+         (initiator, responder) pairs it shoots down, while n_cpus^2 lines,
+         or even slots, would dominate machine construction at 1024
+         CPUs. *)
   line_stack_info : Cache.line;
   scratch_targets : Cpuset.t;
       (* per-initiator shootdown target scratch. Safe to reuse per
@@ -80,7 +81,7 @@ let n_asids = 6
    the initiator. *)
 let queue_slots = 8
 
-let create cpu registry ~n_cpus =
+let create cpu registry =
   let id = Cpu.id cpu in
   {
     cpu;
@@ -97,7 +98,7 @@ let create cpu registry ~n_cpus =
     csq = Queue.create ();
     line_tlb = Cache.create_line registry ~name:(lazy (Printf.sprintf "cpu%d.tlb_state" id));
     line_csq = Cache.create_line registry ~name:(lazy (Printf.sprintf "cpu%d.csq" id));
-    csd_lines = Array.make n_cpus None;
+    csd_lines = [||];
     line_stack_info =
       Cache.create_line registry ~name:(lazy (Printf.sprintf "cpu%d.stack_flush_info" id));
     scratch_targets = Cpuset.create ~bits:0;
@@ -116,6 +117,12 @@ let create cpu registry ~n_cpus =
   }
 
 let csd_line t ~target =
+  let n = Array.length t.csd_lines in
+  if target >= n then begin
+    let bigger = Array.make (Stdlib.max (target + 1) (2 * n)) None in
+    Array.blit t.csd_lines 0 bigger 0 n;
+    t.csd_lines <- bigger
+  end;
   match t.csd_lines.(target) with
   | Some l -> l
   | None ->

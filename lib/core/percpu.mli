@@ -57,10 +57,12 @@ type t = {
   csq : cfd Queue.t;
   line_tlb : Cache.line;
   line_csq : Cache.line;
-  csd_lines : Cache.line option array;
+  mutable csd_lines : Cache.line option array;
       (** outbound CSD lines by destination, created on first use by
-          {!csd_line}: materializing all n_cpus² of them up front dominated
-          machine-setup allocation and is hopeless at 1024 CPUs *)
+          {!csd_line}, in an array grown on demand to the highest
+          destination shot down: materializing all n_cpus² of them (or even
+          their slots) up front dominated machine-setup allocation at 1024
+          CPUs *)
   line_stack_info : Cache.line;
   scratch_targets : Cpuset.t;
       (** this CPU's shootdown target scratch set, reused across its
@@ -84,7 +86,7 @@ type t = {
   line_queue : Cache.line;  (** the ring's shared cache line *)
 }
 
-val create : Cpu.t -> Cache.registry -> n_cpus:int -> t
+val create : Cpu.t -> Cache.registry -> t
 
 (** The CSD line this CPU uses to shoot down [target], created in the
     registry on first use. *)

@@ -1,5 +1,6 @@
 (* tlblint: proven-bounds — Bytes.unsafe accesses index the n*n rank matrix
-   with cpu ids already range-checked by Topology; loops run a,b,cpu < n.
+   with cpu ids already range-checked by Topology; loops run a,b,cpu < n,
+   which is also the length of the per-CPU core/socket arrays they read.
    The sharer-set walk reads Cpuset.raw_words with indices bounded by the
    word array's own length. *)
 type totals = {
@@ -58,14 +59,27 @@ let distance_rank = Topology.distance_rank
 let distance_of_rank =
   [| Topology.Self; Topology.Smt_sibling; Topology.Same_socket; Topology.Cross_socket |]
 
+(* The matrix is filled from per-CPU (physical core, socket) arrays built
+   once, with the same case split as [Topology.distance]: calling it n^2
+   times repeats two range checks and a div/mod chain per pair, which
+   dominated machine construction at 1024 CPUs. *)
 let create_registry topo costs =
   let n = Topology.n_cpus topo in
+  let core = Array.init n (Topology.physical_core_of topo) in
+  let socket = Array.init n (Topology.socket_of topo) in
+  let rank d = Char.unsafe_chr (distance_rank d) in
+  let self = rank Self and smt = rank Smt_sibling in
+  let same = rank Same_socket and cross = rank Cross_socket in
   let ranks = Bytes.create (n * n) in
   for a = 0 to n - 1 do
+    let core_a = Array.unsafe_get core a and socket_a = Array.unsafe_get socket a in
+    let row = a * n in
     for b = 0 to n - 1 do
-      Bytes.unsafe_set ranks
-        ((a * n) + b)
-        (Char.unsafe_chr (distance_rank (Topology.distance topo a b)))
+      Bytes.unsafe_set ranks (row + b)
+        (if a = b then self
+         else if Array.unsafe_get core b = core_a then smt
+         else if Array.unsafe_get socket b = socket_a then same
+         else cross)
     done
   done;
   {

@@ -79,14 +79,18 @@ type t = {
          flush; installed by the metrics layer. *)
 }
 
+(* Tables start at 64 buckets and grow only in TLBs that fill: most TLBs
+   of a big machine stay near-empty, and every machine builds one per CPU.
+   Flushes [clear] rather than [reset], so a TLB that has grown keeps its
+   buckets instead of regrowing after every full flush. *)
 let create ?(capacity = 1536) () =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   {
     cap = capacity;
-    table = Itbl.create 1024;
+    table = Itbl.create 64;
     globals = Itbl.create 64;
     order = Queue.create ();
-    stamps = Itbl.create 1024;
+    stamps = Itbl.create 64;
     next_stamp = 0;
     s_hits = 0;
     s_misses = 0;
@@ -190,9 +194,9 @@ let full_flush_internal t =
   (match t.flush_meter with
   | Some f -> f true (Itbl.length t.table + Itbl.length t.globals)
   | None -> ());
-  Itbl.reset t.table;
-  Itbl.reset t.globals;
-  Itbl.reset t.stamps;
+  Itbl.clear t.table;
+  Itbl.clear t.globals;
+  Itbl.clear t.stamps;
   Queue.clear t.order;
   t.pwc <- false;
   t.fracture <- false
@@ -274,9 +278,15 @@ let reset_stats t =
   t.s_full <- 0;
   t.s_fracture_full <- 0
 
+(* Sorted by packed key, so the order depends only on the contents, never
+   on bucket count or insert/flush history. *)
 let entries t =
-  let non_global = Itbl.fold (fun _ e acc -> e :: acc) t.table [] in
-  Itbl.fold (fun _ e acc -> e :: acc) t.globals non_global
+  let sorted tbl =
+    Itbl.fold (fun k e acc -> (k, e) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
+  sorted t.table @ sorted t.globals
 
 let pp_stats fmt s =
   Format.fprintf fmt

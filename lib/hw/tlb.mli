@@ -105,7 +105,9 @@ val fracture_flag : t -> bool
 val stats : t -> stats
 val reset_stats : t -> unit
 
-(** All current entries (testing/inspection). *)
+(** All current entries (testing/inspection): non-global entries, then
+    global ones, each sorted by packed key, so two TLBs with the same
+    contents list them identically whatever their history. *)
 val entries : t -> entry list
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -12,7 +12,10 @@
 
 type t
 
-(** [create ~frames] with [frames] 4 KiB frames of "RAM". *)
+(** [create ~frames] with [frames] 4 KiB frames of "RAM". Per-frame state
+    is sized to the highest frame handed out so far, so [create] costs the
+    same at any [frames]; frames never allocated read as free, with count
+    and generation 0. *)
 val create : frames:int -> t
 
 exception Out_of_memory

@@ -1,5 +1,5 @@
 (* Unit tests for kernel data structures: Opts, Flush_info, File, Vma,
-   Rwsem, Mm_struct, Percpu, Checker. *)
+   Rwsem, Mm_struct, Percpu, Machine construction cost, Checker. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -261,7 +261,7 @@ let make_percpu () =
   let e = Engine.create () in
   let reg = Cache.create_registry Topology.paper_machine Costs.default in
   let cpu = Cpu.create e Topology.paper_machine Costs.default ~id:0 ~safe:true () in
-  Percpu.create cpu reg ~n_cpus:56
+  Percpu.create cpu reg
 
 let test_percpu_pcids_distinct () =
   check bool_t "user pcid has high bit" true (Percpu.user_pcid 0 <> Percpu.kernel_pcid 0);
@@ -303,6 +303,16 @@ let test_percpu_defer_merging () =
       check bool_t "taken clears" true (p.Percpu.pending_user = Percpu.No_flush)
   | _ -> Alcotest.fail "expected ranged"
 
+let test_percpu_csd_lines_on_demand () =
+  let p = make_percpu () in
+  check int_t "no slots before any shootdown" 0 (Array.length p.Percpu.csd_lines);
+  let l3 = Percpu.csd_line p ~target:3 in
+  check bool_t "stable per target" true (l3 == Percpu.csd_line p ~target:3);
+  let l55 = Percpu.csd_line p ~target:55 in
+  check bool_t "distinct per target" true (l3 != l55);
+  check bool_t "growth keeps earlier lines" true (l3 == Percpu.csd_line p ~target:3);
+  check bool_t "sized to the highest target" true (Array.length p.Percpu.csd_lines <= 2 * 56)
+
 let test_percpu_defer_overflows_to_full () =
   let p = make_percpu () in
   let info = Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:34 ~new_tlb_gen:2 () in
@@ -318,6 +328,60 @@ let test_percpu_defer_cross_mm_goes_full () =
     (Flush_info.ranged ~mm_id:2 ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ())
     ~threshold:33;
   check bool_t "full on mm mix" true (p.Percpu.pending_user = Percpu.Full_flush)
+
+(* --- Machine construction budget --- *)
+
+(* Exact words [f] allocates: minor words plus words allocated straight into
+   the major heap. OCaml 5.1 folds direct major allocations into the
+   major-word counter at minor collections, so the call is bracketed by
+   [Gc.minor] under a minor heap large enough that no collection runs
+   inside it; what the second [Gc.minor] promotes counts in both the major
+   and the promoted words and cancels out. *)
+let words_allocated f =
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 2 * 1024 * 1024 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set gc)
+    (fun () ->
+      let sample () =
+        let s = Gc.quick_stat () in
+        (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
+      in
+      Gc.minor ();
+      let minor0, direct0 = sample () in
+      let r = f () in
+      Gc.minor ();
+      let minor1, direct1 = sample () in
+      ignore (Sys.opaque_identity r);
+      int_of_float (minor1 -. minor0 +. (direct1 -. direct0)))
+
+(* One Machine.create must cost what a run touches, not the configured RAM,
+   TLB capacity or n_cpus^2: each layer has its own budget, so a regression
+   names its layer, and the whole machine has one. *)
+let test_construction_budget topo ~budget () =
+  let n = Topology.n_cpus topo in
+  let opts = Opts.all ~safe:true in
+  let layer name words limit =
+    if words > limit then
+      Alcotest.failf "%s: %d words allocated, budget %d (%d CPUs)" name words limit n
+  in
+  layer "Frame_alloc.create (1 GiB)"
+    (words_allocated (fun () -> Frame_alloc.create ~frames:262144))
+    256;
+  layer "Tlb.create" (words_allocated (fun () -> Tlb.create ())) 512;
+  let engine = Engine.create () in
+  let registry = Cache.create_registry topo Costs.default in
+  let cpu = Cpu.create engine topo Costs.default ~id:0 ~safe:true () in
+  layer "Percpu.create" (words_allocated (fun () -> Percpu.create cpu registry)) 512;
+  (* The byte rank matrix is the one deliberate n^2 structure. *)
+  layer "Cache.create_registry"
+    (words_allocated (fun () -> Cache.create_registry topo Costs.default))
+    ((n * n / (Sys.word_size / 8)) + (4 * n) + 1024);
+  layer "Machine.create" (words_allocated (fun () -> Machine.create ~topo ~opts ())) budget
+
+let bigmachine_1024 =
+  let sockets, cores_per_socket, smt = Bigmachine.topo_of_cpus 1024 in
+  Topology.create ~sockets ~cores_per_socket ~smt
 
 (* --- Checker --- *)
 
@@ -443,6 +507,11 @@ let suite =
     Alcotest.test_case "percpu: deferred flush merging" `Quick test_percpu_defer_merging;
     Alcotest.test_case "percpu: defer overflows to full" `Quick test_percpu_defer_overflows_to_full;
     Alcotest.test_case "percpu: cross-mm defer goes full" `Quick test_percpu_defer_cross_mm_goes_full;
+    Alcotest.test_case "percpu: csd lines on demand" `Quick test_percpu_csd_lines_on_demand;
+    Alcotest.test_case "machine: create budget, 56 CPUs" `Quick
+      (test_construction_budget Topology.paper_machine ~budget:65_536);
+    Alcotest.test_case "machine: create budget, 1024 CPUs" `Quick
+      (test_construction_budget bigmachine_1024 ~budget:1_500_000);
     Alcotest.test_case "checker: clean hit" `Quick test_checker_clean_hit;
     Alcotest.test_case "checker: unmapped stale hit" `Quick test_checker_stale_unmapped_is_violation;
     Alcotest.test_case "checker: in-flight window excuses" `Quick test_checker_inflight_window_excuses;

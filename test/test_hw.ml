@@ -150,6 +150,31 @@ let test_cache_totals () =
   Cache.reset_stats reg;
   check int_t "reset" 0 (Cache.totals reg).Cache.reads
 
+(* The registry's precomputed rank matrix must price every (owner, reader)
+   pair exactly as [Topology.distance] says, on every shape of topology. *)
+let test_cache_ranks_match_topology () =
+  let c = Costs.default in
+  List.iter
+    (fun topo ->
+      let reg = Cache.create_registry topo c in
+      let n = Topology.n_cpus topo in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          let l = Cache.create_line reg ~name:(lazy "x") in
+          ignore (Cache.write l ~by:a);
+          let expected = Costs.line_transfer c (Topology.distance topo a b) in
+          if Cache.read l ~by:b <> expected then
+            Alcotest.failf "%s: read of cpu %d's line by cpu %d" (Format.asprintf "%a" Topology.pp topo) a b
+        done
+      done)
+    [
+      Topology.paper_machine;
+      Topology.flat 5;
+      Topology.create ~sockets:3 ~cores_per_socket:4 ~smt:2;
+      Topology.create ~sockets:2 ~cores_per_socket:2 ~smt:4;
+      Topology.create ~sockets:1 ~cores_per_socket:1 ~smt:2;
+    ]
+
 (* --- Tlb --- *)
 
 let entry ?(pcid = 1) ?(global = false) ?(size = Tlb.Four_k) ?(fractured = false)
@@ -325,6 +350,43 @@ let test_tlb_random_vs_fifo_model () =
   done;
   check bool_t "model agreed for 4000 steps" true true
 
+(* Same contents, different histories: [a] is built directly; [b] first
+   grows its tables past 512 buckets, flushes, then inserts the same
+   entries in reverse order around entries it drops again. The listing
+   must not depend on bucket count or insertion history. *)
+let test_tlb_entries_history_independent () =
+  let contents =
+    List.concat
+      [
+        List.init 40 (fun i -> entry ~pcid:(1 + (i mod 3)) ~vpn:(1000 + (i * 7)) ~pfn:i ());
+        List.init 5 (fun i -> entry ~global:true ~vpn:(50 + i) ~pfn:(100 + i) ());
+        List.init 3 (fun i -> entry ~size:Tlb.Two_m ~vpn:((i + 1) * 512) ~pfn:(512 * i) ());
+      ]
+  in
+  let a = Tlb.create () in
+  List.iter (Tlb.insert a) contents;
+  let b = Tlb.create () in
+  for v = 0 to 999 do
+    Tlb.insert b (entry ~pcid:5 ~vpn:(100_000 + v) ~pfn:v ())
+  done;
+  Tlb.flush_all b;
+  List.iteri
+    (fun i e ->
+      Tlb.insert b e;
+      if i mod 4 = 0 then begin
+        Tlb.insert b (entry ~pcid:9 ~vpn:(200_000 + i) ~pfn:i ());
+        Tlb.drop b ~pcid:9 ~vpn:(200_000 + i)
+      end)
+    (List.rev contents);
+  let listing t =
+    List.map
+      (fun (e : Tlb.entry) -> (e.Tlb.vpn, e.Tlb.pfn, e.Tlb.pcid, e.Tlb.global, e.Tlb.size))
+      (Tlb.entries t)
+  in
+  check int_t "same occupancy" (Tlb.occupancy a) (Tlb.occupancy b);
+  check bool_t "identical entries, in the same order" true (listing a = listing b);
+  check int_t "every entry listed" (List.length contents) (List.length (listing a))
+
 (* --- Cpu + Apic --- *)
 
 let make_machine_parts () =
@@ -476,6 +538,8 @@ let suite =
     Alcotest.test_case "cache: exclusive write local" `Quick test_cache_exclusive_write_is_local;
     Alcotest.test_case "cache: atomic cost" `Quick test_cache_atomic_cost;
     Alcotest.test_case "cache: totals and reset" `Quick test_cache_totals;
+    Alcotest.test_case "cache: ranks match Topology.distance" `Quick
+      test_cache_ranks_match_topology;
     Alcotest.test_case "tlb: hit/miss" `Quick test_tlb_hit_miss;
     Alcotest.test_case "tlb: pcid isolation" `Quick test_tlb_pcid_isolation;
     Alcotest.test_case "tlb: global matches any pcid" `Quick test_tlb_global_matches_any_pcid;
@@ -492,6 +556,8 @@ let suite =
       test_tlb_reinsert_after_invalidate_is_youngest;
     Alcotest.test_case "tlb: random ops vs FIFO model" `Quick
       test_tlb_random_vs_fifo_model;
+    Alcotest.test_case "tlb: entries independent of history" `Quick
+      test_tlb_entries_history_independent;
     Alcotest.test_case "cpu: compute accounting" `Quick test_cpu_compute_accounting;
     Alcotest.test_case "cpu+apic: delivery and interruption" `Quick test_ipi_delivery_and_interruption;
     Alcotest.test_case "cpu: masking defers irqs" `Quick test_irq_masking_defers;

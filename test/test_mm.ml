@@ -101,6 +101,213 @@ let test_frames_exhaustion () =
   Alcotest.check_raises "oom" Frame_alloc.Out_of_memory (fun () ->
       ignore (Frame_alloc.alloc f))
 
+(* Reference allocator with eager full-size per-frame arrays: the
+   demand-sized Frame_alloc must be indistinguishable from it. *)
+module Eager_frames = struct
+  type t = {
+    frames : int;
+    used : bool array;
+    refcounts : int array;
+    generations : int array;
+    free_list : int Queue.t;
+    mutable next_fresh : int;
+    mutable huge_floor : int;
+    mutable n_allocated : int;
+  }
+
+  let create ~frames =
+    {
+      frames;
+      used = Array.make frames false;
+      refcounts = Array.make frames 0;
+      generations = Array.make frames 0;
+      free_list = Queue.create ();
+      next_fresh = 0;
+      huge_floor = frames;
+      n_allocated = 0;
+    }
+
+  let is_allocated t pfn = pfn >= 0 && pfn < t.frames && t.used.(pfn)
+
+  let alloc t =
+    let pfn =
+      match Queue.take_opt t.free_list with
+      | Some pfn -> pfn
+      | None ->
+          if t.next_fresh >= t.huge_floor then raise Frame_alloc.Out_of_memory;
+          t.next_fresh <- t.next_fresh + 1;
+          t.next_fresh - 1
+    in
+    t.used.(pfn) <- true;
+    t.refcounts.(pfn) <- 1;
+    t.n_allocated <- t.n_allocated + 1;
+    pfn
+
+  let ref_get t pfn =
+    if not (is_allocated t pfn) then
+      invalid_arg (Printf.sprintf "Frame_alloc.ref_get: frame %d not allocated" pfn);
+    t.refcounts.(pfn) <- t.refcounts.(pfn) + 1
+
+  let refcount t pfn =
+    if pfn < 0 || pfn >= t.frames then invalid_arg "Frame_alloc.refcount";
+    t.refcounts.(pfn)
+
+  let generation t pfn =
+    if pfn < 0 || pfn >= t.frames then invalid_arg "Frame_alloc.generation";
+    t.generations.(pfn)
+
+  let alloc_huge t =
+    let base = (t.huge_floor - Addr.pages_per_huge) land lnot (Addr.pages_per_huge - 1) in
+    if base < t.next_fresh then raise Frame_alloc.Out_of_memory;
+    t.huge_floor <- base;
+    Array.fill t.used base Addr.pages_per_huge true;
+    t.n_allocated <- t.n_allocated + Addr.pages_per_huge;
+    base
+
+  let free t pfn =
+    if not (is_allocated t pfn) then
+      invalid_arg (Printf.sprintf "Frame_alloc.free: frame %d not allocated" pfn);
+    t.refcounts.(pfn) <- t.refcounts.(pfn) - 1;
+    if t.refcounts.(pfn) = 0 then begin
+      t.used.(pfn) <- false;
+      t.generations.(pfn) <- t.generations.(pfn) + 1;
+      t.n_allocated <- t.n_allocated - 1;
+      Queue.push pfn t.free_list
+    end
+
+  let free_huge t base =
+    if base land (Addr.pages_per_huge - 1) <> 0 then
+      invalid_arg "Frame_alloc.free_huge: base not hugepage-aligned";
+    for pfn = base to base + Addr.pages_per_huge - 1 do
+      if not (is_allocated t pfn) then
+        invalid_arg (Printf.sprintf "Frame_alloc.free_huge: frame %d not allocated" pfn);
+      t.used.(pfn) <- false;
+      t.generations.(pfn) <- t.generations.(pfn) + 1
+    done;
+    t.n_allocated <- t.n_allocated - Addr.pages_per_huge
+end
+
+(* One op's observable outcome, the same shape for both allocators. *)
+let outcome f =
+  match f () with
+  | v -> v
+  | exception Frame_alloc.Out_of_memory -> "out of memory"
+  | exception Invalid_argument msg -> "invalid: " ^ msg
+
+(* Seeded op sequences against the eager reference: every step must give
+   the same PFN, count, generation, answer or exception, and the same
+   totals. A random phase mixes all ops (including frees of frames that
+   are not allocated); an exhaustion phase then allocates hugepage runs
+   until they meet the bump pointer and single frames until the pool is
+   dry, so Out_of_memory must land on the same step. *)
+let test_frames_growable_vs_eager ~frames () =
+  let rng = Rng.create ~seed:(Int64.of_int (1000 + frames)) in
+  let f = Frame_alloc.create ~frames and r = Eager_frames.create ~frames in
+  let live = ref [||] and n_live = ref 0 in
+  let push pfn =
+    if !n_live = Array.length !live then begin
+      let bigger = Array.make (Stdlib.max 16 (2 * !n_live)) 0 in
+      Array.blit !live 0 bigger 0 !n_live;
+      live := bigger
+    end;
+    !live.(!n_live) <- pfn;
+    incr n_live
+  in
+  let take () =
+    let i = Rng.int rng !n_live in
+    let pfn = !live.(i) in
+    decr n_live;
+    !live.(i) <- !live.(!n_live);
+    pfn
+  in
+  let huge = ref [] in
+  let any_pfn () = Rng.int rng (frames + 2) - 1 in
+  let step i name got want =
+    if not (String.equal got want) then
+      Alcotest.failf "frames=%d step %d %s: growable %S, eager %S" frames i name got want;
+    if Frame_alloc.allocated f <> r.Eager_frames.n_allocated then
+      Alcotest.failf "frames=%d step %d %s: allocated %d vs %d" frames i name
+        (Frame_alloc.allocated f) r.Eager_frames.n_allocated
+  in
+  let both i name g e = step i name (outcome g) (outcome e) in
+  (* An allocation op: returns whether the reference succeeded, after
+     handing the new PFN to [keep]. *)
+  let allocate i name growable eager keep =
+    let got = outcome (fun () -> string_of_int (growable f)) in
+    let want = outcome (fun () -> string_of_int (eager r)) in
+    step i name got want;
+    match int_of_string_opt want with
+    | Some pfn ->
+        keep pfn;
+        true
+    | None -> false
+  in
+  let alloc i = allocate i "alloc" Frame_alloc.alloc Eager_frames.alloc push in
+  let alloc_huge i =
+    allocate i "alloc_huge" Frame_alloc.alloc_huge Eager_frames.alloc_huge (fun base ->
+        huge := base :: !huge)
+  in
+  for i = 0 to 2999 do
+    match Rng.int rng 16 with
+    | 0 | 1 | 2 | 3 | 4 -> ignore (alloc i)
+    | 5 | 6 | 7 ->
+        let pfn = if !n_live > 0 && Rng.int rng 8 > 0 then take () else any_pfn () in
+        both i "free"
+          (fun () -> Frame_alloc.free f pfn; "ok")
+          (fun () -> Eager_frames.free r pfn; "ok")
+    | 8 ->
+        let pfn =
+          if !n_live > 0 && Rng.int rng 4 > 0 then !live.(Rng.int rng !n_live) else any_pfn ()
+        in
+        both i "ref_get"
+          (fun () -> Frame_alloc.ref_get f pfn; "ok")
+          (fun () -> Eager_frames.ref_get r pfn; "ok");
+        if Frame_alloc.is_allocated f pfn then push pfn
+    | 9 -> ignore (alloc_huge i)
+    | 10 ->
+        let base =
+          match !huge with
+          | b :: rest when Rng.int rng 4 > 0 ->
+              huge := rest;
+              b
+          | _ -> Rng.int rng (frames / Addr.pages_per_huge + 1) * Addr.pages_per_huge
+        in
+        both i "free_huge"
+          (fun () -> Frame_alloc.free_huge f base; "ok")
+          (fun () -> Eager_frames.free_huge r base; "ok")
+    | 11 | 12 ->
+        let pfn = any_pfn () in
+        both i "refcount"
+          (fun () -> string_of_int (Frame_alloc.refcount f pfn))
+          (fun () -> string_of_int (Eager_frames.refcount r pfn))
+    | 13 | 14 ->
+        let pfn = any_pfn () in
+        both i "generation"
+          (fun () -> string_of_int (Frame_alloc.generation f pfn))
+          (fun () -> string_of_int (Eager_frames.generation r pfn))
+    | _ ->
+        let pfn = any_pfn () in
+        both i "is_allocated"
+          (fun () -> string_of_bool (Frame_alloc.is_allocated f pfn))
+          (fun () -> string_of_bool (Eager_frames.is_allocated r pfn))
+  done;
+  let i = ref 3000 in
+  while alloc_huge !i do
+    incr i
+  done;
+  while alloc !i do
+    incr i
+  done;
+  check int_t "bump pointer met the hugepage floor" r.Eager_frames.huge_floor
+    r.Eager_frames.next_fresh;
+  for pfn = 0 to frames - 1 do
+    if
+      Frame_alloc.refcount f pfn <> Eager_frames.refcount r pfn
+      || Frame_alloc.generation f pfn <> Eager_frames.generation r pfn
+      || Frame_alloc.is_allocated f pfn <> Eager_frames.is_allocated r pfn
+    then Alcotest.failf "frames=%d: final state of frame %d differs" frames pfn
+  done
+
 (* --- Page_table --- *)
 
 let test_pt_map_walk () =
@@ -290,6 +497,12 @@ let suite =
     Alcotest.test_case "frames: double free rejected" `Quick test_frames_double_free_rejected;
     Alcotest.test_case "frames: hugepage alignment" `Quick test_frames_huge_alignment;
     Alcotest.test_case "frames: exhaustion" `Quick test_frames_exhaustion;
+    Alcotest.test_case "frames: same as eager model, 64 frames" `Quick
+      (test_frames_growable_vs_eager ~frames:64);
+    Alcotest.test_case "frames: same as eager model, 4096 frames" `Quick
+      (test_frames_growable_vs_eager ~frames:4096);
+    Alcotest.test_case "frames: same as eager model, 262144 frames" `Quick
+      (test_frames_growable_vs_eager ~frames:262144);
     Alcotest.test_case "pt: map and walk" `Quick test_pt_map_walk;
     Alcotest.test_case "pt: hugepages" `Quick test_pt_hugepage;
     Alcotest.test_case "pt: double map rejected" `Quick test_pt_double_map_rejected;

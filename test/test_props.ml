@@ -3,19 +3,6 @@
 
 let count = 200
 
-(* --- Heap: popping always yields a sorted permutation --- *)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~count ~name:"heap pops any int list sorted"
-    QCheck.(list int)
-    (fun values ->
-      let h = Heap.create ~compare in
-      List.iter (Heap.push h) values;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare values)
-
 (* --- Stats: mean/min/max agree with a reference fold --- *)
 
 let prop_stats_mean =
@@ -400,7 +387,6 @@ let prop_mapped_readable_unmapped_faults =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_heap_sorts;
       prop_stats_mean;
       prop_stats_percentile_bounds;
       prop_rng_bounds;

@@ -1,4 +1,4 @@
-(* Unit tests for the simulation substrate: Rng, Stats, Heap, Engine,
+(* Unit tests for the simulation substrate: Rng, Stats, Engine,
    Process, Waitq, Trace. *)
 
 let check = Alcotest.check
@@ -248,47 +248,6 @@ let test_histogram_merge () =
   Alcotest.check_raises "config mismatch rejected"
     (Invalid_argument "Histogram.merge_into: bucket configurations differ") (fun () ->
       Stats.Histogram.merge_into a c)
-
-(* --- Heap --- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some x ->
-        out := x :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list int_t) "sorted output" [ 1; 2; 3; 5; 7; 8; 9 ] (List.rev !out)
-
-let test_heap_peek () =
-  let h = Heap.create ~compare in
-  check (Alcotest.option int_t) "empty peek" None (Heap.peek h);
-  Heap.push h 4;
-  Heap.push h 2;
-  check (Alcotest.option int_t) "peek min" (Some 2) (Heap.peek h);
-  check int_t "length unchanged" 2 (Heap.length h)
-
-let test_heap_random_against_sort () =
-  let r = Rng.create ~seed:13L in
-  let h = Heap.create ~compare in
-  let values = List.init 500 (fun _ -> Rng.int r 10_000) in
-  List.iter (Heap.push h) values;
-  let expected = List.sort compare values in
-  let rec drain acc =
-    match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-  in
-  check (Alcotest.list int_t) "matches sort" expected (drain [])
-
-let test_heap_clear () =
-  let h = Heap.create ~compare in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  check bool_t "empty after clear" true (Heap.is_empty h)
 
 (* --- Engine --- *)
 
@@ -754,10 +713,6 @@ let suite =
     Alcotest.test_case "stats: merge = single stream" `Quick
       test_stats_merge_matches_single_stream;
     Alcotest.test_case "stats: histogram merge" `Quick test_histogram_merge;
-    Alcotest.test_case "heap: pops in order" `Quick test_heap_ordering;
-    Alcotest.test_case "heap: peek" `Quick test_heap_peek;
-    Alcotest.test_case "heap: random vs sort" `Quick test_heap_random_against_sort;
-    Alcotest.test_case "heap: clear" `Quick test_heap_clear;
     Alcotest.test_case "engine: time ordering" `Quick test_engine_time_ordering;
     Alcotest.test_case "engine: FIFO at ties" `Quick test_engine_fifo_at_same_time;
     Alcotest.test_case "engine: nested scheduling" `Quick test_engine_nested_scheduling;
