@@ -100,7 +100,7 @@ let micro_figure_plan ~fig ~safe ~pte_count () =
     Shard.name = Printf.sprintf "fig%d" fig;
     jobs;
     reused;
-    reduce = (fun () -> print_micro_figure ~fig ~safe ~pte_count (get ()));
+    reduce = (fun () -> print_micro_figure ~fig ~safe ~pte_count (get ()); []);
   }
 
 (* ----- Table 3: latency reduction cross-socket, all four techniques ----- *)
@@ -135,7 +135,8 @@ let table3_plan () =
         "Table 3 — [initiator / responder] latency reduction, cross-socket, all \
          techniques of §3 (paper: safe 39%/13% & 58%/22%; unsafe 39%/18% & 54%/14%)"
       ~header:[ ""; "Safe Mode"; "Unsafe Mode" ]
-      [ [ "1 PTE"; fmt s1; fmt u1 ]; [ "10 PTEs"; fmt s10; fmt u10 ] ]
+      [ [ "1 PTE"; fmt s1; fmt u1 ]; [ "10 PTEs"; fmt s10; fmt u10 ] ];
+    []
   in
   { Shard.name = "table3"; jobs; reused; reduce }
 
@@ -186,7 +187,8 @@ let fig9_plan () =
          (fun g ->
            let mode, label, mean, sd = g () in
            [ mode; label; Report.cycles mean; Printf.sprintf "%.0f" sd ])
-         row_getters)
+         row_getters);
+    []
   in
   { Shard.name = "fig9"; jobs = List.rev !jobs; reused = !reused; reduce }
 
@@ -240,7 +242,8 @@ let table2_plan () =
     Report.table
       ~title:"Table 2 — lines of code per optimization (paper patch vs this repo)"
       ~header:[ "Optimization"; "paper LoC"; "this repo (module LoC)" ]
-      (get ())
+      (get ());
+    []
   in
   { Shard.name = "table2"; jobs = [ job ]; reused = 0; reduce }
 
@@ -276,7 +279,8 @@ let table4_plan () =
              Report.count r.Fracture.selective_misses;
              Report.count r.Fracture.fracture_promotions;
            ])
-         cells)
+         cells);
+    []
   in
   { Shard.name = "table4"; jobs = List.map fst cells; reused = 0; reduce }
 
@@ -345,7 +349,8 @@ let ablation_single_opt_plan () =
            (Report.cycles base.Microbench.initiator_mean)
            (Report.cycles base.Microbench.responder_mean))
       ~header:[ "technique"; "initiator"; "init cut"; "responder"; "resp cut" ]
-      rows
+      rows;
+    []
   in
   { Shard.name = "ablation-A"; jobs = List.rev !jobs; reused = !reused; reduce }
 
@@ -412,7 +417,8 @@ let ablation_ipi_latency_plan () =
          PTEs): with slow pre-x2APIC IPIs the protocol work the paper optimizes \
          is noise, which is §2.3.2's point about older evaluations"
       ~header:[ "IPI scale"; "baseline"; "all §3"; "reduction" ]
-      rows
+      rows;
+    []
   in
   { Shard.name = "ablation-B"; jobs = List.rev !jobs; reused = !reused; reduce }
 
@@ -470,7 +476,8 @@ let ablation_batch_slots_plan () =
         "Ablation C — §4.2 batch slots (sysbench, 8 threads, safe, fig10 scale; \
          the paper allocates 4)"
       ~header:[ "slots"; "ops/kcyc"; "shootdowns"; "deferrals" ]
-      rows
+      rows;
+    []
   in
   { Shard.name = "ablation-C"; jobs = List.rev !jobs; reused = !reused; reduce }
 
@@ -527,7 +534,8 @@ let ablation_full_flush_threshold_plan () =
          translation"
       ~header:
         [ "threshold"; "mode"; "safe init"; "safe resp"; "unsafe init"; "unsafe resp" ]
-      rows
+      rows;
+    []
   in
   { Shard.name = "ablation-D"; jobs = List.rev !jobs; reused = !reused; reduce }
 
@@ -571,7 +579,8 @@ let ablation_paravirt_fracture_plan () =
       [
         [ "16 selective flushes (unhinted)"; string_of_int i_no; Report.count m_no ];
         [ "1 full flush (hinted)"; string_of_int i_yes; Report.count m_yes ];
-      ]
+      ];
+    []
   in
   { Shard.name = "paravirt"; jobs = [ no_job; yes_job ]; reused = 0; reduce }
 
@@ -631,7 +640,8 @@ let ablation_freebsd_plan () =
          FreeBSD's global shootdown mutex vs Linux's concurrent protocol vs the \
          paper's optimizations"
       ~header:[ "protocol"; "threads"; "ops/kcyc" ]
-      rows
+      rows;
+    []
   in
   { Shard.name = "ablation-E"; jobs = List.rev !jobs; reused = !reused; reduce }
 
@@ -647,11 +657,12 @@ let ablation_tasks =
 
 (* ----- Big-machine scaling (DESIGN.md §12) ----- *)
 
-(* The reduce phase stashes each size's result here so perf mode can emit
-   the schema-5 "bigmachine" rows without re-running the cells; harmless
-   in table-only modes. Keyed rows use ["scale":], never ["name":], so
-   perf_gate's experiment-row scanner does not pick them up. *)
-let bigmachine_results : (int * Bigmachine.result) list ref = ref []
+(* A BENCH_PERF row (lib/workloads/bench_perf.ml owns the format). Plans
+   whose results perf mode reports return their rows from reduce. *)
+let perf_row ?(memoized = false) family key values =
+  { Bench_perf.family; key; values; memoized }
+
+let int n = Some (float_of_int n)
 
 let bigmachine_plan () =
   let cells =
@@ -682,7 +693,6 @@ let bigmachine_plan () =
   let reused = List.length (List.filter (fun (_, _, _, fresh) -> not fresh) cells) in
   let reduce () =
     let results = List.map (fun (n, _, get, _) -> (n, get ())) cells in
-    bigmachine_results := results;
     Report.table
       ~title:
         "Big-machine scaling — identical multi-tenant churn, growing machine \
@@ -699,24 +709,31 @@ let bigmachine_plan () =
              string_of_int r.Bigmachine.icr_writes;
              Printf.sprintf "%.0f" r.Bigmachine.cycles_per_shootdown;
            ])
-         results)
+         results);
+    List.map
+      (fun (n, r) ->
+        perf_row "bigmachine" (Printf.sprintf "bigmachine-%d" n)
+          [
+            ("n_cpus", int n);
+            ("threads", int r.Bigmachine.threads);
+            ("ops", int r.Bigmachine.ops);
+            ("shootdowns", int r.Bigmachine.shootdowns);
+            ("ipis", int r.Bigmachine.ipis);
+            ("icr_writes", int r.Bigmachine.icr_writes);
+            ("churns", int r.Bigmachine.churns);
+            ("cycles_per_shootdown", Some r.Bigmachine.cycles_per_shootdown);
+            ("engine_ops", int r.Bigmachine.engine_ops);
+          ])
+      results
   in
   { Shard.name = "bigmachine"; jobs; reused; reduce }
 
 (* ----- Shootout: protocol-backend comparison (DESIGN.md §13) ----- *)
 
-(* Like [bigmachine_results]: the reduce phase stashes the rows so perf
-   mode can emit the schema-6 "shootout" block without re-running the
-   cells. Those rows are keyed ["protocol":], never ["name":] or
-   ["scale":], so neither of perf_gate's other scanners picks them up and
-   pre-schema-6 gates skip them entirely. *)
-let shootout_results : Shootout.row list ref = ref []
-
 let shootout_plan () =
   let jobs, get_rows = Shootout.plan_cells ~iterations:(micro_iters ()) () in
   let reduce () =
     let rows = get_rows () in
-    shootout_results := rows;
     let cell = function None -> "-" | Some v -> Printf.sprintf "%.0f" v in
     Report.table
       ~title:
@@ -739,18 +756,27 @@ let shootout_plan () =
              cell r.Shootout.sh_ack_p50;
              string_of_int r.Shootout.sh_line_transfers;
            ])
-         rows)
+         rows);
+    List.map
+      (fun r ->
+        perf_row "shootout" r.Shootout.sh_label
+          [
+            ("initiator_mean", Some r.Shootout.sh_initiator_mean);
+            ("initiator_sd", Some r.Shootout.sh_initiator_sd);
+            ("responder_mean", Some r.Shootout.sh_responder_mean);
+            ("shootdowns", int r.Shootout.sh_shootdowns);
+            ("prep_p50", r.Shootout.sh_prep_p50);
+            ("ipi_p50", r.Shootout.sh_ipi_p50);
+            ("flush_p50", r.Shootout.sh_flush_p50);
+            ("ack_p50", r.Shootout.sh_ack_p50);
+            ("line_transfers", int r.Shootout.sh_line_transfers);
+            ("line_cycles", Some r.Shootout.sh_line_cycles);
+          ])
+      rows
   in
   { Shard.name = "shootout"; jobs; reused = 0; reduce }
 
 (* ----- Shootout workloads: fig10/fig11/bigmachine-56 per backend ----- *)
-
-(* Stashed by the reduce for the schema-7 "workloads" JSON block, like
-   [bigmachine_results]/[shootout_results]. Rows are keyed ["experiment":]
-   with the backend under ["proto":] — none of the keys older gate
-   scanners walk ("name"/"scale"/"phase"/"protocol"), so a pre-schema-7
-   gate can neither misread nor silently half-parse them. *)
-let workloads_results : Shootout.wl_report option ref = ref None
 
 (* Planned LAST (see [all_tasks]): the paper backend's cells are
    value-identical to fig10/fig11's "+batching" stack and the bigmachine
@@ -765,7 +791,6 @@ let shootout_workloads_plan () =
   in
   let reduce () =
     let report = get () in
-    workloads_results := Some report;
     let backend_cols = List.map (fun (l, _) -> l) (Shootout.workload_backends ()) in
     let tput_table ~title ~axis ~fmt rows =
       match rows with
@@ -804,7 +829,18 @@ let shootout_workloads_plan () =
              string_of_int r.Bigmachine.ipis;
              string_of_int r.Bigmachine.icr_writes;
            ])
-         report.Shootout.wl_big)
+         report.Shootout.wl_big);
+    List.map
+      (fun r ->
+        perf_row "workloads" ~memoized:r.Shootout.wl_memoized
+          (Printf.sprintf "%s/%s" r.Shootout.wl_experiment
+             (Opts.protocol_label r.Shootout.wl_protocol))
+          [
+            ("throughput", r.Shootout.wl_throughput);
+            ("cycles_per_shootdown", r.Shootout.wl_cycles_per_shootdown);
+            ("shootdowns", int r.Shootout.wl_shootdowns);
+          ])
+      report.Shootout.wl_rows
   in
   { Shard.name = "shootout-workloads"; jobs; reused; reduce }
 
@@ -914,23 +950,9 @@ let run_tasks ~jobs tasks =
 
 (* ----- perf: wall-clock harness, BENCH_PERF.json ----- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Schema-3 phases block: per-phase shootdown latency percentiles from a
-   small metered Observe sweep, run after the (unmetered) experiments so
-   their timing rows are untouched and the committed baseline stays valid.
-   Rows are keyed ["phase":] — never ["name":] — because perf_gate's row
-   scanner treats every ["name":] occurrence as an experiment row. *)
+(* Per-phase shootdown latency percentiles from a small metered Observe
+   sweep, run after the (unmetered) experiments so their timing rows are
+   untouched. *)
 let phases_rows ~jobs =
   let metrics = Observe.collect ~iterations:(if !quick then 50 else 200) ~jobs () in
   List.filter_map
@@ -947,161 +969,110 @@ let phases_rows ~jobs =
           if String.equal labels "" then Metrics.series_name s
           else Printf.sprintf "%s{%s}" (Metrics.series_name s) labels
         in
-        let pct p = Option.value (Stats.percentile_opt st p) ~default:0.0 in
-        Some (id, Stats.count st, pct 50.0, pct 99.0))
+        Some
+          (perf_row "phases" id
+             [
+               ("count", int (Stats.count st));
+               ("p50", Stats.percentile_opt st 50.0);
+               ("p99", Stats.percentile_opt st 99.0);
+             ]))
     (Metrics.all metrics)
+
+(* One "experiments" row per plan: the host cost of the cells it owns. *)
+let experiment_row o =
+  let m = o.Shard.out_measure in
+  let ops = Option.map float_of_int m.Shard.engine_ops in
+  perf_row "experiments" o.Shard.out_name ~memoized:(o.Shard.out_reused > 0)
+    [
+      ("wall_s", Some m.Shard.wall_s);
+      ("max_run_wall_s", Some m.Shard.max_wall_s);
+      ("runs", int m.Shard.runs);
+      ("engine_ops", ops);
+      ( "engine_ops_per_s",
+        Option.map (fun ops -> ops /. Float.max 1e-9 m.Shard.wall_s) ops );
+      ("minor_words", Some m.Shard.minor_words);
+      ("major_words", Some m.Shard.major_words);
+      ("promoted_words", Some m.Shard.promoted_words);
+      (* Deterministic, unlike wall time: the gate compares it raw. *)
+      ( "minor_words_per_engine_op",
+        Option.bind ops (fun ops ->
+            if ops > 0.0 then Some (m.Shard.minor_words /. ops) else None) );
+    ]
 
 let perf ~jobs () =
   let t0 = Unix.gettimeofday () in
   let outcomes, pool_gc = execute ~jobs all_tasks in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let measures =
-    List.map
-      (fun o -> (o.Shard.out_name, o.Shard.out_measure, o.Shard.out_reused))
-      outcomes
-  in
   List.iter
-    (fun (name, m, reused) ->
-      let ops_s =
+    (fun o ->
+      let m = o.Shard.out_measure in
+      let ops_s, rate =
         match m.Shard.engine_ops with
-        | None -> "n/a"
-        | Some ops -> Report.count ops
+        | None -> ("n/a", "n/a")
+        | Some ops ->
+            ( Report.count ops,
+              Report.cycles (float_of_int ops /. Float.max 1e-9 m.Shard.wall_s) )
       in
-      let rate =
-        match m.Shard.engine_ops with
-        | None -> "n/a"
-        | Some ops -> Report.cycles (float_of_int ops /. Float.max 1e-9 m.Shard.wall_s)
-      in
-      Printf.printf "  %-12s %7.2fs  %11s engine-ops  %8s ops/s  %4d run(s)%s\n%!" name
-        m.Shard.wall_s ops_s rate m.Shard.runs
-        (if reused > 0 then Printf.sprintf "  [%d memoized]" reused else ""))
-    measures;
+      Printf.printf "  %-12s %7.2fs  %11s engine-ops  %8s ops/s  %4d run(s)%s\n%!"
+        o.Shard.out_name m.Shard.wall_s ops_s rate m.Shard.runs
+        (if o.Shard.out_reused > 0 then
+           Printf.sprintf "  [%d memoized]" o.Shard.out_reused
+         else ""))
+    outcomes;
   let total_wall =
-    List.fold_left (fun acc (_, m, _) -> acc +. m.Shard.wall_s) 0.0 measures
+    List.fold_left (fun acc o -> acc +. o.Shard.out_measure.Shard.wall_s) 0.0 outcomes
   in
   let total_ops =
     List.fold_left
-      (fun acc (_, m, _) -> acc + Option.value m.Shard.engine_ops ~default:0)
-      0 measures
+      (fun acc o -> acc + Option.value o.Shard.out_measure.Shard.engine_ops ~default:0)
+      0 outcomes
   in
   (* Process-lifetime GC totals: after the pool's domains are joined their
      counters have folded into this domain's, so a plain quick_stat here
      sums every domain — the cross-domain aggregate perf mode reports. *)
   let gc = Gc.quick_stat () in
-  let oc = open_out "BENCH_PERF.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": 7,\n";
-  out "  \"mode\": \"%s\",\n" (if !quick then "quick" else "full");
-  out "  \"jobs\": %d,\n" jobs;
-  out "  \"experiments\": [\n";
-  let n_rows = List.length measures in
-  List.iteri
-    (fun i (name, m, reused) ->
-      let ops_json =
-        match m.Shard.engine_ops with None -> "null" | Some ops -> string_of_int ops
-      in
-      let rate_json =
-        match m.Shard.engine_ops with
-        | None -> "null"
-        | Some ops ->
-            Printf.sprintf "%.0f" (float_of_int ops /. Float.max 1e-9 m.Shard.wall_s)
-      in
-      (* Allocation per engine op is deterministic (unlike wall-clock), so
-         the gate can compare it across machines without normalization. *)
-      let words_per_op_json =
-        match m.Shard.engine_ops with
-        | Some ops when ops > 0 ->
-            Printf.sprintf "%.4f" (m.Shard.minor_words /. float_of_int ops)
-        | Some _ | None -> "null"
-      in
-      out
-        "    {\"name\": \"%s\", \"wall_s\": %.4f, \"max_run_wall_s\": %.4f, \"runs\": \
-         %d, \"engine_ops\": %s, \"engine_ops_per_s\": %s, \"minor_words\": %.0f, \
-         \"major_words\": %.0f, \"promoted_words\": %.0f, \
-         \"minor_words_per_engine_op\": %s, \"memoized\": %b}%s\n"
-        (json_escape name) m.Shard.wall_s m.Shard.max_wall_s m.Shard.runs ops_json
-        rate_json m.Shard.minor_words m.Shard.major_words m.Shard.promoted_words
-        words_per_op_json (reused > 0)
-        (if i = n_rows - 1 then "" else ","))
-    measures;
-  out "  ],\n";
-  let phases = phases_rows ~jobs in
-  out "  \"phases\": [\n";
-  let n_phases = List.length phases in
-  List.iteri
-    (fun i (id, count, p50, p99) ->
-      out "    {\"phase\": \"%s\", \"count\": %d, \"p50\": %.1f, \"p99\": %.1f}%s\n"
-        (json_escape id) count p50 p99
-        (if i = n_phases - 1 then "" else ","))
-    phases;
-  out "  ],\n";
-  (* Schema-5 scaling rows, filled by the bigmachine plan's reduce during
-     [execute] above. Keyed ["scale":] — never ["name":] — because
-     perf_gate's experiment scanner treats every ["name":] as an
-     experiment row. cycles_per_shootdown is simulated time: identical
-     across hosts and [-j], so the gate compares it raw. *)
-  out "  \"bigmachine\": [\n";
-  let n_bm = List.length !bigmachine_results in
-  List.iteri
-    (fun i (n_cpus, r) ->
-      out
-        "    {\"scale\": \"bigmachine-%d\", \"n_cpus\": %d, \"threads\": %d, \
-         \"ops\": %d, \"shootdowns\": %d, \"ipis\": %d, \"icr_writes\": %d, \
-         \"churns\": %d, \"cycles_per_shootdown\": %.2f, \"engine_ops\": %d}%s\n"
-        n_cpus n_cpus r.Bigmachine.threads r.Bigmachine.ops r.Bigmachine.shootdowns
-        r.Bigmachine.ipis r.Bigmachine.icr_writes r.Bigmachine.churns
-        r.Bigmachine.cycles_per_shootdown r.Bigmachine.engine_ops
-        (if i = n_bm - 1 then "" else ","))
-    !bigmachine_results;
-  out "  ],\n";
-  (* Schema-6 protocol-backend rows, filled by the shootout plan's reduce
-     during [execute] above. Keyed ["protocol":], so pre-schema-6 gates
-     (which scan ["name":] and ["scale":]) walk past them. Simulated-time
-     values: identical across hosts and [-j], compared raw by the gate. *)
-  out "  \"shootout\": [\n";
-  let n_sh = List.length !shootout_results in
-  List.iteri
-    (fun i r ->
-      out "    %s%s\n" (Shootout.json_of_row r) (if i = n_sh - 1 then "" else ","))
-    !shootout_results;
-  out "  ],\n";
-  (* Schema-7 cross-backend workload rows, filled by the shootout-workloads
-     plan's reduce during [execute] above. Keyed ["experiment":] with the
-     backend under ["proto":] — none of the keys the older scanners walk —
-     and carrying ["memoized":] so tests can pin that paper rows reuse the
-     figure cells. Simulated-time values, compared raw by the gate. *)
-  let wl_rows =
-    match !workloads_results with None -> [] | Some r -> r.Shootout.wl_rows
+  let run_rows =
+    [
+      perf_row "run" "total"
+        [
+          ("jobs", int jobs);
+          ("wall_s", Some total_wall);
+          ("elapsed_s", Some elapsed);
+          ("engine_ops", int total_ops);
+          ( "engine_ops_per_s",
+            Some (float_of_int total_ops /. Float.max 1e-9 total_wall) );
+        ];
+      perf_row "run" "pool_gc"
+        [
+          ("minor_words", Some pool_gc.Domain_pool.pool_minor_words);
+          ("major_words", Some pool_gc.Domain_pool.pool_major_words);
+          ("promoted_words", Some pool_gc.Domain_pool.pool_promoted_words);
+          ("minor_collections", int pool_gc.Domain_pool.pool_minor_collections);
+          ("major_collections", int pool_gc.Domain_pool.pool_major_collections);
+        ];
+      perf_row "run" "gc"
+        [
+          ("minor_collections", int gc.Gc.minor_collections);
+          ("major_collections", int gc.Gc.major_collections);
+          ("heap_words", int gc.Gc.heap_words);
+          ("minor_words", Some gc.Gc.minor_words);
+          ("major_words", Some gc.Gc.major_words);
+        ];
+    ]
   in
-  out "  \"workloads\": [\n";
-  let n_wl = List.length wl_rows in
-  List.iteri
-    (fun i r ->
-      out "    %s%s\n" (Shootout.json_of_wl_row r) (if i = n_wl - 1 then "" else ","))
-    wl_rows;
-  out "  ],\n";
-  out
-    "  \"total\": {\"wall_s\": %.4f, \"elapsed_s\": %.4f, \"engine_ops\": %d, \
-     \"engine_ops_per_s\": %.0f},\n"
-    total_wall elapsed total_ops
-    (float_of_int total_ops /. Float.max 1e-9 total_wall);
-  out
-    "  \"pool_gc\": {\"minor_words\": %.0f, \"major_words\": %.0f, \"promoted_words\": \
-     %.0f, \"minor_collections\": %d, \"major_collections\": %d},\n"
-    pool_gc.Domain_pool.pool_minor_words pool_gc.Domain_pool.pool_major_words
-    pool_gc.Domain_pool.pool_promoted_words pool_gc.Domain_pool.pool_minor_collections
-    pool_gc.Domain_pool.pool_major_collections;
-  out
-    "  \"gc\": {\"minor_collections\": %d, \"major_collections\": %d, \"heap_words\": \
-     %d, \"minor_words\": %.0f, \"major_words\": %.0f}\n"
-    gc.Gc.minor_collections gc.Gc.major_collections gc.Gc.heap_words gc.Gc.minor_words
-    gc.Gc.major_words;
-  out "}\n";
-  close_out oc;
+  let phases = phases_rows ~jobs in
+  let rows =
+    List.map experiment_row outcomes
+    @ phases
+    @ List.concat_map (fun o -> o.Shard.out_rows) outcomes
+    @ run_rows
+  in
+  let mode = if !quick then "quick" else "full" in
+  Out_channel.with_open_bin "BENCH_PERF.json" (fun oc ->
+      output_string oc (Bench_perf.to_string ~mode rows));
   Printf.printf "total %.2fs cpu (%.2fs elapsed at -j %d) over %d experiments; wrote \
                  BENCH_PERF.json\n"
-    total_wall elapsed jobs (List.length measures)
+    total_wall elapsed jobs (List.length outcomes)
 
 let usage () =
   Printf.eprintf

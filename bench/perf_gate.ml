@@ -1,542 +1,188 @@
-(* Perf regression gate over BENCH_PERF.json (schema 7).
+(* Perf regression gate over two BENCH_PERF.json files (Bench_perf rows).
 
      perf_gate.exe BASELINE.json CURRENT.json [--threshold 0.25]
 
-   Two gates per experiment:
+   Every baseline row of a gated family is looked up by (family, key) in
+   the current file. A row missing there fails. A row that either side
+   marks as not comparable (the skip rules below) is reported as a skip.
+   Otherwise every gate of the family compares the metric, and fails when
+   it moves the wrong way by more than the threshold.
 
-   - Throughput. Raw engine_ops_per_s is hardware-dependent — CI runners
-     differ run to run — so the gate compares each experiment's NORMALIZED
-     throughput: its ops/s divided by the whole run's ops/s. That ratio
-     cancels machine speed; it only moves when one experiment slows down
-     (or speeds up) relative to the rest of the bench, which is exactly
-     the signature of a hot-path regression localized to one workload. An
-     experiment fails when its normalized throughput falls more than the
-     threshold below the committed baseline's.
+   Only the experiments' engine_ops_per_s is host wall time. Raw ops/s
+   differs run to run on CI machines, so that gate compares each row's
+   share of the run's aggregate ops/s (Σ engine_ops / Σ wall_s over the
+   family's gated rows); the share only moves when one experiment slows
+   down relative to the rest of the bench. Every other metric is a
+   deterministic function of the simulation (allocation per engine op,
+   simulated cycles, simulated throughput) and is compared raw.
 
-   - Allocation. minor_words_per_engine_op is a deterministic function of
-     the simulation (same cells → same allocations → same op count), so it
-     needs no normalization at all: the gate fails an experiment whose
-     words/op rises more than the threshold above the baseline's. This is
-     the regression signature of un-pooling an event path or reintroducing
-     per-iteration closures.
+   A file that does not parse, lacks "schema" or declares another schema
+   exits 2, as does a baseline with nothing to gate. Families no gate
+   covers are named on stderr, never silently ignored. *)
 
-   Trivial experiments (engine_ops below [min_ops], or null — table2,
-   table4, paravirt drive no engine) are reported but never gated: their
-   wall times are noise-dominated. Rows marked "memoized": true executed
-   none of their own cells (every cell was owned by an earlier experiment
-   in the same run), so both their wall time and their allocation are
-   bookkeeping noise — they are skipped too, on either side: a row that is
-   memoized in one file but not the other is never compared.
+type better = Higher | Lower
 
-   The parser is a minimal scanner for the schema this repo's own perf
-   mode emits — not a general JSON reader, and deliberately so: it keeps
-   the gate dependency-free. Each row family keys on a field no other
-   family uses ("name" / "scale" / "protocol" / "experiment"), so every
-   scanner walks the whole file and sees only its own rows. A file whose
-   declared "schema" is newer than [supported_schema] still gates every
-   family this gate knows, but says so on stderr: rows from the newer
-   schema are invisible to these scanners, not validated. *)
+type gate = { metric : string; better : better; normalized : bool }
 
-let min_ops = 100_000
-let supported_schema = 7
+(* (family, gate): one line per gated metric. *)
+let gate ?(normalized = false) family metric better =
+  (family, { metric; better; normalized })
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let gates =
+  [
+    gate "experiments" "engine_ops_per_s" Higher ~normalized:true;
+    gate "experiments" "minor_words_per_engine_op" Lower;
+    gate "bigmachine" "cycles_per_shootdown" Lower;
+    gate "shootout" "initiator_mean" Lower;
+    gate "workloads" "throughput" Higher;
+    gate "workloads" "cycles_per_shootdown" Lower;
+  ]
 
-(* Position of the first ["key":] at or after [from], [None] past [until]. *)
-let find_key s ~from ?(until = max_int) key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat in
-  let slen = String.length s in
-  let until = min until slen in
-  let rec find i =
-    if i + plen > slen || i >= until then None
-    else if String.equal (String.sub s i plen) pat then Some i
-    else find (i + 1)
-  in
-  find from
+(* In-file bounds on the current run alone, (family, metric, key, of key,
+   limit): the 1024-CPU machine's cost per shootdown stays within 2x of
+   the 56-CPU paper machine's — the O(active CPUs) property the cpuset
+   layer exists to provide. *)
+let ratios =
+  [ ("bigmachine", "cycles_per_shootdown", "bigmachine-1024", "bigmachine-56", 2.0) ]
 
-(* Scan [s] for ["key": value] and return the raw value text (up to [,}]).
-   Searches from [from]; a key starting at or past [until] does not count —
-   that bound is what stops a field missing from one row from silently
-   matching the next row's. Returns the value and the position after it. *)
-let raw_field s ~from ?until key =
-  let slen = String.length s in
-  match find_key s ~from ?until key with
-  | None -> None
-  | Some k0 ->
-      let v0 = k0 + String.length key + 3 in
-      let v0 = ref v0 in
-      while !v0 < slen && (s.[!v0] = ' ' || s.[!v0] = '\n') do
-        incr v0
-      done;
-      let v1 = ref !v0 in
-      (if !v1 < slen && s.[!v1] = '"' then begin
-         incr v1;
-         while !v1 < slen && s.[!v1] <> '"' do
-           incr v1
-         done;
-         incr v1
-       end
-       else
-         while
-           !v1 < slen && (match s.[!v1] with ',' | '}' | ']' | '\n' -> false | _ -> true)
-         do
-           incr v1
-         done);
-      Some (String.trim (String.sub s !v0 (!v1 - !v0)), !v1)
+(* Below this many engine ops a host-timed row's wall time is noise. *)
+let min_ops = 100_000.0
 
-let unquote v =
-  if String.length v >= 2 && v.[0] = '"' then String.sub v 1 (String.length v - 2) else v
+open Bench_perf
 
-type row = {
-  name : string;
-  wall_s : float option;
-  engine_ops : int option;
-  words_per_op : float option;
-  memoized : bool;
-}
+let carries r name = List.mem_assoc name r.values
+let positive r name = match value r name with Some v -> v > 0.0 | None -> false
 
-(* Experiment rows, in file order: each starts at a ["name":] key inside the
-   "experiments" array (total/gc blocks carry no "name"). A row's fields
-   are searched only up to the next ["name":] key, so a missing field reads
-   as [None] instead of picking up the following row's value. Unparseable
-   or null values also read as [None]: such rows are reported and skipped,
-   never gated and never crash the gate. *)
-let rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "name" with
-    | None -> List.rev acc
-    | Some (name, p1) ->
-        let bound =
-          match find_key s ~from:p1 "name" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            name = unquote name;
-            wall_s = Option.bind (field "wall_s") float_of_string_opt;
-            engine_ops = Option.bind (field "engine_ops") int_of_string_opt;
-            words_per_op =
-              Option.bind (field "minor_words_per_engine_op") float_of_string_opt;
-            (* Absent in pre-schema-4 baselines: reads as false, so old
-               baselines gate every row exactly as they used to. *)
-            memoized = field "memoized" = Some "true";
-          }
-        in
-        if Option.is_none row.wall_s then
-          Printf.eprintf "perf_gate: row %s in %s has no usable wall_s\n" row.name
-            path;
-        collect bound (row :: acc)
-  in
-  collect 0 []
+(* Skip rules, shared by every family. A memoized row executed none of its
+   own cells, so its numbers belong to the experiment that owns them. *)
+let skip_rules =
+  [
+    ("memoized (cells owned by an earlier experiment)", fun r -> r.memoized);
+    ("no shootdowns", fun r -> carries r "shootdowns" && not (positive r "shootdowns"));
+    ( "trivial, zero-wall or no engine ops",
+      fun r ->
+        let ops = Option.value (value r "engine_ops") ~default:0.0 in
+        carries r "wall_s" && not (positive r "wall_s" && ops >= min_ops) );
+  ]
 
-type scale_row = {
-  scale : string;
-  s_cpus : int option;
-  cycles_per_shootdown : float option;
-  shootdowns : int option;
-}
+let skipped r = List.exists (fun (_, rule) -> rule r) skip_rules
 
-(* Schema-5 "bigmachine" scaling rows, keyed ["scale":] (experiment rows
-   are keyed ["name":], so neither scanner sees the other's rows). A
-   pre-schema-5 file simply yields the empty list and the scaling gates
-   are skipped. *)
-let scale_rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "scale" with
-    | None -> List.rev acc
-    | Some (scale, p1) ->
-        let bound =
-          match find_key s ~from:p1 "scale" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            scale = unquote scale;
-            s_cpus = Option.bind (field "n_cpus") int_of_string_opt;
-            cycles_per_shootdown =
-              Option.bind (field "cycles_per_shootdown") float_of_string_opt;
-            shootdowns = Option.bind (field "shootdowns") int_of_string_opt;
-          }
-        in
-        collect bound (row :: acc)
-  in
-  collect 0 []
-
-type proto_row = {
-  backend : string;
-  p_initiator_mean : float option;
-  p_shootdowns : int option;
-}
-
-(* Schema-6 "shootout" protocol-backend rows, keyed ["protocol":] (the
-   other scanners key on ["name":] and ["scale":], so none sees another's
-   rows). Row identity is the "backend" field — two rows share the
-   "paper" protocol label. A pre-schema-6 file yields the empty list and
-   the backend gates are skipped. *)
-let proto_rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "protocol" with
-    | None -> List.rev acc
-    | Some (_, p1) ->
-        let bound =
-          match find_key s ~from:p1 "protocol" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            backend = Option.value (Option.map unquote (field "backend")) ~default:"?";
-            p_initiator_mean = Option.bind (field "initiator_mean") float_of_string_opt;
-            p_shootdowns = Option.bind (field "shootdowns") int_of_string_opt;
-          }
-        in
-        collect bound (row :: acc)
-  in
-  collect 0 []
-
-type wl_row = {
-  wl_experiment : string;
-  wl_proto : string;
-  wl_throughput : float option;
-  wl_cycles : float option;
-  wl_shootdowns : int option;
-  wl_memoized : bool;
-}
-
-(* Schema-7 "workloads" rows, keyed ["experiment":] with the backend under
-   ["proto":] — note "proto" is not a substring of "protocol" nor the
-   reverse, so this scanner and the shootout one cannot see each other's
-   rows. Row identity is the (experiment, proto) pair: the same
-   wl-fig10 experiment appears once per backend. A pre-schema-7 file
-   yields the empty list and the workload gates are skipped. *)
-let wl_rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "experiment" with
-    | None -> List.rev acc
-    | Some (experiment, p1) ->
-        let bound =
-          match find_key s ~from:p1 "experiment" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            wl_experiment = unquote experiment;
-            wl_proto = Option.value (Option.map unquote (field "proto")) ~default:"?";
-            wl_throughput = Option.bind (field "throughput") float_of_string_opt;
-            wl_cycles =
-              Option.bind (field "cycles_per_shootdown") float_of_string_opt;
-            wl_shootdowns = Option.bind (field "shootdowns") int_of_string_opt;
-            wl_memoized = field "memoized" = Some "true";
-          }
-        in
-        collect bound (row :: acc)
-  in
-  collect 0 []
-
-(* A workload row is gateable only when it performed shootdowns and
-   executed its own cells: a memoized row's numbers were measured (and
-   gated) under the experiment that owns the cells. Both metrics are
-   simulated-deterministic, so like words/op they are compared raw. *)
-let wl_gateable r =
-  (not r.wl_memoized) && match r.wl_shootdowns with Some n -> n > 0 | None -> false
-
-(* The declared "schema" of the file's first (top-level) schema key.
-   Pre-schema files have none and read as 0. *)
-let schema_of_file path =
-  let s = read_file path in
-  match raw_field s ~from:0 "schema" with
-  | Some (v, _) -> Option.value (int_of_string_opt v) ~default:0
-  | None -> 0
-
-(* A backend row is gateable only when it performed shootdowns: a
-   zero-shootdown cell's latency means the bench was misconfigured. *)
-let proto_gateable r =
-  match (r.p_initiator_mean, r.p_shootdowns) with
-  | Some c, Some n -> c > 0.0 && n > 0
-  | _ -> false
-
-(* A scaling row is gateable only when it actually performed shootdowns:
-   a zero-shootdown run's cycles_per_shootdown is a placeholder 0. *)
-let scale_gateable r =
-  match (r.cycles_per_shootdown, r.shootdowns) with
-  | Some c, Some n -> c > 0.0 && n > 0
-  | _ -> false
-
-(* A row enters the aggregate (and is gateable) only with a positive wall
-   time and a non-trivial op count: [engine_ops: null] rows, zero-wall
-   runs and malformed rows all fall out here instead of poisoning the
-   normalization with infinities. *)
-let gateable r =
-  (not r.memoized)
-  &&
-  match (r.engine_ops, r.wall_s) with
-  | Some o, Some w -> o >= min_ops && w > 0.0
-  | _ -> false
-
-let total_rate rows =
-  let ops, wall =
+(* The family's aggregate ops/s over its gated rows. *)
+let run_rate rows family =
+  let sum name =
     List.fold_left
-      (fun (ops, wall) r ->
-        if gateable r then
-          (ops + Option.get r.engine_ops, wall +. Option.get r.wall_s)
-        else (ops, wall))
-      (0, 0.0) rows
+      (fun acc r ->
+        if String.equal r.family family && not (skipped r) then
+          acc +. Option.value (value r name) ~default:0.0
+        else acc)
+      0.0 rows
   in
-  float_of_int ops /. Float.max 1e-9 wall
+  sum "engine_ops" /. Float.max 1e-9 (sum "wall_s")
+
+let fail_usage msg =
+  prerr_endline ("perf_gate: " ^ msg);
+  exit 2
 
 let () =
-  let threshold = ref 0.25 in
-  let files = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--threshold" :: t :: rest ->
-        threshold := float_of_string t;
-        parse rest
-    | f :: rest ->
-        files := f :: !files;
-        parse rest
+  let threshold, files =
+    let rec parse threshold files = function
+      | [] -> (threshold, List.rev files)
+      | "--threshold" :: t :: rest -> (
+          match float_of_string_opt t with
+          | Some t -> parse t files rest
+          | None -> fail_usage ("bad --threshold " ^ t))
+      | f :: rest -> parse threshold (f :: files) rest
+    in
+    parse 0.25 [] (List.tl (Array.to_list Sys.argv))
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let baseline_path, current_path =
-    match List.rev !files with
-    | [ b; c ] -> (b, c)
-    | _ ->
-        prerr_endline "usage: perf_gate.exe BASELINE.json CURRENT.json [--threshold 0.25]";
-        exit 2
+  let load path =
+    match Bench_perf.load path with
+    | Ok rows -> rows
+    | Error msg -> fail_usage (Printf.sprintf "%s: %s" path msg)
   in
-  (* A newer file still passes through every known gate — its extra row
-     families simply aren't scanned — but that blind spot must be visible
-     in the CI log, not silent. *)
-  List.iter
-    (fun path ->
-      let schema = schema_of_file path in
-      if schema > supported_schema then
-        Printf.eprintf
-          "perf_gate: %s declares schema %d (gate supports %d): unknown newer \
-           schema rows present and not gated\n"
-          path schema supported_schema)
-    [ baseline_path; current_path ];
-  let baseline = rows_of_file baseline_path in
-  let current = rows_of_file current_path in
-  if List.is_empty baseline then begin
-    Printf.eprintf "perf_gate: no experiment rows in %s\n" baseline_path;
-    exit 2
-  end;
-  let base_total = total_rate baseline and cur_total = total_rate current in
+  let base, cur =
+    match files with
+    | [ b; c ] ->
+        let base = load b in
+        (base, load c)
+    | _ -> fail_usage "usage: perf_gate.exe BASELINE.json CURRENT.json [--threshold 0.25]"
+  in
+  let gated r = List.mem_assoc r.family gates in
+  List.iter2
+    (fun path rows ->
+      let ungated = List.filter (fun r -> not (gated r)) rows in
+      List.sort_uniq String.compare (List.map (fun r -> r.family) ungated)
+      |> List.iter (fun family ->
+             let n =
+               List.length (List.filter (fun r -> String.equal r.family family) ungated)
+             in
+             Printf.eprintf "perf_gate: %s: no gate covers the %d %S row(s)\n" path n
+               family))
+    files [ base; cur ];
+  if not (List.exists gated base) then fail_usage (List.hd files ^ ": no rows to gate");
   let failed = ref 0 in
-  List.iter
-    (fun b ->
-      match List.find_opt (fun c -> String.equal c.name b.name) current with
-      | None ->
-          Printf.printf "FAIL %-12s missing from current run\n" b.name;
-          incr failed
-      | Some c ->
-          if gateable b && gateable c then begin
-            let bo = Option.get b.engine_ops and co = Option.get c.engine_ops in
-            let bw = Option.get b.wall_s and cw = Option.get c.wall_s in
-            (* share of the run's aggregate throughput: machine-speed-free *)
-            let b_norm = float_of_int bo /. bw /. Float.max 1e-9 base_total in
-            let c_norm = float_of_int co /. cw /. Float.max 1e-9 cur_total in
-            let rel = c_norm /. Float.max 1e-9 b_norm in
-            if rel < 1.0 -. !threshold then begin
-              Printf.printf "FAIL %-12s normalized ops/s %.2fx of baseline (limit %.2fx)\n"
-                b.name rel (1.0 -. !threshold);
-              incr failed
-            end
-            else Printf.printf "ok   %-12s normalized ops/s %.2fx of baseline\n" b.name rel;
-            (* Allocation gate: deterministic, so compared raw. Only when
-               both files carry the field — a schema-2 baseline has none. *)
-            match (b.words_per_op, c.words_per_op) with
-            | Some bwo, Some cwo when bwo > 0.0 ->
-                let rel_w = cwo /. bwo in
-                if rel_w > 1.0 +. !threshold then begin
-                  Printf.printf
-                    "FAIL %-12s minor words/op %.2fx of baseline (%.2f vs %.2f, limit %.2fx)\n"
-                    b.name rel_w cwo bwo (1.0 +. !threshold);
-                  incr failed
-                end
-                else
-                  Printf.printf "ok   %-12s minor words/op %.2fx of baseline (%.2f)\n"
-                    b.name rel_w cwo
-            | _ -> ()
-          end
-          else if b.memoized || c.memoized then
-            Printf.printf "skip %-12s memoized (cells owned by an earlier experiment)\n"
-              b.name
-          else
-            Printf.printf "skip %-12s trivial, zero-wall or no engine ops (not gated)\n"
-              b.name)
-    baseline;
-  (* --- schema-5 scaling gates --- *)
-  let base_scales = scale_rows_of_file baseline_path in
-  let cur_scales = scale_rows_of_file current_path in
-  (* Regression gate: cycles_per_shootdown is simulated time, identical
-     across hosts, so it is compared raw like words/op. Only rows present
-     and gateable in both files are compared — an old baseline without
-     bigmachine rows gates nothing. *)
-  List.iter
-    (fun b ->
-      match List.find_opt (fun c -> String.equal c.scale b.scale) cur_scales with
-      | None ->
-          Printf.printf "FAIL %-16s missing from current run\n" b.scale;
-          incr failed
-      | Some c when scale_gateable b && scale_gateable c ->
-          let bc = Option.get b.cycles_per_shootdown
-          and cc = Option.get c.cycles_per_shootdown in
-          let rel = cc /. bc in
-          if rel > 1.0 +. !threshold then begin
-            Printf.printf
-              "FAIL %-16s cycles/shootdown %.2fx of baseline (%.0f vs %.0f, limit \
-               %.2fx)\n"
-              b.scale rel cc bc (1.0 +. !threshold);
-            incr failed
-          end
-          else
-            Printf.printf "ok   %-16s cycles/shootdown %.2fx of baseline (%.0f)\n"
-              b.scale rel cc
-      | Some _ -> Printf.printf "skip %-16s no shootdowns (not gated)\n" b.scale)
-    base_scales;
-  (* --- schema-6 protocol-backend gates --- *)
-  let base_protos = proto_rows_of_file baseline_path in
-  let cur_protos = proto_rows_of_file current_path in
-  (* initiator_mean is simulated time, identical across hosts, so it is
-     compared raw. Gated only when the baseline carries the row — a
-     pre-schema-6 baseline gates no backends; a row the current run
-     dropped is a failure (a backend silently fell out of the shootout). *)
-  List.iter
-    (fun b ->
-      match List.find_opt (fun c -> String.equal c.backend b.backend) cur_protos with
-      | None ->
-          Printf.printf "FAIL %-16s missing from current run\n" b.backend;
-          incr failed
-      | Some c when proto_gateable b && proto_gateable c ->
-          let bc = Option.get b.p_initiator_mean
-          and cc = Option.get c.p_initiator_mean in
-          let rel = cc /. bc in
-          if rel > 1.0 +. !threshold then begin
-            Printf.printf
-              "FAIL %-16s initiator cycles %.2fx of baseline (%.0f vs %.0f, limit \
-               %.2fx)\n"
-              b.backend rel cc bc (1.0 +. !threshold);
-            incr failed
-          end
-          else
-            Printf.printf "ok   %-16s initiator cycles %.2fx of baseline (%.0f)\n"
-              b.backend rel cc
-      | Some _ -> Printf.printf "skip %-16s no shootdowns (not gated)\n" b.backend)
-    base_protos;
-  (* --- schema-7 cross-backend workload gates --- *)
-  let base_wl = wl_rows_of_file baseline_path in
-  let cur_wl = wl_rows_of_file current_path in
-  (* Both metrics are simulated time, identical across hosts, so they are
-     compared raw. Throughput must not drop, cycles/shootdown must not
-     rise, each by more than the threshold. A row present in the baseline
-     but missing from the current run is a failure (a backend silently
-     fell out of the workload sweep); memoized rows are measured under the
-     cell-owning experiment and skipped here, on either side. *)
-  List.iter
-    (fun b ->
-      let id = Printf.sprintf "%s/%s" b.wl_experiment b.wl_proto in
-      match
-        List.find_opt
-          (fun c ->
-            String.equal c.wl_experiment b.wl_experiment
-            && String.equal c.wl_proto b.wl_proto)
-          cur_wl
-      with
-      | None ->
-          Printf.printf "FAIL %-28s missing from current run\n" id;
-          incr failed
-      | Some c when wl_gateable b && wl_gateable c -> (
-          (match (b.wl_throughput, c.wl_throughput) with
-          | Some bt, Some ct when bt > 0.0 ->
-              let rel = ct /. bt in
-              if rel < 1.0 -. !threshold then begin
-                Printf.printf
-                  "FAIL %-28s throughput %.2fx of baseline (%.4f vs %.4f, limit \
-                   %.2fx)\n"
-                  id rel ct bt (1.0 -. !threshold);
-                incr failed
-              end
-              else Printf.printf "ok   %-28s throughput %.2fx of baseline\n" id rel
-          | _ -> ());
-          match (b.wl_cycles, c.wl_cycles) with
-          | Some bc, Some cc when bc > 0.0 ->
-              let rel = cc /. bc in
-              if rel > 1.0 +. !threshold then begin
-                Printf.printf
-                  "FAIL %-28s cycles/shootdown %.2fx of baseline (%.0f vs %.0f, \
-                   limit %.2fx)\n"
-                  id rel cc bc (1.0 +. !threshold);
-                incr failed
-              end
-              else
-                Printf.printf "ok   %-28s cycles/shootdown %.2fx of baseline\n" id rel
-          | _ -> ())
-      | Some c ->
-          if b.wl_memoized || c.wl_memoized then
-            Printf.printf "skip %-28s memoized (cells owned by an earlier experiment)\n"
-              id
-          else Printf.printf "skip %-28s no shootdowns (not gated)\n" id)
-    base_wl;
-  (* In-file scaling bound: the 1024-CPU machine's per-shootdown cost must
-     stay within 2x of the 56-CPU paper machine's on the SAME run — the
-     O(active CPUs) property the cpuset layer exists to provide. Checked
-     whenever the current file carries both rows, whatever the baseline. *)
-  (match
-     ( List.find_opt (fun r -> r.s_cpus = Some 56) cur_scales,
-       List.find_opt (fun r -> r.s_cpus = Some 1024) cur_scales )
-   with
-  | Some small, Some big when scale_gateable small && scale_gateable big ->
-      let cs = Option.get small.cycles_per_shootdown
-      and cb = Option.get big.cycles_per_shootdown in
-      let rel = cb /. cs in
-      if rel > 2.0 then begin
-        Printf.printf
-          "FAIL scaling          1024-CPU cycles/shootdown %.2fx of 56-CPU (%.0f vs \
-           %.0f, limit 2.00x)\n"
-          rel cb cs;
-        incr failed
-      end
-      else
-        Printf.printf "ok   scaling          1024-CPU cycles/shootdown %.2fx of 56-CPU\n"
+  let verdict ~bad id what rel detail =
+    if bad then incr failed;
+    Printf.printf "%-4s %-44s %s %.2fx %s\n"
+      (if bad then "FAIL" else "ok")
+      id what rel detail
+  in
+  let check id b c g =
+    match (value b g.metric, value c g.metric) with
+    | Some bv, Some cv when bv > 0.0 ->
+        let bv, cv =
+          if g.normalized then (bv /. run_rate base b.family, cv /. run_rate cur b.family)
+          else (bv, cv)
+        in
+        let rel = cv /. Float.max 1e-9 bv in
+        let limit =
+          match g.better with Higher -> 1.0 -. threshold | Lower -> 1.0 +. threshold
+        in
+        verdict
+          ~bad:(match g.better with Higher -> rel < limit | Lower -> rel > limit)
+          id
+          (g.metric ^ if g.normalized then " share" else "")
           rel
-  | _ -> ());
+          (Printf.sprintf "of baseline (%.6g vs %.6g, limit %.2fx)" cv bv limit);
+        true
+    | _ -> false
+  in
+  let find rows family key =
+    List.find_opt (fun r -> String.equal r.family family && String.equal r.key key) rows
+  in
+  List.iter
+    (fun b ->
+      let id = b.family ^ "/" ^ b.key in
+      if gated b then
+        match find cur b.family b.key with
+        | None ->
+            incr failed;
+            Printf.printf "FAIL %-44s missing from current run\n" id
+        | Some c -> (
+            match List.find_opt (fun (_, rule) -> rule b || rule c) skip_rules with
+            | Some (why, _) -> Printf.printf "skip %-44s %s (not gated)\n" id why
+            | None ->
+                let mine = List.filter (fun (f, _) -> String.equal f b.family) gates in
+                let compared = List.filter (fun (_, g) -> check id b c g) mine in
+                if compared = [] then
+                  Printf.printf "skip %-44s no gated metric (not gated)\n" id))
+    base;
+  List.iter
+    (fun (family, metric, key, of_key, limit) ->
+      let metric_of k =
+        match find cur family k with
+        | Some r when not (skipped r) -> value r metric
+        | _ -> None
+      in
+      match (metric_of key, metric_of of_key) with
+      | Some v, Some of_v when of_v > 0.0 ->
+          let rel = v /. of_v in
+          verdict ~bad:(rel > limit) (family ^ "/" ^ key) metric rel
+            (Printf.sprintf "of %s (%.6g vs %.6g, limit %.2fx)" of_key v of_v limit)
+      | _ -> ())
+    ratios;
   if !failed > 0 then begin
-    Printf.printf "%d experiment(s) regressed more than %.0f%%\n" !failed (!threshold *. 100.0);
+    Printf.printf "%d gate(s) failed (threshold %.0f%%)\n" !failed (threshold *. 100.0);
     exit 1
   end;
   print_endline "perf gate passed"

@@ -61,6 +61,10 @@ val merge_into : t -> t -> unit
     underflow/overflow/nan. *)
 val to_json : t -> string
 
+(** The body of a JSON string literal for [s]: quotes, backslashes and
+    control characters escaped. *)
+val json_escape : string -> string
+
 (** Prometheus text exposition format, one histogram family per metric
     name. Bucket counts are cumulative; underflow samples are included in
     every bucket (they are ≤ each upper edge) and overflow/NaN only in

@@ -11,7 +11,7 @@
    direct evidence that the shootdown hot paths are O(active CPUs), not
    O(machine size) — the property the cpuset/hierarchical-IPI layer
    exists to provide, and the property bench/perf_gate.ml gates on the
-   schema-5 "bigmachine" rows. *)
+   "bigmachine" family rows. *)
 
 type config = {
   opts : Opts.t;

@@ -1,7 +1,7 @@
 (** Big-machine scaling workload (DESIGN.md §12): identical multi-tenant
     sysbench-plus-reclaim churn run at 56/256/512/1024 logical CPUs, so
     the per-shootdown cost column isolates machine-size overhead from
-    workload size. Emitted as the schema-5 ["bigmachine"] rows of
+    workload size. Emitted as the ["bigmachine"] family rows of
     BENCH_PERF.json and gated by bench/perf_gate.ml. *)
 
 type config = {

@@ -160,7 +160,8 @@ let fig10_plan ~memo scale =
                 thread counts)"
                (if safe then "safe" else "unsafe"))
           ~header rows)
-      sides
+      sides;
+    []
   in
   { Shard.name = "fig10"; jobs = List.rev !jobs; reused = !reused; reduce }
 
@@ -296,7 +297,8 @@ let fig11_plan ~memo scale =
                 concurrent up to 1.10x, in-context up to 1.05x)"
                (if safe then "safe" else "unsafe"))
           ~header rows)
-      sides
+      sides;
+    []
   in
   { Shard.name = "fig11"; jobs = List.rev !jobs; reused = !reused; reduce }
 

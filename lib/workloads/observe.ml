@@ -20,35 +20,29 @@ let format_of_string = function
 
 let pte_counts = [ 1; 10; 50 ]
 
-let configs ~iterations ~seed =
-  List.concat_map
-    (fun placement ->
-      List.map
-        (fun pte_count ->
-          let opts = Opts.all ~safe:true in
-          let base = Microbench.default_config ~opts ~placement ~pte_count in
-          { base with Microbench.iterations; seed; metering = true })
-        pte_counts)
-    Microbench.all_placements
+let metered_cell ~label ~opts ~placement ~pte_count ~iterations ~seed =
+  let base = Microbench.default_config ~opts ~placement ~pte_count in
+  let config = { base with Microbench.iterations; seed; metering = true } in
+  Shard.cell ~label
+    ~ops:(fun r -> r.Microbench.engine_ops)
+    ~weight:(float_of_int (iterations * pte_count))
+    (fun () -> Microbench.run config)
 
 let collect ?(iterations = 200) ?(seed = 7L) ~jobs () =
   let cells =
-    List.map
-      (fun config ->
-        Shard.cell
-          ~label:
-            (Printf.sprintf "stats/%s/%d"
-               (Microbench.placement_label config.Microbench.placement)
-               config.Microbench.pte_count)
-          ~ops:(fun r -> r.Microbench.engine_ops)
-          ~weight:(float_of_int config.Microbench.pte_count)
-          (fun () -> Microbench.run config))
-      (configs ~iterations ~seed)
+    List.concat_map
+      (fun placement ->
+        List.map
+          (fun pte_count ->
+            metered_cell
+              ~label:
+                (Printf.sprintf "stats/%s/%d" (Microbench.placement_label placement)
+                   pte_count)
+              ~opts:(Opts.all ~safe:true) ~placement ~pte_count ~iterations ~seed)
+          pte_counts)
+      Microbench.all_placements
   in
-  let plan =
-    { Shard.name = "stats"; jobs = List.map fst cells; reused = 0; reduce = (fun () -> ()) }
-  in
-  let _outcomes, _gc = Shard.execute ~jobs [ plan ] in
+  Shard.run_cells ~jobs (List.map fst cells);
   (* Plan-order merge into a fresh registry: every cell pre-registered the
      same series in the same order (Machine.create), so the merged
      registration order — and each accumulator's sample order — is a pure

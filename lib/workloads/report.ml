@@ -19,8 +19,8 @@ let capture f =
   let saved = !cell in
   let buf = Buffer.create 4096 in
   cell := Some buf;
-  Fun.protect ~finally:(fun () -> cell := saved) f;
-  Buffer.contents buf
+  let v = Fun.protect ~finally:(fun () -> cell := saved) f in
+  (Buffer.contents buf, v)
 
 let table ~title ~header rows =
   let all = header :: rows in

@@ -5,11 +5,12 @@
 val table : title:string -> header:string list -> string list list -> unit
 
 (** [capture f] runs [f], collecting everything {!table} and {!bars} would
-    have printed into a buffer, and returns it as a string. The redirection
+    have printed into a buffer, and returns it as a string with [f]'s
+    result. The redirection
     is domain-local, so experiments captured on different domains cannot
     interleave their output. Nests (and restores the previous sink) on the
     same domain. *)
-val capture : (unit -> unit) -> string
+val capture : (unit -> 'a) -> string * 'a
 
 (** Format a cycle count compactly ("12.3k", "1.20M"). *)
 val cycles : float -> string

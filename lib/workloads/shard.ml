@@ -62,7 +62,7 @@ type plan = {
   name : string;
   jobs : job list;  (** cells this experiment *owns* (pays for, in perf) *)
   reused : int;  (** cells read from the memo, owned by an earlier plan *)
-  reduce : unit -> unit;  (** prints tables via {!Report}; reads cells *)
+  reduce : unit -> Bench_perf.row list;  (** prints tables via {!Report}; reads cells *)
 }
 
 let cell ?(label = "") ?ops ~weight f =
@@ -124,6 +124,7 @@ let memo_cell memo ~key ?label ?ops ~weight f =
 type outcome = {
   out_name : string;
   output : string;
+  out_rows : Bench_perf.row list;
   out_measure : measure;
   out_reused : int;
 }
@@ -150,14 +151,19 @@ let execute ?(progress = false) ~jobs plans =
     List.map
       (fun p ->
         let t0 = Unix.gettimeofday () in
-        let output = Report.capture p.reduce in
+        let output, out_rows = Report.capture p.reduce in
         let reduce_wall = Unix.gettimeofday () -. t0 in
         {
           out_name = p.name;
           output;
+          out_rows;
           out_measure = aggregate p.jobs ~reduce_wall;
           out_reused = p.reused;
         })
       plans
   in
   (outcomes, !gc)
+
+let run_cells ~jobs cells =
+  let plan = { name = ""; jobs = cells; reused = 0; reduce = (fun () -> []) } in
+  ignore (execute ~jobs [ plan ])

@@ -36,7 +36,9 @@ type plan = {
           they were registered first by an earlier plan. Perf mode marks
           such experiments [memoized] so the gate knows their measures
           cover only part of what they print. *)
-  reduce : unit -> unit;  (** prints via {!Report}; runs after every cell *)
+  reduce : unit -> Bench_perf.row list;
+      (** prints the tables via {!Report} and returns the experiment's
+          own BENCH_PERF rows (most return none); runs after every cell *)
 }
 
 (** [cell ?label ?ops ~weight f] wraps one self-contained sim run.
@@ -74,6 +76,7 @@ val memo_cell :
 type outcome = {
   out_name : string;
   output : string;  (** the experiment's captured tables *)
+  out_rows : Bench_perf.row list;  (** what the plan's reduce returned *)
   out_measure : measure;  (** cells summed + reduce wall *)
   out_reused : int;  (** the plan's [reused] count, for perf reporting *)
 }
@@ -85,3 +88,8 @@ type outcome = {
     Also returns the pool's summed per-domain GC deltas. *)
 val execute :
   ?progress:bool -> jobs:int -> plan list -> outcome list * Domain_pool.gc_totals
+
+(** [run_cells ~jobs cells] executes standalone cells — a sweep that is
+    not part of a bench plan — on [jobs] domains; read the results back
+    through the cells' getters. *)
+val run_cells : jobs:int -> job list -> unit

@@ -80,16 +80,10 @@ let plan_cells ?(pte_count = 10) ?(iterations = 200) ?(seed = 7L) () =
   let cells =
     List.map
       (fun (label, opts) ->
-        let base =
-          Microbench.default_config ~opts ~placement:Microbench.Cross_socket ~pte_count
-        in
-        let config = { base with Microbench.iterations; seed; metering = true } in
         let job, get =
-          Shard.cell
+          Observe.metered_cell
             ~label:(Printf.sprintf "shootout/%s" label)
-            ~ops:(fun r -> r.Microbench.engine_ops)
-            ~weight:(float_of_int (iterations * pte_count))
-            (fun () -> Microbench.run config)
+            ~opts ~placement:Microbench.Cross_socket ~pte_count ~iterations ~seed
         in
         (label, opts.Opts.protocol, job, get))
       (backends ())
@@ -101,10 +95,7 @@ let plan_cells ?(pte_count = 10) ?(iterations = 200) ?(seed = 7L) () =
 
 let collect ?pte_count ?iterations ?seed ~jobs () =
   let cell_jobs, get_rows = plan_cells ?pte_count ?iterations ?seed () in
-  let plan =
-    { Shard.name = "shootout"; jobs = cell_jobs; reused = 0; reduce = (fun () -> ()) }
-  in
-  let _outcomes, _gc = Shard.execute ~jobs [ plan ] in
+  Shard.run_cells ~jobs cell_jobs;
   get_rows ()
 
 let opt_cell = function None -> "-" | Some v -> Printf.sprintf "%.0f" v
@@ -129,9 +120,7 @@ let render_table rows =
 
 let json_opt = function None -> "null" | Some v -> Printf.sprintf "%.1f" v
 
-(* One JSON object per row, keyed by "protocol" — deliberately not "name",
-   so perf-gate scanners that only understand the workload-row schema walk
-   past shootout rows instead of misreading them. *)
+(* `tlbsim shootout --format json`: one object per backend row. *)
 let json_of_row r =
   Printf.sprintf
     "{\"protocol\": \"%s\", \"backend\": \"%s\", \"initiator_mean\": %.1f, \
@@ -284,11 +273,8 @@ let workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10 ~fig11 ~q
   in
   (List.rev !jobs, get, !reused_total)
 
-(* One JSON object per (experiment, proto) summary row. Keyed
-   ["experiment":] with the backend in ["proto":] — deliberately neither
-   ["name":], ["scale":], ["phase":] nor ["protocol":], so none of the
-   pre-schema-7 perf_gate scanners can misread a workload row, and the
-   schema-7 workload scanner sees only these. *)
+(* `tlbsim shootout --workloads --format json`: one object per
+   (experiment, backend) summary row. *)
 let json_of_wl_row r =
   let opt fmt = function None -> "null" | Some v -> Printf.sprintf fmt v in
   Printf.sprintf
@@ -352,14 +338,6 @@ let run_workloads ?(quick = true) ~jobs format =
     workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo
       ~fig10:(Figures.fig10_scale ~quick) ~fig11:(Figures.fig11_scale ~quick) ~quick ()
   in
-  let plan =
-    {
-      Shard.name = "shootout-workloads";
-      jobs = cell_jobs;
-      reused = 0;
-      reduce = (fun () -> ());
-    }
-  in
-  let _outcomes, _gc = Shard.execute ~jobs [ plan ] in
+  Shard.run_cells ~jobs cell_jobs;
   let report = get () in
   match format with Table -> render_workloads report | Json -> render_wl_json report

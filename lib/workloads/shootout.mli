@@ -40,10 +40,6 @@ val plan_cells :
 val collect :
   ?pte_count:int -> ?iterations:int -> ?seed:int64 -> jobs:int -> unit -> row list
 
-(** One JSON object, keyed by ["protocol"] (not ["name"], so workload-row
-    scanners skip shootout rows rather than misread them). *)
-val json_of_row : row -> string
-
 val render : format -> row list -> string
 
 (** {!collect} + {!render}. *)
@@ -95,12 +91,6 @@ val workload_cells :
   quick:bool ->
   unit ->
   Shard.job list * (unit -> wl_report) * int
-
-(** One JSON object, keyed ["experiment":] with the backend under
-    ["proto":] — deliberately none of the keys the pre-schema-7 gate
-    scanners walk, so they can neither misread nor silently skip-parse a
-    workload row as something else. *)
-val json_of_wl_row : wl_row -> string
 
 val render_workloads : wl_report -> string
 

@@ -156,7 +156,8 @@ let sharded_bigmachine_output ~jobs =
              string_of_int r.Bigmachine.churn_cycles;
              string_of_int r.Bigmachine.engine_ops;
            ])
-         cells)
+         cells);
+    []
   in
   let outcomes, _gc =
     Shard.execute ~jobs

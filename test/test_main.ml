@@ -23,4 +23,5 @@ let () =
       ("protocols", Test_protocols.suite);
       ("fuzz", Test_fuzz.suite);
       ("properties", Test_props.suite);
+      ("bench-perf", Test_bench_perf.suite);
     ]
