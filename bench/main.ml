@@ -171,8 +171,11 @@ let fig9_plan () =
       (fun safe ->
         let baseline = run_cell ~safe ~label:"baseline" (Opts.baseline ~safe) in
         let all = run_cell ~safe ~label:"all (SS3)" (Opts.all_general ~safe) in
-        let cow_opts = Opts.all_general ~safe in
-        cow_opts.Opts.cow_avoid_flush <- true;
+        let cow_opts =
+          Opts.map_paper
+            (fun p -> { p with Opts.cow_avoid_flush = true })
+            (Opts.all_general ~safe)
+        in
         let cow = run_cell ~safe ~label:"all + CoW" cow_opts in
         [ baseline; all; cow ])
       [ true; false ]
@@ -313,16 +316,10 @@ let ablation_single_opt_plan () =
   let base = cell ~label:"baseline" (Opts.baseline ~safe:true) in
   let techniques =
     List.map
-      (fun (label, set) ->
-        let opts = Opts.baseline ~safe:true in
-        set opts;
-        (label, cell ~label opts))
-      [
-        ("concurrent alone", fun o -> o.Opts.concurrent_flush <- true);
-        ("early-ack alone", fun o -> o.Opts.early_ack <- true);
-        ("cacheline alone", fun o -> o.Opts.cacheline_consolidation <- true);
-        ("in-context alone", fun o -> o.Opts.in_context_flush <- true);
-      ]
+      (fun sw ->
+        let label = sw.Opts.name ^ " alone" in
+        (label, cell ~label (sw.Opts.set (Opts.baseline ~safe:true) true)))
+      Opts.general
   in
   let reduce () =
     let base = base () in
@@ -433,8 +430,9 @@ let ablation_batch_slots_plan () =
   let cells =
     List.map
       (fun slots ->
-        let opts = Opts.all ~safe:true in
-        opts.Opts.batch_slots <- slots;
+        let opts =
+          Opts.map_paper (fun p -> { p with Opts.batch_slots = slots }) (Opts.all ~safe:true)
+        in
         let cfg = Sysbench.default_config ~opts ~threads:8 in
         let cfg =
           {
@@ -489,8 +487,7 @@ let ablation_full_flush_threshold_plan () =
   let jobs = ref [] in
   let reused = ref 0 in
   let cell ~threshold ~safe =
-    let opts = Opts.all_general ~safe in
-    opts.Opts.full_flush_threshold <- threshold;
+    let opts = { (Opts.all_general ~safe) with Opts.full_flush_threshold = threshold } in
     let js, get, fresh =
       micro_cell_job
         ~label:

@@ -18,26 +18,14 @@ let safe_t =
   let doc = "Mitigation mode: true = PTI + mitigations (Linux default)." in
   Arg.(value & opt bool true & info [ "safe" ] ~doc)
 
-let opt_names =
-  [
-    ("concurrent", fun o -> o.Opts.concurrent_flush <- true);
-    ("early-ack", fun o -> o.Opts.early_ack <- true);
-    ("cacheline", fun o -> o.Opts.cacheline_consolidation <- true);
-    ("in-context", fun o -> o.Opts.in_context_flush <- true);
-    ("cow", fun o -> o.Opts.cow_avoid_flush <- true);
-    ("batching", fun o -> o.Opts.userspace_batching <- true);
-    ("unsafe-lazy", fun o -> o.Opts.unsafe_lazy_batching <- true);
-    ( "freebsd",
-      fun o ->
-        o.Opts.freebsd_protocol <- true;
-        o.Opts.full_flush_threshold <- 4096 );
-  ]
+let switch_named n = List.find_opt (fun sw -> String.equal sw.Opts.name n) Opts.switches
 
 let opts_t =
   let doc =
-    "Optimizations to enable: comma-separated subset of concurrent, early-ack, \
-     cacheline, in-context, cow, batching, unsafe-lazy, freebsd; or 'all', 'general', \
-     'none'."
+    Printf.sprintf
+      "Optimizations to enable: comma-separated subset of %s; or 'all', 'general', \
+       'none'."
+      (String.concat ", " (List.map (fun sw -> sw.Opts.name) Opts.switches))
   in
   let parse s =
     if String.equal s "none" then Ok `None
@@ -45,7 +33,7 @@ let opts_t =
     else if String.equal s "general" then Ok `General
     else begin
       let names = String.split_on_char ',' s in
-      let unknown = List.filter (fun n -> not (List.mem_assoc n opt_names)) names in
+      let unknown = List.filter (fun n -> Option.is_none (switch_named n)) names in
       if List.is_empty unknown then Ok (`List names)
       else Error (`Msg (Printf.sprintf "unknown optimization(s): %s" (String.concat ", " unknown)))
     end
@@ -67,15 +55,29 @@ let seed_t =
   let doc = "Deterministic RNG seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
-let make_opts ~safe spec =
-  match spec with
-  | `None -> Opts.baseline ~safe
-  | `All -> Opts.all ~safe
-  | `General -> Opts.all_general ~safe
-  | `List names ->
-      let o = Opts.baseline ~safe in
-      List.iter (fun n -> (List.assoc n opt_names) o) names;
-      o
+(* [spec] under [protocol]. A paper-only option under another backend is a
+   usage error naming it, not a silently ignored knob. *)
+let make_opts ?(protocol = Opts.Paper Opts.paper_baseline) ~safe spec =
+  let fail msg =
+    Printf.eprintf "tlbsim: --opts: %s\n" msg;
+    exit Cmd.Exit.cli_error
+  in
+  match (spec, protocol) with
+  | `None, _ -> Opts.with_protocol protocol ~safe
+  | `All, Opts.Paper _ -> Opts.all ~safe
+  | `General, Opts.Paper _ -> Opts.all_general ~safe
+  | (`All | `General), _ ->
+      fail
+        (Printf.sprintf "'all' and 'general' stack paper-protocol options; the %s \
+                         backend has none"
+           (Opts.protocol_label protocol))
+  | `List names, _ -> (
+      try
+        List.fold_left
+          (fun o n -> (Option.get (switch_named n)).Opts.set o true)
+          (Opts.with_protocol protocol ~safe)
+          names
+      with Invalid_argument msg -> fail msg)
 
 (* --- micro --- *)
 
@@ -241,7 +243,7 @@ let analyze_cmd =
   let explore_t =
     let doc =
       "Instead of one run, systematically explore interleavings of a 2-CPU shootdown \
-       under every combination of the paper's general optimizations."
+       under every combination of the general optimizations the backend honours."
     in
     Arg.(value & flag & info [ "explore" ] ~doc)
   in
@@ -255,14 +257,6 @@ let analyze_cmd =
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
   in
-  let general_flags =
-    [
-      ("concurrent", fun o v -> o.Opts.concurrent_flush <- v);
-      ("early-ack", fun o v -> o.Opts.early_ack <- v);
-      ("cacheline", fun o v -> o.Opts.cacheline_consolidation <- v);
-      ("in-context", fun o v -> o.Opts.in_context_flush <- v);
-    ]
-  in
   let protocol_t =
     let doc =
       "Backend whose quiescence/invariants the $(b,--explore) sweep validates: \
@@ -270,7 +264,7 @@ let analyze_cmd =
     in
     let alist =
       [
-        ("paper", `One Opts.Paper);
+        ("paper", `One (Opts.Paper Opts.paper_baseline));
         ("oracle", `One Opts.Oracle);
         ("sync-broadcast", `One Opts.Sync_broadcast);
         ("sync", `One Opts.Sync_broadcast);
@@ -279,46 +273,48 @@ let analyze_cmd =
         ("all", `All);
       ]
     in
-    Arg.(value & opt (enum alist) (`One Opts.Paper) & info [ "protocol" ] ~doc)
+    Arg.(
+      value
+      & opt (enum alist) (`One (Opts.Paper Opts.paper_baseline))
+      & info [ "protocol" ] ~doc)
   in
   let run safe spec inject_bug explore protocol_sel rounds seed jobs =
-    let opts = make_opts ~safe spec in
-    let opts =
-      match spec with `None when not explore -> Opts.all_general ~safe | _ -> opts
+    let with_bug o =
+      if inject_bug then { o with Opts.fault = Some Opts.Skip_deferred_flush } else o
     in
-    if inject_bug then opts.Opts.bug_skip_deferred_flush <- true;
     if explore then begin
-      (* Sweep every subset of the four general optimizations — per
-         selected protocol backend — on the exhaustively-explorable 2-CPU
-         scenario; each (backend, subset)'s exploration is one pool task,
-         reported in (backend, mask) order whatever the schedule. *)
+      (* Sweep every subset of the general optimizations each selected
+         backend honours (paper 4, sync-broadcast and queue-spin 1, the
+         oracle none) on the exhaustively-explorable 2-CPU scenario; each
+         (backend, subset)'s exploration is one pool task, reported in
+         (backend, mask) order whatever the schedule. *)
       let protocols =
         match protocol_sel with `One p -> [ p ] | `All -> Opts.all_protocols
       in
-      let nflags = List.length general_flags in
       let combos =
         List.concat_map
           (fun p ->
-            List.init (1 lsl nflags) (fun mask ->
-                let o = Opts.copy opts in
-                o.Opts.protocol <- p;
-                List.iteri
-                  (fun i (_, set) -> set o (mask land (1 lsl i) <> 0))
-                  general_flags;
+            let base = with_bug (make_opts ~protocol:p ~safe spec) in
+            let sweep = List.filter (Opts.honours p) Opts.general in
+            List.init
+              (1 lsl List.length sweep)
+              (fun mask ->
+                let on i = mask land (1 lsl i) <> 0 in
+                let o = ref base in
+                List.iteri (fun i sw -> o := sw.Opts.set !o (on i)) sweep;
                 let flags =
                   if mask = 0 then "baseline"
                   else
                     String.concat ","
-                      (List.filteri
-                         (fun i _ -> mask land (1 lsl i) <> 0)
-                         (List.map fst general_flags))
+                      (List.filteri (fun i _ -> on i)
+                         (List.map (fun sw -> sw.Opts.name) sweep))
                 in
                 let label =
                   match protocol_sel with
-                  | `One Opts.Paper -> flags
+                  | `One (Opts.Paper _) -> flags
                   | _ -> Printf.sprintf "%s %s" (Opts.protocol_label p) flags
                 in
-                (label, o)))
+                (label, !o)))
           protocols
       in
       let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
@@ -337,6 +333,10 @@ let analyze_cmd =
       if !worst > 0 then exit 1
     end
     else begin
+      let opts =
+        with_bug
+          (match spec with `None -> Opts.all_general ~safe | _ -> make_opts ~safe spec)
+      in
       let m = Scenarios.early_ack_demo ~opts ~rounds ~seed:(Int64.of_int seed) () in
       Trace.enable m.Machine.trace;
       Kernel.run m;

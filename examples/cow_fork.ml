@@ -9,7 +9,7 @@
 *)
 
 let run ~label opts =
-  opts.Opts.spec_pte_recache_p <- 1.0;
+  let opts = { opts with Opts.spec_pte_recache_p = 1.0 } in
   let m = Machine.create ~opts ~seed:12L () in
   let parent = Machine.new_mm m in
   let pages = 48 in
@@ -58,9 +58,7 @@ let () =
   print_endline "Each parent write breaks COW; the child keeps the original frames.\n";
   run ~label:"baseline safe" (Opts.baseline ~safe:true);
   run ~label:"+cow avoidance safe"
-    (let o = Opts.baseline ~safe:true in
-     o.Opts.cow_avoid_flush <- true;
-     o);
+    (Opts.map_paper (fun p -> { p with Opts.cow_avoid_flush = true }) (Opts.baseline ~safe:true));
   run ~label:"all six safe" (Opts.all ~safe:true);
   run ~label:"baseline unsafe" (Opts.baseline ~safe:false);
   run ~label:"all six unsafe" (Opts.all ~safe:false)

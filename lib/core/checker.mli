@@ -16,7 +16,7 @@
       a stale hit with no covering window is a violation.
 
     Stock protocols and all six paper optimizations run violation-free; the
-    LATR-style [unsafe_lazy_batching] strawman does not — which is the
+    LATR-style [Opts.Lazy_strawman] fault does not — which is the
     paper's point. *)
 
 type t

@@ -134,6 +134,35 @@ let flush_tlb_func_impl m ~cpu ~user ~eager_user (info : Flush_info.t) =
       stats.Machine.flush_requests_skipped <- stats.Machine.flush_requests_skipped + 1;
       `Skipped
 
+(* The initiator's own flush of [info], metered at distance rank 0. *)
+let initiator_flush m ~from ~user info =
+  let t0 = Machine.now m in
+  let result = flush_tlb_func_impl m ~cpu:from ~user ~eager_user:false info in
+  if Machine.metering m then
+    record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
+  result
+
+(* The irq record is fixed per machine (the handler depends only on [m];
+   the responder CPU is recovered from the [Cpu.t] the dispatcher passes
+   in), so each backend registers its handler with the APIC once, at the
+   machine's first shootdown, and sends every IPI by id — the send path
+   then allocates neither irq records nor delivery closures. *)
+let shootdown_irq m handler =
+  let id = m.Machine.proto_irq_id in
+  if id >= 0 then id
+  else begin
+    let irq =
+      {
+        Cpu.vector = Smp.tlb_shootdown_vector;
+        maskable = true;
+        handler = (fun cpu -> handler m ~me:(Cpu.id cpu) cpu);
+      }
+    in
+    let id = Apic.register_irq m.Machine.apic irq in
+    m.Machine.proto_irq_id <- id;
+    id
+  end
+
 (* Default user-flush policy for a CPU that is not the initiator (or an
    initiator without the concurrent-flush overlap): defer under §3.4 unless
    page tables are being freed. *)
@@ -151,7 +180,9 @@ let flush_pending_user m ~cpu ~has_stack =
     let t0 = Machine.now m in
     (match pending with
     | Percpu.No_flush -> ()
-    | (Percpu.Full_flush | Percpu.Ranged _) when opts.Opts.bug_skip_deferred_flush ->
+    | (Percpu.Full_flush | Percpu.Ranged _)
+      when (match opts.Opts.fault with Some Opts.Skip_deferred_flush -> true | _ -> false)
+      ->
         (* Injected protocol bug for the race detector: the deferred user
            flush is silently dropped, leaving stale user-PCID entries live
            past return-to-user. *)

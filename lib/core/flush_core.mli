@@ -40,6 +40,15 @@ val flush_tlb_func_impl :
   Flush_info.t ->
   [ `Skipped | `Full | `Ranged ]
 
+(** {!flush_tlb_func_impl} on the initiator itself (never eager on the
+    full path), metered as a rank-0 flush. *)
+val initiator_flush :
+  Machine.t -> from:int -> user:user_flush -> Flush_info.t -> [ `Skipped | `Full | `Ranged ]
+
+(** The backend's shootdown irq id: [handler] registered with the APIC at
+    the machine's first shootdown and cached in [Machine.proto_irq_id]. *)
+val shootdown_irq : Machine.t -> (Machine.t -> me:int -> Cpu.t -> unit) -> int
+
 (** [Defer] under §3.4 (unless page tables are freed), else [Eager]. *)
 val default_user_policy : Machine.t -> Flush_info.t -> user_flush
 

@@ -80,8 +80,9 @@ type t = {
       (** the posting initiator, for responder-side distance attribution *)
   checker : Checker.t;
   ipi_mutex : Rwsem.t;
-      (** FreeBSD's smp_ipi_mtx: taken (write) around each shootdown when
-          [Opts.freebsd_protocol] is set, serializing shootdowns
+      (** FreeBSD's smp_ipi_mtx: taken (write) around each shootdown by the
+          paper protocol when its [serialized] knob is set, and by the
+          sync-broadcast backend always, serializing shootdowns
           machine-wide (§3.3's reason for studying the Linux protocol). *)
   stats : stats;
   metrics : Metrics.t;

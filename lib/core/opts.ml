@@ -1,196 +1,221 @@
+type paper = {
+  concurrent_flush : bool;
+  early_ack : bool;
+  cacheline_consolidation : bool;
+  cow_avoid_flush : bool;
+  userspace_batching : bool;
+  batch_slots : int;
+  serialized : bool;
+}
+
 (* Which shootdown-protocol backend drives remote invalidation. Each
    constructor maps to one [Core.Protocol] backend (see protocol.mli);
    everything protocol-specific in [Core.Shootdown] dispatches on this
-   variant exactly once. *)
-type protocol = Paper | Oracle | Sync_broadcast | Queue_spin
+   variant exactly once. Only the paper backend has knobs of its own. *)
+type protocol = Paper of paper | Oracle | Sync_broadcast | Queue_spin
 
 let protocol_label = function
-  | Paper -> "paper"
+  | Paper _ -> "paper"
   | Oracle -> "oracle"
   | Sync_broadcast -> "sync-broadcast"
   | Queue_spin -> "queue-spin"
 
-let protocol_of_string = function
-  | "paper" -> Some Paper
-  | "oracle" -> Some Oracle
-  | "sync-broadcast" | "sync" -> Some Sync_broadcast
-  | "queue-spin" | "queue" -> Some Queue_spin
-  | _ -> None
-
-let all_protocols = [ Paper; Oracle; Sync_broadcast; Queue_spin ]
+type fault = Lazy_strawman | Skip_deferred_flush
 
 type t = {
-  mutable safe : bool;
-  mutable concurrent_flush : bool;
-  mutable early_ack : bool;
-  mutable cacheline_consolidation : bool;
-  mutable in_context_flush : bool;
-  mutable cow_avoid_flush : bool;
-  mutable userspace_batching : bool;
-  mutable unsafe_lazy_batching : bool;
-  mutable freebsd_protocol : bool;
-  mutable bug_skip_deferred_flush : bool;
-  mutable protocol : protocol;
-  mutable spec_pte_recache_p : float;
-  mutable full_flush_threshold : int;
-  mutable batch_slots : int;
+  safe : bool;
+  in_context_flush : bool;
+  full_flush_threshold : int;
+  spec_pte_recache_p : float;
+  protocol : protocol;
+  fault : fault option;
 }
 
-let baseline ~safe =
+let paper_baseline =
   {
-    safe;
     concurrent_flush = false;
     early_ack = false;
     cacheline_consolidation = false;
-    in_context_flush = false;
     cow_avoid_flush = false;
     userspace_batching = false;
-    unsafe_lazy_batching = false;
-    freebsd_protocol = false;
-    bug_skip_deferred_flush = false;
-    protocol = Paper;
-    spec_pte_recache_p = 0.05;
-    full_flush_threshold = 33;
     batch_slots = 4;
+    serialized = false;
   }
+
+let knobs t =
+  match t.protocol with
+  | Paper p -> p
+  | Oracle | Sync_broadcast | Queue_spin -> paper_baseline
+
+let all_protocols = [ Paper paper_baseline; Oracle; Sync_broadcast; Queue_spin ]
+
+let with_protocol protocol ~safe =
+  {
+    safe;
+    in_context_flush = false;
+    full_flush_threshold = 33;
+    spec_pte_recache_p = 0.05;
+    protocol;
+    fault = None;
+  }
+
+let baseline ~safe = with_protocol (Paper paper_baseline) ~safe
 
 (* The conservative reference protocol for differential testing: every PTE
    change becomes one synchronous whole-TLB flush IPI broadcast to every
    other CPU, with no deferral, batching, early acknowledgement or target
    filtering. Trivially correct (no stale translation can survive any
    flush), unusably slow — exactly what an oracle should be. *)
-let oracle ~safe =
-  let t = baseline ~safe in
-  t.protocol <- Oracle;
-  t
+let oracle ~safe = with_protocol Oracle ~safe
 
-let with_protocol protocol ~safe =
-  let t = baseline ~safe in
-  t.protocol <- protocol;
-  t
+let update_paper ~what f t =
+  match t.protocol with
+  | Paper p -> { t with protocol = Paper (f p) }
+  | Oracle | Sync_broadcast | Queue_spin ->
+      invalid_arg
+        (Printf.sprintf "%s is a paper-protocol option; the %s backend has no such knob"
+           what (protocol_label t.protocol))
 
-let freebsd ~safe =
-  let t = baseline ~safe in
-  t.freebsd_protocol <- true;
-  t.full_flush_threshold <- 4096;
-  t
+let map_paper f t = update_paper ~what:"Opts.map_paper" f t
 
-let all_general ~safe =
-  let t = baseline ~safe in
-  t.concurrent_flush <- true;
-  t.early_ack <- true;
-  t.cacheline_consolidation <- true;
-  (* In-context flushing only exists under PTI; harmless to leave off when
-     unsafe since there is no user PCID to flush. *)
-  t.in_context_flush <- safe;
-  t
+type switch = { name : string; paper_only : bool; set : t -> bool -> t }
 
-let all ~safe =
-  let t = all_general ~safe in
-  t.cow_avoid_flush <- true;
-  t.userspace_batching <- true;
-  t
+let paper_switch name f =
+  { name; paper_only = true; set = (fun t v -> update_paper ~what:name (fun p -> f p v) t) }
 
-let copy t =
+let concurrent = paper_switch "concurrent" (fun p v -> { p with concurrent_flush = v })
+let early_ack = paper_switch "early-ack" (fun p v -> { p with early_ack = v })
+
+let cacheline =
+  paper_switch "cacheline" (fun p v -> { p with cacheline_consolidation = v })
+
+let in_context =
+  { name = "in-context"; paper_only = false; set = (fun t v -> { t with in_context_flush = v }) }
+
+let cow = paper_switch "cow" (fun p v -> { p with cow_avoid_flush = v })
+let batching = paper_switch "batching" (fun p v -> { p with userspace_batching = v })
+let general = [ concurrent; early_ack; cacheline; in_context ]
+let techniques = general @ [ cow; batching ]
+
+let unsafe_lazy =
   {
-    safe = t.safe;
-    concurrent_flush = t.concurrent_flush;
-    early_ack = t.early_ack;
-    cacheline_consolidation = t.cacheline_consolidation;
-    in_context_flush = t.in_context_flush;
-    cow_avoid_flush = t.cow_avoid_flush;
-    userspace_batching = t.userspace_batching;
-    unsafe_lazy_batching = t.unsafe_lazy_batching;
-    freebsd_protocol = t.freebsd_protocol;
-    bug_skip_deferred_flush = t.bug_skip_deferred_flush;
-    protocol = t.protocol;
-    spec_pte_recache_p = t.spec_pte_recache_p;
-    full_flush_threshold = t.full_flush_threshold;
-    batch_slots = t.batch_slots;
+    name = "unsafe-lazy";
+    paper_only = false;
+    set = (fun t v -> { t with fault = (if v then Some Lazy_strawman else None) });
   }
 
-(* Build a cumulative stack: each stage copies the previous one and enables
-   one more flag. Sequenced with explicit lets (list-element evaluation
-   order is unspecified in OCaml). *)
-let cumulative_stack ~safe ~with_base ~with_batching =
-  let stack = ref (baseline ~safe) in
-  let step label f =
-    let t = copy !stack in
-    f t;
-    stack := t;
-    (label, t)
+(* FreeBSD's comparator also raises the full-flush ceiling to 4096 (§2.1). *)
+let serialize =
+  let sw = paper_switch "freebsd" (fun p v -> { p with serialized = v }) in
+  let set t v =
+    let t = sw.set t v in
+    if v then { t with full_flush_threshold = 4096 } else t
   in
-  let base = if with_base then [ ("baseline", copy !stack) ] else [] in
-  let s1 =
-    step (if with_base then "+concurrent" else "concurrent") (fun t ->
-        t.concurrent_flush <- true)
-  in
-  let s2 = step "+early-ack" (fun t -> t.early_ack <- true) in
-  let s3 = step "+cacheline" (fun t -> t.cacheline_consolidation <- true) in
-  let s4 =
-    if safe then [ step "+in-context" (fun t -> t.in_context_flush <- true) ] else []
-  in
-  let s5 =
-    if with_batching then
-      [
-        step "+batching" (fun t ->
-            t.userspace_batching <- true;
-            t.cow_avoid_flush <- true);
-      ]
-    else []
-  in
-  base @ [ s1; s2; s3 ] @ s4 @ s5
+  { sw with set }
 
-let cumulative_general ~safe = cumulative_stack ~safe ~with_base:true ~with_batching:false
+let switches = techniques @ [ unsafe_lazy; serialize ]
 
-let cumulative_workload ~safe = cumulative_stack ~safe ~with_base:false ~with_batching:true
+let honours protocol sw =
+  match protocol with
+  | Paper _ -> true
+  | Oracle -> false
+  | Sync_broadcast | Queue_spin -> not sw.paper_only
+
+let on sw t = sw.set t true
+let freebsd ~safe = on serialize (baseline ~safe)
+
+let general_knobs =
+  { paper_baseline with concurrent_flush = true; early_ack = true; cacheline_consolidation = true }
+
+(* In-context flushing only exists under PTI; harmless to leave off when
+   unsafe since there is no user PCID to flush. *)
+let all_general ~safe =
+  { (with_protocol (Paper general_knobs) ~safe) with in_context_flush = safe }
+
+let all ~safe =
+  let knobs = { general_knobs with cow_avoid_flush = true; userspace_batching = true } in
+  { (with_protocol (Paper knobs) ~safe) with in_context_flush = safe }
+
+(* Cumulative stacks in paper order: each stage is the previous one with
+   one more step applied. *)
+let stack ~safe steps =
+  let _, stages =
+    List.fold_left
+      (fun (t, acc) (label, f) ->
+        let t = f t in
+        (t, (label, t) :: acc))
+      (baseline ~safe, [])
+      steps
+  in
+  List.rev stages
+
+let general_steps ~safe =
+  List.map
+    (fun sw -> ("+" ^ sw.name, on sw))
+    (if safe then general else List.filter (fun sw -> sw != in_context) general)
+
+let cumulative_general ~safe = ("baseline", baseline ~safe) :: stack ~safe (general_steps ~safe)
+
+let cumulative_workload ~safe =
+  match general_steps ~safe @ [ ("+batching", fun t -> on cow (on batching t)) ] with
+  | (_, first) :: rest -> stack ~safe (("concurrent", first) :: rest)
+  | [] -> []
 
 (* Canonical value key for the bench harness's cell memoization: every
    field, in declaration order, so two opts with equal keys are
-   behaviourally identical. The exhaustive record pattern makes adding a
+   behaviourally identical. The exhaustive record patterns make adding a
    field without extending the key a compile error (warning 9), not a
    silent memoization bug. [%h] prints the float exactly. *)
-let key
-    {
-      safe;
-      concurrent_flush;
-      early_ack;
-      cacheline_consolidation;
-      in_context_flush;
-      cow_avoid_flush;
-      userspace_batching;
-      unsafe_lazy_batching;
-      freebsd_protocol;
-      bug_skip_deferred_flush;
-      protocol;
-      spec_pte_recache_p;
-      full_flush_threshold;
-      batch_slots;
-    } =
-  Printf.sprintf
-    "safe=%b conc=%b eack=%b cline=%b inctx=%b cow=%b ubatch=%b lazy=%b fbsd=%b \
-     bugskip=%b proto=%s specp=%h fft=%d slots=%d"
-    safe concurrent_flush early_ack cacheline_consolidation in_context_flush
-    cow_avoid_flush userspace_batching unsafe_lazy_batching freebsd_protocol
-    bug_skip_deferred_flush (protocol_label protocol) spec_pte_recache_p
-    full_flush_threshold batch_slots
+let key { safe; in_context_flush; full_flush_threshold; spec_pte_recache_p; protocol; fault }
+    =
+  let protocol =
+    match protocol with
+    | Paper
+        {
+          concurrent_flush;
+          early_ack;
+          cacheline_consolidation;
+          cow_avoid_flush;
+          userspace_batching;
+          batch_slots;
+          serialized;
+        } ->
+        Printf.sprintf "paper(conc=%b eack=%b cline=%b cow=%b ubatch=%b slots=%d serial=%b)"
+          concurrent_flush early_ack cacheline_consolidation cow_avoid_flush
+          userspace_batching batch_slots serialized
+    | Oracle | Sync_broadcast | Queue_spin -> protocol_label protocol
+  in
+  Printf.sprintf "safe=%b inctx=%b fft=%d specp=%h proto=%s fault=%s" safe in_context_flush
+    full_flush_threshold spec_pte_recache_p protocol
+    (match fault with
+    | None -> "none"
+    | Some Lazy_strawman -> "lazy"
+    | Some Skip_deferred_flush -> "skip-deferred")
 
 let pp fmt t =
   let flag name b = if b then Some name else None in
+  let p = knobs t in
+  let fault f =
+    match (t.fault, f) with
+    | Some Lazy_strawman, Lazy_strawman | Some Skip_deferred_flush, Skip_deferred_flush ->
+        true
+    | _ -> false
+  in
   let flags =
     List.filter_map Fun.id
       [
-        flag "concurrent" t.concurrent_flush;
-        flag "early-ack" t.early_ack;
-        flag "cacheline" t.cacheline_consolidation;
+        flag "concurrent" p.concurrent_flush;
+        flag "early-ack" p.early_ack;
+        flag "cacheline" p.cacheline_consolidation;
         flag "in-context" t.in_context_flush;
-        flag "cow" t.cow_avoid_flush;
-        flag "batching" t.userspace_batching;
-        flag "UNSAFE-LAZY" t.unsafe_lazy_batching;
-        flag "freebsd" t.freebsd_protocol;
-        flag "BUG-SKIP-DEFERRED" t.bug_skip_deferred_flush;
-        flag (String.uppercase_ascii (protocol_label t.protocol))
-          (t.protocol <> Paper);
+        flag "cow" p.cow_avoid_flush;
+        flag "batching" p.userspace_batching;
+        flag "UNSAFE-LAZY" (fault Lazy_strawman);
+        flag "freebsd" p.serialized;
+        flag "BUG-SKIP-DEFERRED" (fault Skip_deferred_flush);
+        (match t.protocol with
+        | Paper _ -> None
+        | _ -> Some (String.uppercase_ascii (protocol_label t.protocol)));
       ]
   in
   Format.fprintf fmt "%s mode [%s]"

@@ -1,16 +1,41 @@
-(** Optimization switches — the paper's Table 1 — plus the mitigation mode.
+(** Simulator configuration: the mitigation mode, the shootdown-protocol
+    backend with the knobs only that backend reads, and an optional injected
+    fault. Immutable: derive variants with [{ t with ... }] or a {!switch}.
 
-    Each flag corresponds to one of the six techniques; figures are produced
-    by enabling them cumulatively. [safe] selects "safe mode" (PTI +
-    Spectre/Meltdown mitigations, Linux's default) versus "unsafe mode"
-    (mitigations off); under [safe], every address space has separate kernel
-    and user PCIDs and user PTEs must be flushed too. *)
+    [safe] selects "safe mode" (PTI + Spectre/Meltdown mitigations, Linux's
+    default) versus "unsafe mode" (mitigations off); under [safe], every
+    address space has separate kernel and user PCIDs and user PTEs must be
+    flushed too. Of the paper's six Table-1 techniques, five change the
+    paper protocol only and live in {!paper}; in-context flushing (§3.4) is
+    the user-PCID deferral policy every backend's responder flush shares,
+    so it sits in {!t}.
+
+    The oracle alone ignores [in_context_flush], [full_flush_threshold] and
+    [fault]: it is the reference every other backend is diffed against, so
+    it always flushes the whole TLB at once and defers nothing. *)
+
+(** The knobs only the paper protocol reads. Shared kernel code reads them
+    through {!knobs}, which matches [Paper p]; every other backend behaves as
+    if all were off. *)
+type paper = {
+  concurrent_flush : bool;  (** §3.1 flush local TLB while waiting *)
+  early_ack : bool;  (** §3.2 ack on handler entry *)
+  cacheline_consolidation : bool;  (** §3.3 merged kernel cachelines *)
+  cow_avoid_flush : bool;  (** §4.1 dummy write instead of INVLPG *)
+  userspace_batching : bool;  (** §4.2 batch flushes in msync etc. *)
+  batch_slots : int;  (** deferred flush_tlb_info entries, paper: 4 *)
+  serialized : bool;
+      (** FreeBSD-style comparator (paper §2.1/§3.3): every shootdown takes
+          the global smp_ipi_mtx, so only one is in flight machine-wide;
+          {!freebsd} pairs it with a 4096-entry full-flush threshold. Safe
+          but serializing. *)
+}
 
 (** Shootdown-protocol backend selector. Each constructor names one
     {!Protocol} backend:
-    - [Paper]: the paper's optimized Linux protocol (default) — targeted
-      IPIs, generation bookkeeping, and every Table-1 optimization gated by
-      the flags below.
+    - [Paper]: the paper's optimized Linux protocol — targeted IPIs,
+      generation bookkeeping, and the Table-1 optimizations its {!paper}
+      payload switches on.
     - [Oracle]: the conservative differential-testing reference — every PTE
       change one synchronous whole-TLB broadcast to every other CPU, no
       deferral/batching/early-ack/filtering.
@@ -20,57 +45,53 @@
     - [Queue_spin]: charmos-style per-CPU bounded ring-buffer queue with
       initial-spin/backoff/resend retry and flush-all collapsing when a
       target's ring overflows. *)
-type protocol = Paper | Oracle | Sync_broadcast | Queue_spin
+type protocol = Paper of paper | Oracle | Sync_broadcast | Queue_spin
 
 (** Stable lowercase label ("paper", "oracle", "sync-broadcast",
-    "queue-spin") used in {!key}, CLI flags, metrics rows and reports. *)
+    "queue-spin") used in CLI flags, metrics rows and reports. *)
 val protocol_label : protocol -> string
 
-(** Inverse of {!protocol_label}; also accepts the short forms "sync" and
-    "queue". *)
-val protocol_of_string : string -> protocol option
-
-(** All backends, in fixed shootout/report order. *)
-val all_protocols : protocol list
+(** Deliberately broken behaviour, for demonstrating the checkers:
+    - [Lazy_strawman]: LATR-style strawman — flush locally, skip the
+      shootdown IPIs entirely and close the window as if done. Unsafe by
+      design; lets the {!Checker} demonstrate the correctness argument of
+      paper §2.3.2.
+    - [Skip_deferred_flush]: drop deferred user flushes (§3.4) at kernel
+      exit instead of executing them. The happens-before analyzer and the
+      fuzzer must flag the resulting stale user-PCID hits. *)
+type fault = Lazy_strawman | Skip_deferred_flush
 
 type t = {
-  mutable safe : bool;  (** PTI + mitigations on *)
-  mutable concurrent_flush : bool;  (** §3.1 flush local TLB while waiting *)
-  mutable early_ack : bool;  (** §3.2 ack on handler entry *)
-  mutable cacheline_consolidation : bool;  (** §3.3 merged kernel cachelines *)
-  mutable in_context_flush : bool;  (** §3.4 defer user flushes to kernel exit *)
-  mutable cow_avoid_flush : bool;  (** §4.1 dummy write instead of INVLPG *)
-  mutable userspace_batching : bool;  (** §4.2 batch flushes in msync etc. *)
-  mutable unsafe_lazy_batching : bool;
-      (** LATR-style strawman: skip shootdown IPIs entirely and flush lazily.
-          Deliberately unsafe; exists to let the {!Checker} demonstrate the
-          correctness argument of paper §2.3.2. *)
-  mutable freebsd_protocol : bool;
-      (** FreeBSD-style comparator (paper §2.1/§3.3): every shootdown takes
-          the global smp_ipi_mtx, so only one shootdown is in flight
-          machine-wide; pair with a 4096-entry full-flush threshold via
-          {!freebsd}. Safe but serializing. *)
-  mutable bug_skip_deferred_flush : bool;
-      (** Injected protocol bug for the race detector: drop deferred user
-          flushes (§3.4) at kernel exit instead of executing them. The
-          happens-before analyzer must flag the resulting stale user-PCID
-          hits as genuine races. *)
-  mutable protocol : protocol;
-      (** Which shootdown backend performs remote invalidation. All
-          protocol-specific behaviour in {!Shootdown} flows through the
-          {!Protocol} interface selected by this field. *)
-  mutable spec_pte_recache_p : float;
+  safe : bool;  (** PTI + mitigations on *)
+  in_context_flush : bool;  (** §3.4 defer user flushes to kernel exit *)
+  full_flush_threshold : int;  (** Linux's 33-entry ceiling *)
+  spec_pte_recache_p : float;
       (** probability that, between a CoW fault and its PTE update, a
           speculative page walk re-caches the stale PTE (paper §4.1's
           motivation for the explicit write) *)
-  mutable full_flush_threshold : int;  (** Linux's 33-entry ceiling *)
-  mutable batch_slots : int;  (** deferred flush_tlb_info entries, paper: 4 *)
+  protocol : protocol;
+      (** Which shootdown backend performs remote invalidation. All
+          protocol-specific behaviour in {!Shootdown} flows through the
+          {!Protocol} interface selected by this field. *)
+  fault : fault option;
 }
+
+(** Every paper knob off, 4 batch slots: stock Linux 5.2.8. *)
+val paper_baseline : paper
+
+(** The paper knobs in force: the payload under [Paper], {!paper_baseline}
+    (everything off) under any other backend. Allocates nothing, so hot
+    paths may call it per shootdown. *)
+val knobs : t -> paper
+
+(** Every backend, in fixed shootout/report order; the paper one carries
+    {!paper_baseline}. *)
+val all_protocols : protocol list
 
 (** Everything off: stock Linux 5.2.8 behaviour in the given mode. *)
 val baseline : safe:bool -> t
 
-(** The four general techniques of §3 enabled. *)
+(** The four general techniques of §3 enabled (in-context only when [safe]). *)
 val all_general : safe:bool -> t
 
 (** All six optimizations. *)
@@ -84,10 +105,42 @@ val freebsd : safe:bool -> t
     synchronous-broadcast reference the differential fuzzer diffs against. *)
 val oracle : safe:bool -> t
 
-(** Baseline with the given backend selected and every optimization off. *)
+(** Baseline with the given backend selected and every option off. *)
 val with_protocol : protocol -> safe:bool -> t
 
-val copy : t -> t
+(** [t] with its paper knobs mapped through [f]. Raises [Invalid_argument]
+    when the backend is not [Paper]. *)
+val map_paper : (paper -> paper) -> t -> t
+
+(** {1 Named switches}
+
+    One table maps option names to setters; the [tlbsim --opts] parser, the
+    [analyze --explore] sweep, the fuzzer's combo bits and the single-option
+    ablation all read it. *)
+
+type switch = {
+  name : string;  (** as spelled on the command line *)
+  paper_only : bool;  (** sets a {!paper} knob *)
+  set : t -> bool -> t;
+      (** Raises [Invalid_argument], naming the switch, when [paper_only] and
+          the config's backend is not [Paper]. *)
+}
+
+(** The §3 techniques: concurrent, early-ack, cacheline, in-context. *)
+val general : switch list
+
+(** All six Table-1 techniques: {!general}, then cow and batching. Row [i]
+    is bit [i] of the fuzzer's 6-bit combo. *)
+val techniques : switch list
+
+(** Every [--opts] name: {!techniques}, then unsafe-lazy (the
+    [Lazy_strawman] fault) and freebsd ([serialized] plus the 4096-entry
+    ceiling). *)
+val switches : switch list
+
+(** Does [protocol] act on the switch? Paper honours all; sync-broadcast and
+    queue-spin only those that are not [paper_only]; the oracle none. *)
+val honours : protocol -> switch -> bool
 
 (** Cumulative stacks in paper order:
     baseline, +concurrent, +early ack, +cacheline, (+in-context when [safe]).

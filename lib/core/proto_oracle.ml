@@ -31,21 +31,7 @@ let ipi_handler m ~me (_ : Cpu.t) =
       Smp.ack m ~me cfd);
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
 
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
+let irq_id m = shootdown_irq m ipi_handler
 
 let perform m ~from ~mm:_ (info : Flush_info.t) token =
   let stats = m.Machine.stats in
@@ -85,12 +71,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
 
 let backend =
   {
-    Protocol.name = "oracle";
-    full_only = true;
-    eager_user_full = true;
-    honors_batching = false;
-    honors_cow = false;
-    irq_id;
+    Protocol.reference = true;
     perform;
     responder_pending =
       (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));

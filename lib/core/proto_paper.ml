@@ -1,9 +1,11 @@
 (* The paper's optimized Linux protocol — Figure 1 (baseline) / Figure 3
-   (optimized), every Table-1 technique gated by Opts flags. This is the
+   (optimized), every Table-1 technique gated by its Opts knob. This is the
    protocol the paper studies; the other backends exist to compare against
    it (and to cross-check it in the differential fuzzer). *)
 
 open Flush_core
+
+let knobs m = Opts.knobs m.Machine.opts
 
 (* The shootdown IPI handler run by responder CPUs. *)
 let ipi_handler m ~me (_ : Cpu.t) =
@@ -43,43 +45,21 @@ let ipi_handler m ~me (_ : Cpu.t) =
      deferred by §3.4 must complete first. *)
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
 
-(* The irq record is fixed per machine (the handler depends only on [m];
-   the responder CPU is recovered from the [Cpu.t] the dispatcher passes
-   in), so register it with the APIC once, at the machine's first
-   shootdown, and send every IPI by id — the send path then allocates
-   neither irq records nor delivery closures. *)
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
+let irq_id m = shootdown_irq m ipi_handler
 
 (* Initiator-side local flush. Returns the list of user VPNs left for the
    §3.4/§3.1 interplay to flush during the ack wait (empty otherwise). *)
 let initiator_local_flush m ~from ~has_remote_targets (info : Flush_info.t) =
   let opts = m.Machine.opts in
   let hybrid =
-    opts.Opts.safe && opts.Opts.in_context_flush && opts.Opts.concurrent_flush
+    opts.Opts.safe && opts.Opts.in_context_flush && (knobs m).Opts.concurrent_flush
     && has_remote_targets
     && (not info.Flush_info.full)
     && (not info.Flush_info.freed_tables)
     && Flush_info.nr_entries info <= opts.Opts.full_flush_threshold
   in
   let user = if hybrid then Skip else default_user_policy m info in
-  let t0 = Machine.now m in
-  let result = flush_tlb_func_impl m ~cpu:from ~user ~eager_user:false info in
-  if Machine.metering m then
-    record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
+  let result = initiator_flush m ~from ~user info in
   if hybrid && result = `Ranged then Flush_info.vpns info else []
 
 (* Select remote targets into the initiator's scratch cpuset, paying one
@@ -90,7 +70,7 @@ let initiator_local_flush m ~from ~has_remote_targets (info : Flush_info.t) =
    [Cpuset.iter] is part of its contract. Returns the scratch set, valid
    until this CPU's next shootdown. *)
 let select_targets m ~from ~mm (info : Flush_info.t) =
-  let opts = m.Machine.opts and stats = m.Machine.stats in
+  let batching = (knobs m).Opts.userspace_batching and stats = m.Machine.stats in
   let targets = (Machine.percpu m from).Percpu.scratch_targets in
   Cpuset.copy_into ~dst:targets ~src:(Mm_struct.cpuset mm);
   Cpuset.clear targets from;
@@ -103,9 +83,7 @@ let select_targets m ~from ~mm (info : Flush_info.t) =
         stats.Machine.ipis_skipped_lazy <- stats.Machine.ipis_skipped_lazy + 1;
         Cpuset.clear targets c
       end
-      else if
-        opts.Opts.userspace_batching && p.Percpu.batched_mode
-        && not info.Flush_info.freed_tables
+      else if batching && p.Percpu.batched_mode && not info.Flush_info.freed_tables
       then begin
         (* §4.2: the CPU is inside a batching syscall and will sync at its
            mmap_sem-release barrier; no IPI needed. *)
@@ -118,101 +96,85 @@ let select_targets m ~from ~mm (info : Flush_info.t) =
 (* One complete shootdown for [info], generation already bumped. *)
 let perform m ~from ~mm (info : Flush_info.t) token =
   let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
-  if opts.Opts.unsafe_lazy_batching then begin
-    (* LATR-style strawman: flush locally, never notify remote CPUs, and
-       return as if the flush were complete. The Checker flags the stale
-       accesses this permits. *)
-    ignore
-      (flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
-         ~eager_user:false info);
+  let knobs = knobs m in
+  let sel0 = Machine.now m in
+  let targets = select_targets m ~from ~mm info in
+  let sel_dt = Machine.now m - sel0 in
+  if Cpuset.is_empty targets then begin
     stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
+    ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
     Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
   end
   else begin
-    let sel0 = Machine.now m in
-    let targets = select_targets m ~from ~mm info in
-    let sel_dt = Machine.now m - sel0 in
-    if Cpuset.is_empty targets then begin
-      stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-      ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
-      Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
+    stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
+    (* FreeBSD comparator: one machine-wide shootdown at a time. *)
+    if knobs.Opts.serialized then begin
+      Machine.delay m m.Machine.costs.Costs.lock_uncontended;
+      Rwsem.down_write m.Machine.ipi_mutex
+    end;
+    let early_ack = knobs.Opts.early_ack && not info.Flush_info.freed_tables in
+    let run_remote () =
+      let t0 = Machine.now m in
+      let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
+      Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
+      (* Prep = target selection + CFD enqueue + ICR writes, i.e. every
+         initiator-side cycle before the IPIs are in flight; attributed
+         like ack_wait to the farthest target. *)
+      if Machine.metering m then
+        record_prep m ~from ~targets (sel_dt + (Machine.now m - t0));
+      cfds
+    in
+    if knobs.Opts.concurrent_flush then begin
+      (* §3.1: send first; the local flush overlaps IPI delivery. *)
+      let cfds = run_remote () in
+      let leftover = ref (initiator_local_flush m ~from ~has_remote_targets:true info) in
+      let pcpu = Machine.percpu m from in
+      let tlb = Cpu.tlb (Machine.cpu m from) in
+      let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
+      let any_ack () = Array.exists (fun c -> c.Percpu.cfd_acked) cfds in
+      let while_waiting () =
+        (* §3.4 interplay: burn the wait on user-PTE INVPCIDs until the
+           first ack lands, then defer the rest to kernel exit. *)
+        match !leftover with
+        | [] -> ()
+        | vpn :: rest ->
+            if not (any_ack ()) then begin
+              Machine.delay m costs.Costs.invpcid_single;
+              Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
+              leftover := rest
+            end
+      in
+      (* Same condition [while_waiting] acts on, minus the action: lets
+         the ack wait skip resuming us on poll ticks with nothing to do. *)
+      let waiting_work () =
+        match !leftover with [] -> false | _ :: _ -> not (any_ack ())
+      in
+      Smp.wait_for_acks m ~from cfds ~while_waiting ~waiting_work ();
+      (match !leftover with
+      | [] -> ()
+      | vpn :: _ as rest ->
+          stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
+          let deferred =
+            Flush_info.ranged ~mm_id:info.Flush_info.mm_id ~start_vpn:vpn
+              ~pages:(List.length rest) ~stride:info.Flush_info.stride
+              ~new_tlb_gen:info.Flush_info.new_tlb_gen ()
+          in
+          Percpu.defer_user_flush pcpu deferred ~threshold:opts.Opts.full_flush_threshold)
     end
     else begin
-      stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
-      (* FreeBSD comparator: one machine-wide shootdown at a time. *)
-      if opts.Opts.freebsd_protocol then begin
-        Machine.delay m m.Machine.costs.Costs.lock_uncontended;
-        Rwsem.down_write m.Machine.ipi_mutex
-      end;
-      let early_ack = opts.Opts.early_ack && not info.Flush_info.freed_tables in
-      let run_remote () =
-        let t0 = Machine.now m in
-        let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
-        Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
-        (* Prep = target selection + CFD enqueue + ICR writes, i.e. every
-           initiator-side cycle before the IPIs are in flight; attributed
-           like ack_wait to the farthest target. *)
-        if Machine.metering m then
-          record_prep m ~from ~targets (sel_dt + (Machine.now m - t0));
-        cfds
-      in
-      if opts.Opts.concurrent_flush then begin
-        (* §3.1: send first; the local flush overlaps IPI delivery. *)
-        let cfds = run_remote () in
-        let leftover = ref (initiator_local_flush m ~from ~has_remote_targets:true info) in
-        let pcpu = Machine.percpu m from in
-        let tlb = Cpu.tlb (Machine.cpu m from) in
-        let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
-        let any_ack () = Array.exists (fun c -> c.Percpu.cfd_acked) cfds in
-        let while_waiting () =
-          (* §3.4 interplay: burn the wait on user-PTE INVPCIDs until the
-             first ack lands, then defer the rest to kernel exit. *)
-          match !leftover with
-          | [] -> ()
-          | vpn :: rest ->
-              if not (any_ack ()) then begin
-                Machine.delay m costs.Costs.invpcid_single;
-                Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
-                leftover := rest
-              end
-        in
-        (* Same condition [while_waiting] acts on, minus the action: lets
-           the ack wait skip resuming us on poll ticks with nothing to do. *)
-        let waiting_work () =
-          match !leftover with [] -> false | _ :: _ -> not (any_ack ())
-        in
-        Smp.wait_for_acks m ~from cfds ~while_waiting ~waiting_work ();
-        (match !leftover with
-        | [] -> ()
-        | vpn :: _ as rest ->
-            stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
-            let deferred =
-              Flush_info.ranged ~mm_id:info.Flush_info.mm_id ~start_vpn:vpn
-                ~pages:(List.length rest) ~stride:info.Flush_info.stride
-                ~new_tlb_gen:info.Flush_info.new_tlb_gen ()
-            in
-            Percpu.defer_user_flush pcpu deferred ~threshold:opts.Opts.full_flush_threshold)
-      end
-      else begin
-        (* Baseline (Figure 1): local flush strictly before the IPIs. *)
-        ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
-        let cfds = run_remote () in
-        Smp.wait_for_acks m ~from cfds ()
-      end;
-      if opts.Opts.freebsd_protocol then Rwsem.up_write m.Machine.ipi_mutex;
-      Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
-      tracef m ~cpu:from "shootdown complete"
-    end
+      (* Baseline (Figure 1): local flush strictly before the IPIs. *)
+      ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
+      let cfds = run_remote () in
+      Smp.wait_for_acks m ~from cfds ()
+    end;
+    if knobs.Opts.serialized then Rwsem.up_write m.Machine.ipi_mutex;
+    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
+    tracef m ~cpu:from "shootdown complete"
   end
 
 let backend =
   {
-    Protocol.name = "paper";
-    full_only = false;
-    eager_user_full = false;
-    honors_batching = true;
-    honors_cow = true;
-    irq_id;
+    Protocol.reference = false;
     perform;
     responder_pending =
       (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));

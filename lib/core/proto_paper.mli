@@ -1,6 +1,6 @@
 (** The paper's optimized Linux protocol backend (Figures 1/3): targeted
     IPIs over the mm cpumask with lazy/batched filtering, generation
-    bookkeeping, and every Table-1 optimization gated by {!Opts} flags. *)
+    bookkeeping, and the Table-1 optimizations its {!Opts.paper} knobs switch on. *)
 
 val backend : Protocol.t
 

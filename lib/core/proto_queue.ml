@@ -78,21 +78,7 @@ let ipi_handler m ~me (_ : Cpu.t) =
   drain ();
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
 
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
+let irq_id m = shootdown_irq m ipi_handler
 
 (* Post [info] into [c]'s ring under queue generation [gen]. The ring
    mutations run after the line RMW completes, with no yield in between, so
@@ -123,13 +109,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
   let pcpu = Machine.percpu m from in
   (* Local flush first (there is no local ring): the shared
      generation-tracked flush function, with the §3.4 deferral policy. *)
-  let t0 = Machine.now m in
-  let result =
-    flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
-      ~eager_user:false info
-  in
-  if Machine.metering m then
-    record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
+  ignore (initiator_flush m ~from ~user:(default_user_policy m info) info);
   (* Targets: every CPU the mm's cpumask names, unfiltered — the queue
      protocol has no lazy/batched skip logic; an idle target just drains a
      short ring. *)
@@ -208,12 +188,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
 
 let backend =
   {
-    Protocol.name = "queue-spin";
-    full_only = false;
-    eager_user_full = false;
-    honors_batching = false;
-    honors_cow = false;
-    irq_id;
+    Protocol.reference = false;
     perform;
     responder_pending =
       (fun m ~cpu ->

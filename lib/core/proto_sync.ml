@@ -10,7 +10,8 @@
    Blocked waiters are safe: a CPU parked in Rwsem.down_write still services
    IPIs (Cpu.post_irq dispatches detached handlers), so an initiator-to-be
    can acknowledge the current broadcast while queueing for the lock — the
-   same argument that keeps Opts.freebsd_protocol deadlock-free. *)
+   same argument that keeps the paper protocol's [serialized] mode
+   deadlock-free. *)
 
 open Flush_core
 
@@ -46,21 +47,7 @@ let ipi_handler m ~me (_ : Cpu.t) =
       end);
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
 
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
+let irq_id m = shootdown_irq m ipi_handler
 
 let perform m ~from ~mm:_ (info : Flush_info.t) token =
   let stats = m.Machine.stats in
@@ -73,13 +60,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
   Cpuset.clear targets from;
   if Cpuset.is_empty targets then begin
     stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-    let t0 = Machine.now m in
-    let result =
-      flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
-        ~eager_user:false info
-    in
-    if Machine.metering m then
-      record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
+    ignore (initiator_flush m ~from ~user:(default_user_policy m info) info);
     Rwsem.up_write m.Machine.ipi_mutex;
     Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
   end
@@ -92,13 +73,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     m.Machine.sync_from <- from;
     Cpuset.iter (fun c -> (Machine.percpu m c).Percpu.sync_done <- false) targets;
     (* Initiator self-invalidates before kicking anyone. *)
-    let t0 = Machine.now m in
-    let result =
-      flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
-        ~eager_user:false info
-    in
-    if Machine.metering m then
-      record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
+    ignore (initiator_flush m ~from ~user:(default_user_policy m info) info);
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
     if Machine.metering m then
       record_prep m ~from ~targets (Machine.now m - prep0);
@@ -135,12 +110,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
 
 let backend =
   {
-    Protocol.name = "sync-broadcast";
-    full_only = false;
-    eager_user_full = false;
-    honors_batching = false;
-    honors_cow = false;
-    irq_id;
+    Protocol.reference = false;
     perform;
     responder_pending =
       (fun m ~cpu ->

@@ -4,22 +4,10 @@
    everything protocol-specific flows through these hooks. *)
 
 type t = {
-  name : string;
-      (* stable label, = Opts.protocol_label of the matching constructor *)
-  full_only : bool;
-      (* flush-decision hook: request construction never builds ranged
-         infos (the oracle: full, always) *)
-  eager_user_full : bool;
-      (* flush-decision hook: a local full flush invalidates the user PCID
-         on the spot instead of deferring to return-to-user *)
-  honors_batching : bool;
-      (* the §4.2 userspace-batching deferral applies under this backend *)
-  honors_cow : bool;
-      (* the §4.1 CoW local-flush elision applies under this backend *)
-  irq_id : Machine.t -> int;
-      (* ipi-handler hook: the backend's registered shootdown irq, created
-         at the machine's first shootdown and cached in
-         Machine.proto_irq_id *)
+  reference : bool;
+      (* the differential reference (the oracle): requests are always full,
+         a local full flush invalidates the user PCID on the spot, and the
+         lazy strawman fault does not apply *)
   perform :
     Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> Checker.token -> unit;
       (* one complete shootdown for an info whose generation is already

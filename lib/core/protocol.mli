@@ -3,35 +3,25 @@
     One value of {!t} per {!Opts.protocol} constructor — {!Proto_paper},
     {!Proto_oracle}, {!Proto_sync}, {!Proto_queue} — and {!Shootdown}
     dispatches on the variant exactly once per entry point. The hooks fall
-    into the four groups the interface exists for:
+    into the three groups the interface exists for:
 
-    - {b perform}: the initiator side of one complete shootdown;
-    - {b ipi handler}: [irq_id] names the backend's registered responder
-      handler (one long-lived irq record per machine);
-    - {b flush decisions}: [full_only], [eager_user_full],
-      [honors_batching], [honors_cow] — the request-construction and
-      deferral policies that used to be scattered [oracle_flush] branches;
+    - {b perform}: the initiator side of one complete shootdown (each
+      backend registers its own responder handler through
+      {!Flush_core.shootdown_irq});
+    - {b flush decisions}: [reference] marks the oracle, whose requests are
+      always full and never deferred. Paper-only decisions (§4.1 CoW
+      elision, §4.2 batching) need no flag here: their knobs exist only in
+      the {!Opts.Paper} payload;
     - {b ack tracking}: [responder_pending] (outstanding responder work,
       for [nmi_uaccess_okay]) and [quiescent] (what must not survive
       quiescence, for the explorer's invariant pass). *)
 
 type t = {
-  name : string;
-      (** stable label, equal to {!Opts.protocol_label} of the matching
-          constructor *)
-  full_only : bool;
-      (** request construction never builds ranged infos (the oracle:
-          full, always) *)
-  eager_user_full : bool;
-      (** a local full flush invalidates the user PCID on the spot instead
-          of deferring to return-to-user *)
-  honors_batching : bool;
-      (** the §4.2 userspace-batching deferral applies under this backend *)
-  honors_cow : bool;
-      (** the §4.1 CoW local-flush elision applies under this backend *)
-  irq_id : Machine.t -> int;
-      (** the backend's registered shootdown irq, created at the machine's
-          first shootdown and cached in [Machine.proto_irq_id] *)
+  reference : bool;
+      (** the differential reference (the oracle): request construction
+          never builds ranged infos, a local full flush invalidates the user
+          PCID on the spot instead of deferring to return-to-user, and the
+          [Lazy_strawman] fault does not apply *)
   perform :
     Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> Checker.token -> unit;
       (** one complete shootdown for an info whose generation is already

@@ -60,21 +60,13 @@ let enter_lazy m ~cpu =
   (* The lazy flag lives on a contended line (which one depends on the
      §3.3 layout); flipping it is a local write that later forces a
      transfer to any shootdown initiator reading it. *)
-  let line =
-    if m.Machine.opts.Opts.cacheline_consolidation then pcpu.Percpu.line_csq
-    else pcpu.Percpu.line_tlb
-  in
-  Machine.charge_write m line ~by:cpu;
+  Machine.charge_write m (Smp.tlb_state_line m pcpu) ~by:cpu;
   pcpu.Percpu.lazy_mode <- true
 
 let exit_lazy m ~cpu =
   let pcpu = Machine.percpu m cpu in
   if pcpu.Percpu.lazy_mode then begin
-    let line =
-      if m.Machine.opts.Opts.cacheline_consolidation then pcpu.Percpu.line_csq
-      else pcpu.Percpu.line_tlb
-    in
-    Machine.charge_write m line ~by:cpu;
+    Machine.charge_write m (Smp.tlb_state_line m pcpu) ~by:cpu;
     pcpu.Percpu.lazy_mode <- false;
     (* Shootdowns skipped us while lazy: synchronize before user code.
        Leaving lazy mode resumes the user thread, so the deferred user-PCID

@@ -12,7 +12,7 @@ open Flush_core
    module flows through the backend record this returns. *)
 let backend m : Protocol.t =
   match m.Machine.opts.Opts.protocol with
-  | Opts.Paper -> Proto_paper.backend
+  | Opts.Paper _ -> Proto_paper.backend
   | Opts.Oracle -> Proto_oracle.backend
   | Opts.Sync_broadcast -> Proto_sync.backend
   | Opts.Queue_spin -> Proto_queue.backend
@@ -22,14 +22,27 @@ let return_to_user = Flush_core.return_to_user
 
 let flush_tlb_func m ~cpu info =
   flush_tlb_func_impl m ~cpu ~user:(default_user_policy m info)
-    ~eager_user:(backend m).Protocol.eager_user_full info
+    ~eager_user:(backend m).Protocol.reference info
 
 (* One complete shootdown for [info], generation already bumped. *)
 let perform m ~from ~mm (info : Flush_info.t) token =
-  (backend m).Protocol.perform m ~from ~mm info token
+  let b = backend m in
+  match m.Machine.opts.Opts.fault with
+  | Some Opts.Lazy_strawman when not b.Protocol.reference ->
+      (* LATR-style strawman: flush locally, never notify remote CPUs, and
+         return as if the flush were complete. The Checker flags the stale
+         accesses this permits. *)
+      ignore
+        (flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
+           ~eager_user:false info);
+      let stats = m.Machine.stats in
+      stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
+      Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
+  | Some (Opts.Lazy_strawman | Opts.Skip_deferred_flush) | None ->
+      b.Protocol.perform m ~from ~mm info token
 
 let make_info m ~mm ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen =
-  if (backend m).Protocol.full_only then
+  if (backend m).Protocol.reference then
     (* The oracle never sends ranged flushes: full, always. *)
     Flush_info.full ~mm_id:(Mm_struct.id mm) ~freed_tables ~new_tlb_gen ()
   else if pages > m.Machine.opts.Opts.full_flush_threshold then
@@ -40,7 +53,7 @@ let make_info m ~mm ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen =
 
 let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
     ?(freed_tables = false) () =
-  let opts = m.Machine.opts and stats = m.Machine.stats in
+  let knobs = Opts.knobs m.Machine.opts and stats = m.Machine.stats in
   let pcpu = Machine.percpu m from in
   (* Bump the generation: one atomic RMW on the mm's shared line. *)
   Machine.charge_atomic m (Mm_struct.line mm) ~by:from;
@@ -50,9 +63,7 @@ let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
       (Trace.Gen_bump { mm_id = Mm_struct.id mm; gen = new_tlb_gen });
   let info = make_info m ~mm ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen in
   let token = Machine.begin_window m ~cpu:from info in
-  if
-    opts.Opts.userspace_batching && pcpu.Percpu.batched_mode && (not freed_tables)
-    && (backend m).Protocol.honors_batching
+  if knobs.Opts.userspace_batching && pcpu.Percpu.batched_mode && not freed_tables
   then begin
     (* §4.2: defer the flush to the mmap_sem-release barrier. Flushes that
        free page tables are never deferred: the tables must be gone from
@@ -61,7 +72,7 @@ let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
        batch is flushed eagerly — deferral is bounded, which is why the
        paper sees at most ~1.18x from batching, not a flush amnesty. *)
     stats.Machine.batched_deferrals <- stats.Machine.batched_deferrals + 1;
-    if List.length pcpu.Percpu.batch >= opts.Opts.batch_slots then begin
+    if List.length pcpu.Percpu.batch >= knobs.Opts.batch_slots then begin
       pcpu.Percpu.batch_overflowed <- true;
       let overflow = List.rev pcpu.Percpu.batch in
       pcpu.Percpu.batch <- [];
@@ -76,12 +87,12 @@ let flush_tlb_page m ~from ~mm ~vpn =
 
 let flush_tlb_page_cow m ~from ~mm ~vpn ~executable =
   let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
+  let knobs = Opts.knobs opts in
   (* The instruction TLB is not affected by data accesses, so the trick is
      unusable for executable mappings (§4.1). The elision composes with the
-     paper protocol's targeted remote machinery only; other backends take
-     the ordinary flush path. *)
-  if not (opts.Opts.cow_avoid_flush && (not executable) && (backend m).Protocol.honors_cow)
-  then flush_tlb_page m ~from ~mm ~vpn
+     paper protocol's targeted remote machinery only, which is why its knob
+     exists only there; other backends take the ordinary flush path. *)
+  if not (knobs.Opts.cow_avoid_flush && not executable) then flush_tlb_page m ~from ~mm ~vpn
   else begin
     Machine.charge_atomic m (Mm_struct.line mm) ~by:from;
     let new_tlb_gen = Mm_struct.bump_tlb_gen mm in
@@ -113,7 +124,7 @@ let flush_tlb_page_cow m ~from ~mm ~vpn ~executable =
       Machine.end_window m ~cpu:from ~mm_id:(Mm_struct.id mm) token
     else begin
       stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
-      let early_ack = opts.Opts.early_ack in
+      let early_ack = knobs.Opts.early_ack in
       let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
       Smp.send_ipis m ~from ~targets ~irq_id:(Proto_paper.irq_id m);
       if Machine.metering m then
@@ -162,9 +173,6 @@ let nmi_uaccess_okay m ~cpu =
    generic checks (pending_user drained, csq empty, ...). *)
 let protocol_quiescent m ~cpu fail = (backend m).Protocol.quiescent m ~cpu fail
 
-(* The active backend's stable label, for reports. *)
-let protocol_name m = (backend m).Protocol.name
-
 let check_and_sync_tlb m ~cpu =
   let pcpu = Machine.percpu m cpu in
   match pcpu.Percpu.loaded_mm with
@@ -178,7 +186,7 @@ let check_and_sync_tlb m ~cpu =
       if slot.Percpu.slot_mm = Mm_struct.id mm
          && slot.Percpu.gen_seen < Mm_struct.tlb_gen mm
       then begin
-        local_full_flush m ~cpu ~eager_user:(backend m).Protocol.eager_user_full pcpu;
+        local_full_flush m ~cpu ~eager_user:(backend m).Protocol.reference pcpu;
         slot.Percpu.gen_seen <- Mm_struct.tlb_gen mm;
         if Machine.tracing m then
           Machine.trace_event m ~cpu

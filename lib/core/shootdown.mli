@@ -1,6 +1,7 @@
 (** The TLB shootdown entry points, dispatching to the {!Protocol} backend
     selected by {!Opts.protocol}: the paper's optimized Linux protocol
-    ([Paper], Figures 1/3, optimizations selected by {!Opts} flags), the
+    ([Paper], Figures 1/3, optimizations selected by its {!Opts.paper}
+    knobs), the
     conservative differential-testing oracle ([Oracle]), the cronus-style
     global-lock synchronous broadcast ([Sync_broadcast]) and the
     charmos-style per-CPU ring queue ([Queue_spin]).
@@ -102,6 +103,3 @@ val nmi_uaccess_okay : Machine.t -> cpu:int -> bool
     descriptor. Driven per CPU by [Explorer.post_invariants] alongside its
     generic checks. *)
 val protocol_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit
-
-(** The active backend's stable label ({!Opts.protocol_label}). *)
-val protocol_name : Machine.t -> string

@@ -1,19 +1,18 @@
 let tlb_shootdown_vector = 0xf6  (* CALL_FUNCTION_SINGLE_VECTOR-ish *)
 
+(* Consolidated layout (§3.3): the lazy/batched flags live on the same
+   line as the call-queue head, which the initiator is about to write
+   anyway; baseline keeps a separate tlb_state line. *)
+let tlb_state_line m pcpu =
+  if (Opts.knobs m.Machine.opts).Opts.cacheline_consolidation then pcpu.Percpu.line_csq
+  else pcpu.Percpu.line_tlb
+
 let read_remote_tlb_state m ~from ~target =
-  let pcpu = Machine.percpu m target in
-  (* Consolidated layout (§3.3): the lazy/batched flags live on the same
-     line as the call-queue head, which the initiator is about to write
-     anyway; baseline pulls a separate tlb_state line. *)
-  let line =
-    if m.Machine.opts.Opts.cacheline_consolidation then pcpu.Percpu.line_csq
-    else pcpu.Percpu.line_tlb
-  in
-  Machine.charge_read m line ~by:from
+  Machine.charge_read m (tlb_state_line m (Machine.percpu m target)) ~by:from
 
 let enqueue_work m ~from ~targets ~info ~early_ack =
   let me = Machine.percpu m from in
-  let consolidated = m.Machine.opts.Opts.cacheline_consolidation in
+  let consolidated = (Opts.knobs m.Machine.opts).Opts.cacheline_consolidation in
   (* Baseline keeps flush_tlb_info on the initiator's stack and points every
      CSD at it: one extra shared line written here and read by every
      responder. *)

@@ -4,8 +4,8 @@
     This is the mechanism layer of the shootdown ({!Shootdown} is the
     policy): enqueueing work to remote CPUs, sending the multicast IPI,
     draining the queue on the responder, and spinning for acks on the
-    initiator. Which lines are touched depends on
-    [opts.cacheline_consolidation] (§3.3): the consolidated layout inlines
+    initiator. Which lines are touched depends on the paper knob
+    [cacheline_consolidation] (§3.3; off under every other backend): the consolidated layout inlines
     the flush info in the CSD and colocates the lazy flag with the queue
     head. *)
 
@@ -16,6 +16,10 @@ val tlb_shootdown_vector : int
 (** Read the "is this CPU lazy / in a batched syscall" state of [target]
     from [from]: one cacheline read whose identity depends on the layout. *)
 val read_remote_tlb_state : Machine.t -> from:int -> target:int -> unit
+
+(** The line holding a CPU's lazy/batched flags under the active layout:
+    its call-queue line when consolidated, its tlb_state line otherwise. *)
+val tlb_state_line : Machine.t -> Percpu.t -> Cache.line
 
 (** Build and enqueue one CFD per member of the target set (pays the CSD
     writes, the info write under the baseline layout, and the queue-head

@@ -76,7 +76,8 @@ let in_batched_section m ~cpu ~mm ~write_sem f =
   in
   Machine.delay m m.Machine.costs.Costs.lock_uncontended;
   lock sem;
-  if m.Machine.opts.Opts.userspace_batching then pcpu.Percpu.batched_mode <- true;
+  if (Opts.knobs m.Machine.opts).Opts.userspace_batching then
+    pcpu.Percpu.batched_mode <- true;
   let to_free =
     Fun.protect
       ~finally:(fun () ->

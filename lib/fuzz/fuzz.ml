@@ -2,10 +2,10 @@
    oracle (ISSUE 4).
 
    Each seed deterministically generates a program: a random topology, a
-   random Opts combination (all 64 of the paper's optimization subsets are
-   reached via [seed mod 64]), a protocol backend (from seed bits 6.., a
-   distinct axis so every (combo, backend) pair is reachable without
-   aliasing — seeds 0..63 stay on the paper backend), a handful of worker
+   6-bit optimization combo ([seed mod 64]), a protocol backend (from seed
+   bits 6.., a distinct axis so every (combo, backend) pair is reachable
+   without aliasing — seeds 0..63 stay on the paper backend), a handful of
+   worker
    threads pinned to distinct CPUs, and a sequence of kernel operations
    over the mm those workers share (plus any address spaces fork creates).
    The program is executed twice on machines that differ only in the flush
@@ -50,7 +50,7 @@ type program = {
   p_cores : int;
   p_smt : int;
   p_safe : bool;
-  p_combo : int;  (* 6-bit optimization mask, see [opts_of_combo] *)
+  p_combo : int;  (* 6-bit optimization mask, see [program_opts] *)
   p_protocol : Opts.protocol;  (* backend under test, from seed bits 6.. *)
   p_inject_bug : bool;
   p_workers : int;
@@ -58,21 +58,6 @@ type program = {
   p_flush_threshold : int;  (* flips ranged vs full decisions *)
   p_ops : op list;
 }
-
-(* Combo bit layout — bit [i] set enables optimization [i]:
-   1 concurrent_flush, 2 early_ack, 4 cacheline_consolidation,
-   8 in_context_flush, 16 cow_avoid_flush, 32 userspace_batching. *)
-let opts_of_combo ?(protocol = Opts.Paper) ~safe ~inject_bug combo =
-  let o = Opts.baseline ~safe in
-  o.Opts.protocol <- protocol;
-  o.Opts.concurrent_flush <- combo land 1 <> 0;
-  o.Opts.early_ack <- combo land 2 <> 0;
-  o.Opts.cacheline_consolidation <- combo land 4 <> 0;
-  o.Opts.in_context_flush <- combo land 8 <> 0;
-  o.Opts.cow_avoid_flush <- combo land 16 <> 0;
-  o.Opts.userspace_batching <- combo land 32 <> 0;
-  o.Opts.bug_skip_deferred_flush <- inject_bug;
-  o
 
 let worker_of = function
   | Op_mmap { worker; _ }
@@ -116,7 +101,7 @@ let gen_program ?(max_ops = 32) ?(inject_bug = false) seed =
      0..63 exercise every combo on the paper backend, 64..127 on
      sync-broadcast, 128..191 on queue-spin, then the cycle repeats.
      The oracle is never the subject — it is always the reference. *)
-  let protocols = [| Opts.Paper; Opts.Sync_broadcast; Opts.Queue_spin |] in
+  let protocols = [| Opts.Paper Opts.paper_baseline; Opts.Sync_broadcast; Opts.Queue_spin |] in
   let protocol = protocols.(seed lsr 6 mod Array.length protocols) in
   (* The injected bug drops deferred user flushes, which only exist under
      PTI with §3.4 on — force that combination so --inject-bug always
@@ -193,7 +178,7 @@ let execute ~opts program =
   let topo = Topology.create ~sockets:program.p_sockets ~cores_per_socket:program.p_cores
       ~smt:program.p_smt
   in
-  opts.Opts.full_flush_threshold <- program.p_flush_threshold;
+  let opts = { opts with Opts.full_flush_threshold = program.p_flush_threshold } in
   let m =
     Machine.create ~topo ~frames:4096 ~seed:(Int64.of_int program.p_seed)
       ~tlb_capacity:program.p_tlb_capacity ~opts ()
@@ -461,9 +446,20 @@ let compare_runs ~optimized ~oracle =
   end;
   List.rev !reasons
 
+(* Combo bit [i] sets row [i] of [Opts.techniques] (1 concurrent, 2
+   early-ack, 4 cacheline, 8 in-context, 16 cow, 32 batching) where the
+   backend honours it: all six under paper, only in-context under
+   sync-broadcast and queue-spin. The other bits are drawn all the same, so
+   the generator's RNG stream does not depend on the backend. *)
 let program_opts program =
-  opts_of_combo ~protocol:program.p_protocol ~safe:program.p_safe
-    ~inject_bug:program.p_inject_bug program.p_combo
+  let protocol = program.p_protocol in
+  let o = ref (Opts.with_protocol protocol ~safe:program.p_safe) in
+  List.iteri
+    (fun i sw ->
+      if Opts.honours protocol sw then
+        o := sw.Opts.set !o (program.p_combo land (1 lsl i) <> 0))
+    Opts.techniques;
+  { !o with Opts.fault = (if program.p_inject_bug then Some Opts.Skip_deferred_flush else None) }
 
 let run_program program =
   let optimized = execute program ~opts:(program_opts program) in

@@ -2,8 +2,9 @@
     conservative oracle ({!Opts.oracle}).
 
     Each seed deterministically generates a program — random topology,
-    random [Opts] combination (all 64 subsets reached via [seed mod 64]),
-    a protocol backend from disjoint seed bits ([seed lsr 6 mod 3]: seeds
+    a 6-bit optimization combo ([seed mod 64], applied as far as the
+    backend honours it: all 64 subsets under paper, in-context on/off under
+    sync-broadcast and queue-spin), a protocol backend from disjoint seed bits ([seed lsr 6 mod 3]: seeds
     0..63 paper, 64..127 sync-broadcast, 128..191 queue-spin, repeating),
     worker threads pinned to distinct CPUs, and a sequence of kernel ops
     over their address spaces — then executes it twice: under the backend
@@ -48,14 +49,10 @@ type program = {
   p_ops : op list;
 }
 
-(** Optimization subset [combo] (6 bits: concurrent, early-ack, cacheline,
-    in-context, cow, batching) as an [Opts.t] running [protocol] (default
-    [Paper]); [inject_bug] additionally sets
-    {!Opts.t.bug_skip_deferred_flush}. *)
-val opts_of_combo :
-  ?protocol:Opts.protocol -> safe:bool -> inject_bug:bool -> int -> Opts.t
-
-(** The [Opts.t] the program's own combo/protocol/inject-bug fields denote. *)
+(** The [Opts.t] the program's own combo/protocol/inject-bug fields denote:
+    combo bit [i] sets row [i] of {!Opts.techniques} where the backend
+    {!Opts.honours} it, and [inject_bug] sets the [Skip_deferred_flush]
+    fault. *)
 val program_opts : program -> Opts.t
 
 (** The program seed [seed] denotes, deterministically. [inject_bug]

@@ -40,7 +40,7 @@ let micro_matrix_cells ~memo ~iterations ~warmup ~safe ~pte_count =
           List.map
             (fun (label, opts) ->
               let cfg =
-                Microbench.default_config ~opts:(Opts.copy opts) ~placement ~pte_count
+                Microbench.default_config ~opts ~placement ~pte_count
               in
               let cfg = { cfg with Microbench.iterations; warmup } in
               let js, get, fresh =
@@ -96,7 +96,7 @@ let fig10_plan ~memo scale =
     let getters =
       List.map
         (fun seed ->
-          let cfg = Sysbench.default_config ~opts:(Opts.copy opts) ~threads:n in
+          let cfg = Sysbench.default_config ~opts ~threads:n in
           let cfg =
             {
               cfg with
@@ -181,7 +181,7 @@ let fig10_backend_cells ~memo ~tag ~opts scale =
         let getters =
           List.map
             (fun seed ->
-              let cfg = Sysbench.default_config ~opts:(Opts.copy opts) ~threads:n in
+              let cfg = Sysbench.default_config ~opts ~threads:n in
               let cfg =
                 {
                   cfg with
@@ -241,7 +241,7 @@ let fig11_plan ~memo scale =
     let getters =
       List.map
         (fun seed ->
-          let cfg = Apache.default_config ~opts:(Opts.copy opts) ~cores:n in
+          let cfg = Apache.default_config ~opts ~cores:n in
           let cfg = { cfg with Apache.requests = scale.ap_requests; seed } in
           let js, get, fresh =
             Shard.memo_cell memo ~key:(Apache.config_key cfg)
@@ -314,7 +314,7 @@ let fig11_backend_cells ~memo ~tag ~opts scale =
         let getters =
           List.map
             (fun seed ->
-              let cfg = Apache.default_config ~opts:(Opts.copy opts) ~cores:n in
+              let cfg = Apache.default_config ~opts ~cores:n in
               let cfg = { cfg with Apache.requests = scale.ap_requests; seed } in
               let js, get, fresh =
                 Shard.memo_cell memo ~key:(Apache.config_key cfg)

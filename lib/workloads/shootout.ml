@@ -27,8 +27,7 @@ type row = {
   sh_line_cycles : float;  (* total cycles those transfers cost *)
 }
 
-(* One entry per backend under comparison; opts built fresh per call (they
-   are mutable and each cell's machine owns its copy). *)
+(* One entry per backend under comparison. *)
 let backends () =
   [
     ("paper", Opts.all ~safe:true);

@@ -56,7 +56,7 @@ val run :
     "+batching" stack and the bench bigmachine config, so embedded after
     those plans on shared memos every paper cell is reused. *)
 
-(** The compared backends, label + fresh opts per call; labels equal
+(** The compared backends, label + opts; labels equal
     {!Opts.protocol_label} of the backend's protocol. *)
 val workload_backends : unit -> (string * Opts.t) list
 

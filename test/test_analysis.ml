@@ -145,8 +145,9 @@ let test_demo_races_proved_benign () =
   check int_t "checker clean too" 0 (Checker.violation_count m.Machine.checker)
 
 let test_injected_bug_is_flagged_genuine () =
-  let opts = Opts.all_general ~safe:true in
-  opts.Opts.bug_skip_deferred_flush <- true;
+  let opts =
+    { (Opts.all_general ~safe:true) with Opts.fault = Some Opts.Skip_deferred_flush }
+  in
   let m, r = run_demo ~opts ~rounds:20 in
   check bool_t "genuine races found" true (r.Hb.genuine > 0);
   check bool_t "checker caught them too" true (Checker.violation_count m.Machine.checker > 0);
@@ -176,8 +177,7 @@ let test_latr_strawman_flagged_genuine () =
   (* The paper's §6 claim: LATR-style lazy batching (flush locally, never
      notify remote CPUs) is unsafe. With no IPI there is no happens-before
      edge to any remote CPU, so its post-close stale hits are genuine. *)
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.unsafe_lazy_batching <- true;
+  let opts = { (Opts.baseline ~safe:true) with Opts.fault = Some Opts.Lazy_strawman } in
   let m, r = run_demo ~opts ~rounds:10 in
   check bool_t "stale hits occurred" true (r.Hb.stale_hits > 0);
   check bool_t "flagged genuine" true (r.Hb.genuine > 0);
@@ -202,22 +202,12 @@ let test_scenarios_deterministic () =
 
 let quick_config = { Explorer.default_config with Explorer.max_runs = 32 }
 
-let general_setters =
-  [
-    (fun o v -> o.Opts.concurrent_flush <- v);
-    (fun o v -> o.Opts.early_ack <- v);
-    (fun o v -> o.Opts.cacheline_consolidation <- v);
-    (fun o v -> o.Opts.in_context_flush <- v);
-    (fun o v -> o.Opts.cow_avoid_flush <- v);
-    (fun o v -> o.Opts.userspace_batching <- v);
-  ]
-
 (* The ISSUE's exhaustive-small gate: a 2-CPU single-page shootdown under
    every combination of the paper's six general optimizations (64 opt
    combinations, interleavings explored for each), asserting that every
    invariant holds and the analyzer proves every stale hit in-flight. *)
 let test_explore_all_flag_combos () =
-  let n = List.length general_setters in
+  let n = List.length Opts.techniques in
   let masks = List.init (1 lsl n) Fun.id in
   (* The 64 combos shard across domains via explore_set; results come back
      in mask order, so the assertions below see exactly the sequential
@@ -226,8 +216,11 @@ let test_explore_all_flag_combos () =
     Explorer.explore_set ~config:quick_config ~jobs:2
       (List.map
          (fun mask ->
-           let opts = Opts.baseline ~safe:true in
-           List.iteri (fun i set -> set opts (mask land (1 lsl i) <> 0)) general_setters;
+           let opts = ref (Opts.baseline ~safe:true) in
+           List.iteri
+             (fun i sw -> opts := sw.Opts.set !opts (mask land (1 lsl i) <> 0))
+             Opts.techniques;
+           let opts = !opts in
            fun () -> Scenarios.shootdown_2cpu ~opts ())
          masks)
   in
@@ -292,8 +285,9 @@ let test_explore_branches_reach_new_interleavings () =
   check int_t "clean" 0 (List.length r.Explorer.failures)
 
 let test_explore_catches_injected_bug () =
-  let opts = Opts.all_general ~safe:true in
-  opts.Opts.bug_skip_deferred_flush <- true;
+  let opts =
+    { (Opts.all_general ~safe:true) with Opts.fault = Some Opts.Skip_deferred_flush }
+  in
   let r =
     Explorer.explore ~config:{ quick_config with Explorer.max_runs = 4 } (fun () ->
         Scenarios.shootdown_2cpu ~opts ())

@@ -10,10 +10,11 @@ let int_t = Alcotest.int
 let test_opts_baseline_everything_off () =
   let o = Opts.baseline ~safe:true in
   check bool_t "safe" true o.Opts.safe;
-  check bool_t "concurrent off" false o.Opts.concurrent_flush;
-  check bool_t "batching off" false o.Opts.userspace_batching;
+  let p = Opts.knobs o in
+  check bool_t "concurrent off" false p.Opts.concurrent_flush;
+  check bool_t "batching off" false p.Opts.userspace_batching;
   check int_t "threshold 33" 33 o.Opts.full_flush_threshold;
-  check int_t "4 slots" 4 o.Opts.batch_slots
+  check int_t "4 slots" 4 p.Opts.batch_slots
 
 let test_opts_cumulative_order () =
   let stack = Opts.cumulative_general ~safe:true in
@@ -24,8 +25,8 @@ let test_opts_cumulative_order () =
     labels;
   (* Each stage keeps the previous stage's flags. *)
   let third = List.assoc "+cacheline" stack in
-  check bool_t "still concurrent" true third.Opts.concurrent_flush;
-  check bool_t "still early-ack" true third.Opts.early_ack;
+  check bool_t "still concurrent" true (Opts.knobs third).Opts.concurrent_flush;
+  check bool_t "still early-ack" true (Opts.knobs third).Opts.early_ack;
   check bool_t "in-context not yet" false third.Opts.in_context_flush
 
 let test_opts_cumulative_unsafe_skips_incontext () =
@@ -34,11 +35,31 @@ let test_opts_cumulative_unsafe_skips_incontext () =
   check bool_t "no in-context stage" true
     (not (List.mem_assoc "+in-context" stack))
 
-let test_opts_copy_is_independent () =
-  let a = Opts.all ~safe:true in
-  let b = Opts.copy a in
-  b.Opts.concurrent_flush <- false;
-  check bool_t "original untouched" true a.Opts.concurrent_flush
+(* [tlbsim --opts] resolves names through [Opts.switches]: a paper-only
+   name under another backend is refused with an error naming it, and the
+   shared names are accepted everywhere. *)
+let test_paper_only_switches_refused_elsewhere () =
+  check (Alcotest.list Alcotest.string) "paper-only names"
+    [ "concurrent"; "early-ack"; "cacheline"; "cow"; "batching"; "freebsd" ]
+    (List.filter_map
+       (fun sw -> if sw.Opts.paper_only then Some sw.Opts.name else None)
+       Opts.switches);
+  List.iter
+    (fun protocol ->
+      let base = Opts.with_protocol protocol ~safe:true in
+      List.iter
+        (fun sw ->
+          let label = Opts.protocol_label protocol ^ " " ^ sw.Opts.name in
+          match sw.Opts.set base true with
+          | (_ : Opts.t) -> check bool_t (label ^ " accepted") false sw.Opts.paper_only
+          | exception Invalid_argument msg ->
+              check bool_t (label ^ " refused") true sw.Opts.paper_only;
+              check bool_t
+                (Printf.sprintf "%s: %S names the option" label msg)
+                true
+                (String.starts_with ~prefix:sw.Opts.name msg))
+        Opts.switches)
+    [ Opts.Oracle; Opts.Sync_broadcast; Opts.Queue_spin ]
 
 (* --- Flush_info --- *)
 
@@ -479,7 +500,8 @@ let suite =
     Alcotest.test_case "opts: baseline all off" `Quick test_opts_baseline_everything_off;
     Alcotest.test_case "opts: cumulative order" `Quick test_opts_cumulative_order;
     Alcotest.test_case "opts: unsafe skips in-context" `Quick test_opts_cumulative_unsafe_skips_incontext;
-    Alcotest.test_case "opts: copy independence" `Quick test_opts_copy_is_independent;
+    Alcotest.test_case "opts: paper-only switches refused elsewhere" `Quick
+      test_paper_only_switches_refused_elsewhere;
     Alcotest.test_case "flush_info: ranged" `Quick test_flush_info_ranged;
     Alcotest.test_case "flush_info: full" `Quick test_flush_info_full;
     Alcotest.test_case "flush_info: merge ranges" `Quick test_flush_info_merge_ranges;

@@ -136,9 +136,13 @@ let test_cow_direct_write_needs_no_flush () =
   ()
 
 let test_cow_opt_counts_avoided_flush () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.cow_avoid_flush <- true;
-  opts.Opts.spec_pte_recache_p <- 1.0;
+  let opts =
+    {
+      (Opts.map_paper (fun p -> { p with Opts.cow_avoid_flush = true }) (Opts.baseline ~safe:true))
+      with
+      Opts.spec_pte_recache_p = 1.0;
+    }
+  in
   (* Always re-cache the stale PTE speculatively: the dummy write must
      still leave no stale entry behind (the checker is watching). *)
   let _m =
@@ -163,8 +167,9 @@ let test_cow_opt_counts_avoided_flush () =
   ()
 
 let test_cow_opt_skipped_for_executable () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.cow_avoid_flush <- true;
+  let opts =
+    Opts.map_paper (fun p -> { p with Opts.cow_avoid_flush = true }) (Opts.baseline ~safe:true)
+  in
   let _m =
     run_user ~opts (fun m mm ->
         ignore mm;

@@ -32,12 +32,12 @@ let test_protocol_axis_coverage () =
   let count p =
     List.length (List.filter (fun pr -> pr.Fuzz.p_protocol = p) programs)
   in
-  check int_t "64 paper seeds" 64 (count Opts.Paper);
+  check int_t "64 paper seeds" 64 (count (Opts.Paper Opts.paper_baseline));
   check int_t "64 sync-broadcast seeds" 64 (count Opts.Sync_broadcast);
   check int_t "64 queue-spin seeds" 64 (count Opts.Queue_spin);
   check int_t "oracle is never the subject" 0 (count Opts.Oracle);
   check bool_t "seeds 0..63 run the paper backend" true
-    ((Fuzz.gen_program 5).Fuzz.p_protocol = Opts.Paper);
+    ((Fuzz.gen_program 5).Fuzz.p_protocol = Opts.Paper Opts.paper_baseline);
   check bool_t "seeds 64..127 run sync-broadcast" true
     ((Fuzz.gen_program 69).Fuzz.p_protocol = Opts.Sync_broadcast);
   check bool_t "seeds 128..191 run queue-spin" true

@@ -171,8 +171,7 @@ let test_migration_under_concurrent_readers_safe () =
 let test_migration_with_lazy_batching_violates () =
   (* Under the unsafe strawman, migration recycles frames while remote TLBs
      still map them: the canonical LATR-footnote bug (§2.3.2). *)
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.unsafe_lazy_batching <- true;
+  let opts = { (Opts.baseline ~safe:true) with Opts.fault = Some Opts.Lazy_strawman } in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   let pages = 8 in
@@ -205,7 +204,7 @@ let test_migration_with_lazy_batching_violates () =
 
 let test_freebsd_preset () =
   let o = Opts.freebsd ~safe:true in
-  check bool_t "protocol flag" true o.Opts.freebsd_protocol;
+  check bool_t "protocol flag" true (Opts.knobs o).Opts.serialized;
   check int_t "4096 ceiling" 4096 o.Opts.full_flush_threshold
 
 let test_freebsd_serializes_but_stays_correct () =

@@ -1,13 +1,14 @@
 (* Tests for the protocol-backend interface (DESIGN.md §13): config-key
    and memo-cell separation between backends, backend-observable flush
-   semantics (sync-broadcast full flushes, queue-spin ring overflow),
-   oracle indifference to optimization flags, differential equivalence of
+   semantics (sync-broadcast full flushes, queue-spin ring overflow), the
+   options each backend takes, differential equivalence of
    every backend against the oracle over a fuzz corpus, and shootout
    report determinism across -j. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
+let paper = Opts.Paper Opts.paper_baseline
 
 (* ---------- key / memo separation ---------- *)
 
@@ -36,11 +37,11 @@ let test_memo_cells_not_shared_across_protocols () =
     (List.length jobs, owned)
   in
   check (Alcotest.pair int_t bool_t) "paper owns its cell" (1, true)
-    (register Opts.Paper);
+    (register paper);
   check (Alcotest.pair int_t bool_t) "queue-spin owns a distinct cell" (1, true)
     (register Opts.Queue_spin);
   check (Alcotest.pair int_t bool_t) "re-registering paper reuses it" (0, false)
-    (register Opts.Paper)
+    (register paper)
 
 (* ---------- backend-observable flush semantics ---------- *)
 
@@ -142,30 +143,64 @@ let test_queue_ring_overflow_collapses_to_flush_all () =
   check bool_t "unposted entry survives an in-capacity drain" true !small_survives;
   check bool_t "overflow collapses to flush-all" true !overflow_gone
 
-(* ---------- oracle indifference to optimization flags ---------- *)
+(* ---------- the options each backend takes ---------- *)
 
-(* PR-site audit pin: migrating the oracle special cases into a backend
-   found no behavioral divergence, so the oracle must ignore every
-   optimization bit — notably cow (16) and early-ack (2), the two flags
-   the scattered [oracle_flush] branches used to guard against. *)
+(* Paper knobs cannot be given to the oracle at all; what it can be given
+   — the shared in-context policy, the full-flush threshold and a fault —
+   it must ignore, being the reference. *)
 let test_oracle_ignores_combo_flags () =
   let program = Fuzz.gen_program 11 in
-  let reference = Fuzz.execute ~opts:(Opts.oracle ~safe:true) program in
+  let oracle = Opts.oracle ~safe:true in
+  let reference = Fuzz.execute ~opts:oracle program in
   List.iter
-    (fun combo ->
-      let opts =
-        Fuzz.opts_of_combo ~protocol:Opts.Oracle ~safe:true ~inject_bug:false combo
-      in
+    (fun (label, opts, program) ->
       let r = Fuzz.execute ~opts program in
       check bool_t
-        (Printf.sprintf "combo %d: same observations as the plain oracle" combo)
+        (Printf.sprintf "%s: same observations as the plain oracle" label)
         true
         (r.Fuzz.xr_obs = reference.Fuzz.xr_obs);
       check bool_t
-        (Printf.sprintf "combo %d: same final state" combo)
+        (Printf.sprintf "%s: same final state" label)
         true
         (r.Fuzz.xr_final = reference.Fuzz.xr_final))
-    [ 2; 16; 18; 63 ]
+    [
+      ("in-context", { oracle with Opts.in_context_flush = true }, program);
+      ("threshold 1", oracle, { program with Fuzz.p_flush_threshold = 1 });
+      ("threshold 4096", oracle, { program with Fuzz.p_flush_threshold = 4096 });
+      ( "skip-deferred-flush",
+        { oracle with Opts.fault = Some Opts.Skip_deferred_flush },
+        program );
+      ("lazy strawman", { oracle with Opts.fault = Some Opts.Lazy_strawman }, program);
+    ]
+
+(* In-context flushing is the one shared knob sync-broadcast and
+   queue-spin honour: it decides whether their responder and initiator
+   flushes INVPCID the user PCID now or defer it to kernel exit. *)
+let test_in_context_changes_cycles () =
+  let cycles protocol ~in_context =
+    let opts =
+      { (Opts.with_protocol protocol ~safe:true) with Opts.in_context_flush = in_context }
+    in
+    let dt = ref 0 in
+    let _m =
+      with_pair ~opts (fun m mm ->
+          let vpn = map_pages m mm ~pages:8 in
+          warm m ~cpu:0 ~start_vpn:vpn ~pages:8;
+          let t0 = Machine.now m in
+          Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:8 ();
+          dt := Machine.now m - t0)
+    in
+    !dt
+  in
+  List.iter
+    (fun protocol ->
+      let off = cycles protocol ~in_context:false
+      and on = cycles protocol ~in_context:true in
+      check bool_t
+        (Printf.sprintf "%s: %d cycles without, %d with"
+           (Opts.protocol_label protocol) off on)
+        true (off <> on))
+    [ Opts.Sync_broadcast; Opts.Queue_spin ]
 
 (* ---------- differential equivalence over a fuzz corpus ---------- *)
 
@@ -190,7 +225,7 @@ let test_backends_match_oracle_on_corpus () =
                 seed
                 (String.concat "; " reasons))
         seeds)
-    [ Opts.Paper; Opts.Sync_broadcast; Opts.Queue_spin ]
+    [ paper; Opts.Sync_broadcast; Opts.Queue_spin ]
 
 (* ---------- queue-spin resend ladder ---------- *)
 
@@ -310,6 +345,8 @@ let suite =
       test_queue_ring_overflow_collapses_to_flush_all;
     Alcotest.test_case "oracle ignores optimization flags" `Quick
       test_oracle_ignores_combo_flags;
+    Alcotest.test_case "in-context changes cycles under sync and queue" `Quick
+      test_in_context_changes_cycles;
     Alcotest.test_case "backends match oracle on corpus" `Quick
       test_backends_match_oracle_on_corpus;
     Alcotest.test_case "queue-spin resends only to un-acked CPUs" `Quick

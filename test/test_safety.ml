@@ -60,26 +60,17 @@ let test_all_optimizations_safe_in_unsafe_mode () =
 
 let test_each_single_optimization_safe () =
   List.iter
-    (fun set ->
-      let opts = Opts.baseline ~safe:true in
-      set opts;
+    (fun sw ->
+      let opts = sw.Opts.set (Opts.baseline ~safe:true) true in
       let m = churn ~opts ~rounds:25 in
       check int_t "no violations" 0 (Checker.violation_count m.Machine.checker))
-    [
-      (fun o -> o.Opts.concurrent_flush <- true);
-      (fun o -> o.Opts.early_ack <- true);
-      (fun o -> o.Opts.cacheline_consolidation <- true);
-      (fun o -> o.Opts.in_context_flush <- true);
-      (fun o -> o.Opts.cow_avoid_flush <- true);
-      (fun o -> o.Opts.userspace_batching <- true);
-    ]
+    Opts.techniques
 
 let test_lazy_batching_strawman_violates () =
   (* The point of §2.3.2: skipping the IPIs entirely and pretending the
      flush completed lets remote CPUs read through stale translations of
      recycled frames. The checker must catch it. *)
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.unsafe_lazy_batching <- true;
+  let opts = { (Opts.baseline ~safe:true) with Opts.fault = Some Opts.Lazy_strawman } in
   let m = churn ~opts ~rounds:40 in
   check bool_t "violations detected" true (Checker.violation_count m.Machine.checker > 0);
   match Checker.violations m.Machine.checker with
@@ -95,8 +86,7 @@ let test_no_open_windows_after_quiescence () =
    after a simulated fork; one writes (breaking CoW with a remote
    shootdown), the other keeps reading. *)
 let test_cow_shootdown_remote_safety () =
-  let opts = Opts.all ~safe:true in
-  opts.Opts.spec_pte_recache_p <- 1.0;
+  let opts = { (Opts.all ~safe:true) with Opts.spec_pte_recache_p = 1.0 } in
   let m = Machine.create ~opts ~seed:7L () in
   let mm = Machine.new_mm m in
   let pages = 8 in

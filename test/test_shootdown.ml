@@ -9,6 +9,9 @@ let int_t = Alcotest.int
 
 let make ?(opts = Opts.baseline ~safe:true) () = Machine.create ~opts ~seed:3L ()
 
+(* Safe-mode baseline with paper knobs changed by [f]. *)
+let paper f = Opts.map_paper f (Opts.baseline ~safe:true)
+
 (* Map [pages] anonymous pages into [mm] and return the base vpn; PTEs are
    created eagerly so flushes have something to flush. *)
 let map_pages m mm ~pages =
@@ -114,19 +117,16 @@ let measure_flush ~opts ~pages ~responder =
 
 let test_concurrent_faster_than_baseline () =
   let baseline = measure_flush ~opts:(Opts.baseline ~safe:true) ~pages:10 ~responder:14 in
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.concurrent_flush <- true;
+  let opts = paper (fun p -> { p with Opts.concurrent_flush = true }) in
   let concurrent = measure_flush ~opts ~pages:10 ~responder:14 in
   check bool_t
     (Printf.sprintf "concurrent (%d) < baseline (%d)" concurrent baseline)
     true (concurrent < baseline)
 
 let test_early_ack_faster_still () =
-  let opts1 = Opts.baseline ~safe:true in
-  opts1.Opts.concurrent_flush <- true;
+  let opts1 = paper (fun p -> { p with Opts.concurrent_flush = true }) in
   let concurrent = measure_flush ~opts:opts1 ~pages:10 ~responder:14 in
-  let opts2 = Opts.copy opts1 in
-  opts2.Opts.early_ack <- true;
+  let opts2 = Opts.map_paper (fun p -> { p with Opts.early_ack = true }) opts1 in
   let early = measure_flush ~opts:opts2 ~pages:10 ~responder:14 in
   check bool_t
     (Printf.sprintf "early-ack (%d) < concurrent-only (%d)" early concurrent)
@@ -153,10 +153,8 @@ let measure_flush_freed ~opts =
 let test_early_ack_disabled_when_tables_freed () =
   (* With freed page tables the responder must not ack before flushing;
      the early-ack flag must therefore make no difference at all. *)
-  let opts_no = Opts.baseline ~safe:true in
-  opts_no.Opts.concurrent_flush <- true;
-  let opts_yes = Opts.copy opts_no in
-  opts_yes.Opts.early_ack <- true;
+  let opts_no = paper (fun p -> { p with Opts.concurrent_flush = true }) in
+  let opts_yes = Opts.map_paper (fun p -> { p with Opts.early_ack = true }) opts_no in
   let without = measure_flush_freed ~opts:opts_no in
   let with_ea = measure_flush_freed ~opts:opts_yes in
   check int_t "identical cycle count" without with_ea
@@ -179,8 +177,7 @@ let test_cacheline_consolidation_reduces_transfers () =
     !result
   in
   let base_opts = Opts.baseline ~safe:true in
-  let cons_opts = Opts.baseline ~safe:true in
-  cons_opts.Opts.cacheline_consolidation <- true;
+  let cons_opts = paper (fun p -> { p with Opts.cacheline_consolidation = true }) in
   let base = transfers ~opts:base_opts in
   let cons = transfers ~opts:cons_opts in
   check bool_t (Printf.sprintf "consolidated (%d) < baseline (%d)" cons base) true
@@ -282,8 +279,7 @@ let test_lazy_cpu_skipped_and_syncs () =
   Kernel.run m
 
 let test_in_context_defers_user_flush () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.in_context_flush <- true;
+  let opts = { (Opts.baseline ~safe:true) with Opts.in_context_flush = true } in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
@@ -303,8 +299,7 @@ let test_in_context_defers_user_flush () =
   check bool_t "deferral counted" true (m.Machine.stats.Machine.in_context_deferrals >= 1)
 
 let test_in_context_no_stack_full_flush () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.in_context_flush <- true;
+  let opts = { (Opts.baseline ~safe:true) with Opts.in_context_flush = true } in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
@@ -320,8 +315,7 @@ let test_in_context_no_stack_full_flush () =
   Kernel.run m
 
 let test_in_context_eager_when_tables_freed () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.in_context_flush <- true;
+  let opts = { (Opts.baseline ~safe:true) with Opts.in_context_flush = true } in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
@@ -336,8 +330,7 @@ let test_in_context_eager_when_tables_freed () =
   Kernel.run m
 
 let test_batching_defers_and_flushes_at_release () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.userspace_batching <- true;
+  let opts = paper (fun p -> { p with Opts.userspace_batching = true }) in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
@@ -361,9 +354,7 @@ let test_batching_defers_and_flushes_at_release () =
   check int_t "deferrals counted" 2 m.Machine.stats.Machine.batched_deferrals
 
 let test_batching_overflow_merges () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.userspace_batching <- true;
-  opts.Opts.batch_slots <- 2;
+  let opts = paper (fun p -> { p with Opts.userspace_batching = true; batch_slots = 2 }) in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
@@ -391,8 +382,7 @@ let test_batching_overflow_merges () =
   Kernel.run m
 
 let test_batched_target_skipped () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.userspace_batching <- true;
+  let opts = paper (fun p -> { p with Opts.userspace_batching = true }) in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   let phase2 = Waitq.Completion.create m.Machine.engine in
@@ -416,8 +406,7 @@ let test_batched_target_skipped () =
   Kernel.run m
 
 let test_batched_target_not_skipped_for_freed_tables () =
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.userspace_batching <- true;
+  let opts = paper (fun p -> { p with Opts.userspace_batching = true }) in
   let m = make ~opts () in
   let mm = Machine.new_mm m in
   let stop = ref false in

@@ -70,9 +70,10 @@ let test_cow_bench_opt_faster () =
   in
   let base = run (Opts.all_general ~safe:true) in
   let with_cow =
-    let o = Opts.all_general ~safe:true in
-    o.Opts.cow_avoid_flush <- true;
-    run o
+    run
+      (Opts.map_paper
+         (fun p -> { p with Opts.cow_avoid_flush = true })
+         (Opts.all_general ~safe:true))
   in
   check bool_t "cow avoidance reduces write latency" true
     (with_cow.Cow_bench.write_mean < base.Cow_bench.write_mean);
