@@ -882,9 +882,43 @@ let bechamel () =
                 { Fracture.working_set_pages = 256; rounds = 10; tlb_capacity = 1536 }
                 (List.hd Fracture.table4_rows))))
   in
+  (* Engine primitives. Both runs schedule one same-cycle event and
+     dispatch it, so the clock never moves; the second then asks
+     [try_advance] whether the clock could skip ahead while a ring event
+     4000 cycles out is pending: the next-event search a [Process.delay]
+     pays after every near event. The difference between the two is the
+     cost of that search. *)
+  let engine_with_handler () =
+    let e = Engine.create () in
+    (e, Engine.register_handler e (fun _ _ -> ()))
+  in
+  let dispatch_test =
+    let e, tag = engine_with_handler () in
+    Test.make ~name:"engine:schedule_tag+dispatch"
+      (Staged.stage (fun () ->
+           Engine.schedule_tag e ~delay:0 ~tag ~a:0 ~b:0;
+           ignore (Engine.step e)))
+  in
+  let advance_test =
+    let e, tag = engine_with_handler () in
+    Engine.schedule_tag e ~delay:4000 ~tag ~a:0 ~b:0;
+    Test.make ~name:"engine:try_advance (far event pending)"
+      (Staged.stage (fun () ->
+           Engine.schedule_tag e ~delay:0 ~tag ~a:0 ~b:0;
+           ignore (Engine.step e);
+           ignore (Engine.try_advance e ~cycles:0)))
+  in
   let test =
     Test.make_grouped ~name:"shootdown-repro"
-      [ micro_test; cow_test; sysbench_test; apache_test; fracture_test ]
+      [
+        micro_test;
+        cow_test;
+        sysbench_test;
+        apache_test;
+        fracture_test;
+        dispatch_test;
+        advance_test;
+      ]
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
@@ -896,8 +930,8 @@ let bechamel () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (name, ols) ->
          match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "  %-32s %12.0f ns/run\n" name est
-         | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
+         | Some [ est ] -> Printf.printf "  %-56s %12.0f ns/run\n" name est
+         | Some _ | None -> Printf.printf "  %-56s (no estimate)\n" name)
 
 (* ----- driver: named experiments, sharded over the domain pool ----- *)
 

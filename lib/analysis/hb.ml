@@ -56,7 +56,7 @@ type window = {
 
 let covers w ~mm ~vpn = w.w_mm = mm && (w.w_full || (vpn >= w.w_start && vpn < w.w_start + w.w_span))
 
-let vc_leq a b =
+let vc_leq (a : int array) (b : int array) =
   let ok = ref true in
   Array.iteri (fun i v -> if v > b.(i) then ok := false) a;
   !ok
@@ -80,7 +80,9 @@ let analyze_array records =
   let all_windows = ref [] in
   let resumes = Array.make n_cpus [] in (* User_resume indices per cpu, newest first *)
   let hits = ref [] in
-  let join dst src = Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src in
+  let join (dst : int array) (src : int array) =
+    Array.iteri (fun i v -> if v > dst.(i) then dst.(i) <- v) src
+  in
   for i = 0 to n - 1 do
     let r = records.(i) in
     let c = r.Trace.cpu in

@@ -34,7 +34,7 @@ let record_flush m ~rank ~kind dt =
    [Machine.metering]. *)
 let record_prep m ~from ~targets dt =
   let far =
-    Cpuset.fold (fun acc c -> Stdlib.max acc (Machine.distance_rank m from c)) 0 targets
+    Cpuset.fold (fun acc c -> Int.max acc (Machine.distance_rank m from c)) 0 targets
   in
   Metrics.record_cycles m.Machine.phases.Machine.prep.(far) dt
 
@@ -81,7 +81,7 @@ let flush_tlb_func_impl m ~cpu ~user ~eager_user (info : Flush_info.t) =
           if behind && not info.Flush_info.full then
             stats.Machine.full_flush_fallbacks <- stats.Machine.full_flush_fallbacks + 1;
           local_full_flush m ~cpu ~eager_user pcpu;
-          slot.Percpu.gen_seen <- Stdlib.max latest_gen info.Flush_info.new_tlb_gen;
+          slot.Percpu.gen_seen <- Int.max latest_gen info.Flush_info.new_tlb_gen;
           if Machine.tracing m then
             Machine.trace_event m ~cpu
               (Trace.Tlb_flush

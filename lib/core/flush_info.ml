@@ -33,12 +33,12 @@ let covers t ~vpn =
 let merge a b =
   if a.mm_id <> b.mm_id then invalid_arg "Flush_info.merge: different address spaces";
   let freed_tables = a.freed_tables || b.freed_tables in
-  let new_tlb_gen = Stdlib.max a.new_tlb_gen b.new_tlb_gen in
+  let new_tlb_gen = Int.max a.new_tlb_gen b.new_tlb_gen in
   if a.full || b.full || a.stride <> b.stride then
     { (full ~mm_id:a.mm_id ~freed_tables ~new_tlb_gen ()) with freed_tables }
   else begin
-    let lo = Stdlib.min a.start_vpn b.start_vpn in
-    let hi = Stdlib.max (a.start_vpn + span_4k a) (b.start_vpn + span_4k b) in
+    let lo = Int.min a.start_vpn b.start_vpn in
+    let hi = Int.max (a.start_vpn + span_4k a) (b.start_vpn + span_4k b) in
     let step = Addr.pages_of_size a.stride in
     {
       mm_id = a.mm_id;

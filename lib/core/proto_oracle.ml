@@ -25,7 +25,7 @@ let ipi_handler m ~me (_ : Cpu.t) =
         (fun slot ->
           if slot.Percpu.slot_mm = info.Flush_info.mm_id then
             slot.Percpu.gen_seen <-
-              Stdlib.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
+              Int.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
         pcpu.Percpu.asids;
       cfd.Percpu.cfd_executed <- true;
       Smp.ack m ~me cfd);
@@ -47,7 +47,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     (fun slot ->
       if slot.Percpu.slot_mm = info.Flush_info.mm_id then
         slot.Percpu.gen_seen <-
-          Stdlib.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
+          Int.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
     pcpu.Percpu.asids;
   (* Flush-all broadcast: snapshot the machine's all-cpus set into the
      initiator's scratch instead of building (and filtering) per-broadcast

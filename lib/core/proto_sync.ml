@@ -93,7 +93,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     if Machine.metering m then begin
       let far =
         Cpuset.fold
-          (fun acc c -> Stdlib.max acc (Machine.distance_rank m from c))
+          (fun acc c -> Int.max acc (Machine.distance_rank m from c))
           0 targets
       in
       Metrics.record_cycles m.Machine.phases.Machine.ack.(far) (Machine.now m - ack0)

@@ -125,7 +125,7 @@ let wait_for_acks m ~from cfds ?(while_waiting = fun () -> ())
        ack that structurally arrives last and bounds the span. *)
     let far =
       Array.fold_left
-        (fun acc c -> Stdlib.max acc (Machine.distance_rank m from c.Percpu.cfd_target))
+        (fun acc c -> Int.max acc (Machine.distance_rank m from c.Percpu.cfd_target))
         0 cfds
     in
     Metrics.record_cycles m.Machine.phases.Machine.ack.(far) (Machine.now m - t0)

@@ -66,8 +66,8 @@ module Set = struct
 
   (* Clip [vma] to [vpn, stop), adjusting file offsets; assumes overlap. *)
   let clip vma ~vpn ~stop =
-    let new_start = Stdlib.max vma.start_vpn vpn in
-    let new_end = Stdlib.min (end_vpn vma) stop in
+    let new_start = Int.max vma.start_vpn vpn in
+    let new_end = Int.min (end_vpn vma) stop in
     (match vma.page_size with
     | Tlb.Two_m ->
         if not (Addr.huge_aligned new_start && Addr.huge_aligned new_end) then

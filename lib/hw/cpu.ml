@@ -202,12 +202,12 @@ let compute t ?(quantum = 200) cycles =
            resumes the process. Accounting accrues at resume, which is
            equivalent: the only mid-span observers are IRQ handlers, and
            those run after resume (at the loop head) here as before. *)
-        let chunk0 = Stdlib.min quantum !remaining in
+        let chunk0 = Int.min quantum !remaining in
         let left = ref (!remaining - chunk0) in
         Process.tick_sleep t.eng ~first:chunk0 (fun () ->
             if !left = 0 || serviceable t then 0
             else begin
-              let c = Stdlib.min quantum !left in
+              let c = Int.min quantum !left in
               left := !left - c;
               c
             end);

@@ -37,7 +37,7 @@ let capacity t = Array.length t.words * bits_per_word
 let grow t wi =
   let old = t.words in
   let n = Array.length old in
-  let bigger = Array.make (Stdlib.max (wi + 1) (2 * n)) 0 in
+  let bigger = Array.make (Int.max (wi + 1) (2 * n)) 0 in
   Array.blit old 0 bigger 0 n;
   t.words <- bigger
 

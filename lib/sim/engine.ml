@@ -1,12 +1,14 @@
 (* tlblint: proven-bounds — every Array.unsafe_get/set below indexes one
    of: the event arena at [base + field] with [base] a stride-aligned
    offset handed out by [alloc] (< [t.cap], and the arena never shrinks);
-   the power-of-two ring (slot = time land (ring_size - 1)); the heap's
-   parallel key/event arrays within [t.size]; the closure registry below
-   its length (slots come from [cls_alloc]); the handler table below
+   the power-of-two ring (slot = time land ring_mask); its occupancy
+   bitmap (word = slot lsr 5, or a word index masked by [occ_words - 1]);
+   the 32-entry de Bruijn table (index = a 32-bit product lsr 27); the
+   heap's parallel key/event arrays within [t.size]; the closure registry
+   below its length (slots come from [cls_alloc]); the handler table below
    [t.n_handlers] (schedule-time range check, and the table never
    shrinks); or the free-tag stack below [t.n_free_tags]. *)
-(* The hot core of the simulator. Three representation choices keep the
+(* The hot core of the simulator. Four representation choices keep the
    per-event cost down:
 
    - The priority key is ONE int: [time lsl seq_bits lor seq]. Heap
@@ -28,6 +30,11 @@
      even that with [schedule_tag]: a handler registered once per
      long-lived object (process, APIC, ...) is dispatched by integer tag
      with two unboxed int arguments carried in the row.
+   - Near events go to a calendar ring of per-cycle FIFO slots instead of
+     the heap, and an occupancy bitmap over the slots finds the next one:
+     at most [ring_size / 32] word reads per query, independent of how
+     many simulated cycles away it is. [try_advance], [peek_time] and
+     [run] ask on every delay, idle tick and drain.
    - [try_advance] lets a running process skip the whole
      suspend/schedule/pop round-trip when no pending event could fire
      inside the window it wants to sleep across: the clock simply moves
@@ -56,15 +63,33 @@ let nil = -1
 
 type handle = { h_base : int; h_gen : int }
 
-(* Near-future events live in a calendar ring: slot [time land (ring_size -
-   1)] holds the FIFO of events at that exact time. An event is ring-eligible
+(* Near-future events live in a calendar ring: slot [time land ring_mask]
+   holds the FIFO of events at that exact time. An event is ring-eligible
    when [time - now < ring_size] (strictly), which guarantees each slot holds
    at most one distinct timestamp at any moment. Everything else — far
    events, and every event while a chooser is installed — goes through the
-   binary heap. Ring append and pop are O(1) (amortized: the pop scan only
-   ever moves [ring_min] forward between pushes), versus an O(log n) sift
-   per event, and the sift was the single largest line in bench profiles. *)
+   binary heap. Ring append and pop are O(1), versus an O(log n) sift per
+   event, and the sift was the single largest line in bench profiles.
+
+   Finding the earliest occupied slot is a search of an occupancy bitmap,
+   one bit per slot and 32 slots per int word: at most [occ_words] word
+   reads however far ahead the next event sits. A slot-by-slot walk would
+   cost one step per cycle of gap, so every fast-path delay would pay for
+   simulated time rather than for events. *)
 let ring_size = 4096
+let ring_mask = ring_size - 1
+let occ_words = ring_size / 32
+
+(* Index of the lowest set bit of a nonzero 32-bit word, branch-free:
+   [x land (-x)] isolates the bit, and multiplying by a de Bruijn sequence
+   puts a distinct 5-bit pattern in the top bits of the 32-bit product. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let lowest_bit x =
+  Array.unsafe_get debruijn
+    ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
 let no_closure () = invalid_arg "Engine: closure slot dispatched twice"
 
@@ -84,6 +109,7 @@ type t = {
   mutable size : int; (* heap population *)
   ring : int array; (* slot head rows, [nil] = empty *)
   ring_tail : int array; (* slot tail rows, meaningful when head <> nil *)
+  occ : int array; (* bit [slot land 31] of word [slot lsr 5]: slot non-empty *)
   mutable ring_count : int; (* ring population *)
   mutable ring_min : int;
       (* lower bound on the earliest ring event's time: no ring event lives
@@ -115,6 +141,7 @@ let create () =
     size = 0;
     ring = Array.make ring_size nil;
     ring_tail = Array.make ring_size nil;
+    occ = Array.make occ_words 0;
     ring_count = 0;
     ring_min = 0;
     cls = [||];
@@ -161,7 +188,7 @@ let alloc t ~key ~tag ~a ~b =
     end
     else begin
       if t.cap = Array.length t.store then begin
-        let bigger = Array.make (Stdlib.max (64 * stride) (2 * t.cap)) 0 in
+        let bigger = Array.make (Int.max (64 * stride) (2 * t.cap)) 0 in
         Array.blit t.store 0 bigger 0 t.cap;
         t.store <- bigger
       end;
@@ -201,7 +228,7 @@ let cls_alloc t f =
     end
     else begin
       if t.n_cls = Array.length t.cls then begin
-        let bigger = Array.make (Stdlib.max 64 (2 * t.n_cls)) no_closure in
+        let bigger = Array.make (Int.max 64 (2 * t.n_cls)) no_closure in
         Array.blit t.cls 0 bigger 0 t.n_cls;
         t.cls <- bigger
       end;
@@ -217,7 +244,7 @@ let cls_take t slot =
   let f = Array.unsafe_get t.cls slot in
   Array.unsafe_set t.cls slot no_closure;
   if t.n_cls_free = Array.length t.cls_free then begin
-    let bigger = Array.make (Stdlib.max 64 (2 * t.n_cls_free)) 0 in
+    let bigger = Array.make (Int.max 64 (2 * t.n_cls_free)) 0 in
     Array.blit t.cls_free 0 bigger 0 t.n_cls_free;
     t.cls_free <- bigger
   end;
@@ -236,7 +263,7 @@ let register_handler t f =
     else begin
       let n = t.n_handlers in
       if n = Array.length t.handlers then begin
-        let bigger = Array.make (Stdlib.max 8 (2 * n)) no_handler in
+        let bigger = Array.make (Int.max 8 (2 * n)) no_handler in
         Array.blit t.handlers 0 bigger 0 n;
         t.handlers <- bigger
       end;
@@ -257,7 +284,7 @@ let release_handler t tag =
     invalid_arg "Engine.release_handler: unknown tag";
   t.handlers.(tag) <- no_handler;
   if t.n_free_tags = Array.length t.free_tags then begin
-    let bigger = Array.make (Stdlib.max 8 (2 * t.n_free_tags)) 0 in
+    let bigger = Array.make (Int.max 8 (2 * t.n_free_tags)) 0 in
     Array.blit t.free_tags 0 bigger 0 t.n_free_tags;
     t.free_tags <- bigger
   end;
@@ -267,35 +294,59 @@ let release_handler t tag =
 (* ----- calendar ring primitives ----- *)
 
 let ring_append t ~time ev =
-  let slot = time land (ring_size - 1) in
+  let slot = time land ring_mask in
   let head = Array.unsafe_get t.ring slot in
-  if head = nil then Array.unsafe_set t.ring slot ev
+  if head = nil then begin
+    Array.unsafe_set t.ring slot ev;
+    let w = slot lsr 5 in
+    Array.unsafe_set t.occ w (Array.unsafe_get t.occ w lor (1 lsl (slot land 31)))
+  end
   else
     Array.unsafe_set t.store (Array.unsafe_get t.ring_tail slot + f_next) ev;
   Array.unsafe_set t.ring_tail slot ev;
   t.ring_count <- t.ring_count + 1;
   if time < t.ring_min then t.ring_min <- time
 
-(* Earliest ring event's time; requires [ring_count > 0]. The scan starts
-   at [ring_min] (clamped to [now]) and leaves it on the found slot, so
-   repeated calls without intervening pushes are O(1); total scan work is
-   bounded by simulated-time progress plus pushes. Termination: every ring
-   event's time is in [now, now + ring_size). *)
+(* Earliest ring event's time; requires [ring_count > 0]. Every ring
+   event's time is in [pos, pos + ring_size), where [pos] is [ring_min]
+   clamped to [now] (none lies below [ring_min], none at or past [now +
+   ring_size]), so the earliest one sits in the first occupied slot at or
+   after [pos]'s slot, cyclically. The search reads [pos]'s word
+   with the bits below [pos] masked off, then whole words onward, wrapping
+   once: back at the start word, only the masked-off bits can be set.
+   Leaves [ring_min] on the found time. *)
 let ring_earliest t =
-  let pos = ref (if t.ring_min > t.now then t.ring_min else t.now) in
-  while Array.unsafe_get t.ring (!pos land (ring_size - 1)) = nil do
-    incr pos
-  done;
-  t.ring_min <- !pos;
-  !pos
+  let pos = if t.ring_min > t.now then t.ring_min else t.now in
+  let s0 = pos land ring_mask in
+  let w0 = s0 lsr 5 in
+  let occ = t.occ in
+  let bits = Array.unsafe_get occ w0 land (-1 lsl (s0 land 31)) in
+  let slot =
+    if bits <> 0 then (w0 lsl 5) lor lowest_bit bits
+    else begin
+      let w = ref ((w0 + 1) land (occ_words - 1)) in
+      while Array.unsafe_get occ !w = 0 do
+        w := (!w + 1) land (occ_words - 1)
+      done;
+      (!w lsl 5) lor lowest_bit (Array.unsafe_get occ !w)
+    end
+  in
+  let time = pos + ((slot - s0) land ring_mask) in
+  t.ring_min <- time;
+  time
 
 (* Pop the FIFO head of the slot holding time [pos]. *)
 let ring_pop t pos =
-  let slot = pos land (ring_size - 1) in
+  let slot = pos land ring_mask in
   let ev = Array.unsafe_get t.ring slot in
   let nx = Array.unsafe_get t.store (ev + f_next) in
   Array.unsafe_set t.ring slot nx;
-  if nx = nil then Array.unsafe_set t.ring_tail slot nil;
+  if nx = nil then begin
+    Array.unsafe_set t.ring_tail slot nil;
+    let w = slot lsr 5 in
+    Array.unsafe_set t.occ w
+      (Array.unsafe_get t.occ w land lnot (1 lsl (slot land 31)))
+  end;
   t.ring_count <- t.ring_count - 1;
   ev
 
@@ -315,12 +366,13 @@ let drain_ring_to_push t push =
       Array.unsafe_set t.ring s nil;
       Array.unsafe_set t.ring_tail s nil
     done;
+    Array.fill t.occ 0 occ_words 0;
     t.ring_count <- 0
   end
 
 (* ----- heap primitives (parallel key/row arrays, int comparisons) ----- *)
 
-let rec sift_up hkey hev i key ev =
+let rec sift_up (hkey : int array) (hev : int array) i (key : int) (ev : int) =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
     let pk = Array.unsafe_get hkey parent in
@@ -339,7 +391,8 @@ let rec sift_up hkey hev i key ev =
     Array.unsafe_set hev i ev
   end
 
-let rec sift_down hkey hev size i key ev =
+let rec sift_down (hkey : int array) (hev : int array) size i (key : int)
+    (ev : int) =
   let left = (2 * i) + 1 in
   if left >= size then begin
     Array.unsafe_set hkey i key;
@@ -367,7 +420,7 @@ let rec sift_down hkey hev size i key ev =
 let push t ev =
   let cap = Array.length t.hkey in
   if t.size = cap then begin
-    let n = Stdlib.max 64 (2 * cap) in
+    let n = Int.max 64 (2 * cap) in
     let hkey = Array.make n 0 and hev = Array.make n nil in
     Array.blit t.hkey 0 hkey 0 t.size;
     Array.blit t.hev 0 hev 0 t.size;
@@ -607,7 +660,7 @@ let step t =
    [step]/[pop]'s per-event branching. When the front of the queue is a
    ring slot and the heap cannot interleave (its top is strictly later),
    the whole slot is drained in place — the common "many events this
-   cycle" case pays the ring/heap comparison, the [ring_earliest] scan,
+   cycle" case pays the ring/heap comparison, the [ring_earliest] search,
    and the outer dispatch branch once per cycle instead of once per
    event. This is order-exact: with no chooser, a schedule issued during
    the drain targets either this same instant — it lands at the tail of
@@ -632,21 +685,16 @@ let run t =
     | None ->
         if t.ring_count = 0 && t.size = 0 then continue := false
         else begin
-          let use_heap =
-            t.ring_count = 0
-            || t.size > 0
-               && key_time (Array.unsafe_get t.hkey 0) <= ring_earliest t
-          in
-          if use_heap then begin
+          let rt = if t.ring_count = 0 then max_int else ring_earliest t in
+          if t.size > 0 && key_time (Array.unsafe_get t.hkey 0) <= rt then begin
             let ev = heap_pop t in
             let time = key_time (Array.unsafe_get t.store (ev + f_key)) in
             if time > t.now then t.now <- time;
             dispatch t ev
           end
           else begin
-            let rt = ring_earliest t in
             if rt > t.now then t.now <- rt;
-            let slot = rt land (ring_size - 1) in
+            let slot = rt land ring_mask in
             while
               Array.unsafe_get t.ring slot >= 0
               && t.now = rt

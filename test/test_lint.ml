@@ -18,7 +18,8 @@ let test_pair ~bad ~good ~expected () =
 
 let test_r1 =
   test_pair ~bad:"fix_r1_bad" ~good:"fix_r1_good"
-    ~expected:[ (3, "R1"); (4, "R1"); (5, "R1"); (6, "R1"); (7, "R1"); (8, "R1") ]
+    ~expected:
+      [ (3, "R1"); (4, "R1"); (5, "R1"); (6, "R1"); (7, "R1"); (8, "R1"); (9, "R1") ]
 
 let test_r2 =
   test_pair ~bad:"fix_r2_bad" ~good:"fix_r2_good" ~expected:[ (3, "R2"); (5, "R2") ]

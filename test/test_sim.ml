@@ -688,6 +688,115 @@ let test_engine_pool_model () =
          | Some i -> Some (t, i))
        None tops)
 
+(* --- Engine model across the ring boundary ---
+
+   The pool model above keeps every delay below 50, so it never wraps the
+   4096-slot calendar ring or reaches the heap. This one drives a seeded
+   mix of events against a reference queue ordered by (time, insertion
+   index):
+
+   - delays anywhere in [0, 3 * 4096], including the ring/heap cutoff
+     itself, so events land in both structures and the clock moves far
+     enough to wrap the ring several times;
+   - equal-time ties: more events scheduled at a time that already has a
+     heap event, both while that time is still far (heap/heap) and once
+     the clock has come within ring range of it (heap/ring);
+   - one far ring event, 4095 cycles ahead, with many near events pushed
+     and popped below it, so each next-event search starts past the far
+     event's slot and has to wrap around the ring to reach it.
+
+   Every firing must be the model's earliest pending event, at its time,
+   whether it runs from [step] or from [run]'s in-place slot drain
+   (handlers schedule children to exercise the latter). Interleaved
+   [try_advance] probes must succeed exactly when the model's earliest
+   pending time is past the probed window, and then move the clock by
+   exactly the probed amount. *)
+let test_engine_ring_boundary_model () =
+  let ring = 4096 in
+  let rng = Rng.create ~seed:0x41c3L in
+  let e = Engine.create () in
+  (* Pending model events as (time, id); ids are insertion indices. *)
+  let pending = ref [] and next_id = ref 0 and n_fired = ref 0 in
+  let far_times = ref [] (* times holding an event scheduled from the heap side *) in
+  let earliest () =
+    List.fold_left
+      (fun best ((t, id) as ev) ->
+        match best with
+        | Some (bt, bid) when bt < t || (bt = t && bid < id) -> best
+        | _ -> Some ev)
+      None !pending
+  in
+  let tag = ref (-1) in
+  let add ~time ~children =
+    let id = !next_id in
+    incr next_id;
+    pending := (time, id) :: !pending;
+    if time - Engine.now e >= ring then far_times := time :: !far_times;
+    Engine.schedule_tag_at e ~time ~tag:!tag ~a:id ~b:children
+  in
+  let handler id children =
+    (match earliest () with
+    | Some (t, eid) ->
+        check int_t "fires the model's earliest event" eid id;
+        check int_t "fires at its scheduled time" t (Engine.now e)
+    | None -> Alcotest.fail "engine fired with the model empty");
+    pending := List.filter (fun (_, i) -> i <> id) !pending;
+    incr n_fired;
+    if children > 0 then
+      add ~time:(Engine.now e + Rng.int rng ((3 * ring) + 1)) ~children:(children - 1)
+  in
+  tag := Engine.register_handler e handler;
+  let near () = add ~time:(Engine.now e + Rng.int rng 8) ~children:0 in
+  let step () =
+    let expect = match !pending with [] -> false | _ -> true in
+    check bool_t "step fires iff the model is non-empty" expect (Engine.step e)
+  in
+  let probe () =
+    let now = Engine.now e in
+    let cycles =
+      match (earliest (), Rng.int rng 3) with
+      | Some (t, _), 0 -> t - now (* must decline: the event is at the edge *)
+      | Some (t, _), 1 when t > now -> t - now - 1 (* must advance *)
+      | _ -> Rng.int rng (3 * ring)
+    in
+    let expect =
+      match earliest () with None -> true | Some (t, _) -> t > now + cycles
+    in
+    check bool_t "try_advance iff nothing pending in the window" expect
+      (Engine.try_advance e ~cycles);
+    check int_t "try_advance moves the clock by exactly the window"
+      (if expect then now + cycles else now)
+      (Engine.now e)
+  in
+  for _round = 1 to 6 do
+    for _op = 1 to 600 do
+      let now = Engine.now e in
+      match Rng.int rng 10 with
+      | 0 | 1 -> add ~time:(now + Rng.int rng ((3 * ring) + 1)) ~children:(Rng.int rng 3)
+      | 2 -> add ~time:(now + ring - 2 + Rng.int rng 4) ~children:0 (* the cutoff *)
+      | 3 -> (
+          far_times := List.filter (fun t -> t >= now) !far_times;
+          match !far_times with
+          | [] -> near ()
+          | ts -> add ~time:(List.nth ts (Rng.int rng (List.length ts))) ~children:0)
+      | 4 ->
+          add ~time:(now + ring - 1) ~children:0;
+          for _ = 1 to 40 do
+            for _ = 0 to Rng.int rng 3 do
+              near ()
+            done;
+            if Rng.int rng 4 = 0 then probe ();
+            step ()
+          done
+      | 5 | 6 -> probe ()
+      | _ -> step ()
+    done;
+    Engine.run e;
+    check int_t "engine drained" 0 (Engine.pending e);
+    check int_t "model drained" 0 (List.length !pending)
+  done;
+  check int_t "every scheduled event fired once" !next_id !n_fired
+
 let suite =
   [
     Alcotest.test_case "rng: deterministic streams" `Quick test_rng_deterministic;
@@ -726,6 +835,8 @@ let suite =
       test_engine_seq_renumber_preserves_fifo;
     Alcotest.test_case "engine: randomized pool schedule/cancel/recycle model" `Quick
       test_engine_pool_model;
+    Alcotest.test_case "engine: ring-boundary model (wrap, heap ties, far ring event)"
+      `Quick test_engine_ring_boundary_model;
     Alcotest.test_case "process: delay advances time" `Quick test_process_delay_advances_time;
     Alcotest.test_case "process: interleaving" `Quick test_process_interleaving;
     Alcotest.test_case "process: failures propagate" `Quick test_process_failure_propagates;

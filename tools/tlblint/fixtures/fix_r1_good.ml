@@ -1,4 +1,5 @@
-(* tlblint fixture: immediate-type comparisons and suppressed sites — silent. *)
+(* tlblint fixture: immediate-type comparisons, float ordering and suppressed
+   sites — silent. *)
 
 type color = Red | Green | Blue
 
@@ -8,3 +9,5 @@ let char_cmp (a : char) (b : char) = compare a b
 let bool_min (a : bool) (b : bool) = Stdlib.min a b
 let[@tlblint.allow "R1"] suppressed_binding (a : int list) (b : int list) = a = b
 let suppressed_expr (a : int list) (b : int list) = ((a = b) [@tlblint.allow "R1"])
+let int_lt (a : int) (b : int) = a < b
+let float_ge (a : float) (b : float) = a >= b

@@ -3,9 +3,10 @@
    Reads the .cmt files dune already produces, walks the typedtree with
    Tast_iterator, and reports findings with file:line spans.  Rules:
 
-   R1 poly-compare: [=], [<>], [compare], [min], [max], [Hashtbl.hash]
-      instantiated at a non-immediate type, and physical [==]/[!=] against a
-      constant constructor ([], None, ...) of a non-immediate type.
+   R1 poly-compare: [=], [<>], [<], [>], [<=], [>=], [compare], [min],
+      [max], [Hashtbl.hash] instantiated at a non-immediate type, and
+      physical [==]/[!=] against a constant constructor ([], None, ...) of a
+      non-immediate type.
    R2 unordered-iteration: [Hashtbl.iter]/[fold]/[to_seq*] whose result is
       not piped into a deterministic sort in the same expression.
    R3 nondeterminism-source: [Stdlib.Random.*], [Unix.gettimeofday]/[time],
@@ -241,6 +242,10 @@ let rules_of_attributes (attrs : Parsetree.attributes) : rule list =
 
 let mem_name names name = List.exists (String.equal name) names
 let eq_ops = [ "Stdlib.="; "Stdlib.<>" ]
+
+(* Ordering at a float is IEEE-defined (NaN compares false), so only the
+   non-immediate instantiations are findings. *)
+let ord_ops = [ "Stdlib.<"; "Stdlib.>"; "Stdlib.<="; "Stdlib.>=" ]
 let phys_ops = [ "Stdlib.=="; "Stdlib.!=" ]
 let cmp_fns = [ "Stdlib.compare"; "Stdlib.min"; "Stdlib.max" ]
 let hash_fns = [ "Stdlib.Hashtbl.hash"; "Stdlib.Hashtbl.seeded_hash" ]
@@ -380,6 +385,7 @@ let check_comparison ctx (e : Typedtree.expression) name =
       let op = short_name name in
       match immediacy_of env operand_ty with
       | Imm -> ()
+      | Float_ty when mem_name ord_ops name -> ()
       | Float_ty ->
           report ctx ~loc:e.exp_loc R4
             (Printf.sprintf
@@ -396,7 +402,10 @@ let check_comparison ctx (e : Typedtree.expression) name =
 
 let check_ident ctx (e : Typedtree.expression) path =
   let name = Path.name path in
-  if mem_name eq_ops name || mem_name cmp_fns name || mem_name hash_fns name then
+  if
+    mem_name eq_ops name || mem_name ord_ops name || mem_name cmp_fns name
+    || mem_name hash_fns name
+  then
     check_comparison ctx e name;
   if mem_name hashtbl_iters name && ctx.sort_depth = 0 then
     report ctx ~loc:e.exp_loc R2
