@@ -843,6 +843,21 @@ let shootout_workloads_plan () =
 
 (* ----- Bechamel: wall-clock self-measurement of the harness ----- *)
 
+(* Bechamel's own minor-allocation measure reads [Gc.quick_stat], whose
+   [minor_words] on OCaml 5.1 advances only at a minor collection: under
+   the harness's large minor heap most runs see none and report 0 words.
+   [Gc.minor_words] also counts the current minor heap's allocation. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "words"
+end
+
 let bechamel () =
   let open Bechamel in
   let micro_test =
@@ -885,7 +900,7 @@ let bechamel () =
   (* Engine primitives. Both runs schedule one same-cycle event and
      dispatch it, so the clock never moves; the second then asks
      [try_advance] whether the clock could skip ahead while a ring event
-     4000 cycles out is pending: the next-event search a [Process.delay]
+     2000 cycles out is pending: the next-event search a [Process.delay]
      pays after every near event. The difference between the two is the
      cost of that search. *)
   let engine_with_handler () =
@@ -901,12 +916,42 @@ let bechamel () =
   in
   let advance_test =
     let e, tag = engine_with_handler () in
-    Engine.schedule_tag e ~delay:4000 ~tag ~a:0 ~b:0;
+    Engine.schedule_tag e ~delay:2000 ~tag ~a:0 ~b:0;
     Test.make ~name:"engine:try_advance (far event pending)"
       (Staged.stage (fun () ->
            Engine.schedule_tag e ~delay:0 ~tag ~a:0 ~b:0;
            ignore (Engine.step e);
            ignore (Engine.try_advance e ~cycles:0)))
+  in
+  (* Process primitives. Two processes loop on [delay 3]: each finds the
+     other's wake-up inside its window, so one [step] is one suspended
+     delay (resume, run to the next [delay], suspend). A waiter loops on
+     [Waitq.wait]; one run signals it and steps the wake event, which
+     resumes it into its next wait. *)
+  let delay_test =
+    let e = Engine.create () in
+    let body () =
+      while true do
+        Process.delay e 3
+      done
+    in
+    Process.spawn e ~name:"a" body;
+    Process.spawn e ~name:"b" body;
+    Test.make ~name:"process:delay (suspending)"
+      (Staged.stage (fun () -> ignore (Engine.step e)))
+  in
+  let wait_test =
+    let e = Engine.create () in
+    let q = Waitq.create e in
+    Process.spawn e ~name:"waiter" (fun () ->
+        while true do
+          Waitq.wait q
+        done);
+    ignore (Engine.step e);
+    Test.make ~name:"waitq:wait+signal"
+      (Staged.stage (fun () ->
+           Waitq.signal_one q;
+           ignore (Engine.step e)))
   in
   let test =
     Test.make_grouped ~name:"shootdown-repro"
@@ -918,20 +963,29 @@ let bechamel () =
         fracture_test;
         dispatch_test;
         advance_test;
+        delay_test;
+        wait_test;
       ]
   in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
+  let clock = Toolkit.Instance.monotonic_clock
+  and words =
+    Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+  in
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances test in
+  let raw = Benchmark.all cfg [ clock; words ] test in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "\n== Bechamel: harness wall-clock (ns per run) ==";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "  %-56s %12.0f ns/run\n" name est
-         | Some _ | None -> Printf.printf "  %-56s (no estimate)\n" name)
+  let ns = Analyze.all ols clock raw and minor = Analyze.all ols words raw in
+  let estimate results name =
+    match Analyze.OLS.estimates (Hashtbl.find results name) with
+    | Some [ est ] -> Printf.sprintf "%12.0f" est
+    | Some _ | None -> Printf.sprintf "%12s" "-"
+  in
+  print_endline "\n== Bechamel: harness wall-clock and minor words per run ==";
+  Hashtbl.fold (fun name _ acc -> name :: acc) ns []
+  |> List.sort String.compare
+  |> List.iter (fun name ->
+         Printf.printf "  %-56s %s ns/run %s words/run\n" name (estimate ns name)
+           (estimate minor name))
 
 (* ----- driver: named experiments, sharded over the domain pool ----- *)
 

@@ -1,7 +1,8 @@
 (* tlblint: proven-bounds — every Array.unsafe_get/set below indexes one
    of: the event arena at [base + field] with [base] a stride-aligned
-   offset handed out by [alloc] (< [t.cap], and the arena never shrinks);
-   the power-of-two ring (slot = time land ring_mask); its occupancy
+   offset handed out by [alloc] (< [t.cap], and the arena never shrinks),
+   including a ring slot's tail row and the rows its circular [f_next]
+   links reach; the power-of-two ring (slot = time land ring_mask); its occupancy
    bitmap (word = slot lsr 5, or a word index masked by [occ_words - 1]);
    the 32-entry de Bruijn table (index = a 32-bit product lsr 27); the
    heap's parallel key/event arrays within [t.size]; the closure registry
@@ -34,7 +35,9 @@
      the heap, and an occupancy bitmap over the slots finds the next one:
      at most [ring_size / 32] word reads per query, independent of how
      many simulated cycles away it is. [try_advance], [peek_time] and
-     [run] ask on every delay, idle tick and drain.
+     [run] ask on every delay, idle tick and drain. A slot holds only its
+     tail row; the tail links back to the head, so one array serves both
+     ends of every FIFO.
    - [try_advance] lets a running process skip the whole
      suspend/schedule/pop round-trip when no pending event could fire
      inside the window it wants to sleep across: the clock simply moves
@@ -57,7 +60,9 @@ let f_tag = 1 (* >= 0: handler-table index; -1: closure (f_b = registry slot); -
 let f_a = 2 (* first unboxed handler argument *)
 let f_b = 3 (* second unboxed handler argument, or closure-registry slot *)
 let f_gen = 4 (* bumped on release; stamps [handle]s against row reuse *)
-let f_next = 5 (* intrusive FIFO / free-list link: base offset, [nil] = end *)
+let f_next = 5
+(* intrusive link, a base offset: the next row of a ring slot's circular
+   FIFO (the tail's points at the head), or of the free list ([nil] = end) *)
 let stride = 6
 let nil = -1
 
@@ -75,8 +80,19 @@ type handle = { h_base : int; h_gen : int }
    one bit per slot and 32 slots per int word: at most [occ_words] word
    reads however far ahead the next event sits. A slot-by-slot walk would
    cost one step per cycle of gap, so every fast-path delay would pay for
-   simulated time rather than for events. *)
-let ring_size = 4096
+   simulated time rather than for events.
+
+   Each slot stores only the tail row of its FIFO, and the tail's [f_next]
+   points back at the head: append and pop stay O(1) with a single array
+   for both ends. The ring array is the
+   engine's one allocation straight into the major heap (2,049 words), and
+   every simulated machine builds an engine, so its size is a per-run cost.
+   2048 cycles covers the workloads' delays: on pass 0 of seed 11 of the
+   repository benchmark, no scheduled event on micro-madvise,
+   sysbench-write, apache-mmap or fuzz-diff fell in [2048, 4096), and 3.6%
+   did on bigmachine-1024 (they now take the heap). Which structure holds
+   an event never changes the (time, seq) order it fires in. *)
+let ring_size = 2048
 let ring_mask = ring_size - 1
 let occ_words = ring_size / 32
 
@@ -92,6 +108,7 @@ let lowest_bit x =
     ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
 let no_closure () = invalid_arg "Engine: closure slot dispatched twice"
+let no_step () = invalid_arg "Engine: no suspension step"
 
 let no_handler (_ : int) (_ : int) =
   invalid_arg "Engine: tag dispatched after release_handler"
@@ -107,8 +124,7 @@ type t = {
   mutable hkey : int array; (* binary min-heap keys, far/chooser events *)
   mutable hev : int array; (* heap rows (base offsets), parallel to [hkey] *)
   mutable size : int; (* heap population *)
-  ring : int array; (* slot head rows, [nil] = empty *)
-  ring_tail : int array; (* slot tail rows, meaningful when head <> nil *)
+  ring : int array; (* slot tail rows, [nil] = empty *)
   occ : int array; (* bit [slot land 31] of word [slot lsr 5]: slot non-empty *)
   mutable ring_count : int; (* ring population *)
   mutable ring_min : int;
@@ -122,7 +138,10 @@ type t = {
   mutable n_handlers : int;
   mutable free_tags : int array; (* stack of released handler slots *)
   mutable n_free_tags : int;
-  mutable cur_name : string; (* cooperative-process name, see Process *)
+  mutable cur_name : string; (* running cooperative process, see Process *)
+  mutable cur_tag : int; (* its handler tag, [nil] outside any process *)
+  mutable arg_cycles : int; (* argument of the next Process suspension *)
+  mutable arg_step : unit -> int; (* a tick suspension's step function *)
   mutable chooser : (int -> int) option;
   mutable horizon : int;
 }
@@ -140,7 +159,6 @@ let create () =
     hev = [||];
     size = 0;
     ring = Array.make ring_size nil;
-    ring_tail = Array.make ring_size nil;
     occ = Array.make occ_words 0;
     ring_count = 0;
     ring_min = 0;
@@ -153,6 +171,9 @@ let create () =
     free_tags = [||];
     n_free_tags = 0;
     cur_name = "main";
+    cur_tag = nil;
+    arg_cycles = 0;
+    arg_step = no_step;
     chooser = None;
     horizon = 0;
   }
@@ -171,7 +192,16 @@ let advances t = t.advances
 let ops t = t.events_run + t.advances
 let pending t = t.size + t.ring_count
 let current_name t = t.cur_name
-let set_current_name t name = t.cur_name <- name
+let current_tag t = t.cur_tag
+
+let set_current t ~name ~tag =
+  t.cur_name <- name;
+  t.cur_tag <- tag
+
+let arg_cycles t = t.arg_cycles
+let set_arg_cycles t cycles = t.arg_cycles <- cycles
+let arg_step t = t.arg_step
+let set_arg_step t step = t.arg_step <- step
 
 (* ----- event arena ----- *)
 
@@ -293,17 +323,22 @@ let release_handler t tag =
 
 (* ----- calendar ring primitives ----- *)
 
+(* Link [ev] in after the slot's tail (before its head) and make it the
+   tail; alone in its slot, it is its own head. *)
 let ring_append t ~time ev =
   let slot = time land ring_mask in
-  let head = Array.unsafe_get t.ring slot in
-  if head = nil then begin
-    Array.unsafe_set t.ring slot ev;
+  let s = t.store in
+  let tail = Array.unsafe_get t.ring slot in
+  if tail = nil then begin
+    Array.unsafe_set s (ev + f_next) ev;
     let w = slot lsr 5 in
     Array.unsafe_set t.occ w (Array.unsafe_get t.occ w lor (1 lsl (slot land 31)))
   end
-  else
-    Array.unsafe_set t.store (Array.unsafe_get t.ring_tail slot + f_next) ev;
-  Array.unsafe_set t.ring_tail slot ev;
+  else begin
+    Array.unsafe_set s (ev + f_next) (Array.unsafe_get s (tail + f_next));
+    Array.unsafe_set s (tail + f_next) ev
+  end;
+  Array.unsafe_set t.ring slot ev;
   t.ring_count <- t.ring_count + 1;
   if time < t.ring_min then t.ring_min <- time
 
@@ -335,20 +370,22 @@ let ring_earliest t =
   t.ring_min <- time;
   time
 
-(* Pop the FIFO head of the slot holding time [pos]. *)
+(* Pop the FIFO head of the slot holding time [pos]: the row after the
+   tail. *)
 let ring_pop t pos =
   let slot = pos land ring_mask in
-  let ev = Array.unsafe_get t.ring slot in
-  let nx = Array.unsafe_get t.store (ev + f_next) in
-  Array.unsafe_set t.ring slot nx;
-  if nx = nil then begin
-    Array.unsafe_set t.ring_tail slot nil;
+  let s = t.store in
+  let tail = Array.unsafe_get t.ring slot in
+  let head = Array.unsafe_get s (tail + f_next) in
+  if head = tail then begin
+    Array.unsafe_set t.ring slot nil;
     let w = slot lsr 5 in
     Array.unsafe_set t.occ w
       (Array.unsafe_get t.occ w land lnot (1 lsl (slot land 31)))
-  end;
+  end
+  else Array.unsafe_set s (tail + f_next) (Array.unsafe_get s (head + f_next));
   t.ring_count <- t.ring_count - 1;
-  ev
+  head
 
 (* Move every ring event into the heap (any insertion order: the heap
    orders by full key). Used when a chooser is installed and by seq
@@ -356,15 +393,18 @@ let ring_pop t pos =
 let drain_ring_to_push t push =
   if t.ring_count > 0 then begin
     for s = 0 to ring_size - 1 do
-      let ev = ref (Array.unsafe_get t.ring s) in
-      while !ev >= 0 do
-        let e = !ev in
-        ev := Array.unsafe_get t.store (e + f_next);
-        push e;
-        ()
-      done;
-      Array.unsafe_set t.ring s nil;
-      Array.unsafe_set t.ring_tail s nil
+      let tail = Array.unsafe_get t.ring s in
+      if tail >= 0 then begin
+        (* Walk head .. tail once round the circle. *)
+        let ev = ref (Array.unsafe_get t.store (tail + f_next)) in
+        while !ev <> tail do
+          let e = !ev in
+          ev := Array.unsafe_get t.store (e + f_next);
+          push e
+        done;
+        push tail;
+        Array.unsafe_set t.ring s nil
+      end
     done;
     Array.fill t.occ 0 occ_words 0;
     t.ring_count <- 0

@@ -112,13 +112,31 @@ val run_until : t -> time:int -> unit
 (** Pending event count. *)
 val pending : t -> int
 
+(** {2 Process support}
+
+    State {!Process} keeps per engine rather than in globals, so
+    independent machines can run on separate domains. *)
+
 (** Name of the cooperative process currently executing on this engine
-    ("main" outside any process). Maintained by {!Process}; lives on the
-    engine rather than in a global so independent machines can run on
-    separate domains. *)
+    ("main" outside any process). *)
 val current_name : t -> string
 
-val set_current_name : t -> string -> unit
+(** Handler tag of the process currently executing on this engine; [-1]
+    outside any process. *)
+val current_tag : t -> int
+
+val set_current : t -> name:string -> tag:int -> unit
+
+(** The argument of the next process suspension. The effects that suspend
+    a process carry no payload, so the suspending code stores the delay,
+    and a tick's step function, here just before it performs the effect,
+    and the process's handler reads them back before anything else runs
+    on this engine. *)
+val arg_cycles : t -> int
+
+val set_arg_cycles : t -> int -> unit
+val arg_step : t -> unit -> int
+val set_arg_step : t -> (unit -> int) -> unit
 
 (** Install a scheduling chooser: whenever more than one pending event falls
     within [horizon] cycles of the earliest one, [choose n] is called with

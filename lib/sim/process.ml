@@ -9,157 +9,171 @@ let () =
         Some (Printf.sprintf "Process %S failed: %s" name (Printexc.to_string inner))
     | _ -> None)
 
-type _ Effect.t +=
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-  | Sleep : int -> unit Effect.t
-        (* [Sleep cycles] = [Suspend (fun r -> Engine.schedule ~delay:cycles r)]
-           minus the allocations: no [register] closure, no per-sleep resume
-           closure (the process registers one engine handler at spawn and
-           sleeps by tag), and no double-resume guard — the engine fires a
-           scheduled event exactly once, and a spurious second resume finds
-           the continuation slot empty and raises. Delays are the dominant
-           suspension in spin-heavy benches, so the slimmer path pays for
-           the extra constructor. *)
-  | Tick : int * (unit -> int) -> unit Effect.t
-        (* [Tick (first, step)]: sleep [first] cycles, then consult [step]
-           at that boundary — and at each subsequent one — from inside the
-           engine handler. [step () = 0] resumes the process at the current
-           boundary; [step () = d] sleeps [d] more cycles without resuming.
-           One effect suspension thus spans an arbitrary run of idle poll
-           ticks: every boundary is still its own engine event at exactly
-           the time a chain of [delay]s would produce (so event counts,
-           timestamps and seq order are unchanged), but an idle boundary
-           re-arms allocation-free instead of paying a continuation
-           resume+capture round trip. Spin-wait loops are mostly idle
-           boundaries, which makes this the difference between the
-           simulation allocating per poll tick and not allocating at all. *)
+(* The three ways a process suspends. None carries a payload: a constant
+   constructor is a static value, so [perform] allocates nothing but the
+   continuation. [delay], [yield] and [tick_sleep] leave their argument
+   on the engine ([Engine.set_arg_cycles] / [set_arg_step]) just before
+   performing, and the process's handler reads it straight back.
 
+   - [Sleep]: resume after [Engine.arg_cycles] cycles.
+   - [Tick]: sleep [arg_cycles], then consult the step function
+     ([arg_step]) at that boundary and at each later one, from inside the
+     engine handler. [step () = 0] resumes the process at the current
+     boundary; [step () = d] sleeps [d] more cycles without resuming. One
+     suspension thus spans any run of idle poll ticks: every boundary is
+     still its own engine event at exactly the time a chain of [delay]s
+     would produce (so event counts, timestamps and seq order are
+     unchanged), but an idle boundary re-arms allocation-free instead of
+     paying a continuation resume and capture.
+   - [Park]: stay suspended until [wake] names the process's tag. *)
+type _ Effect.t += Sleep : unit Effect.t | Tick : unit Effect.t | Park : unit Effect.t
+
+(* Everything a process needs between suspensions, in one record. The
+   engine handler registered at spawn dispatches on the event's [a]:
+   0 resumes from a sleep, 1 runs a tick boundary, 2 starts the body and
+   3 wakes a parked process. The tag is released when the process
+   completes (it cannot be suspended while it runs, so no event can still
+   carry the tag). *)
+type proc = {
+  engine : Engine.t;
+  name : string;
+  mutable tag : int;
+  mutable k : (unit, unit) continuation option;
+  mutable step : unit -> int;
+  mutable parked : bool;
+}
+
+let no_step () = invalid_arg "Process: tick without a step"
 let self_name engine = Engine.current_name engine
 
-let suspend register = perform (Suspend register)
+(* Run [f x] with [p] as the engine's current process. Restores by hand
+   instead of Fun.protect: this runs once per resumed suspension, squarely
+   on the hot path, and the protect pair is two allocations. *)
+let as_current p f x =
+  let e = p.engine in
+  let name = Engine.current_name e and tag = Engine.current_tag e in
+  Engine.set_current e ~name:p.name ~tag:p.tag;
+  match f x with
+  | () -> Engine.set_current e ~name ~tag
+  | exception ex ->
+      Engine.set_current e ~name ~tag;
+      raise ex
+
+let continue_unit k = continue k ()
+
+let resume p =
+  match p.k with
+  | None -> invalid_arg (Printf.sprintf "Process %s resumed twice" p.name)
+  | Some k ->
+      p.k <- None;
+      as_current p continue_unit k
+
+(* Drive one poll boundary of a [Tick] suspension. Mirrors what the
+   resumed process itself would do after a plain sleep: consult the
+   condition, and either continue (here: [resume]), skip ahead through an
+   empty window ([try_advance], exactly like [delay]'s fast path), or
+   schedule the next boundary. *)
+let rec tick p =
+  let d = p.step () in
+  if d = 0 then begin
+    p.step <- no_step;
+    resume p
+  end
+  else if d < 0 then invalid_arg "Process.tick_sleep: negative interval"
+  else if Engine.try_advance p.engine ~cycles:d then tick p
+  else Engine.schedule_tag p.engine ~delay:d ~tag:p.tag ~a:1 ~b:0
+
+let wake_parked p =
+  if not p.parked then invalid_arg (Printf.sprintf "Process %s resumed twice" p.name);
+  p.parked <- false;
+  resume p
 
 let spawn engine ~name f =
-  (* One resume handler per process, registered once: a sleep parks the
-     continuation in [kslot] and schedules a pooled tag event — nothing is
-     allocated per sleep beyond the [Some] box. The tag is released when
-     the process completes (it cannot be sleeping while it runs, so no
-     event can still carry the tag). *)
-  let kslot : (unit, unit) continuation option ref = ref None in
-  let stepslot : (unit -> int) option ref = ref None in
-  let resume () =
-    match !kslot with
-    | None -> invalid_arg (Printf.sprintf "Process %s resumed twice" name)
-    | Some k ->
-        kslot := None;
-        let saved = Engine.current_name engine in
-        Engine.set_current_name engine name;
-        (* Restore by hand instead of Fun.protect: this runs once per
-           resumed suspension, squarely on the hot path, and the
-           protect pair is two allocations. *)
-        (match continue k () with
-        | () -> Engine.set_current_name engine saved
-        | exception e ->
-            Engine.set_current_name engine saved;
-            raise e)
+  let p = { engine; name; tag = -1; k = None; step = no_step; parked = false } in
+  (* Built once per process, so [effc] returns a preallocated handler and
+     a suspension allocates only the continuation and its [Some] slot. *)
+  let on_sleep =
+    Some
+      (fun k ->
+        p.k <- Some k;
+        Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:0 ~b:0)
   in
-  (* Drive one poll boundary of a [Tick] suspension. Mirrors what the
-     resumed process itself would do after a plain sleep: consult the
-     condition, and either continue (here: [resume]), skip ahead through an
-     empty window ([try_advance], exactly like [delay]'s fast path), or
-     schedule the next boundary. [tag] rides in the event's [b] argument so
-     this function needs no back-reference to it. *)
-  let rec tick step b =
-    let d = step () in
-    if d = 0 then begin
-      stepslot := None;
-      resume ()
-    end
-    else if d < 0 then invalid_arg "Process.tick_sleep: negative interval"
-    else if Engine.try_advance engine ~cycles:d then tick step b
-    else Engine.schedule_tag engine ~delay:d ~tag:b ~a:1 ~b
+  let on_tick =
+    Some
+      (fun k ->
+        p.k <- Some k;
+        p.step <- Engine.arg_step engine;
+        Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:1 ~b:0)
   in
-  let tag =
-    Engine.register_handler engine (fun a b ->
-        if a = 0 then resume ()
-        else
-          match !stepslot with
-          | None ->
-              invalid_arg (Printf.sprintf "Process %s: tick without a step" name)
-          | Some step -> tick step b)
+  let on_park =
+    Some
+      (fun k ->
+        p.k <- Some k;
+        p.parked <- true)
   in
-  let body () =
-    match_with f ()
-      {
-        retc = (fun () -> Engine.release_handler engine tag);
-        exnc =
-          (fun e ->
-            Engine.release_handler engine tag;
-            raise (Process_failure (name, e)));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Suspend register ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    let resumed = ref false in
-                    let resume () =
-                      if !resumed then
-                        invalid_arg
-                          (Printf.sprintf "Process %s resumed twice" name);
-                      resumed := true;
-                      let saved = Engine.current_name engine in
-                      Engine.set_current_name engine name;
-                      match continue k () with
-                      | () -> Engine.set_current_name engine saved
-                      | exception e ->
-                          Engine.set_current_name engine saved;
-                          raise e
-                    in
-                    register resume)
-            | Sleep cycles ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    kslot := Some k;
-                    Engine.schedule_tag engine ~delay:cycles ~tag ~a:0 ~b:0)
-            | Tick (first, step) ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    kslot := Some k;
-                    stepslot := Some step;
-                    Engine.schedule_tag engine ~delay:first ~tag ~a:1 ~b:tag)
-            | _ -> None);
-      }
+  let handler =
+    {
+      retc = (fun () -> Engine.release_handler engine p.tag);
+      exnc =
+        (fun e ->
+          Engine.release_handler engine p.tag;
+          raise (Process_failure (name, e)));
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Sleep -> on_sleep
+          | Tick -> on_tick
+          | Park -> on_park
+          | _ -> None);
+    }
   in
-  Engine.schedule engine ~delay:0 (fun () ->
-      let saved = Engine.current_name engine in
-      Engine.set_current_name engine name;
-      match body () with
-      | () -> Engine.set_current_name engine saved
-      | exception e ->
-          Engine.set_current_name engine saved;
-          raise e)
+  let start () = match_with f () handler in
+  p.tag <-
+    Engine.register_handler engine (fun a _ ->
+        match a with
+        | 0 -> resume p
+        | 1 -> tick p
+        | 2 -> as_current p start ()
+        | _ -> wake_parked p);
+  Engine.schedule_tag engine ~delay:0 ~tag:p.tag ~a:2 ~b:0
+
+let sleep engine cycles =
+  Engine.set_arg_cycles engine cycles;
+  perform Sleep
 
 let delay engine cycles =
   if cycles < 0 then invalid_arg "Process.delay: negative delay";
-  if cycles = 0 || Engine.try_advance engine ~cycles then ()
-  else perform (Sleep cycles)
+  if cycles = 0 || Engine.try_advance engine ~cycles then () else sleep engine cycles
+
+(* [tick_sleep]'s fast path, identical to [delay]'s: while the window
+   ahead is empty, advance the clock synchronously and consult [step]
+   without ever suspending. Only when another event interleaves does the
+   span suspend — once — and hand the remaining boundaries to the
+   spawn-registered tick handler. A top-level function, so a call
+   allocates no closure. *)
+let rec tick_fast engine step d =
+  if Engine.try_advance engine ~cycles:d then begin
+    let d' = step () in
+    if d' < 0 then invalid_arg "Process.tick_sleep: negative interval"
+    else if d' > 0 then tick_fast engine step d'
+  end
+  else begin
+    Engine.set_arg_cycles engine d;
+    Engine.set_arg_step engine step;
+    perform Tick
+  end
 
 let tick_sleep engine ~first step =
   if first <= 0 then invalid_arg "Process.tick_sleep: nonpositive first interval";
-  (* Fast path, identical to [delay]'s: while the window ahead is empty,
-     advance the clock synchronously and consult [step] without ever
-     suspending. Only when another event interleaves does the span suspend —
-     once — and hand the remaining boundaries to the spawn-registered tick
-     handler. *)
-  let rec fast d =
-    if Engine.try_advance engine ~cycles:d then begin
-      let d' = step () in
-      if d' < 0 then invalid_arg "Process.tick_sleep: negative interval"
-      else if d' > 0 then fast d'
-    end
-    else perform (Tick (d, step))
-  in
-  fast first
+  tick_fast engine step first
 
-let yield engine =
-  if Engine.try_advance engine ~cycles:0 then () else perform (Sleep 0)
+let yield engine = if Engine.try_advance engine ~cycles:0 then () else sleep engine 0
+
+let self_tag engine =
+  let tag = Engine.current_tag engine in
+  if tag < 0 then invalid_arg "Process.self_tag: not inside a process";
+  tag
+
+let park () = perform Park
+let wake engine tag = Engine.schedule_tag engine ~delay:0 ~tag ~a:3 ~b:0

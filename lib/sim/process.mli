@@ -1,9 +1,16 @@
 (** Direct-style simulated processes on top of OCaml 5 effect handlers.
 
-    A process is ordinary OCaml code that may perform {!delay} and
-    {!suspend}; the handler installed by {!spawn} turns those into engine
-    events, so protocol code reads sequentially ("flush, then wait for the
-    ack") while the engine interleaves many processes deterministically. *)
+    A process is ordinary OCaml code that may call {!delay},
+    {!tick_sleep}, {!yield} and {!park}; the handler installed by {!spawn}
+    turns those into engine events, so protocol code reads sequentially
+    ("flush, then wait for the ack") while the engine interleaves many
+    processes deterministically.
+
+    A suspension allocates only the continuation and the slot that holds
+    it: the effects carry no payload, each process builds its handlers
+    once, and every resume is a tagged engine event. The suspension's
+    argument travels through the engine, so a process must pass the
+    engine it was spawned on. *)
 
 exception Process_failure of string * exn
 
@@ -13,12 +20,6 @@ exception Process_failure of string * exn
     Exceptions escaping [f] are wrapped in {!Process_failure} and re-raised
     out of the engine loop. *)
 val spawn : Engine.t -> name:string -> (unit -> unit) -> unit
-
-(** Suspend the current process; [register resume] is called immediately and
-    must arrange for [resume] to be invoked exactly once later (e.g. stash it
-    in a wait queue or schedule it). Must only be called from process
-    context. *)
-val suspend : ((unit -> unit) -> unit) -> unit
 
 (** Advance this process's local time by [cycles] (>= 0). When no pending
     event falls inside the window this is a plain clock bump
@@ -48,3 +49,23 @@ val tick_sleep : Engine.t -> first:int -> (unit -> int) -> unit
     process). Per-engine rather than global so independent machines can run
     on separate domains. *)
 val self_name : Engine.t -> string
+
+(** {2 Parking}
+
+    The blocking primitive under {!Waitq}: a process hands its tag to
+    whoever will wake it, then parks. *)
+
+(** Handler tag of the process running on [engine]. Raises
+    [Invalid_argument] outside any process. *)
+val self_tag : Engine.t -> int
+
+(** Suspend the calling process until a {!wake} names its tag. Must only be
+    called from process context. *)
+val park : unit -> unit
+
+(** [wake engine tag] resumes the parked process [tag] at the current
+    instant, after the events already due now. The wake is an engine
+    event; if the process is not parked when it fires (a second wake for
+    one park), it raises [Invalid_argument "Process NAME resumed twice"]
+    and leaves the process alone. *)
+val wake : Engine.t -> int -> unit

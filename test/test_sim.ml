@@ -469,6 +469,194 @@ let test_completion () =
   check bool_t "fired" true (Waitq.Completion.is_fired c);
   check (Alcotest.list Alcotest.string) "ordering" [ "woken"; "again" ] (List.rev !order)
 
+(* --- Suspension allocation ---
+
+   Exact minor-word counts for each way a process suspends. A count is the
+   difference between two runs that differ only in iteration count, so
+   set-up (spawn, arena and table growth) cancels out. Native code reads
+   [Gc.minor_words] unboxed, so the probe itself allocates nothing. *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+(* A handler that calls [f] and reschedules itself one cycle ahead [a]
+   more times: an event every cycle, so no delay or tick can take the
+   [try_advance] fast path past it. Allocation-free when [f] is. *)
+let cycle_chain e f =
+  let tag = ref (-1) in
+  tag :=
+    Engine.register_handler e (fun left _ ->
+        f ();
+        if left > 0 then Engine.schedule_tag e ~delay:1 ~tag:!tag ~a:(left - 1) ~b:0);
+  !tag
+
+(* Two processes interleaving [delay 3]: each sleep finds the other's
+   wake-up pending inside its window, so every one suspends. *)
+let test_alloc_suspended_delay () =
+  let words n =
+    let e = Engine.create () in
+    let body () =
+      for _ = 1 to n do
+        Process.delay e 3
+      done
+    in
+    let w =
+      minor_words (fun () ->
+          Process.spawn e ~name:"a" body;
+          Process.spawn e ~name:"b" body;
+          Engine.run e)
+    in
+    check int_t "every delay suspended" 0 (Engine.advances e);
+    w
+  in
+  let n1 = 100 and n2 = 1100 in
+  check int_t "4 words per suspended delay (continuation + its slot)"
+    (4 * 2 * (n2 - n1))
+    (words n2 - words n1)
+
+(* One [tick_sleep] whose step says "not yet" at every boundary: each
+   boundary is an engine event (a chain event sits at every cycle), and an
+   idle one re-arms without resuming the process. *)
+let test_alloc_idle_tick_boundary () =
+  let words k =
+    let e = Engine.create () in
+    let chain = cycle_chain e ignore in
+    let left = ref k in
+    let step () =
+      decr left;
+      if !left = 0 then 0 else 1
+    in
+    let w =
+      minor_words (fun () ->
+          Engine.schedule_tag e ~delay:0 ~tag:chain ~a:(k + 4) ~b:0;
+          Process.spawn e ~name:"ticker" (fun () -> Process.tick_sleep e ~first:1 step);
+          Engine.run e)
+    in
+    check int_t "every boundary was an engine event" 0 (Engine.advances e);
+    w
+  in
+  check int_t "an idle boundary allocates nothing" 0 (words 2000 - words 200)
+
+(* [tick_sleep]s that each suspend once and resume at their first
+   boundary: the suspension itself, without idle boundaries. *)
+let test_alloc_tick_suspension () =
+  let words n =
+    let e = Engine.create () in
+    let chain = cycle_chain e ignore in
+    let step () = 0 in
+    minor_words (fun () ->
+        Engine.schedule_tag e ~delay:0 ~tag:chain ~a:(n + 4) ~b:0;
+        Process.spawn e ~name:"ticker" (fun () ->
+            for _ = 1 to n do
+              Process.tick_sleep e ~first:1 step
+            done);
+        Engine.run e)
+  in
+  let n1 = 100 and n2 = 1100 in
+  check int_t "4 words per tick suspension" (4 * (n2 - n1)) (words n2 - words n1)
+
+(* A waiter parked on a wait queue, woken by an allocation-free engine
+   handler once per cycle. *)
+let test_alloc_wait_signal () =
+  let words n =
+    let e = Engine.create () in
+    let q = Waitq.create e in
+    let chain = cycle_chain e (fun () -> Waitq.signal_one q) in
+    let w =
+      minor_words (fun () ->
+          Process.spawn e ~name:"waiter" (fun () ->
+              for _ = 1 to n do
+                Waitq.wait q
+              done);
+          Engine.schedule_tag e ~delay:1 ~tag:chain ~a:(n - 1) ~b:0;
+          Engine.run e)
+    in
+    check int_t "every wait was woken" 0 (Waitq.waiters q);
+    w
+  in
+  let n1 = 100 and n2 = 1100 in
+  let per = (words n2 - words n1) / (n2 - n1) in
+  check bool_t (Printf.sprintf "wait + signal_one costs %d <= 5 words" per) true (per <= 5)
+
+(* Spawning and running a trivial process, after a first spawn has grown
+   the engine's arena and handler table. 68 words is the cost of the
+   closure-per-process design this replaced. *)
+let test_alloc_spawn () =
+  let e = Engine.create () in
+  let body () = () in
+  Process.spawn e ~name:"warm" body;
+  Engine.run e;
+  let w =
+    minor_words (fun () ->
+        Process.spawn e ~name:"p" body;
+        Engine.run e)
+  in
+  check bool_t (Printf.sprintf "spawn + run costs %d <= 68 words" w) true (w <= 68)
+
+(* A wake whose process is no longer parked must not resume it: the
+   second wake for one park fires while the process sleeps, and raises. *)
+let test_process_stale_wake () =
+  let e = Engine.create () in
+  let tag = ref (-1) and after = ref (-1) in
+  Process.spawn e ~name:"sleeper" (fun () ->
+      tag := Process.self_tag e;
+      Process.park ();
+      Process.delay e 100;
+      after := Engine.now e);
+  Process.spawn e ~name:"waker" (fun () ->
+      Process.delay e 10;
+      Process.wake e !tag;
+      Process.wake e !tag);
+  Alcotest.check_raises "second wake refused"
+    (Invalid_argument "Process sleeper resumed twice") (fun () -> Engine.run e);
+  check int_t "the sleep was not cut short" (-1) !after;
+  Alcotest.check_raises "self_tag outside a process"
+    (Invalid_argument "Process.self_tag: not inside a process") (fun () ->
+      ignore (Process.self_tag e : int))
+
+(* Sleeps, ticks and waits on one engine, logged as (who, when). The
+   suspension argument travels through a slot on the engine, so two
+   engines on two domains must not see each other's. *)
+let suspension_mix rounds =
+  let e = Engine.create () in
+  let q = Waitq.create e in
+  let log = ref [] and polls = ref 0 in
+  let note who = log := (who, Engine.now e) :: !log in
+  Process.spawn e ~name:"sleeper" (fun () ->
+      for i = 1 to rounds do
+        Process.delay e (1 + (i mod 7));
+        if i mod 3 = 0 then Waitq.signal_one q;
+        note "sleeper"
+      done;
+      Waitq.signal_all q);
+  Process.spawn e ~name:"waiter" (fun () ->
+      for _ = 1 to rounds / 3 do
+        Waitq.wait q;
+        note "waiter"
+      done);
+  Process.spawn e ~name:"ticker" (fun () ->
+      for i = 1 to rounds / 4 do
+        let left = ref (1 + (i mod 5)) in
+        Process.tick_sleep e ~first:(1 + (i mod 3)) (fun () ->
+            incr polls;
+            decr left;
+            if !left = 0 then 0 else 2);
+        note "ticker"
+      done);
+  Engine.run e;
+  (List.rev !log, !polls, Engine.events_run e, Engine.now e)
+
+let test_process_two_domains () =
+  let rounds = 20_000 in
+  let expected = suspension_mix rounds in
+  let a = Domain.spawn (fun () -> suspension_mix rounds)
+  and b = Domain.spawn (fun () -> suspension_mix rounds) in
+  let ra = Domain.join a and rb = Domain.join b in
+  check bool_t "domain 1 = sequential run" true (ra = expected);
+  check bool_t "domain 2 = sequential run" true (rb = expected)
+
 (* --- Trace --- *)
 
 let test_trace_disabled_by_default () =
@@ -531,6 +719,11 @@ let test_trace_ring_buffer_cap () =
   check int_t "clear resets length" 0 (Trace.length t);
   check int_t "clear resets dropped" 0 (Trace.dropped t)
 
+(* The engine's calendar-ring size: events less than this many cycles
+   ahead go to the ring, later ones to the heap. The model tests below
+   straddle it; they hold for any ring size. *)
+let ring_size = 2048
+
 (* --- Event pool model test ---
 
    Randomized schedule / cancel / fire / recycle sequences against a
@@ -545,6 +738,13 @@ let test_trace_ring_buffer_cap () =
    - a handle kept across the event's firing (so its pool slot has been
      recycled by later schedules) is stale: [cancel] returns [false] and
      the slot's new occupant still fires.
+
+   The ring-shaped cases: bursts of same-time events (one ring slot holds
+   many, in FIFO order); a slot popped to empty and appended again, at the
+   same time and one ring lap later; delays across [0, 3 * ring_size], so
+   events land in the heap too; a chooser installed mid-run, which moves
+   the ring's multi-event slots into the heap, and cleared again; and,
+   in the last round, a sequence-number renumbering with bursts pending.
 
    The rng only drives test-case generation; the engine itself stays
    deterministic, so a failure reproduces from the fixed seed. *)
@@ -583,13 +783,33 @@ let test_engine_pool_model () =
     end
   in
   let n_ops = 400 in
-  for round = 1 to 4 do
-    ignore round;
+  let top time id = top_seq := (time, !gop, id) :: !top_seq in
+  let plain d =
+    let id = fresh_id (Engine.now e + d) in
+    top (Engine.now e + d) id;
+    Engine.schedule_tag e ~delay:d ~tag ~a:id ~b:0
+  in
+  (* [seq] renumbers once it reaches [2^25 - 1]; every schedule so far
+     took one. Burning up to [margin] short of that on an idle engine
+     makes the renumbering land inside the next round. *)
+  let noop = Engine.register_handler e (fun _ _ -> ()) in
+  let burn_seq_to_renumber ~margin =
+    let left = ref ((1 lsl 25) - 1 - List.length !scheduled - margin) in
+    while !left > 0 do
+      for _ = 1 to Int.min 1024 !left do
+        Engine.schedule_tag e ~delay:0 ~tag:noop ~a:0 ~b:0
+      done;
+      left := !left - 1024;
+      Engine.run e
+    done
+  in
+  for round = 1 to 5 do
+    if round = 5 then burn_seq_to_renumber ~margin:300;
     for _op = 1 to n_ops do
       incr gop;
       let op = !gop in
       let now = Engine.now e in
-      match Rng.int rng 10 with
+      match Rng.int rng 15 with
       | 0 | 1 | 2 ->
           let d = Rng.int rng 50 in
           let id = fresh_id (now + d) in
@@ -633,12 +853,33 @@ let test_engine_pool_model () =
           Engine.schedule e ~delay:d (fun () ->
               fire id;
               Option.iter try_cancel pick)
-      | _ ->
+      | 9 ->
           (* Cancel from outside the engine, pending or stale alike. *)
           (match !handles with
           | [] -> ()
           | hs -> try_cancel (List.nth hs (Rng.int rng (List.length hs))))
+      | 10 | 11 ->
+          (* A burst at one time: one ring slot holds them all. *)
+          let d = Rng.int rng 50 in
+          for _ = 0 to 4 + Rng.int rng 12 do
+            plain d
+          done
+      | 12 ->
+          (* Pop whatever is due, then append at the instant just popped
+             from (the slot may have emptied) and one ring lap later. *)
+          plain 0;
+          ignore (Engine.step e : bool);
+          plain 0;
+          plain ring_size
+      | 13 -> plain (Rng.int rng ((3 * ring_size) + 1))
+      | _ ->
+          (* A chooser that always takes the earliest candidate keeps the
+             (time, seq) order, but installing it moves every ring event
+             to the heap. Cleared again on a later draw. *)
+          if round mod 2 = 1 then Engine.set_chooser e (fun _ -> 0)
+          else Engine.clear_chooser e
     done;
+    Engine.clear_chooser e;
     Engine.run e;
     (* Queue drained: recycled records from this round are reused by the
        next round's schedules, and every handle in [handles] is now
@@ -690,18 +931,17 @@ let test_engine_pool_model () =
 
 (* --- Engine model across the ring boundary ---
 
-   The pool model above keeps every delay below 50, so it never wraps the
-   4096-slot calendar ring or reaches the heap. This one drives a seeded
-   mix of events against a reference queue ordered by (time, insertion
-   index):
+   The pool model above mostly keeps delays below 50. This one drives a
+   seeded mix of events against a reference queue ordered by (time,
+   insertion index):
 
-   - delays anywhere in [0, 3 * 4096], including the ring/heap cutoff
+   - delays anywhere in [0, 3 * ring_size], including the ring/heap cutoff
      itself, so events land in both structures and the clock moves far
      enough to wrap the ring several times;
    - equal-time ties: more events scheduled at a time that already has a
      heap event, both while that time is still far (heap/heap) and once
      the clock has come within ring range of it (heap/ring);
-   - one far ring event, 4095 cycles ahead, with many near events pushed
+   - one far ring event, [ring_size - 1] cycles ahead, with many near events pushed
      and popped below it, so each next-event search starts past the far
      event's slot and has to wrap around the ring to reach it.
 
@@ -712,7 +952,7 @@ let test_engine_pool_model () =
    pending time is past the probed window, and then move the clock by
    exactly the probed amount. *)
 let test_engine_ring_boundary_model () =
-  let ring = 4096 in
+  let ring = ring_size in
   let rng = Rng.create ~seed:0x41c3L in
   let e = Engine.create () in
   (* Pending model events as (time, id); ids are insertion indices. *)
@@ -844,6 +1084,17 @@ let suite =
     Alcotest.test_case "waitq: signal_all" `Quick test_waitq_signal_all;
     Alcotest.test_case "waitq: signal_one FIFO" `Quick test_waitq_signal_one_fifo;
     Alcotest.test_case "waitq: completion" `Quick test_completion;
+    Alcotest.test_case "alloc: suspended delay is 4 words" `Quick
+      test_alloc_suspended_delay;
+    Alcotest.test_case "alloc: idle tick boundary is 0 words" `Quick
+      test_alloc_idle_tick_boundary;
+    Alcotest.test_case "alloc: tick suspension is 4 words" `Quick
+      test_alloc_tick_suspension;
+    Alcotest.test_case "alloc: wait + signal_one <= 5 words" `Quick test_alloc_wait_signal;
+    Alcotest.test_case "alloc: spawn + run <= 68 words" `Quick test_alloc_spawn;
+    Alcotest.test_case "process: stale wake raises" `Quick test_process_stale_wake;
+    Alcotest.test_case "process: two engines on two domains" `Quick
+      test_process_two_domains;
     Alcotest.test_case "trace: disabled is no-op" `Quick test_trace_disabled_by_default;
     Alcotest.test_case "trace: records in order" `Quick test_trace_records_in_order;
     Alcotest.test_case "trace: typed events" `Quick test_trace_typed_events;
