@@ -953,6 +953,35 @@ let bechamel () =
            Waitq.signal_one q;
            ignore (Engine.step e)))
   in
+  (* A no-op IRQ posted to an idle CPU: one detached dispatch (a pooled
+     dispatcher restarted, entry delay, handler, exit delay) with nothing
+     else on the engine, so both delays take the [try_advance] fast path. *)
+  let irq_dispatch_test =
+    let e = Engine.create () in
+    let cpu = Cpu.create e (Topology.flat 2) Costs.default ~id:1 ~safe:false () in
+    let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+    Test.make ~name:"cpu:detached irq dispatch"
+      (Staged.stage (fun () ->
+           Cpu.post_irq cpu irq;
+           Engine.run e))
+  in
+  (* Page-table primitives on a table that maps one page: a map and an
+     unmap that frees the three tables under it, then an in-place PTE
+     update, the CoW-break and write-protect path. *)
+  let pt_map_unmap_test =
+    let pt = Page_table.create () in
+    let pte = Pte.user_data ~pfn:1 in
+    Test.make ~name:"page_table:map+unmap (frees a table)"
+      (Staged.stage (fun () ->
+           Page_table.map pt ~vpn:10 ~size:Tlb.Four_k pte;
+           ignore (Page_table.unmap pt ~vpn:10 ~free_tables:true ())))
+  in
+  let pt_update_test =
+    let pt = Page_table.create () in
+    Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:1);
+    Test.make ~name:"page_table:update"
+      (Staged.stage (fun () -> ignore (Page_table.update pt ~vpn:10 ~f:Pte.write_protect)))
+  in
   let test =
     Test.make_grouped ~name:"shootdown-repro"
       [
@@ -965,6 +994,9 @@ let bechamel () =
         advance_test;
         delay_test;
         wait_test;
+        irq_dispatch_test;
+        pt_map_unmap_test;
+        pt_update_test;
       ]
   in
   let clock = Toolkit.Instance.monotonic_clock

@@ -88,6 +88,7 @@ let post_invariants m add_failure =
   if v > 0 then add_failure (Printf.sprintf "checker recorded %d violation(s)" v);
   let w = Checker.open_windows checker in
   if w > 0 then add_failure (Printf.sprintf "%d invalidation window(s) open at quiescence" w);
+  Machine.ipi_invariants m add_failure;
   for cpu = 0 to Machine.n_cpus m - 1 do
     let pcpu = Machine.percpu m cpu in
     if not (Percpu.no_pending_user pcpu.Percpu.pending_user) then

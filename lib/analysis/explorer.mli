@@ -42,7 +42,8 @@ type result = {
 }
 
 (** Quiescence invariants shared with the differential fuzzer: checker
-    clean, no open windows, deferred user flushes drained, call queues
+    clean, no open windows, every IPI handled once and none pending
+    ({!Machine.ipi_invariants}), deferred user flushes drained, call queues
     empty, no stuck inflight-flush flags, no unflushed batches. Calls
     [add_failure] once per violated invariant. *)
 val post_invariants : Machine.t -> (string -> unit) -> unit

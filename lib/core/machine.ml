@@ -255,6 +255,27 @@ let end_window t ~cpu ~mm_id token =
   if tracing t then
     trace_event t ~cpu (Trace.Flush_done { window = Checker.token_id token; mm_id })
 
+(* IPI conservation: every IPI the APIC sent reached a CPU and was handled
+   there exactly once. A dispatch path that drops an IRQ leaves it pending
+   or unhandled; one that runs an IRQ twice handles more than was sent. *)
+let ipi_invariants t add_failure =
+  let handled = Array.fold_left (fun n cpu -> n + Cpu.irqs_handled cpu) 0 t.cpus in
+  let sent = Apic.ipis_sent t.apic in
+  if handled <> sent then
+    add_failure (Printf.sprintf "%d IPI(s) sent but %d handled at quiescence" sent handled);
+  Array.iteri
+    (fun i cpu ->
+      let n = Cpu.pending_irqs cpu in
+      if n > 0 then add_failure (Printf.sprintf "cpu%d: %d IRQ(s) pending at quiescence" i n))
+    t.cpus
+
+let check_run t ~who =
+  (match Checker.violations t.checker with
+  | [] -> ()
+  | v :: _ ->
+      failwith (Format.asprintf "%s: TLB coherence violation: %a" who Checker.pp_violation v));
+  ipi_invariants t (fun what -> failwith (who ^ ": " ^ what))
+
 let reset_stats t =
   let s = t.stats in
   s.shootdowns <- 0;

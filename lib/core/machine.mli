@@ -159,5 +159,16 @@ val begin_window : t -> cpu:int -> Flush_info.t -> Checker.token
 (** Close the window and emit {!Sim.Trace.Flush_done}. *)
 val end_window : t -> cpu:int -> mm_id:int -> Checker.token -> unit
 
+(** IPI conservation at quiescence: the IPIs the APIC sent equal the IRQs
+    the CPUs handled, and no CPU has an IRQ pending. Calls [add_failure]
+    once per broken rule. Only meaningful once the engine has drained. *)
+val ipi_invariants : t -> (string -> unit) -> unit
+
+(** End-of-run check for a workload driver, after {!run}: fails with
+    [who ^ ": TLB coherence violation: ..."] on the first checker
+    violation, or with [who ^ ": " ^ reason] when {!ipi_invariants}
+    fails. *)
+val check_run : t -> who:string -> unit
+
 val reset_stats : t -> unit
 val pp_stats : Format.formatter -> stats -> unit

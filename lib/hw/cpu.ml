@@ -11,7 +11,8 @@ type t = {
       (* unmaskable entries in [pending]: lets [has_deliverable] answer in
          O(1) — an unmaskable IRQ is deliverable regardless of [masked],
          and with IRQs unmasked any pending IRQ is. *)
-  dispatch_name : string; (* precomputed: spawned per detached dispatch *)
+  mutable dispatchers : Process.pool option;
+      (* detached-dispatch processes, made on this CPU's first dispatch *)
   deferred : irq Queue.t;
       (* scratch for [service_pending]: masked IRQs awaiting re-queue.
          Empty outside a drain; preallocated so drains allocate nothing. *)
@@ -34,7 +35,7 @@ type t = {
 and irq = { vector : int; maskable : bool; handler : t -> unit }
 
 (* Dispatch-process names for the common CPU-id range, interned once at
-   module init: every Machine.create names every CPU's dispatcher, and the
+   module init: every machine names the dispatchers of its CPUs, and the
    string is immutable, so machines (and domains) share one table. *)
 let dispatch_names =
   Array.init 64 (fun id -> Printf.sprintf "irq-dispatch-cpu%d" id)
@@ -56,7 +57,7 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     masked = false;
     pending = Queue.create ();
     pending_unmaskable = 0;
-    dispatch_name = dispatch_name_of id;
+    dispatchers = None;
     deferred = Queue.create ();
     wake = Waitq.create eng;
     user = true;
@@ -151,14 +152,24 @@ let in_service_window t f =
 
 (* Detached dispatch: legal only when no service point will drain soon AND
    the CPU is not executing user code (handlers exclude user-mode
-   execution; kernel code — running or blocked — may be interleaved). *)
+   execution; kernel code — running or blocked — may be interleaved). A
+   dispatch is one drain in a pooled process: a dispatcher that finished
+   its drain is started again rather than a new process spawned, at the
+   same one engine event a spawn costs. *)
 let maybe_dispatch t =
   if
     t.service_depth = 0
     && (t.occupancy = 0 || not t.user)
     && (not t.draining)
     && has_deliverable t
-  then Process.spawn t.eng ~name:t.dispatch_name (fun () -> service_pending t)
+  then
+    match t.dispatchers with
+    | Some pool -> Process.start_pooled pool
+    | None ->
+        let name = dispatch_name_of t.cpu_id in
+        let pool = Process.pool t.eng ~name (fun () -> service_pending t) in
+        t.dispatchers <- Some pool;
+        Process.start_pooled pool
 
 let post_irq t irq =
   Queue.push irq t.pending;

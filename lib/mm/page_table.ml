@@ -11,6 +11,11 @@ and slot = Empty | Table of node | Leaf of Pte.t * Tlb.page_size
 
 type t = {
   root : node;  (* level 4 *)
+  spare : node list array;
+      (* [spare.(l)]: freed level-[l] tables, all slots [Empty], kept for
+         the next table this tree needs at that level. A 513-word node goes
+         straight to the major heap, and unmap-then-map churn (apache's
+         per-request mmap) would otherwise allocate one per request. *)
   mutable n_mapped : int;
   mutable n_tables : int;
   mutable n_tables_freed : int;
@@ -29,7 +34,21 @@ let index_at ~level vpn = (vpn lsr ((level - 1) * 9)) land 511
 let fresh_node level = { level; live = 0; slots = Array.make 512 Empty }
 
 let create () =
-  { root = fresh_node 4; n_mapped = 0; n_tables = 0; ver = 0; n_tables_freed = 0 }
+  {
+    root = fresh_node 4;
+    spare = Array.make 4 [];
+    n_mapped = 0;
+    n_tables = 0;
+    ver = 0;
+    n_tables_freed = 0;
+  }
+
+let take_node t level =
+  match t.spare.(level) with
+  | node :: rest ->
+      t.spare.(level) <- rest;
+      node
+  | [] -> fresh_node level
 
 let leaf_level = function Tlb.Four_k -> 1 | Tlb.Two_m -> 2
 
@@ -55,7 +74,7 @@ let rec descend t node vpn ~target_level =
         invalid_arg
           (Printf.sprintf "Page_table: vpn %d already covered by a level-%d leaf" vpn node.level)
     | Empty ->
-        let child = fresh_node (node.level - 1) in
+        let child = take_node t (node.level - 1) in
         set node idx (Table child);
         t.n_tables <- t.n_tables + 1;
         descend t child vpn ~target_level
@@ -104,13 +123,16 @@ let walk t ~vpn =
 let leaf_base vpn = function Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511
 
 let prune t path =
-  (* Remove now-empty tables bottom-up; report whether any were freed. *)
+  (* Remove now-empty tables bottom-up; report whether any were freed.
+     [live = 0] means every slot is [Empty], so the freed table is ready
+     for reuse as it stands. *)
   let freed = ref false in
   List.iter
     (fun (node, idx) ->
       match node.slots.(idx) with
       | Table child when child.live = 0 ->
           clear node idx;
+          t.spare.(child.level) <- child :: t.spare.(child.level);
           t.n_tables <- t.n_tables - 1;
           t.n_tables_freed <- t.n_tables_freed + 1;
           freed := true

@@ -4,7 +4,9 @@
     Unmapping can release empty page-table pages; whether tables were freed
     is reported to callers because the early-acknowledgement optimization
     must be disabled in that case (paper §3.2: speculative page walks
-    through freed tables can machine-check). *)
+    through freed tables can machine-check). A freed table leaves the tree
+    at once but stays with this page table, which reuses it, empty, for the
+    next table it needs at that level. *)
 
 type t
 
@@ -44,7 +46,9 @@ val walk : t -> vpn:int -> walk option
 (** Present leaf count (hugepages count once). *)
 val mapped_count : t -> int
 
-(** Total page-table pages currently allocated for the tree (excl. root). *)
+(** Page-table pages currently in the tree (excl. root). Tables freed by
+    an unmap are kept by this page table and reused for its next tables at
+    the same level; they are not counted here. *)
 val table_pages : t -> int
 
 (** Table pages released so far by unmaps with [free_tables]. *)

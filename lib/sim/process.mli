@@ -21,6 +21,28 @@ exception Process_failure of string * exn
     out of the engine loop. *)
 val spawn : Engine.t -> name:string -> (unit -> unit) -> unit
 
+(** {2 Pools}
+
+    A pool runs one body in reusable processes, for a body that is started
+    over and over (a CPU's detached IRQ dispatch). Starting a pooled run
+    costs one engine event at the current instant, exactly like {!spawn},
+    but an idle member is restarted instead of a new process being built. *)
+
+type pool
+
+(** [pool engine ~name body] is an empty pool whose members are named
+    [name] and run [body]. Members are created on demand. *)
+val pool : Engine.t -> name:string -> (unit -> unit) -> pool
+
+(** Run the pool's body once more, from the top, at the current instant:
+    in an idle member if there is one (the most recently finished), else in
+    a new member. A member becomes idle again when [body] returns; one whose
+    body raises is dropped and fails like a spawned process. *)
+val start_pooled : pool -> unit
+
+(** Members that have finished and wait to be started again. *)
+val idle_members : pool -> int
+
 (** Advance this process's local time by [cycles] (>= 0). When no pending
     event falls inside the window this is a plain clock bump
     ({!Engine.try_advance}) with no suspend; behaviour is identical either

@@ -74,11 +74,7 @@ let run config =
         finish_times := Machine.now m :: !finish_times)
   done;
   Kernel.run m;
-  (match Checker.violations m.Machine.checker with
-  | [] -> ()
-  | v :: _ ->
-      failwith
-        (Format.asprintf "Apache: TLB coherence violation: %a" Checker.pp_violation v));
+  Machine.check_run m ~who:"Apache";
   let cycles =
     match !finish_times with
     | [] -> Machine.now m

@@ -168,12 +168,7 @@ let run config =
         cpus)
     placement;
   Kernel.run m;
-  (match Checker.violations m.Machine.checker with
-  | [] -> ()
-  | v :: _ ->
-      failwith
-        (Format.asprintf "Bigmachine: TLB coherence violation: %a" Checker.pp_violation
-           v));
+  Machine.check_run m ~who:"Bigmachine";
   let shootdowns = m.Machine.stats.Machine.shootdowns in
   {
     n_cpus = Topology.n_cpus topo;

@@ -42,11 +42,7 @@ let run config =
         Syscall.munmap m ~cpu:0 ~addr ~pages:config.pages_per_round
       done);
   Kernel.run m;
-  (match Checker.violations m.Machine.checker with
-  | [] -> ()
-  | v :: _ ->
-      failwith
-        (Format.asprintf "Cow_bench: TLB coherence violation: %a" Checker.pp_violation v));
+  Machine.check_run m ~who:"Cow_bench";
   {
     write_mean = Stats.mean stats;
     write_sd = Stats.stddev stats;

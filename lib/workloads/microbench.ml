@@ -110,11 +110,7 @@ let run config =
     if !measured_shootdowns = 0 then 0.0
     else !measured_interrupted /. float_of_int !measured_shootdowns
   in
-  (match Checker.violations m.Machine.checker with
-  | [] -> ()
-  | v :: _ ->
-      failwith
-        (Format.asprintf "Microbench: TLB coherence violation: %a" Checker.pp_violation v));
+  Machine.check_run m ~who:"Microbench";
   {
     initiator_mean = Stats.mean stats;
     initiator_sd = Stats.stddev stats;

@@ -80,11 +80,7 @@ let run config =
           finish_times := Machine.now m :: !finish_times))
     cpus;
   Kernel.run m;
-  (match Checker.violations m.Machine.checker with
-  | [] -> ()
-  | v :: _ ->
-      failwith
-        (Format.asprintf "Sysbench: TLB coherence violation: %a" Checker.pp_violation v));
+  Machine.check_run m ~who:"Sysbench";
   (* Mean thread-completion time: less straggler-sensitive than makespan,
      like reporting sysbench's per-thread event rate. *)
   let cycles =

@@ -521,6 +521,102 @@ let test_idle_wait_wakes_on_irq () =
   Engine.run e;
   check bool_t "woken after delivery" true (!woke_at > 2_000)
 
+(* --- Detached IRQ dispatch --- *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+let lone_cpu () =
+  let e = Engine.create () in
+  (e, Cpu.create e (Topology.flat 2) Costs.default ~id:1 ~safe:false ())
+
+(* Exact minor words per detached dispatch of a no-op IRQ to an idle CPU,
+   from two runs that differ only in the number of dispatches, so the
+   first dispatch (which builds the CPU's dispatcher) cancels out. An
+   engine event every cycle keeps both [run_irq] delays off the
+   [try_advance] fast path. What is left per IRQ: its [pending] queue cell
+   (3 words), the pooled dispatcher's restart (5) and two suspended delays
+   (4 each). A process spawned per dispatch would cost 64 words on top. *)
+let test_dispatch_words () =
+  let period = 2048 in
+  let words n =
+    let e, cpu = lone_cpu () in
+    let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+    let tag = ref (-1) in
+    tag :=
+      Engine.register_handler e (fun left _ ->
+          if left mod period = 0 then Cpu.post_irq cpu irq;
+          if left > 0 then Engine.schedule_tag e ~delay:1 ~tag:!tag ~a:(left - 1) ~b:0);
+    let w =
+      minor_words (fun () ->
+          Engine.schedule_tag e ~delay:0 ~tag:!tag ~a:(n * period) ~b:0;
+          Engine.run e)
+    in
+    check int_t "every irq handled" (n + 1) (Cpu.irqs_handled cpu);
+    w
+  in
+  let n1 = 20 and n2 = 220 in
+  check int_t "16 words per detached dispatch" (16 * (n2 - n1)) (words n2 - words n1)
+
+(* A scripted idle CPU: IRQs posted while a dispatcher is mid-handler,
+   while the CPU is masked, and twice in one instant, then a handler that
+   raises. The (time, vector) log pins when each IRQ ran and that each ran
+   exactly once. *)
+let test_dispatch_script () =
+  let e, cpu = lone_cpu () in
+  let log = ref [] in
+  let irq ?(maskable = true) ?(cycles = 0) vector =
+    {
+      Cpu.vector;
+      maskable;
+      handler =
+        (fun _ ->
+          log := (Engine.now e, vector) :: !log;
+          Process.delay e cycles);
+    }
+  in
+  Process.spawn e ~name:"script" (fun () ->
+      (* The running drain takes both later arrivals; no second dispatch. *)
+      Cpu.post_irq cpu (irq ~cycles:1000 1);
+      Process.delay e 300;
+      Cpu.post_irq cpu (irq ~cycles:200 2);
+      Process.delay e 100;
+      Cpu.post_irq cpu (irq ~maskable:false 3);
+      Process.delay e 5000;
+      (* Masked: the unmaskable IRQ is dispatched, the maskable one waits
+         and runs in this process at [irq_enable]. *)
+      Cpu.irq_disable cpu;
+      Cpu.post_irq cpu (irq 4);
+      Cpu.post_irq cpu (irq ~maskable:false ~cycles:300 5);
+      Process.delay e 2000;
+      check int_t "masked irq still pending" 1 (Cpu.pending_irqs cpu);
+      Cpu.irq_enable cpu;
+      check int_t "irq_enable ran it" 0 (Cpu.pending_irqs cpu);
+      Process.delay e 1000;
+      (* Two posts in one instant start two dispatches. The first drains
+         both IRQs; the second finds the drain running and handles
+         nothing. *)
+      Cpu.post_irq cpu (irq ~cycles:50 6);
+      Cpu.post_irq cpu (irq 7));
+  Engine.run e;
+  check
+    Alcotest.(list (pair int int))
+    "handled (time, vector)"
+    [ (320, 1); (1840, 2); (2560, 3); (5720, 5); (7720, 4); (9240, 6); (9810, 7) ]
+    (List.rev !log);
+  check int_t "each irq handled once" 7 (Cpu.irqs_handled cpu);
+  check int_t "nothing pending" 0 (Cpu.pending_irqs cpu);
+  Cpu.post_irq cpu { Cpu.vector = 8; maskable = true; handler = (fun _ -> failwith "boom") };
+  Alcotest.check_raises "a failing handler fails its dispatcher"
+    (Process.Process_failure ("irq-dispatch-cpu1", Failure "boom"))
+    (fun () -> Engine.run e);
+  (* The failed dispatcher is gone; the next IRQ still gets one. *)
+  Cpu.post_irq cpu (irq 9);
+  Engine.run e;
+  check int_t "dispatch works after a failure" 9 (snd (List.hd !log))
+
 let suite =
   [
     Alcotest.test_case "topology: sizes" `Quick test_topology_sizes;
@@ -566,4 +662,6 @@ let suite =
     Alcotest.test_case "apic: multicast cluster cost" `Quick test_apic_multicast_cluster_cost;
     Alcotest.test_case "apic: rejects self-IPI" `Quick test_apic_rejects_self_ipi;
     Alcotest.test_case "cpu: idle_wait wakes on irq" `Quick test_idle_wait_wakes_on_irq;
+    Alcotest.test_case "cpu: detached dispatch words" `Quick test_dispatch_words;
+    Alcotest.test_case "cpu: scripted detached dispatch" `Quick test_dispatch_script;
   ]

@@ -404,6 +404,196 @@ let test_pt_iter () =
     [ 10; 1024; (1 lsl 27) + 5 ]
     (List.sort compare !seen)
 
+(* A page table against a reference model: leaves in a map keyed by base
+   VPN, tables as a set of (level, prefix), where a level-[l] table covers
+   the VPNs with prefix [vpn lsr (9 * l)]. Random maps, unmaps and range
+   unmaps, with and without table freeing, over VPNs that straddle level-1,
+   level-2 and level-3 table boundaries, recycle freed tables into other
+   parts of the tree; every walk, count and listing must match the model,
+   so a recycled table that kept a stale slot shows up as a wrong walk. *)
+module Int_map = Map.Make (Int)
+
+module Pt_model = struct
+  type t = {
+    mutable leaves : (int * Tlb.page_size) Int_map.t;  (** base vpn -> pfn, size *)
+    mutable tables : (int * int) list;  (** (level, prefix) *)
+    mutable freed : int;
+  }
+
+  let create () = { leaves = Int_map.empty; tables = []; freed = 0 }
+  let prefix level vpn = vpn lsr (9 * level)
+  let has_table m level vpn = List.mem (level, prefix level vpn) m.tables
+
+  let add_table m level vpn =
+    if not (has_table m level vpn) then m.tables <- (level, prefix level vpn) :: m.tables
+
+  let covering m vpn =
+    match Int_map.find_opt vpn m.leaves with
+    | Some (pfn, Tlb.Four_k) -> Some (vpn, pfn, Tlb.Four_k)
+    | Some (_, Tlb.Two_m) | None -> (
+        let base = vpn land lnot 511 in
+        match Int_map.find_opt base m.leaves with
+        | Some (pfn, Tlb.Two_m) -> Some (base, pfn, Tlb.Two_m)
+        | Some (_, Tlb.Four_k) | None -> None)
+
+  (* [None] when the page table must refuse the mapping. *)
+  let map m ~vpn ~size pfn =
+    let refused =
+      match size with
+      | Tlb.Four_k -> Option.is_some (covering m vpn)
+      | Tlb.Two_m -> Int_map.mem vpn m.leaves || has_table m 1 vpn
+    in
+    if refused then None
+    else begin
+      add_table m 3 vpn;
+      add_table m 2 vpn;
+      if size = Tlb.Four_k then add_table m 1 vpn;
+      m.leaves <- Int_map.add vpn (pfn, size) m.leaves;
+      Some ()
+    end
+
+  let table_empty m level p =
+    let leaf_level = function Tlb.Four_k -> 1 | Tlb.Two_m -> 2 in
+    not
+      (Int_map.exists
+         (fun vpn (_, size) -> leaf_level size <= level && prefix level vpn = p)
+         m.leaves
+      || List.exists (fun (l, q) -> l = level - 1 && q lsr 9 = p) m.tables)
+
+  let unmap m ~vpn ~free_tables =
+    match covering m vpn with
+    | None -> ([], false)
+    | Some (base, pfn, size) ->
+        m.leaves <- Int_map.remove base m.leaves;
+        let freed = ref false in
+        if free_tables then
+          List.iter
+            (fun level ->
+              let p = prefix level base in
+              if has_table m level base && table_empty m level p then begin
+                m.tables <- List.filter (fun t -> t <> (level, p)) m.tables;
+                m.freed <- m.freed + 1;
+                freed := true
+              end)
+            (if size = Tlb.Four_k then [ 1; 2; 3 ] else [ 2; 3 ]);
+        ([ (base, pfn, size) ], !freed)
+
+  let unmap_range m ~vpn ~pages ~free_tables =
+    let removed = ref [] and freed = ref false and cursor = ref vpn in
+    while !cursor < vpn + pages do
+      let r, f = unmap m ~vpn:!cursor ~free_tables in
+      (match r with
+      | [ (base, _, size) ] ->
+          removed := List.hd r :: !removed;
+          cursor := Stdlib.max (!cursor + 1) (base + Addr.pages_of_size size)
+      | _ -> incr cursor);
+      if f then freed := true
+    done;
+    (List.rev !removed, !freed)
+end
+
+let test_pt_vs_model () =
+  let rng = Rng.create ~seed:17L in
+  let pt = Page_table.create () and m = Pt_model.create () in
+  let bases = [| 0; (1 lsl 18) - 1024; (1 lsl 27) - 1024; 5 lsl 27 |] in
+  let random_vpn () = Rng.choose rng bases + Rng.int rng 2048 in
+  let size_t =
+    Alcotest.testable
+      (fun fmt s -> Format.pp_print_string fmt (if s = Tlb.Four_k then "4k" else "2m"))
+      ( = )
+  in
+  let removal_t = Alcotest.(pair (list (triple int int size_t)) bool) in
+  let of_result r =
+    ( List.map (fun (vpn, pte, size) -> (vpn, pte.Pte.pfn, size)) r.Page_table.removed,
+      r.Page_table.freed_tables )
+  in
+  let check_walk what vpn =
+    let got =
+      Option.map
+        (fun w -> (w.Page_table.pte.Pte.pfn, w.Page_table.size, w.Page_table.levels))
+        (Page_table.walk pt ~vpn)
+    and want =
+      Option.map
+        (fun (_, pfn, size) -> (pfn, size, if size = Tlb.Four_k then 4 else 3))
+        (Pt_model.covering m vpn)
+    in
+    check Alcotest.(option (triple int size_t int)) (Printf.sprintf "%s: walk %d" what vpn) want got
+  in
+  for step = 1 to 4000 do
+    let what = Printf.sprintf "step %d" step in
+    (match Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+        let vpn = random_vpn () in
+        let ok =
+          match Page_table.map pt ~vpn ~size:Tlb.Four_k (Pte.user_data ~pfn:step) with
+          | () -> true
+          | exception Invalid_argument _ -> false
+        in
+        check bool_t (what ^ ": 4k map accepted") (Option.is_some (Pt_model.map m ~vpn ~size:Tlb.Four_k step)) ok
+    | 4 ->
+        let vpn = random_vpn () land lnot 511 in
+        let ok =
+          match Page_table.map pt ~vpn ~size:Tlb.Two_m (Pte.user_data ~pfn:step) with
+          | () -> true
+          | exception Invalid_argument _ -> false
+        in
+        check bool_t (what ^ ": 2m map accepted") (Option.is_some (Pt_model.map m ~vpn ~size:Tlb.Two_m step)) ok
+    | 5 | 6 | 7 ->
+        let vpn = random_vpn () and free_tables = Rng.int rng 4 > 0 in
+        check removal_t (what ^ ": unmap")
+          (Pt_model.unmap m ~vpn ~free_tables)
+          (of_result (Page_table.unmap pt ~vpn ~free_tables ()))
+    | 8 ->
+        let vpn = random_vpn () and pages = 1 + Rng.int rng 1100 in
+        let free_tables = Rng.int rng 4 > 0 in
+        check removal_t (what ^ ": unmap_range")
+          (Pt_model.unmap_range m ~vpn ~pages ~free_tables)
+          (of_result (Page_table.unmap_range pt ~vpn ~pages ~free_tables ()))
+    | _ -> ());
+    for _ = 1 to 4 do
+      check_walk what (random_vpn ())
+    done;
+    check int_t (what ^ ": mapped_count") (Int_map.cardinal m.Pt_model.leaves)
+      (Page_table.mapped_count pt);
+    check int_t (what ^ ": table_pages") (List.length m.Pt_model.tables)
+      (Page_table.table_pages pt);
+    check int_t (what ^ ": tables_freed") m.Pt_model.freed (Page_table.tables_freed pt);
+    if step mod 100 = 0 then begin
+      let listed = ref [] in
+      Page_table.iter pt ~f:(fun vpn pte size -> listed := (vpn, pte.Pte.pfn, size) :: !listed);
+      check
+        Alcotest.(list (triple int int size_t))
+        (what ^ ": iter")
+        (List.map (fun (vpn, (pfn, size)) -> (vpn, pfn, size)) (Int_map.bindings m.Pt_model.leaves))
+        (List.rev !listed)
+    end
+  done;
+  check bool_t "tables were freed and reused" true (Page_table.tables_freed pt > 100)
+
+(* A map followed by an unmap that frees the page's three tables, over
+   and over: after the first round the freed tables come back for the next
+   map, so no 513-word node is allocated again. Direct major words are
+   major-heap allocations that did not come from promotion. *)
+let test_pt_recycled_tables_no_major_words () =
+  let pt = Page_table.create () in
+  let pte = Pte.user_data ~pfn:1 in
+  let cycle () =
+    Page_table.map pt ~vpn:10 ~size:Tlb.Four_k pte;
+    ignore (Page_table.unmap pt ~vpn:10 ~free_tables:true ())
+  in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  cycle ();
+  let before = direct_major () in
+  for _ = 1 to 1000 do
+    cycle ()
+  done;
+  check int_t "no direct major words" 0 (int_of_float (direct_major () -. before));
+  check int_t "three tables freed per cycle" 3003 (Page_table.tables_freed pt);
+  check int_t "none left in the tree" 0 (Page_table.table_pages pt)
+
 (* --- Ept / Nested --- *)
 
 let test_ept_translate () =
@@ -512,6 +702,9 @@ let suite =
     Alcotest.test_case "pt: update" `Quick test_pt_update;
     Alcotest.test_case "pt: version bumps" `Quick test_pt_version_bumps;
     Alcotest.test_case "pt: iter reconstructs vpns" `Quick test_pt_iter;
+    Alcotest.test_case "pt: random ops vs model, tables recycled" `Quick test_pt_vs_model;
+    Alcotest.test_case "pt: recycled tables, no major words" `Quick
+      test_pt_recycled_tables_no_major_words;
     Alcotest.test_case "ept: translate" `Quick test_ept_translate;
     Alcotest.test_case "ept: hugepage offsets" `Quick test_ept_huge_offset;
     Alcotest.test_case "nested: fracture detection" `Quick test_nested_fracture_detection;

@@ -595,6 +595,52 @@ let test_alloc_spawn () =
   in
   check bool_t (Printf.sprintf "spawn + run costs %d <= 68 words" w) true (w <= 68)
 
+(* A pool restarts its finished members instead of building new ones.
+   Starts in one instant overlap, so each needs its own member; a member
+   whose body raises fails like a spawned process and leaves the pool. *)
+let test_process_pool () =
+  let e = Engine.create () in
+  let runs = ref [] and fail = ref false in
+  let pool =
+    Process.pool e ~name:"worker" (fun () ->
+        runs := (Engine.now e, Process.self_name e) :: !runs;
+        Process.delay e 10;
+        if !fail then failwith "boom")
+  in
+  for _ = 1 to 3 do
+    Process.start_pooled pool
+  done;
+  Engine.run e;
+  check int_t "three members, all idle" 3 (Process.idle_members pool);
+  Process.start_pooled pool;
+  check int_t "one restarted" 2 (Process.idle_members pool);
+  Engine.run e;
+  check int_t "it came back" 3 (Process.idle_members pool);
+  check
+    Alcotest.(list (pair int string))
+    "every run named after the pool"
+    [ (0, "worker"); (0, "worker"); (0, "worker"); (10, "worker") ]
+    (List.rev !runs);
+  fail := true;
+  Process.start_pooled pool;
+  Alcotest.check_raises "a failing member fails like a process"
+    (Process.Process_failure ("worker", Failure "boom")) (fun () -> Engine.run e);
+  check int_t "the failed member is dropped" 2 (Process.idle_members pool)
+
+(* Restarting an idle pool member and running a trivial body: only the
+   5-word effect closure [Effect.Deep.match_with] builds for each run. *)
+let test_alloc_pooled_start () =
+  let e = Engine.create () in
+  let pool = Process.pool e ~name:"p" (fun () -> ()) in
+  Process.start_pooled pool;
+  Engine.run e;
+  let w =
+    minor_words (fun () ->
+        Process.start_pooled pool;
+        Engine.run e)
+  in
+  check int_t "a pooled start + run costs 5 words" 5 w
+
 (* A wake whose process is no longer parked must not resume it: the
    second wake for one park fires while the process sleeps, and raises. *)
 let test_process_stale_wake () =
@@ -1092,6 +1138,8 @@ let suite =
       test_alloc_tick_suspension;
     Alcotest.test_case "alloc: wait + signal_one <= 5 words" `Quick test_alloc_wait_signal;
     Alcotest.test_case "alloc: spawn + run <= 68 words" `Quick test_alloc_spawn;
+    Alcotest.test_case "alloc: pooled start + run = 5 words" `Quick test_alloc_pooled_start;
+    Alcotest.test_case "process: pool restarts members" `Quick test_process_pool;
     Alcotest.test_case "process: stale wake raises" `Quick test_process_stale_wake;
     Alcotest.test_case "process: two engines on two domains" `Quick
       test_process_two_domains;

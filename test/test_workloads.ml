@@ -139,6 +139,59 @@ let test_apache_single_core_no_shootdowns () =
   let r = apache ~opts:(Opts.baseline ~safe:true) ~cores:1 in
   check int_t "solo core" 0 r.Apache.shootdowns
 
+(* IPI conservation: Apache, Sysbench and Bigmachine fail a run whose IPIs
+   sent differ from the IRQs handled or that ends with an IRQ pending
+   ([Machine.check_run]). Small configs under every backend, each of
+   which must have sent IPIs for the check to mean anything. *)
+let test_ipi_conservation_all_backends () =
+  List.iter
+    (fun (label, opts) ->
+      let a = apache ~opts ~cores:4 in
+      check bool_t (label ^ ": apache shot down") true (a.Apache.shootdowns > 0);
+      let s =
+        Sysbench.run
+          {
+            (Sysbench.default_config ~opts ~threads:4) with
+            Sysbench.ops_per_thread = 40;
+            file_pages = 128;
+          }
+      in
+      check bool_t (label ^ ": sysbench shot down") true (s.Sysbench.shootdowns > 0);
+      let b =
+        Bigmachine.run
+          (Bigmachine.quick_shape (Bigmachine.default_config ~opts ~n_cpus:56))
+      in
+      check bool_t (label ^ ": bigmachine sent IPIs") true (b.Bigmachine.ipis > 0))
+    (Shootout.workload_backends ())
+
+(* The conservation check itself: an IPI left pending on a CPU that never
+   unmasks, and an IRQ handled that no IPI sent (what a dispatch path that
+   runs an IRQ twice would produce). *)
+let test_ipi_invariants_catch_imbalance () =
+  let failures m =
+    let l = ref [] in
+    Machine.ipi_invariants m (fun s -> l := s :: !l);
+    List.rev !l
+  in
+  let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+  let m = Machine.create ~opts:(Opts.all ~safe:true) () in
+  Process.spawn m.Machine.engine ~name:"sender" (fun () ->
+      Cpu.irq_disable (Machine.cpu m 1);
+      ignore
+        (Apic.send_ipi m.Machine.apic ~from:0 ~targets:[ 1; 2 ] ~make_irq:(fun _ -> irq)));
+  Machine.run m;
+  check
+    Alcotest.(list string)
+    "a dropped IPI"
+    [ "2 IPI(s) sent but 1 handled at quiescence"; "cpu1: 1 IRQ(s) pending at quiescence" ]
+    (failures m);
+  let m = Machine.create ~opts:(Opts.all ~safe:true) () in
+  Process.spawn m.Machine.engine ~name:"poster" (fun () -> Cpu.post_irq (Machine.cpu m 3) irq);
+  Machine.run m;
+  Alcotest.check_raises "an IRQ handled twice fails the run"
+    (Failure "Demo: 0 IPI(s) sent but 1 handled at quiescence") (fun () ->
+      Machine.check_run m ~who:"Demo")
+
 let test_fracture_table_shape () =
   let cfg = { Fracture.working_set_pages = 256; rounds = 20; tlb_capacity = 1536 } in
   let results = Fracture.run_all cfg in
@@ -215,6 +268,10 @@ let suite =
     Alcotest.test_case "apache: runs" `Quick test_apache_runs;
     Alcotest.test_case "apache: optimized not slower" `Quick test_apache_optimized_not_slower;
     Alcotest.test_case "apache: solo core quiet" `Quick test_apache_single_core_no_shootdowns;
+    Alcotest.test_case "workloads: IPI conservation, every backend" `Quick
+      test_ipi_conservation_all_backends;
+    Alcotest.test_case "machine: IPI conservation check" `Quick
+      test_ipi_invariants_catch_imbalance;
     Alcotest.test_case "fracture: table shape" `Quick test_fracture_table_shape;
     Alcotest.test_case "fracture: hugepages cut misses" `Quick test_fracture_2m_on_2m_fewer_misses;
     Alcotest.test_case "report: formatting" `Quick test_report_formatting;
