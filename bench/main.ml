@@ -982,6 +982,74 @@ let bechamel () =
     Test.make ~name:"page_table:update"
       (Staged.stage (fun () -> ignore (Page_table.update pt ~vpn:10 ~f:Pte.write_protect)))
   in
+  (* Two CPUs each loop on [Cpu.compute] of ten idle 200-cycle quanta. Their
+     quantum boundaries interleave, so each boundary is an engine event
+     re-armed inside the handler; one run is 20 steps, one compute call on
+     each CPU. *)
+  let compute_test =
+    let e = Engine.create () in
+    let topo = Topology.flat 2 in
+    for id = 0 to 1 do
+      let cpu = Cpu.create e topo Costs.default ~id ~safe:false () in
+      Process.spawn e ~name:"compute" (fun () ->
+          while true do
+            Cpu.compute cpu 2000
+          done)
+    done;
+    Test.make ~name:"cpu:compute (idle quanta)"
+      (Staged.stage (fun () ->
+           for _ = 1 to 20 do
+             ignore (Engine.step e)
+           done))
+  in
+  (* A full flush of a TLB whose tables grew to hold its capacity: one
+     insert, then the flush clears every bucket of the grown tables. *)
+  let tlb_flush_test =
+    let t = Tlb.create () in
+    let entry vpn =
+      {
+        Tlb.vpn;
+        pfn = vpn;
+        pcid = 1;
+        size = Tlb.Four_k;
+        global = false;
+        writable = true;
+        fractured = false;
+        ck_ver = -1;
+      }
+    in
+    for vpn = 0 to Tlb.capacity t - 1 do
+      Tlb.insert t (entry vpn)
+    done;
+    let e = entry 0 in
+    Test.make ~name:"tlb:flush_all (grown table)"
+      (Staged.stage (fun () ->
+           Tlb.insert t e;
+           Tlb.flush_all t))
+  in
+  let machine_create_test =
+    let sockets, cores_per_socket, smt = Bigmachine.topo_of_cpus 1024 in
+    let topo = Topology.create ~sockets ~cores_per_socket ~smt in
+    let opts = Opts.all ~safe:true in
+    Test.make ~name:"machine:create (1024 cpus)"
+      (Staged.stage (fun () -> ignore (Machine.create ~topo ~opts ())))
+  in
+  (* Coherence pricing on the paper machine: a write by cpu 0 invalidates
+     the line, then every other CPU reads it, so the sharer set grows back
+     to all 56 and each read's holder scan walks the sharers so far. One
+     run is the write and the 55 reads. *)
+  let cache_read_test =
+    let topo = Topology.paper_machine in
+    let reg = Cache.create_registry topo Costs.default in
+    let l = Cache.create_line reg ~name:(lazy "bench") in
+    let n = Topology.n_cpus topo in
+    Test.make ~name:"cache:read (56 sharers)"
+      (Staged.stage (fun () ->
+           ignore (Cache.write l ~by:0);
+           for by = 1 to n - 1 do
+             ignore (Cache.read l ~by)
+           done))
+  in
   let test =
     Test.make_grouped ~name:"shootdown-repro"
       [
@@ -997,6 +1065,10 @@ let bechamel () =
         irq_dispatch_test;
         pt_map_unmap_test;
         pt_update_test;
+        compute_test;
+        tlb_flush_test;
+        machine_create_test;
+        cache_read_test;
       ]
   in
   let clock = Toolkit.Instance.monotonic_clock

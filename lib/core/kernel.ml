@@ -27,3 +27,10 @@ let spawn_idle m ~cpu ~until =
       done)
 
 let run m = Machine.run m
+
+let check_run m ~who =
+  Machine.check_run m ~who;
+  let fail what = failwith (who ^ ": " ^ what) in
+  for cpu = 0 to Machine.n_cpus m - 1 do
+    Shootdown.protocol_quiescent m ~cpu fail
+  done

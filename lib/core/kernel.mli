@@ -22,3 +22,8 @@ val spawn_idle : Machine.t -> cpu:int -> until:(unit -> bool) -> unit
 
 (** Run the machine to quiescence and re-raise any process failure. *)
 val run : Machine.t -> unit
+
+(** End-of-run check for the workloads, after {!run}: {!Machine.check_run},
+    then {!Shootdown.protocol_quiescent} on every CPU. Raises [Failure]
+    prefixed with [who] on the first failure. *)
+val check_run : Machine.t -> who:string -> unit

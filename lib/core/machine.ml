@@ -72,6 +72,9 @@ type t = {
          outside a broadcast (the global ipi_mutex serializes writers) *)
   mutable sync_from : int;
       (* the posting initiator, for responder-side distance attribution *)
+  mutable sync_outstanding : int;
+      (* responders whose sync_done bit is still clear; 0 outside a
+         broadcast *)
   checker : Checker.t;
   ipi_mutex : Rwsem.t;
   stats : stats;
@@ -186,6 +189,7 @@ let create ?(topo = Topology.paper_machine) ?(costs = Costs.default)
       Cache.create_line registry ~name:(lazy "sync_broadcast.status_table");
     sync_info = None;
     sync_from = -1;
+    sync_outstanding = 0;
     checker = Checker.create ~enabled:checker ();
     ipi_mutex = Rwsem.create engine;
     stats = fresh_stats ();

@@ -78,6 +78,11 @@ type t = {
           outside a broadcast (the global [ipi_mutex] serializes writers) *)
   mutable sync_from : int;
       (** the posting initiator, for responder-side distance attribution *)
+  mutable sync_outstanding : int;
+      (** [Sync_broadcast] responders whose done bit is still clear: set to
+          the target count when the initiator clears the bits, decremented
+          where each responder sets its bit, so the initiator's completion
+          check is one load; 0 outside a broadcast *)
   checker : Checker.t;
   ipi_mutex : Rwsem.t;
       (** FreeBSD's smp_ipi_mtx: taken (write) around each shootdown by the

@@ -43,6 +43,7 @@ let ipi_handler m ~me (_ : Cpu.t) =
         (* Status-table write: the deliberate all-responders contention
            point of the design. *)
         pcpu.Percpu.sync_done <- true;
+        m.Machine.sync_outstanding <- m.Machine.sync_outstanding - 1;
         Machine.charge_atomic m m.Machine.line_sync_status ~by:me
       end);
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
@@ -72,18 +73,19 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     m.Machine.sync_info <- Some info;
     m.Machine.sync_from <- from;
     Cpuset.iter (fun c -> (Machine.percpu m c).Percpu.sync_done <- false) targets;
+    m.Machine.sync_outstanding <- Cpuset.count targets;
     (* Initiator self-invalidates before kicking anyone. *)
     ignore (initiator_flush m ~from ~user:(default_user_policy m info) info);
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
     if Machine.metering m then
       record_prep m ~from ~targets (Machine.now m - prep0);
-    (* Spin until the whole status table reads done. [ready] only loads
-       responder-written booleans — side-effect-free, as poll_wait
-       requires. *)
+    (* Spin until the whole status table reads done. Every responder that
+       sets its done bit also decrements [sync_outstanding], so the count is
+       zero exactly when every target's bit is set: one load per poll
+       instead of a walk over the targets, and side-effect-free, as
+       poll_wait requires. *)
     let ack0 = Machine.now m in
-    let all_done () =
-      Cpuset.fold (fun acc c -> acc && (Machine.percpu m c).Percpu.sync_done) true targets
-    in
+    let all_done () = m.Machine.sync_outstanding = 0 in
     let cpu_t = Machine.cpu m from in
     while not (all_done ()) do
       Cpu.poll_wait cpu_t all_done
@@ -122,6 +124,10 @@ let backend =
       (fun m ~cpu fail ->
         if Option.is_some m.Machine.sync_info then
           fail "sync-broadcast descriptor still posted at quiescence";
+        if m.Machine.sync_outstanding <> 0 then
+          fail
+            (Printf.sprintf "sync-broadcast outstanding count %d at quiescence"
+               m.Machine.sync_outstanding);
         if not (Machine.percpu m cpu).Percpu.sync_done then
           fail
             (Printf.sprintf "cpu%d sync-broadcast done bit clear at quiescence" cpu));

@@ -1,8 +1,9 @@
-(* tlblint: proven-bounds — Bytes.unsafe accesses index the n*n rank matrix
-   with cpu ids already range-checked by Topology; loops run a,b,cpu < n,
-   which is also the length of the per-CPU core/socket arrays they read.
-   The sharer-set walk reads Cpuset.raw_words with indices bounded by the
-   word array's own length. *)
+(* tlblint: proven-bounds — Array.unsafe_get reads the per-CPU location
+   table only at holder ids. A cpu becomes a holder (owner or sharer) only
+   as the [by] of an access that first loaded [loc.(by)] bounds-checked in
+   [extreme_rank] (or was already a holder), so every holder id is in
+   range. The sharer-set walk reads Cpuset.raw_words with indices bounded
+   by the word array's own length. *)
 type totals = {
   reads : int;
   writes : int;
@@ -14,14 +15,13 @@ type totals = {
 }
 
 type registry = {
-  topo : Topology.t;
-  n_cpus : int;
-  ranks : Bytes.t;
-      (* [ranks.(a * n_cpus + b)] = distance rank of [Topology.distance a b]
-         (0 Self .. 3 Cross_socket), precomputed: the holder scans below run
-         it per sharer per access, and the div/mod chain in the live
-         computation is measurable there. A flat byte matrix keeps the whole
-         table (56x56 = 3 KiB on the paper machine) in L1. *)
+  loc : int array;
+      (* [loc.(c) = socket * 2^32 lor physical_core] of cpu [c], precomputed:
+         the holder scans below rank every holder against the accessor per
+         access, and the div/mod chain in [Topology.distance] is measurable
+         there. Two CPUs' entries xor to 0 iff they share a physical core,
+         and to a value below 2^32 iff they share a socket: one load orders
+         a holder by rank, and the table costs one word per CPU. *)
   costs : Costs.t;
   mutable t_reads : int;
   mutable t_writes : int;
@@ -59,33 +59,17 @@ let distance_rank = Topology.distance_rank
 let distance_of_rank =
   [| Topology.Self; Topology.Smt_sibling; Topology.Same_socket; Topology.Cross_socket |]
 
-(* The matrix is filled from per-CPU (physical core, socket) arrays built
-   once, with the same case split as [Topology.distance]: calling it n^2
-   times repeats two range checks and a div/mod chain per pair, which
-   dominated machine construction at 1024 CPUs. *)
+(* The socket's place value in a location entry: physical core ids stay
+   below it. *)
+let cross_socket = 1 lsl 32
+
 let create_registry topo costs =
-  let n = Topology.n_cpus topo in
-  let core = Array.init n (Topology.physical_core_of topo) in
-  let socket = Array.init n (Topology.socket_of topo) in
-  let rank d = Char.unsafe_chr (distance_rank d) in
-  let self = rank Self and smt = rank Smt_sibling in
-  let same = rank Same_socket and cross = rank Cross_socket in
-  let ranks = Bytes.create (n * n) in
-  for a = 0 to n - 1 do
-    let core_a = Array.unsafe_get core a and socket_a = Array.unsafe_get socket a in
-    let row = a * n in
-    for b = 0 to n - 1 do
-      Bytes.unsafe_set ranks (row + b)
-        (if a = b then self
-         else if Array.unsafe_get core b = core_a then smt
-         else if Array.unsafe_get socket b = socket_a then same
-         else cross)
-    done
-  done;
+  let loc =
+    Array.init (Topology.n_cpus topo) (fun c ->
+        (Topology.socket_of topo c * cross_socket) lor Topology.physical_core_of topo c)
+  in
   {
-    topo;
-    n_cpus = n;
-    ranks;
+    loc;
     costs;
     t_reads = 0;
     t_writes = 0;
@@ -133,46 +117,55 @@ let record l (d : Topology.distance) cost =
       l.n_transfers <- l.n_transfers + 1;
       reg.t_cross <- reg.t_cross + 1
 
+(* Holder [h] is compared with the accessor through [x = loc.(by) lxor
+   loc.(h)], which orders holders as their distance ranks do: [x = 0] is an
+   SMT sibling (rank 1; [h] is never the accessor itself), [0 < x <
+   cross_socket] the same socket (rank 2), anything larger another socket
+   (rank 3). *)
+let rank_of_x x = if x = 0 then 1 else if x < cross_socket then 2 else 3
+
 (* Best-rank holder distance from [by] over the holders (the sharer set
    plus the owner, minus [by]), as a rank (-1 = no holders): the minimum
    rank when [want_min] (a read fetches from the closest copy), the
    maximum otherwise (a write is priced by the farthest invalidation).
-   Ranks are injective on the distance constructors, so reducing over
-   ranks and mapping back through [distance_of_rank] picks exactly the
-   constructor the old constructor-fold did. The owner is ranked first
-   (min/max is insensitive to it also appearing among the sharers); the
-   sharer walk skips zero words, then zero bytes (sparse holder sets), and
-   stops as soon as the best achievable rank is reached — [by] itself is
-   masked out, so reads stop at [Smt_sibling], writes at [Cross_socket].
-   Returning the rank keeps this allocation-free (no [Some] boxing on the
-   per-access path). *)
+   The walk keeps the minimum of [key = x lxor flip]: with [flip = 0] that
+   is the minimum [x], with [flip = -1] ([key = lnot x]) the maximum, so
+   each holder costs one load, one xor and one compare in either mode. The
+   winner is mapped to its rank once; ranks are injective on the distance
+   constructors, so mapping back through [distance_of_rank] picks exactly
+   the constructor the old constructor-fold did. The owner is compared
+   first (min/max is insensitive to it also appearing among the sharers);
+   the sharer walk skips zero words, then zero bytes (sparse holder sets),
+   and stops once [key <= stop], the best achievable rank — [by] itself
+   is masked out, so reads stop at [Smt_sibling], writes at
+   [Cross_socket]. Returning the rank keeps this allocation-free (no
+   [Some] boxing on the per-access path). *)
 let extreme_rank l ~by ~want_min =
-  let reg = l.reg in
-  let base = by * reg.n_cpus in
-  let ideal = if want_min then 1 else 3 in
-  let none = if want_min then 4 else -1 in
-  let best = ref none in
-  if l.owner >= 0 && l.owner <> by then
-    best := Char.code (Bytes.unsafe_get reg.ranks (base + l.owner));
+  let loc = l.reg.loc in
+  let flip = if want_min then 0 else -1 in
+  let stop = if want_min then 0 else lnot cross_socket in
+  let by_key = loc.(by) lxor flip in
+  let best = ref max_int in
+  if l.owner >= 0 && l.owner <> by then best := by_key lxor Array.unsafe_get loc l.owner;
   let words = Cpuset.raw_words l.sharers in
   let nw = Array.length words in
   let by_wi = by lsr 5 in
   let wi = ref 0 in
-  while !wi < nw && !best <> ideal do
+  while !wi < nw && !best > stop do
     let w = Array.unsafe_get words !wi in
     let w = if !wi = by_wi then w land lnot (1 lsl (by land 31)) else w in
     if w <> 0 then begin
       let m = ref w in
       let cpu = ref (!wi lsl 5) in
-      while !m <> 0 && !best <> ideal do
+      while !m <> 0 && !best > stop do
         if !m land 0xff = 0 then begin
           m := !m lsr 8;
           cpu := !cpu + 8
         end
         else begin
           if !m land 1 = 1 then begin
-            let r = Char.code (Bytes.unsafe_get reg.ranks (base + !cpu)) in
-            if if want_min then r < !best else r > !best then best := r
+            let key = by_key lxor Array.unsafe_get loc !cpu in
+            if key < !best then best := key
           end;
           m := !m lsr 1;
           incr cpu
@@ -181,7 +174,7 @@ let extreme_rank l ~by ~want_min =
     end;
     incr wi
   done;
-  if !best = none then -1 else !best
+  if !best = max_int then -1 else rank_of_x (!best lxor flip)
 
 let read l ~by =
   let reg = l.reg in

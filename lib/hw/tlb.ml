@@ -79,18 +79,20 @@ type t = {
          flush; installed by the metrics layer. *)
 }
 
-(* Tables start at 64 buckets and grow only in TLBs that fill: most TLBs
-   of a big machine stay near-empty, and every machine builds one per CPU.
+(* Tables start at the stdlib minimum of 16 buckets and grow only in TLBs
+   that fill: most TLBs of a big machine stay near-empty, and every machine
+   builds one per CPU. No result depends on bucket count: [entries] sorts,
+   and [drop_pcid] collects every matching key before dropping any.
    Flushes [clear] rather than [reset], so a TLB that has grown keeps its
    buckets instead of regrowing after every full flush. *)
 let create ?(capacity = 1536) () =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   {
     cap = capacity;
-    table = Itbl.create 64;
-    globals = Itbl.create 64;
+    table = Itbl.create 16;
+    globals = Itbl.create 16;
     order = Queue.create ();
-    stamps = Itbl.create 64;
+    stamps = Itbl.create 16;
     next_stamp = 0;
     s_hits = 0;
     s_misses = 0;

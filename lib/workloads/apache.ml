@@ -74,7 +74,7 @@ let run config =
         finish_times := Machine.now m :: !finish_times)
   done;
   Kernel.run m;
-  Machine.check_run m ~who:"Apache";
+  Kernel.check_run m ~who:"Apache";
   let cycles =
     match !finish_times with
     | [] -> Machine.now m

@@ -168,7 +168,7 @@ let run config =
         cpus)
     placement;
   Kernel.run m;
-  Machine.check_run m ~who:"Bigmachine";
+  Kernel.check_run m ~who:"Bigmachine";
   let shootdowns = m.Machine.stats.Machine.shootdowns in
   {
     n_cpus = Topology.n_cpus topo;

@@ -42,7 +42,7 @@ let run config =
         Syscall.munmap m ~cpu:0 ~addr ~pages:config.pages_per_round
       done);
   Kernel.run m;
-  Machine.check_run m ~who:"Cow_bench";
+  Kernel.check_run m ~who:"Cow_bench";
   {
     write_mean = Stats.mean stats;
     write_sd = Stats.stddev stats;

@@ -110,7 +110,7 @@ let run config =
     if !measured_shootdowns = 0 then 0.0
     else !measured_interrupted /. float_of_int !measured_shootdowns
   in
-  Machine.check_run m ~who:"Microbench";
+  Kernel.check_run m ~who:"Microbench";
   {
     initiator_mean = Stats.mean stats;
     initiator_sd = Stats.stddev stats;

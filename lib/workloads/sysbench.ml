@@ -80,7 +80,7 @@ let run config =
           finish_times := Machine.now m :: !finish_times))
     cpus;
   Kernel.run m;
-  Machine.check_run m ~who:"Sysbench";
+  Kernel.check_run m ~who:"Sysbench";
   (* Mean thread-completion time: less straggler-sensitive than makespan,
      like reporting sysbench's per-thread event rate. *)
   let cycles =

@@ -389,15 +389,14 @@ let test_construction_budget topo ~budget () =
   layer "Frame_alloc.create (1 GiB)"
     (words_allocated (fun () -> Frame_alloc.create ~frames:262144))
     256;
-  layer "Tlb.create" (words_allocated (fun () -> Tlb.create ())) 512;
+  layer "Tlb.create" (words_allocated (fun () -> Tlb.create ())) 160;
   let engine = Engine.create () in
   let registry = Cache.create_registry topo Costs.default in
   let cpu = Cpu.create engine topo Costs.default ~id:0 ~safe:true () in
   layer "Percpu.create" (words_allocated (fun () -> Percpu.create cpu registry)) 512;
-  (* The byte rank matrix is the one deliberate n^2 structure. *)
   layer "Cache.create_registry"
     (words_allocated (fun () -> Cache.create_registry topo Costs.default))
-    ((n * n / (Sys.word_size / 8)) + (4 * n) + 1024);
+    ((4 * n) + 1024);
   layer "Machine.create" (words_allocated (fun () -> Machine.create ~topo ~opts ())) budget
 
 let bigmachine_1024 =
@@ -531,9 +530,9 @@ let suite =
     Alcotest.test_case "percpu: cross-mm defer goes full" `Quick test_percpu_defer_cross_mm_goes_full;
     Alcotest.test_case "percpu: csd lines on demand" `Quick test_percpu_csd_lines_on_demand;
     Alcotest.test_case "machine: create budget, 56 CPUs" `Quick
-      (test_construction_budget Topology.paper_machine ~budget:65_536);
+      (test_construction_budget Topology.paper_machine ~budget:32_768);
     Alcotest.test_case "machine: create budget, 1024 CPUs" `Quick
-      (test_construction_budget bigmachine_1024 ~budget:1_500_000);
+      (test_construction_budget bigmachine_1024 ~budget:400_000);
     Alcotest.test_case "checker: clean hit" `Quick test_checker_clean_hit;
     Alcotest.test_case "checker: unmapped stale hit" `Quick test_checker_stale_unmapped_is_violation;
     Alcotest.test_case "checker: in-flight window excuses" `Quick test_checker_inflight_window_excuses;

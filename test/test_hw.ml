@@ -150,30 +150,143 @@ let test_cache_totals () =
   Cache.reset_stats reg;
   check int_t "reset" 0 (Cache.totals reg).Cache.reads
 
-(* The registry's precomputed rank matrix must price every (owner, reader)
-   pair exactly as [Topology.distance] says, on every shape of topology. *)
+let flat4 = Topology.flat 4
+let topo_3x5 = Topology.create ~sockets:3 ~cores_per_socket:5 ~smt:1
+let topo_8x64x2 = Topology.create ~sockets:8 ~cores_per_socket:64 ~smt:2
+let pricing_topologies = [ flat4; Topology.paper_machine; topo_3x5; topo_8x64x2 ]
+
+(* The registry's precomputed location table must price every (owner,
+   reader) pair exactly as [Topology.distance] says, on every shape of
+   topology. A write by [a] leaves [a] the only holder, so the read by [b]
+   that follows is priced by the rank of the pair alone. *)
 let test_cache_ranks_match_topology () =
   let c = Costs.default in
   List.iter
     (fun topo ->
       let reg = Cache.create_registry topo c in
+      let l = Cache.create_line reg ~name:(lazy "x") in
       let n = Topology.n_cpus topo in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
-          let l = Cache.create_line reg ~name:(lazy "x") in
           ignore (Cache.write l ~by:a);
           let expected = Costs.line_transfer c (Topology.distance topo a b) in
           if Cache.read l ~by:b <> expected then
-            Alcotest.failf "%s: read of cpu %d's line by cpu %d" (Format.asprintf "%a" Topology.pp topo) a b
+            Alcotest.failf "%a: read of cpu %d's line by cpu %d" Topology.pp topo a b
         done
       done)
-    [
-      Topology.paper_machine;
-      Topology.flat 5;
-      Topology.create ~sockets:3 ~cores_per_socket:4 ~smt:2;
-      Topology.create ~sockets:2 ~cores_per_socket:2 ~smt:4;
-      Topology.create ~sockets:1 ~cores_per_socket:1 ~smt:2;
-    ]
+    (pricing_topologies
+    @ [
+        Topology.flat 5;
+        Topology.create ~sockets:3 ~cores_per_socket:4 ~smt:2;
+        Topology.create ~sockets:2 ~cores_per_socket:2 ~smt:4;
+        Topology.create ~sockets:1 ~cores_per_socket:1 ~smt:2;
+      ])
+
+(* Black-box differential test of coherence pricing: random reads, writes,
+   stalling writes and atomics over several lines, against a naive model
+   that keeps an owner and a holder list per line and ranks holders with
+   [Topology.distance]. Every returned cost and the final totals must
+   agree. Half the accesses come from a few hot CPUs per line, so local
+   hits, exclusive rewrites and SMT-sibling fetches all occur. On the
+   1024-CPU topology a prefix of reads grows line 0's sharer set through
+   Cpuset doubling to 1, 18 and then 36 words, past the 32 words that 1024
+   CPUs need. *)
+let test_cache_vs_naive_model () =
+  let c = Costs.default in
+  List.iter
+    (fun topo ->
+      let n = Topology.n_cpus topo in
+      let reg = Cache.create_registry topo c in
+      let n_lines = 4 in
+      let lines = Array.init n_lines (fun _ -> Cache.create_line reg ~name:(lazy "x")) in
+      let owner = Array.make n_lines (-1) in
+      let holders = Array.make n_lines [] in
+      let reads = ref 0 and writes = ref 0 and cycles = ref 0 in
+      let by_rank = Array.make Topology.n_distance_ranks 0 in
+      let record d cost =
+        let r = Topology.distance_rank d in
+        by_rank.(r) <- by_rank.(r) + 1;
+        cycles := !cycles + cost
+      in
+      (* The closest ([pick] = min) or farthest holder other than [by];
+         [Self] when there is none. *)
+      let extreme i ~by pick =
+        let all = if owner.(i) >= 0 then owner.(i) :: holders.(i) else holders.(i) in
+        let better d b = pick (Topology.distance_rank d) (Topology.distance_rank b) in
+        match
+          List.filter_map
+            (fun h -> if h = by then None else Some (Topology.distance topo by h))
+            all
+        with
+        | [] -> Topology.Self
+        | d :: ds -> List.fold_left (fun b d -> if better d b then d else b) d ds
+      in
+      let exclusive i ~by =
+        owner.(i) = by && List.for_all (fun h -> h = by) holders.(i)
+      in
+      let take i ~by =
+        owner.(i) <- by;
+        holders.(i) <- [ by ]
+      in
+      let model_read i ~by =
+        incr reads;
+        let d =
+          if owner.(i) = by || List.mem by holders.(i) then Topology.Self
+          else extreme i ~by ( < )
+        in
+        let cost = Costs.line_transfer c d in
+        record d cost;
+        if not (List.mem by holders.(i)) then holders.(i) <- by :: holders.(i);
+        cost
+      in
+      let model_write i ~by ~stall =
+        incr writes;
+        let d = if exclusive i ~by then Topology.Self else extreme i ~by ( > ) in
+        let cost = if stall then Costs.line_transfer c d else c.Costs.line_local in
+        record d cost;
+        take i ~by;
+        cost
+      in
+      let step what i ~by ~got ~want =
+        if got <> want then
+          Alcotest.failf "%a: %s of line %d by cpu %d cost %d, model %d" Topology.pp
+            topo what i by got want
+      in
+      let read i ~by =
+        step "read" i ~by ~got:(Cache.read lines.(i) ~by) ~want:(model_read i ~by)
+      in
+      if n = 1024 then List.iter (fun by -> read 0 ~by) [ 0; 544; 1023; 3 ];
+      let hot = Array.init n_lines (fun i -> [| i; (i + 1) mod n; (i + n / 2) mod n |]) in
+      let r = Rng.create ~seed:(Int64.of_int (0xCAC4E + n)) in
+      for _ = 1 to 3000 do
+        let i = Rng.int r n_lines in
+        let by = if Rng.int r 2 = 0 then hot.(i).(Rng.int r 3) else Rng.int r n in
+        match Rng.int r 10 with
+        | 0 | 1 | 2 | 3 | 4 | 5 -> read i ~by
+        | 6 | 7 ->
+            step "write" i ~by ~got:(Cache.write lines.(i) ~by)
+              ~want:(model_write i ~by ~stall:false)
+        | 8 ->
+            step "stalling write" i ~by
+              ~got:(Cache.stalling_write lines.(i) ~by)
+              ~want:(model_write i ~by ~stall:true)
+        | _ ->
+            step "atomic" i ~by ~got:(Cache.atomic lines.(i) ~by)
+              ~want:(model_write i ~by ~stall:true + c.Costs.atomic_op)
+      done;
+      let t = Cache.totals reg in
+      let total what got want =
+        if got <> want then
+          Alcotest.failf "%a: total %s %d, model %d" Topology.pp topo what got want
+      in
+      total "reads" t.Cache.reads !reads;
+      total "writes" t.Cache.writes !writes;
+      total "local hits" t.Cache.local_hits by_rank.(0);
+      total "smt transfers" t.Cache.smt_transfers by_rank.(1);
+      total "same-socket transfers" t.Cache.same_socket_transfers by_rank.(2);
+      total "cross-socket transfers" t.Cache.cross_socket_transfers by_rank.(3);
+      total "cycles" t.Cache.cycles !cycles)
+    pricing_topologies
 
 (* --- Tlb --- *)
 
@@ -636,6 +749,8 @@ let suite =
     Alcotest.test_case "cache: totals and reset" `Quick test_cache_totals;
     Alcotest.test_case "cache: ranks match Topology.distance" `Quick
       test_cache_ranks_match_topology;
+    Alcotest.test_case "cache: random accesses vs naive model" `Quick
+      test_cache_vs_naive_model;
     Alcotest.test_case "tlb: hit/miss" `Quick test_tlb_hit_miss;
     Alcotest.test_case "tlb: pcid isolation" `Quick test_tlb_pcid_isolation;
     Alcotest.test_case "tlb: global matches any pcid" `Quick test_tlb_global_matches_any_pcid;

@@ -192,6 +192,41 @@ let test_ipi_invariants_catch_imbalance () =
     (Failure "Demo: 0 IPI(s) sent but 1 handled at quiescence") (fun () ->
       Machine.check_run m ~who:"Demo")
 
+(* Sync-broadcast conservation: every responder whose done bit the
+   initiator cleared sets it again and decrements [sync_outstanding], so
+   the count is 0 at the end of every run. [Kernel.check_run], which
+   ends each workload run, fails the run otherwise; these runs must both
+   broadcast and pass. A count set wrong by hand must be reported by the
+   backend's quiescence check and fail [Kernel.check_run]. *)
+let test_sync_outstanding_conserved () =
+  let opts = Opts.with_protocol Opts.Sync_broadcast ~safe:true in
+  let s =
+    Sysbench.run
+      {
+        (Sysbench.default_config ~opts ~threads:4) with
+        Sysbench.ops_per_thread = 40;
+        file_pages = 128;
+      }
+  in
+  check bool_t "sysbench shot down" true (s.Sysbench.shootdowns > 0);
+  let b =
+    Bigmachine.run (Bigmachine.quick_shape (Bigmachine.default_config ~opts ~n_cpus:56))
+  in
+  check bool_t "bigmachine sent IPIs" true (b.Bigmachine.ipis > 0);
+  let m = Machine.create ~opts () in
+  check int_t "fresh machine" 0 m.Machine.sync_outstanding;
+  m.Machine.sync_outstanding <- 2;
+  let failures = ref [] in
+  Shootdown.protocol_quiescent m ~cpu:0 (fun f -> failures := f :: !failures);
+  check
+    Alcotest.(list string)
+    "wrong count reported"
+    [ "sync-broadcast outstanding count 2 at quiescence" ]
+    !failures;
+  Alcotest.check_raises "a wrong count fails the run"
+    (Failure "Demo: sync-broadcast outstanding count 2 at quiescence") (fun () ->
+      Kernel.check_run m ~who:"Demo")
+
 let test_fracture_table_shape () =
   let cfg = { Fracture.working_set_pages = 256; rounds = 20; tlb_capacity = 1536 } in
   let results = Fracture.run_all cfg in
@@ -272,6 +307,8 @@ let suite =
       test_ipi_conservation_all_backends;
     Alcotest.test_case "machine: IPI conservation check" `Quick
       test_ipi_invariants_catch_imbalance;
+    Alcotest.test_case "sync-broadcast: outstanding count conserved" `Quick
+      test_sync_outstanding_conserved;
     Alcotest.test_case "fracture: table shape" `Quick test_fracture_table_shape;
     Alcotest.test_case "fracture: hugepages cut misses" `Quick test_fracture_2m_on_2m_fewer_misses;
     Alcotest.test_case "report: formatting" `Quick test_report_formatting;
