@@ -953,8 +953,50 @@ let bechamel () =
            Waitq.signal_one q;
            ignore (Engine.step e)))
   in
-  (* A no-op IRQ posted to an idle CPU: one detached dispatch (a pooled
-     dispatcher restarted, entry delay, handler, exit delay) with nothing
+  (* An engine event every [period] cycles, from a handler that reschedules
+     itself: a process would spin on the [try_advance] fast path whenever
+     it is alone on the engine. *)
+  let ticker e ~period =
+    let tag = ref (-1) in
+    tag :=
+      Engine.register_handler e (fun _ _ ->
+          Engine.schedule_tag e ~delay:period ~tag:!tag ~a:0 ~b:0);
+    Engine.schedule_tag e ~delay:period ~tag:!tag ~a:0 ~b:0
+  in
+  (* A run of 8 charges of 3 cycles each, as 8 delays and as one chain. A
+     tick every 2 cycles puts an event in every window: each delay
+     suspends, and the chain suspends once. One run is one run of 8 (24
+     cycles, 12 ticks). *)
+  let contended body =
+    let e = Engine.create () in
+    ticker e ~period:2;
+    Process.spawn e ~name:"charges" (fun () -> body e);
+    Staged.stage (fun () -> Engine.run_until e ~time:(Engine.now e + 24))
+  in
+  let chain_test =
+    Test.make ~name:"process:chain (8 steps, contended)"
+      (contended (fun e ->
+           let left = ref 0 in
+           let step () =
+             decr left;
+             if !left >= 0 then 3 else 0
+           in
+           while true do
+             left := 8;
+             Process.chain e step
+           done))
+  in
+  let delays_test =
+    Test.make ~name:"process:delay x8 (contended)"
+      (contended (fun e ->
+           while true do
+             for _ = 1 to 8 do
+               Process.delay e 3
+             done
+           done))
+  in
+  (* A no-op IRQ posted to an idle CPU: one detached dispatch (entry
+     boundary, handler in a pooled process, exit boundary) with nothing
      else on the engine, so both delays take the [try_advance] fast path. *)
   let irq_dispatch_test =
     let e = Engine.create () in
@@ -964,6 +1006,19 @@ let bechamel () =
       (Staged.stage (fun () ->
            Cpu.post_irq cpu irq;
            Engine.run e))
+  in
+  (* The same dispatch with a tick every 150 cycles, so the entry (320
+     cycles from user) and exit (200) windows each hold an event and
+     neither takes the fast path. One run is one dispatch and 4 ticks. *)
+  let irq_dispatch_contended_test =
+    let e = Engine.create () in
+    let cpu = Cpu.create e (Topology.flat 2) Costs.default ~id:1 ~safe:false () in
+    let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+    ticker e ~period:150;
+    Test.make ~name:"cpu:detached irq dispatch (contended)"
+      (Staged.stage (fun () ->
+           Cpu.post_irq cpu irq;
+           Engine.run_until e ~time:(Engine.now e + 600)))
   in
   (* Page-table primitives on a table that maps one page: a map and an
      unmap that frees the three tables under it, then an in-place PTE
@@ -1061,8 +1116,11 @@ let bechamel () =
         dispatch_test;
         advance_test;
         delay_test;
+        chain_test;
+        delays_test;
         wait_test;
         irq_dispatch_test;
+        irq_dispatch_contended_test;
         pt_map_unmap_test;
         pt_update_test;
         compute_test;

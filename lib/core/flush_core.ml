@@ -94,26 +94,29 @@ let flush_tlb_func_impl m ~cpu ~user ~eager_user (info : Flush_info.t) =
           `Full
         end
         else begin
-          let vpns = Flush_info.vpns info in
+          (* One charge run: an INVLPG per page in the kernel PCID, then
+             under PTI, when eager, an INVPCID per page in the user PCID. *)
+          let n = info.Flush_info.pages in
           let kernel_pcid = Percpu.kernel_pcid pcpu.Percpu.curr_asid in
-          List.iter
-            (fun vpn ->
-              Machine.delay m costs.Costs.invlpg;
-              Tlb.invlpg tlb ~current_pcid:kernel_pcid ~vpn)
-            vpns;
-          if opts.Opts.safe then begin
-            match user with
-            | Eager ->
-                let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
-                List.iter
-                  (fun vpn ->
-                    Machine.delay m costs.Costs.invpcid_single;
-                    Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn)
-                  vpns
-            | Defer ->
-                stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
-                Percpu.defer_user_flush pcpu info ~threshold:opts.Opts.full_flush_threshold
-            | Skip -> ()
+          let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
+          let eager = opts.Opts.safe && user = Eager in
+          Machine.chain_upto m (if eager then 2 * n else n) ~phases:2 (fun i phase ->
+              if i < n then
+                if phase = 0 then costs.Costs.invlpg
+                else begin
+                  let vpn = Flush_info.nth_vpn info i in
+                  Tlb.invlpg tlb ~current_pcid:kernel_pcid ~vpn;
+                  0
+                end
+              else if phase = 0 then costs.Costs.invpcid_single
+              else begin
+                let vpn = Flush_info.nth_vpn info (i - n) in
+                Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
+                0
+              end);
+          if opts.Opts.safe && user = Defer then begin
+            stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
+            Percpu.defer_user_flush pcpu info ~threshold:opts.Opts.full_flush_threshold
           end;
           slot.Percpu.gen_seen <- info.Flush_info.new_tlb_gen;
           if Machine.tracing m then
@@ -122,7 +125,7 @@ let flush_tlb_func_impl m ~cpu ~user ~eager_user (info : Flush_info.t) =
                  {
                    mm_id = info.Flush_info.mm_id;
                    full = false;
-                   entries = List.length vpns;
+                   entries = n;
                    gen = slot.Percpu.gen_seen;
                  });
           `Ranged
@@ -203,18 +206,20 @@ let flush_pending_user m ~cpu ~has_stack =
               (Trace.Deferred_flush_exec { full = true; entries = 0 })
         end
         else begin
-          let vpns = Flush_info.vpns info in
-          List.iter
-            (fun vpn ->
-              Machine.delay m costs.Costs.invlpg;
-              Tlb.invlpg tlb ~current_pcid:user_pcid ~vpn)
-            vpns;
-          (* Spectre-v1: the flush loop's bound must not be speculated
-             past while stale user PTEs linger. *)
-          Machine.delay m costs.Costs.lfence;
+          (* One charge run: an INVLPG per page, then an LFENCE (item [n]):
+             Spectre-v1, the flush loop's bound must not be speculated past
+             while stale user PTEs linger. *)
+          let n = info.Flush_info.pages in
+          Machine.chain_upto m (n + 1) ~phases:2 (fun i phase ->
+              if phase = 0 then if i < n then costs.Costs.invlpg else costs.Costs.lfence
+              else begin
+                if i < n then
+                  Tlb.invlpg tlb ~current_pcid:user_pcid ~vpn:(Flush_info.nth_vpn info i);
+                0
+              end);
           if Machine.tracing m then
             Machine.trace_event m ~cpu
-              (Trace.Deferred_flush_exec { full = false; entries = List.length vpns })
+              (Trace.Deferred_flush_exec { full = false; entries = n })
         end);
     match pending with
     | Percpu.No_flush -> ()

@@ -20,12 +20,11 @@ let nr_entries t = if t.full then max_int else t.pages
 
 let span_4k t = t.pages * Addr.pages_of_size t.stride
 
+let nth_vpn t i = t.start_vpn + (i * Addr.pages_of_size t.stride)
+
 let vpns t =
   if t.full then invalid_arg "Flush_info.vpns: full flush"
-  else begin
-    let step = Addr.pages_of_size t.stride in
-    List.init t.pages (fun i -> t.start_vpn + (i * step))
-  end
+  else List.init t.pages (nth_vpn t)
 
 let covers t ~vpn =
   t.full || (vpn >= t.start_vpn && vpn < t.start_vpn + span_4k t)

@@ -29,6 +29,9 @@ val span_4k : t -> int
 (** 4 KiB VPNs covered by a ranged flush, in order. *)
 val vpns : t -> int list
 
+(** [nth_vpn t i] is [List.nth (vpns t) i], without the list. *)
+val nth_vpn : t -> int -> int
+
 (** Does the flush cover 4 KiB page [vpn]? (Full flushes cover all.) *)
 val covers : t -> vpn:int -> bool
 

@@ -38,6 +38,19 @@ let n_flush_kinds = 4
 let flush_kind_labels = [| "invlpg"; "cr3"; "deferred"; "skipped" |]
 let flush_index ~rank ~kind = (rank * n_flush_kinds) + kind
 
+(* Where a suspended charge run keeps its place: the items (the members of
+   [w_set] when [w_n < 0], else [0 .. w_n - 1]), the visit, and the next
+   (item, phase). [w_step] is the run's step function, built once. *)
+type walker = {
+  mutable w_set : Cpuset.t;
+  mutable w_n : int;
+  mutable w_phases : int;
+  mutable w_visit : int -> int -> int;
+  mutable w_at : int;
+  mutable w_phase : int;
+  mutable w_step : unit -> int;
+}
+
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -80,6 +93,7 @@ type t = {
   stats : stats;
   metrics : Metrics.t;
   phases : phases;
+  mutable walkers : walker array;
 }
 
 let fresh_stats () =
@@ -195,6 +209,7 @@ let create ?(topo = Topology.paper_machine) ?(costs = Costs.default)
     stats = fresh_stats ();
     metrics;
     phases;
+    walkers = [||];
   }
 
 let new_mm t =
@@ -217,6 +232,97 @@ let charge_read t line ~by = delay t (Cache.read line ~by)
 let charge_write t line ~by = delay t (Cache.write line ~by)
 let charge_atomic t line ~by = delay t (Cache.atomic line ~by)
 let run t = Engine.run t.engine
+
+(* The charge-run walker under [chain_cpus] and [chain_upto]. Items are
+   the members of [set] when [n < 0], else [0 .. n - 1]; [at = -1] is past
+   the last one, and [d] is the cost due before phase [phase] of item
+   [at]. While each cost's window is empty the run goes on inline, as
+   [delay]'s fast path does, and allocates nothing. At the first contended
+   window it suspends once, in [Process.tick_sleep], and its boundaries
+   then run in the engine from a walker. A process is in at most one run
+   at a time, and an engine tag names one live process, so each tag keeps
+   one walker and reuses it: a suspended run allocates nothing either. *)
+let next_item set n at =
+  if n < 0 then Cpuset.next set (at + 1) else if at + 1 < n then at + 1 else -1
+
+let no_set = Cpuset.create ~bits:0
+let no_visit (_ : int) (_ : int) = 0
+
+let rec walker_step w () =
+  if w.w_at < 0 then begin
+    w.w_visit <- no_visit;
+    w.w_set <- no_set;
+    0
+  end
+  else begin
+    let d = w.w_visit w.w_at w.w_phase in
+    if w.w_phase + 1 < w.w_phases then w.w_phase <- w.w_phase + 1
+    else begin
+      w.w_phase <- 0;
+      w.w_at <- next_item w.w_set w.w_n w.w_at
+    end;
+    if d > 0 then d else walker_step w ()
+  end
+
+let new_walker () =
+  let w =
+    {
+      w_set = no_set;
+      w_n = 0;
+      w_phases = 1;
+      w_visit = no_visit;
+      w_at = -1;
+      w_phase = 0;
+      w_step = (fun () -> 0);
+    }
+  in
+  w.w_step <- walker_step w;
+  w
+
+(* Stands in for the walker of a tag that has not suspended a run yet;
+   never written. *)
+let no_walker = new_walker ()
+
+let walker_of t =
+  let tag = Engine.current_tag t.engine in
+  if tag < 0 then invalid_arg "Machine: a charge run outside a process";
+  let n = Array.length t.walkers in
+  if tag >= n then begin
+    let bigger = Array.make (Int.max (tag + 1) (2 * n)) no_walker in
+    Array.blit t.walkers 0 bigger 0 n;
+    t.walkers <- bigger
+  end;
+  let w = t.walkers.(tag) in
+  if w != no_walker then w
+  else begin
+    let w = new_walker () in
+    t.walkers.(tag) <- w;
+    w
+  end
+
+let rec walk t set n phases visit at phase d =
+  if d > 0 && not (Engine.try_advance t.engine ~cycles:d) then begin
+    let w = walker_of t in
+    w.w_set <- set;
+    w.w_n <- n;
+    w.w_phases <- phases;
+    w.w_visit <- visit;
+    w.w_at <- at;
+    w.w_phase <- phase;
+    Process.tick_sleep t.engine ~first:d w.w_step
+  end
+  else if at >= 0 then begin
+    let d = visit at phase in
+    if phase + 1 < phases then walk t set n phases visit at (phase + 1) d
+    else walk t set n phases visit (next_item set n at) 0 d
+  end
+
+let chain_cpus t ?(lead = 0) set ~phases visit =
+  walk t set (-1) phases visit (Cpuset.next set 0) 0 lead
+
+let chain_upto t ?(lead = 0) n ~phases visit =
+  walk t no_set n phases visit (if n > 0 then 0 else -1) 0 lead
+
 let engine_ops t = Engine.ops t.engine
 
 let next_ipi_seq t =
@@ -270,7 +376,14 @@ let ipi_invariants t add_failure =
   Array.iteri
     (fun i cpu ->
       let n = Cpu.pending_irqs cpu in
-      if n > 0 then add_failure (Printf.sprintf "cpu%d: %d IRQ(s) pending at quiescence" i n))
+      if n > 0 then
+        add_failure (Printf.sprintf "cpu%d: %d IRQ(s) pending at quiescence" i n);
+      let d = Cpu.busy_dispatchers cpu in
+      if d > 0 then
+        add_failure
+          (Printf.sprintf "cpu%d: %d IRQ dispatcher(s) suspended at quiescence" i d);
+      if Cpu.draining cpu then
+        add_failure (Printf.sprintf "cpu%d: IRQ drain still running at quiescence" i))
     t.cpus
 
 let check_run t ~who =

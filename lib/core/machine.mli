@@ -45,6 +45,9 @@ val flush_kind_labels : string array
 (** [flush_index ~rank ~kind] is the {!phases.flush} index. *)
 val flush_index : rank:int -> kind:int -> int
 
+(** A suspended charge run's place (see {!chain_cpus}). *)
+type walker
+
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -94,6 +97,9 @@ type t = {
       (** Phase-latency metric registry; enabled iff the machine was
           created with [~metering:true]. *)
   phases : phases;
+  mutable walkers : walker array;
+      (** one per engine tag: where a suspended charge run of the process
+          holding that tag keeps its place *)
 }
 
 (** [create ~opts ()] builds a machine. Defaults: the paper's 2x14x2
@@ -127,6 +133,27 @@ val charge_read : t -> Cache.line -> by:int -> unit
 
 val charge_write : t -> Cache.line -> by:int -> unit
 val charge_atomic : t -> Cache.line -> by:int -> unit
+
+(** {2 Charge runs}
+
+    A run of charges with no suspension between them, written as one
+    {!Process.chain}: [visit item phase] does the work due at its boundary
+    and returns the cost of what comes next, a charge as [Cache.read line
+    ~by] and friends rather than [charge_read]. Phases [0 .. phases - 1]
+    of one item run before the next item's, and a zero cost goes straight
+    on to the next phase. Event times and order are those of the same
+    work with a {!delay} after each [visit], but the run suspends the
+    calling process at most once. [visit] follows {!Process.tick_sleep}'s
+    rules for a step: it must never suspend. *)
+
+(** Walk the members of [set] in ascending order, reading the set afresh
+    after each member (so [visit] may clear the member it is given). A
+    positive [lead] is the cost of a charge the caller already made, waited
+    out before the first member. *)
+val chain_cpus : t -> ?lead:int -> Cpuset.t -> phases:int -> (int -> int -> int) -> unit
+
+(** Walk items [0 .. n - 1]; [lead] as for {!chain_cpus}. *)
+val chain_upto : t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> unit
 
 (** Run the engine until idle. *)
 val run : t -> unit
@@ -165,7 +192,8 @@ val begin_window : t -> cpu:int -> Flush_info.t -> Checker.token
 val end_window : t -> cpu:int -> mm_id:int -> Checker.token -> unit
 
 (** IPI conservation at quiescence: the IPIs the APIC sent equal the IRQs
-    the CPUs handled, and no CPU has an IRQ pending. Calls [add_failure]
+    the CPUs handled, and no CPU has an IRQ pending, a detached dispatcher
+    suspended in a handler, or a drain still running. Calls [add_failure]
     once per broken rule. Only meaningful once the engine has drained. *)
 val ipi_invariants : t -> (string -> unit) -> unit
 

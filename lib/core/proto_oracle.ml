@@ -13,22 +13,31 @@ let ipi_handler m ~me (_ : Cpu.t) =
   Smp.drain_queue m ~me ~run:(fun cfd ->
       let info = cfd.Percpu.cfd_info in
       let t0 = Machine.now m in
-      Machine.delay m m.Machine.costs.Costs.cr3_write;
-      Tlb.flush_all tlb;
-      if Machine.metering m then
-        record_flush m
-          ~rank:(Machine.distance_rank m cfd.Percpu.cfd_initiator me)
-          ~kind:Machine.flush_kind_cr3 (Machine.now m - t0);
-      (* The flush covered whatever a deferred user flush would have. *)
-      pcpu.Percpu.pending_user <- Percpu.No_flush;
-      Array.iter
-        (fun slot ->
-          if slot.Percpu.slot_mm = info.Flush_info.mm_id then
-            slot.Percpu.gen_seen <-
-              Int.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
-        pcpu.Percpu.asids;
-      cfd.Percpu.cfd_executed <- true;
-      Smp.ack m ~me cfd);
+      (* One charge run: the CR3 write, the flush and the ack write. *)
+      let acking = ref false in
+      Machine.chain_upto m 1 ~phases:3 (fun _ phase ->
+          match phase with
+          | 0 -> m.Machine.costs.Costs.cr3_write
+          | 1 ->
+              Tlb.flush_all tlb;
+              if Machine.metering m then
+                record_flush m
+                  ~rank:(Machine.distance_rank m cfd.Percpu.cfd_initiator me)
+                  ~kind:Machine.flush_kind_cr3 (Machine.now m - t0);
+              (* The flush covered whatever a deferred user flush would have. *)
+              pcpu.Percpu.pending_user <- Percpu.No_flush;
+              Array.iter
+                (fun slot ->
+                  if slot.Percpu.slot_mm = info.Flush_info.mm_id then
+                    slot.Percpu.gen_seen <-
+                      Int.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
+                pcpu.Percpu.asids;
+              cfd.Percpu.cfd_executed <- true;
+              acking := not cfd.Percpu.cfd_acked;
+              if !acking then Smp.ack_write cfd ~me else 0
+          | _ ->
+              if !acking then Smp.ack_landed m ~me ~early:false cfd;
+              0));
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
 
 let irq_id m = shootdown_irq m ipi_handler

@@ -63,34 +63,35 @@ let initiator_local_flush m ~from ~has_remote_targets (info : Flush_info.t) =
   if hybrid && result = `Ranged then Flush_info.vpns info else []
 
 (* Select remote targets into the initiator's scratch cpuset, paying one
-   line read per candidate. The mm's cpumask is snapshotted first (the
-   candidate reads yield, and a remote context switch may edit the live
-   mask under us — the list-building version had the same snapshot
-   semantics), then filtered in place: clearing the current bit during
-   [Cpuset.iter] is part of its contract. Returns the scratch set, valid
-   until this CPU's next shootdown. *)
+   line read per candidate and filtering it once the read lands. The mm's
+   cpumask is snapshotted first (the candidate reads take time, and a
+   remote context switch may edit the live mask under us — the
+   list-building version had the same snapshot semantics), then filtered
+   in place: the walk may clear the member it visits. Returns the scratch
+   set, valid until this CPU's next shootdown. *)
 let select_targets m ~from ~mm (info : Flush_info.t) =
   let batching = (knobs m).Opts.userspace_batching and stats = m.Machine.stats in
   let targets = (Machine.percpu m from).Percpu.scratch_targets in
   Cpuset.copy_into ~dst:targets ~src:(Mm_struct.cpuset mm);
   Cpuset.clear targets from;
-  Cpuset.iter
-    (fun c ->
-      Smp.read_remote_tlb_state m ~from ~target:c;
+  Machine.chain_cpus m targets ~phases:2 (fun c phase ->
       let p = Machine.percpu m c in
-      if p.Percpu.lazy_mode then begin
-        (* Lazy-TLB CPU: it will sync generations before resuming user. *)
-        stats.Machine.ipis_skipped_lazy <- stats.Machine.ipis_skipped_lazy + 1;
-        Cpuset.clear targets c
-      end
-      else if batching && p.Percpu.batched_mode && not info.Flush_info.freed_tables
-      then begin
-        (* §4.2: the CPU is inside a batching syscall and will sync at its
-           mmap_sem-release barrier; no IPI needed. *)
-        stats.Machine.ipis_skipped_batched <- stats.Machine.ipis_skipped_batched + 1;
-        Cpuset.clear targets c
-      end)
-    targets;
+      if phase = 0 then Smp.read_remote_tlb_state m ~from ~target:c
+      else begin
+        if p.Percpu.lazy_mode then begin
+          (* Lazy-TLB CPU: it will sync generations before resuming user. *)
+          stats.Machine.ipis_skipped_lazy <- stats.Machine.ipis_skipped_lazy + 1;
+          Cpuset.clear targets c
+        end
+        else if batching && p.Percpu.batched_mode && not info.Flush_info.freed_tables
+        then begin
+          (* §4.2: the CPU is inside a batching syscall and will sync at its
+             mmap_sem-release barrier; no IPI needed. *)
+          stats.Machine.ipis_skipped_batched <- stats.Machine.ipis_skipped_batched + 1;
+          Cpuset.clear targets c
+        end;
+        0
+      end);
   targets
 
 (* One complete shootdown for [info], generation already bumped. *)

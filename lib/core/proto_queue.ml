@@ -53,17 +53,19 @@ let ipi_handler m ~me (_ : Cpu.t) =
       (* Invalidate the posted translation in every slot caching the mm,
          kernel and (under PTI) user PCID — eager on both halves, so the
          drain leaves nothing deferred on the responder's behalf. *)
-      Array.iteri
-        (fun i slot ->
-          if slot.Percpu.slot_mm = mm_id then begin
-            Machine.delay m costs.Costs.invpcid_single;
-            Tlb.invpcid_addr tlb ~pcid:(Percpu.kernel_pcid i) ~vpn;
-            if m.Machine.opts.Opts.safe then begin
-              Machine.delay m costs.Costs.invpcid_single;
-              Tlb.invpcid_addr tlb ~pcid:(Percpu.user_pcid i) ~vpn
-            end
-          end)
-        p.Percpu.asids;
+      let asids = p.Percpu.asids and safe = m.Machine.opts.Opts.safe in
+      let hit = ref false in
+      Machine.chain_upto m (Array.length asids) ~phases:3 (fun i phase ->
+          match phase with
+          | 0 ->
+              hit := asids.(i).Percpu.slot_mm = mm_id;
+              if !hit then costs.Costs.invpcid_single else 0
+          | 1 ->
+              if !hit then Tlb.invpcid_addr tlb ~pcid:(Percpu.kernel_pcid i) ~vpn;
+              if !hit && safe then costs.Costs.invpcid_single else 0
+          | _ ->
+              if !hit && safe then Tlb.invpcid_addr tlb ~pcid:(Percpu.user_pcid i) ~vpn;
+              0);
       if Machine.metering m then
         record_flush m
           ~rank:(Machine.distance_rank m from me)
@@ -80,13 +82,12 @@ let ipi_handler m ~me (_ : Cpu.t) =
 
 let irq_id m = shootdown_irq m ipi_handler
 
-(* Post [info] into [c]'s ring under queue generation [gen]. The ring
-   mutations run after the line RMW completes, with no yield in between, so
-   concurrent producers serialize at the charge and never interleave
-   half-written entries. *)
+(* Post [info] into [c]'s ring under queue generation [gen], once the line
+   RMW [perform] charges first has completed. The ring mutations run with
+   no yield after that charge, so concurrent producers serialize at the
+   charge and never interleave half-written entries. *)
 let post_to m ~from ~gen (info : Flush_info.t) c =
   let p = Machine.percpu m c in
-  Machine.charge_atomic m p.Percpu.line_queue ~by:from;
   let n = Flush_info.nr_entries info in
   if
     info.Flush_info.full || p.Percpu.q_flush_all
@@ -124,7 +125,12 @@ let perform m ~from ~mm (info : Flush_info.t) token =
     stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
     let prep0 = Machine.now m in
     let gen = Machine.next_ipi_seq m in
-    Cpuset.iter (fun c -> post_to m ~from ~gen info c) targets;
+    Machine.chain_cpus m targets ~phases:2 (fun c phase ->
+        if phase = 0 then Cache.atomic (Machine.percpu m c).Percpu.line_queue ~by:from
+        else begin
+          post_to m ~from ~gen info c;
+          0
+        end);
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
     if Machine.metering m then
       record_prep m ~from ~targets (Machine.now m - prep0);
@@ -171,9 +177,8 @@ let perform m ~from ~mm (info : Flush_info.t) token =
       else Cpu.poll_wait cpu_t all_acked
     done;
     (* Observing each ack generation pulls the responder's ring line back. *)
-    Cpuset.iter
-      (fun c -> Machine.charge_read m (Machine.percpu m c).Percpu.line_queue ~by:from)
-      targets;
+    Machine.chain_cpus m targets ~phases:1 (fun c _ ->
+        Cache.read (Machine.percpu m c).Percpu.line_queue ~by:from);
     if Machine.metering m then begin
       let far =
         Cpuset.fold

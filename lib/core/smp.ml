@@ -7,8 +7,9 @@ let tlb_state_line m pcpu =
   if (Opts.knobs m.Machine.opts).Opts.cacheline_consolidation then pcpu.Percpu.line_csq
   else pcpu.Percpu.line_tlb
 
+(* The cost of reading [target]'s lazy/batched flags, for a charge run. *)
 let read_remote_tlb_state m ~from ~target =
-  Machine.charge_read m (tlb_state_line m (Machine.percpu m target)) ~by:from
+  Cache.read (tlb_state_line m (Machine.percpu m target)) ~by:from
 
 let enqueue_work m ~from ~targets ~info ~early_ack =
   let me = Machine.percpu m from in
@@ -16,69 +17,91 @@ let enqueue_work m ~from ~targets ~info ~early_ack =
   (* Baseline keeps flush_tlb_info on the initiator's stack and points every
      CSD at it: one extra shared line written here and read by every
      responder. *)
-  if not consolidated then
-    Machine.charge_write m me.Percpu.line_stack_info ~by:from;
+  let lead = if consolidated then 0 else Cache.write me.Percpu.line_stack_info ~by:from in
   (* Walk the target set in ascending cpu order — cfd_seq assignment order
-     is part of the deterministic output. The accumulator list is the one
-     small allocation left on this path (the cfd records themselves must
-     be allocated per target regardless). *)
+     is part of the deterministic output — writing each CSD line, then the
+     target's queue line, then queueing the CSD. The accumulator list is
+     the one small allocation left on this path (the cfd records
+     themselves must be allocated per target regardless). *)
   let acc = ref [] in
-  Cpuset.iter
-    (fun target ->
+  Machine.chain_cpus m ~lead targets ~phases:3 (fun target phase ->
       let pcpu = Machine.percpu m target in
-      let cfd =
-        {
-          Percpu.cfd_seq = Machine.next_ipi_seq m;
-          cfd_initiator = from;
-          cfd_target = target;
-          cfd_info = info;
-          cfd_early_ack = early_ack;
-          cfd_acked = false;
-          cfd_executed = false;
-          cfd_line = Percpu.csd_line me ~target;
-          cfd_info_line = (if consolidated then None else Some me.Percpu.line_stack_info);
-        }
-      in
-      Machine.charge_write m cfd.Percpu.cfd_line ~by:from;
-      Machine.charge_write m pcpu.Percpu.line_csq ~by:from;
-      Queue.push cfd pcpu.Percpu.csq;
-      if Machine.tracing m then
-        Machine.trace_event m ~cpu:from
-          (Trace.Ipi_send { seq = cfd.Percpu.cfd_seq; target });
-      acc := cfd :: !acc)
-    targets;
+      match phase with
+      | 0 ->
+          let cfd =
+            {
+              Percpu.cfd_seq = Machine.next_ipi_seq m;
+              cfd_initiator = from;
+              cfd_target = target;
+              cfd_info = info;
+              cfd_early_ack = early_ack;
+              cfd_acked = false;
+              cfd_executed = false;
+              cfd_line = Percpu.csd_line me ~target;
+              cfd_info_line =
+                (if consolidated then None else Some me.Percpu.line_stack_info);
+            }
+          in
+          acc := cfd :: !acc;
+          Cache.write cfd.Percpu.cfd_line ~by:from
+      | 1 -> Cache.write pcpu.Percpu.line_csq ~by:from
+      | _ ->
+          let cfd = List.hd !acc in
+          Queue.push cfd pcpu.Percpu.csq;
+          if Machine.tracing m then
+            Machine.trace_event m ~cpu:from
+              (Trace.Ipi_send { seq = cfd.Percpu.cfd_seq; target });
+          0);
   Array.of_list (List.rev !acc)
 
 let send_ipis m ~from ~targets ~irq_id =
   let send_cost = Apic.send_ipi_id m.Machine.apic ~from ~targets ~irq_id in
   Machine.delay m send_cost
 
+(* The queue-line read, then before each [run] one charge run that pops
+   the next request and reads its CSD line and, under the baseline layout,
+   its info line. The baseline keeps flush_tlb_info on the initiator's
+   stack, which is 4 KiB-mapped — unlike the 2 MiB-mapped per-cpu/global
+   data — so touching it also costs a page walk the consolidated layout
+   avoids (§3.3 item 2). *)
 let drain_queue m ~me ~run =
   let pcpu = Machine.percpu m me in
-  Machine.charge_read m pcpu.Percpu.line_csq ~by:me;
-  while not (Queue.is_empty pcpu.Percpu.csq) do
-    let cfd = Queue.pop pcpu.Percpu.csq in
-    Machine.charge_read m cfd.Percpu.cfd_line ~by:me;
-    (match cfd.Percpu.cfd_info_line with
-    | Some line ->
-        Machine.charge_read m line ~by:me;
-        (* The baseline keeps flush_tlb_info on the initiator's stack,
-           which is 4 KiB-mapped — unlike the 2 MiB-mapped per-cpu/global
-           data — so touching it costs a page walk the consolidated layout
-           avoids (§3.3 item 2). *)
-        Machine.delay m m.Machine.costs.Costs.page_walk
-    | None -> ());
-    run cfd
-  done
+  let csq = pcpu.Percpu.csq and next = ref None in
+  let fetch _ phase =
+    match (phase, !next) with
+    | 0, _ -> (
+        next := Queue.take_opt csq;
+        match !next with Some cfd -> Cache.read cfd.Percpu.cfd_line ~by:me | None -> 0)
+    | 1, Some { Percpu.cfd_info_line = Some line; _ } -> Cache.read line ~by:me
+    | 2, Some { Percpu.cfd_info_line = Some _; _ } -> m.Machine.costs.Costs.page_walk
+    | _ -> 0
+  in
+  let rec loop ~lead =
+    Machine.chain_upto m ~lead 1 ~phases:3 fetch;
+    match !next with
+    | Some cfd ->
+        run cfd;
+        if not (Queue.is_empty csq) then loop ~lead:0
+    | None -> ()
+  in
+  loop ~lead:(Cache.read pcpu.Percpu.line_csq ~by:me)
+
+(* [ack]'s two halves, for a charge run: the line write, which marks [cfd]
+   acked and returns its cost, and the trace event once it has landed. *)
+let ack_write cfd ~me =
+  cfd.Percpu.cfd_acked <- true;
+  Cache.write cfd.Percpu.cfd_line ~by:me
+
+let ack_landed m ~me ~early cfd =
+  if Machine.tracing m then
+    Machine.trace_event m ~cpu:me
+      (Trace.Ipi_ack
+         { seq = cfd.Percpu.cfd_seq; initiator = cfd.Percpu.cfd_initiator; early })
 
 let ack m ~me ?(early = false) cfd =
   if not cfd.Percpu.cfd_acked then begin
-    cfd.Percpu.cfd_acked <- true;
-    Machine.charge_write m cfd.Percpu.cfd_line ~by:me;
-    if Machine.tracing m then
-      Machine.trace_event m ~cpu:me
-        (Trace.Ipi_ack
-           { seq = cfd.Percpu.cfd_seq; initiator = cfd.Percpu.cfd_initiator; early })
+    Machine.delay m (ack_write cfd ~me);
+    ack_landed m ~me ~early cfd
   end
 
 let wait_for_acks m ~from cfds ?(while_waiting = fun () -> ())
@@ -115,7 +138,8 @@ let wait_for_acks m ~from cfds ?(while_waiting = fun () -> ())
   in
   loop ();
   (* Observing each ack pulls the responder-written CSD line back. *)
-  Array.iter (fun c -> Machine.charge_read m c.Percpu.cfd_line ~by:from) cfds;
+  Machine.chain_upto m n ~phases:1 (fun i _ ->
+      Cache.read cfds.(i).Percpu.cfd_line ~by:from);
   if n > 0 && Machine.tracing m then
     Machine.trace_event m ~cpu:from
       (Trace.Acks_seen

@@ -14,8 +14,9 @@
 val tlb_shootdown_vector : int
 
 (** Read the "is this CPU lazy / in a batched syscall" state of [target]
-    from [from]: one cacheline read whose identity depends on the layout. *)
-val read_remote_tlb_state : Machine.t -> from:int -> target:int -> unit
+    from [from]: one cacheline read whose identity depends on the layout.
+    Returns its cost, for a charge run ({!Machine.chain_cpus}). *)
+val read_remote_tlb_state : Machine.t -> from:int -> target:int -> int
 
 (** The line holding a CPU's lazy/batched flags under the active layout:
     its call-queue line when consolidated, its tlb_state line otherwise. *)
@@ -51,6 +52,13 @@ val drain_queue : Machine.t -> me:int -> run:(Percpu.cfd -> unit) -> unit
 (** Responder: flip the CFD's ack flag (one line write). Idempotent.
     [early] only annotates the trace event (§3.2 early ack). *)
 val ack : Machine.t -> me:int -> ?early:bool -> Percpu.cfd -> unit
+
+(** {!ack}'s halves for a charge run, when the CFD is not acked yet: the
+    line write, which flips the flag and returns its cost, and the trace
+    event once that cost has elapsed. *)
+val ack_write : Percpu.cfd -> me:int -> int
+
+val ack_landed : Machine.t -> me:int -> early:bool -> Percpu.cfd -> unit
 
 (** Initiator: spin until every CFD is acked, servicing our own IRQs while
     spinning. [while_waiting] is called between polls while at least one ack

@@ -11,8 +11,10 @@ type t = {
       (* unmaskable entries in [pending]: lets [has_deliverable] answer in
          O(1) — an unmaskable IRQ is deliverable regardless of [masked],
          and with IRQs unmasked any pending IRQ is. *)
+  mutable dispatch_tag : int;
+      (* engine handler of detached dispatch, -1 until the first one *)
   mutable dispatchers : Process.pool option;
-      (* detached-dispatch processes, made on this CPU's first dispatch *)
+      (* processes that run detached handlers, made with [dispatch_tag] *)
   deferred : irq Queue.t;
       (* scratch for [service_pending]: masked IRQs awaiting re-queue.
          Empty outside a drain; preallocated so drains allocate nothing. *)
@@ -23,6 +25,9 @@ type t = {
   mutable t_handled : int;
   mutable t_compute : int;
   mutable from_user_irq : bool;
+  mutable irq : irq; (* the IRQ in service, valid while [draining] *)
+  mutable irq_started : int;
+  mutable irq_was_user : bool;
   mutable service_depth : int;
       (* > 0 while some process is at a service point (compute / spin /
          idle) and will drain the queue itself. *)
@@ -44,6 +49,8 @@ let dispatch_name_of id =
   if id < Array.length dispatch_names then dispatch_names.(id)
   else Printf.sprintf "irq-dispatch-cpu%d" id
 
+let no_irq = { vector = -1; maskable = true; handler = ignore }
+
 let create eng topo cost ~id ~safe ?tlb_capacity () =
   if id < 0 || id >= Topology.n_cpus topo then
     invalid_arg (Printf.sprintf "Cpu.create: id %d out of range" id);
@@ -57,6 +64,7 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     masked = false;
     pending = Queue.create ();
     pending_unmaskable = 0;
+    dispatch_tag = -1;
     dispatchers = None;
     deferred = Queue.create ();
     wake = Waitq.create eng;
@@ -66,11 +74,19 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     t_handled = 0;
     t_compute = 0;
     from_user_irq = false;
+    irq = no_irq;
+    irq_started = 0;
+    irq_was_user = false;
     service_depth = 0;
     occupancy = 0;
   }
 
 let id t = t.cpu_id
+let draining t = t.draining
+
+let busy_dispatchers t =
+  match t.dispatchers with Some pool -> Process.busy_members pool | None -> 0
+
 let irq_from_user t = t.from_user_irq
 let tlb t = t.cpu_tlb
 let engine t = t.eng
@@ -101,44 +117,136 @@ let has_deliverable t =
    engine handler. *)
 let serviceable t = has_deliverable t && not t.draining
 
-(* Run one IRQ: entry cost depends on mitigation mode and on the privilege
-   we are interrupting; handler time is charged to interrupted_cycles. *)
-let run_irq t irq =
-  let started = Engine.now t.eng in
+(* One IRQ is an entry delay, the handler and an exit delay. The prologue
+   and epilogue around them are shared by the two ways an IRQ runs: inside
+   a process at a service point ([run_irq]), and detached, driven by the
+   CPU's dispatch handler ([dispatch]). Only one drain runs per CPU at a
+   time ([draining]), so the IRQ in service lives in the CPU record and
+   [from_user_irq] is false outside a handler. Entry cost depends on
+   mitigation mode and on the privilege we interrupt; entry + handler +
+   exit is charged to interrupted_cycles. The prologue returns the entry
+   cost. *)
+let irq_prologue t irq =
   let was_user = t.user in
-  let outer_from_user = t.from_user_irq in
+  t.irq <- irq;
+  t.irq_started <- Engine.now t.eng;
+  t.irq_was_user <- was_user;
   t.user <- false;
   t.from_user_irq <- was_user;
-  Process.delay t.eng (Costs.irq_entry t.cost ~safe:t.safe ~from_user:was_user);
+  Costs.irq_entry t.cost ~safe:t.safe ~from_user:was_user
+
+let irq_epilogue t =
+  t.user <- t.irq_was_user;
+  t.from_user_irq <- false;
+  t.t_handled <- t.t_handled + 1;
+  t.t_interrupted <- t.t_interrupted + (Engine.now t.eng - t.irq_started)
+
+let run_irq t irq =
+  Process.delay t.eng (irq_prologue t irq);
   irq.handler t;
   Process.delay t.eng t.cost.irq_exit;
-  t.user <- was_user;
-  t.from_user_irq <- outer_from_user;
-  t.t_handled <- t.t_handled + 1;
-  t.t_interrupted <- t.t_interrupted + (Engine.now t.eng - started)
+  irq_epilogue t
+
+(* Deferral parks masked IRQs on the preallocated per-CPU [deferred] queue
+   (empty outside a drain), so the overwhelmingly common
+   deliver-everything drain allocates nothing. An unmaskable IRQ is always
+   deliverable, so deferral never has to put the counter back. On an
+   exception the deferred IRQs (all maskable, so no counter adjustment)
+   go back on [pending], so the field is empty again for the next drain. *)
+let pop_pending t =
+  let irq = Queue.pop t.pending in
+  if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable - 1;
+  irq
+
+let end_drain t =
+  Queue.transfer t.deferred t.pending;
+  t.draining <- false
 
 let service_pending t =
   if not t.draining then begin
     t.draining <- true;
-    (* Deferral parks masked IRQs on the preallocated per-CPU [deferred]
-       queue (empty outside this drain), so the overwhelmingly common
-       deliver-everything drain allocates nothing. An unmaskable IRQ is
-       always deliverable, so deferral never has to put the counter back. *)
     (try
        while not (Queue.is_empty t.pending) do
-         let irq = Queue.pop t.pending in
-         if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable - 1;
+         let irq = pop_pending t in
          if deliverable t irq then run_irq t irq else Queue.push irq t.deferred
-       done;
-       Queue.transfer t.deferred t.pending
+       done
      with e ->
-       (* Deferred IRQs (all maskable, so no counter adjustment) go back on
-          [pending] so the field is empty again for the next drain. *)
-       Queue.transfer t.deferred t.pending;
-       t.draining <- false;
+       end_drain t;
        raise e);
-    t.draining <- false
+    end_drain t
   end
+
+(* Detached dispatch: the same drain, driven by engine events on the CPU's
+   dispatch handler. Event [a = 0] starts the drain, [1] is an entry
+   boundary and [2] an exit boundary; each is scheduled exactly where a
+   process delaying through entry and exit would wake, so event order is
+   that of [run_irq]'s delays. Only the
+   handler body, which may suspend, runs in a pooled process, started
+   synchronously at its entry boundary. When a delay is free ([try_advance]
+   succeeds, or it costs nothing) the drain goes straight on: after a
+   handler, in the same process, to the next IRQ's handler.
+
+   [next_irq] pops up to the next deliverable IRQ and runs its prologue. It
+   returns [true] when the handler is due now, [false] when the entry
+   boundary is scheduled or the drain is over. *)
+let rec next_irq t =
+  if Queue.is_empty t.pending then begin
+    end_drain t;
+    false
+  end
+  else begin
+    let irq = pop_pending t in
+    if deliverable t irq then begin
+      let entry = irq_prologue t irq in
+      if entry = 0 || Engine.try_advance t.eng ~cycles:entry then true
+      else begin
+        Engine.schedule_tag t.eng ~delay:entry ~tag:t.dispatch_tag ~a:1 ~b:0;
+        false
+      end
+    end
+    else begin
+      Queue.push irq t.deferred;
+      next_irq t
+    end
+  end
+
+(* The pooled processes' body: handlers, with the exit delays between them
+   that take the fast path. *)
+let run_handlers t () =
+  try
+    let go = ref true in
+    while !go do
+      t.irq.handler t;
+      let exit = t.cost.irq_exit in
+      if exit = 0 || Engine.try_advance t.eng ~cycles:exit then begin
+        irq_epilogue t;
+        go := next_irq t
+      end
+      else begin
+        Engine.schedule_tag t.eng ~delay:exit ~tag:t.dispatch_tag ~a:2 ~b:0;
+        go := false
+      end
+    done
+  with e ->
+    end_drain t;
+    raise e
+
+let dispatch t a =
+  let handler_due =
+    match a with
+    | 0 ->
+        if t.draining then false
+        else begin
+          t.draining <- true;
+          next_irq t
+        end
+    | 1 -> true
+    | _ ->
+        irq_epilogue t;
+        next_irq t
+  in
+  if handler_due then
+    match t.dispatchers with Some pool -> Process.run_pooled pool | None -> ()
 
 let in_service_window t f =
   t.service_depth <- t.service_depth + 1;
@@ -152,24 +260,23 @@ let in_service_window t f =
 
 (* Detached dispatch: legal only when no service point will drain soon AND
    the CPU is not executing user code (handlers exclude user-mode
-   execution; kernel code — running or blocked — may be interleaved). A
-   dispatch is one drain in a pooled process: a dispatcher that finished
-   its drain is started again rather than a new process spawned, at the
-   same one engine event a spawn costs. *)
+   execution; kernel code — running or blocked — may be interleaved). The
+   drain starts at an engine event at the current instant, after the
+   events already due now. *)
 let maybe_dispatch t =
   if
     t.service_depth = 0
     && (t.occupancy = 0 || not t.user)
     && (not t.draining)
     && has_deliverable t
-  then
-    match t.dispatchers with
-    | Some pool -> Process.start_pooled pool
-    | None ->
-        let name = dispatch_name_of t.cpu_id in
-        let pool = Process.pool t.eng ~name (fun () -> service_pending t) in
-        t.dispatchers <- Some pool;
-        Process.start_pooled pool
+  then begin
+    if t.dispatch_tag < 0 then begin
+      let name = dispatch_name_of t.cpu_id in
+      t.dispatchers <- Some (Process.pool t.eng ~name (run_handlers t));
+      t.dispatch_tag <- Engine.register_handler t.eng (fun a _ -> dispatch t a)
+    end;
+    Engine.schedule_tag t.eng ~delay:0 ~tag:t.dispatch_tag ~a:0 ~b:0
+  end
 
 let post_irq t irq =
   Queue.push irq t.pending;

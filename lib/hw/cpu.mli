@@ -2,9 +2,13 @@
 
     Interrupts are serviced at explicit points — between compute chunks,
     inside spin-wait polls, and in idle waits — which models real interrupt
-    delivery at instruction boundaries plus dispatch latency. Handler
-    execution time is attributed to the CPU's [interrupted_cycles], which is
-    exactly what the paper's microbenchmark reports for responder cores. *)
+    delivery at instruction boundaries plus dispatch latency. A CPU with no
+    such point coming (idle, or running kernel code) takes them detached:
+    its dispatch handler drives the drain from engine events at the start,
+    each IRQ entry boundary and each exit boundary, and runs only the
+    handler bodies in pooled processes. Handler execution time is
+    attributed to the CPU's [interrupted_cycles], which is exactly what the
+    paper's microbenchmark reports for responder cores. *)
 
 type t
 
@@ -93,6 +97,14 @@ val poll_wait : t -> (unit -> bool) -> unit
 (** Block until an IRQ is posted (or return immediately if one is pending),
     then service. The idle loop of a core. *)
 val idle_wait : t -> unit
+
+(** Is a drain of the pending IRQs in progress? False whenever the CPU is
+    quiescent. *)
+val draining : t -> bool
+
+(** Detached-dispatch processes running or suspended in an IRQ handler.
+    Zero whenever the CPU is quiescent. *)
+val busy_dispatchers : t -> int
 
 (** Pending IRQ count (for tests). *)
 val pending_irqs : t -> int

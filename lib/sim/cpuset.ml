@@ -115,6 +115,35 @@ let iter f t =
     end
   done
 
+(* A cursor for walks that suspend between members, where [iter] cannot
+   hold its place. *)
+let next t b =
+  let words = t.words in
+  let n = Array.length words in
+  let wi = ref (b lsr bits_per_word_shift) in
+  let w =
+    ref
+      (if !wi < n then Array.unsafe_get words !wi land (-1 lsl (b land bit_mask))
+       else 0)
+  in
+  while !w = 0 && !wi + 1 < n do
+    incr wi;
+    w := Array.unsafe_get words !wi
+  done;
+  if !w = 0 then -1
+  else begin
+    let b = ref (!wi lsl bits_per_word_shift) in
+    while !w land 0xff = 0 do
+      w := !w lsr 8;
+      b := !b + 8
+    done;
+    while !w land 1 = 0 do
+      w := !w lsr 1;
+      incr b
+    done;
+    !b
+  end
+
 let fold f init t =
   let words = t.words in
   let acc = ref init in

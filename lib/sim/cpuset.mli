@@ -44,6 +44,10 @@ val count : t -> int
     not [set] bits in [t]. *)
 val iter : (int -> unit) -> t -> unit
 
+(** [next t b] is the least member [>= b] ([b >= 0]), or [-1] when there
+    is none. Unlike {!iter} it reads the set afresh at every call. *)
+val next : t -> int -> int
+
 (** [fold f init t] folds over members in ascending order; same
     reentrancy contract as {!iter}. *)
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

@@ -28,6 +28,16 @@ val events_run : t -> int
 (** Number of suspend-free clock advances (the [try_advance] fast path). *)
 val advances : t -> int
 
+(** Process effect suspensions so far: every [Sleep], [Tick] and [Park]
+    a {!Process} performed on this engine. A suspension is a fiber
+    capture and a later resume, the dearest thing a process does, so this
+    counts what the [try_advance] fast path, tick fusion and
+    {!Process.chain} exist to avoid. *)
+val suspensions : t -> int
+
+(** Count one suspension; {!Process} calls it as a process suspends. *)
+val note_suspension : t -> unit
+
 (** Engine operations so far: [events_run + advances]. Per-engine by
     design — each simulation run owns its engine, so a harness attributes
     ops to a run by reading this after the run and sums across runs at

@@ -20,18 +20,20 @@ let () =
      ([arg_step]) at that boundary and at each later one, from inside the
      engine handler. [step () = 0] resumes the process at the current
      boundary; [step () = d] sleeps [d] more cycles without resuming. One
-     suspension thus spans any run of idle poll ticks: every boundary is
-     still its own engine event at exactly the time a chain of [delay]s
-     would produce (so event counts, timestamps and seq order are
-     unchanged), but an idle boundary re-arms allocation-free instead of
-     paying a continuation resume and capture.
+     suspension thus spans any run of boundaries — idle poll ticks, or
+     work that never suspends, such as a run of cacheline charges: every
+     boundary is still its own engine event at exactly the time a chain
+     of [delay]s would produce (so event counts, timestamps and seq order
+     are unchanged), but it re-arms allocation-free instead of paying a
+     continuation resume and capture.
    - [Park]: stay suspended until [wake] names the process's tag. *)
 type _ Effect.t += Sleep : unit Effect.t | Tick : unit Effect.t | Park : unit Effect.t
 
 (* Everything a process needs between suspensions, in one record. The
    engine handler registered at spawn dispatches on the event's [a]:
    0 resumes from a sleep, 1 runs a tick boundary, 2 starts the body and
-   3 wakes a parked process. A spawned process releases its tag when it
+   3 wakes a parked process; [run] starts the body synchronously instead
+   (a pool member's start). A spawned process releases its tag when it
    completes (it cannot be suspended while it runs, so no event can still
    carry the tag); a pool member keeps it and goes back to its pool's idle
    stack, ready to be started again. *)
@@ -42,6 +44,7 @@ type proc = {
   mutable k : (unit, unit) continuation option;
   mutable step : unit -> int;
   mutable parked : bool;
+  mutable run : unit -> unit;
   home : pool option;
 }
 
@@ -51,6 +54,7 @@ and pool = {
   body : unit -> unit;
   mutable idle : proc array; (* stack of finished members, [n_idle] deep *)
   mutable n_idle : int;
+  mutable members : int; (* live members, idle or not *)
 }
 
 let no_step () = invalid_arg "Process: tick without a step"
@@ -111,19 +115,32 @@ let push_idle pool p =
 (* Build a process and register its engine handler without starting it;
    an [a = 2] event on [p.tag] runs [f] from the top. *)
 let create engine ~name ?home f =
-  let p = { engine; name; tag = -1; k = None; step = no_step; parked = false; home } in
+  let p =
+    {
+      engine;
+      name;
+      tag = -1;
+      k = None;
+      step = no_step;
+      parked = false;
+      run = ignore;
+      home;
+    }
+  in
   (* Built once per process, so [effc] returns a preallocated handler and
      a suspension allocates only the continuation and its [Some] slot. *)
   let on_sleep =
     Some
       (fun k ->
         p.k <- Some k;
+        Engine.note_suspension engine;
         Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:0 ~b:0)
   in
   let on_tick =
     Some
       (fun k ->
         p.k <- Some k;
+        Engine.note_suspension engine;
         p.step <- Engine.arg_step engine;
         Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:1 ~b:0)
   in
@@ -131,6 +148,7 @@ let create engine ~name ?home f =
     Some
       (fun k ->
         p.k <- Some k;
+        Engine.note_suspension engine;
         p.parked <- true)
   in
   let handler =
@@ -143,6 +161,7 @@ let create engine ~name ?home f =
       exnc =
         (fun e ->
           Engine.release_handler engine p.tag;
+          (match p.home with Some pool -> pool.members <- pool.members - 1 | None -> ());
           raise (Process_failure (name, e)));
       effc =
         (fun (type a) (eff : a Effect.t) :
@@ -154,13 +173,13 @@ let create engine ~name ?home f =
           | _ -> None);
     }
   in
-  let run_body () = match_with f () handler in
+  p.run <- (fun () -> match_with f () handler);
   p.tag <-
     Engine.register_handler engine (fun a _ ->
         match a with
         | 0 -> resume p
         | 1 -> tick p
-        | 2 -> as_current p run_body ()
+        | 2 -> as_current p p.run ()
         | _ -> wake_parked p);
   p
 
@@ -168,20 +187,27 @@ let start p = Engine.schedule_tag p.engine ~delay:0 ~tag:p.tag ~a:2 ~b:0
 let spawn engine ~name f = start (create engine ~name f)
 
 let pool engine ~name body =
-  { pool_engine = engine; pool_name = name; body; idle = [||]; n_idle = 0 }
+  { pool_engine = engine; pool_name = name; body; idle = [||]; n_idle = 0; members = 0 }
 
 (* A member runs to completion before it is idle again, so its fiber is
    freed at every return and an idle member holds no stack: a pool left
    behind by a finished run leaks nothing, where a parked process would
    keep its fiber for good. *)
-let start_pooled pool =
-  if pool.n_idle > 0 then begin
-    pool.n_idle <- pool.n_idle - 1;
-    start pool.idle.(pool.n_idle)
-  end
-  else start (create pool.pool_engine ~name:pool.pool_name ~home:pool pool.body)
+let run_pooled pool =
+  let p =
+    if pool.n_idle > 0 then begin
+      pool.n_idle <- pool.n_idle - 1;
+      pool.idle.(pool.n_idle)
+    end
+    else begin
+      pool.members <- pool.members + 1;
+      create pool.pool_engine ~name:pool.pool_name ~home:pool pool.body
+    end
+  in
+  as_current p p.run ()
 
 let idle_members pool = pool.n_idle
+let busy_members pool = pool.members - pool.n_idle
 
 let sleep engine cycles =
   Engine.set_arg_cycles engine cycles;
@@ -212,6 +238,11 @@ let rec tick_fast engine step d =
 let tick_sleep engine ~first step =
   if first <= 0 then invalid_arg "Process.tick_sleep: nonpositive first interval";
   tick_fast engine step first
+
+let chain engine step =
+  let d = step () in
+  if d < 0 then invalid_arg "Process.chain: negative interval"
+  else if d > 0 then tick_fast engine step d
 
 let yield engine = if Engine.try_advance engine ~cycles:0 then () else sleep engine 0
 

@@ -24,9 +24,9 @@ val spawn : Engine.t -> name:string -> (unit -> unit) -> unit
 (** {2 Pools}
 
     A pool runs one body in reusable processes, for a body that is started
-    over and over (a CPU's detached IRQ dispatch). Starting a pooled run
-    costs one engine event at the current instant, exactly like {!spawn},
-    but an idle member is restarted instead of a new process being built. *)
+    over and over (a CPU's detached IRQ handlers). A pooled run starts
+    synchronously, inside the caller's engine event, and an idle member is
+    restarted instead of a new process being built. *)
 
 type pool
 
@@ -34,14 +34,21 @@ type pool
     [name] and run [body]. Members are created on demand. *)
 val pool : Engine.t -> name:string -> (unit -> unit) -> pool
 
-(** Run the pool's body once more, from the top, at the current instant:
-    in an idle member if there is one (the most recently finished), else in
-    a new member. A member becomes idle again when [body] returns; one whose
-    body raises is dropped and fails like a spawned process. *)
-val start_pooled : pool -> unit
+(** Run the pool's body once more, from the top, now: in an idle member if
+    there is one (the most recently finished), else in a new member. It
+    returns when the body returns or first suspends; a suspended member
+    goes on from its own events, like any process. A member becomes idle
+    again when [body] returns; one whose body raises is dropped, and the
+    {!Process_failure} naming it escapes from whichever call ran it (this
+    one, or the engine event that resumed it). Call it from an engine
+    event handler. *)
+val run_pooled : pool -> unit
 
 (** Members that have finished and wait to be started again. *)
 val idle_members : pool -> int
+
+(** Members started and not yet finished: running or suspended. *)
+val busy_members : pool -> int
 
 (** Advance this process's local time by [cycles] (>= 0). When no pending
     event falls inside the window this is a plain clock bump
@@ -57,15 +64,32 @@ val yield : Engine.t -> unit
     [step ()] at that boundary and at each subsequent one: a return of [0]
     resumes the process at the current boundary, [d > 0] sleeps [d] more
     cycles first. Behaviour — event times, event counts and same-cycle
-    ordering — is exactly that of the equivalent chain of {!delay} calls
-    re-checking a condition between sleeps, but a run of idle boundaries
-    costs one effect suspension total instead of one continuation
-    capture/resume (and its allocations) per boundary: idle boundaries are
-    handled inside the engine event, allocation-free. [step] must be free
-    of observable side effects when it returns nonzero (private cursor
-    movement is fine), because the process is not resumed for that
-    boundary. Must only be called from process context. *)
+    ordering — is exactly that of the process doing, at each boundary,
+    what [step] does and then calling [delay d], but the whole run costs
+    at most one effect suspension instead of one continuation
+    capture/resume (and its allocations) per boundary: the boundaries are
+    handled inside the engine event.
+
+    So [step] may do the work due at its boundary — poll a condition,
+    charge a cacheline, invalidate a TLB entry — as long as it never
+    suspends. It must not call {!delay}, {!yield}, {!park} or anything
+    built on them ([Waitq], a machine's [charge_*]), and it must not read
+    {!self_name} or {!self_tag}: after the first boundary it runs outside
+    the process. A cost that is zero is not a boundary ([delay 0] makes no
+    event), so a step with zero-cost work must go straight on to its next
+    action instead of returning [0]. An exception raised by [step] at a
+    boundary escapes the engine loop unwrapped, not as
+    {!Process_failure}. Must only be called from process context. *)
 val tick_sleep : Engine.t -> first:int -> (unit -> int) -> unit
+
+(** [chain engine step] runs [step ()] now; a return of [0] ends the chain,
+    and [d > 0] continues exactly as [tick_sleep engine ~first:d step].
+    This is how a run of charges is written: each step does the work due
+    at its boundary and returns the cost of the next one, so the run
+    suspends the process at most once, where a [delay] per charge would
+    suspend it once per charge whenever another event falls inside the
+    window. Same rules for [step] as {!tick_sleep}. *)
+val chain : Engine.t -> (unit -> int) -> unit
 
 (** Name of the process currently running on [engine] ("main" outside any
     process). Per-engine rather than global so independent machines can run

@@ -648,10 +648,12 @@ let lone_cpu () =
 (* Exact minor words per detached dispatch of a no-op IRQ to an idle CPU,
    from two runs that differ only in the number of dispatches, so the
    first dispatch (which builds the CPU's dispatcher) cancels out. An
-   engine event every cycle keeps both [run_irq] delays off the
+   engine event every cycle keeps the entry and exit delays off the
    [try_advance] fast path. What is left per IRQ: its [pending] queue cell
-   (3 words), the pooled dispatcher's restart (5) and two suspended delays
-   (4 each). A process spawned per dispatch would cost 64 words on top. *)
+   (3 words) and the pooled handler process's start (5). The entry and
+   exit boundaries are events on the CPU's dispatch handler, so neither
+   suspends a process. A process spawned per dispatch would cost 64 words
+   on top. *)
 let test_dispatch_words () =
   let period = 2048 in
   let words n =
@@ -671,12 +673,13 @@ let test_dispatch_words () =
     w
   in
   let n1 = 20 and n2 = 220 in
-  check int_t "16 words per detached dispatch" (16 * (n2 - n1)) (words n2 - words n1)
+  check int_t "8 words per detached dispatch" (8 * (n2 - n1)) (words n2 - words n1)
 
 (* A scripted idle CPU: IRQs posted while a dispatcher is mid-handler,
-   while the CPU is masked, and twice in one instant, then a handler that
-   raises. The (time, vector) log pins when each IRQ ran and that each ran
-   exactly once. *)
+   while the CPU is masked, twice in one instant, and inside an exit
+   window that another event makes contended, then a handler that raises.
+   The (time, vector) log pins when each IRQ ran and that each ran exactly
+   once. *)
 let test_dispatch_script () =
   let e, cpu = lone_cpu () in
   let log = ref [] in
@@ -712,19 +715,39 @@ let test_dispatch_script () =
          both IRQs; the second finds the drain running and handles
          nothing. *)
       Cpu.post_irq cpu (irq ~cycles:50 6);
-      Cpu.post_irq cpu (irq 7));
+      Cpu.post_irq cpu (irq 7);
+      Process.delay e 2000;
+      (* IRQ 10's entry and handler windows are empty and take the fast
+         path; this process's wake-up falls inside its exit, so the exit is
+         an engine event, and IRQ 11, posted at that wake-up, is the drain's
+         next IRQ after it. *)
+      Cpu.post_irq cpu (irq ~cycles:100 10);
+      Process.delay e 470;
+      Cpu.post_irq cpu (irq 11));
   Engine.run e;
   check
     Alcotest.(list (pair int int))
     "handled (time, vector)"
-    [ (320, 1); (1840, 2); (2560, 3); (5720, 5); (7720, 4); (9240, 6); (9810, 7) ]
+    [
+      (320, 1);
+      (1840, 2);
+      (2560, 3);
+      (5720, 5);
+      (7720, 4);
+      (9240, 6);
+      (9810, 7);
+      (11240, 10);
+      (11860, 11);
+    ]
     (List.rev !log);
-  check int_t "each irq handled once" 7 (Cpu.irqs_handled cpu);
+  check int_t "each irq handled once" 9 (Cpu.irqs_handled cpu);
   check int_t "nothing pending" 0 (Cpu.pending_irqs cpu);
   Cpu.post_irq cpu { Cpu.vector = 8; maskable = true; handler = (fun _ -> failwith "boom") };
   Alcotest.check_raises "a failing handler fails its dispatcher"
     (Process.Process_failure ("irq-dispatch-cpu1", Failure "boom"))
     (fun () -> Engine.run e);
+  check bool_t "the failed drain was ended" false (Cpu.draining cpu);
+  check int_t "no dispatcher left busy" 0 (Cpu.busy_dispatchers cpu);
   (* The failed dispatcher is gone; the next IRQ still gets one. *)
   Cpu.post_irq cpu (irq 9);
   Engine.run e;

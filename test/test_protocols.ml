@@ -333,6 +333,75 @@ let test_shootout_identical_at_any_j () =
   check bool_t "-j2 byte-identical to -j1" true (String.equal j1 (run 2));
   check bool_t "-j4 byte-identical to -j1" true (String.equal j1 (run 4))
 
+(* ---------- suspensions per charge run ---------- *)
+
+(* An engine event every cycle for [cycles] cycles: no delay, tick or
+   chain boundary inside them can take the [try_advance] fast path, so
+   every charge outside a charge run suspends its process. *)
+let keep_busy m cycles =
+  let e = m.Machine.engine in
+  let tag = ref (-1) in
+  tag :=
+    Engine.register_handler e (fun left _ ->
+        if left > 0 then Engine.schedule_tag e ~delay:1 ~tag:!tag ~a:(left - 1) ~b:0);
+  Engine.schedule_tag e ~delay:0 ~tag:!tag ~a:cycles ~b:0
+
+(* Engine suspensions of one single-page shootdown from cpu 0 of an
+   [n]-CPU machine under [protocol], on a busy engine, every other CPU
+   idle (no occupant, the mm not loaded). *)
+let broadcast_suspensions protocol n =
+  let m =
+    Machine.create ~topo:(Topology.flat n)
+      ~opts:(Opts.with_protocol protocol ~safe:true)
+      ~seed:3L ()
+  in
+  let mm = Machine.new_mm m in
+  let busy = 100_000 and done_at = ref max_int in
+  keep_busy m busy;
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
+      let vpn = map_pages m mm ~pages:1 in
+      Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn;
+      done_at := Machine.now m);
+  Kernel.run m;
+  Kernel.check_run m ~who:"broadcast";
+  check bool_t "the shootdown ran on a busy engine" true (!done_at < busy);
+  check int_t "every responder IPI'd" (n - 1) (Apic.ipis_sent m.Machine.apic);
+  Engine.suspensions m.Machine.engine
+
+(* One more idle responder costs its own suspensions and nothing else:
+   these initiators pay no per-target charge outside a charge run. A
+   sync-broadcast responder suspends to read the status line and to write
+   its done bit; IRQ entry and exit are dispatch-handler events. An oracle
+   responder's queue, CSD and info reads, page walk, CR3 write and ack
+   write are two charge runs. *)
+let test_responder_suspensions () =
+  let per_responder protocol =
+    broadcast_suspensions protocol 4 - broadcast_suspensions protocol 3
+  in
+  check int_t "idle sync-broadcast responder" 2 (per_responder Opts.Sync_broadcast);
+  check int_t "oracle responder" 2 (per_responder Opts.Oracle)
+
+(* Enqueueing work for k targets is 2k line writes, one charge run. *)
+let test_enqueue_work_suspensions () =
+  let opts =
+    Opts.map_paper
+      (fun p -> { p with Opts.cacheline_consolidation = true })
+      (Opts.baseline ~safe:true)
+  in
+  let m = Machine.create ~topo:(Topology.flat 8) ~opts ~seed:3L () in
+  let e = m.Machine.engine in
+  keep_busy m 10_000;
+  let suspensions = ref (-1) and queued = ref 0 in
+  Process.spawn e ~name:"initiator" (fun () ->
+      let targets = Cpuset.of_list [ 1; 2; 3; 5; 7 ] in
+      let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+      let s0 = Engine.suspensions e in
+      queued := Array.length (Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false);
+      suspensions := Engine.suspensions e - s0);
+  Machine.run m;
+  check int_t "five CFDs" 5 !queued;
+  check int_t "one suspension for ten line writes" 1 !suspensions
+
 let suite =
   [
     Alcotest.test_case "opts key distinct per protocol" `Quick
@@ -357,4 +426,8 @@ let suite =
       test_workloads_identical_at_any_j;
     Alcotest.test_case "shootout byte-identical at any -j" `Quick
       test_shootout_identical_at_any_j;
+    Alcotest.test_case "suspensions: one per responder charge run" `Quick
+      test_responder_suspensions;
+    Alcotest.test_case "suspensions: enqueue_work is one charge run" `Quick
+      test_enqueue_work_suspensions;
   ]

@@ -596,7 +596,8 @@ let test_alloc_spawn () =
   check bool_t (Printf.sprintf "spawn + run costs %d <= 68 words" w) true (w <= 68)
 
 (* A pool restarts its finished members instead of building new ones.
-   Starts in one instant overlap, so each needs its own member; a member
+   Runs started in one instant overlap, so each needs its own member; a
+   run that suspends keeps its member busy until it returns; a member
    whose body raises fails like a spawned process and leaves the pool. *)
 let test_process_pool () =
   let e = Engine.create () in
@@ -607,13 +608,18 @@ let test_process_pool () =
         Process.delay e 10;
         if !fail then failwith "boom")
   in
+  let start = Engine.register_handler e (fun _ _ -> Process.run_pooled pool) in
   for _ = 1 to 3 do
-    Process.start_pooled pool
+    Engine.schedule_tag e ~delay:0 ~tag:start ~a:0 ~b:0
   done;
   Engine.run e;
   check int_t "three members, all idle" 3 (Process.idle_members pool);
-  Process.start_pooled pool;
+  (* A pending event inside the sleep keeps the restarted run suspended. *)
+  Engine.schedule e ~delay:5 ignore;
+  Engine.schedule_tag e ~delay:0 ~tag:start ~a:0 ~b:0;
+  ignore (Engine.step e);
   check int_t "one restarted" 2 (Process.idle_members pool);
+  check int_t "and busy while it sleeps" 1 (Process.busy_members pool);
   Engine.run e;
   check int_t "it came back" 3 (Process.idle_members pool);
   check
@@ -622,23 +628,19 @@ let test_process_pool () =
     [ (0, "worker"); (0, "worker"); (0, "worker"); (10, "worker") ]
     (List.rev !runs);
   fail := true;
-  Process.start_pooled pool;
+  Engine.schedule_tag e ~delay:0 ~tag:start ~a:0 ~b:0;
   Alcotest.check_raises "a failing member fails like a process"
     (Process.Process_failure ("worker", Failure "boom")) (fun () -> Engine.run e);
-  check int_t "the failed member is dropped" 2 (Process.idle_members pool)
+  check int_t "the failed member is dropped" 2 (Process.idle_members pool);
+  check int_t "and is not busy" 0 (Process.busy_members pool)
 
 (* Restarting an idle pool member and running a trivial body: only the
    5-word effect closure [Effect.Deep.match_with] builds for each run. *)
 let test_alloc_pooled_start () =
   let e = Engine.create () in
   let pool = Process.pool e ~name:"p" (fun () -> ()) in
-  Process.start_pooled pool;
-  Engine.run e;
-  let w =
-    minor_words (fun () ->
-        Process.start_pooled pool;
-        Engine.run e)
-  in
+  Process.run_pooled pool;
+  let w = minor_words (fun () -> Process.run_pooled pool) in
   check int_t "a pooled start + run costs 5 words" 5 w
 
 (* A wake whose process is no longer parked must not resume it: the
@@ -693,6 +695,106 @@ let suspension_mix rounds =
       done);
   Engine.run e;
   (List.rev !log, !polls, Engine.events_run e, Engine.now e)
+
+(* --- Chains are delays ---
+
+   Processes run random programs of delays, actions on a shared counter
+   and k-step runs (a delay, then an action, k times). Costs include zero,
+   which makes no event, and long sleeps, whose windows are often empty so
+   [try_advance] succeeds. Every program runs once with each run written
+   as [delay]s and once with each run as one [Process.chain] whose steps
+   do the actions at their boundaries. The (time, actor, counter) logs,
+   [events_run] and [advances] must be identical, both in (time, seq)
+   order and under a seeded chooser, and the chains must suspend less. *)
+type chain_instr = Wait of int | Act | Run of int list
+
+let random_cost rng =
+  match Rng.int rng 4 with
+  | 0 -> 0
+  | 1 -> 1 + Rng.int rng 3
+  | 2 -> 5 + Rng.int rng 20
+  | _ -> 200 + Rng.int rng 500
+
+let random_program rng =
+  List.init (4 + Rng.int rng 12) (fun _ ->
+      match Rng.int rng 3 with
+      | 0 -> Wait (random_cost rng)
+      | 1 -> Act
+      | _ -> Run (List.init (1 + Rng.int rng 6) (fun _ -> random_cost rng)))
+
+let run_programs ~chained ?chooser programs =
+  let e = Engine.create () in
+  Option.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      Engine.set_chooser e ~horizon:8 (fun n -> Rng.int rng n))
+    chooser;
+  let counter = ref 0 and log = ref [] in
+  let act who =
+    incr counter;
+    log := (Engine.now e, who, !counter) :: !log
+  in
+  let run who steps =
+    if chained then begin
+      (* [paid]: the head's cost has elapsed, its action is due. *)
+      let rest = ref steps and paid = ref false in
+      let rec step () =
+        match !rest with
+        | [] -> 0
+        | d :: tl ->
+            if !paid then begin
+              paid := false;
+              act who;
+              rest := tl;
+              step ()
+            end
+            else begin
+              paid := true;
+              if d > 0 then d else step ()
+            end
+      in
+      Process.chain e step
+    end
+    else
+      List.iter
+        (fun d ->
+          Process.delay e d;
+          act who)
+        steps
+  in
+  List.iteri
+    (fun i program ->
+      let who = Printf.sprintf "p%d" i in
+      Process.spawn e ~name:who (fun () ->
+          List.iter
+            (function
+              | Wait d -> Process.delay e d | Act -> act who | Run steps -> run who steps)
+            program))
+    programs;
+  Engine.run e;
+  ((List.rev !log, Engine.events_run e, Engine.advances e), Engine.suspensions e)
+
+let test_chain_model () =
+  let log_t =
+    Alcotest.(triple (list (triple int string int)) int int)
+  in
+  let advanced = ref 0 and saved = ref 0 in
+  for seed = 1 to 60 do
+    let rng = Rng.create ~seed:(Int64.of_int seed) in
+    let programs = List.init (2 + Rng.int rng 4) (fun _ -> random_program rng) in
+    List.iter
+      (fun chooser ->
+        let delays, s_delays = run_programs ~chained:false ?chooser programs in
+        let chains, s_chains = run_programs ~chained:true ?chooser programs in
+        check log_t (Printf.sprintf "seed %d" seed) delays chains;
+        let _, _, advances = delays in
+        advanced := !advanced + advances;
+        check bool_t "chains never suspend more" true (s_chains <= s_delays);
+        saved := !saved + (s_delays - s_chains))
+      [ None; Some (Int64.of_int seed) ]
+  done;
+  check bool_t "some windows took the fast path" true (!advanced > 0);
+  check bool_t "chains saved suspensions" true (!saved > 0)
 
 let test_process_two_domains () =
   let rounds = 20_000 in
@@ -1147,4 +1249,6 @@ let suite =
     Alcotest.test_case "trace: records in order" `Quick test_trace_records_in_order;
     Alcotest.test_case "trace: typed events" `Quick test_trace_typed_events;
     Alcotest.test_case "trace: ring-buffer cap" `Quick test_trace_ring_buffer_cap;
+    Alcotest.test_case "process: chains are delays (randomized model)" `Quick
+      test_chain_model;
   ]

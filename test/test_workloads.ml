@@ -192,6 +192,32 @@ let test_ipi_invariants_catch_imbalance () =
     (Failure "Demo: 0 IPI(s) sent but 1 handled at quiescence") (fun () ->
       Machine.check_run m ~who:"Demo")
 
+(* Dispatcher quiescence: a run must not end inside an IRQ drain. A
+   handler that parks for good leaves one behind: in a detached dispatcher
+   on an idle CPU (the dispatcher suspended, its drain running), and in a
+   process at its own service point (the drain running, no dispatcher).
+   [Kernel.check_run] must report each. *)
+let test_dispatch_quiescence () =
+  let stuck = { Cpu.vector = 1; maskable = true; handler = (fun _ -> Process.park ()) } in
+  let m = Machine.create ~opts:(Opts.all ~safe:true) () in
+  Process.spawn m.Machine.engine ~name:"poster" (fun () ->
+      Cpu.post_irq (Machine.cpu m 3) stuck);
+  Machine.run m;
+  Alcotest.check_raises "a dispatcher left suspended"
+    (Failure "Demo: cpu3: 1 IRQ dispatcher(s) suspended at quiescence") (fun () ->
+      Kernel.check_run m ~who:"Demo");
+  let m = Machine.create ~opts:(Opts.all ~safe:true) () in
+  let cpu = Machine.cpu m 2 in
+  Process.spawn m.Machine.engine ~name:"user" (fun () ->
+      (* An occupant in user mode: the IRQ waits for its service point. *)
+      Cpu.occupy cpu;
+      Cpu.post_irq cpu stuck;
+      Cpu.service_pending cpu);
+  Machine.run m;
+  Alcotest.check_raises "a drain left running"
+    (Failure "Demo: cpu2: IRQ drain still running at quiescence") (fun () ->
+      Kernel.check_run m ~who:"Demo")
+
 (* Sync-broadcast conservation: every responder whose done bit the
    initiator cleared sets it again and decrements [sync_outstanding], so
    the count is 0 at the end of every run. [Kernel.check_run], which
@@ -313,4 +339,6 @@ let suite =
     Alcotest.test_case "fracture: hugepages cut misses" `Quick test_fracture_2m_on_2m_fewer_misses;
     Alcotest.test_case "report: formatting" `Quick test_report_formatting;
     Alcotest.test_case "report: bars" `Quick test_report_bars;
+    Alcotest.test_case "quiescence: no dispatcher or drain left running" `Quick
+      test_dispatch_quiescence;
   ]
