@@ -1057,6 +1057,37 @@ let bechamel () =
              ignore (Engine.step e)
            done))
   in
+  (* An idle user-mode stretch of 100-cycle chunks in 50-cycle quanta, as
+     [Cpu.compute] called in a loop and as one [Cpu.compute_until], with an
+     engine event every 30 cycles so no quantum takes the fast path. The
+     flag never flips; one run is 1000 cycles (10 chunks, 33 ticks). *)
+  let idle_stretch spin =
+    let e = Engine.create () in
+    let cpu = Cpu.create e (Topology.flat 2) Costs.default ~id:1 ~safe:false () in
+    let flag = ref false in
+    ticker e ~period:30;
+    Process.spawn e ~name:"spinner" (fun () -> spin cpu (fun () -> !flag));
+    Staged.stage (fun () -> Engine.run_until e ~time:(Engine.now e + 1000))
+  in
+  let compute_until_test =
+    Test.make ~name:"cpu:compute_until (idle, contended)"
+      (idle_stretch (fun cpu until -> Cpu.compute_until cpu ~quantum:50 ~chunk:100 until))
+  in
+  let compute_loop_test =
+    Test.make ~name:"cpu:compute loop (idle, contended)"
+      (idle_stretch (fun cpu until ->
+           while not (until ()) do
+             Cpu.compute cpu ~quantum:50 100
+           done))
+  in
+  (* A first map into a fresh tree: three new tables and the root's first
+     chunk. *)
+  let pt_fresh_map_test =
+    let pte = Pte.user_data ~pfn:1 in
+    Test.make ~name:"page_table:map (fresh tree)"
+      (Staged.stage (fun () ->
+           Page_table.map (Page_table.create ()) ~vpn:10 ~size:Tlb.Four_k pte))
+  in
   (* A full flush of a TLB whose tables grew to hold its capacity: one
      insert, then the flush clears every bucket of the grown tables. *)
   let tlb_flush_test =
@@ -1124,6 +1155,9 @@ let bechamel () =
         pt_map_unmap_test;
         pt_update_test;
         compute_test;
+        compute_until_test;
+        compute_loop_test;
+        pt_fresh_map_test;
         tlb_flush_test;
         machine_create_test;
         cache_read_test;

@@ -210,9 +210,7 @@ let trace_cmd =
     let stop = ref false in
     Kernel.spawn_user m ~cpu:14 ~mm ~name:"responder" (fun () ->
         let cpu = Machine.cpu m 14 in
-        while not !stop do
-          Cpu.compute cpu ~quantum:100 100
-        done);
+        Cpu.compute_until cpu ~quantum:100 ~chunk:100 (fun () -> !stop));
     Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
         Machine.delay m 2_000;
         let addr = Syscall.mmap m ~cpu:0 ~pages:ptes () in

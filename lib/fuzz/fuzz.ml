@@ -347,7 +347,9 @@ let execute ~opts program =
           | Some (i, op) ->
               run_op w i op;
               cmd.(w) <- None
-          | None -> Cpu.compute (Machine.cpu m wcpu.(w)) ~quantum:50 100
+          | None ->
+              Cpu.compute_until (Machine.cpu m wcpu.(w)) ~quantum:50 ~chunk:100 (fun () ->
+                  !stop || Option.is_some cmd.(w))
         done;
         let c = wcpu.(w) in
         (* Exit through the trampoline so any §3.4 deferral drains. *)
@@ -364,9 +366,13 @@ let execute ~opts program =
                let w = worker_of op mod nw in
                cmd.(w) <- Some (i, op);
                let t0 = Machine.now m in
-               while Option.is_some cmd.(w) && Machine.now m - t0 < op_timeout_cycles do
-                 Machine.delay m 200
-               done;
+               let waiting () =
+                 Option.is_some cmd.(w) && Machine.now m - t0 < op_timeout_cycles
+               in
+               (* Poll every 200 cycles until the worker takes the op or it
+                  times out; the idle boundaries stay inside the engine. *)
+               Process.tick_sleep m.Machine.engine ~first:200 (fun () ->
+                   if waiting () then 200 else 0);
                if Option.is_some cmd.(w) then
                  crash := Some (Printf.sprintf "op %d (%s) wedged" i (Format.asprintf "%a" pp_op op))
              end)

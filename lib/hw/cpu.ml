@@ -308,32 +308,83 @@ let irq_enable t =
   t.masked <- false;
   if has_deliverable t then service_pending t
 
+(* User-mode computation, as a run of chunks of quantum-sized slices. Every
+   quantum boundary and every chunk end is its own engine event at the time
+   a [Process.delay] per quantum would give, but the boundaries are tick
+   steps ([spin_step]) run inside the engine event: the process resumes
+   only when an IRQ becomes serviceable at a boundary, or at the chunk end
+   where [until ()] holds. The service check at a chunk end and the one
+   that starts the next chunk both still run (the second a no-op), so a
+   stretch of chunks is timing-identical to calling [compute] once per
+   chunk; the service window stays open across the chunk ends, where the
+   per-chunk calls close it and reopen it with nothing in between. *)
+type spin = {
+  cpu : t;
+  quantum : int;
+  chunk : int;
+  until : unit -> bool;
+  mutable left : int; (* cycles of the chunk after the quantum in flight *)
+  mutable cur : int; (* the quantum in flight, accrued at its boundary *)
+  mutable held : bool; (* [until ()] held at a chunk end *)
+}
+
+let next_quantum s =
+  let c = Int.min s.quantum s.left in
+  s.left <- s.left - c;
+  s.cur <- c;
+  c
+
+(* A quantum boundary, run in the engine event. [0] resumes the process:
+   at an IRQ to service, or at a chunk end where [until ()] holds. A chunk
+   end with nothing to service goes straight on to the next chunk. *)
+let spin_step s () =
+  let t = s.cpu in
+  t.t_compute <- t.t_compute + s.cur;
+  if serviceable t then 0
+  else if s.left > 0 then next_quantum s
+  else if s.until () then begin
+    s.held <- true;
+    0
+  end
+  else begin
+    s.left <- s.chunk;
+    next_quantum s
+  end
+
+let rec spin_chunks s step =
+  let t = s.cpu in
+  if has_deliverable t then service_pending t;
+  Process.tick_sleep t.eng ~first:(next_quantum s) step;
+  if s.left > 0 then spin_chunks s step
+  else if not s.held then begin
+    (* A chunk end with an IRQ to service. *)
+    if has_deliverable t then service_pending t;
+    if not (s.until ()) then begin
+      s.left <- s.chunk;
+      spin_chunks s step
+    end
+  end
+
+let run_chunks t ~quantum ~chunk until =
+  if quantum <= 0 then invalid_arg "Cpu.compute: nonpositive quantum";
+  let s = { cpu = t; quantum; chunk; until; left = chunk; cur = 0; held = false } in
+  t.service_depth <- t.service_depth + 1;
+  match spin_chunks s (fun () -> spin_step s ()) with
+  | () -> t.service_depth <- t.service_depth - 1
+  | exception e ->
+      t.service_depth <- t.service_depth - 1;
+      raise e
+
+let always () = true
+
 let compute t ?(quantum = 200) cycles =
   if cycles < 0 then invalid_arg "Cpu.compute: negative cycles";
-  in_service_window t (fun () ->
-      let remaining = ref cycles in
-      while !remaining > 0 do
-        if has_deliverable t then service_pending t;
-        (* One suspension spans every consecutive idle quantum: each
-           boundary is still its own engine event at the old time, but only
-           a boundary with a deliverable IRQ — or the end of the span —
-           resumes the process. Accounting accrues at resume, which is
-           equivalent: the only mid-span observers are IRQ handlers, and
-           those run after resume (at the loop head) here as before. *)
-        let chunk0 = Int.min quantum !remaining in
-        let left = ref (!remaining - chunk0) in
-        Process.tick_sleep t.eng ~first:chunk0 (fun () ->
-            if !left = 0 || serviceable t then 0
-            else begin
-              let c = Int.min quantum !left in
-              left := !left - c;
-              c
-            end);
-        let slept = !remaining - !left in
-        t.t_compute <- t.t_compute + slept;
-        remaining := !left
-      done;
-      if has_deliverable t then service_pending t)
+  if cycles > 0 then run_chunks t ~quantum ~chunk:cycles always
+  else if has_deliverable t then in_service_window t (fun () -> service_pending t)
+
+let compute_until t ?(quantum = 200) ~chunk until =
+  if chunk <= 0 then invalid_arg "Cpu.compute_until: nonpositive chunk";
+  if not (until ()) then run_chunks t ~quantum ~chunk until
 
 let spin_until t cond =
   in_service_window t (fun () ->

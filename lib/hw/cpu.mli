@@ -77,6 +77,24 @@ val service_pending : t -> unit
     [quantum] (default 200) cycles. *)
 val compute : t -> ?quantum:int -> int -> unit
 
+(** [compute_until t ?quantum ~chunk until] is a user-mode idle spin: it
+    behaves exactly like
+    [while not (until ()) do compute t ?quantum chunk done] — same event
+    times, event counts and same-cycle order, same IRQ service points, same
+    [compute_cycles] total — but quantum boundaries and chunk ends are
+    handled inside the engine event, so the process resumes only when an
+    IRQ becomes deliverable at a boundary or [until ()] holds at a chunk
+    end. The whole stretch costs one effect suspension when nothing
+    interrupts it, where the loop costs one or more per chunk.
+
+    [until] is evaluated once before the first chunk and at every chunk
+    end, after that chunk end's IRQ service, and from the second chunk on
+    it runs outside the process: it must be observably side-effect-free,
+    never suspend, and not read {!Process.self_name}; an exception it
+    raises at a chunk end escapes the engine loop unwrapped. [chunk] must
+    be positive. *)
+val compute_until : t -> ?quantum:int -> chunk:int -> (unit -> bool) -> unit
+
 (** Spin until [cond ()] holds, servicing IRQs each poll. The condition is
     re-checked every [Costs.spin_poll] cycles. *)
 val spin_until : t -> (unit -> bool) -> unit

@@ -1,21 +1,30 @@
-(* tlblint: proven-bounds — [index_at] masks to 9 bits (land 511), the only
-   index ever fed to Array.unsafe_get on the 512-slot node arrays. *)
+(* tlblint: proven-bounds — [index_at] masks to 9 bits (land 511), so a
+   slot index splits into a chunk index [idx lsr 6] < 8, the length of
+   every [chunks] array, and a chunk offset [idx land 63] < 64, the length
+   of every chunk; these are the only indices fed to Array.unsafe_get. *)
 (* A node is a real 512-slot table, exactly like the x86-64 structure it
-   models: [index_at] produces 9-bit indices, so a flat array replaces the
+   models: [index_at] produces 9-bit indices, so flat arrays replace the
    hashtable this used — [walk] is the hottest lookup in page-fault-heavy
    workloads and generic hashing of the index was a measurable share of it.
+   The 512 slots are eight 64-slot chunks, each allocated on its first
+   write; until then it is [empty_chunk], one all-[Empty] chunk every node
+   shares and nothing writes. A fresh table thus costs a record, the chunk
+   index and one chunk, 78 minor-heap words, where one 512-slot array
+   would be a 513-word allocation straight into the major heap.
    [live] counts occupied slots so emptiness checks stay O(1). *)
-type node = { level : int; mutable live : int; slots : slot array }
+type node = { level : int; mutable live : int; chunks : slot array array }
 
 and slot = Empty | Table of node | Leaf of Pte.t * Tlb.page_size
+
+let empty_chunk : slot array = Array.make 64 Empty
 
 type t = {
   root : node;  (* level 4 *)
   spare : node list array;
-      (* [spare.(l)]: freed level-[l] tables, all slots [Empty], kept for
-         the next table this tree needs at that level. A 513-word node goes
-         straight to the major heap, and unmap-then-map churn (apache's
-         per-request mmap) would otherwise allocate one per request. *)
+      (* [spare.(l)]: freed level-[l] tables, all slots [Empty], kept with
+         their chunks for the next table this tree needs at that level, so
+         unmap-then-map churn (apache's per-request mmap) allocates no
+         table per request. *)
   mutable n_mapped : int;
   mutable n_tables : int;
   mutable n_tables_freed : int;
@@ -31,7 +40,25 @@ type range_unmap = {
 
 let index_at ~level vpn = (vpn lsr ((level - 1) * 9)) land 511
 
-let fresh_node level = { level; live = 0; slots = Array.make 512 Empty }
+let fresh_node level = { level; live = 0; chunks = Array.make 8 empty_chunk }
+
+let get node idx =
+  Array.unsafe_get (Array.unsafe_get node.chunks (idx lsr 6)) (idx land 63)
+
+(* Overwrite a slot whose chunk is already allocated (it holds a non-[Empty]
+   slot). *)
+let put node idx slot =
+  Array.unsafe_set (Array.unsafe_get node.chunks (idx lsr 6)) (idx land 63) slot
+
+(* The chunk holding slot [idx], allocated if this is its first write. *)
+let chunk_for_write node idx =
+  let c = Array.unsafe_get node.chunks (idx lsr 6) in
+  if c != empty_chunk then c
+  else begin
+    let c = Array.make 64 Empty in
+    Array.unsafe_set node.chunks (idx lsr 6) c;
+    c
+  end
 
 let create () =
   {
@@ -53,14 +80,17 @@ let take_node t level =
 let leaf_level = function Tlb.Four_k -> 1 | Tlb.Two_m -> 2
 
 let set node idx slot =
-  (match node.slots.(idx) with Empty -> node.live <- node.live + 1 | _ -> ());
-  node.slots.(idx) <- slot
+  let c = chunk_for_write node idx in
+  (match Array.unsafe_get c (idx land 63) with
+  | Empty -> node.live <- node.live + 1
+  | _ -> ());
+  Array.unsafe_set c (idx land 63) slot
 
 let clear node idx =
-  match node.slots.(idx) with
+  match get node idx with
   | Empty -> ()
   | _ ->
-      node.slots.(idx) <- Empty;
+      put node idx Empty;
       node.live <- node.live - 1
 
 (* Descend to the node at [target_level], creating intermediate tables. *)
@@ -68,7 +98,7 @@ let rec descend t node vpn ~target_level =
   if node.level = target_level then node
   else begin
     let idx = index_at ~level:node.level vpn in
-    match node.slots.(idx) with
+    match get node idx with
     | Table child -> descend t child vpn ~target_level
     | Leaf _ ->
         invalid_arg
@@ -87,7 +117,7 @@ let map t ~vpn ~size pte =
   let level = leaf_level size in
   let node = descend t t.root vpn ~target_level:level in
   let idx = index_at ~level vpn in
-  (match node.slots.(idx) with
+  (match get node idx with
   | Table _ -> invalid_arg "Page_table.map: slot holds a page table"
   | Leaf _ -> invalid_arg (Printf.sprintf "Page_table.map: vpn %d already mapped" vpn)
   | Empty -> ());
@@ -99,7 +129,7 @@ let map t ~vpn ~size pte =
 let find_leaf t vpn =
   let rec go node path =
     let idx = index_at ~level:node.level vpn in
-    match node.slots.(idx) with
+    match get node idx with
     | Empty -> None
     | Leaf (pte, size) -> Some (node, idx, pte, size, path)
     | Table child -> go child ((node, idx) :: path)
@@ -111,7 +141,7 @@ let find_leaf t vpn =
    [levels] (root is level 4, so a leaf at level L took 5 - L lookups). *)
 let walk t ~vpn =
   let rec go node =
-    match Array.unsafe_get node.slots (index_at ~level:node.level vpn) with
+    match get node (index_at ~level:node.level vpn) with
     | Empty -> None
     | Leaf (pte, size) ->
         if pte.Pte.present then Some { pte; size; levels = 5 - node.level } else None
@@ -129,7 +159,7 @@ let prune t path =
   let freed = ref false in
   List.iter
     (fun (node, idx) ->
-      match node.slots.(idx) with
+      match get node idx with
       | Table child when child.live = 0 ->
           clear node idx;
           t.spare.(child.level) <- child :: t.spare.(child.level);
@@ -174,11 +204,11 @@ let unmap_range t ~vpn ~pages ?(free_tables = false) () =
 let update t ~vpn ~f =
   let rec go node =
     let idx = index_at ~level:node.level vpn in
-    match Array.unsafe_get node.slots idx with
+    match get node idx with
     | Empty -> None
     | Leaf (pte, size) ->
         let pte' = f pte in
-        node.slots.(idx) <- Leaf (pte', size);
+        put node idx (Leaf (pte', size));
         t.ver <- t.ver + 1;
         Some (pte, pte')
     | Table child -> go child
@@ -196,7 +226,7 @@ let iter t ~f =
   let rec go node base =
     for idx = 0 to 511 do
       let base' = base lor (idx lsl ((node.level - 1) * 9)) in
-      match node.slots.(idx) with
+      match get node idx with
       | Empty -> ()
       | Leaf (pte, size) -> if pte.Pte.present then f base' pte size
       | Table child -> go child base'

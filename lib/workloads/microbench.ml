@@ -75,9 +75,7 @@ let run config =
   let measured_shootdowns = ref 0 in
   Kernel.spawn_user m ~cpu:responder ~mm ~name:"responder" (fun () ->
       let cpu_t = Machine.cpu m responder in
-      while not !stop do
-        Cpu.compute cpu_t ~quantum:100 100
-      done);
+      Cpu.compute_until cpu_t ~quantum:100 ~chunk:100 (fun () -> !stop));
   Kernel.spawn_user m ~cpu:initiator ~mm ~name:"initiator" (fun () ->
       (* Give the responder time to load the address space. *)
       Machine.delay m 5_000;

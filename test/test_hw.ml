@@ -753,6 +753,177 @@ let test_dispatch_script () =
   Engine.run e;
   check int_t "dispatch works after a failure" 9 (snd (List.hd !log))
 
+(* --- Fused idle spin --- *)
+
+(* [compute_until] against the loop it replaces,
+   [while not (until ()) do compute ... done], on random scripts. A
+   spinner runs stretches until a flipper sets its flag (at random
+   instants, some exactly at chunk ends) and, between stretches, idles a
+   random gap with the CPU unoccupied, so an IRQ posted then starts a
+   detached drain that can still be running when the next stretch begins.
+   IRQs are posted at random instants, at chunk ends and at quantum
+   boundaries, with handlers of 0 to 1500 cycles; quanta need not divide
+   the chunk. Each script runs in (time, seq) order and under a seeded
+   chooser. The (time, actor, action) log, [events_run], [advances] and
+   the CPU's cycle counters must be identical, and the fused spin must
+   never suspend more. *)
+let spin_script rng =
+  let quantum = [| 1; 7; 30; 50; 64; 100; 200 |].(Rng.int rng 7) in
+  let chunk = [| 1; 13; 100; 150; 333 |].(Rng.int rng 5) in
+  let start = Rng.int rng 400 in
+  let instant () =
+    match Rng.int rng 4 with
+    | 0 -> start + (chunk * Rng.int rng 12)
+    | 1 -> start + (quantum * Rng.int rng 12)
+    | 2 -> start + (chunk * Rng.int rng 12) + Rng.int rng 3 - 1
+    | _ -> Rng.int rng 3000
+  in
+  let flips = List.init (1 + Rng.int rng 3) (fun _ -> instant ()) in
+  let flips = List.sort Int.compare flips in
+  let gap _ = if Rng.int rng 2 = 0 then 0 else Rng.int rng 300 in
+  let gaps = List.init (List.length flips) gap in
+  let irqs =
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      (List.init (Rng.int rng 7) (fun v ->
+           (Int.max 0 (instant ()), [| 0; 20; 500; 1500 |].(Rng.int rng 4), v)))
+  in
+  (quantum, chunk, start, flips, gaps, irqs)
+
+let run_spin_script ~fused ?chooser (quantum, chunk, start, flips, gaps, irqs) =
+  let e, cpu = lone_cpu () in
+  Option.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      Engine.set_chooser e ~horizon:8 (fun n -> Rng.int rng n))
+    chooser;
+  let log = ref [] in
+  let note who what = log := (Engine.now e, who, what) :: !log in
+  let flag = ref false and finished = ref false in
+  let until () = !flag in
+  Process.spawn e ~name:"spinner" (fun () ->
+      Process.delay e start;
+      let gaps = ref gaps in
+      while not !finished do
+        if fused then Cpu.compute_until cpu ~quantum ~chunk until
+        else
+          while not (until ()) do
+            Cpu.compute cpu ~quantum chunk
+          done;
+        note "spinner" "stretch over";
+        flag := false;
+        match !gaps with
+        | g :: rest ->
+            gaps := rest;
+            Process.delay e g
+        | [] -> ()
+      done);
+  Process.spawn e ~name:"flipper" (fun () ->
+      List.iteri
+        (fun i at ->
+          Process.delay e (Int.max 0 (at - Engine.now e));
+          flag := true;
+          if i = List.length flips - 1 then finished := true;
+          note "flipper" "flip")
+        flips);
+  Process.spawn e ~name:"poster" (fun () ->
+      List.iter
+        (fun (at, cycles, v) ->
+          Process.delay e (Int.max 0 (at - Engine.now e));
+          Cpu.post_irq cpu
+            {
+              Cpu.vector = v;
+              maskable = true;
+              handler =
+                (fun _ ->
+                  note "irq" (Printf.sprintf "begin %d" v);
+                  Process.delay e cycles;
+                  note "irq" (Printf.sprintf "end %d" v));
+            })
+        irqs);
+  Engine.run e;
+  ( ( List.rev !log,
+      (Engine.events_run e, Engine.advances e),
+      (Cpu.compute_cycles cpu, Cpu.interrupted_cycles cpu, Cpu.irqs_handled cpu) ),
+    Engine.suspensions e )
+
+let test_compute_until_model () =
+  let result_t =
+    Alcotest.(
+      triple (list (triple int string string)) (pair int int) (triple int int int))
+  in
+  let saved = ref 0 in
+  for seed = 1 to 150 do
+    let rng = Rng.create ~seed:(Int64.of_int (0x5917 + seed)) in
+    let script = spin_script rng in
+    List.iter
+      (fun chooser ->
+        let looped, s_looped = run_spin_script ~fused:false ?chooser script in
+        let fused, s_fused = run_spin_script ~fused:true ?chooser script in
+        check result_t (Printf.sprintf "seed %d" seed) looped fused;
+        check bool_t "the fused spin never suspends more" true (s_fused <= s_looped);
+        saved := !saved + (s_looped - s_fused))
+      [ None; Some (Int64.of_int seed) ]
+  done;
+  check bool_t "the fused spin saved suspensions" true (!saved > 0)
+
+(* A 10,000-cycle idle stretch of 100-cycle chunks in 50-cycle quanta,
+   with an engine event every 30 cycles, so no quantum takes the
+   [try_advance] fast path. The loop suspends once per chunk; the fused
+   spin suspends once, resumed at the chunk end where its flag holds. *)
+let test_compute_until_suspends_once () =
+  let run fused =
+    let e, cpu = lone_cpu () in
+    let tag = ref (-1) in
+    tag :=
+      Engine.register_handler e (fun _ _ ->
+          if Engine.now e < 12_000 then
+            Engine.schedule_tag e ~delay:30 ~tag:!tag ~a:0 ~b:0);
+    Engine.schedule_tag e ~delay:0 ~tag:!tag ~a:0 ~b:0;
+    let flag = ref false and over = ref 0 in
+    Engine.schedule e ~delay:10_000 (fun () -> flag := true);
+    Process.spawn e ~name:"spinner" (fun () ->
+        if fused then Cpu.compute_until cpu ~quantum:50 ~chunk:100 (fun () -> !flag)
+        else
+          while not !flag do
+            Cpu.compute cpu ~quantum:50 100
+          done;
+        over := Engine.now e);
+    Engine.run e;
+    check int_t "over at the flip" 10_000 !over;
+    check int_t "every cycle computed" 10_000 (Cpu.compute_cycles cpu);
+    Engine.suspensions e
+  in
+  check int_t "the loop suspends once per chunk" 100 (run false);
+  check int_t "the fused spin suspends once" 1 (run true)
+
+(* Exact minor words per [compute ~quantum:50 100] call, from two runs
+   that differ only in the call count: the spin's state record (8 words)
+   and its tick step closure (4). With an engine event every 30 cycles the
+   call's one [Tick] suspension adds the continuation and its slot (4). *)
+let test_compute_words () =
+  let words ~contended n =
+    let e, cpu = lone_cpu () in
+    if contended then begin
+      let tag = ref (-1) in
+      tag :=
+        Engine.register_handler e (fun _ _ ->
+            if Engine.now e < n * 100 then
+              Engine.schedule_tag e ~delay:30 ~tag:!tag ~a:0 ~b:0);
+      Engine.schedule_tag e ~delay:0 ~tag:!tag ~a:0 ~b:0
+    end;
+    Process.spawn e ~name:"compute" (fun () ->
+        for _ = 1 to n do
+          Cpu.compute cpu ~quantum:50 100
+        done);
+    minor_words (fun () -> Engine.run e)
+  in
+  let n1 = 100 and n2 = 1100 in
+  check int_t "12 words per call" (12 * (n2 - n1))
+    (words ~contended:false n2 - words ~contended:false n1);
+  check int_t "16 words per contended call" (16 * (n2 - n1))
+    (words ~contended:true n2 - words ~contended:true n1)
+
 let suite =
   [
     Alcotest.test_case "topology: sizes" `Quick test_topology_sizes;
@@ -802,4 +973,9 @@ let suite =
     Alcotest.test_case "cpu: idle_wait wakes on irq" `Quick test_idle_wait_wakes_on_irq;
     Alcotest.test_case "cpu: detached dispatch words" `Quick test_dispatch_words;
     Alcotest.test_case "cpu: scripted detached dispatch" `Quick test_dispatch_script;
+    Alcotest.test_case "cpu: compute_until vs compute loop" `Quick
+      test_compute_until_model;
+    Alcotest.test_case "cpu: compute_until suspends once" `Quick
+      test_compute_until_suspends_once;
+    Alcotest.test_case "cpu: compute words per call" `Quick test_compute_words;
   ]

@@ -495,7 +495,21 @@ end
 let test_pt_vs_model () =
   let rng = Rng.create ~seed:17L in
   let pt = Page_table.create () and m = Pt_model.create () in
-  let bases = [| 0; (1 lsl 18) - 1024; (1 lsl 27) - 1024; 5 lsl 27 |] in
+  (* Each base's 2048-page window crosses a table boundary at some level,
+     and the windows at [64 lsl 9], [64 lsl 18] and [64 lsl 27] cross a
+     64-slot chunk boundary (slots 63/64) at levels 2, 3 and 4; level-1
+     indices cover every chunk. *)
+  let bases =
+    [|
+      0;
+      (64 lsl 9) - 1024;
+      (1 lsl 18) - 1024;
+      (64 lsl 18) - 1024;
+      (1 lsl 27) - 1024;
+      (64 lsl 27) - 1024;
+      5 lsl 27;
+    |]
+  in
   let random_vpn () = Rng.choose rng bases + Rng.int rng 2048 in
   let size_t =
     Alcotest.testable
@@ -569,6 +583,92 @@ let test_pt_vs_model () =
     end
   done;
   check bool_t "tables were freed and reused" true (Page_table.tables_freed pt > 100)
+
+(* Slots at the edges of the 64-slot chunks, at every level: each VPN
+   takes its index at each of the four levels from {0, 63, 64, 511}. Every
+   mapping walks to its own PTE, its neighbours in slots 62, 65 and 510
+   stay unmapped, [iter] lists the leaves in ascending VPN order, and
+   unmapping them all (in a scrambled order, freeing tables) empties the
+   tree, each walk still right after every unmap. *)
+let test_pt_chunk_edges () =
+  let pt = Page_table.create () in
+  let edges = [ 0; 63; 64; 511 ] in
+  let vpn_of i4 i3 i2 i1 = (i4 lsl 27) lor (i3 lsl 18) lor (i2 lsl 9) lor i1 in
+  let vpns =
+    List.concat_map
+      (fun i4 ->
+        List.concat_map
+          (fun i3 -> List.concat_map (fun i2 -> List.map (vpn_of i4 i3 i2) edges) edges)
+          edges)
+      edges
+  in
+  List.iter
+    (fun vpn -> Page_table.map pt ~vpn ~size:Tlb.Four_k (Pte.user_data ~pfn:vpn))
+    vpns;
+  let walk vpn =
+    Option.map (fun w -> w.Page_table.pte.Pte.pfn) (Page_table.walk pt ~vpn)
+  in
+  let mapped = Hashtbl.create 256 in
+  List.iter (fun vpn -> Hashtbl.replace mapped vpn ()) vpns;
+  let check_walks what =
+    List.iter
+      (fun vpn ->
+        List.iter
+          (fun i1 ->
+            let v = (vpn land lnot 511) lor i1 in
+            let want = if Hashtbl.mem mapped v then Some v else None in
+            let what = Printf.sprintf "%s: walk %d" what v in
+            check Alcotest.(option int) what want (walk v))
+          [ 0; 62; 63; 64; 65; 510; 511 ])
+      vpns
+  in
+  check_walks "mapped";
+  let listed = ref [] in
+  Page_table.iter pt ~f:(fun vpn pte _ ->
+      check int_t "leaf pfn" vpn pte.Pte.pfn;
+      listed := vpn :: !listed);
+  check (Alcotest.list int_t) "iter in ascending vpn order" (List.sort Int.compare vpns)
+    (List.rev !listed);
+  (* 1 level-3 table per level-4 edge, and so on down. *)
+  check int_t "tables" (4 + 16 + 64) (Page_table.table_pages pt);
+  let rng = Rng.create ~seed:0x63L in
+  let order = Array.of_list vpns in
+  for i = Array.length order - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  Array.iteri
+    (fun i vpn ->
+      let r = Page_table.unmap pt ~vpn ~free_tables:true () in
+      check int_t "removed" 1 (List.length r.Page_table.removed);
+      Hashtbl.remove mapped vpn;
+      if i mod 37 = 0 then check_walks (Printf.sprintf "after %d unmaps" (i + 1)))
+    order;
+  check_walks "emptied";
+  check int_t "nothing mapped" 0 (Page_table.mapped_count pt);
+  check int_t "every table freed" 0 (Page_table.table_pages pt);
+  check int_t "tables freed" (4 + 16 + 64) (Page_table.tables_freed pt)
+
+(* The first map into an empty tree builds three tables and writes one
+   chunk of each, and one of the root's: 4 chunks of 65 words, 3 chunk
+   indexes of 9 and 3 node records of 4, then the three [Table] boxes (2
+   words each) and the [Leaf] (3), 308 words in all and all of them in the
+   minor heap. One 512-slot array per table went straight to the major
+   heap as 513 words. *)
+let test_pt_first_map_words () =
+  let pte = Pte.user_data ~pfn:1 in
+  let pt = Page_table.create () in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let major0 = direct_major () and minor0 = Gc.minor_words () in
+  Page_table.map pt ~vpn:10 ~size:Tlb.Four_k pte;
+  let minor = int_of_float (Gc.minor_words () -. minor0) in
+  check int_t "no direct major words" 0 (int_of_float (direct_major () -. major0));
+  check int_t "minor words" 308 minor
 
 (* A map followed by an unmap that frees the page's three tables, over
    and over: after the first round the freed tables come back for the next
@@ -705,6 +805,8 @@ let suite =
     Alcotest.test_case "pt: random ops vs model, tables recycled" `Quick test_pt_vs_model;
     Alcotest.test_case "pt: recycled tables, no major words" `Quick
       test_pt_recycled_tables_no_major_words;
+    Alcotest.test_case "pt: chunk edges at every level" `Quick test_pt_chunk_edges;
+    Alcotest.test_case "pt: first map, minor words only" `Quick test_pt_first_map_words;
     Alcotest.test_case "ept: translate" `Quick test_ept_translate;
     Alcotest.test_case "ept: hugepage offsets" `Quick test_ept_huge_offset;
     Alcotest.test_case "nested: fracture detection" `Quick test_nested_fracture_detection;
