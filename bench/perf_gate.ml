@@ -164,7 +164,7 @@ let () =
             | None ->
                 let mine = List.filter (fun (f, _) -> String.equal f b.family) gates in
                 let compared = List.filter (fun (_, g) -> check id b c g) mine in
-                if compared = [] then
+                if List.is_empty compared then
                   Printf.printf "skip %-44s no gated metric (not gated)\n" id))
     base;
   List.iter

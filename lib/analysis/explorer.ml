@@ -81,29 +81,6 @@ let probe m add_failure =
             (Tlb.entries (Cpu.tlb cpu_t))
   done
 
-(* Invariants at quiescence. *)
-let post_invariants m add_failure =
-  let checker = m.Machine.checker in
-  let v = Checker.violation_count checker in
-  if v > 0 then add_failure (Printf.sprintf "checker recorded %d violation(s)" v);
-  let w = Checker.open_windows checker in
-  if w > 0 then add_failure (Printf.sprintf "%d invalidation window(s) open at quiescence" w);
-  Machine.ipi_invariants m add_failure;
-  for cpu = 0 to Machine.n_cpus m - 1 do
-    let pcpu = Machine.percpu m cpu in
-    if not (Percpu.no_pending_user pcpu.Percpu.pending_user) then
-      add_failure (Printf.sprintf "cpu%d: deferred user flush survives quiescence" cpu);
-    if not (Queue.is_empty pcpu.Percpu.csq) then
-      add_failure (Printf.sprintf "cpu%d: undrained call queue at quiescence" cpu);
-    if pcpu.Percpu.inflight_flush then
-      add_failure (Printf.sprintf "cpu%d: inflight-flush flag stuck at quiescence" cpu);
-    if not (List.is_empty pcpu.Percpu.batch) then
-      add_failure (Printf.sprintf "cpu%d: unflushed batched shootdowns at quiescence" cpu);
-    (* Backend-specific residue: an undrained Queue_spin ring, a
-       still-posted Sync_broadcast descriptor, ... *)
-    Shootdown.protocol_quiescent m ~cpu add_failure
-  done
-
 let run_once ~config ~build ~prefix ~add_failure =
   let m = build () in
   Trace.set_max_records m.Machine.trace (Some config.trace_cap);
@@ -123,7 +100,7 @@ let run_once ~config ~build ~prefix ~add_failure =
   (try Kernel.run m
    with exn -> add_failure ("uncaught exception: " ^ Printexc.to_string exn));
   Engine.clear_chooser m.Machine.engine;
-  post_invariants m add_failure;
+  Kernel.check_quiescent m add_failure;
   let report = Hb.analyze_trace m.Machine.trace in
   if report.Hb.genuine > 0 then
     add_failure

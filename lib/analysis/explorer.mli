@@ -41,13 +41,6 @@ type result = {
   genuine : int;
 }
 
-(** Quiescence invariants shared with the differential fuzzer: checker
-    clean, no open windows, every IPI handled once and none pending
-    ({!Machine.ipi_invariants}), deferred user flushes drained, call queues
-    empty, no stuck inflight-flush flags, no unflushed batches. Calls
-    [add_failure] once per violated invariant. *)
-val post_invariants : Machine.t -> (string -> unit) -> unit
-
 (** [explore ?config build] explores the scenario returned by [build]
     (fresh machine per run, processes spawned, engine not yet run). *)
 val explore : ?config:config -> (unit -> Machine.t) -> result

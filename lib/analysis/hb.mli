@@ -54,6 +54,4 @@ val analyze : Trace.record list -> report
     intermediate record list). *)
 val analyze_trace : Trace.t -> report
 
-val verdict_name : verdict -> string
-val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> report -> unit

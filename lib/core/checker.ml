@@ -37,8 +37,6 @@ let create ?(enabled = true) ?(max_recorded = default_max_recorded_violations) (
     max_recorded;
   }
 
-let enabled t = t.on
-let set_enabled t b = t.on <- b
 let token_id token = token
 
 let begin_invalidation t (info : Flush_info.t) =

@@ -41,9 +41,6 @@ val create : ?enabled:bool -> ?max_recorded:int -> unit -> t
 
 val default_max_recorded_violations : int
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
 (** Open an invalidation window for the PTE change described by [info]. *)
 val begin_invalidation : t -> Flush_info.t -> token
 

@@ -27,9 +27,6 @@ let create frames ~name ~size_pages =
     n_dirty = 0;
   }
 
-let name t = t.file_name
-let size_pages t = t.size
-
 let check t index =
   if index < 0 || index >= t.size then
     invalid_arg (Printf.sprintf "File %s: page %d out of range [0,%d)" t.file_name index t.size)

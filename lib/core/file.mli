@@ -9,9 +9,6 @@ type t
 
 val create : Frame_alloc.t -> name:string -> size_pages:int -> t
 
-val name : t -> string
-val size_pages : t -> int
-
 (** Physical frame of file page [index], filling the page cache on demand.
     Raises [Invalid_argument] past EOF. *)
 val frame_of_page : t -> index:int -> int

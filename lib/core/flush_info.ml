@@ -49,14 +49,3 @@ let merge a b =
       new_tlb_gen;
     }
   end
-
-let pp fmt t =
-  if t.full then
-    Format.fprintf fmt "mm%d full gen=%d%s" t.mm_id t.new_tlb_gen
-      (if t.freed_tables then " freed-tables" else "")
-  else
-    Format.fprintf fmt "mm%d [%d..%d) x%s gen=%d%s" t.mm_id t.start_vpn
-      (t.start_vpn + span_4k t)
-      (match t.stride with Tlb.Four_k -> "4K" | Tlb.Two_m -> "2M")
-      t.new_tlb_gen
-      (if t.freed_tables then " freed-tables" else "")

@@ -38,5 +38,3 @@ val covers : t -> vpn:int -> bool
 (** Smallest single info covering both; falls back to [full] when the
     strides differ. Used when merging deferred in-context flushes (§3.4). *)
 val merge : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

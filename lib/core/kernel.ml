@@ -19,18 +19,31 @@ let spawn_kernel m ~cpu ~name body =
       Cpu.set_in_user cpu_t false;
       Fun.protect ~finally:(fun () -> Cpu.vacate cpu_t) body)
 
-let spawn_idle m ~cpu ~until =
-  spawn_kernel m ~cpu ~name:(Printf.sprintf "idle%d" cpu) (fun () ->
-      let cpu_t = Machine.cpu m cpu in
-      while not (until ()) do
-        Cpu.idle_wait cpu_t
-      done)
-
 let run m = Machine.run m
 
-let check_run m ~who =
-  Machine.check_run m ~who;
-  let fail what = failwith (who ^ ": " ^ what) in
+let check_quiescent m add_failure =
+  let checker = m.Machine.checker in
+  let v = Checker.violation_count checker in
+  if v > 0 then add_failure (Printf.sprintf "checker recorded %d violation(s)" v);
+  let w = Checker.open_windows checker in
+  if w > 0 then add_failure (Printf.sprintf "%d invalidation window(s) open at quiescence" w);
+  Machine.ipi_invariants m add_failure;
   for cpu = 0 to Machine.n_cpus m - 1 do
-    Shootdown.protocol_quiescent m ~cpu fail
+    let pcpu = Machine.percpu m cpu in
+    if not (Percpu.no_pending_user pcpu.Percpu.pending_user) then
+      add_failure (Printf.sprintf "cpu%d: deferred user flush survives quiescence" cpu);
+    if not (Queue.is_empty pcpu.Percpu.csq) then
+      add_failure (Printf.sprintf "cpu%d: undrained call queue at quiescence" cpu);
+    if pcpu.Percpu.inflight_flush then
+      add_failure (Printf.sprintf "cpu%d: inflight-flush flag stuck at quiescence" cpu);
+    if not (List.is_empty pcpu.Percpu.batch) then
+      add_failure (Printf.sprintf "cpu%d: unflushed batched shootdowns at quiescence" cpu);
+    Shootdown.protocol_quiescent m ~cpu add_failure
   done
+
+let check_run m ~who =
+  (match Checker.violations m.Machine.checker with
+  | [] -> ()
+  | v :: _ ->
+      failwith (Format.asprintf "%s: TLB coherence violation: %a" who Checker.pp_violation v));
+  check_quiescent m (fun what -> failwith (who ^ ": " ^ what))

@@ -15,15 +15,21 @@ val spawn_user :
     idle loop); does not touch address-space state. *)
 val spawn_kernel : Machine.t -> cpu:int -> name:string -> (unit -> unit) -> unit
 
-(** An idle loop that services IPIs on [cpu] until [until ()] is true
-    (checked after each wakeup). Spawn one per otherwise-unused CPU that
-    can receive shootdowns. *)
-val spawn_idle : Machine.t -> cpu:int -> until:(unit -> bool) -> unit
-
 (** Run the machine to quiescence and re-raise any process failure. *)
 val run : Machine.t -> unit
 
-(** End-of-run check for the workloads, after {!run}: {!Machine.check_run},
-    then {!Shootdown.protocol_quiescent} on every CPU. Raises [Failure]
-    prefixed with [who] on the first failure. *)
+(** The invariants of a machine run to quiescence, the one list that
+    workloads, the differential fuzzer and the interleaving explorer all
+    check: no checker violation, no open invalidation window, every IPI
+    handled once and none pending ({!Machine.ipi_invariants}), and on every
+    CPU no surviving deferred user flush, no undrained call queue, no stuck
+    inflight-flush flag, no unflushed batch and a quiescent protocol
+    backend ({!Shootdown.protocol_quiescent}). Calls [add_failure] once per
+    violated invariant. *)
+val check_quiescent : Machine.t -> (string -> unit) -> unit
+
+(** End-of-run check for the workloads, after {!run}: {!check_quiescent},
+    raising [Failure (who ^ ": " ^ reason)] on the first failure. A checker
+    violation is reported first, as ["TLB coherence violation: "] and the
+    first recorded violation ({!Checker.pp_violation}). *)
 val check_run : Machine.t -> who:string -> unit

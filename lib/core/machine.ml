@@ -386,13 +386,6 @@ let ipi_invariants t add_failure =
         add_failure (Printf.sprintf "cpu%d: IRQ drain still running at quiescence" i))
     t.cpus
 
-let check_run t ~who =
-  (match Checker.violations t.checker with
-  | [] -> ()
-  | v :: _ ->
-      failwith (Format.asprintf "%s: TLB coherence violation: %a" who Checker.pp_violation v));
-  ipi_invariants t (fun what -> failwith (who ^ ": " ^ what))
-
 let reset_stats t =
   let s = t.stats in
   s.shootdowns <- 0;
@@ -406,11 +399,3 @@ let reset_stats t =
   s.in_context_deferrals <- 0;
   s.faults <- 0;
   s.cow_breaks <- 0
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "shootdowns=%d local-only=%d skip-lazy=%d skip-batched=%d resp-skip=%d \
-     full-fallback=%d batched=%d cow-avoided=%d in-context=%d faults=%d cow=%d"
-    s.shootdowns s.local_only_flushes s.ipis_skipped_lazy s.ipis_skipped_batched
-    s.flush_requests_skipped s.full_flush_fallbacks s.batched_deferrals
-    s.cow_flush_avoided s.in_context_deferrals s.faults s.cow_breaks

@@ -39,9 +39,6 @@ val flush_kind_cr3 : int
 val flush_kind_deferred : int
 val flush_kind_skipped : int
 
-val n_flush_kinds : int
-val flush_kind_labels : string array
-
 (** [flush_index ~rank ~kind] is the {!phases.flush} index. *)
 val flush_index : rank:int -> kind:int -> int
 
@@ -197,11 +194,4 @@ val end_window : t -> cpu:int -> mm_id:int -> Checker.token -> unit
     once per broken rule. Only meaningful once the engine has drained. *)
 val ipi_invariants : t -> (string -> unit) -> unit
 
-(** End-of-run check for a workload driver, after {!run}: fails with
-    [who ^ ": TLB coherence violation: ..."] on the first checker
-    violation, or with [who ^ ": " ^ reason] when {!ipi_invariants}
-    fails. *)
-val check_run : t -> who:string -> unit
-
 val reset_stats : t -> unit
-val pp_stats : Format.formatter -> stats -> unit

@@ -138,7 +138,6 @@ let kernel_pcid slot = slot + 1
 let user_pcid slot = slot + 1 + 2048
 
 let current_kernel_pcid t = kernel_pcid t.curr_asid
-let current_user_pcid t = user_pcid t.curr_asid
 
 let find_slot t ~mm_id =
   let found = ref None in

@@ -103,13 +103,8 @@ val kernel_pcid : int -> int
 
 val user_pcid : int -> int
 
-(** Currently loaded kernel/user PCIDs. *)
+(** Currently loaded kernel PCID. *)
 val current_kernel_pcid : t -> int
-
-val current_user_pcid : t -> int
-
-(** Slot caching [mm_id], if any. *)
-val find_slot : t -> mm_id:int -> int option
 
 (** Slot to (re)use for [mm_id]: an existing slot, a free one, or the least
     recently used (in which case its stale contents must be flushed by the

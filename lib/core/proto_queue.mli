@@ -3,9 +3,3 @@
     backoff-multiplier / resend ack-wait ladder. See SNIPPETS.md §2-3. *)
 
 val backend : Protocol.t
-
-(** Retry-ladder constants (exposed for tests). *)
-val initial_spin : int
-
-val max_retries : int
-val backoff_mult : int

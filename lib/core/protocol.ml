@@ -17,7 +17,7 @@ type t = {
          (posted but unexecuted flushes)? Feeds nmi_uaccess_okay. *)
   quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit;
       (* invariant hook: report (via the callback) any backend state that
-         should not survive quiescence; Explorer.post_invariants drives it *)
+         should not survive quiescence; Kernel.check_quiescent drives it *)
 }
 
 (* The Opts.protocol -> t dispatch lives in Shootdown (each backend module

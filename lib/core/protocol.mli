@@ -31,5 +31,5 @@ type t = {
           unexecuted flushes)? Feeds [nmi_uaccess_okay]. *)
   quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit;
       (** report (via the callback) any backend state that should not
-          survive quiescence; [Explorer.post_invariants] drives it *)
+          survive quiescence; [Kernel.check_quiescent] drives it *)
 }

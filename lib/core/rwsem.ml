@@ -40,7 +40,3 @@ let with_read t f =
 let with_write t f =
   down_write t;
   Fun.protect ~finally:(fun () -> up_write t) f
-
-let readers t = t.n_readers
-let writer_held t = t.writer
-let waiting t = Waitq.waiters t.q

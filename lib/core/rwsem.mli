@@ -20,9 +20,3 @@ val up_write : t -> unit
 val with_read : t -> (unit -> 'a) -> 'a
 
 val with_write : t -> (unit -> 'a) -> 'a
-
-(** Current state, for tests. *)
-val readers : t -> int
-
-val writer_held : t -> bool
-val waiting : t -> int

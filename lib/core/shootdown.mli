@@ -100,6 +100,6 @@ val nmi_uaccess_okay : Machine.t -> cpu:int -> bool
 (** Backend-specific quiescence invariants: report (through the callback)
     any protocol state on [cpu] that should not survive quiescence — an
     undrained [Queue_spin] ring, a still-posted [Sync_broadcast]
-    descriptor. Driven per CPU by [Explorer.post_invariants] alongside its
+    descriptor. Driven per CPU by [Kernel.check_quiescent] alongside its
     generic checks. *)
 val protocol_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit

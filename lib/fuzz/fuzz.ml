@@ -401,7 +401,7 @@ let execute ~opts program =
     (List.sort Int.compare mm_ids);
   final := Printf.sprintf "frames allocated=%d" (Frame_alloc.allocated m.Machine.frames) :: !final;
   let invariants = ref [] in
-  Explorer.post_invariants m (fun s -> invariants := s :: !invariants);
+  Kernel.check_quiescent m (fun s -> invariants := s :: !invariants);
   {
     xr_obs = obs;
     xr_final = List.rev !final;

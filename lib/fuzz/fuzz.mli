@@ -74,10 +74,6 @@ val execute : opts:Opts.t -> program -> exec_result
     the optimized protocol matches the oracle (the pass condition). *)
 val run_program : program -> string list
 
-(** ddmin the program's op list down to a 1-minimal failing sequence
-    (precondition: [run_program program <> []]). *)
-val shrink_program : program -> op list
-
 type failure = {
   f_seed : int;
   f_inject_bug : bool;

@@ -30,7 +30,6 @@ type registry = {
   mutable t_same : int;
   mutable t_cross : int;
   mutable t_cycles : int;
-  mutable lines : line list;
   mutable meter : (int -> int -> unit) option;
       (* (distance rank, cycle cost) per access; installed by the metrics
          layer, [None] costs one load+branch in [record]. *)
@@ -48,8 +47,6 @@ and line = {
   line_name : string Lazy.t;
   mutable owner : int; (* last writer's cpu id, -1 = none *)
   sharers : Cpuset.t; (* cpu [c] present iff it holds a shared copy *)
-  mutable n_accesses : int;
-  mutable n_transfers : int;
 }
 
 let distance_rank = Topology.distance_rank
@@ -78,44 +75,23 @@ let create_registry topo costs =
     t_same = 0;
     t_cross = 0;
     t_cycles = 0;
-    lines = [];
     meter = None;
   }
 
 let set_transfer_meter reg f = reg.meter <- Some f
 
 let create_line reg ~name =
-  let l =
-    {
-      reg;
-      line_name = name;
-      owner = -1;
-      sharers = Cpuset.create ~bits:0;
-      n_accesses = 0;
-      n_transfers = 0;
-    }
-  in
-  reg.lines <- l :: reg.lines;
-  l
-
-let name l = Lazy.force l.line_name
+  { reg; line_name = name; owner = -1; sharers = Cpuset.create ~bits:0 }
 
 let record l (d : Topology.distance) cost =
   let reg = l.reg in
-  l.n_accesses <- l.n_accesses + 1;
   reg.t_cycles <- reg.t_cycles + cost;
   (match reg.meter with Some f -> f (distance_rank d) cost | None -> ());
   match d with
   | Self -> reg.t_local <- reg.t_local + 1
-  | Smt_sibling ->
-      l.n_transfers <- l.n_transfers + 1;
-      reg.t_smt <- reg.t_smt + 1
-  | Same_socket ->
-      l.n_transfers <- l.n_transfers + 1;
-      reg.t_same <- reg.t_same + 1
-  | Cross_socket ->
-      l.n_transfers <- l.n_transfers + 1;
-      reg.t_cross <- reg.t_cross + 1
+  | Smt_sibling -> reg.t_smt <- reg.t_smt + 1
+  | Same_socket -> reg.t_same <- reg.t_same + 1
+  | Cross_socket -> reg.t_cross <- reg.t_cross + 1
 
 (* Holder [h] is compared with the accessor through [x = loc.(by) lxor
    loc.(h)], which orders holders as their distance ranks do: [x = 0] is an
@@ -257,9 +233,6 @@ let stalling_write l ~by =
 
 let atomic l ~by = stalling_write l ~by + l.reg.costs.atomic_op
 
-let accesses l = l.n_accesses
-let line_transfers l = l.n_transfers
-
 let totals reg =
   {
     reads = reg.t_reads;
@@ -278,15 +251,4 @@ let reset_stats reg =
   reg.t_smt <- 0;
   reg.t_same <- 0;
   reg.t_cross <- 0;
-  reg.t_cycles <- 0;
-  List.iter
-    (fun l ->
-      l.n_accesses <- 0;
-      l.n_transfers <- 0)
-    reg.lines
-
-let pp_totals fmt t =
-  Format.fprintf fmt
-    "reads=%d writes=%d local=%d smt=%d same-socket=%d cross-socket=%d cycles=%d"
-    t.reads t.writes t.local_hits t.smt_transfers t.same_socket_transfers
-    t.cross_socket_transfers t.cycles
+  reg.t_cycles <- 0

@@ -34,8 +34,6 @@ val set_transfer_meter : registry -> (int -> int -> unit) -> unit
     local fill). *)
 val create_line : registry -> name:string Lazy.t -> line
 
-val name : line -> string
-
 (** [read line ~by] returns the cycle cost of loading the line on CPU [by]
     and records [by] as a sharer. A read of a line last written elsewhere
     pays a transfer priced by distance. *)
@@ -55,15 +53,7 @@ val stalling_write : line -> by:Topology.cpu_id -> int
 (** Atomic read-modify-write: exclusive ownership plus the locked-op cost. *)
 val atomic : line -> by:Topology.cpu_id -> int
 
-(** Per-line access count (reads + writes). *)
-val accesses : line -> int
-
-(** Per-line transfer count (accesses that were not local hits). *)
-val line_transfers : line -> int
-
 val totals : registry -> totals
 
 (** Reset all counters (line ownership is kept). *)
 val reset_stats : registry -> unit
-
-val pp_totals : Format.formatter -> totals -> unit

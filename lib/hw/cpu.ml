@@ -89,10 +89,7 @@ let busy_dispatchers t =
 
 let irq_from_user t = t.from_user_irq
 let tlb t = t.cpu_tlb
-let engine t = t.eng
-let costs t = t.cost
 let in_user t = t.user
-let irqs_masked t = t.masked
 let pending_irqs t = Queue.length t.pending
 let interrupted_cycles t = t.t_interrupted
 let irqs_handled t = t.t_handled
@@ -386,40 +383,11 @@ let compute_until t ?(quantum = 200) ~chunk until =
   if chunk <= 0 then invalid_arg "Cpu.compute_until: nonpositive chunk";
   if not (until ()) then run_chunks t ~quantum ~chunk until
 
-let spin_until t cond =
-  in_service_window t (fun () ->
-      let rec loop () =
-        if not (cond ()) then begin
-          if has_deliverable t then service_pending t;
-          if not (cond ()) then begin
-            Process.tick_sleep t.eng ~first:t.cost.spin_poll (fun () ->
-                if cond () || serviceable t then 0 else t.cost.spin_poll);
-            loop ()
-          end
-        end
-      in
-      loop ())
-
-(* Spin-wait loops call this once per [spin_poll] window, which makes it
-   the single hottest function in the shootdown benches — hence the inlined
-   service window (no closure, no Fun.protect). *)
-let poll t =
-  t.service_depth <- t.service_depth + 1;
-  (try
-     if has_deliverable t then service_pending t;
-     Process.delay t.eng t.cost.spin_poll
-   with e ->
-     t.service_depth <- t.service_depth - 1;
-     raise e);
-  t.service_depth <- t.service_depth - 1
-
-(* [poll] fused across idle windows: one service check, then poll-boundary
-   ticks until [ready ()] holds or an IRQ becomes deliverable at a
-   boundary. Timing-identical to calling [poll] in a loop with the same
-   exit condition between calls, but the idle boundaries never resume the
-   process. The service window stays open for the whole span, as it is
-   across [poll]'s sleep, so IRQs posted mid-span wait for a boundary
-   rather than spawning a detached dispatch. *)
+(* A spin-wait: one service check, then [spin_poll] ticks until [ready ()]
+   holds or an IRQ becomes deliverable at a tick boundary. The idle
+   boundaries never resume the process. The service window stays open for
+   the whole span, so IRQs posted mid-span wait for a boundary rather than
+   spawning a detached dispatch. *)
 let poll_wait t ready =
   t.service_depth <- t.service_depth + 1;
   (try

@@ -26,8 +26,6 @@ val create :
 
 val id : t -> Topology.cpu_id
 val tlb : t -> Tlb.t
-val engine : t -> Engine.t
-val costs : t -> Costs.t
 
 (** Privilege the CPU would be interrupted from; syscall/fault layers flip
     this. Affects IRQ entry cost in safe mode (paper §5.2). *)
@@ -35,7 +33,6 @@ val in_user : t -> bool
 
 val set_in_user : t -> bool -> unit
 
-val irqs_masked : t -> bool
 val irq_disable : t -> unit
 
 (** Disable interrupts {e and} wait for any in-flight detached handler to
@@ -95,21 +92,12 @@ val compute : t -> ?quantum:int -> int -> unit
     be positive. *)
 val compute_until : t -> ?quantum:int -> chunk:int -> (unit -> bool) -> unit
 
-(** Spin until [cond ()] holds, servicing IRQs each poll. The condition is
-    re-checked every [Costs.spin_poll] cycles. *)
-val spin_until : t -> (unit -> bool) -> unit
-
-(** One spin-wait step: service deliverable IRQs, then burn one
-    [Costs.spin_poll] interval. Building block for wait loops that
-    interleave other work between polls. *)
-val poll : t -> unit
-
-(** [poll] fused across idle windows: service deliverable IRQs, then sleep
-    in [Costs.spin_poll] ticks until [ready ()] holds — or an IRQ becomes
-    deliverable — at a tick boundary. Timing-identical to looping over
-    {!poll} with the same exit check between calls, but idle boundaries do
-    not resume the process (see {!Process.tick_sleep}); [ready] must be
-    observably side-effect-free. *)
+(** Spin-wait: service deliverable IRQs, then sleep in [Costs.spin_poll]
+    ticks until [ready ()] holds — or an IRQ becomes deliverable — at a
+    tick boundary. Wait loops call it until [ready ()] holds; the next call
+    services the IRQ that ended the last one. Idle boundaries do not resume
+    the process (see {!Process.tick_sleep}); [ready] must be observably
+    side-effect-free. *)
 val poll_wait : t -> (unit -> bool) -> unit
 
 (** Block until an IRQ is posted (or return immediately if one is pending),

@@ -1,7 +1,5 @@
 type page_size = Four_k | Two_m
 
-let bytes_of_page_size = function Four_k -> 4096 | Two_m -> 2 * 1024 * 1024
-
 type entry = {
   vpn : int;
   pfn : int;
@@ -289,9 +287,3 @@ let entries t =
     |> List.map snd
   in
   sorted t.table @ sorted t.globals
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "hits=%d misses=%d ins=%d evict=%d invlpg=%d invpcid=%d full=%d fracture-full=%d"
-    s.hits s.misses s.insertions s.evictions s.invlpg_ops s.invpcid_ops
-    s.full_flushes s.fracture_full_flushes

@@ -14,9 +14,6 @@
 
 type page_size = Four_k | Two_m
 
-(** Bytes per page. *)
-val bytes_of_page_size : page_size -> int
-
 type entry = {
   vpn : int;  (** virtual page number in 4 KiB units (base of the page) *)
   pfn : int;  (** physical frame number backing [vpn] *)
@@ -109,5 +106,3 @@ val reset_stats : t -> unit
     global ones, each sorted by packed key, so two TLBs with the same
     contents list them identically whatever their history. *)
 val entries : t -> entry list
-
-val pp_stats : Format.formatter -> stats -> unit

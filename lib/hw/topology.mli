@@ -34,7 +34,6 @@ val n_cpus : t -> int
 
 val socket_of : t -> cpu_id -> int
 val physical_core_of : t -> cpu_id -> int
-val smt_thread_of : t -> cpu_id -> int
 val distance : t -> cpu_id -> cpu_id -> distance
 
 (** First logical CPU of each physical core on [socket]. *)

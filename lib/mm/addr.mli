@@ -3,7 +3,6 @@
     Addresses are byte addresses held in OCaml ints; page numbers (VPN/PFN)
     are in 4 KiB units throughout the simulator, matching {!Tlb.entry}. *)
 
-val page_shift : int
 val page_size : int
 
 (** 4 KiB pages per 2 MiB hugepage (512). *)

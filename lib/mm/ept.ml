@@ -9,8 +9,6 @@ let map t ~gfn ~size ~hfn =
   | Tlb.Two_m | Tlb.Four_k -> ());
   Page_table.map t.table ~vpn:gfn ~size (Pte.user_data ~pfn:hfn)
 
-let unmap t ~gfn = ignore (Page_table.unmap t.table ~vpn:gfn ())
-
 let translate t ~gfn =
   match Page_table.walk t.table ~vpn:gfn with
   | None -> None
@@ -18,8 +16,6 @@ let translate t ~gfn =
       let base = match w.size with Tlb.Four_k -> gfn | Tlb.Two_m -> gfn land lnot 511 in
       let offset = gfn - base in
       Some (w.pte.Pte.pfn + offset, w.size)
-
-let mapped_count t = Page_table.mapped_count t.table
 
 module Nested = struct
   type result = {

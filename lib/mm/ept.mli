@@ -16,12 +16,8 @@ val create : unit -> t
     both must be 2 MiB-aligned. *)
 val map : t -> gfn:int -> size:Tlb.page_size -> hfn:int -> unit
 
-val unmap : t -> gfn:int -> unit
-
 (** GPA→HPA lookup: host frame backing [gfn] plus the host page size. *)
 val translate : t -> gfn:int -> (int * Tlb.page_size) option
-
-val mapped_count : t -> int
 
 module Nested : sig
   type result = {

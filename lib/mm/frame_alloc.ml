@@ -119,9 +119,7 @@ let free_huge t base =
 (* Hugepage runs are not recycled into the single-frame free list; they are
    rare in the experiments and keeping them apart preserves alignment. *)
 
-let total t = t.frames
 let allocated t = t.n_allocated
-let free_count t = t.frames - t.n_allocated
 
 let generation t pfn =
   if pfn < 0 || pfn >= t.frames then invalid_arg "Frame_alloc.generation";

@@ -42,9 +42,7 @@ val free_huge : t -> int -> unit
 (** Is the frame currently allocated? *)
 val is_allocated : t -> int -> bool
 
-val total : t -> int
 val allocated : t -> int
-val free_count : t -> int
 
 (** Generation counter for a frame: bumped on every free, so a stale
     reference can detect reuse. *)

@@ -16,9 +16,6 @@ type t = {
   cow : bool;  (** write-protected copy-on-write page *)
 }
 
-(** Non-present entry (all other fields meaningless but fixed). *)
-val none : t
-
 (** A present, writable, non-executable user mapping of [pfn]. *)
 val user_data : pfn:int -> t
 
@@ -31,10 +28,6 @@ val make_cow : t -> t
 (** Resolve COW: new frame, writable, not COW. *)
 val break_cow : t -> new_pfn:int -> t
 
-val mark_accessed : t -> t
 val mark_dirty : t -> t
 val write_protect : t -> t
 val clean : t -> t
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

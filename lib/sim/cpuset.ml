@@ -30,8 +30,6 @@ let create ~bits =
   if bits = 0 then { words = empty_words }
   else { words = Array.make ((bits + bit_mask) lsr bits_per_word_shift) 0 }
 
-let capacity t = Array.length t.words * bits_per_word
-
 (* Grow to cover word index [wi]; doubling keeps repeated single-bit
    growth amortized O(1). *)
 let grow t wi =

@@ -19,10 +19,6 @@ type t
     the right choice for the many per-line sharer sets that stay empty. *)
 val create : bits:int -> t
 
-(** Current capacity in bits (a multiple of the word size, so it can
-    exceed the [create] hint). [set] grows past it transparently. *)
-val capacity : t -> int
-
 (** [set t b] adds [b], growing the word array if needed. Negative [b]
     is an error. *)
 val set : t -> int -> unit

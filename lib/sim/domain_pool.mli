@@ -17,7 +17,6 @@ type gc_totals = {
 }
 
 val zero_gc_totals : gc_totals
-val add_gc_totals : gc_totals -> gc_totals -> gc_totals
 
 (** [run ~jobs tasks] runs every task and returns their results in task
     order. With [jobs <= 1] (or fewer than two tasks) the tasks run inline

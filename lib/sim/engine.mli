@@ -83,25 +83,6 @@ val schedule_tag : t -> delay:int -> tag:int -> a:int -> b:int -> unit
 (** [schedule_tag_at] is [schedule_tag] with an absolute time. *)
 val schedule_tag_at : t -> time:int -> tag:int -> a:int -> b:int -> unit
 
-(** {2 Cancellation} *)
-
-(** A stamped reference to a scheduled event. Handles are generation
-    stamped against the event pool: once the event has fired (or fired and
-    its record was recycled into a new event), the handle goes stale and
-    [cancel] refuses it. *)
-type handle
-
-(** Like [schedule], returning a handle for [cancel]. *)
-val schedule_cancellable : t -> delay:int -> (unit -> unit) -> handle
-
-(** [cancel t h] prevents the event behind [h] from running, returning
-    [true] if it was still pending. A cancelled event keeps its queue slot
-    — no other event's timing changes — but fires as a no-op (not counted
-    in [events_run]) and its record is recycled. Returns [false] for a
-    stale handle or an already-cancelled event; never fires a callback
-    either way. *)
-val cancel : t -> handle -> bool
-
 (** [try_advance t ~cycles] advances the clock by [cycles] and returns
     [true] iff no pending event would fire at or before the new time and no
     chooser is installed. Used by [Process.delay] to skip the

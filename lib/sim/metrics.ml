@@ -34,7 +34,6 @@ type t = {
 let create ?(enabled = true) () =
   { on = ref enabled; tbl = Hashtbl.create 64; rev_series = [] }
 
-let set_enabled t v = t.on := v
 let enabled t = !(t.on)
 
 let render_key name labels =
@@ -83,7 +82,6 @@ let[@inline] record (s : series) v =
 let[@inline] record_cycles (s : series) c =
   if !(s.on) then record s (float_of_int c)
 let stats s = s.stats
-let hist s = s.hist
 let series_name s = s.name
 let series_labels s = s.labels
 

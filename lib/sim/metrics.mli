@@ -15,10 +15,9 @@ type t
 type series
 
 (** [create ()] starts enabled; pass [~enabled:false] for a registry whose
-    [record] calls are no-ops until {!set_enabled}. *)
+    [record] calls are no-ops. *)
 val create : ?enabled:bool -> unit -> t
 
-val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
 (** [series t ~name ?labels ~lo ~hi ~buckets ()] registers (or fetches —
@@ -35,16 +34,12 @@ val series :
   unit ->
   series
 
-(** Record one sample; no-op (and allocation-free) when disabled. *)
-val record : series -> float -> unit
-
 (** [record_cycles s c] records an integer cycle count. The int→float
     conversion happens after the enabled check, so a disabled registry
     never boxes. *)
 val record_cycles : series -> int -> unit
 
 val stats : series -> Stats.t
-val hist : series -> Stats.Histogram.h
 val series_name : series -> string
 val series_labels : series -> (string * string) list
 

@@ -11,7 +11,7 @@ let () =
 
 (* The three ways a process suspends. None carries a payload: a constant
    constructor is a static value, so [perform] allocates nothing but the
-   continuation. [delay], [yield] and [tick_sleep] leave their argument
+   continuation. [delay] and [tick_sleep] leave their argument
    on the engine ([Engine.set_arg_cycles] / [set_arg_step]) just before
    performing, and the process's handler reads it straight back.
 
@@ -243,8 +243,6 @@ let chain engine step =
   let d = step () in
   if d < 0 then invalid_arg "Process.chain: negative interval"
   else if d > 0 then tick_fast engine step d
-
-let yield engine = if Engine.try_advance engine ~cycles:0 then () else sleep engine 0
 
 let self_tag engine =
   let tag = Engine.current_tag engine in

@@ -1,7 +1,7 @@
 (** Direct-style simulated processes on top of OCaml 5 effect handlers.
 
     A process is ordinary OCaml code that may call {!delay},
-    {!tick_sleep}, {!yield} and {!park}; the handler installed by {!spawn}
+    {!tick_sleep} and {!park}; the handler installed by {!spawn}
     turns those into engine events, so protocol code reads sequentially
     ("flush, then wait for the ack") while the engine interleaves many
     processes deterministically.
@@ -56,10 +56,6 @@ val busy_members : pool -> int
     way. *)
 val delay : Engine.t -> int -> unit
 
-(** Re-enter the event queue at the current instant, letting other events at
-    this time run first. *)
-val yield : Engine.t -> unit
-
 (** [tick_sleep engine ~first step] sleeps [first] cycles (> 0), then calls
     [step ()] at that boundary and at each subsequent one: a return of [0]
     resumes the process at the current boundary, [d > 0] sleeps [d] more
@@ -72,7 +68,7 @@ val yield : Engine.t -> unit
 
     So [step] may do the work due at its boundary — poll a condition,
     charge a cacheline, invalidate a TLB entry — as long as it never
-    suspends. It must not call {!delay}, {!yield}, {!park} or anything
+    suspends. It must not call {!delay}, {!park} or anything
     built on them ([Waitq], a machine's [charge_*]), and it must not read
     {!self_name} or {!self_tag}: after the first boundary it runs outside
     the process. A cost that is zero is not a boundary ([delay 0] makes no

@@ -44,7 +44,6 @@ let create ?(enabled = false) ?max_records engine =
   { engine; is_enabled = enabled; buf = [||]; head = 0; len = 0; cap; n_dropped = 0 }
 
 let enable t = t.is_enabled <- true
-let disable t = t.is_enabled <- false
 let enabled t = t.is_enabled
 
 let set_max_records t max_records =

@@ -46,7 +46,6 @@ type t
 
 val create : ?enabled:bool -> ?max_records:int -> Engine.t -> t
 val enable : t -> unit
-val disable : t -> unit
 val enabled : t -> bool
 
 (** Cap the number of retained records ([None] = unbounded). Shrinks the
@@ -64,14 +63,12 @@ val emitf : t -> actor:string -> ('a, Format.formatter, unit, unit) format4 -> '
 val event : t -> cpu:int -> event -> unit
 
 (** Records in chronological order (oldest first). O(n) and materializes a
-    list — prefer {!iter}/{!fold} in analysis paths. *)
+    list — prefer {!iter} in analysis paths. *)
 val records : t -> record list
 
 (** Apply [f] to every retained record, oldest first, without building a
     list. *)
 val iter : t -> (record -> unit) -> unit
-
-val fold : t -> init:'a -> ('a -> record -> 'a) -> 'a
 
 (** Records currently retained. *)
 val length : t -> int

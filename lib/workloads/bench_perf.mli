@@ -16,9 +16,6 @@ type row = {
           measured under the experiment that owns them *)
 }
 
-(** The schema this module writes and the only one it reads. *)
-val schema : int
-
 (** [value row name] is [name]'s value; [None] when null or absent. *)
 val value : row -> string -> float option
 

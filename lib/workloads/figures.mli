@@ -10,7 +10,6 @@
 val micro_weight : iterations:int -> pte_count:int -> float
 
 val sysbench_weight : threads:int -> ops_per_thread:int -> float
-val apache_weight : cores:int -> requests:int -> float
 
 type micro_matrix = (Microbench.placement * (string * Microbench.result) list) list
 

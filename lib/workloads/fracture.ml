@@ -16,8 +16,6 @@ let table4_rows =
 
 type config = { working_set_pages : int; rounds : int; tlb_capacity : int }
 
-let default_config = { working_set_pages = 1024; rounds = 100; tlb_capacity = 1536 }
-
 type result = {
   shape : vm_shape;
   full_misses : int;

@@ -23,8 +23,6 @@ type config = {
   tlb_capacity : int;
 }
 
-val default_config : config
-
 type result = {
   shape : vm_shape;
   full_misses : int;  (** dTLB misses with a full flush per round *)

@@ -12,12 +12,6 @@
 
 type format = Table | Json | Prometheus
 
-let format_of_string = function
-  | "table" -> Some Table
-  | "json" -> Some Json
-  | "prom" | "prometheus" -> Some Prometheus
-  | _ -> None
-
 let pte_counts = [ 1; 10; 50 ]
 
 let metered_cell ~label ~opts ~placement ~pte_count ~iterations ~seed =

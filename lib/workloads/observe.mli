@@ -6,9 +6,6 @@
 
 type format = Table | Json | Prometheus
 
-(** ["table"], ["json"], ["prom"]/["prometheus"]. *)
-val format_of_string : string -> format option
-
 (** One metered microbench cell — [iterations] madvise shootdowns of
     [pte_count] pages from CPU 0 to the [placement] responder, phase
     metrics on — as a {!Shard} job and its result getter. The shootout
@@ -26,7 +23,5 @@ val metered_cell :
     Defaults: 200 iterations per cell, seed 7. *)
 val collect : ?iterations:int -> ?seed:int64 -> jobs:int -> unit -> Metrics.t
 
-val render : format -> Metrics.t -> string
-
-(** [collect] + [render]. *)
+(** {!collect}, rendered as [format]. *)
 val run : ?iterations:int -> ?seed:int64 -> jobs:int -> format -> string

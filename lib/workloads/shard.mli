@@ -20,9 +20,6 @@ type measure = {
   runs : int;
 }
 
-val zero_measure : measure
-val add_measure : measure -> measure -> measure
-
 type job
 
 type plan = {

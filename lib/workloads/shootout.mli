@@ -35,14 +35,8 @@ val plan_cells :
   unit ->
   Shard.job list * (unit -> row list)
 
-(** Run every backend's cell (sharded over [jobs] domains) and return the
-    rows in backend order. *)
-val collect :
-  ?pte_count:int -> ?iterations:int -> ?seed:int64 -> jobs:int -> unit -> row list
-
-val render : format -> row list -> string
-
-(** {!collect} + {!render}. *)
+(** Run every backend's cell (sharded over [jobs] domains) and render the
+    rows, in backend order, as [format]. *)
 val run :
   ?pte_count:int -> ?iterations:int -> ?seed:int64 -> jobs:int -> format -> string
 
@@ -91,8 +85,6 @@ val workload_cells :
   quick:bool ->
   unit ->
   Shard.job list * (unit -> wl_report) * int
-
-val render_workloads : wl_report -> string
 
 (** Standalone run on fresh memos (the `tlbsim shootout --workloads`
     path), sharded over [jobs] domains; byte-identical at any [~jobs]. *)

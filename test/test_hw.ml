@@ -581,11 +581,15 @@ let test_nmi_bypasses_mask () =
       Cpu.irq_enable target);
   Engine.run e
 
-let test_spin_until_services_irqs () =
+let test_poll_wait_services_irqs () =
   let e, _, _, cpus, apic = make_machine_parts () in
-  let flag = ref false in
+  let flag = ref false and released = ref false in
   Process.spawn e ~name:"spinner" (fun () ->
-      Cpu.spin_until cpus.(3) (fun () -> !flag));
+      let ready () = !flag in
+      while not (ready ()) do
+        Cpu.poll_wait cpus.(3) ready
+      done;
+      released := true);
   Process.spawn e ~name:"sender" (fun () ->
       Process.delay e 1_000;
       ignore
@@ -593,7 +597,8 @@ let test_spin_until_services_irqs () =
            ~make_irq:(fun _ ->
              { Cpu.vector = 3; maskable = true; handler = (fun _ -> flag := true) })));
   Engine.run e;
-  check bool_t "spinner released by irq" true !flag
+  check bool_t "irq handled" true !flag;
+  check bool_t "spinner released by irq" true !released
 
 let test_apic_multicast_cluster_cost () =
   let e, topo, c, _, apic = make_machine_parts () in
@@ -967,7 +972,7 @@ let suite =
     Alcotest.test_case "cpu+apic: delivery and interruption" `Quick test_ipi_delivery_and_interruption;
     Alcotest.test_case "cpu: masking defers irqs" `Quick test_irq_masking_defers;
     Alcotest.test_case "cpu: nmi bypasses mask" `Quick test_nmi_bypasses_mask;
-    Alcotest.test_case "cpu: spin_until services irqs" `Quick test_spin_until_services_irqs;
+    Alcotest.test_case "cpu: poll_wait services irqs" `Quick test_poll_wait_services_irqs;
     Alcotest.test_case "apic: multicast cluster cost" `Quick test_apic_multicast_cluster_cost;
     Alcotest.test_case "apic: rejects self-IPI" `Quick test_apic_rejects_self_ipi;
     Alcotest.test_case "cpu: idle_wait wakes on irq" `Quick test_idle_wait_wakes_on_irq;

@@ -3,8 +3,8 @@
    toggling, allowlist scoping, and the tier-1 guarantee that the real tree
    lints clean under tools/tlblint/allow.sexp. *)
 
-let fixture_cmt name =
-  Filename.concat "../tools/tlblint/fixtures/.lint_fixtures.objs/byte" (name ^ ".cmt")
+let fixture_dir = "../tools/tlblint/fixtures/.lint_fixtures.objs/byte"
+let fixture_cmt name = Filename.concat fixture_dir (name ^ ".cmt")
 
 let lines_and_rules findings =
   List.map (fun f -> (f.Lint.f_line, Lint.rule_name f.Lint.f_rule)) findings
@@ -32,10 +32,34 @@ let test_r4 =
   test_pair ~bad:"fix_r4_bad" ~good:"fix_r4_good"
     ~expected:[ (4, "R4"); (6, "R4"); (8, "R4") ]
 
+(* R5 reads uses from every .cmt beside the scanned one, here every
+   fixture: [Fix_r5_good.used_elsewhere] has its user in fix_r5_bad. Copied
+   into a directory of its own, away from that user, it is dead too. *)
+let test_r5 () =
+  test_pair ~bad:"fix_r5_bad" ~good:"fix_r5_good"
+    ~expected:[ (3, "R5"); (4, "R5"); (5, "R5") ]
+    ();
+  let alone = "r5_alone" in
+  if not (Sys.file_exists alone) then Sys.mkdir alone 0o755;
+  List.iter
+    (fun ext ->
+      let src = fixture_cmt "fix_r5_good" ^ ext in
+      let ic = open_in_bin src in
+      let data = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin (Filename.concat alone ("fix_r5_good.cmt" ^ ext)) in
+      output_string oc data;
+      close_out oc)
+    [ ""; "i" ];
+  let findings = Lint.run ~rules:[ Lint.R5 ] [ Filename.concat alone "fix_r5_good.cmt" ] in
+  List.iter (fun ext -> Sys.remove (Filename.concat alone ("fix_r5_good.cmt" ^ ext))) [ ""; "i" ];
+  Sys.rmdir alone;
+  check_findings "fix_r5_good without its user" [ (4, "R5") ] findings
+
 (* --rules style toggling: a disabled rule reports nothing. *)
 let test_toggle () =
   check_findings "R1 disabled" []
-    (Lint.run ~rules:[ Lint.R2; Lint.R3; Lint.R4 ] [ fixture_cmt "fix_r1_bad" ]);
+    (Lint.run ~rules:[ Lint.R2; Lint.R3; Lint.R4; Lint.R5 ] [ fixture_cmt "fix_r1_bad" ]);
   check_findings "only R4 enabled"
     [ (4, "R4"); (6, "R4"); (8, "R4") ]
     (Lint.run ~rules:[ Lint.R4 ] [ fixture_cmt "fix_r4_bad" ])
@@ -57,13 +81,15 @@ let test_allowlist () =
     (Lint.run ~allow [ fixture_cmt "fix_r2_bad" ])
 
 (* Tier-1: the real tree has zero unsuppressed findings under the shipped
-   allowlist.  The cmt-count floor guards against silently scanning nothing. *)
+   allowlist.  The cmt-count floor guards against silently scanning nothing.
+   The scan is the CLI's: R5 counts the uses in every tree under the
+   scanned paths' parent, the build root. *)
 let test_tree_clean () =
-  let dirs = List.filter Sys.file_exists [ "../lib"; "../bin"; "../bench" ] in
-  let cmts = Lint.find_cmts dirs in
-  Alcotest.(check bool) "scanned a real module set" true (List.length cmts > 30);
+  let paths = List.filter Sys.file_exists [ "../lib"; "../bin"; "../bench" ] in
+  Alcotest.(check bool) "scanned a real module set" true
+    (List.length (Lint.find_cmts paths) > 30);
   let allow = Lint.load_allowlist "../tools/tlblint/allow.sexp" in
-  let findings = Lint.run ~allow cmts in
+  let findings = Lint.run ~allow paths in
   List.iter (fun f -> Format.eprintf "%a@." Lint.pp_finding f) findings;
   Alcotest.(check int) "tree is tlblint-clean" 0 (List.length findings)
 
@@ -73,6 +99,7 @@ let suite =
     Alcotest.test_case "R2 unordered-iteration fixtures" `Quick test_r2;
     Alcotest.test_case "R3 nondeterminism fixtures" `Quick test_r3;
     Alcotest.test_case "R4 unsafe-array fixtures" `Quick test_r4;
+    Alcotest.test_case "R5 dead-export fixtures" `Quick test_r5;
     Alcotest.test_case "rule toggling" `Quick test_toggle;
     Alcotest.test_case "allowlist scoping" `Quick test_allowlist;
     Alcotest.test_case "real tree lints clean" `Quick test_tree_clean;

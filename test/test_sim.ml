@@ -874,18 +874,13 @@ let ring_size = 2048
 
 (* --- Event pool model test ---
 
-   Randomized schedule / cancel / fire / recycle sequences against a
-   simple model, checking the pooled-event invariants end to end:
+   Randomized schedule / fire / recycle sequences against a simple model,
+   checking the pooled-event invariants end to end:
 
-   - every non-cancelled scheduled callback fires exactly once (exact
-     multiset of ids, children included);
+   - every scheduled callback fires exactly once (exact multiset of ids,
+     children included), rows recycled by earlier rounds included;
    - fire times are the scheduled times, delivered monotonically, and
-     same-time top-level events keep insertion order;
-   - [cancel] returns [true] iff the model says the event is still
-     pending — including cancels issued from inside running callbacks;
-   - a handle kept across the event's firing (so its pool slot has been
-     recycled by later schedules) is stale: [cancel] returns [false] and
-     the slot's new occupant still fires.
+     same-time top-level events keep insertion order.
 
    The ring-shaped cases: bursts of same-time events (one ring slot holds
    many, in FIFO order); a slot popped to empty and appended again, at the
@@ -900,10 +895,8 @@ let test_engine_pool_model () =
   let rng = Rng.create ~seed:0xd15ea5eL in
   let e = Engine.create () in
   let scheduled = ref [] (* (id, time) of everything ever scheduled *)
-  and cancelled = ref []
   and fired = ref [] (* (id, time) in fire order, newest first *)
   and live = Hashtbl.create 64 (* id -> scheduled fire time, pending only *)
-  and handles = ref [] (* (id, handle) for every cancellable, kept forever *)
   and top_seq = ref [] (* (time, insertion index, id) of top-level events *)
   and next_id = ref 0
   and gop = ref 0 (* global insertion counter, never reset *) in
@@ -922,14 +915,6 @@ let test_engine_pool_model () =
   in
   (* Tagged dispatch: one shared handler, the event's [a] is the model id. *)
   let tag = Engine.register_handler e (fun a _b -> fire a) in
-  let try_cancel (id, h) =
-    let was_live = Hashtbl.mem live id in
-    check bool_t "cancel true iff pending" was_live (Engine.cancel e h);
-    if was_live then begin
-      Hashtbl.remove live id;
-      cancelled := (id, ()) :: !cancelled
-    end
-  in
   let n_ops = 400 in
   let top time id = top_seq := (time, !gop, id) :: !top_seq in
   let plain d =
@@ -957,7 +942,7 @@ let test_engine_pool_model () =
       incr gop;
       let op = !gop in
       let now = Engine.now e in
-      match Rng.int rng 15 with
+      match Rng.int rng 11 with
       | 0 | 1 | 2 ->
           let d = Rng.int rng 50 in
           let id = fresh_id (now + d) in
@@ -968,14 +953,7 @@ let test_engine_pool_model () =
           let id = fresh_id (now + d) in
           top_seq := (now + d, op, id) :: !top_seq;
           Engine.schedule_tag e ~delay:d ~tag ~a:id ~b:0
-      | 5 | 6 ->
-          let d = Rng.int rng 50 in
-          let id = fresh_id (now + d) in
-          top_seq := (now + d, op, id) :: !top_seq;
-          handles :=
-            (id, Engine.schedule_cancellable e ~delay:d (fun () -> fire id))
-            :: !handles
-      | 7 ->
+      | 5 ->
           (* A parent whose callback schedules children at fire time —
              delay 0 children land in the same-cycle batch path. *)
           let d = Rng.int rng 50 and d1 = Rng.int rng 4 and d2 = Rng.int rng 4 in
@@ -987,39 +965,20 @@ let test_engine_pool_model () =
               and c2 = fresh_id (Engine.now e + d2) in
               Engine.schedule e ~delay:d1 (fun () -> fire c1);
               Engine.schedule_tag e ~delay:d2 ~tag ~a:c2 ~b:0)
-      | 8 ->
-          (* A callback that cancels a random cancellable when it runs:
-             the in-flight cancel path. Which handle is picked is fixed
-             at schedule time; it may well have fired by then — exactly
-             the staleness the generation stamp must catch. *)
-          let d = Rng.int rng 50 in
-          let id = fresh_id (now + d) in
-          top_seq := (now + d, op, id) :: !top_seq;
-          let victims = !handles in
-          let pick = if victims = [] then None
-            else Some (List.nth victims (Rng.int rng (List.length victims))) in
-          Engine.schedule e ~delay:d (fun () ->
-              fire id;
-              Option.iter try_cancel pick)
-      | 9 ->
-          (* Cancel from outside the engine, pending or stale alike. *)
-          (match !handles with
-          | [] -> ()
-          | hs -> try_cancel (List.nth hs (Rng.int rng (List.length hs))))
-      | 10 | 11 ->
+      | 6 | 7 ->
           (* A burst at one time: one ring slot holds them all. *)
           let d = Rng.int rng 50 in
           for _ = 0 to 4 + Rng.int rng 12 do
             plain d
           done
-      | 12 ->
+      | 8 ->
           (* Pop whatever is due, then append at the instant just popped
              from (the slot may have emptied) and one ring lap later. *)
           plain 0;
           ignore (Engine.step e : bool);
           plain 0;
           plain ring_size
-      | 13 -> plain (Rng.int rng ((3 * ring_size) + 1))
+      | 9 -> plain (Rng.int rng ((3 * ring_size) + 1))
       | _ ->
           (* A chooser that always takes the earliest candidate keeps the
              (time, seq) order, but installing it moves every ring event
@@ -1029,24 +988,13 @@ let test_engine_pool_model () =
     done;
     Engine.clear_chooser e;
     Engine.run e;
-    (* Queue drained: recycled records from this round are reused by the
-       next round's schedules, and every handle in [handles] is now
-       stale — the next round's outside-cancels must all answer false. *)
+    (* Queue drained: recycled rows from this round are reused by the next
+       round's schedules. *)
     check int_t "queue drained" 0 (Engine.pending e)
   done;
-  (* Every old handle is stale after its event fired or was cancelled. *)
-  List.iter (fun (id, h) ->
-      check bool_t "retained handle is stale" false (Engine.cancel e h);
-      ignore id)
-    !handles;
-  (* Exact multiset: fired = scheduled - cancelled, each exactly once. *)
+  (* Exact multiset: everything scheduled fired, each exactly once. *)
   let sorted l = List.sort compare (List.map fst l) in
-  let expected =
-    let cset = Hashtbl.create 64 in
-    List.iter (fun (id, ()) -> Hashtbl.replace cset id ()) !cancelled;
-    List.filter (fun id -> not (Hashtbl.mem cset id)) (sorted !scheduled)
-  in
-  check (Alcotest.list int_t) "fired exactly the live schedule" expected
+  check (Alcotest.list int_t) "fired exactly the schedule" (sorted !scheduled)
     (sorted !fired);
   check int_t "nothing left pending" 0 (Hashtbl.length live);
   (* Delivery order: monotone in time... *)
@@ -1064,17 +1012,12 @@ let test_engine_pool_model () =
   ignore
     (List.fold_left
        (fun prev (t, _, id) ->
-         (match Hashtbl.find_opt pos id with
-         | None -> () (* cancelled *)
-         | Some i ->
-             (match prev with
-             | Some (pt, pi) when pt = t ->
-                 check bool_t "FIFO among same-time top-level events" true (pi < i)
-             | _ -> ());
-             ());
-         match Hashtbl.find_opt pos id with
-         | None -> prev
-         | Some i -> Some (t, i))
+         let i = Hashtbl.find pos id in
+         (match prev with
+         | Some (pt, pi) when pt = t ->
+             check bool_t "FIFO among same-time top-level events" true (pi < i)
+         | _ -> ());
+         Some (t, i))
        None tops)
 
 (* --- Engine model across the ring boundary ---
@@ -1221,7 +1164,7 @@ let suite =
       test_engine_try_advance_clock_boundary;
     Alcotest.test_case "engine: seq renumber preserves FIFO" `Slow
       test_engine_seq_renumber_preserves_fifo;
-    Alcotest.test_case "engine: randomized pool schedule/cancel/recycle model" `Quick
+    Alcotest.test_case "engine: randomized pool schedule/fire/recycle model" `Quick
       test_engine_pool_model;
     Alcotest.test_case "engine: ring-boundary model (wrap, heap ties, far ring event)"
       `Quick test_engine_ring_boundary_model;

@@ -141,7 +141,7 @@ let test_apache_single_core_no_shootdowns () =
 
 (* IPI conservation: Apache, Sysbench and Bigmachine fail a run whose IPIs
    sent differ from the IRQs handled or that ends with an IRQ pending
-   ([Machine.check_run]). Small configs under every backend, each of
+   ([Kernel.check_run]). Small configs under every backend, each of
    which must have sent IPIs for the check to mean anything. *)
 let test_ipi_conservation_all_backends () =
   List.iter
@@ -190,13 +190,16 @@ let test_ipi_invariants_catch_imbalance () =
   Machine.run m;
   Alcotest.check_raises "an IRQ handled twice fails the run"
     (Failure "Demo: 0 IPI(s) sent but 1 handled at quiescence") (fun () ->
-      Machine.check_run m ~who:"Demo")
+      Kernel.check_run m ~who:"Demo")
 
-(* Dispatcher quiescence: a run must not end inside an IRQ drain. A
-   handler that parks for good leaves one behind: in a detached dispatcher
-   on an idle CPU (the dispatcher suspended, its drain running), and in a
-   process at its own service point (the drain running, no dispatcher).
-   [Kernel.check_run] must report each. *)
+(* Quiescence: a run must not end inside an IRQ drain. A handler that
+   parks for good leaves one behind: in a detached dispatcher on an idle
+   CPU (the dispatcher suspended, its drain running), and in a process at
+   its own service point (the drain running, no dispatcher). Nor may it
+   end with protocol state left over: an open checker window, a deferred
+   user flush, a queued call, an inflight-flush flag or a batched
+   shootdown. [Kernel.check_run] must report each, and a checker
+   violation with its first recorded instance. *)
 let test_dispatch_quiescence () =
   let stuck = { Cpu.vector = 1; maskable = true; handler = (fun _ -> Process.park ()) } in
   let m = Machine.create ~opts:(Opts.all ~safe:true) () in
@@ -216,7 +219,60 @@ let test_dispatch_quiescence () =
   Machine.run m;
   Alcotest.check_raises "a drain left running"
     (Failure "Demo: cpu2: IRQ drain still running at quiescence") (fun () ->
-      Kernel.check_run m ~who:"Demo")
+      Kernel.check_run m ~who:"Demo");
+  let info = Flush_info.full ~mm_id:0 ~new_tlb_gen:1 () in
+  List.iter
+    (fun (what, leave) ->
+      let m = Machine.create ~opts:(Opts.all ~safe:true) () in
+      leave m (Machine.percpu m 1);
+      Alcotest.check_raises what (Failure ("Demo: " ^ what)) (fun () ->
+          Kernel.check_run m ~who:"Demo"))
+    [
+      ( "TLB coherence violation: t=5 cpu1 mm1 vpn=10: translation removed from page table",
+        fun m _ ->
+          let entry =
+            {
+              Tlb.vpn = 10;
+              pfn = 5;
+              pcid = 1;
+              size = Tlb.Four_k;
+              global = false;
+              writable = false;
+              fractured = false;
+              ck_ver = -1;
+            }
+          in
+          ignore
+            (Checker.check_hit m.Machine.checker ~now:5 ~cpu:1 ~mm_id:1 ~vpn:10 ~write:false
+               ~entry ~pt:(Page_table.create ())
+              : Checker.result) );
+      ( "1 invalidation window(s) open at quiescence",
+        fun m _ -> ignore (Checker.begin_invalidation m.Machine.checker info) );
+      ( "cpu1: deferred user flush survives quiescence",
+        fun _ p -> p.Percpu.pending_user <- Percpu.Full_flush );
+      ( "cpu1: undrained call queue at quiescence",
+        fun _ p ->
+          Queue.push
+            {
+              Percpu.cfd_seq = 0;
+              cfd_initiator = 0;
+              cfd_target = 1;
+              cfd_info = info;
+              cfd_early_ack = false;
+              cfd_acked = false;
+              cfd_executed = false;
+              cfd_line = Cache.create_line p.Percpu.registry ~name:(lazy "cfd");
+              cfd_info_line = None;
+            }
+            p.Percpu.csq );
+      ( "cpu1: inflight-flush flag stuck at quiescence",
+        fun _ p -> p.Percpu.inflight_flush <- true );
+      ( "cpu1: unflushed batched shootdowns at quiescence",
+        fun m p ->
+          let token = Checker.begin_invalidation m.Machine.checker info in
+          Checker.end_invalidation m.Machine.checker token;
+          p.Percpu.batch <- [ (info, token) ] );
+    ]
 
 (* Sync-broadcast conservation: every responder whose done bit the
    initiator cleared sets it again and decrements [sync_outstanding], so

@@ -14,15 +14,25 @@
    R4 unsafe-array discipline: [Array.unsafe_get]/[set] (and Bytes) only in
       modules carrying a "tlblint: proven-bounds" header comment; plus
       structural float comparison (NaN hazard).
+   R5 dead-export: a [val] in a scanned module's .mli that no other
+      compilation unit references, scanned or under a scanned path's parent
+      directory.
 
    Suppression: [@tlblint.allow "R1"] on an expression or let-binding
    (space/comma-separated rule ids, or "all"), [@@@tlblint.allow "R2"] for a
-   whole module, or an entry in the allow.sexp allowlist. *)
+   whole module, or an entry in the allow.sexp allowlist.  An R5 grant sits
+   on the [val] in the .mli and must carry a reason after the rule id. *)
 
-type rule = R1 | R2 | R3 | R4
+type rule = R1 | R2 | R3 | R4 | R5
 
-let rule_name = function R1 -> "R1" | R2 -> "R2" | R3 -> "R3" | R4 -> "R4"
-let all_rules = [ R1; R2; R3; R4 ]
+let rule_name = function
+  | R1 -> "R1"
+  | R2 -> "R2"
+  | R3 -> "R3"
+  | R4 -> "R4"
+  | R5 -> "R5"
+
+let all_rules = [ R1; R2; R3; R4; R5 ]
 
 let rule_of_string s =
   match String.lowercase_ascii (String.trim s) with
@@ -30,6 +40,7 @@ let rule_of_string s =
   | "r2" | "unordered-iteration" -> Some R2
   | "r3" | "nondeterminism-source" -> Some R3
   | "r4" | "unsafe-array" -> Some R4
+  | "r5" | "dead-export" -> Some R5
   | _ -> None
 
 type finding = {
@@ -213,14 +224,14 @@ let split_words s =
   String.split_on_char ' ' (String.map (function ',' -> ' ' | c -> c) s)
   |> List.filter (fun w -> String.length w > 0)
 
-(* Rules named by a [@tlblint.allow "..."] attribute; empty payload = all. *)
-let rules_of_attributes (attrs : Parsetree.attributes) : rule list =
-  List.concat_map
+(* Payloads of the [@tlblint.allow "..."] attributes: [Some s] for a
+   string, [None] for any other payload (which grants every rule). *)
+let allow_payloads (attrs : Parsetree.attributes) : string option list =
+  List.filter_map
     (fun (a : Parsetree.attribute) ->
-      if not (String.equal a.attr_name.txt "tlblint.allow") then []
+      if not (String.equal a.attr_name.txt "tlblint.allow") then None
       else
         match a.attr_payload with
-        | PStr [] -> all_rules
         | PStr
             [
               {
@@ -230,13 +241,29 @@ let rules_of_attributes (attrs : Parsetree.attributes) : rule list =
                 _;
               };
             ] ->
-            let words = split_words s in
-            if List.exists (fun w -> String.equal (String.lowercase_ascii w) "all") words
-            then all_rules
-            else
-              List.filter_map rule_of_string words
-        | _ -> all_rules)
+            Some (Some s)
+        | _ -> Some None)
     attrs
+
+let is_all w = String.equal (String.lowercase_ascii w) "all"
+
+let rules_of_payload = function
+  | None -> all_rules
+  | Some s ->
+      let words = split_words s in
+      if List.exists is_all words then all_rules
+      else List.filter_map rule_of_string words
+
+(* A payload gives a reason when some word is neither a rule id nor "all". *)
+let payload_has_reason = function
+  | None -> false
+  | Some s ->
+      List.exists
+        (fun w -> (not (is_all w)) && Option.is_none (rule_of_string w))
+        (split_words s)
+
+(* Rules named by a [@tlblint.allow "..."] attribute; empty payload = all. *)
+let rules_of_attributes attrs = List.concat_map rules_of_payload (allow_payloads attrs)
 
 (* ----- typed-ident classification ----- *)
 
@@ -583,6 +610,90 @@ let lint_cmt ?(rules = all_rules) ?(allow = []) ~cmt_path
       List.sort compare_findings ctx.findings
   | _ -> []
 
+(* ----- R5: dead exports ----- *)
+
+(* Record every [Unit.value] a compilation unit references as
+   "Unit.value".  A unit used as a whole module (functor argument,
+   [include], alias, first-class pack) is recorded as "Unit." and covers
+   all of its values; [open Unit] is not a use, the idents it brings into
+   scope are. *)
+let collect_uses uses (cmt : Cmt_format.cmt_infos) =
+  let unit_of = function
+    | Path.Pident id when Ident.persistent id -> Some (Ident.name id)
+    | _ -> None
+  in
+  let add key = Hashtbl.replace uses key () in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_ident (Path.Pdot (m, v), _, _) ->
+        Option.iter (fun u -> add (u ^ "." ^ v)) (unit_of m)
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let module_expr sub (m : Typedtree.module_expr) =
+    (match m.mod_desc with
+    | Tmod_ident (p, _) -> Option.iter (fun u -> add (u ^ ".")) (unit_of p)
+    | _ -> ());
+    Tast_iterator.default_iterator.module_expr sub m
+  in
+  let open_declaration sub (od : Typedtree.open_declaration) =
+    match od.open_expr.mod_desc with
+    | Tmod_ident _ -> ()
+    | _ -> Tast_iterator.default_iterator.open_declaration sub od
+  in
+  let it =
+    { Tast_iterator.default_iterator with expr; module_expr; open_declaration }
+  in
+  match cmt.cmt_annots with
+  | Implementation str -> it.structure it str
+  | _ -> ()
+
+(* The [val]s of the unit's .mli (its .cmti beside the .cmt) that no
+   recorded use covers.  A grant on the [val] itself must give a reason. *)
+let dead_exports ~allow ~uses cmt_path =
+  let cmti = cmt_path ^ "i" in
+  match Cmt_format.read_cmt cmti with
+  | exception _ -> []
+  | { cmt_annots = Interface sg; cmt_modname = modname; _ } ->
+      List.filter_map
+        (fun (item : Typedtree.signature_item) ->
+          match item.sig_desc with
+          | Tsig_value vd -> (
+              let name = modname ^ "." ^ vd.val_name.txt in
+              let file, line, col = loc_of vd.val_loc in
+              let finding msg =
+                Some { f_file = file; f_line = line; f_col = col; f_rule = R5; f_msg = msg }
+              in
+              let grants =
+                List.filter
+                  (fun p -> List.memq R5 (rules_of_payload p))
+                  (allow_payloads vd.val_attributes)
+              in
+              match grants with
+              | _ :: _ when List.exists (fun p -> not (payload_has_reason p)) grants ->
+                  finding
+                    (Printf.sprintf
+                       "the R5 grant on %s gives no reason — say why it stays \
+                        exported, e.g. [@@tlblint.allow \"R5 used by ...\"]"
+                       name)
+              | _ :: _ -> None
+              | [] ->
+                  if
+                    Hashtbl.mem uses name
+                    || Hashtbl.mem uses (modname ^ ".")
+                    || allow_matches allow ~rule:R5 ~modname ~file ~line
+                  then None
+                  else
+                    finding
+                      (Printf.sprintf
+                         "%s is exported but no other compilation unit uses it \
+                          — delete it, or drop it from the .mli if its own \
+                          module still needs it"
+                         name))
+          | _ -> None)
+        sg.sig_items
+  | _ -> []
+
 (* ----- cmt discovery and load-path setup ----- *)
 
 let rec find_cmts_under acc path =
@@ -636,20 +747,36 @@ let init_load_path ~extra_dirs (cmts : (string * Cmt_format.cmt_infos) list) =
     cmts;
   Load_path.init ~auto_include:Load_path.no_auto_include (List.rev !dirs)
 
-(* Lint a set of .cmt paths end to end; returns the merged, sorted findings. *)
-let run ?(rules = all_rules) ?(allow = []) ?(extra_dirs = []) cmt_paths =
-  let cmts =
-    List.filter_map
-      (fun p ->
-        match Cmt_format.read_cmt p with
-        | cmt -> Some (p, cmt)
-        | exception _ ->
-            prerr_endline ("tlblint: warning: unreadable cmt " ^ p);
-            None)
-      cmt_paths
-  in
+let read_cmts paths =
+  List.filter_map
+    (fun p ->
+      match Cmt_format.read_cmt p with
+      | cmt -> Some (p, cmt)
+      | exception _ ->
+          prerr_endline ("tlblint: warning: unreadable cmt " ^ p);
+          None)
+    paths
+
+(* Lint the .cmt files under [paths] (files or directories) end to end;
+   returns the merged, sorted findings. R5 reads uses from every .cmt under
+   each path's parent directory as well, so linting _build/default/lib
+   counts the uses in _build/default/test, bin, examples and the rest. *)
+let run ?(rules = all_rules) ?(allow = []) ?(extra_dirs = []) paths =
+  let cmt_paths = find_cmts paths in
+  let cmts = read_cmts cmt_paths in
   init_load_path ~extra_dirs cmts;
   let findings =
     List.concat_map (fun (p, cmt) -> lint_cmt ~rules ~allow ~cmt_path:p cmt) cmts
   in
-  List.sort compare_findings findings
+  let dead =
+    if not (List.memq R5 rules) then []
+    else begin
+      let uses = Hashtbl.create 4096 in
+      List.iter (fun (_, cmt) -> collect_uses uses cmt) cmts;
+      let refs = find_cmts (List.sort_uniq String.compare (List.map Filename.dirname paths)) in
+      let others = List.filter (fun p -> not (List.exists (String.equal p) cmt_paths)) refs in
+      List.iter (fun (_, cmt) -> collect_uses uses cmt) (read_cmts others);
+      List.concat_map (fun (p, _) -> dead_exports ~allow ~uses p) cmts
+    end
+  in
+  List.sort compare_findings (findings @ dead)

@@ -2,14 +2,17 @@
 
    Usage: tlblint [--rules R1,R2,...] [--allow FILE] [-I DIR] [-q] PATH...
    PATHs are .cmt files or directories searched recursively (point it at
-   _build/default/lib etc. after `dune build @check`).  Exits 1 when any
-   unsuppressed finding remains, 2 on usage errors. *)
+   _build/default/lib etc. after `dune build @check`).  R5 counts a use
+   from any .cmt under a PATH's parent directory, so scanning
+   _build/default/lib also reads the uses in _build/default/test.  Exits 1
+   when any unsuppressed finding remains, 2 on usage errors. *)
 
 let usage =
-  "usage: tlblint [--rules R1,R2,R3,R4] [--allow FILE] [-I DIR] [-q] PATH...\n\
+  "usage: tlblint [--rules R1,R2,R3,R4,R5] [--allow FILE] [-I DIR] [-q] PATH...\n\
    Scans .cmt files (or directories of them) for determinism and hot-path\n\
    hazards.  Rules: R1 poly-compare, R2 unordered-iteration,\n\
-   R3 nondeterminism-source, R4 unsafe-array/float-compare.\n\
+   R3 nondeterminism-source, R4 unsafe-array/float-compare,\n\
+   R5 dead-export (uses are read from every .cmt beside each PATH).\n\
    Default allowlist: tools/tlblint/allow.sexp (when present)."
 
 let () =
@@ -36,7 +39,7 @@ let () =
                  | None -> die (Printf.sprintf "tlblint: unknown rule %S" w))
         in
         if List.compare_length_with named 0 = 0 then
-          die "tlblint: --rules needs at least one of R1,R2,R3,R4";
+          die "tlblint: --rules needs at least one of R1,R2,R3,R4,R5";
         rules := named;
         parse rest
     | "--allow" :: file :: rest ->
@@ -67,7 +70,7 @@ let () =
   if List.compare_length_with cmts 0 = 0 then
     die "tlblint: no .cmt files found (build with `dune build @check` first)";
   let findings =
-    Lint.run ~rules:!rules ~allow ~extra_dirs:(List.rev !extra_dirs) cmts
+    Lint.run ~rules:!rules ~allow ~extra_dirs:(List.rev !extra_dirs) (List.rev !paths)
   in
   List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) findings;
   let n = List.length findings in
@@ -77,8 +80,11 @@ let () =
     in
     Format.printf "tlblint: %d cmt file(s), %d finding(s)" (List.length cmts) n;
     if n > 0 then
-      Format.printf " (R1 %d, R2 %d, R3 %d, R4 %d)" (count Lint.R1) (count Lint.R2)
-        (count Lint.R3) (count Lint.R4);
+      Format.printf " (%s)"
+        (String.concat ", "
+           (List.map
+              (fun r -> Printf.sprintf "%s %d" (Lint.rule_name r) (count r))
+              Lint.all_rules));
     Format.printf "@."
   end;
   exit (if n > 0 then 1 else 0)
