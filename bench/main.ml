@@ -1122,18 +1122,40 @@ let bechamel () =
   in
   (* Coherence pricing on the paper machine: a write by cpu 0 invalidates
      the line, then every other CPU reads it, so the sharer set grows back
-     to all 56 and each read's holder scan walks the sharers so far. One
-     run is the write and the 55 reads. *)
+     to all 56, each read ranked against the holders so far. One run is
+     the write and the 55 reads. *)
   let cache_read_test =
     let topo = Topology.paper_machine in
     let reg = Cache.create_registry topo Costs.default in
-    let l = Cache.create_line reg ~name:(lazy "bench") in
+    let l = Cache.create_line reg in
     let n = Topology.n_cpus topo in
     Test.make ~name:"cache:read (56 sharers)"
       (Staged.stage (fun () ->
            ignore (Cache.write l ~by:0);
            for by = 1 to n - 1 do
              ignore (Cache.read l ~by)
+           done))
+  in
+  (* A sync-broadcast status line on a 1024-CPU machine: cpu 0 posts
+     (a write), every responder reads the line, then every responder sets
+     its done bit with an atomic. One run is the write, the 1023 reads and
+     the 1023 atomics. Each access is priced in O(SMT threads), so a return
+     to a scan over the sharers shows here as a cost in [Hw.Cache] growing
+     with the machine. *)
+  let cache_status_line_test =
+    let sockets, cores_per_socket, smt = Bigmachine.topo_of_cpus 1024 in
+    let topo = Topology.create ~sockets ~cores_per_socket ~smt in
+    let reg = Cache.create_registry topo Costs.default in
+    let l = Cache.create_line reg in
+    let n = Topology.n_cpus topo in
+    Test.make ~name:"cache:status line (1024 cpus)"
+      (Staged.stage (fun () ->
+           ignore (Cache.write l ~by:0);
+           for by = 1 to n - 1 do
+             ignore (Cache.read l ~by)
+           done;
+           for by = 1 to n - 1 do
+             ignore (Cache.atomic l ~by)
            done))
   in
   let test =
@@ -1161,6 +1183,7 @@ let bechamel () =
         tlb_flush_test;
         machine_create_test;
         cache_read_test;
+        cache_status_line_test;
       ]
   in
   let clock = Toolkit.Instance.monotonic_clock

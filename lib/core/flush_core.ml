@@ -53,89 +53,95 @@ let local_full_flush m ~cpu ~eager_user pcpu =
     else pcpu.Percpu.pending_user <- Percpu.Full_flush
   end
 
+(* A flush is skipped when the address space is not loaded here (raced
+   with a context switch; the switch-in generation check covers it) or
+   this CPU's generation is already current. Returns the [Some] cell of
+   [loaded_mm] itself, so the check allocates nothing. *)
+let flush_due m ~cpu (info : Flush_info.t) =
+  let pcpu = Machine.percpu m cpu in
+  match pcpu.Percpu.loaded_mm with
+  | Some mm as due
+    when Mm_struct.id mm = info.Flush_info.mm_id
+         && pcpu.Percpu.asids.(pcpu.Percpu.curr_asid).Percpu.gen_seen
+            < info.Flush_info.new_tlb_gen ->
+      due
+  | Some _ | None -> None
+
 let flush_tlb_func_impl m ~cpu ~user ~eager_user (info : Flush_info.t) =
   let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
-  let pcpu = Machine.percpu m cpu in
-  let tlb = Cpu.tlb (Machine.cpu m cpu) in
-  match pcpu.Percpu.loaded_mm with
-  | Some mm when Mm_struct.id mm = info.Flush_info.mm_id ->
-      let slot = pcpu.Percpu.asids.(pcpu.Percpu.curr_asid) in
-      if slot.Percpu.gen_seen >= info.Flush_info.new_tlb_gen then begin
-        stats.Machine.flush_requests_skipped <- stats.Machine.flush_requests_skipped + 1;
-        `Skipped
-      end
-      else begin
-        (* Read the mm's current generation (one contended line). *)
-        Machine.charge_read m (Mm_struct.line mm) ~by:cpu;
-        let latest_gen = Mm_struct.tlb_gen mm in
-        if Machine.tracing m then
-          Machine.trace_event m ~cpu
-            (Trace.Gen_read { mm_id = info.Flush_info.mm_id; gen = latest_gen });
-        let behind = info.Flush_info.new_tlb_gen > slot.Percpu.gen_seen + 1 in
-        if info.Flush_info.full
-           || Flush_info.nr_entries info > opts.Opts.full_flush_threshold
-           || behind
-        then begin
-          (* Full flush; fast-forward to the latest generation so queued
-             requests can be skipped (the §5.2 "flush storm" shortcut). *)
-          if behind && not info.Flush_info.full then
-            stats.Machine.full_flush_fallbacks <- stats.Machine.full_flush_fallbacks + 1;
-          local_full_flush m ~cpu ~eager_user pcpu;
-          slot.Percpu.gen_seen <- Int.max latest_gen info.Flush_info.new_tlb_gen;
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu
-              (Trace.Tlb_flush
-                 {
-                   mm_id = info.Flush_info.mm_id;
-                   full = true;
-                   entries = 0;
-                   gen = slot.Percpu.gen_seen;
-                 });
-          `Full
-        end
-        else begin
-          (* One charge run: an INVLPG per page in the kernel PCID, then
-             under PTI, when eager, an INVPCID per page in the user PCID. *)
-          let n = info.Flush_info.pages in
-          let kernel_pcid = Percpu.kernel_pcid pcpu.Percpu.curr_asid in
-          let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
-          let eager = opts.Opts.safe && user = Eager in
-          Machine.chain_upto m (if eager then 2 * n else n) ~phases:2 (fun i phase ->
-              if i < n then
-                if phase = 0 then costs.Costs.invlpg
-                else begin
-                  let vpn = Flush_info.nth_vpn info i in
-                  Tlb.invlpg tlb ~current_pcid:kernel_pcid ~vpn;
-                  0
-                end
-              else if phase = 0 then costs.Costs.invpcid_single
-              else begin
-                let vpn = Flush_info.nth_vpn info (i - n) in
-                Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
-                0
-              end);
-          if opts.Opts.safe && user = Defer then begin
-            stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
-            Percpu.defer_user_flush pcpu info ~threshold:opts.Opts.full_flush_threshold
-          end;
-          slot.Percpu.gen_seen <- info.Flush_info.new_tlb_gen;
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu
-              (Trace.Tlb_flush
-                 {
-                   mm_id = info.Flush_info.mm_id;
-                   full = false;
-                   entries = n;
-                   gen = slot.Percpu.gen_seen;
-                 });
-          `Ranged
-        end
-      end
-  | Some _ | None ->
-      (* The address space is not loaded here (raced with a context
-         switch); the switch-in generation check covers it. *)
+  match flush_due m ~cpu info with
+  | None ->
       stats.Machine.flush_requests_skipped <- stats.Machine.flush_requests_skipped + 1;
       `Skipped
+  | Some mm ->
+      let pcpu = Machine.percpu m cpu in
+      let tlb = Cpu.tlb (Machine.cpu m cpu) in
+      let slot = pcpu.Percpu.asids.(pcpu.Percpu.curr_asid) in
+      (* Read the mm's current generation (one contended line). *)
+      Machine.charge_read m (Mm_struct.line mm) ~by:cpu;
+      let latest_gen = Mm_struct.tlb_gen mm in
+      if Machine.tracing m then
+        Machine.trace_event m ~cpu
+          (Trace.Gen_read { mm_id = info.Flush_info.mm_id; gen = latest_gen });
+      let behind = info.Flush_info.new_tlb_gen > slot.Percpu.gen_seen + 1 in
+      if info.Flush_info.full
+         || Flush_info.nr_entries info > opts.Opts.full_flush_threshold
+         || behind
+      then begin
+        (* Full flush; fast-forward to the latest generation so queued
+           requests can be skipped (the §5.2 "flush storm" shortcut). *)
+        if behind && not info.Flush_info.full then
+          stats.Machine.full_flush_fallbacks <- stats.Machine.full_flush_fallbacks + 1;
+        local_full_flush m ~cpu ~eager_user pcpu;
+        slot.Percpu.gen_seen <- Int.max latest_gen info.Flush_info.new_tlb_gen;
+        if Machine.tracing m then
+          Machine.trace_event m ~cpu
+            (Trace.Tlb_flush
+               {
+                 mm_id = info.Flush_info.mm_id;
+                 full = true;
+                 entries = 0;
+                 gen = slot.Percpu.gen_seen;
+               });
+        `Full
+      end
+      else begin
+        (* One charge run: an INVLPG per page in the kernel PCID, then
+           under PTI, when eager, an INVPCID per page in the user PCID. *)
+        let n = info.Flush_info.pages in
+        let kernel_pcid = Percpu.kernel_pcid pcpu.Percpu.curr_asid in
+        let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
+        let eager = opts.Opts.safe && user = Eager in
+        Machine.chain_upto m (if eager then 2 * n else n) ~phases:2 (fun i phase ->
+            if i < n then
+              if phase = 0 then costs.Costs.invlpg
+              else begin
+                let vpn = Flush_info.nth_vpn info i in
+                Tlb.invlpg tlb ~current_pcid:kernel_pcid ~vpn;
+                0
+              end
+            else if phase = 0 then costs.Costs.invpcid_single
+            else begin
+              let vpn = Flush_info.nth_vpn info (i - n) in
+              Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
+              0
+            end);
+        if opts.Opts.safe && user = Defer then begin
+          stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
+          Percpu.defer_user_flush pcpu info ~threshold:opts.Opts.full_flush_threshold
+        end;
+        slot.Percpu.gen_seen <- info.Flush_info.new_tlb_gen;
+        if Machine.tracing m then
+          Machine.trace_event m ~cpu
+            (Trace.Tlb_flush
+               {
+                 mm_id = info.Flush_info.mm_id;
+                 full = false;
+                 entries = n;
+                 gen = slot.Percpu.gen_seen;
+               });
+        `Ranged
+      end
 
 (* The initiator's own flush of [info], metered at distance rank 0. *)
 let initiator_flush m ~from ~user info =
@@ -154,11 +160,12 @@ let shootdown_irq m handler =
   let id = m.Machine.proto_irq_id in
   if id >= 0 then id
   else begin
+    let handler = handler m in
     let irq =
       {
         Cpu.vector = Smp.tlb_shootdown_vector;
         maskable = true;
-        handler = (fun cpu -> handler m ~me:(Cpu.id cpu) cpu);
+        handler = (fun cpu -> handler ~me:(Cpu.id cpu) cpu);
       }
     in
     let id = Apic.register_irq m.Machine.apic irq in

@@ -27,8 +27,14 @@ val record_prep : Machine.t -> from:int -> targets:Cpuset.t -> int -> unit
     [eager_user] — the oracle's never-defer policy — flushes it on the spot. *)
 val local_full_flush : Machine.t -> cpu:int -> eager_user:bool -> Percpu.t -> unit
 
+(** The address space [cpu] still owes a flush of [info]: its loaded mm
+    when that is [info]'s and [cpu] has not flushed up to [info]'s
+    generation, else [None], and then {!flush_tlb_func_impl} skips [info]
+    without charging or suspending. *)
+val flush_due : Machine.t -> cpu:int -> Flush_info.t -> Mm_struct.t option
+
 (** The responder flush function with Linux's generation bookkeeping: skip
-    if [cpu]'s generation is current, full-flush (fast-forwarding) when the
+    unless {!flush_due}, full-flush (fast-forwarding) when the
     request is full/over-threshold/multiple generations behind, otherwise
     flush the range. [user] picks the §3.4 user-PCID policy for the ranged
     path; [eager_user] the full-flush policy (see {!local_full_flush}). *)

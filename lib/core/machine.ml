@@ -199,8 +199,7 @@ let create ?(topo = Topology.paper_machine) ?(costs = Costs.default)
     next_mm_id = 1;
     next_ipi_seq = 0;
     proto_irq_id = -1;
-    line_sync_status =
-      Cache.create_line registry ~name:(lazy "sync_broadcast.status_table");
+    line_sync_status = Cache.create_line registry;
     sync_info = None;
     sync_from = -1;
     sync_outstanding = 0;
@@ -322,6 +321,8 @@ let chain_cpus t ?(lead = 0) set ~phases visit =
 
 let chain_upto t ?(lead = 0) n ~phases visit =
   walk t no_set n phases visit (if n > 0 then 0 else -1) 0 lead
+
+let chain_item t ~lead item visit = walk t no_set (item + 1) 1 visit item 0 lead
 
 let engine_ops t = Engine.ops t.engine
 

@@ -152,6 +152,11 @@ val chain_cpus : t -> ?lead:int -> Cpuset.t -> phases:int -> (int -> int -> int)
 (** Walk items [0 .. n - 1]; [lead] as for {!chain_cpus}. *)
 val chain_upto : t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> unit
 
+(** [chain_item t ~lead item visit] is a one-phase run of the single item
+    [item]: wait out [lead], then [visit item 0], then the cost it returns.
+    Lets a per-machine [visit] serve every CPU without a closure per call. *)
+val chain_item : t -> lead:int -> int -> (int -> int -> int) -> unit
+
 (** Run the engine until idle. *)
 val run : t -> unit
 

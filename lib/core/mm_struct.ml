@@ -16,7 +16,7 @@ let create ~engine ~registry ~frames ~n_cpus ~id =
     pt = Page_table.create ();
     mem = frames;
     sem = Rwsem.create engine;
-    mm_line = Cache.create_line registry ~name:(lazy (Printf.sprintf "mm%d.gen+cpumask" id));
+    mm_line = Cache.create_line registry;
     gen = 1;
     mask = Cpuset.create ~bits:n_cpus;
     vma_set = Vma.Set.empty;

@@ -82,7 +82,6 @@ let n_asids = 6
 let queue_slots = 8
 
 let create cpu registry =
-  let id = Cpu.id cpu in
   {
     cpu;
     registry;
@@ -96,11 +95,10 @@ let create cpu registry =
     batch = [];
     batch_overflowed = false;
     csq = Queue.create ();
-    line_tlb = Cache.create_line registry ~name:(lazy (Printf.sprintf "cpu%d.tlb_state" id));
-    line_csq = Cache.create_line registry ~name:(lazy (Printf.sprintf "cpu%d.csq" id));
+    line_tlb = Cache.create_line registry;
+    line_csq = Cache.create_line registry;
     csd_lines = [||];
-    line_stack_info =
-      Cache.create_line registry ~name:(lazy (Printf.sprintf "cpu%d.stack_flush_info" id));
+    line_stack_info = Cache.create_line registry;
     scratch_targets = Cpuset.create ~bits:0;
     scratch_resend = Cpuset.create ~bits:0;
     sync_done = true;
@@ -113,7 +111,7 @@ let create cpu registry =
     q_flush_all = false;
     q_target_gen = 0;
     q_ack_gen = 0;
-    line_queue = Cache.create_line registry ~name:(lazy (Printf.sprintf "cpu%d.tlb_queue" id));
+    line_queue = Cache.create_line registry;
   }
 
 let csd_line t ~target =
@@ -126,11 +124,7 @@ let csd_line t ~target =
   match t.csd_lines.(target) with
   | Some l -> l
   | None ->
-      let id = Cpu.id t.cpu in
-      let l =
-        Cache.create_line t.registry
-          ~name:(lazy (Printf.sprintf "cpu%d.csd[%d]" id target))
-      in
+      let l = Cache.create_line t.registry in
       t.csd_lines.(target) <- Some l;
       l
 

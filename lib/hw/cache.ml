@@ -1,9 +1,3 @@
-(* tlblint: proven-bounds — Array.unsafe_get reads the per-CPU location
-   table only at holder ids. A cpu becomes a holder (owner or sharer) only
-   as the [by] of an access that first loaded [loc.(by)] bounds-checked in
-   [extreme_rank] (or was already a holder), so every holder id is in
-   range. The sharer-set walk reads Cpuset.raw_words with indices bounded
-   by the word array's own length. *)
 type totals = {
   reads : int;
   writes : int;
@@ -16,12 +10,12 @@ type totals = {
 
 type registry = {
   loc : int array;
-      (* [loc.(c) = socket * 2^32 lor physical_core] of cpu [c], precomputed:
-         the holder scans below rank every holder against the accessor per
-         access, and the div/mod chain in [Topology.distance] is measurable
-         there. Two CPUs' entries xor to 0 iff they share a physical core,
-         and to a value below 2^32 iff they share a socket: one load orders
-         a holder by rank, and the table costs one word per CPU. *)
+      (* [loc.(c) = physical_core lsl socket_shift lor socket] of cpu [c],
+         precomputed: one load gives both the accessor's socket bit and the
+         first cpu id of its physical core, where the sibling probe starts,
+         and the table costs one word per CPU. *)
+  stride : int; (* physical cores: the id distance between SMT siblings *)
+  smt : int;
   costs : Costs.t;
   mutable t_reads : int;
   mutable t_writes : int;
@@ -35,38 +29,47 @@ type registry = {
          layer, [None] costs one load+branch in [record]. *)
 }
 
-(* The owner is an immediate int (cpu id or -1); sharers are a Cpuset — a
-   word-array bitset that starts with no storage and only ever grows to the
-   highest sharing cpu's word, so a line touched by two neighbouring CPUs
-   on a 1024-CPU machine costs the same as on the 56-CPU paper machine.
-   Coherence bookkeeping runs once per shootdown participant per protocol
-   line; the single-int mask this replaces capped topologies at
-   [Sys.int_size - 2] CPUs. *)
+(* A line's holders are its sharer set: a Cpuset, a word-array bitset that
+   starts with no storage and only ever grows to the highest sharing cpu's
+   word. Beside it the line keeps the set's size and a bit mask of the
+   sockets that hold a copy, both maintained where [read] adds a sharer
+   and where [take_exclusive] resets the set (nothing else changes it).
+   Together with a probe of the accessor's [smt - 1] siblings they rank
+   any access without walking the set, so an access costs O(smt) at any
+   machine size. The last writer needs no field of its own: it is the
+   sole sharer [take_exclusive] leaves, and a later read only adds to the
+   set, so a write finds the line already exclusive exactly when [by] is
+   its only holder. *)
 and line = {
   reg : registry;
-  line_name : string Lazy.t;
-  mutable owner : int; (* last writer's cpu id, -1 = none *)
-  sharers : Cpuset.t; (* cpu [c] present iff it holds a shared copy *)
+  mutable holders : int; (* members of [sharers] *)
+  mutable sockets : int; (* bit [s] set iff a member sits on socket [s] *)
+  sharers : Cpuset.t; (* cpu [c] present iff it holds a copy *)
 }
 
 let distance_rank = Topology.distance_rank
 
-(* Inverse of [distance_rank]; ranks are injective on the constructors, so
-   storing ranks and mapping back returns the exact same constructor. *)
-let distance_of_rank =
-  [| Topology.Self; Topology.Smt_sibling; Topology.Same_socket; Topology.Cross_socket |]
-
-(* The socket's place value in a location entry: physical core ids stay
-   below it. *)
-let cross_socket = 1 lsl 32
+(* A location entry keeps the socket number in its low [socket_shift]
+   bits and the physical core above them. A line's socket mask has one bit
+   per socket, so the registry takes at most [Sys.int_size - 1] sockets,
+   whose numbers fit the field. *)
+let socket_shift = 6
+let socket_mask = (1 lsl socket_shift) - 1
+let max_sockets = Sys.int_size - 1
 
 let create_registry topo costs =
+  let sockets = Topology.sockets topo in
+  if sockets > max_sockets then
+    invalid_arg
+      (Printf.sprintf "Cache.create_registry: %d sockets, at most %d" sockets max_sockets);
   let loc =
     Array.init (Topology.n_cpus topo) (fun c ->
-        (Topology.socket_of topo c * cross_socket) lor Topology.physical_core_of topo c)
+        (Topology.physical_core_of topo c lsl socket_shift) lor Topology.socket_of topo c)
   in
   {
     loc;
+    stride = sockets * Topology.cores_per_socket topo;
+    smt = Topology.smt topo;
     costs;
     t_reads = 0;
     t_writes = 0;
@@ -80,8 +83,8 @@ let create_registry topo costs =
 
 let set_transfer_meter reg f = reg.meter <- Some f
 
-let create_line reg ~name =
-  { reg; line_name = name; owner = -1; sharers = Cpuset.create ~bits:0 }
+let create_line ?name:_ reg =
+  { reg; holders = 0; sockets = 0; sharers = Cpuset.create ~bits:0 }
 
 let record l (d : Topology.distance) cost =
   let reg = l.reg in
@@ -93,142 +96,87 @@ let record l (d : Topology.distance) cost =
   | Same_socket -> reg.t_same <- reg.t_same + 1
   | Cross_socket -> reg.t_cross <- reg.t_cross + 1
 
-(* Holder [h] is compared with the accessor through [x = loc.(by) lxor
-   loc.(h)], which orders holders as their distance ranks do: [x = 0] is an
-   SMT sibling (rank 1; [h] is never the accessor itself), [0 < x <
-   cross_socket] the same socket (rank 2), anything larger another socket
-   (rank 3). *)
-let rank_of_x x = if x = 0 then 1 else if x < cross_socket then 2 else 3
-
-(* Best-rank holder distance from [by] over the holders (the sharer set
-   plus the owner, minus [by]), as a rank (-1 = no holders): the minimum
-   rank when [want_min] (a read fetches from the closest copy), the
-   maximum otherwise (a write is priced by the farthest invalidation).
-   The walk keeps the minimum of [key = x lxor flip]: with [flip = 0] that
-   is the minimum [x], with [flip = -1] ([key = lnot x]) the maximum, so
-   each holder costs one load, one xor and one compare in either mode. The
-   winner is mapped to its rank once; ranks are injective on the distance
-   constructors, so mapping back through [distance_of_rank] picks exactly
-   the constructor the old constructor-fold did. The owner is compared
-   first (min/max is insensitive to it also appearing among the sharers);
-   the sharer walk skips zero words, then zero bytes (sparse holder sets),
-   and stops once [key <= stop], the best achievable rank — [by] itself
-   is masked out, so reads stop at [Smt_sibling], writes at
-   [Cross_socket]. Returning the rank keeps this allocation-free (no
-   [Some] boxing on the per-access path). *)
-let extreme_rank l ~by ~want_min =
-  let loc = l.reg.loc in
-  let flip = if want_min then 0 else -1 in
-  let stop = if want_min then 0 else lnot cross_socket in
-  let by_key = loc.(by) lxor flip in
-  let best = ref max_int in
-  if l.owner >= 0 && l.owner <> by then best := by_key lxor Array.unsafe_get loc l.owner;
-  let words = Cpuset.raw_words l.sharers in
-  let nw = Array.length words in
-  let by_wi = by lsr 5 in
-  let wi = ref 0 in
-  while !wi < nw && !best > stop do
-    let w = Array.unsafe_get words !wi in
-    let w = if !wi = by_wi then w land lnot (1 lsl (by land 31)) else w in
-    if w <> 0 then begin
-      let m = ref w in
-      let cpu = ref (!wi lsl 5) in
-      while !m <> 0 && !best > stop do
-        if !m land 0xff = 0 then begin
-          m := !m lsr 8;
-          cpu := !cpu + 8
-        end
-        else begin
-          if !m land 1 = 1 then begin
-            let key = by_key lxor Array.unsafe_get loc !cpu in
-            if key < !best then best := key
-          end;
-          m := !m lsr 1;
-          incr cpu
-        end
-      done
-    end;
-    incr wi
+(* Members of the sharer set among [by]'s SMT siblings (not [by] itself):
+   the CPUs of one physical core are [first], [first + stride], ... *)
+let siblings_holding l ~by first =
+  let reg = l.reg in
+  let n = ref 0 in
+  let c = ref first in
+  for _ = 1 to reg.smt do
+    if !c <> by && Cpuset.mem l.sharers !c then incr n;
+    c := !c + reg.stride
   done;
-  if !best = max_int then -1 else rank_of_x (!best lxor flip)
+  !n
+
+(* A read by a non-holder fetches from the nearest copy: an SMT sibling's,
+   else one on its own socket, else any; [Self] (a cold fill) when no CPU
+   holds the line. [e] is [by]'s location entry. *)
+let read_distance l ~by e : Topology.distance =
+  if l.holders = 0 then Self
+  else if siblings_holding l ~by (e lsr socket_shift) > 0 then Smt_sibling
+  else if l.sockets land (1 lsl (e land socket_mask)) <> 0 then Same_socket
+  else Cross_socket
+
+(* A write is priced by the farthest copy it invalidates: one on another
+   socket, else one on its own socket outside its core, else a sibling's;
+   [Self] when no CPU but [by] holds the line. *)
+let write_distance l ~by e : Topology.distance =
+  if l.sockets land lnot (1 lsl (e land socket_mask)) <> 0 then Cross_socket
+  else begin
+    let others = if Cpuset.mem l.sharers by then l.holders - 1 else l.holders in
+    if others = 0 then Self
+    else begin
+      let siblings = siblings_holding l ~by (e lsr socket_shift) in
+      if others > siblings then Same_socket else Smt_sibling
+    end
+  end
 
 let read l ~by =
   let reg = l.reg in
   reg.t_reads <- reg.t_reads + 1;
-  if Cpuset.mem l.sharers by || l.owner = by then begin
+  if Cpuset.mem l.sharers by then begin
     record l Self reg.costs.line_local;
-    Cpuset.set l.sharers by;
     reg.costs.line_local
   end
   else begin
-    let r = extreme_rank l ~by ~want_min:true in
-    let d = if r < 0 then Topology.Self else Array.unsafe_get distance_of_rank r in
+    let e = reg.loc.(by) in
+    let d = read_distance l ~by e in
     let cost = Costs.line_transfer reg.costs d in
     record l d cost;
     Cpuset.set l.sharers by;
+    l.holders <- l.holders + 1;
+    l.sockets <- l.sockets lor (1 lsl (e land socket_mask));
     cost
   end
+
+(* Invalidate every copy and make [by] the sole holder. *)
+let take_exclusive l ~by e =
+  Cpuset.clear_all l.sharers;
+  Cpuset.set l.sharers by;
+  l.holders <- 1;
+  l.sockets <- 1 lsl (e land socket_mask)
 
 (* Stores retire through the store buffer: the writer does not stall for
    the ownership transfer (the RFO completes asynchronously), so the
    writer's visible cost is local. The invalidation still moves ownership
    — the *next reader* pays the transfer — and is recorded as coherence
    traffic by distance. Atomics, by contrast, stall for the line. *)
-(* No sharer other than (possibly) [by]: the exclusivity half of the
-   "already own it" write fast path. A walk over the words, not a popcount
-   — almost every word is zero on the fast path. *)
-let no_other_sharer l ~by =
-  let words = Cpuset.raw_words l.sharers in
-  let nw = Array.length words in
-  let by_wi = by lsr 5 in
-  let ok = ref true in
-  let wi = ref 0 in
-  while !ok && !wi < nw do
-    let w = Array.unsafe_get words !wi in
-    let w = if !wi = by_wi then w land lnot (1 lsl (by land 31)) else w in
-    if w <> 0 then ok := false;
-    incr wi
-  done;
-  !ok
-
-(* Invalidate every copy and make [by] the sole owner+sharer. *)
-let take_exclusive l ~by =
-  Cpuset.clear_all l.sharers;
-  Cpuset.set l.sharers by;
-  l.owner <- by
-
 let write l ~by =
   let reg = l.reg in
   reg.t_writes <- reg.t_writes + 1;
-  let d =
-    let exclusive = l.owner = by && no_other_sharer l ~by in
-    if exclusive then Topology.Self
-    else begin
-      let r = extreme_rank l ~by ~want_min:false in
-      if r < 0 then Topology.Self else Array.unsafe_get distance_of_rank r
-    end
-  in
-  record l d reg.costs.line_local;
-  take_exclusive l ~by;
+  let e = reg.loc.(by) in
+  record l (write_distance l ~by e) reg.costs.line_local;
+  take_exclusive l ~by e;
   reg.costs.line_local
 
 let stalling_write l ~by =
   let reg = l.reg in
   reg.t_writes <- reg.t_writes + 1;
-  let exclusive = l.owner = by && no_other_sharer l ~by in
-  let cost, d =
-    if exclusive then (reg.costs.line_local, Topology.Self)
-    else begin
-      let r = extreme_rank l ~by ~want_min:false in
-      if r < 0 then (reg.costs.line_local, Topology.Self)
-      else begin
-        let d = Array.unsafe_get distance_of_rank r in
-        (Costs.line_transfer reg.costs d, d)
-      end
-    end
-  in
+  let e = reg.loc.(by) in
+  let d = write_distance l ~by e in
+  let cost = Costs.line_transfer reg.costs d in
   record l d cost;
-  take_exclusive l ~by;
+  take_exclusive l ~by e;
   cost
 
 let atomic l ~by = stalling_write l ~by + l.reg.costs.atomic_op

@@ -2,7 +2,8 @@
 
     Each kernel cacheline the shootdown protocol touches is registered here.
     Reads and writes return a cycle cost that depends on where the line's
-    current owner/sharers sit in the topology, and update ownership. The
+    current holders sit in the topology, and update them. Pricing an access
+    costs O(SMT threads per core), whatever the machine size. The
     cacheline-consolidation optimization (paper §3.3) manifests as fewer
     registered lines touched per shootdown, which this module prices and
     counts. *)
@@ -21,6 +22,9 @@ type totals = {
   cycles : int;
 }
 
+(** Raises [Invalid_argument] when the topology has more than
+    [Sys.int_size - 1] sockets: a line keeps its holders' sockets as the
+    bits of one int. *)
 val create_registry : Topology.t -> Costs.t -> registry
 
 (** [set_transfer_meter reg f] installs a per-access observer: [f rank cost]
@@ -30,9 +34,9 @@ val create_registry : Topology.t -> Costs.t -> registry
     load+branch. *)
 val set_transfer_meter : registry -> (int -> int -> unit) -> unit
 
-(** Register a named cacheline; initially unowned (first touch is a cheap
-    local fill). *)
-val create_line : registry -> name:string Lazy.t -> line
+(** A new cacheline, held by no CPU (first touch is a cheap local fill).
+    Lines are anonymous: [name] is accepted and ignored. *)
+val create_line : ?name:string Lazy.t -> registry -> line
 
 (** [read line ~by] returns the cycle cost of loading the line on CPU [by]
     and records [by] as a sharer. A read of a line last written elsewhere

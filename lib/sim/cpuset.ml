@@ -192,5 +192,3 @@ let of_list l =
   let t = create ~bits:0 in
   List.iter (fun b -> set t b) l;
   t
-
-let raw_words t = t.words

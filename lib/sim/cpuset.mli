@@ -62,9 +62,3 @@ val copy_into : dst:t -> src:t -> unit
 val to_list : t -> int list
 
 val of_list : int list -> t
-
-(** The backing word array (32 bits used per word), for proven-bounds
-    modules that fuse a bit walk with their own per-member table lookups
-    (Cache's holder-rank scan). Callers must treat it as read-only and
-    must not hold it across a [set] (growth replaces the array). *)
-val raw_words : t -> int array

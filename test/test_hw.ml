@@ -94,13 +94,13 @@ let make_cache () =
 
 let test_cache_first_touch_local () =
   let reg = make_cache () in
-  let l = Cache.create_line reg ~name:(lazy "x") in
+  let l = Cache.create_line reg in
   check int_t "first read local" Costs.default.Costs.line_local (Cache.read l ~by:0);
   check int_t "second read local" Costs.default.Costs.line_local (Cache.read l ~by:0)
 
 let test_cache_remote_read_costs_transfer () =
   let reg = make_cache () in
-  let l = Cache.create_line reg ~name:(lazy "x") in
+  let l = Cache.create_line reg in
   ignore (Cache.write l ~by:0);
   check int_t "cross-socket read" Costs.default.Costs.line_cross_socket (Cache.read l ~by:14);
   (* Now shared: reading again is local. *)
@@ -108,7 +108,7 @@ let test_cache_remote_read_costs_transfer () =
 
 let test_cache_write_invalidates_sharers () =
   let reg = make_cache () in
-  let l = Cache.create_line reg ~name:(lazy "x") in
+  let l = Cache.create_line reg in
   ignore (Cache.write l ~by:0);
   ignore (Cache.read l ~by:14);
   (* A plain store retires through the store buffer: local cost for the
@@ -125,20 +125,20 @@ let test_cache_write_invalidates_sharers () =
 
 let test_cache_exclusive_write_is_local () =
   let reg = make_cache () in
-  let l = Cache.create_line reg ~name:(lazy "x") in
+  let l = Cache.create_line reg in
   ignore (Cache.write l ~by:5);
   check int_t "exclusive rewrite local" Costs.default.Costs.line_local (Cache.write l ~by:5)
 
 let test_cache_atomic_cost () =
   let reg = make_cache () in
-  let l = Cache.create_line reg ~name:(lazy "x") in
+  let l = Cache.create_line reg in
   ignore (Cache.write l ~by:0);
   let expected = Costs.default.Costs.line_cross_socket + Costs.default.Costs.atomic_op in
   check int_t "atomic = write + lock" expected (Cache.atomic l ~by:14)
 
 let test_cache_totals () =
   let reg = make_cache () in
-  let l = Cache.create_line reg ~name:(lazy "x") in
+  let l = Cache.create_line reg in
   ignore (Cache.write l ~by:0);
   ignore (Cache.read l ~by:14);
   ignore (Cache.read l ~by:1);
@@ -150,9 +150,21 @@ let test_cache_totals () =
   Cache.reset_stats reg;
   check int_t "reset" 0 (Cache.totals reg).Cache.reads
 
+(* A line keeps its holders' sockets as the bits of one int, so the
+   registry refuses a topology with more sockets than that has bits (the
+   largest it takes is priced in the ranks test below). It builds only
+   arrays. *)
+let test_cache_socket_cap () =
+  let topo = Topology.create ~sockets:Sys.int_size ~cores_per_socket:1 ~smt:1 in
+  match Cache.create_registry topo Costs.default with
+  | _ -> Alcotest.failf "%a accepted" Topology.pp topo
+  | exception Invalid_argument _ -> ()
+
 let flat4 = Topology.flat 4
 let topo_3x5 = Topology.create ~sockets:3 ~cores_per_socket:5 ~smt:1
 let topo_8x64x2 = Topology.create ~sockets:8 ~cores_per_socket:64 ~smt:2
+let topo_2x2x4 = Topology.create ~sockets:2 ~cores_per_socket:2 ~smt:4
+let topo_3x4x2 = Topology.create ~sockets:3 ~cores_per_socket:4 ~smt:2
 let pricing_topologies = [ flat4; Topology.paper_machine; topo_3x5; topo_8x64x2 ]
 
 (* The registry's precomputed location table must price every (owner,
@@ -164,7 +176,7 @@ let test_cache_ranks_match_topology () =
   List.iter
     (fun topo ->
       let reg = Cache.create_registry topo c in
-      let l = Cache.create_line reg ~name:(lazy "x") in
+      let l = Cache.create_line reg in
       let n = Topology.n_cpus topo in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
@@ -177,9 +189,10 @@ let test_cache_ranks_match_topology () =
     (pricing_topologies
     @ [
         Topology.flat 5;
-        Topology.create ~sockets:3 ~cores_per_socket:4 ~smt:2;
-        Topology.create ~sockets:2 ~cores_per_socket:2 ~smt:4;
+        topo_3x4x2;
+        topo_2x2x4;
         Topology.create ~sockets:1 ~cores_per_socket:1 ~smt:2;
+        Topology.create ~sockets:(Sys.int_size - 1) ~cores_per_socket:1 ~smt:1;
       ])
 
 (* Black-box differential test of coherence pricing: random reads, writes,
@@ -187,10 +200,14 @@ let test_cache_ranks_match_topology () =
    that keeps an owner and a holder list per line and ranks holders with
    [Topology.distance]. Every returned cost and the final totals must
    agree. Half the accesses come from a few hot CPUs per line, so local
-   hits, exclusive rewrites and SMT-sibling fetches all occur. On the
-   1024-CPU topology a prefix of reads grows line 0's sharer set through
-   Cpuset doubling to 1, 18 and then 36 words, past the 32 words that 1024
-   CPUs need. *)
+   hits, exclusive rewrites and SMT-sibling fetches all occur. The
+   2x2x4 and 3x4x2 shapes give a core more than one sibling and a socket
+   count that is not a power of two. On the 1024-CPU topology a prefix of
+   reads grows line 0's sharer set through Cpuset doubling to 1, 18 and
+   then 36 words, past the 32 words that 1024 CPUs need; then the
+   sync-broadcast status-line pattern runs twice, once in ascending CPU
+   order and once shuffled: every CPU reads line 1, then every CPU does
+   an atomic on it. *)
 let test_cache_vs_naive_model () =
   let c = Costs.default in
   List.iter
@@ -198,7 +215,7 @@ let test_cache_vs_naive_model () =
       let n = Topology.n_cpus topo in
       let reg = Cache.create_registry topo c in
       let n_lines = 4 in
-      let lines = Array.init n_lines (fun _ -> Cache.create_line reg ~name:(lazy "x")) in
+      let lines = Array.init n_lines (fun _ -> Cache.create_line reg) in
       let owner = Array.make n_lines (-1) in
       let holders = Array.make n_lines [] in
       let reads = ref 0 and writes = ref 0 and cycles = ref 0 in
@@ -255,9 +272,28 @@ let test_cache_vs_naive_model () =
       let read i ~by =
         step "read" i ~by ~got:(Cache.read lines.(i) ~by) ~want:(model_read i ~by)
       in
-      if n = 1024 then List.iter (fun by -> read 0 ~by) [ 0; 544; 1023; 3 ];
-      let hot = Array.init n_lines (fun i -> [| i; (i + 1) mod n; (i + n / 2) mod n |]) in
+      let atomic i ~by =
+        step "atomic" i ~by ~got:(Cache.atomic lines.(i) ~by)
+          ~want:(model_write i ~by ~stall:true + c.Costs.atomic_op)
+      in
       let r = Rng.create ~seed:(Int64.of_int (0xCAC4E + n)) in
+      if n = 1024 then begin
+        List.iter (fun by -> read 0 ~by) [ 0; 544; 1023; 3 ];
+        let order = Array.init n Fun.id in
+        let broadcast () =
+          Array.iter (fun by -> read 1 ~by) order;
+          Array.iter (fun by -> atomic 1 ~by) order
+        in
+        broadcast ();
+        for k = n - 1 downto 1 do
+          let j = Rng.int r (k + 1) in
+          let t = order.(k) in
+          order.(k) <- order.(j);
+          order.(j) <- t
+        done;
+        broadcast ()
+      end;
+      let hot = Array.init n_lines (fun i -> [| i; (i + 1) mod n; (i + n / 2) mod n |]) in
       for _ = 1 to 3000 do
         let i = Rng.int r n_lines in
         let by = if Rng.int r 2 = 0 then hot.(i).(Rng.int r 3) else Rng.int r n in
@@ -270,9 +306,7 @@ let test_cache_vs_naive_model () =
             step "stalling write" i ~by
               ~got:(Cache.stalling_write lines.(i) ~by)
               ~want:(model_write i ~by ~stall:true)
-        | _ ->
-            step "atomic" i ~by ~got:(Cache.atomic lines.(i) ~by)
-              ~want:(model_write i ~by ~stall:true + c.Costs.atomic_op)
+        | _ -> atomic i ~by
       done;
       let t = Cache.totals reg in
       let total what got want =
@@ -286,7 +320,7 @@ let test_cache_vs_naive_model () =
       total "same-socket transfers" t.Cache.same_socket_transfers by_rank.(2);
       total "cross-socket transfers" t.Cache.cross_socket_transfers by_rank.(3);
       total "cycles" t.Cache.cycles !cycles)
-    pricing_topologies
+    (pricing_topologies @ [ topo_2x2x4; topo_3x4x2 ])
 
 (* --- Tlb --- *)
 
@@ -946,6 +980,7 @@ let suite =
     Alcotest.test_case "cache: exclusive write local" `Quick test_cache_exclusive_write_is_local;
     Alcotest.test_case "cache: atomic cost" `Quick test_cache_atomic_cost;
     Alcotest.test_case "cache: totals and reset" `Quick test_cache_totals;
+    Alcotest.test_case "cache: socket count cap" `Quick test_cache_socket_cap;
     Alcotest.test_case "cache: ranks match Topology.distance" `Quick
       test_cache_ranks_match_topology;
     Alcotest.test_case "cache: random accesses vs naive model" `Quick

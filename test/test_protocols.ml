@@ -346,10 +346,10 @@ let keep_busy m cycles =
         if left > 0 then Engine.schedule_tag e ~delay:1 ~tag:!tag ~a:(left - 1) ~b:0);
   Engine.schedule_tag e ~delay:0 ~tag:!tag ~a:cycles ~b:0
 
-(* Engine suspensions of one single-page shootdown from cpu 0 of an
-   [n]-CPU machine under [protocol], on a busy engine, every other CPU
-   idle (no occupant, the mm not loaded). *)
-let broadcast_suspensions protocol n =
+(* Engine suspensions and engine ops of one single-page shootdown from
+   cpu 0 of an [n]-CPU machine under [protocol], on a busy engine, every
+   other CPU idle (no occupant, the mm not loaded). *)
+let broadcast_counts protocol n =
   let m =
     Machine.create ~topo:(Topology.flat n)
       ~opts:(Opts.with_protocol protocol ~safe:true)
@@ -366,20 +366,38 @@ let broadcast_suspensions protocol n =
   Kernel.check_run m ~who:"broadcast";
   check bool_t "the shootdown ran on a busy engine" true (!done_at < busy);
   check int_t "every responder IPI'd" (n - 1) (Apic.ipis_sent m.Machine.apic);
-  Engine.suspensions m.Machine.engine
+  (Engine.suspensions m.Machine.engine, Machine.engine_ops m)
+
+let broadcast_suspensions protocol n = fst (broadcast_counts protocol n)
 
 (* One more idle responder costs its own suspensions and nothing else:
-   these initiators pay no per-target charge outside a charge run. A
-   sync-broadcast responder suspends to read the status line and to write
-   its done bit; IRQ entry and exit are dispatch-handler events. An oracle
+   these initiators pay no per-target charge outside a charge run. An idle
+   sync-broadcast responder's status-line read and done-bit atomic are one
+   charge run; IRQ entry and exit are dispatch-handler events. An oracle
    responder's queue, CSD and info reads, page walk, CR3 write and ack
    write are two charge runs. *)
 let test_responder_suspensions () =
   let per_responder protocol =
     broadcast_suspensions protocol 4 - broadcast_suspensions protocol 3
   in
-  check int_t "idle sync-broadcast responder" 2 (per_responder Opts.Sync_broadcast);
+  check int_t "idle sync-broadcast responder" 1 (per_responder Opts.Sync_broadcast);
   check int_t "oracle responder" 2 (per_responder Opts.Oracle)
+
+(* A sync-broadcast responder whose flush is skipped (the mm is not loaded
+   there) suspends at most once per IPI, at any responder count, and the
+   run keeps every boundary its own engine event: the engine ops (the busy
+   engine's 100,001 events included) are those the same broadcast took
+   when each status-line access was its own suspending charge. *)
+let test_sync_skipped_responder_one_run () =
+  let s2, _ = broadcast_counts Opts.Sync_broadcast 2 in
+  List.iter
+    (fun (n, ops) ->
+      let s, o = broadcast_counts Opts.Sync_broadcast n in
+      if s - s2 > n - 2 then
+        Alcotest.failf "%d responders suspended %d times past the first's" (n - 1)
+          (s - s2);
+      check int_t (Printf.sprintf "engine ops, %d CPUs" n) ops o)
+    [ (3, 100_060); (5, 100_072); (8, 100_090); (16, 100_138) ]
 
 (* Enqueueing work for k targets is 2k line writes, one charge run. *)
 let test_enqueue_work_suspensions () =
@@ -430,4 +448,6 @@ let suite =
       test_responder_suspensions;
     Alcotest.test_case "suspensions: enqueue_work is one charge run" `Quick
       test_enqueue_work_suspensions;
+    Alcotest.test_case "suspensions: skipped sync-broadcast responder is one run"
+      `Quick test_sync_skipped_responder_one_run;
   ]

@@ -261,7 +261,7 @@ let test_dispatch_quiescence () =
               cfd_early_ack = false;
               cfd_acked = false;
               cfd_executed = false;
-              cfd_line = Cache.create_line p.Percpu.registry ~name:(lazy "cfd");
+              cfd_line = Cache.create_line p.Percpu.registry;
               cfd_info_line = None;
             }
             p.Percpu.csq );
