@@ -107,7 +107,7 @@ let run_once ~config ~build ~prefix ~add_failure =
       (Printf.sprintf "happens-before analysis found %d genuine race(s)" report.Hb.genuine);
   (!depth, List.rev !decisions, report)
 
-let explore ?(config = default_config) build =
+let explore ~config build =
   let runs = ref 0 and max_depth = ref 0 in
   let failures = ref [] in
   let seen_failures = Hashtbl.create 16 in

@@ -3,8 +3,8 @@
     The simulation engine's chooser hook turns near-simultaneous pending
     events into scheduling decision points. A run is identified by its
     decision prefix (candidate index taken at each decision; past the
-    prefix, the deterministic default order). {!explore} runs the empty
-    prefix and then depth-first re-runs every untried alternative at every
+    prefix, the deterministic default order). Exploring a scenario runs the
+    empty prefix and then depth-first re-runs every untried alternative at every
     decision encountered — stateless-model-checking style, replaying
     instead of checkpointing because runs are deterministic given their
     prefix.
@@ -14,7 +14,7 @@
     stale uncovered translation in the kernel-PCID view an NMI would use)
     and at quiescence (checker clean, no
     open windows, queues drained, no surviving deferrals), and feeds the
-    trace through {!Hb.analyze}; failures carry the prefix reproducing
+    trace through {!Hb.analyze_trace}; failures carry the prefix reproducing
     them. *)
 
 type config = {
@@ -25,9 +25,6 @@ type config = {
   horizon : int;  (** engine concurrency horizon in cycles *)
   trace_cap : int;  (** per-run [Trace.set_max_records] cap *)
 }
-
-(** 12 choice points, 2-way branching, 64 runs, 30-cycle horizon. *)
-val default_config : config
 
 type failure = { fail_prefix : int list; fail_what : string }
 
@@ -41,16 +38,13 @@ type result = {
   genuine : int;
 }
 
-(** [explore ?config build] explores the scenario returned by [build]
-    (fresh machine per run, processes spawned, engine not yet run). *)
-val explore : ?config:config -> (unit -> Machine.t) -> result
-
 (** [explore_set ?config ~jobs builds] explores each scenario in [builds]
-    as an independent task on a [jobs]-domain pool ({!Sim.Domain_pool}).
-    Results come back in the order of [builds] regardless of schedule, and
-    each exploration is single-domain internally, so the output is
-    identical to mapping {!explore} sequentially. Use for sweeps (e.g. the
-    64-combo flag sweep of [tlbsim analyze --explore]). *)
+    (fresh machine per run, processes spawned, engine not yet run) as an
+    independent task on a [jobs]-domain pool ({!Sim.Domain_pool}). Results
+    come back in the order of [builds] regardless of schedule, and each
+    exploration is single-domain internally, so the output is identical
+    at any [jobs]. [config] defaults to 12 choice points, 2-way branching,
+    64 runs and a 30-cycle horizon. *)
 val explore_set : ?config:config -> jobs:int -> (unit -> Machine.t) list -> result list
 
 val pp_result : Format.formatter -> result -> unit

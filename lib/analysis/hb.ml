@@ -282,8 +282,6 @@ let analyze_array records =
     findings = List.rev !findings;
   }
 
-let analyze records = analyze_array (Array.of_list records)
-
 (* Straight from the ring buffer, no intermediate list. *)
 let analyze_trace trace =
   let n = Trace.length trace in

@@ -46,12 +46,7 @@ type report = {
   findings : finding list;  (** deduplicated by (mm, vpn, cpu, verdict) *)
 }
 
-(** Analyze a chronological record list (as returned by
-    {!Sim.Trace.records}). *)
-val analyze : Trace.record list -> report
-
-(** Analyze a trace buffer directly ({!Sim.Trace.iter} under the hood — no
-    intermediate record list). *)
+(** Analyze a trace buffer, oldest record first. *)
 val analyze_trace : Trace.t -> report
 
 val pp_report : Format.formatter -> report -> unit

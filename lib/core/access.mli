@@ -10,6 +10,7 @@
     address space loaded (see {!Kernel.spawn_user}). *)
 
 val read : Machine.t -> cpu:int -> vaddr:int -> unit
+[@@tlblint.allow "R5 paper entry point: a checked user read, which tests pin"]
 val write : Machine.t -> cpu:int -> vaddr:int -> unit
 
 (** Like {!read}/{!write} but returns the pfn the access observed (through

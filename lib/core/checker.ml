@@ -163,7 +163,6 @@ let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
 
 let violations t = List.rev t.viols
 let violation_count t = t.n_viols
-let recorded_violation_count t = List.length t.viols
 let benign_races t = t.benign
 let checks t = t.n_checks
 let open_windows t = Hashtbl.length t.windows
@@ -175,14 +174,6 @@ let[@tlblint.allow "R2"] by_mm_entries t =
   Hashtbl.fold (fun _ per_mm acc -> acc + Hashtbl.length per_mm) t.by_mm 0
 
 let max_recorded t = t.max_recorded
-
-let clear t =
-  Hashtbl.reset t.windows;
-  Hashtbl.reset t.by_mm;
-  t.viols <- [];
-  t.n_viols <- 0;
-  t.benign <- 0;
-  t.n_checks <- 0
 
 let pp_violation fmt v =
   Format.fprintf fmt "t=%d cpu%d mm%d vpn=%d: %s" v.v_time v.v_cpu v.v_mm v.v_vpn v.v_detail

@@ -39,8 +39,6 @@ type result = [ `Clean | `Benign of string | `Violation of string ]
     ({!violation_count}) keeps growing past it. *)
 val create : ?enabled:bool -> ?max_recorded:int -> unit -> t
 
-val default_max_recorded_violations : int
-
 (** Open an invalidation window for the PTE change described by [info]. *)
 val begin_invalidation : t -> Flush_info.t -> token
 
@@ -75,15 +73,14 @@ val check_hit :
   pt:Page_table.t ->
   result
 
+(** The violations kept: the earliest [max_recorded] of them. *)
 val violations : t -> violation list
+
 val violation_count : t -> int
 
-(** Violations actually kept (capped at [max_recorded]); always
-    [min (violation_count t) (max_recorded t)]. *)
-val recorded_violation_count : t -> int
-
-(** The [max_recorded] cap this checker was created with. *)
+(** The [max_recorded] cap this checker was created with (1000 by default). *)
 val max_recorded : t -> int
+[@@tlblint.allow "R5 state accessor: tests read the recording cap through it"]
 
 (** Stale hits excused by an open window. *)
 val benign_races : t -> int
@@ -97,6 +94,6 @@ val open_windows : t -> int
 (** Total entries in the per-mm window index; equals {!open_windows} unless
     the index has leaked (closed windows must leave both tables). *)
 val by_mm_entries : t -> int
+[@@tlblint.allow "R5 state accessor: tests read the per-mm window index through it"]
 
-val clear : t -> unit
 val pp_violation : Format.formatter -> violation -> unit

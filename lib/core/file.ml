@@ -5,15 +5,14 @@
    set are flat per-page tables rather than hashtables: mmap-heavy
    workloads (Apache serves every request out of [frame_of_page]) hit
    these once per faulted page, and generic hashing was a measurable share
-   of that path. [drop_cache] and [dirty_in_range] now visit pages in
-   ascending index order. *)
+   of that path. [dirty_in_range] visits pages in ascending index
+   order. *)
 type t = {
   frames : Frame_alloc.t;
   file_name : string;
   size : int;
   pagecache : int array;  (* page index -> pfn, -1 = not cached *)
   dirty : Bytes.t;  (* 1 byte per page: 0 clean, 1 dirty *)
-  mutable n_dirty : int;
 }
 
 let create frames ~name ~size_pages =
@@ -24,7 +23,6 @@ let create frames ~name ~size_pages =
     size = size_pages;
     pagecache = Array.make size_pages (-1);
     dirty = Bytes.make size_pages '\000';
-    n_dirty = 0;
   }
 
 let check t index =
@@ -47,17 +45,11 @@ let cached t ~index =
 
 let mark_dirty t ~index =
   check t index;
-  if Bytes.unsafe_get t.dirty index = '\000' then begin
-    Bytes.unsafe_set t.dirty index '\001';
-    t.n_dirty <- t.n_dirty + 1
-  end
+  Bytes.unsafe_set t.dirty index '\001'
 
 let clear_dirty t ~index =
   check t index;
-  if Bytes.unsafe_get t.dirty index = '\001' then begin
-    Bytes.unsafe_set t.dirty index '\000';
-    t.n_dirty <- t.n_dirty - 1
-  end
+  Bytes.unsafe_set t.dirty index '\000'
 
 let is_dirty t ~index =
   check t index;
@@ -70,16 +62,3 @@ let dirty_in_range t ~index ~count =
     if Bytes.unsafe_get t.dirty i = '\001' then acc := i :: !acc
   done;
   !acc
-
-let dirty_count t = t.n_dirty
-
-let drop_cache t =
-  for i = 0 to t.size - 1 do
-    let pfn = Array.unsafe_get t.pagecache i in
-    if pfn >= 0 then begin
-      Frame_alloc.free t.frames pfn;
-      Array.unsafe_set t.pagecache i (-1)
-    end
-  done;
-  Bytes.fill t.dirty 0 t.size '\000';
-  t.n_dirty <- 0

@@ -22,8 +22,3 @@ val is_dirty : t -> index:int -> bool
 
 (** Dirty page indices intersecting \[index, index+count), ascending. *)
 val dirty_in_range : t -> index:int -> count:int -> int list
-
-val dirty_count : t -> int
-
-(** Drop the whole page cache, freeing frames (for teardown in tests). *)
-val drop_cache : t -> unit

@@ -12,13 +12,6 @@ let spawn_user m ~cpu ~mm ~name body =
           Shootdown.return_to_user m ~cpu ~has_stack:true;
           body ()))
 
-let spawn_kernel m ~cpu ~name body =
-  Process.spawn m.Machine.engine ~name (fun () ->
-      let cpu_t = Machine.cpu m cpu in
-      Cpu.occupy cpu_t;
-      Cpu.set_in_user cpu_t false;
-      Fun.protect ~finally:(fun () -> Cpu.vacate cpu_t) body)
-
 let run m = Machine.run m
 
 let check_quiescent m add_failure =
@@ -39,7 +32,11 @@ let check_quiescent m add_failure =
     if not (List.is_empty pcpu.Percpu.batch) then
       add_failure (Printf.sprintf "cpu%d: unflushed batched shootdowns at quiescence" cpu);
     Shootdown.protocol_quiescent m ~cpu add_failure
-  done
+  done;
+  let rows = Engine.live_rows m.Machine.engine in
+  if rows > 0 then
+    add_failure
+      (Printf.sprintf "engine arena: %d event row(s) not back on the free list" rows)
 
 let check_run m ~who =
   (match Checker.violations m.Machine.checker with

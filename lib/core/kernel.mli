@@ -11,10 +11,6 @@
 val spawn_user :
   Machine.t -> cpu:int -> mm:Mm_struct.t -> name:string -> (unit -> unit) -> unit
 
-(** A kernel-context process on [cpu] (e.g. a background responder or an
-    idle loop); does not touch address-space state. *)
-val spawn_kernel : Machine.t -> cpu:int -> name:string -> (unit -> unit) -> unit
-
 (** Run the machine to quiescence and re-raise any process failure. *)
 val run : Machine.t -> unit
 
@@ -24,8 +20,9 @@ val run : Machine.t -> unit
     handled once and none pending ({!Machine.ipi_invariants}), and on every
     CPU no surviving deferred user flush, no undrained call queue, no stuck
     inflight-flush flag, no unflushed batch and a quiescent protocol
-    backend ({!Shootdown.protocol_quiescent}). Calls [add_failure] once per
-    violated invariant. *)
+    backend ({!Shootdown.protocol_quiescent}); last, every engine event
+    row is back on the arena's free list ({!Sim.Engine.live_rows}). Calls
+    [add_failure] once per violated invariant. *)
 val check_quiescent : Machine.t -> (string -> unit) -> unit
 
 (** End-of-run check for the workloads, after {!run}: {!check_quiescent},

@@ -386,17 +386,3 @@ let ipi_invariants t add_failure =
       if Cpu.draining cpu then
         add_failure (Printf.sprintf "cpu%d: IRQ drain still running at quiescence" i))
     t.cpus
-
-let reset_stats t =
-  let s = t.stats in
-  s.shootdowns <- 0;
-  s.local_only_flushes <- 0;
-  s.ipis_skipped_lazy <- 0;
-  s.ipis_skipped_batched <- 0;
-  s.flush_requests_skipped <- 0;
-  s.full_flush_fallbacks <- 0;
-  s.batched_deferrals <- 0;
-  s.cow_flush_avoided <- 0;
-  s.in_context_deferrals <- 0;
-  s.faults <- 0;
-  s.cow_breaks <- 0

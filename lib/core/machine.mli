@@ -198,5 +198,3 @@ val end_window : t -> cpu:int -> mm_id:int -> Checker.token -> unit
     suspended in a handler, or a drain still running. Calls [add_failure]
     once per broken rule. Only meaningful once the engine has drained. *)
 val ipi_invariants : t -> (string -> unit) -> unit
-
-val reset_stats : t -> unit

@@ -9,11 +9,8 @@
     checker's frame-remap detection makes any missing flush in this
     sequence fatal, which is what the tests exercise. *)
 
-(** Migrate the page at [vpn] to a fresh frame. Returns [`Migrated] or
-    [`Skipped] (no present mapping, or raced). Takes mmap_sem for read. *)
-val migrate_page :
-  Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> [ `Migrated | `Skipped ]
-
-(** Migrate every present page in \[vpn, vpn+pages); returns the number
-    migrated. *)
+(** Migrate every present page in \[vpn, vpn+pages) to a fresh frame;
+    returns the number migrated. A page is skipped when it has no present
+    anonymous mapping, or when the migration raced. Takes mmap_sem for
+    read. *)
 val migrate_range : Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> pages:int -> int

@@ -36,10 +36,8 @@ let bump_tlb_gen t =
   t.gen
 
 let cpuset t = t.mask
-let cpumask t = Cpuset.to_list t.mask
 let cpu_set t ~cpu = Cpuset.set t.mask cpu
 let cpu_clear t ~cpu = Cpuset.clear t.mask cpu
-let cpu_isset t ~cpu = Cpuset.mem t.mask cpu
 
 let vmas t = t.vma_set
 let add_vma t vma = t.vma_set <- Vma.Set.add t.vma_set vma

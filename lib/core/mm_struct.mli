@@ -41,12 +41,8 @@ val bump_tlb_gen : t -> int
     except through {!cpu_set}/{!cpu_clear}. *)
 val cpuset : t -> Cpuset.t
 
-(** {!cpuset} as an ascending list; allocates — tests and debug only. *)
-val cpumask : t -> int list
-
 val cpu_set : t -> cpu:int -> unit
 val cpu_clear : t -> cpu:int -> unit
-val cpu_isset : t -> cpu:int -> bool
 
 (* --- VMA management (callers hold mmap_sem) --- *)
 

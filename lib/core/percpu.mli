@@ -92,7 +92,9 @@ val create : Cpu.t -> Cache.registry -> t
     registry on first use. *)
 val csd_line : t -> target:int -> Cache.line
 
+(** ASID slots per CPU (6, as in Linux's [TLB_NR_DYN_ASIDS]). *)
 val n_asids : int
+[@@tlblint.allow "R5 state accessor: tests size ASID-recycling runs by it"]
 
 (** [Queue_spin] ring capacity; pushing past it sets [q_flush_all]. *)
 val queue_slots : int

@@ -18,7 +18,9 @@ val unload : Machine.t -> cpu:int -> unit
 (** Enter lazy-TLB mode (a kernel thread is now running on [cpu] with the
     user mm still loaded). *)
 val enter_lazy : Machine.t -> cpu:int -> unit
+[@@tlblint.allow "R5 paper entry point: lazy-TLB mode, pinned by tests"]
 
 (** Leave lazy mode and synchronize with any generations missed while
     shootdowns skipped this CPU. *)
 val exit_lazy : Machine.t -> cpu:int -> unit
+[@@tlblint.allow "R5 paper entry point: lazy-TLB mode, pinned by tests"]

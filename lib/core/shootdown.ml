@@ -20,10 +20,6 @@ let backend m : Protocol.t =
 let flush_pending_user = Flush_core.flush_pending_user
 let return_to_user = Flush_core.return_to_user
 
-let flush_tlb_func m ~cpu info =
-  flush_tlb_func_impl m ~cpu ~user:(default_user_policy m info)
-    ~eager_user:(backend m).Protocol.reference info
-
 (* One complete shootdown for [info], generation already bumped. *)
 let perform m ~from ~mm (info : Flush_info.t) token =
   let b = backend m in

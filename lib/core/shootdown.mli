@@ -21,7 +21,7 @@
       (baseline) or on handler entry (early ack, §3.2, unless page tables
       were freed).
 
-    Responders run {!flush_tlb_func} logic: skip if their generation is
+    Responders run {!Flush_core.flush_tlb_func_impl}: skip if their generation is
     already current; take one full flush (fast-forwarding the generation) if
     multiple generations behind; otherwise flush the requested range. *)
 
@@ -78,12 +78,6 @@ val flush_batched : Machine.t -> from:int -> mm:Mm_struct.t -> unit
     this CPU's loaded mm has advanced past the generation it has seen, take
     a full local flush. One mm-line read. *)
 val check_and_sync_tlb : Machine.t -> cpu:int -> unit
-
-(** The responder flush function (exposed for tests): applies [info] to
-    [cpu]'s TLB with generation tracking. Returns [`Skipped], [`Full] or
-    [`Ranged]. *)
-val flush_tlb_func :
-  Machine.t -> cpu:int -> Flush_info.t -> [ `Skipped | `Full | `Ranged ]
 
 (** nmi_uaccess_okay (§3.2): may an NMI handler running on [cpu] touch user
     memory right now? False while a shootdown has been acknowledged but not

@@ -304,4 +304,3 @@ let fdatasync m ~cpu ~file =
               [])
       | Some _ -> ())
 
-let null m ~cpu = in_syscall m ~cpu (fun () -> ())

@@ -46,10 +46,8 @@ val mremap : Machine.t -> cpu:int -> addr:int -> pages:int -> int
     write-protect + clean each dirty PTE (one flush each — the
     shootdown-storm path), then write the page out. *)
 val msync : Machine.t -> cpu:int -> addr:int -> pages:int -> unit
+[@@tlblint.allow "R5 paper entry point: the §4.2 write-protect storm, pinned by tests"]
 
 (** Write back every dirty page of [file] through whatever mapping of it
     exists in the calling address space (sysbench's fdatasync). *)
 val fdatasync : Machine.t -> cpu:int -> file:File.t -> unit
-
-(** A null syscall: enter + exit only (used to measure mode overheads). *)
-val null : Machine.t -> cpu:int -> unit

@@ -99,9 +99,9 @@ val run_seeds :
   unit ->
   report
 
-(** The [tlbsim fuzz --seed N --replay] line reproducing a failure. *)
-val replay_command : failure -> string
-
 val pp_op : Format.formatter -> op -> unit
 val pp_program : Format.formatter -> program -> unit
+
+(** The failure's program, reasons and minimal reproducer, ending with the
+    [tlbsim fuzz --seed N --replay] line that reproduces it. *)
 val pp_failure : Format.formatter -> failure -> unit

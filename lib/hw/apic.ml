@@ -5,14 +5,12 @@ type t = {
   cpus : Cpu.t array;
   cluster_of : int array; (* cpu -> x2APIC cluster id, precomputed *)
   cluster_members : int array array;
-      (* cluster -> member cpus in ascending id order. With [cluster_of]
-         this replaces the per-send hashtable-and-sort of
-         [Topology.clusters_of_targets] on the pooled send path: marking
-         target clusters in [scratch_clusters] and walking each present
-         cluster's (≤16-entry) member table visits targets in exactly the
-         cluster-major, ascending-cpu order the sorted grouping produced —
-         delivery events are inserted in the same order, which same-tick
-         tie-breaking makes observable — without allocating. *)
+      (* cluster -> member cpus in ascending id order. With [cluster_of],
+         marking target clusters in [scratch_clusters] and walking each
+         present cluster's (≤16-entry) member table visits targets
+         cluster-major, ascending cpu within a cluster, without
+         allocating. Delivery events are inserted in that order, which
+         same-tick tie-breaking makes observable. *)
   scratch_clusters : Cpuset.t;
   mutable irqs : Cpu.irq array; (* registry for tagged delivery, see below *)
   mutable n_irqs : int;
@@ -79,13 +77,6 @@ let register_irq t irq =
   t.n_irqs <- n + 1;
   n
 
-let check_targets t ~from targets =
-  List.iter
-    (fun target ->
-      if Int.equal target from then invalid_arg "Apic.send_ipi: self-IPI not supported")
-    targets;
-  ignore t
-
 (* Hierarchical x2APIC fan-out over a target cpuset: mark the clusters the
    targets span in the scratch cluster set, then walk present clusters in
    ascending id order, pricing one ICR write each, and deliver to that
@@ -98,7 +89,7 @@ let check_targets t ~from targets =
 let send_ipi_id t ~from ~targets ~irq_id =
   if irq_id < 0 || irq_id >= t.n_irqs then
     invalid_arg "Apic.send_ipi_id: unregistered irq";
-  if Cpuset.mem targets from then invalid_arg "Apic.send_ipi: self-IPI not supported";
+  if Cpuset.mem targets from then invalid_arg "Apic.send_ipi_id: self-IPI not supported";
   let sc = t.scratch_clusters in
   Cpuset.clear_all sc;
   let cluster_of = t.cluster_of in
@@ -130,35 +121,5 @@ let send_ipi_id t ~from ~targets ~irq_id =
     sc;
   !send_cost
 
-(* Closure-per-target variant for callers whose irq payload genuinely
-   differs per send; the shootdown paths use [send_ipi_id]. *)
-let send_ipi t ~from ~targets ~make_irq =
-  check_targets t ~from targets;
-  let clusters = Topology.clusters_of_targets t.topo targets in
-  t.n_icr <- t.n_icr + List.length clusters;
-  let send_cost = ref 0 in
-  List.iter
-    (fun (_cluster, members) ->
-      send_cost := !send_cost + t.cost.icr_write;
-      let offset = !send_cost in
-      List.iter
-        (fun target ->
-          t.n_ipis <- t.n_ipis + 1;
-          let d = Topology.distance t.topo from target in
-          let latency = Costs.ipi_latency t.cost d in
-          (match t.meter with
-          | Some f -> f (Topology.distance_rank d) (offset + latency)
-          | None -> ());
-          let irq = make_irq target in
-          Engine.schedule t.eng ~delay:(offset + latency) (fun () ->
-              Cpu.post_irq t.cpus.(target) irq))
-        members)
-    clusters;
-  !send_cost
-
 let ipis_sent t = t.n_ipis
 let icr_writes t = t.n_icr
-
-let reset_stats t =
-  t.n_ipis <- 0;
-  t.n_icr <- 0

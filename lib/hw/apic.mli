@@ -16,18 +16,6 @@ val create : Engine.t -> Topology.t -> Costs.t -> cpus:Cpu.t array -> t
     meter the send path pays one load+branch. *)
 val set_delivery_meter : t -> (int -> int -> unit) -> unit
 
-(** [send_ipi t ~from ~targets ~make_irq] posts [make_irq target] to every
-    target CPU after per-target delivery latency, and returns the cycle cost
-    the {e sender} pays (one ICR write per cluster touched). The caller — a
-    process on CPU [from] — must delay by the returned cost. Self-IPIs are
-    rejected. *)
-val send_ipi :
-  t ->
-  from:Topology.cpu_id ->
-  targets:Topology.cpu_id list ->
-  make_irq:(Topology.cpu_id -> Cpu.irq) ->
-  int
-
 (** [register_irq t irq] stores [irq] in the APIC's registry and returns
     its id for {!send_ipi_id}. IRQ records are immutable and may be
     pending on any number of CPUs at once, so a long-lived sender (the
@@ -35,15 +23,20 @@ val send_ipi :
     instead of allocating per send. *)
 val register_irq : t -> Cpu.irq -> int
 
-(** [send_ipi_id] is {!send_ipi} for a pre-registered irq and a target
-    {e cpuset}: delivery events are pooled engine events carrying (target,
-    irq id), and the cluster grouping walks precomputed member tables
-    against the set — no per-IPI closure, record, list or hashtable
+(** [send_ipi_id t ~from ~targets ~irq_id] posts the registered irq
+    [irq_id] to every CPU in [targets] after per-target delivery latency,
+    and returns the cycle cost the {e sender} pays: one ICR write per
+    x2APIC cluster touched. The caller, a process on CPU [from], must
+    delay by the returned cost. Self-IPIs are rejected.
+
+    Targets are delivered cluster-major: clusters in ascending id, each
+    cluster's targets in ascending cpu id. Delivery events for equal times
+    fire in that order. Delivery events are pooled engine events carrying
+    (target, irq id), and the cluster grouping walks precomputed member
+    tables against the set: no per-IPI closure, record, list or hashtable
     allocation, and a sparse multicast on a 1024-CPU machine costs
-    O(targets + clusters touched). Targets are delivered cluster-major in
-    ascending cluster id, ascending cpu id within a cluster — the same
-    order the sorted grouping of {!send_ipi} produces. [targets] is read
-    synchronously; the caller may reuse its scratch set on return. *)
+    O(targets + clusters touched). [targets] is read synchronously; the
+    caller may reuse its scratch set on return. *)
 val send_ipi_id :
   t -> from:Topology.cpu_id -> targets:Cpuset.t -> irq_id:int -> int
 
@@ -52,5 +45,3 @@ val ipis_sent : t -> int
 
 (** Total ICR writes (multicast efficiency metric). *)
 val icr_writes : t -> int
-
-val reset_stats : t -> unit

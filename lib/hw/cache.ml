@@ -169,7 +169,9 @@ let write l ~by =
   take_exclusive l ~by e;
   reg.costs.line_local
 
-let stalling_write l ~by =
+(* An atomic stalls for ownership: it pays the farthest holder's
+   transfer, then the locked op. *)
+let atomic l ~by =
   let reg = l.reg in
   reg.t_writes <- reg.t_writes + 1;
   let e = reg.loc.(by) in
@@ -177,9 +179,7 @@ let stalling_write l ~by =
   let cost = Costs.line_transfer reg.costs d in
   record l d cost;
   take_exclusive l ~by e;
-  cost
-
-let atomic l ~by = stalling_write l ~by + l.reg.costs.atomic_op
+  cost + reg.costs.atomic_op
 
 let totals reg =
   {
@@ -192,11 +192,3 @@ let totals reg =
     cycles = reg.t_cycles;
   }
 
-let reset_stats reg =
-  reg.t_reads <- 0;
-  reg.t_writes <- 0;
-  reg.t_local <- 0;
-  reg.t_smt <- 0;
-  reg.t_same <- 0;
-  reg.t_cross <- 0;
-  reg.t_cycles <- 0

@@ -49,15 +49,8 @@ val read : line -> by:Topology.cpu_id -> int
     traffic and the next remote reader pays the transfer. *)
 val write : line -> by:Topology.cpu_id -> int
 
-(** A write that stalls for ownership like an atomic does (without the
-    locked-op cost); for code that must observe the store globally ordered
-    before proceeding. *)
-val stalling_write : line -> by:Topology.cpu_id -> int
-
-(** Atomic read-modify-write: exclusive ownership plus the locked-op cost. *)
+(** Atomic read-modify-write: stalls for exclusive ownership, paying the
+    farthest holder's transfer, plus the locked-op cost. *)
 val atomic : line -> by:Topology.cpu_id -> int
 
 val totals : registry -> totals
-
-(** Reset all counters (line ownership is kept). *)
-val reset_stats : registry -> unit

@@ -18,7 +18,6 @@ type t = {
   deferred : irq Queue.t;
       (* scratch for [service_pending]: masked IRQs awaiting re-queue.
          Empty outside a drain; preallocated so drains allocate nothing. *)
-  wake : Waitq.t;
   mutable user : bool;
   mutable draining : bool;
   mutable t_interrupted : int;
@@ -67,7 +66,6 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     dispatch_tag = -1;
     dispatchers = None;
     deferred = Queue.create ();
-    wake = Waitq.create eng;
     user = true;
     draining = false;
     t_interrupted = 0;
@@ -94,11 +92,6 @@ let pending_irqs t = Queue.length t.pending
 let interrupted_cycles t = t.t_interrupted
 let irqs_handled t = t.t_handled
 let compute_cycles t = t.t_compute
-
-let reset_accounting t =
-  t.t_interrupted <- 0;
-  t.t_handled <- 0;
-  t.t_compute <- 0
 
 let deliverable t irq = (not irq.maskable) || not t.masked
 
@@ -278,7 +271,6 @@ let maybe_dispatch t =
 let post_irq t irq =
   Queue.push irq t.pending;
   if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable + 1;
-  Waitq.signal_all t.wake;
   maybe_dispatch t
 
 let set_in_user t b =
@@ -292,8 +284,6 @@ let vacate t =
   t.occupancy <- t.occupancy - 1;
   if t.occupancy < 0 then invalid_arg "Cpu.vacate: not occupied";
   maybe_dispatch t
-
-let irq_disable t = t.masked <- true
 
 let quiesce_and_mask t =
   t.masked <- true;
@@ -398,8 +388,3 @@ let poll_wait t ready =
      t.service_depth <- t.service_depth - 1;
      raise e);
   t.service_depth <- t.service_depth - 1
-
-let idle_wait t =
-  in_service_window t (fun () ->
-      if not (has_deliverable t) then Waitq.wait t.wake;
-      service_pending t)

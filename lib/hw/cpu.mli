@@ -33,8 +33,6 @@ val in_user : t -> bool
 
 val set_in_user : t -> bool -> unit
 
-val irq_disable : t -> unit
-
 (** Disable interrupts {e and} wait for any in-flight detached handler to
     finish. After return no handler is running and none can start until
     {!irq_enable} — the state a real CPU is trivially in after CLI, which
@@ -87,7 +85,7 @@ val compute : t -> ?quantum:int -> int -> unit
     [until] is evaluated once before the first chunk and at every chunk
     end, after that chunk end's IRQ service, and from the second chunk on
     it runs outside the process: it must be observably side-effect-free,
-    never suspend, and not read {!Process.self_name}; an exception it
+    never suspend, and not read {!Engine.current_name}; an exception it
     raises at a chunk end escapes the engine loop unwrapped. [chunk] must
     be positive. *)
 val compute_until : t -> ?quantum:int -> chunk:int -> (unit -> bool) -> unit
@@ -99,10 +97,6 @@ val compute_until : t -> ?quantum:int -> chunk:int -> (unit -> bool) -> unit
     the process (see {!Process.tick_sleep}); [ready] must be observably
     side-effect-free. *)
 val poll_wait : t -> (unit -> bool) -> unit
-
-(** Block until an IRQ is posted (or return immediately if one is pending),
-    then service. The idle loop of a core. *)
-val idle_wait : t -> unit
 
 (** Is a drain of the pending IRQs in progress? False whenever the CPU is
     quiescent. *)
@@ -123,5 +117,4 @@ val irqs_handled : t -> int
 
 (** Cycles of useful work executed via {!compute}. *)
 val compute_cycles : t -> int
-
-val reset_accounting : t -> unit
+[@@tlblint.allow "R5 state accessor: tests read compute accounting through it"]

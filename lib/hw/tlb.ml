@@ -108,7 +108,6 @@ let create ?(capacity = 1536) () =
 let set_flush_meter t f = t.flush_meter <- Some f
 
 let capacity t = t.cap
-let occupancy t = Itbl.length t.table + Itbl.length t.globals
 
 let find t ~pcid ~vpn =
   match Itbl.find_opt t.table (key ~pcid ~tag:vpn Four_k) with
@@ -267,16 +266,6 @@ let stats t =
     full_flushes = t.s_full;
     fracture_full_flushes = t.s_fracture_full;
   }
-
-let reset_stats t =
-  t.s_hits <- 0;
-  t.s_misses <- 0;
-  t.s_insertions <- 0;
-  t.s_evictions <- 0;
-  t.s_invlpg <- 0;
-  t.s_invpcid <- 0;
-  t.s_full <- 0;
-  t.s_fracture_full <- 0
 
 (* Sorted by packed key, so the order depends only on the contents, never
    on bucket count or insert/flush history. *)

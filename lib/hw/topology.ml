@@ -63,19 +63,6 @@ let cluster_of t cpu =
   check t cpu;
   apic_id t cpu / 16
 
-let clusters_of_targets t cpus =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun cpu ->
-      let c = cluster_of t cpu in
-      let existing = Option.value (Hashtbl.find_opt tbl c) ~default:[] in
-      Hashtbl.replace tbl c (cpu :: existing))
-    cpus;
-  Hashtbl.fold (fun c members acc -> (c, List.rev members) :: acc) tbl []
-  (* Int.compare: cluster ids are ints, and the monomorphic compare skips
-     the polymorphic-compare tag dispatch on this per-IPI path. *)
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 let distance_rank = function
   | Self -> 0
   | Smt_sibling -> 1
@@ -96,9 +83,3 @@ let distance_label = function
   | Smt_sibling -> "smt-sibling"
   | Same_socket -> "same-socket"
   | Cross_socket -> "cross-socket"
-
-let pp_distance fmt d = Format.pp_print_string fmt (distance_label d)
-
-let pp fmt t =
-  Format.fprintf fmt "%d socket(s) x %d cores x %d SMT = %d logical CPUs"
-    t.sockets t.cores_per_socket t.smt (n_cpus t)

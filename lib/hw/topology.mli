@@ -46,9 +46,6 @@ val smt_sibling_of : t -> cpu_id -> cpu_id option
     multicast IPI reaches a subset of one cluster per ICR write. *)
 val cluster_of : t -> cpu_id -> int
 
-(** Partition [cpus] by cluster: the number of ICR writes a multicast needs. *)
-val clusters_of_targets : t -> cpu_id list -> (int * cpu_id list) list
-
 (** Dense rank of a distance: Self 0, Smt_sibling 1, Same_socket 2,
     Cross_socket 3. The metrics layer indexes per-distance series by rank. *)
 val distance_rank : distance -> int
@@ -62,6 +59,3 @@ val distance_of_rank : int -> distance
 (** Stable short label ("self" / "smt-sibling" / "same-socket" /
     "cross-socket") used as a metric label value. *)
 val distance_label : distance -> string
-
-val pp_distance : Format.formatter -> distance -> unit
-val pp : Format.formatter -> t -> unit

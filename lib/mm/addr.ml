@@ -1,26 +1,9 @@
 let page_shift = 12
 let page_size = 1 lsl page_shift
 let pages_per_huge = 512
-let huge_page_size = page_size * pages_per_huge
 
 let vpn_of_addr addr = addr lsr page_shift
 let addr_of_vpn vpn = vpn lsl page_shift
-let page_align_down addr = addr land lnot (page_size - 1)
-let page_align_up addr = page_align_down (addr + page_size - 1)
 let huge_aligned vpn = vpn land (pages_per_huge - 1) = 0
 
-let pages_spanning ~addr ~len =
-  if len <= 0 then 0
-  else begin
-    let first = vpn_of_addr addr in
-    let last = vpn_of_addr (addr + len - 1) in
-    last - first + 1
-  end
-
-let vpns_of_range ~addr ~len =
-  let n = pages_spanning ~addr ~len in
-  List.init n (fun i -> vpn_of_addr addr + i)
-
 let pages_of_size = function Tlb.Four_k -> 1 | Tlb.Two_m -> pages_per_huge
-
-let stride_shift = function Tlb.Four_k -> 12 | Tlb.Two_m -> 21

@@ -8,30 +8,14 @@ val page_size : int
 (** 4 KiB pages per 2 MiB hugepage (512). *)
 val pages_per_huge : int
 
-val huge_page_size : int
-
 (** Byte address -> 4 KiB virtual page number. *)
 val vpn_of_addr : int -> int
 
 (** 4 KiB virtual page number -> byte address of the page base. *)
 val addr_of_vpn : int -> int
 
-(** Round down/up to a 4 KiB boundary. *)
-val page_align_down : int -> int
-
-val page_align_up : int -> int
-
 (** Is the VPN 2 MiB-aligned (could start a hugepage)? *)
 val huge_aligned : int -> bool
 
-(** Number of 4 KiB pages covering \[addr, addr+len). *)
-val pages_spanning : addr:int -> len:int -> int
-
-(** VPNs covering \[addr, addr+len), in order. *)
-val vpns_of_range : addr:int -> len:int -> int list
-
 (** Number of 4 KiB pages covered by one page of [size]. *)
 val pages_of_size : Tlb.page_size -> int
-
-(** log2(bytes) of a page of [size]: the "stride shift" of flush_tlb_info. *)
-val stride_shift : Tlb.page_size -> int

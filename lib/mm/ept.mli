@@ -16,9 +16,6 @@ val create : unit -> t
     both must be 2 MiB-aligned. *)
 val map : t -> gfn:int -> size:Tlb.page_size -> hfn:int -> unit
 
-(** GPA→HPA lookup: host frame backing [gfn] plus the host page size. *)
-val translate : t -> gfn:int -> (int * Tlb.page_size) option
-
 module Nested : sig
   type result = {
     hfn : int;  (** host frame backing the 4 KiB guest virtual page *)

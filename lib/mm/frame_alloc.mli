@@ -41,9 +41,11 @@ val free_huge : t -> int -> unit
 
 (** Is the frame currently allocated? *)
 val is_allocated : t -> int -> bool
+[@@tlblint.allow "R5 state accessor: tests read frame ownership through it"]
 
 val allocated : t -> int
 
 (** Generation counter for a frame: bumped on every free, so a stale
     reference can detect reuse. *)
 val generation : t -> int -> int
+[@@tlblint.allow "R5 state accessor: tests read frame reuse through it"]

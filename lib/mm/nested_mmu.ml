@@ -82,7 +82,6 @@ let invlpg t ~vpn = Tlb.invlpg t.mmu_tlb ~current_pcid:t.pcid ~vpn
 let full_flush t = Tlb.flush_all t.mmu_tlb
 
 let set_paravirt_fracture_hint t b = t.pv_hint <- b
-let paravirt_fracture_hint t = t.pv_hint
 
 let flush_pages t ~vpns =
   if t.pv_hint then begin

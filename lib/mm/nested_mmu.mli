@@ -16,11 +16,9 @@ val create : ?tlb_capacity:int -> guest:Page_table.t -> ?ept:Ept.t -> pcid:int -
 
 val tlb : t -> Tlb.t
 
-(** Translate one guest-virtual 4 KiB page, filling the TLB on a miss.
-    Returns whether it hit. @raise Guest_fault on unmapped addresses. *)
-val access : t -> vpn:int -> [ `Hit | `Miss_filled ]
-
-(** Touch [pages] consecutive VPNs from [start_vpn]; returns (hits, misses). *)
+(** Touch [pages] consecutive guest-virtual 4 KiB pages from [start_vpn],
+    filling the TLB on each miss; returns (hits, misses).
+    @raise Guest_fault on an unmapped page. *)
 val touch_range : t -> start_vpn:int -> pages:int -> int * int
 
 (** Guest-initiated INVLPG of one page (fracture promotion applies). *)
@@ -35,8 +33,6 @@ val full_flush : t -> unit
     silently become a full flush anyway — and goes straight to one full
     flush. *)
 val set_paravirt_fracture_hint : t -> bool -> unit
-
-val paravirt_fracture_hint : t -> bool
 
 (** Flush a list of pages the way a hinted guest would: per-page INVLPG
     normally, a single full flush when the hint is set. Returns the number

@@ -45,6 +45,7 @@ val walk : t -> vpn:int -> walk option
 
 (** Present leaf count (hugepages count once). *)
 val mapped_count : t -> int
+[@@tlblint.allow "R5 state accessor: tests read the leaf count through it"]
 
 (** Page-table pages currently in the tree (excl. root). Tables freed by
     an unmap are kept by this page table and reused for its next tables at

@@ -25,7 +25,6 @@ let none =
 
 let user_data ~pfn = { none with pfn; present = true; writable = true; user = true }
 
-let kernel_data ~pfn = { none with pfn; present = true; writable = true; global = true }
 
 let make_cow t = { t with writable = false; cow = true }
 

@@ -19,9 +19,6 @@ type t = {
 (** A present, writable, non-executable user mapping of [pfn]. *)
 val user_data : pfn:int -> t
 
-(** A present kernel mapping with the G bit. *)
-val kernel_data : pfn:int -> t
-
 (** Write-protect and mark COW. *)
 val make_cow : t -> t
 

@@ -168,16 +168,6 @@ let fold f init t =
 let ensure_words t n =
   if Array.length t.words < n then grow t (n - 1)
 
-let union_into ~dst ~src =
-  let sw = src.words in
-  let n = Array.length sw in
-  ensure_words dst n;
-  let dw = dst.words in
-  for i = 0 to n - 1 do
-    let w = Array.unsafe_get sw i in
-    if w <> 0 then Array.unsafe_set dw i (Array.unsafe_get dw i lor w)
-  done
-
 let copy_into ~dst ~src =
   let sw = src.words in
   let n = Array.length sw in
@@ -187,8 +177,3 @@ let copy_into ~dst ~src =
   Array.fill dw n (Array.length dw - n) 0
 
 let to_list t = List.rev (fold (fun acc b -> b :: acc) [] t)
-
-let of_list l =
-  let t = create ~bits:0 in
-  List.iter (fun b -> set t b) l;
-  t

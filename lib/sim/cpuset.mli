@@ -51,14 +51,10 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 (** Remove every element; keeps the storage for scratch reuse. *)
 val clear_all : t -> unit
 
-(** [union_into ~dst ~src] adds every member of [src] to [dst]. *)
-val union_into : dst:t -> src:t -> unit
-
 (** [copy_into ~dst ~src] makes [dst] equal to [src] (clearing any extra
     high words of [dst]); the scratch-snapshot primitive. *)
 val copy_into : dst:t -> src:t -> unit
 
-(** Ascending member list; for tests and debug output, not hot paths. *)
+(** Ascending member list; allocates, so not for hot paths. *)
 val to_list : t -> int list
-
-val of_list : int list -> t
+[@@tlblint.allow "R5 state accessor: tests read set members through it"]

@@ -5,9 +5,8 @@
    links reach; the power-of-two ring (slot = time land ring_mask); its occupancy
    bitmap (word = slot lsr 5, or a word index masked by [occ_words - 1]);
    the 32-entry de Bruijn table (index = a 32-bit product lsr 27); the
-   heap's parallel key/event arrays within [t.size]; the closure registry
-   below its length (slots come from [cls_alloc]); the handler table below
-   [t.n_handlers] (schedule-time range check, and the table never
+   heap's parallel key/event arrays within [t.size]; the handler table
+   below [t.n_handlers] (schedule-time range check, and the table never
    shrinks); or the free-tag stack below [t.n_free_tags]. *)
 (* The hot core of the simulator. Four representation choices keep the
    per-event cost down:
@@ -21,16 +20,14 @@
      and recycled through an index free list. A first cut pooled ordinary
      records, and benchmarked *slower* than allocating fresh ones: a
      pooled record is promoted to the major heap, so every pointer store
-     into it (free-list link, ring link, closure field) goes through
+     into it (free-list link, ring link, payload) goes through
      [caml_modify], and at ~9 barriered stores per event the barriers cost
      more than the minor-GC pressure they saved. Int stores into an int
      array have no barrier at all, so the flat arena makes scheduling both
-     allocation-free AND barrier-free. Closures (the [schedule] interface)
-     live in a side registry indexed by the event row — one barriered
-     store per closure event instead of several — and hot callers avoid
-     even that with [schedule_tag]: a handler registered once per
-     long-lived object (process, APIC, ...) is dispatched by integer tag
-     with two unboxed int arguments carried in the row.
+     allocation-free AND barrier-free. An event carries no closure: a
+     handler registered once per long-lived object (process, APIC, ...)
+     is dispatched by integer tag with two unboxed int arguments carried
+     in the row.
    - Near events go to a calendar ring of per-cycle FIFO slots instead of
      the heap, and an occupancy bitmap over the slots finds the next one:
      at most [ring_size / 32] word reads per query, independent of how
@@ -56,9 +53,9 @@ let key_time k = k lsr seq_bits
 
 (* Event rows: [stride] ints per event, addressed by base offset. *)
 let f_key = 0 (* packed (time, seq) priority *)
-let f_tag = 1 (* >= 0: handler-table index; -1: closure (f_b = registry slot) *)
+let f_tag = 1 (* handler-table index *)
 let f_a = 2 (* first unboxed handler argument *)
-let f_b = 3 (* second unboxed handler argument, or closure-registry slot *)
+let f_b = 3 (* second unboxed handler argument *)
 let f_next = 4
 (* intrusive link, a base offset: the next row of a ring slot's circular
    FIFO (the tail's points at the head), or of the free list ([nil] = end) *)
@@ -104,7 +101,6 @@ let lowest_bit x =
   Array.unsafe_get debruijn
     ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
-let no_closure () = invalid_arg "Engine: closure slot dispatched twice"
 let no_step () = invalid_arg "Engine: no suspension step"
 
 let no_handler (_ : int) (_ : int) =
@@ -128,10 +124,6 @@ type t = {
   mutable ring_min : int;
       (* lower bound on the earliest ring event's time: no ring event lives
          in [now, ring_min). Pop scans start here instead of [now]. *)
-  mutable cls : (unit -> unit) array; (* closure registry for [schedule] *)
-  mutable cls_free : int array; (* stack of free registry slots *)
-  mutable n_cls_free : int;
-  mutable n_cls : int; (* registry slots handed out so far *)
   mutable handlers : (int -> int -> unit) array; (* tag dispatch table *)
   mutable n_handlers : int;
   mutable free_tags : int array; (* stack of released handler slots *)
@@ -161,10 +153,6 @@ let create () =
     occ = Array.make occ_words 0;
     ring_count = 0;
     ring_min = 0;
-    cls = [||];
-    cls_free = [||];
-    n_cls_free = 0;
-    n_cls = 0;
     handlers = [||];
     n_handlers = 0;
     free_tags = [||];
@@ -191,7 +179,6 @@ let note_suspension t = t.suspensions <- t.suspensions + 1
    (deltas only mean something when one experiment runs at a time) and
    reports 0 for experiments that reuse memoized results. *)
 let ops t = t.events_run + t.advances
-let pending t = t.size + t.ring_count
 let current_name t = t.cur_name
 let current_tag t = t.cur_tag
 
@@ -241,44 +228,13 @@ let release t base =
   Array.unsafe_set t.store (base + f_next) t.free;
   t.free <- base
 
-(* ----- closure registry -----
-
-   [schedule]'s callbacks are the one pointer payload an event can carry;
-   they live in this side table so the queues stay all-int. A slot is
-   freed (and pointed back at [no_closure], releasing the callback to the
-   GC) before its closure runs, so a callback can recycle its own slot. *)
-
-let cls_alloc t f =
-  let slot =
-    if t.n_cls_free > 0 then begin
-      t.n_cls_free <- t.n_cls_free - 1;
-      Array.unsafe_get t.cls_free t.n_cls_free
-    end
-    else begin
-      if t.n_cls = Array.length t.cls then begin
-        let bigger = Array.make (Int.max 64 (2 * t.n_cls)) no_closure in
-        Array.blit t.cls 0 bigger 0 t.n_cls;
-        t.cls <- bigger
-      end;
-      let slot = t.n_cls in
-      t.n_cls <- slot + 1;
-      slot
-    end
-  in
-  t.cls.(slot) <- f;
-  slot
-
-let cls_take t slot =
-  let f = Array.unsafe_get t.cls slot in
-  Array.unsafe_set t.cls slot no_closure;
-  if t.n_cls_free = Array.length t.cls_free then begin
-    let bigger = Array.make (Int.max 64 (2 * t.n_cls_free)) 0 in
-    Array.blit t.cls_free 0 bigger 0 t.n_cls_free;
-    t.cls_free <- bigger
-  end;
-  Array.unsafe_set t.cls_free t.n_cls_free slot;
-  t.n_cls_free <- t.n_cls_free + 1;
-  f
+let live_rows t =
+  let free = ref 0 and r = ref t.free in
+  while !r <> nil do
+    incr free;
+    r := t.store.(!r + f_next)
+  done;
+  (t.cap / stride) - !free
 
 (* ----- tag dispatch table ----- *)
 
@@ -548,11 +504,8 @@ let renumber t =
 (* ----- scheduling ----- *)
 
 let fresh_key t ~time =
-  if time < t.now then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time t.now);
   if time > max_time then
-    invalid_arg (Printf.sprintf "Engine.schedule_at: time %d overflows the clock" time);
+    invalid_arg (Printf.sprintf "Engine.schedule_tag: time %d overflows the clock" time);
   if t.seq >= seq_mask then renumber t;
   let key = (time lsl seq_bits) lor t.seq in
   t.seq <- t.seq + 1;
@@ -563,23 +516,13 @@ let enqueue t ~time ev =
   | None when time - t.now < ring_size -> ring_append t ~time ev
   | _ -> push t ev
 
-let schedule_at t ~time run =
-  let key = fresh_key t ~time in
-  enqueue t ~time (alloc t ~key ~tag:(-1) ~a:0 ~b:(cls_alloc t run))
-
-let schedule t ~delay run =
-  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.now + delay) run
-
-let schedule_tag_at t ~time ~tag ~a ~b =
-  if tag < 0 || tag >= t.n_handlers then
-    invalid_arg "Engine.schedule_tag: unregistered tag";
-  let key = fresh_key t ~time in
-  enqueue t ~time (alloc t ~key ~tag ~a ~b)
-
 let schedule_tag t ~delay ~tag ~a ~b =
   if delay < 0 then invalid_arg "Engine.schedule_tag: negative delay";
-  schedule_tag_at t ~time:(t.now + delay) ~tag ~a ~b
+  if tag < 0 || tag >= t.n_handlers then
+    invalid_arg "Engine.schedule_tag: unregistered tag";
+  let time = t.now + delay in
+  let key = fresh_key t ~time in
+  enqueue t ~time (alloc t ~key ~tag ~a ~b)
 
 (* Fast path for Process.delay: advance the clock without a suspend when no
    pending event falls inside the window (strictly — an event at exactly
@@ -591,7 +534,7 @@ let try_advance t ~cycles =
       if cycles < 0 then invalid_arg "Engine.try_advance: negative cycles";
       (* [cycles <= max_time - t.now] (overflow-safe: both sides are
          non-negative ints) keeps [now] inside the packed key's time field.
-         Past that, decline the fast path so the slow path's [schedule_at]
+         Past that, decline the fast path so the slow path's [schedule_tag]
          reports the clock overflow instead of [now] silently wrapping into
          the seq bits. *)
       if cycles <= max_time - t.now && peek_time t > t.now + cycles then begin
@@ -611,7 +554,7 @@ let dispatch t base =
   let b = Array.unsafe_get s (base + f_b) in
   release t base;
   t.events_run <- t.events_run + 1;
-  if tag >= 0 then (Array.unsafe_get t.handlers tag) a b else (cls_take t b) ()
+  (Array.unsafe_get t.handlers tag) a b
 
 (* With a chooser installed, every set of events falling inside the
    concurrency horizon is a scheduling decision point: the chooser picks

@@ -6,8 +6,11 @@
 
     Internally the priority key packs [(time, seq)] into a single int, so
     heap ordering is one native comparison; see the implementation notes.
-    Simulated time may not exceed [2^38] cycles (ample: the full paper
-    evaluation stays below [2^31]). *)
+    Simulated time may not exceed [2^38 - 1] cycles (ample: the full paper
+    evaluation stays below [2^31]): scheduling and [run_until] reject later
+    times, and the [try_advance] fast path declines to move [now] past
+    it, so the packed key's time field never wraps into the sequence
+    bits. *)
 
 type t
 
@@ -15,12 +18,6 @@ val create : unit -> t
 
 (** Current simulated time in cycles. *)
 val now : t -> int
-
-(** Largest representable simulated time ([2^38 - 1] cycles with the
-    current packing). [schedule]/[schedule_at] reject later times, and the
-    [try_advance] fast path declines to move [now] past it, so the packed
-    key's time field can never wrap into the sequence bits. *)
-val max_time : int
 
 (** Number of events executed so far. *)
 val events_run : t -> int
@@ -34,6 +31,7 @@ val advances : t -> int
     counts what the [try_advance] fast path, tick fusion and
     {!Process.chain} exist to avoid. *)
 val suspensions : t -> int
+[@@tlblint.allow "R5 state accessor: tests pin suspension counts through it"]
 
 (** Count one suspension; {!Process} calls it as a process suspends. *)
 val note_suspension : t -> unit
@@ -46,23 +44,13 @@ val note_suspension : t -> unit
     report 0 for experiments that reuse memoized results. *)
 val ops : t -> int
 
-(** [schedule t ~delay f] runs [f] at [now t + delay]. [delay] must be
-    non-negative. *)
-val schedule : t -> delay:int -> (unit -> unit) -> unit
-
-(** [schedule_at t ~time f] runs [f] at absolute [time]; raises
-    [Invalid_argument] if [time] is in the past. *)
-val schedule_at : t -> time:int -> (unit -> unit) -> unit
-
 (** {2 Tagged dispatch}
 
-    Event records are pooled and recycled internally, so [schedule] is
-    already allocation-free at steady state apart from its closure. Hot
-    callers that schedule the same logical callback over and over (a
-    process's sleep-resume, APIC IPI delivery, deferred TLB flushes)
-    additionally avoid the closure: register a handler once, then schedule
-    by integer tag with two unboxed [int] arguments stored in the pooled
-    event itself. *)
+    An event carries no closure. A caller that schedules the same logical
+    callback over and over (a process's sleep-resume, APIC IPI delivery,
+    deferred TLB flushes) registers a handler once, then schedules by
+    integer tag with two unboxed [int] arguments stored in the pooled
+    event itself, so scheduling is allocation-free at steady state. *)
 
 (** [register_handler t f] installs [f] in the engine's dispatch table and
     returns its tag. Tags are small dense ints (released tags are reused). *)
@@ -79,9 +67,6 @@ val release_handler : t -> int -> unit
     [tag]. Raises [Invalid_argument] on a negative delay or a tag that was
     never registered. Allocation-free at steady state. *)
 val schedule_tag : t -> delay:int -> tag:int -> a:int -> b:int -> unit
-
-(** [schedule_tag_at] is [schedule_tag] with an absolute time. *)
-val schedule_tag_at : t -> time:int -> tag:int -> a:int -> b:int -> unit
 
 (** [try_advance t ~cycles] advances the clock by [cycles] and returns
     [true] iff no pending event would fire at or before the new time and no
@@ -100,8 +85,11 @@ val run : t -> unit
     exactly [time] are executed. *)
 val run_until : t -> time:int -> unit
 
-(** Pending event count. *)
-val pending : t -> int
+(** Event rows not on the arena's free list: the pending events, plus any
+    row a dispatch failed to give back. 0 once {!run} has drained the
+    queue. Walks the free list, so it costs O(arena rows): an end-of-run
+    check, not a hot-path counter. *)
+val live_rows : t -> int
 
 (** {2 Process support}
 

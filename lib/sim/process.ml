@@ -58,7 +58,6 @@ and pool = {
 }
 
 let no_step () = invalid_arg "Process: tick without a step"
-let self_name engine = Engine.current_name engine
 
 (* Run [f x] with [p] as the engine's current process. Restores by hand
    instead of Fun.protect: this runs once per resumed suspension, squarely

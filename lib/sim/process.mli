@@ -46,6 +46,7 @@ val run_pooled : pool -> unit
 
 (** Members that have finished and wait to be started again. *)
 val idle_members : pool -> int
+[@@tlblint.allow "R5 state accessor: tests read the pool's idle stack through it"]
 
 (** Members started and not yet finished: running or suspended. *)
 val busy_members : pool -> int
@@ -70,7 +71,7 @@ val delay : Engine.t -> int -> unit
     charge a cacheline, invalidate a TLB entry — as long as it never
     suspends. It must not call {!delay}, {!park} or anything
     built on them ([Waitq], a machine's [charge_*]), and it must not read
-    {!self_name} or {!self_tag}: after the first boundary it runs outside
+    {!Engine.current_name} or {!self_tag}: after the first boundary it runs outside
     the process. A cost that is zero is not a boundary ([delay 0] makes no
     event), so a step with zero-cost work must go straight on to its next
     action instead of returning [0]. An exception raised by [step] at a
@@ -86,11 +87,6 @@ val tick_sleep : Engine.t -> first:int -> (unit -> int) -> unit
     suspend it once per charge whenever another event falls inside the
     window. Same rules for [step] as {!tick_sleep}. *)
 val chain : Engine.t -> (unit -> int) -> unit
-
-(** Name of the process currently running on [engine] ("main" outside any
-    process). Per-engine rather than global so independent machines can run
-    on separate domains. *)
-val self_name : Engine.t -> string
 
 (** {2 Parking}
 

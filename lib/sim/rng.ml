@@ -27,25 +27,6 @@ let float t =
 
 let bool t ~p = float t < p
 
-let exponential t ~mean =
-  let u = float t in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
-
-let gaussian t ~mean ~stddev =
-  let u1 = float t and u2 = float t in
-  let u1 = if u1 <= 0.0 then 1e-12 else u1 in
-  let r = sqrt (-2.0 *. log u1) in
-  mean +. (stddev *. r *. cos (2.0 *. Float.pi *. u2))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(int t (Array.length a))

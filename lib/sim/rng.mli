@@ -11,26 +11,11 @@ val create : seed:int64 -> t
     so that adding draws in one place does not perturb another. *)
 val split : t -> t
 
-(** Next raw 64-bit value. *)
-val next : t -> int64
-
 (** Uniform integer in [\[0, bound)]. [bound] must be positive. *)
 val int : t -> int -> int
 
-(** Uniform float in [\[0, 1)]. *)
-val float : t -> float
-
 (** Bernoulli draw with probability [p]. *)
 val bool : t -> p:float -> bool
-
-(** Exponentially distributed float with the given [mean]. *)
-val exponential : t -> mean:float -> float
-
-(** Normally distributed float (Box-Muller). *)
-val gaussian : t -> mean:float -> stddev:float -> float
-
-(** Fisher-Yates shuffle in place. *)
-val shuffle : t -> 'a array -> unit
 
 (** Pick a uniformly random element. Raises [Invalid_argument] on empty. *)
 val choose : t -> 'a array -> 'a

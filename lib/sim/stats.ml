@@ -100,8 +100,6 @@ let mean t = if t.n = 0 then 0.0 else t.acc.(a_mean)
 let stddev t = if t.n < 2 then 0.0 else sqrt (t.acc.(a_m2) /. float_of_int (t.n - 1))
 let min_opt t = if t.n = 0 then None else Some t.acc.(a_min)
 let max_opt t = if t.n = 0 then None else Some t.acc.(a_max)
-let min t = if t.n = 0 then 0.0 else t.acc.(a_min)
-let max t = if t.n = 0 then 0.0 else t.acc.(a_max)
 
 let sorted t =
   match t.sorted_cache with
@@ -133,9 +131,6 @@ let percentile_opt t p =
     end
   end
 
-let percentile t p = Option.value (percentile_opt t p) ~default:0.0
-let median_opt t = percentile_opt t 50.0
-let median t = percentile t 50.0
 
 (* Chan et al.'s parallel-Welford combination: moments merge exactly (up
    to float rounding) without replaying [other]'s samples — which would be
@@ -164,13 +159,6 @@ let merge_into t other =
       end
     done
   end
-
-let pp fmt t =
-  if t.n = 0 then Format.pp_print_string fmt "n=0 (no samples)"
-  else
-    Format.fprintf fmt "n=%d mean=%.1f sd=%.1f min=%.1f p50=%.1f p99=%.1f max=%.1f%s"
-      (count t) (mean t) (stddev t) (min t) (median t) (percentile t 99.0) (max t)
-      (if exact_percentiles t then "" else " (percentiles subsampled)")
 
 module Histogram = struct
   type h = {

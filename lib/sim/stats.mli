@@ -26,9 +26,11 @@ val count : t -> int
 
 (** Number of samples currently retained for percentile estimation. *)
 val retained : t -> int
+[@@tlblint.allow "R5 state accessor: tests read the retention bound through it"]
 
 (** [true] while no thinning has happened, i.e. percentiles are exact. *)
 val exact_percentiles : t -> bool
+[@@tlblint.allow "R5 state accessor: tests read whether thinning began through it"]
 
 val total : t -> float
 val mean : t -> float
@@ -41,24 +43,11 @@ val min_opt : t -> float option
 
 val max_opt : t -> float option
 
-(** Legacy accessors: return [0.0] for an empty series — indistinguishable
-    from a real zero sample. Prefer {!min_opt}/{!max_opt} in new code. *)
-val min : t -> float
-
-val max : t -> float
-
 (** [percentile_opt t p] for [p] in [\[0,100\]] (clamped); interpolates
     between retained samples. [None] when the series is empty. Exact while
     {!exact_percentiles} holds, an estimate over the deterministic
     subsample after. *)
 val percentile_opt : t -> float -> float option
-
-val median_opt : t -> float option
-
-(** Legacy accessors: [0.0] on an empty series. Prefer the [_opt] forms. *)
-val percentile : t -> float -> float
-
-val median : t -> float
 
 (** Merge the second accumulator into the first. Moments combine exactly
     (Chan's parallel variance formula); the second's retained samples feed
@@ -66,10 +55,6 @@ val median : t -> float
     associative over a fixed merge order — the plan-order reduce in
     [Workloads.Shard] relies on this for [-j N] byte-identity. *)
 val merge_into : t -> t -> unit
-
-(** Renders ["n=0 (no samples)"] for an empty series (never a fake 0.0
-    summary) and flags subsampled percentiles. *)
-val pp : Format.formatter -> t -> unit
 
 (** Fixed-width histogram over [\[lo, hi)] with [buckets] bins. Samples
     outside the range are NOT clamped into the edge bins — they increment

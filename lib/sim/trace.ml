@@ -98,8 +98,6 @@ let event t ~cpu event =
   if t.is_enabled then
     add t { time = Engine.now t.engine; cpu; actor = Printf.sprintf "cpu%d" cpu; event }
 
-let records t = List.init t.len (fun i -> t.buf.((t.head + i) mod Array.length t.buf))
-
 let iter t f =
   let n = Array.length t.buf in
   for i = 0 to t.len - 1 do
@@ -156,8 +154,6 @@ let pp_event fmt = function
       if full then Format.fprintf fmt "deferred user flush: full"
       else Format.fprintf fmt "deferred user flush: %d INVLPG + LFENCE" entries
   | User_resume -> Format.pp_print_string fmt "return to user"
-
-let event_text e = Format.asprintf "%a" pp_event e
 
 let pp fmt t =
   let actor_width = fold t ~init:5 (fun w r -> Stdlib.max w (String.length r.actor)) in

@@ -4,7 +4,7 @@
     carry a {!event} variant: the shootdown protocol emits typed events
     (generation bumps, IPIs, flushes, stale hits) that the analysis layer
     orders with vector clocks; free-form strings remain available through
-    {!emit}/{!emitf} for human-oriented annotations. Disabled tracing is a
+    {!emitf} for human-oriented annotations. Disabled tracing is a
     no-op so experiment runs pay nothing.
 
     Storage is a growable circular buffer: append is O(1) and, when a
@@ -39,7 +39,7 @@ type event =
   | User_resume  (** return-to-user completed (deferred flushes done) *)
 
 type record = { time : int; cpu : int; actor : string; event : event }
-(** [cpu] is [-1] for records emitted via {!emit}/{!emitf} with a
+(** [cpu] is [-1] for records emitted via {!emitf} with a
     non-CPU actor; typed protocol events always carry their CPU. *)
 
 type t
@@ -52,19 +52,12 @@ val enabled : t -> bool
     buffer immediately if it already holds more. *)
 val set_max_records : t -> int option -> unit
 
-(** Append a free-form record (no-op when disabled). [actor] is typically
-    "cpu3" or a process name. *)
-val emit : t -> actor:string -> string -> unit
-
-(** Printf-style convenience wrapper over {!emit}. *)
+(** Append a free-form record (no-op when disabled, and then the arguments
+    are not formatted). [actor] is typically "cpu3" or a process name. *)
 val emitf : t -> actor:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** Append a typed protocol event attributed to [cpu]. *)
 val event : t -> cpu:int -> event -> unit
-
-(** Records in chronological order (oldest first). O(n) and materializes a
-    list — prefer {!iter} in analysis paths. *)
-val records : t -> record list
 
 (** Apply [f] to every retained record, oldest first, without building a
     list. *)
@@ -75,13 +68,12 @@ val length : t -> int
 
 (** Records discarded because of the [max_records] cap. *)
 val dropped : t -> int
+[@@tlblint.allow "R5 state accessor: tests read the drop count through it"]
 
 val clear : t -> unit
 
 (** Render one event as the human-readable timeline text. *)
 val pp_event : Format.formatter -> event -> unit
-
-val event_text : event -> string
 
 (** Render as an aligned "time | actor | event" listing. *)
 val pp : Format.formatter -> t -> unit

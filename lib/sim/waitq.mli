@@ -19,6 +19,7 @@ val signal_one : t -> unit
 
 (** Number of processes currently blocked. *)
 val waiters : t -> int
+[@@tlblint.allow "R5 state accessor: tests read the blocked count through it"]
 
 (** One-shot event: waiting after {!Completion.fire} returns immediately. *)
 module Completion : sig

@@ -23,10 +23,8 @@ val value : row -> string -> float option
     back to the same float; non-finite values are written as [null]. *)
 val to_string : mode:string -> row list -> string
 
-(** Parse a file written by {!to_string}. [Error] (with a message naming
-    the byte offset or row) for anything else: text that is not complete
-    JSON, a missing or different [schema], or a malformed row. *)
-val of_string : string -> (row list, string) result
-
-(** {!of_string} on a file's contents; an unreadable file is an [Error]. *)
+(** Read a file written by {!to_string}. [Error] (with a message naming
+    the byte offset or row) for anything else: an unreadable file, text
+    that is not complete JSON, a missing or different [schema], or a
+    malformed row. *)
 val load : string -> (row list, string) result

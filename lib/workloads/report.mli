@@ -27,6 +27,3 @@ val count : int -> string
 (** [bars ~title rows] renders labelled horizontal bars scaled to the
     largest value — the textual rendition of the paper's bar figures. *)
 val bars : title:string -> (string * float) list -> unit
-
-(** Render one bar of [width] characters for [value] against [max]. *)
-val bar_of : width:int -> max:float -> float -> string

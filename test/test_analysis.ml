@@ -17,8 +17,26 @@ let flush_start ~time ~cpu ~window =
 let stale ~time ~cpu ~benign =
   rec_ ~time ~cpu (Trace.Stale_hit { mm_id = 1; vpn = 10; benign; detail = "test" })
 
+(* Replay the records into a trace buffer, each at its time on its CPU,
+   and analyze that buffer. *)
+let analyze records =
+  let e = Engine.create () in
+  let t = Trace.create ~enabled:true e in
+  List.iter
+    (fun (r : Trace.record) ->
+      Helpers.schedule e ~delay:r.Trace.time (fun () ->
+          Trace.event t ~cpu:r.Trace.cpu r.Trace.event))
+    records;
+  Engine.run e;
+  Hb.analyze_trace t
+
+let records trace =
+  let acc = ref [] in
+  Trace.iter trace (fun r -> acc := r :: !acc);
+  List.rev !acc
+
 let test_hb_empty () =
-  let r = Hb.analyze [] in
+  let r = analyze [] in
   check int_t "events" 0 r.Hb.events;
   check int_t "hits" 0 r.Hb.stale_hits;
   check int_t "genuine" 0 r.Hb.genuine
@@ -34,7 +52,7 @@ let test_hb_program_order_is_genuine () =
       stale ~time:3 ~cpu:0 ~benign:false;
     ]
   in
-  let r = Hb.analyze trace in
+  let r = analyze trace in
   check int_t "one hit" 1 r.Hb.stale_hits;
   check int_t "genuine" 1 r.Hb.genuine;
   match r.Hb.findings with
@@ -65,7 +83,7 @@ let test_hb_hit_before_close_is_in_flight () =
       rec_ ~time:7 ~cpu:0 (Trace.Flush_done { window = 1; mm_id = 1 });
     ]
   in
-  let r = Hb.analyze trace in
+  let r = analyze trace in
   check int_t "proved in-flight" 1 r.Hb.proved_in_flight;
   check int_t "no genuine" 0 r.Hb.genuine;
   check int_t "agrees with checker" 0 r.Hb.checker_disagreements
@@ -82,17 +100,17 @@ let test_hb_unsynchronized_close_proves_nothing () =
       rec_ ~time:3 ~cpu:0 (Trace.Flush_done { window = 1; mm_id = 1 });
     ]
   in
-  let r = Hb.analyze (trace ~benign:true) in
+  let r = analyze (trace ~benign:true) in
   check int_t "not proved" 0 r.Hb.proved_in_flight;
   check int_t "latent when checker excused it" 1 r.Hb.unordered_latent;
-  let r = Hb.analyze (trace ~benign:false) in
+  let r = analyze (trace ~benign:false) in
   check int_t "genuine when checker flagged it" 1 r.Hb.genuine
 
 let test_hb_unclosed_window_is_in_flight () =
   let trace =
     [ flush_start ~time:0 ~cpu:0 ~window:1; stale ~time:1 ~cpu:1 ~benign:true ]
   in
-  let r = Hb.analyze trace in
+  let r = analyze trace in
   check int_t "proved in-flight" 1 r.Hb.proved_in_flight;
   check int_t "no genuine" 0 r.Hb.genuine
 
@@ -112,11 +130,11 @@ let test_hb_return_to_user_expires_excuse () =
     @ [ stale ~time:6 ~cpu:1 ~benign:false ]
   in
   (* Without the return-to-user the window (still open) excuses the hit... *)
-  let r = Hb.analyze (handled_then_resumed ~resume:false) in
+  let r = analyze (handled_then_resumed ~resume:false) in
   check int_t "still excused" 1 r.Hb.proved_in_flight;
   check int_t "not genuine" 0 r.Hb.genuine;
   (* ...after it, the same hit is a genuine protocol race. *)
-  let r = Hb.analyze (handled_then_resumed ~resume:true) in
+  let r = analyze (handled_then_resumed ~resume:true) in
   check int_t "excuse expired" 0 r.Hb.proved_in_flight;
   check int_t "genuine" 1 r.Hb.genuine;
   match r.Hb.findings with
@@ -133,7 +151,7 @@ let run_demo ~opts ~rounds =
   let m = Scenarios.early_ack_demo ~opts ~rounds () in
   Trace.enable m.Machine.trace;
   Kernel.run m;
-  (m, Hb.analyze (Trace.records m.Machine.trace))
+  (m, Hb.analyze_trace m.Machine.trace)
 
 let test_demo_races_proved_benign () =
   let opts = Opts.all_general ~safe:true in
@@ -191,8 +209,9 @@ let test_scenarios_deterministic () =
     Trace.enable m.Machine.trace;
     Kernel.run m;
     List.map
-      (fun (r : Trace.record) -> (r.Trace.time, r.Trace.cpu, Trace.event_text r.Trace.event))
-      (Trace.records m.Machine.trace)
+      (fun (r : Trace.record) ->
+        (r.Trace.time, r.Trace.cpu, Format.asprintf "%a" Trace.pp_event r.Trace.event))
+      (records m.Machine.trace)
   in
   let a = trace_of () and b = trace_of () in
   check bool_t "nonempty" true (a <> []);
@@ -200,7 +219,14 @@ let test_scenarios_deterministic () =
 
 (* --- interleaving explorer --- *)
 
-let quick_config = { Explorer.default_config with Explorer.max_runs = 32 }
+let quick_config =
+  {
+    Explorer.max_choice_points = 12;
+    max_branch = 2;
+    max_runs = 32;
+    horizon = 30;
+    trace_cap = 20_000;
+  }
 
 (* The ISSUE's exhaustive-small gate: a 2-CPU single-page shootdown under
    every combination of the paper's six general optimizations (64 opt
@@ -277,8 +303,12 @@ let test_explore_alternative_backends () =
 
 let test_explore_branches_reach_new_interleavings () =
   let r =
-    Explorer.explore ~config:{ quick_config with Explorer.max_runs = 8 } (fun () ->
-        Scenarios.shootdown_2cpu ())
+    match
+      Explorer.explore_set ~config:{ quick_config with Explorer.max_runs = 8 } ~jobs:1
+        [ (fun () -> Scenarios.shootdown_2cpu ()) ]
+    with
+    | [ r ] -> r
+    | _ -> assert false
   in
   check bool_t "several runs" true (r.Explorer.runs > 1);
   check bool_t "found decision points" true (r.Explorer.max_depth > 0);
@@ -289,8 +319,12 @@ let test_explore_catches_injected_bug () =
     { (Opts.all_general ~safe:true) with Opts.fault = Some Opts.Skip_deferred_flush }
   in
   let r =
-    Explorer.explore ~config:{ quick_config with Explorer.max_runs = 4 } (fun () ->
-        Scenarios.shootdown_2cpu ~opts ())
+    match
+      Explorer.explore_set ~config:{ quick_config with Explorer.max_runs = 4 } ~jobs:1
+        [ (fun () -> Scenarios.shootdown_2cpu ~opts ()) ]
+    with
+    | [ r ] -> r
+    | _ -> assert false
   in
   check bool_t "bug detected" true (r.Explorer.failures <> [])
 

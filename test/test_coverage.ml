@@ -1,5 +1,5 @@
-(* Focused coverage for behaviours not exercised elsewhere: stats/counter
-   resets, trace content of a real shootdown, Smp mechanism details,
+(* Focused coverage for behaviours not exercised elsewhere: trace content
+   of a real shootdown, Smp mechanism details,
    hugepage/batching interplay, and API misuse errors. *)
 
 let check = Alcotest.check
@@ -7,53 +7,6 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
 let make ?(opts = Opts.baseline ~safe:true) () = Machine.create ~opts ~seed:91L ()
-
-let test_machine_stats_reset () =
-  let m = make () in
-  m.Machine.stats.Machine.shootdowns <- 5;
-  m.Machine.stats.Machine.faults <- 7;
-  Machine.reset_stats m;
-  check int_t "shootdowns" 0 m.Machine.stats.Machine.shootdowns;
-  check int_t "faults" 0 m.Machine.stats.Machine.faults
-
-let test_cpu_accounting_reset () =
-  let m = make () in
-  let cpu = Machine.cpu m 0 in
-  Process.spawn m.Machine.engine ~name:"t" (fun () -> Cpu.compute cpu 500);
-  Kernel.run m;
-  check int_t "recorded" 500 (Cpu.compute_cycles cpu);
-  Cpu.reset_accounting cpu;
-  check int_t "reset" 0 (Cpu.compute_cycles cpu);
-  check int_t "irqs too" 0 (Cpu.irqs_handled cpu)
-
-let test_apic_and_tlb_stat_resets () =
-  let m = make () in
-  Process.spawn m.Machine.engine ~name:"t" (fun () ->
-      ignore
-        (Apic.send_ipi m.Machine.apic ~from:0 ~targets:[ 1 ] ~make_irq:(fun _ ->
-             { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) })));
-  Kernel.run m;
-  check int_t "sent" 1 (Apic.ipis_sent m.Machine.apic);
-  Apic.reset_stats m.Machine.apic;
-  check int_t "reset" 0 (Apic.ipis_sent m.Machine.apic);
-  let tlb = Cpu.tlb (Machine.cpu m 0) in
-  ignore (Tlb.lookup tlb ~pcid:1 ~vpn:1);
-  Tlb.reset_stats tlb;
-  check int_t "tlb reset" 0 (Tlb.stats tlb).Tlb.misses
-
-let test_checker_clear () =
-  let c = Checker.create () in
-  ignore
-    (Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:1 ~write:false
-       ~entry:
-         { Tlb.vpn = 1; pfn = 1; pcid = 1; size = Tlb.Four_k; global = false;
-           writable = true; fractured = false; ck_ver = -1 }
-       ~pt:(Page_table.create ())
-      : Checker.result);
-  check int_t "one violation" 1 (Checker.violation_count c);
-  Checker.clear c;
-  check int_t "cleared" 0 (Checker.violation_count c);
-  check int_t "checks cleared" 0 (Checker.checks c)
 
 let test_opts_pp_lists_enabled () =
   let o = Opts.all ~safe:true in
@@ -72,7 +25,7 @@ let test_opts_pp_lists_enabled () =
 let test_engine_events_run_counter () =
   let e = Engine.create () in
   for _ = 1 to 5 do
-    Engine.schedule e ~delay:1 (fun () -> ())
+    Helpers.schedule e ~delay:1 (fun () -> ())
   done;
   Engine.run e;
   check int_t "five events" 5 (Engine.events_run e)
@@ -96,7 +49,10 @@ let test_trace_of_real_shootdown_mentions_protocol () =
       stop := true);
   Kernel.run m;
   let events =
-    List.map (fun r -> Trace.event_text r.Trace.event) (Trace.records m.Machine.trace)
+    let acc = ref [] in
+    Trace.iter m.Machine.trace (fun r ->
+        acc := Format.asprintf "%a" Trace.pp_event r.Trace.event :: !acc);
+    List.rev !acc
   in
   let has prefix =
     List.exists
@@ -118,10 +74,9 @@ let test_smp_ack_idempotent () =
       let info =
         Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ()
       in
-      match
-        Smp.enqueue_work m ~from:0 ~targets:(Cpuset.of_list [ 1 ]) ~info
-          ~early_ack:false
-      with
+      let targets = Cpuset.create ~bits:2 in
+      Cpuset.set targets 1;
+      match Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false with
       | [| cfd |] ->
           Smp.ack m ~me:1 cfd;
           Smp.ack m ~me:1 cfd;
@@ -166,11 +121,11 @@ let test_ksm_merge_same_frame_skipped () =
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"t" (fun () ->
       let addr = Syscall.mmap m ~cpu:0 ~pages:2 () in
       Access.touch_range m ~cpu:0 ~addr ~pages:2 ~write:true;
-      let keep = Addr.vpn_of_addr addr and dup = Addr.vpn_of_addr addr + 1 in
-      ignore (Ksm.merge_pages m ~cpu:0 ~mm ~keep ~dup);
+      let keep = Addr.vpn_of_addr addr in
+      check int_t "first merge" 1 (Ksm.dedup_range m ~cpu:0 ~mm ~vpn:keep ~pages:2);
       (* Merging again: already sharing one frame. *)
-      check bool_t "second merge skipped" true
-        (Ksm.merge_pages m ~cpu:0 ~mm ~keep ~dup = `Skipped));
+      check int_t "second merge skipped" 0
+        (Ksm.dedup_range m ~cpu:0 ~mm ~vpn:keep ~pages:2));
   Kernel.run m
 
 let test_vma_file_page_mapping () =
@@ -211,10 +166,6 @@ let test_migrate_from_kernel_context () =
 
 let suite =
   [
-    Alcotest.test_case "machine stats reset" `Quick test_machine_stats_reset;
-    Alcotest.test_case "cpu accounting reset" `Quick test_cpu_accounting_reset;
-    Alcotest.test_case "apic/tlb stat resets" `Quick test_apic_and_tlb_stat_resets;
-    Alcotest.test_case "checker clear" `Quick test_checker_clear;
     Alcotest.test_case "opts pp lists flags" `Quick test_opts_pp_lists_enabled;
     Alcotest.test_case "engine events_run" `Quick test_engine_events_run_counter;
     Alcotest.test_case "trace shows protocol" `Quick test_trace_of_real_shootdown_mentions_protocol;

@@ -16,6 +16,11 @@ let universe_sizes = [ 1; 2; 31; 32; 33; 62; 63; 64; 65; 100; 512; 1023; 1100 ]
 
 let ops_per_size = 400
 
+let of_list l =
+  let s = Cpuset.create ~bits:0 in
+  List.iter (Cpuset.set s) l;
+  s
+
 let test_randomized_against_model () =
   let rng = Rng.create ~seed:0x5e7b175L in
   List.iter
@@ -53,15 +58,11 @@ let test_randomized_against_model () =
       let seen = ref [] in
       Cpuset.iter (fun b -> seen := b :: !seen) s;
       check list_t (ctx ^ " iter order") folded (List.rev !seen);
-      (* round-trip through of_list *)
-      check list_t (ctx ^ " of_list round-trip")
-        (Cpuset.to_list s)
-        (Cpuset.to_list (Cpuset.of_list (Cpuset.to_list s)));
       (* mem outside the populated range is false, never an error *)
       check bool_t (ctx ^ " mem past end") false (Cpuset.mem s (n + 1000)))
     universe_sizes
 
-let test_union_and_copy_against_model () =
+let test_copy_against_model () =
   let rng = Rng.create ~seed:0xc0feeL in
   List.iter
     (fun n ->
@@ -74,7 +75,7 @@ let test_union_and_copy_against_model () =
           ma := IntSet.add x !ma
         end
         else begin
-          (* b starts at zero capacity: union/copy must grow it *)
+          (* b starts at zero capacity: copy must grow it *)
           Cpuset.set b x;
           mb := IntSet.add x !mb
         end
@@ -84,22 +85,22 @@ let test_union_and_copy_against_model () =
       Cpuset.copy_into ~dst:u ~src:a;
       check list_t (ctx ^ " copy_into") (IntSet.elements !ma) (Cpuset.to_list u);
       (* copy_into a wider dst must zero the tail *)
-      let wide = Cpuset.of_list [ n + 200 ] in
+      let wide = of_list [ n + 200 ] in
       Cpuset.copy_into ~dst:wide ~src:b;
       check list_t (ctx ^ " copy_into zeroes tail") (IntSet.elements !mb)
         (Cpuset.to_list wide);
-      Cpuset.union_into ~dst:u ~src:b;
-      check list_t
-        (ctx ^ " union_into")
-        (IntSet.elements (IntSet.union !ma !mb))
-        (Cpuset.to_list u))
+      (* copy_into a narrower dst must grow it *)
+      let narrow = Cpuset.create ~bits:0 in
+      Cpuset.copy_into ~dst:narrow ~src:wide;
+      check list_t (ctx ^ " copy_into grows dst") (IntSet.elements !mb)
+        (Cpuset.to_list narrow))
     universe_sizes
 
 (* The documented reentrancy contract: the callback may clear the current
    (or any earlier) bit mid-iteration — the filter-in-place pattern
    select_targets uses — without perturbing which bits get visited. *)
 let test_iter_filter_in_place () =
-  let s = Cpuset.of_list [ 0; 3; 31; 32; 64; 65; 99; 1022 ] in
+  let s = of_list [ 0; 3; 31; 32; 64; 65; 99; 1022 ] in
   let visited = ref [] in
   Cpuset.iter
     (fun b ->
@@ -176,7 +177,7 @@ let test_bigmachine_256_identical_across_jobs () =
 let suite =
   [
     Alcotest.test_case "randomized vs Set model" `Quick test_randomized_against_model;
-    Alcotest.test_case "union/copy vs Set model" `Quick test_union_and_copy_against_model;
+    Alcotest.test_case "copy vs Set model" `Quick test_copy_against_model;
     Alcotest.test_case "iter filter-in-place contract" `Quick test_iter_filter_in_place;
     Alcotest.test_case "errors and edges" `Quick test_errors_and_edges;
     Alcotest.test_case "bigmachine 256: -j2/-j4 = -j1" `Quick

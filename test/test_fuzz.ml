@@ -87,7 +87,7 @@ let test_inject_bug_caught_and_shrunk () =
         (List.length ops <= List.length f.Fuzz.f_program.Fuzz.p_ops);
       check bool_t "shrunk program still fails" true
         (Fuzz.run_program { f.Fuzz.f_program with Fuzz.p_ops = ops } <> []));
-  let cmd = Fuzz.replay_command f in
+  let cmd = Format.asprintf "%a" Fuzz.pp_failure f in
   check bool_t "replay names the seed" true
     (contains cmd (Printf.sprintf "--seed %d" f.Fuzz.f_seed));
   check bool_t "replay names the injection" true (contains cmd "--inject-bug")

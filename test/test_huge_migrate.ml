@@ -26,7 +26,7 @@ let test_huge_mmap_fault_maps_2m () =
       Access.touch_range m ~cpu:0 ~addr ~pages:512 ~write:false;
       check int_t "still one fault" 1 m.Machine.stats.Machine.faults;
       (* The second hugepage faults separately. *)
-      Access.write m ~cpu:0 ~vaddr:(addr + Addr.huge_page_size);
+      Access.write m ~cpu:0 ~vaddr:(addr + Addr.addr_of_vpn Addr.pages_per_huge);
       check int_t "two faults" 2 m.Machine.stats.Machine.faults);
   Kernel.run m
 
@@ -47,7 +47,7 @@ let test_huge_madvise_uses_2m_stride () =
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"t" (fun () ->
       let addr = Syscall.mmap m ~cpu:0 ~pages:1024 ~page_size:Tlb.Two_m () in
       Access.write m ~cpu:0 ~vaddr:addr;
-      Access.write m ~cpu:0 ~vaddr:(addr + Addr.huge_page_size);
+      Access.write m ~cpu:0 ~vaddr:(addr + Addr.addr_of_vpn Addr.pages_per_huge);
       let frames_before = Frame_alloc.allocated m.Machine.frames in
       let invlpg_before = (Tlb.stats (Cpu.tlb (Machine.cpu m 0))).Tlb.invlpg_ops in
       Syscall.madvise_dontneed m ~cpu:0 ~addr ~pages:1024;
@@ -105,7 +105,7 @@ let test_migration_moves_frame () =
         | Some w -> w.Page_table.pte.Pte.pfn
         | None -> Alcotest.fail "not mapped"
       in
-      check bool_t "migrated" true (Migrate.migrate_page m ~cpu:0 ~mm ~vpn = `Migrated);
+      check int_t "migrated" 1 (Migrate.migrate_range m ~cpu:0 ~mm ~vpn ~pages:1);
       (match Page_table.walk pt ~vpn with
       | Some w ->
           check bool_t "new frame" true (w.Page_table.pte.Pte.pfn <> old_pfn);
@@ -126,10 +126,10 @@ let test_migration_skips_file_and_absent () =
         Syscall.mmap m ~cpu:0 ~pages:1 ~backing:(Vma.File_shared { file; offset = 0 }) ()
       in
       Access.write m ~cpu:0 ~vaddr:faddr;
-      check bool_t "file page skipped" true
-        (Migrate.migrate_page m ~cpu:0 ~mm ~vpn:(Addr.vpn_of_addr faddr) = `Skipped);
-      check bool_t "absent page skipped" true
-        (Migrate.migrate_page m ~cpu:0 ~mm ~vpn:12345 = `Skipped));
+      check int_t "file page skipped" 0
+        (Migrate.migrate_range m ~cpu:0 ~mm ~vpn:(Addr.vpn_of_addr faddr) ~pages:1);
+      check int_t "absent page skipped" 0
+        (Migrate.migrate_range m ~cpu:0 ~mm ~vpn:12345 ~pages:1));
   Kernel.run m
 
 let test_migration_under_concurrent_readers_safe () =
@@ -227,7 +227,7 @@ let test_freebsd_serializes_but_stays_correct () =
       while not !stop do
         Cpu.compute cpu_t ~quantum:100 100
       done);
-  Engine.schedule m.Machine.engine ~delay:5_000_000 (fun () -> stop := true);
+  Helpers.schedule m.Machine.engine ~delay:5_000_000 (fun () -> stop := true);
   Kernel.run m;
   check int_t "correct under serialization" 0 (Checker.violation_count m.Machine.checker);
   check bool_t "shootdowns happened" true (m.Machine.stats.Machine.shootdowns > 0)

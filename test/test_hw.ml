@@ -6,7 +6,15 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
 let dist_t =
-  Alcotest.testable Topology.pp_distance (fun a b -> a = b)
+  Alcotest.testable
+    (fun ppf d -> Format.pp_print_string ppf (Topology.distance_label d))
+    (fun a b -> a = b)
+
+let pp_topo ppf t =
+  Format.fprintf ppf "%d socket(s) x %d cores x %d SMT" (Topology.sockets t)
+    (Topology.cores_per_socket t) (Topology.smt t)
+
+let occupancy t = List.length (Tlb.entries t)
 
 (* --- Topology --- *)
 
@@ -50,9 +58,8 @@ let test_topology_clusters () =
   (* 14 cores x 2 threads = 28 APIC ids per socket: crosses the 16 boundary. *)
   check bool_t "socket 0 spans clusters" true
     (Topology.cluster_of t 0 <> Topology.cluster_of t 13);
-  let groups = Topology.clusters_of_targets t [ 0; 1; 13; 14 ] in
-  let total = List.fold_left (fun acc (_, l) -> acc + List.length l) 0 groups in
-  check int_t "all targets grouped" 4 total
+  check (Alcotest.list int_t) "two clusters under cpus 0, 1, 13, 14" [ 0; 1 ]
+    (List.sort_uniq compare (List.map (Topology.cluster_of t) [ 0; 1; 13; 14 ]))
 
 let test_topology_cpus_of_socket () =
   let t = Topology.paper_machine in
@@ -115,10 +122,11 @@ let test_cache_write_invalidates_sharers () =
      writer, but the cross-socket sharer is invalidated. *)
   check int_t "write is local for the writer" Costs.default.Costs.line_local
     (Cache.write l ~by:1);
-  (* A stalling write (or atomic) pays the farthest holder. *)
+  (* An atomic stalls for the line and pays the farthest holder. *)
   ignore (Cache.read l ~by:14);
-  check int_t "stalling write pays farthest" Costs.default.Costs.line_cross_socket
-    (Cache.stalling_write l ~by:1);
+  check int_t "atomic pays farthest"
+    (Costs.default.Costs.line_cross_socket + Costs.default.Costs.atomic_op)
+    (Cache.atomic l ~by:1);
   (* 14 lost the line either way. *)
   check int_t "14 re-reads remotely" Costs.default.Costs.line_cross_socket
     (Cache.read l ~by:14)
@@ -146,9 +154,7 @@ let test_cache_totals () =
   check int_t "writes" 1 t.Cache.writes;
   check int_t "reads" 2 t.Cache.reads;
   check int_t "cross transfers" 1 t.Cache.cross_socket_transfers;
-  check int_t "same-socket transfers" 1 t.Cache.same_socket_transfers;
-  Cache.reset_stats reg;
-  check int_t "reset" 0 (Cache.totals reg).Cache.reads
+  check int_t "same-socket transfers" 1 t.Cache.same_socket_transfers
 
 (* A line keeps its holders' sockets as the bits of one int, so the
    registry refuses a topology with more sockets than that has bits (the
@@ -157,7 +163,7 @@ let test_cache_totals () =
 let test_cache_socket_cap () =
   let topo = Topology.create ~sockets:Sys.int_size ~cores_per_socket:1 ~smt:1 in
   match Cache.create_registry topo Costs.default with
-  | _ -> Alcotest.failf "%a accepted" Topology.pp topo
+  | _ -> Alcotest.failf "%a accepted" pp_topo topo
   | exception Invalid_argument _ -> ()
 
 let flat4 = Topology.flat 4
@@ -183,7 +189,7 @@ let test_cache_ranks_match_topology () =
           ignore (Cache.write l ~by:a);
           let expected = Costs.line_transfer c (Topology.distance topo a b) in
           if Cache.read l ~by:b <> expected then
-            Alcotest.failf "%a: read of cpu %d's line by cpu %d" Topology.pp topo a b
+            Alcotest.failf "%a: read of cpu %d's line by cpu %d" pp_topo topo a b
         done
       done)
     (pricing_topologies
@@ -195,8 +201,8 @@ let test_cache_ranks_match_topology () =
         Topology.create ~sockets:(Sys.int_size - 1) ~cores_per_socket:1 ~smt:1;
       ])
 
-(* Black-box differential test of coherence pricing: random reads, writes,
-   stalling writes and atomics over several lines, against a naive model
+(* Black-box differential test of coherence pricing: random reads, writes
+   and atomics over several lines, against a naive model
    that keeps an owner and a holder list per line and ranks holders with
    [Topology.distance]. Every returned cost and the final totals must
    agree. Half the accesses come from a few hot CPUs per line, so local
@@ -266,8 +272,8 @@ let test_cache_vs_naive_model () =
       in
       let step what i ~by ~got ~want =
         if got <> want then
-          Alcotest.failf "%a: %s of line %d by cpu %d cost %d, model %d" Topology.pp
-            topo what i by got want
+          Alcotest.failf "%a: %s of line %d by cpu %d cost %d, model %d" pp_topo topo
+            what i by got want
       in
       let read i ~by =
         step "read" i ~by ~got:(Cache.read lines.(i) ~by) ~want:(model_read i ~by)
@@ -299,19 +305,15 @@ let test_cache_vs_naive_model () =
         let by = if Rng.int r 2 = 0 then hot.(i).(Rng.int r 3) else Rng.int r n in
         match Rng.int r 10 with
         | 0 | 1 | 2 | 3 | 4 | 5 -> read i ~by
-        | 6 | 7 ->
+        | 6 | 7 | 8 ->
             step "write" i ~by ~got:(Cache.write lines.(i) ~by)
               ~want:(model_write i ~by ~stall:false)
-        | 8 ->
-            step "stalling write" i ~by
-              ~got:(Cache.stalling_write lines.(i) ~by)
-              ~want:(model_write i ~by ~stall:true)
         | _ -> atomic i ~by
       done;
       let t = Cache.totals reg in
       let total what got want =
         if got <> want then
-          Alcotest.failf "%a: total %s %d, model %d" Topology.pp topo what got want
+          Alcotest.failf "%a: total %s %d, model %d" pp_topo topo what got want
       in
       total "reads" t.Cache.reads !reads;
       total "writes" t.Cache.writes !writes;
@@ -395,7 +397,7 @@ let test_tlb_capacity_eviction () =
   for i = 0 to 9 do
     Tlb.insert t (entry ~vpn:i ~pfn:i ())
   done;
-  check bool_t "bounded" true (Tlb.occupancy t <= 4);
+  check bool_t "bounded" true (occupancy t <= 4);
   check bool_t "newest present" true (Tlb.mem t ~pcid:1 ~vpn:9);
   check bool_t "oldest evicted" false (Tlb.mem t ~pcid:1 ~vpn:0);
   check bool_t "evictions counted" true ((Tlb.stats t).Tlb.evictions >= 6)
@@ -428,7 +430,7 @@ let test_tlb_flush_all () =
   Tlb.insert t (entry ~vpn:1 ~pfn:1 ());
   Tlb.insert t (entry ~global:true ~vpn:2 ~pfn:2 ());
   Tlb.flush_all t;
-  check int_t "empty" 0 (Tlb.occupancy t);
+  check int_t "empty" 0 (occupancy t);
   check int_t "counted" 1 (Tlb.stats t).Tlb.full_flushes
 
 (* Regression: a key invalidated and later re-inserted used to keep its
@@ -441,7 +443,7 @@ let test_tlb_reinsert_after_invalidate_is_youngest () =
   done;
   Tlb.drop t ~pcid:1 ~vpn:1;
   Tlb.insert t (entry ~vpn:1 ~pfn:11 ());
-  check int_t "full again" 4 (Tlb.occupancy t);
+  check int_t "full again" 4 (occupancy t);
   (* Inserting a fifth key must evict vpn 2 (the oldest live entry), not
      the just-re-inserted vpn 1. *)
   Tlb.insert t (entry ~vpn:5 ~pfn:5 ());
@@ -451,7 +453,7 @@ let test_tlb_reinsert_after_invalidate_is_youngest () =
   check bool_t "vpn4 stays" true (Tlb.mem t ~pcid:1 ~vpn:4);
   check bool_t "new key present" true (Tlb.mem t ~pcid:1 ~vpn:5);
   check int_t "exactly one eviction" 1 (Tlb.stats t).Tlb.evictions;
-  check int_t "occupancy exact" 4 (Tlb.occupancy t)
+  check int_t "occupancy exact" 4 (occupancy t)
 
 (* Random inserts/overwrites/invalidations/flushes against a reference
    FIFO model: membership, occupancy and eviction victim must match the
@@ -483,8 +485,8 @@ let test_tlb_random_vs_fifo_model () =
     | _ ->
         model := [];
         Tlb.flush_all t);
-    if Tlb.occupancy t <> List.length !model then
-      Alcotest.failf "step %d: occupancy %d, model %d" step (Tlb.occupancy t)
+    if occupancy t <> List.length !model then
+      Alcotest.failf "step %d: occupancy %d, model %d" step (occupancy t)
         (List.length !model);
     for p = 1 to n_pcids do
       for v = 0 to n_vpns - 1 do
@@ -530,7 +532,7 @@ let test_tlb_entries_history_independent () =
       (fun (e : Tlb.entry) -> (e.Tlb.vpn, e.Tlb.pfn, e.Tlb.pcid, e.Tlb.global, e.Tlb.size))
       (Tlb.entries t)
   in
-  check int_t "same occupancy" (Tlb.occupancy a) (Tlb.occupancy b);
+  check int_t "same occupancy" (occupancy a) (occupancy b);
   check bool_t "identical entries, in the same order" true (listing a = listing b);
   check int_t "every entry listed" (List.length contents) (List.length (listing a))
 
@@ -559,17 +561,16 @@ let test_ipi_delivery_and_interruption () =
   let handled = ref false in
   Process.spawn e ~name:"sender" (fun () ->
       let cost =
-        Apic.send_ipi apic ~from:0 ~targets:[ 14 ]
-          ~make_irq:(fun _ ->
-            {
-              Cpu.vector = 1;
-              maskable = true;
-              handler =
-                (fun cpu ->
-                  handled := true;
-                  Process.delay e 500;
-                  ignore cpu);
-            })
+        Helpers.send_ipi apic ~from:0 ~targets:[ 14 ]
+          {
+            Cpu.vector = 1;
+            maskable = true;
+            handler =
+              (fun cpu ->
+                handled := true;
+                Process.delay e 500;
+                ignore cpu);
+          }
       in
       Process.delay e cost);
   Process.spawn e ~name:"responder" (fun () -> Cpu.compute cpus.(14) 20_000);
@@ -585,20 +586,19 @@ let test_irq_masking_defers () =
   let handled_at = ref (-1) in
   let target = cpus.(1) in
   Process.spawn e ~name:"receiver" (fun () ->
-      Cpu.irq_disable target;
+      Cpu.quiesce_and_mask target;
       Cpu.compute target 5_000;
       (* IRQ arrives during this window but must wait. *)
       Cpu.irq_enable target);
   Process.spawn e ~name:"sender" (fun () ->
       Process.delay e 100;
       ignore
-        (Apic.send_ipi apic ~from:0 ~targets:[ 1 ]
-           ~make_irq:(fun _ ->
-             {
-               Cpu.vector = 2;
-               maskable = true;
-               handler = (fun _ -> handled_at := Engine.now e);
-             })));
+        (Helpers.send_ipi apic ~from:0 ~targets:[ 1 ]
+           {
+             Cpu.vector = 2;
+             maskable = true;
+             handler = (fun _ -> handled_at := Engine.now e);
+           }));
   Engine.run e;
   check bool_t "deferred past mask window" true (!handled_at >= 5_000)
 
@@ -607,7 +607,7 @@ let test_nmi_bypasses_mask () =
   let handled = ref false in
   let target = cpus.(2) in
   Process.spawn e ~name:"receiver" (fun () ->
-      Cpu.irq_disable target;
+      Cpu.quiesce_and_mask target;
       Cpu.post_irq target
         { Cpu.vector = 2; maskable = false; handler = (fun _ -> handled := true) };
       Cpu.compute target 1_000;
@@ -627,9 +627,8 @@ let test_poll_wait_services_irqs () =
   Process.spawn e ~name:"sender" (fun () ->
       Process.delay e 1_000;
       ignore
-        (Apic.send_ipi apic ~from:0 ~targets:[ 3 ]
-           ~make_irq:(fun _ ->
-             { Cpu.vector = 3; maskable = true; handler = (fun _ -> flag := true) })));
+        (Helpers.send_ipi apic ~from:0 ~targets:[ 3 ]
+           { Cpu.vector = 3; maskable = true; handler = (fun _ -> flag := true) }));
   Engine.run e;
   check bool_t "irq handled" true !flag;
   check bool_t "spinner released by irq" true !released
@@ -638,40 +637,63 @@ let test_apic_multicast_cluster_cost () =
   let e, topo, c, _, apic = make_machine_parts () in
   (* Targets in different clusters need several ICR writes. *)
   let targets = [ 1; 13; 14; 27 ] in
-  let clusters = List.length (Topology.clusters_of_targets topo targets) in
+  let clusters =
+    List.length (List.sort_uniq compare (List.map (Topology.cluster_of topo) targets))
+  in
   Process.spawn e ~name:"sender" (fun () ->
       let cost =
-        Apic.send_ipi apic ~from:0 ~targets ~make_irq:(fun _ ->
-            { Cpu.vector = 9; maskable = true; handler = (fun _ -> ()) })
+        Helpers.send_ipi apic ~from:0 ~targets
+          { Cpu.vector = 9; maskable = true; handler = (fun _ -> ()) }
       in
       check int_t "one ICR write per cluster" (clusters * c.Costs.icr_write) cost);
   Engine.run e;
   check int_t "icr writes counted" clusters (Apic.icr_writes apic);
   check int_t "ipis counted" (List.length targets) (Apic.ipis_sent apic)
 
+(* Delivery order is cluster-major: clusters in ascending id, each
+   cluster's targets in ascending cpu id. On the paper machine, cpu 28 is
+   cpu 0's SMT sibling and shares x2APIC cluster 0 with cpu 1, while cpus 8
+   and 36 (one core's two threads) make up part of cluster 1, so this
+   order differs from ascending cpu id. With every IPI latency equal, a
+   cluster's targets are delivered in one tick, and the handlers run in
+   delivery order. *)
+let test_apic_delivery_order_cluster_major () =
+  let e = Engine.create () in
+  let topo = Topology.paper_machine in
+  let c = { Costs.default with Costs.ipi_smt = Costs.default.Costs.ipi_same_socket } in
+  let cpus =
+    Array.init (Topology.n_cpus topo) (fun id -> Cpu.create e topo c ~id ~safe:false ())
+  in
+  let apic = Apic.create e topo c ~cpus in
+  let log = ref [] in
+  let irq =
+    {
+      Cpu.vector = 1;
+      maskable = true;
+      handler = (fun cpu -> log := (Cpu.id cpu, Engine.now e) :: !log);
+    }
+  in
+  Process.spawn e ~name:"sender" (fun () ->
+      Process.delay e (Helpers.send_ipi apic ~from:0 ~targets:[ 36; 8; 28; 1 ] irq));
+  Engine.run e;
+  let log = List.rev !log in
+  check (Alcotest.list int_t) "cluster 0 (1, 28), then cluster 1 (8, 36)" [ 1; 28; 8; 36 ]
+    (List.map fst log);
+  match List.map snd log with
+  | [ a; b; c'; d ] ->
+      check bool_t "one tick per cluster" true (a = b && c' = d);
+      check int_t "the second cluster waits one more ICR write" c.Costs.icr_write (c' - a)
+  | _ -> Alcotest.fail "expected four deliveries"
+
 let test_apic_rejects_self_ipi () =
   let e, _, _, _, apic = make_machine_parts () in
   Process.spawn e ~name:"sender" (fun () ->
       Alcotest.check_raises "self ipi"
-        (Invalid_argument "Apic.send_ipi: self-IPI not supported") (fun () ->
+        (Invalid_argument "Apic.send_ipi_id: self-IPI not supported") (fun () ->
           ignore
-            (Apic.send_ipi apic ~from:0 ~targets:[ 0 ] ~make_irq:(fun _ ->
-                 { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) }))));
+            (Helpers.send_ipi apic ~from:0 ~targets:[ 0 ]
+               { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) })));
   Engine.run e
-
-let test_idle_wait_wakes_on_irq () =
-  let e, _, _, cpus, apic = make_machine_parts () in
-  let woke_at = ref (-1) in
-  Process.spawn e ~name:"idler" (fun () ->
-      Cpu.idle_wait cpus.(4);
-      woke_at := Engine.now e);
-  Process.spawn e ~name:"sender" (fun () ->
-      Process.delay e 2_000;
-      ignore
-        (Apic.send_ipi apic ~from:0 ~targets:[ 4 ] ~make_irq:(fun _ ->
-             { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) })));
-  Engine.run e;
-  check bool_t "woken after delivery" true (!woke_at > 2_000)
 
 (* --- Detached IRQ dispatch --- *)
 
@@ -742,7 +764,7 @@ let test_dispatch_script () =
       Process.delay e 5000;
       (* Masked: the unmaskable IRQ is dispatched, the maskable one waits
          and runs in this process at [irq_enable]. *)
-      Cpu.irq_disable cpu;
+      Cpu.quiesce_and_mask cpu;
       Cpu.post_irq cpu (irq 4);
       Cpu.post_irq cpu (irq ~maskable:false ~cycles:300 5);
       Process.delay e 2000;
@@ -920,7 +942,7 @@ let test_compute_until_suspends_once () =
             Engine.schedule_tag e ~delay:30 ~tag:!tag ~a:0 ~b:0);
     Engine.schedule_tag e ~delay:0 ~tag:!tag ~a:0 ~b:0;
     let flag = ref false and over = ref 0 in
-    Engine.schedule e ~delay:10_000 (fun () -> flag := true);
+    Helpers.schedule e ~delay:10_000 (fun () -> flag := true);
     Process.spawn e ~name:"spinner" (fun () ->
         if fused then Cpu.compute_until cpu ~quantum:50 ~chunk:100 (fun () -> !flag)
         else
@@ -979,7 +1001,7 @@ let suite =
     Alcotest.test_case "cache: write invalidates sharers" `Quick test_cache_write_invalidates_sharers;
     Alcotest.test_case "cache: exclusive write local" `Quick test_cache_exclusive_write_is_local;
     Alcotest.test_case "cache: atomic cost" `Quick test_cache_atomic_cost;
-    Alcotest.test_case "cache: totals and reset" `Quick test_cache_totals;
+    Alcotest.test_case "cache: totals" `Quick test_cache_totals;
     Alcotest.test_case "cache: socket count cap" `Quick test_cache_socket_cap;
     Alcotest.test_case "cache: ranks match Topology.distance" `Quick
       test_cache_ranks_match_topology;
@@ -1009,8 +1031,9 @@ let suite =
     Alcotest.test_case "cpu: nmi bypasses mask" `Quick test_nmi_bypasses_mask;
     Alcotest.test_case "cpu: poll_wait services irqs" `Quick test_poll_wait_services_irqs;
     Alcotest.test_case "apic: multicast cluster cost" `Quick test_apic_multicast_cluster_cost;
+    Alcotest.test_case "apic: delivery order is cluster-major" `Quick
+      test_apic_delivery_order_cluster_major;
     Alcotest.test_case "apic: rejects self-IPI" `Quick test_apic_rejects_self_ipi;
-    Alcotest.test_case "cpu: idle_wait wakes on irq" `Quick test_idle_wait_wakes_on_irq;
     Alcotest.test_case "cpu: detached dispatch words" `Quick test_dispatch_words;
     Alcotest.test_case "cpu: scripted detached dispatch" `Quick test_dispatch_script;
     Alcotest.test_case "cpu: compute_until vs compute loop" `Quick

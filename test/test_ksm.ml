@@ -20,7 +20,7 @@ let test_merge_shares_frame () =
       Access.touch_range m ~cpu:0 ~addr ~pages:2 ~write:true;
       let keep = Addr.vpn_of_addr addr and dup = Addr.vpn_of_addr addr + 1 in
       let frames_before = Frame_alloc.allocated m.Machine.frames in
-      check bool_t "merged" true (Ksm.merge_pages m ~cpu:0 ~mm ~keep ~dup = `Merged);
+      check int_t "merged" 1 (Ksm.dedup_range m ~cpu:0 ~mm ~vpn:keep ~pages:2);
       check bool_t "same frame" true (pfn_of mm ~vpn:keep = pfn_of mm ~vpn:dup);
       check int_t "one frame released" (frames_before - 1)
         (Frame_alloc.allocated m.Machine.frames);
@@ -40,7 +40,7 @@ let test_write_unmerges_via_cow () =
       let addr = Syscall.mmap m ~cpu:0 ~pages:2 () in
       Access.touch_range m ~cpu:0 ~addr ~pages:2 ~write:true;
       let keep = Addr.vpn_of_addr addr and dup = Addr.vpn_of_addr addr + 1 in
-      ignore (Ksm.merge_pages m ~cpu:0 ~mm ~keep ~dup);
+      ignore (Ksm.dedup_range m ~cpu:0 ~mm ~vpn:keep ~pages:2 : int);
       let shared = Option.get (pfn_of mm ~vpn:keep) in
       (* Writing the duplicate un-merges it through the ordinary COW break
          (§4.1's path, local flush avoided). *)
@@ -75,19 +75,18 @@ let test_merge_skips_unsuitable () =
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"t" (fun () ->
       let file = File.create m.Machine.frames ~name:"f" ~size_pages:1 in
       let anon = Syscall.mmap m ~cpu:0 ~pages:1 () in
+      Access.write m ~cpu:0 ~vaddr:anon;
+      let keep = Addr.vpn_of_addr anon in
+      (* Nothing is mapped past the one anonymous page yet. *)
+      check int_t "unmapped skipped" 0 (Ksm.dedup_range m ~cpu:0 ~mm ~vpn:keep ~pages:2);
       let filed =
         Syscall.mmap m ~cpu:0 ~pages:1 ~backing:(Vma.File_shared { file; offset = 0 }) ()
       in
-      Access.write m ~cpu:0 ~vaddr:anon;
       Access.write m ~cpu:0 ~vaddr:filed;
-      check bool_t "file page skipped" true
-        (Ksm.merge_pages m ~cpu:0 ~mm ~keep:(Addr.vpn_of_addr anon)
-           ~dup:(Addr.vpn_of_addr filed)
-        = `Skipped);
-      check bool_t "unmapped skipped" true
-        (Ksm.merge_pages m ~cpu:0 ~mm ~keep:(Addr.vpn_of_addr anon) ~dup:99999
-        = `Skipped))
-  ;
+      let dup = Addr.vpn_of_addr filed in
+      check bool_t "file page above the anonymous one" true (dup > keep);
+      check int_t "file page skipped" 0
+        (Ksm.dedup_range m ~cpu:0 ~mm ~vpn:keep ~pages:(dup - keep + 1)));
   Kernel.run m
 
 let test_dedup_under_concurrent_writer_safe () =

@@ -9,6 +9,13 @@ let fixture_cmt name = Filename.concat fixture_dir (name ^ ".cmt")
 let lines_and_rules findings =
   List.map (fun f -> (f.Lint.f_line, Lint.rule_name f.Lint.f_rule)) findings
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.equal (String.sub s i n) sub || go (i + 1))
+  in
+  go 0
+
 let check_findings what expected findings =
   Alcotest.(check (list (pair int string))) what expected (lines_and_rules findings)
 
@@ -32,6 +39,22 @@ let test_r4 =
   test_pair ~bad:"fix_r4_bad" ~good:"fix_r4_good"
     ~expected:[ (4, "R4"); (6, "R4"); (8, "R4") ]
 
+(* Copy fixture [name]'s .cmt and .cmti into directory [dir] (made if
+   missing); returns a function that removes the copies again. *)
+let copy_fixture name ~dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let copies =
+    List.map
+      (fun ext -> (fixture_cmt name ^ ext, Filename.concat dir (name ^ ".cmt" ^ ext)))
+      [ ""; "i" ]
+  in
+  List.iter
+    (fun (src, dst) ->
+      let data = In_channel.with_open_bin src In_channel.input_all in
+      Out_channel.with_open_bin dst (fun oc -> output_string oc data))
+    copies;
+  fun () -> List.iter (fun (_, dst) -> Sys.remove dst) copies
+
 (* R5 reads uses from every .cmt beside the scanned one, here every
    fixture: [Fix_r5_good.used_elsewhere] has its user in fix_r5_bad. Copied
    into a directory of its own, away from that user, it is dead too. *)
@@ -40,21 +63,46 @@ let test_r5 () =
     ~expected:[ (3, "R5"); (4, "R5"); (5, "R5") ]
     ();
   let alone = "r5_alone" in
-  if not (Sys.file_exists alone) then Sys.mkdir alone 0o755;
-  List.iter
-    (fun ext ->
-      let src = fixture_cmt "fix_r5_good" ^ ext in
-      let ic = open_in_bin src in
-      let data = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let oc = open_out_bin (Filename.concat alone ("fix_r5_good.cmt" ^ ext)) in
-      output_string oc data;
-      close_out oc)
-    [ ""; "i" ];
+  let remove = copy_fixture "fix_r5_good" ~dir:alone in
   let findings = Lint.run ~rules:[ Lint.R5 ] [ Filename.concat alone "fix_r5_good.cmt" ] in
-  List.iter (fun ext -> Sys.remove (Filename.concat alone ("fix_r5_good.cmt" ^ ext))) [ ""; "i" ];
+  remove ();
   Sys.rmdir alone;
   check_findings "fix_r5_good without its user" [ (4, "R5") ] findings
+
+(* A use from a unit under a [test/] directory keeps no export alive. Laid
+   out like a build tree, with fix_r5_good in [lib/] and its one user,
+   fix_r5_bad, in [test/], scanning [lib/] flags [used_elsewhere]; with
+   the user in [bin/] instead it is silent. The reasoned grant on
+   [granted] holds either way, and a grant without a reason is a finding
+   wherever its unit lives. *)
+let test_r5_test_uses_do_not_count () =
+  let root = "r5_tree" in
+  let dir sub = Filename.concat root sub in
+  if not (Sys.file_exists root) then Sys.mkdir root 0o755;
+  let remove_good = copy_fixture "fix_r5_good" ~dir:(dir "lib") in
+  let scan path = Lint.run ~rules:[ Lint.R5 ] [ dir path ] in
+  let with_user_in sub f =
+    let remove = copy_fixture "fix_r5_bad" ~dir:(dir sub) in
+    Fun.protect
+      ~finally:(fun () ->
+        remove ();
+        Sys.rmdir (dir sub))
+      f
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      remove_good ();
+      Sys.rmdir (dir "lib");
+      Sys.rmdir root)
+    (fun () ->
+      with_user_in "test" (fun () ->
+          check_findings "only a test uses it" [ (4, "R5") ] (scan "lib");
+          match List.filter (fun f -> f.Lint.f_line = 5) (scan "test") with
+          | [ f ] ->
+              Alcotest.(check bool) "a grant without a reason" true
+                (contains f.Lint.f_msg "gives no reason")
+          | fs -> Alcotest.failf "one finding at line 5, not %d" (List.length fs));
+      with_user_in "bin" (fun () -> check_findings "a binary uses it" [] (scan "lib")))
 
 (* --rules style toggling: a disabled rule reports nothing. *)
 let test_toggle () =
@@ -100,6 +148,7 @@ let suite =
     Alcotest.test_case "R3 nondeterminism fixtures" `Quick test_r3;
     Alcotest.test_case "R4 unsafe-array fixtures" `Quick test_r4;
     Alcotest.test_case "R5 dead-export fixtures" `Quick test_r5;
+    Alcotest.test_case "R5 ignores uses from test/" `Quick test_r5_test_uses_do_not_count;
     Alcotest.test_case "rule toggling" `Quick test_toggle;
     Alcotest.test_case "allowlist scoping" `Quick test_allowlist;
     Alcotest.test_case "real tree lints clean" `Quick test_tree_clean;

@@ -10,23 +10,12 @@ let int_t = Alcotest.int
 let test_addr_conversions () =
   check int_t "vpn" 3 (Addr.vpn_of_addr (3 * 4096));
   check int_t "vpn rounds down" 3 (Addr.vpn_of_addr ((3 * 4096) + 4095));
-  check int_t "addr" (5 * 4096) (Addr.addr_of_vpn 5);
-  check int_t "align down" 8192 (Addr.page_align_down 8193);
-  check int_t "align up" 12288 (Addr.page_align_up 8193);
-  check int_t "align up exact" 8192 (Addr.page_align_up 8192)
-
-let test_addr_ranges () =
-  check int_t "pages spanning single" 1 (Addr.pages_spanning ~addr:100 ~len:1);
-  check int_t "pages spanning boundary" 2 (Addr.pages_spanning ~addr:4000 ~len:200);
-  check int_t "pages spanning zero" 0 (Addr.pages_spanning ~addr:0 ~len:0);
-  check (Alcotest.list int_t) "vpns" [ 0; 1 ] (Addr.vpns_of_range ~addr:4000 ~len:200)
+  check int_t "addr" (5 * 4096) (Addr.addr_of_vpn 5)
 
 let test_addr_huge () =
   check bool_t "0 aligned" true (Addr.huge_aligned 0);
   check bool_t "512 aligned" true (Addr.huge_aligned 512);
   check bool_t "513 not" false (Addr.huge_aligned 513);
-  check int_t "stride 4k" 12 (Addr.stride_shift Tlb.Four_k);
-  check int_t "stride 2m" 21 (Addr.stride_shift Tlb.Two_m);
   check int_t "pages of 2m" 512 (Addr.pages_of_size Tlb.Two_m)
 
 (* --- Pte --- *)
@@ -49,11 +38,6 @@ let test_pte_clean_protect () =
   let wb = Pte.clean (Pte.write_protect p) in
   check bool_t "clean" false wb.Pte.dirty;
   check bool_t "write-protected" false wb.Pte.writable
-
-let test_pte_kernel_global () =
-  let k = Pte.kernel_data ~pfn:3 in
-  check bool_t "global" true k.Pte.global;
-  check bool_t "not user" false k.Pte.user
 
 (* --- Frame_alloc --- *)
 
@@ -696,24 +680,29 @@ let test_pt_recycled_tables_no_major_words () =
 
 (* --- Ept / Nested --- *)
 
+(* The EPT's GPA→HPA half of a nested walk, seen through a guest 4 KiB
+   page at [vpn 7] whose guest frame is [gfn]. *)
+let host_of ept ~gfn =
+  let guest = Page_table.create () in
+  Page_table.map guest ~vpn:7 ~size:Tlb.Four_k (Pte.user_data ~pfn:gfn);
+  Option.map
+    (fun r -> (r.Ept.Nested.hfn, r.Ept.Nested.host_size))
+    (Ept.Nested.translate ~guest ~ept ~vpn:7)
+
 let test_ept_translate () =
   let ept = Ept.create () in
   Ept.map ept ~gfn:100 ~size:Tlb.Four_k ~hfn:900;
-  check
-    (Alcotest.option (Alcotest.pair int_t (Alcotest.testable (fun fmt s ->
-         Format.pp_print_string fmt (match s with Tlb.Four_k -> "4k" | Tlb.Two_m -> "2m"))
-         ( = ))))
-    "mapped" (Some (900, Tlb.Four_k)) (Ept.translate ept ~gfn:100);
-  check bool_t "unmapped" true (Ept.translate ept ~gfn:101 = None)
+  check bool_t "mapped" true (host_of ept ~gfn:100 = Some (900, Tlb.Four_k));
+  check bool_t "unmapped" true (host_of ept ~gfn:101 = None)
 
 let test_ept_huge_offset () =
   let ept = Ept.create () in
   Ept.map ept ~gfn:1024 ~size:Tlb.Two_m ~hfn:4096;
-  (match Ept.translate ept ~gfn:(1024 + 37) with
+  match host_of ept ~gfn:(1024 + 37) with
   | Some (hfn, size) ->
       check int_t "offset preserved" (4096 + 37) hfn;
       check bool_t "2m" true (size = Tlb.Two_m)
-  | None -> Alcotest.fail "expected translation")
+  | None -> Alcotest.fail "expected translation"
 
 let test_nested_fracture_detection () =
   let guest = Page_table.create () in
@@ -757,7 +746,7 @@ let test_nested_mmu_guest_fault () =
   let guest = Page_table.create () in
   let mmu = Nested_mmu.create ~guest ~pcid:1 () in
   Alcotest.check_raises "unmapped" (Nested_mmu.Guest_fault 7) (fun () ->
-      ignore (Nested_mmu.access mmu ~vpn:7))
+      ignore (Nested_mmu.touch_range mmu ~start_vpn:7 ~pages:1))
 
 let test_nested_mmu_fracture_flag_set () =
   let guest = Page_table.create () in
@@ -767,34 +756,32 @@ let test_nested_mmu_fracture_flag_set () =
     Ept.map ept ~gfn:(2048 + i) ~size:Tlb.Four_k ~hfn:(9000 + i)
   done;
   let mmu = Nested_mmu.create ~guest ~ept ~pcid:1 () in
-  ignore (Nested_mmu.access mmu ~vpn:1024);
+  ignore (Nested_mmu.touch_range mmu ~start_vpn:1024 ~pages:1);
   check bool_t "flag armed" true (Tlb.fracture_flag (Nested_mmu.tlb mmu));
   (* A selective flush of anything now wipes the TLB. *)
-  ignore (Nested_mmu.access mmu ~vpn:1025);
+  ignore (Nested_mmu.touch_range mmu ~start_vpn:1025 ~pages:1);
   Nested_mmu.invlpg mmu ~vpn:999_999;
-  check int_t "everything flushed" 0 (Tlb.occupancy (Nested_mmu.tlb mmu))
+  check int_t "everything flushed" 0 (List.length (Tlb.entries (Nested_mmu.tlb mmu)))
 
 let suite =
   [
     Alcotest.test_case "addr: conversions" `Quick test_addr_conversions;
-    Alcotest.test_case "addr: ranges" `Quick test_addr_ranges;
     Alcotest.test_case "addr: hugepages" `Quick test_addr_huge;
     Alcotest.test_case "pte: cow transitions" `Quick test_pte_transitions;
     Alcotest.test_case "pte: writeback transitions" `Quick test_pte_clean_protect;
-    Alcotest.test_case "pte: kernel global" `Quick test_pte_kernel_global;
     Alcotest.test_case "frames: alloc/free" `Quick test_frames_alloc_free;
     Alcotest.test_case "frames: recycling bumps generation" `Quick test_frames_recycling_and_generation;
     Alcotest.test_case "frames: double free rejected" `Quick test_frames_double_free_rejected;
     Alcotest.test_case "frames: hugepage alignment" `Quick test_frames_huge_alignment;
     Alcotest.test_case "frames: exhaustion" `Quick test_frames_exhaustion;
+    Alcotest.test_case "pt: map and walk" `Quick test_pt_map_walk;
+    Alcotest.test_case "pt: hugepages" `Quick test_pt_hugepage;
     Alcotest.test_case "frames: same as eager model, 64 frames" `Quick
       (test_frames_growable_vs_eager ~frames:64);
     Alcotest.test_case "frames: same as eager model, 4096 frames" `Quick
       (test_frames_growable_vs_eager ~frames:4096);
     Alcotest.test_case "frames: same as eager model, 262144 frames" `Quick
       (test_frames_growable_vs_eager ~frames:262144);
-    Alcotest.test_case "pt: map and walk" `Quick test_pt_map_walk;
-    Alcotest.test_case "pt: hugepages" `Quick test_pt_hugepage;
     Alcotest.test_case "pt: double map rejected" `Quick test_pt_double_map_rejected;
     Alcotest.test_case "pt: unmap" `Quick test_pt_unmap;
     Alcotest.test_case "pt: unmap frees tables" `Quick test_pt_unmap_frees_tables;

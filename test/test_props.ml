@@ -21,8 +21,9 @@ let prop_stats_percentile_bounds =
     (fun (values, p) ->
       let s = Stats.create () in
       List.iter (Stats.add s) values;
-      let v = Stats.percentile s p in
-      v >= Stats.min s && v <= Stats.max s)
+      match (Stats.percentile_opt s p, Stats.min_opt s, Stats.max_opt s) with
+      | Some v, Some lo, Some hi -> v >= lo && v <= hi
+      | _ -> false)
 
 (* --- Rng: int stays in bounds for arbitrary positive bounds --- *)
 

@@ -411,7 +411,8 @@ let test_enqueue_work_suspensions () =
   keep_busy m 10_000;
   let suspensions = ref (-1) and queued = ref 0 in
   Process.spawn e ~name:"initiator" (fun () ->
-      let targets = Cpuset.of_list [ 1; 2; 3; 5; 7 ] in
+      let targets = Cpuset.create ~bits:8 in
+      List.iter (Cpuset.set targets) [ 1; 2; 3; 5; 7 ];
       let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
       let s0 = Engine.suspensions e in
       queued := Array.length (Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false);

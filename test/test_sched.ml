@@ -6,6 +6,9 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* The CPUs in the mm's cpumask, ascending. *)
+let cpus mm = Cpuset.to_list (Mm_struct.cpuset mm)
+
 let make () = Machine.create ~opts:(Opts.baseline ~safe:true) ~seed:41L ()
 
 (* Map and touch one page of [mm] on [cpu]; returns its vpn. *)
@@ -63,7 +66,7 @@ let test_switch_in_catches_up_generations () =
       Sched.switch_mm m ~cpu:0 other;
       (* While away, another CPU changes mm's PTEs. cpu0 is no longer in
          the cpumask, so no IPI goes there; the generation moved on. *)
-      check bool_t "cpu0 left the cpumask" false (Mm_struct.cpu_isset mm ~cpu:0);
+      check bool_t "cpu0 left the cpumask" false (Cpuset.mem (Mm_struct.cpuset mm) 0);
       ignore (Page_table.unmap (Mm_struct.page_table mm) ~vpn ());
       ignore (Mm_struct.bump_tlb_gen mm);
       (* Switching back must notice; the user-PCID half completes with the
@@ -93,12 +96,12 @@ let test_cpumask_tracks_switches () =
   let mm_b = Machine.new_mm m in
   Process.spawn m.Machine.engine ~name:"t" (fun () ->
       Sched.switch_mm m ~cpu:3 mm_a;
-      check (Alcotest.list int_t) "A on cpu3" [ 3 ] (Mm_struct.cpumask mm_a);
+      check (Alcotest.list int_t) "A on cpu3" [ 3 ] (cpus mm_a);
       Sched.switch_mm m ~cpu:3 mm_b;
-      check (Alcotest.list int_t) "A vacated" [] (Mm_struct.cpumask mm_a);
-      check (Alcotest.list int_t) "B on cpu3" [ 3 ] (Mm_struct.cpumask mm_b);
+      check (Alcotest.list int_t) "A vacated" [] (cpus mm_a);
+      check (Alcotest.list int_t) "B on cpu3" [ 3 ] (cpus mm_b);
       Sched.unload m ~cpu:3;
-      check (Alcotest.list int_t) "B vacated on unload" [] (Mm_struct.cpumask mm_b));
+      check (Alcotest.list int_t) "B vacated on unload" [] (cpus mm_b));
   Kernel.run m
 
 let test_lazy_mode_round_trip () =
@@ -109,7 +112,7 @@ let test_lazy_mode_round_trip () =
       Sched.enter_lazy m ~cpu:0;
       check bool_t "lazy" true (Machine.percpu m 0).Percpu.lazy_mode;
       (* The mm stays loaded and in the cpumask while lazy. *)
-      check bool_t "still in mask" true (Mm_struct.cpu_isset mm ~cpu:0);
+      check bool_t "still in mask" true (Cpuset.mem (Mm_struct.cpuset mm) 0);
       Sched.exit_lazy m ~cpu:0;
       check bool_t "not lazy" false (Machine.percpu m 0).Percpu.lazy_mode);
   Kernel.run m

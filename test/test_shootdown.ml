@@ -166,13 +166,15 @@ let test_cacheline_consolidation_reduces_transfers () =
       with_pair ~opts ~responder:14 (fun m mm ->
           let vpn = map_pages m mm ~pages:1 in
           warm m ~cpu:0 ~start_vpn:vpn ~pages:1;
-          Cache.reset_stats m.Machine.registry;
+          let transfers () =
+            let t = Cache.totals m.Machine.registry in
+            t.Cache.smt_transfers + t.Cache.same_socket_transfers
+            + t.Cache.cross_socket_transfers
+          in
+          let before = transfers () in
           Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn;
           Machine.delay m 10_000;
-          let t = Cache.totals m.Machine.registry in
-          result :=
-            t.Cache.smt_transfers + t.Cache.same_socket_transfers
-            + t.Cache.cross_socket_transfers)
+          result := transfers () - before)
     in
     !result
   in
@@ -204,6 +206,11 @@ let test_full_flush_over_threshold () =
         (Tlb.mem (tlb_of m 0) ~pcid:(user_pcid_of m 0) ~vpn:other));
   Kernel.run m
 
+(* The responder flush as the paper backend's IPI handler runs it. *)
+let flush_tlb_func m ~cpu info =
+  Flush_core.flush_tlb_func_impl m ~cpu ~user:(Flush_core.default_user_policy m info)
+    ~eager_user:false info
+
 let test_responder_gen_skip () =
   let m = make () in
   let mm = Machine.new_mm m in
@@ -212,8 +219,8 @@ let test_responder_gen_skip () =
       warm m ~cpu:0 ~start_vpn:vpn ~pages:1;
       let gen = Mm_struct.bump_tlb_gen mm in
       let info = Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:gen () in
-      check bool_t "first executes" true (Shootdown.flush_tlb_func m ~cpu:0 info = `Ranged);
-      check bool_t "second skips" true (Shootdown.flush_tlb_func m ~cpu:0 info = `Skipped));
+      check bool_t "first executes" true (flush_tlb_func m ~cpu:0 info = `Ranged);
+      check bool_t "second skips" true (flush_tlb_func m ~cpu:0 info = `Skipped));
   Kernel.run m;
   check int_t "skip counted" 1 m.Machine.stats.Machine.flush_requests_skipped
 
@@ -232,13 +239,13 @@ let test_responder_gen_fast_forward_full () =
       in
       ignore g1;
       check bool_t "multiple gens behind takes a full flush" true
-        (Shootdown.flush_tlb_func m ~cpu:0 old_info = `Full);
+        (flush_tlb_func m ~cpu:0 old_info = `Full);
       (* Fast-forwarded: a request for an intermediate gen now skips. *)
       let mid_info =
         Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:g3 ()
       in
       check bool_t "subsequent skipped" true
-        (Shootdown.flush_tlb_func m ~cpu:0 mid_info = `Skipped));
+        (flush_tlb_func m ~cpu:0 mid_info = `Skipped));
   Kernel.run m;
   check int_t "fallback counted" 1 m.Machine.stats.Machine.full_flush_fallbacks
 

@@ -21,7 +21,7 @@ let latency_with_masking ~masked ~period =
       while not !stop do
         (* Critical section with interrupts off, as driver code would. *)
         if masked > 0 then begin
-          Cpu.irq_disable cpu_t;
+          Cpu.quiesce_and_mask cpu_t;
           Cpu.compute cpu_t ~quantum:100 masked;
           Cpu.irq_enable cpu_t
         end;

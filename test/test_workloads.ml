@@ -176,9 +176,8 @@ let test_ipi_invariants_catch_imbalance () =
   let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
   let m = Machine.create ~opts:(Opts.all ~safe:true) () in
   Process.spawn m.Machine.engine ~name:"sender" (fun () ->
-      Cpu.irq_disable (Machine.cpu m 1);
-      ignore
-        (Apic.send_ipi m.Machine.apic ~from:0 ~targets:[ 1; 2 ] ~make_irq:(fun _ -> irq)));
+      Cpu.quiesce_and_mask (Machine.cpu m 1);
+      ignore (Helpers.send_ipi m.Machine.apic ~from:0 ~targets:[ 1; 2 ] irq));
   Machine.run m;
   check
     Alcotest.(list string)
@@ -191,6 +190,38 @@ let test_ipi_invariants_catch_imbalance () =
   Alcotest.check_raises "an IRQ handled twice fails the run"
     (Failure "Demo: 0 IPI(s) sent but 1 handled at quiescence") (fun () ->
       Kernel.check_run m ~who:"Demo")
+
+(* Arena conservation: once the engine has drained, every event row is
+   back on the arena's free list. A row held past the drain, here one
+   scheduled after the run and never run, must fail the run; running it
+   returns the row and the check passes again. *)
+let test_engine_arena_conservation () =
+  let failures m =
+    let l = ref [] in
+    Kernel.check_quiescent m (fun s -> l := s :: !l);
+    List.rev !l
+  in
+  let m = Machine.create ~opts:(Opts.all ~safe:true) () in
+  let mm = Machine.new_mm m in
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"t" (fun () ->
+      let addr = Syscall.mmap m ~cpu:0 ~pages:2 () in
+      Access.touch_range m ~cpu:0 ~addr ~pages:2 ~write:true;
+      Syscall.munmap m ~cpu:0 ~addr ~pages:2);
+  Kernel.run m;
+  check Alcotest.(list string) "drained run" [] (failures m);
+  let e = m.Machine.engine in
+  let tag = Engine.register_handler e (fun _ _ -> ()) in
+  Engine.schedule_tag e ~delay:5 ~tag ~a:0 ~b:0;
+  check
+    Alcotest.(list string)
+    "a held row"
+    [ "engine arena: 1 event row(s) not back on the free list" ]
+    (failures m);
+  Alcotest.check_raises "fails the run"
+    (Failure "Demo: engine arena: 1 event row(s) not back on the free list") (fun () ->
+      Kernel.check_run m ~who:"Demo");
+  Kernel.run m;
+  check Alcotest.(list string) "row returned" [] (failures m)
 
 (* Quiescence: a run must not end inside an IRQ drain. A handler that
    parks for good leaves one behind: in a detached dispatcher on an idle
@@ -358,14 +389,24 @@ let test_report_formatting () =
   check Alcotest.string "count small" "37" (Report.count 37)
 
 let test_report_bars () =
-  (* Each block glyph is 3 bytes of UTF-8. *)
-  let cells s = String.length s / 3 in
-  check int_t "full bar" 40 (cells (Report.bar_of ~width:40 ~max:100.0 100.0));
-  check int_t "half bar" 20 (cells (Report.bar_of ~width:40 ~max:100.0 50.0));
-  check int_t "zero" 0 (cells (Report.bar_of ~width:40 ~max:100.0 0.0));
-  check Alcotest.string "degenerate max" "" (Report.bar_of ~width:40 ~max:0.0 5.0);
-  (* Rounds but never overflows the width. *)
-  check int_t "clamped" 40 (cells (Report.bar_of ~width:40 ~max:100.0 120.0))
+  (* Bar widths in block glyphs (3 bytes of UTF-8 each), one per row, from
+     what [bars] prints after each row's '|'. *)
+  let widths rows =
+    let text, () = Report.capture (fun () -> Report.bars ~title:"t" rows) in
+    List.filter_map
+      (fun line ->
+        Option.map
+          (fun i -> (String.length line - i - 1) / 3)
+          (String.index_opt line '|'))
+      (String.split_on_char '\n' text)
+  in
+  check (Alcotest.list int_t) "full, half and zero bars, scaled to the largest"
+    [ 40; 20; 0 ]
+    (widths [ ("a", 100.0); ("b", 50.0); ("c", 0.0) ]);
+  (* 62.4 of 100 is 24.96 cells: rounded, not truncated. *)
+  check (Alcotest.list int_t) "rounds" [ 40; 25 ] (widths [ ("a", 100.0); ("b", 62.4) ]);
+  check (Alcotest.list int_t) "degenerate max" [ 0; 0 ]
+    (widths [ ("a", 0.0); ("b", 0.0) ])
 
 let suite =
   [
@@ -389,6 +430,8 @@ let suite =
       test_ipi_conservation_all_backends;
     Alcotest.test_case "machine: IPI conservation check" `Quick
       test_ipi_invariants_catch_imbalance;
+    Alcotest.test_case "kernel: engine arena conservation check" `Quick
+      test_engine_arena_conservation;
     Alcotest.test_case "sync-broadcast: outstanding count conserved" `Quick
       test_sync_outstanding_conserved;
     Alcotest.test_case "fracture: table shape" `Quick test_fracture_table_shape;

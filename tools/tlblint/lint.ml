@@ -16,7 +16,7 @@
       structural float comparison (NaN hazard).
    R5 dead-export: a [val] in a scanned module's .mli that no other
       compilation unit references, scanned or under a scanned path's parent
-      directory.
+      directory; uses from units under a [test/] directory do not count.
 
    Suppression: [@tlblint.allow "R1"] on an expression or let-binding
    (space/comma-separated rule ids, or "all"), [@@@tlblint.allow "R2"] for a
@@ -757,10 +757,22 @@ let read_cmts paths =
           None)
     paths
 
+(* Is [p] below a directory named [test] under one of [roots]?  A unit
+   there is a test, and a test's use keeps no export alive. *)
+let under_test ~roots p =
+  let rec below dir =
+    let parent = Filename.dirname dir in
+    if String.equal parent dir || List.exists (String.equal parent) roots then
+      false
+    else String.equal (Filename.basename parent) "test" || below parent
+  in
+  below p
+
 (* Lint the .cmt files under [paths] (files or directories) end to end;
    returns the merged, sorted findings. R5 reads uses from every .cmt under
    each path's parent directory as well, so linting _build/default/lib
-   counts the uses in _build/default/test, bin, examples and the rest. *)
+   counts the uses in _build/default/bin, bench, examples and the rest —
+   but not those in _build/default/test: a value only tests call is dead. *)
 let run ?(rules = all_rules) ?(allow = []) ?(extra_dirs = []) paths =
   let cmt_paths = find_cmts paths in
   let cmts = read_cmts cmt_paths in
@@ -772,10 +784,16 @@ let run ?(rules = all_rules) ?(allow = []) ?(extra_dirs = []) paths =
     if not (List.memq R5 rules) then []
     else begin
       let uses = Hashtbl.create 4096 in
-      List.iter (fun (_, cmt) -> collect_uses uses cmt) cmts;
-      let refs = find_cmts (List.sort_uniq String.compare (List.map Filename.dirname paths)) in
-      let others = List.filter (fun p -> not (List.exists (String.equal p) cmt_paths)) refs in
-      List.iter (fun (_, cmt) -> collect_uses uses cmt) (read_cmts others);
+      let roots = List.sort_uniq String.compare (List.map Filename.dirname paths) in
+      let counted p = not (under_test ~roots p) in
+      let others =
+        List.filter
+          (fun p -> counted p && not (List.exists (String.equal p) cmt_paths))
+          (find_cmts roots)
+      in
+      List.iter
+        (fun (p, cmt) -> if counted p then collect_uses uses cmt)
+        (cmts @ read_cmts others);
       List.concat_map (fun (p, _) -> dead_exports ~allow ~uses p) cmts
     end
   in

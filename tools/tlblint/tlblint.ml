@@ -3,16 +3,18 @@
    Usage: tlblint [--rules R1,R2,...] [--allow FILE] [-I DIR] [-q] PATH...
    PATHs are .cmt files or directories searched recursively (point it at
    _build/default/lib etc. after `dune build @check`).  R5 counts a use
-   from any .cmt under a PATH's parent directory, so scanning
-   _build/default/lib also reads the uses in _build/default/test.  Exits 1
-   when any unsuppressed finding remains, 2 on usage errors. *)
+   from any .cmt under a PATH's parent directory, except one under a
+   [test] directory, so scanning _build/default/lib reads the uses in
+   _build/default/bin and the rest but not in _build/default/test.
+   Exits 1 when any unsuppressed finding remains, 2 on usage errors. *)
 
 let usage =
   "usage: tlblint [--rules R1,R2,R3,R4,R5] [--allow FILE] [-I DIR] [-q] PATH...\n\
    Scans .cmt files (or directories of them) for determinism and hot-path\n\
    hazards.  Rules: R1 poly-compare, R2 unordered-iteration,\n\
    R3 nondeterminism-source, R4 unsafe-array/float-compare,\n\
-   R5 dead-export (uses are read from every .cmt beside each PATH).\n\
+   R5 dead-export (uses are read from every .cmt beside each PATH,\n\
+   except those under a test/ directory).\n\
    Default allowlist: tools/tlblint/allow.sexp (when present)."
 
 let () =
