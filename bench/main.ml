@@ -1158,6 +1158,83 @@ let bechamel () =
              ignore (Cache.atomic l ~by)
            done))
   in
+  (* The responder's drain run: four requests on cpu 1's call queue under
+     the baseline layout (per request the CSD read, the info read, a page
+     walk, then a work of a 7-cycle charge, the ack write and its
+     landing; about 700 cycles), with a tick every 500 cycles so the run
+     suspends once. One run puts the four CFDs back on the queue and
+     drains them. *)
+  let drain_test =
+    let m =
+      Machine.create ~topo:(Topology.flat 4) ~opts:(Opts.baseline ~safe:true) ()
+    in
+    let e = m.Machine.engine in
+    let csq = (Machine.percpu m 1).Percpu.csq in
+    let drained = ref 0 in
+    let drain =
+      Smp.drain_queue m ~work:(fun cfd phase ->
+          match phase with
+          | 0 -> 7
+          | 1 ->
+              cfd.Percpu.cfd_executed <- true;
+              Smp.ack_write m ~me:1 cfd
+          | _ ->
+              Smp.ack_landed m ~me:1 cfd;
+              -1)
+    in
+    ticker e ~period:500;
+    Process.spawn e ~name:"responder" (fun () ->
+        let targets = Cpuset.create ~bits:4 in
+        Cpuset.set targets 1;
+        let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+        let cfds =
+          Array.init 4 (fun _ ->
+              (Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false).(0))
+        in
+        Queue.clear csq;
+        while true do
+          Array.iter
+            (fun cfd ->
+              cfd.Percpu.cfd_acked <- false;
+              Queue.push cfd csq)
+            cfds;
+          drain ~me:1;
+          incr drained
+        done);
+    Test.make ~name:"smp:drain (4 queued requests, contended)"
+      (Staged.stage (fun () ->
+           let goal = !drained + 1 in
+           while !drained < goal do
+             ignore (Engine.step e)
+           done))
+  in
+  (* A due 4-page ranged flush on cpu 0, as the initiator runs it: the
+     generation read, the decision, 4 INVLPGs and (safe mode, eager) 4
+     INVPCIDs, the generation update (about 2,700 cycles), with a tick
+     every 2,000 cycles so the run suspends once. One run is one flush. *)
+  let due_flush_test =
+    let m = Machine.create ~topo:(Topology.flat 2) ~opts:(Opts.baseline ~safe:true) () in
+    let e = m.Machine.engine in
+    let mm = Machine.new_mm m in
+    let flushed = ref 0 in
+    ticker e ~period:2000;
+    Process.spawn e ~name:"flusher" (fun () ->
+        Sched.switch_mm m ~cpu:0 mm;
+        while true do
+          let new_tlb_gen = Mm_struct.bump_tlb_gen mm in
+          let info =
+            Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:0 ~pages:4 ~new_tlb_gen ()
+          in
+          ignore (Flush_core.flush_tlb_func_impl m ~cpu:0 ~user:Flush_core.Eager info);
+          incr flushed
+        done);
+    Test.make ~name:"flush:due ranged flush (contended)"
+      (Staged.stage (fun () ->
+           let goal = !flushed + 1 in
+           while !flushed < goal do
+             ignore (Engine.step e)
+           done))
+  in
   let test =
     Test.make_grouped ~name:"shootdown-repro"
       [
@@ -1184,6 +1261,8 @@ let bechamel () =
         machine_create_test;
         cache_read_test;
         cache_status_line_test;
+        drain_test;
+        due_flush_test;
       ]
   in
   let clock = Toolkit.Instance.monotonic_clock

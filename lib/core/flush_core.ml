@@ -2,8 +2,8 @@
    (lib/core/proto_*.ml): the generation-tracked flush function, the local
    full flush, the §3.4 deferred user-PCID machinery and the phase-metering
    helpers. Anything a backend may legitimately differ on is a parameter
-   ([~user], [~eager_user]) — the backends themselves carry the policy (see
-   protocol.mli). *)
+   ([~user], and [~eager_user] of the switch-in full flush) — the backends
+   themselves carry the policy (see protocol.mli). *)
 
 let actor cpu = Printf.sprintf "cpu%d" cpu
 
@@ -13,8 +13,7 @@ let tracef m ~cpu fmt =
   if Trace.enabled trace then Trace.emitf trace ~actor:(actor cpu) fmt
   else Format.ikfprintf ignore Format.str_formatter fmt
 
-(* How the user-PCID half of a flush is handled under PTI. *)
-type user_flush = Eager | Defer | Skip
+type user_flush = Percpu.user_flush = Eager | Defer | Skip
 
 (* --- phase metering helpers (DESIGN.md §10) --- *)
 
@@ -67,86 +66,172 @@ let flush_due m ~cpu (info : Flush_info.t) =
       due
   | Some _ | None -> None
 
-let flush_tlb_func_impl m ~cpu ~user ~eager_user (info : Flush_info.t) =
-  let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
+(* --- the generation-tracked flush as the steps of a charge run ---
+
+   [flush_begin] makes the due check when the run reaches the request and
+   returns the cost of the mm generation-line read; [flush_step] then runs
+   at each later boundary: the decision between a full and a ranged
+   flush, the CR3 write or each INVLPG/INVPCID item, and last the
+   deferral and the [gen_seen] update. A negative cost means the flush is
+   over at this boundary, and the caller's run goes on from there. The
+   state between boundaries lives in a [Percpu.flush] record. *)
+
+let step_idle = 0
+let step_decide = 1
+let step_cr3 = 2
+let step_item = 3
+
+let flushing (f : Percpu.flush) = f.Percpu.fl_step <> step_idle
+
+let flush_begin m (f : Percpu.flush) ~cpu ~user (info : Flush_info.t) =
+  f.Percpu.fl_t0 <- Machine.now m;
   match flush_due m ~cpu info with
   | None ->
+      let stats = m.Machine.stats in
       stats.Machine.flush_requests_skipped <- stats.Machine.flush_requests_skipped + 1;
-      `Skipped
-  | Some mm ->
+      f.Percpu.fl_result <- `Skipped;
+      f.Percpu.fl_step <- step_idle;
+      -1
+  | Some mm as due ->
       let pcpu = Machine.percpu m cpu in
-      let tlb = Cpu.tlb (Machine.cpu m cpu) in
-      let slot = pcpu.Percpu.asids.(pcpu.Percpu.curr_asid) in
+      f.Percpu.fl_info <- info;
+      f.Percpu.fl_user <- user;
+      f.Percpu.fl_mm <- due;
+      f.Percpu.fl_slot <- pcpu.Percpu.asids.(pcpu.Percpu.curr_asid);
+      f.Percpu.fl_step <- step_decide;
       (* Read the mm's current generation (one contended line). *)
-      Machine.charge_read m (Mm_struct.line mm) ~by:cpu;
-      let latest_gen = Mm_struct.tlb_gen mm in
-      if Machine.tracing m then
-        Machine.trace_event m ~cpu
-          (Trace.Gen_read { mm_id = info.Flush_info.mm_id; gen = latest_gen });
-      let behind = info.Flush_info.new_tlb_gen > slot.Percpu.gen_seen + 1 in
-      if info.Flush_info.full
-         || Flush_info.nr_entries info > opts.Opts.full_flush_threshold
-         || behind
-      then begin
-        (* Full flush; fast-forward to the latest generation so queued
-           requests can be skipped (the §5.2 "flush storm" shortcut). *)
-        if behind && not info.Flush_info.full then
-          stats.Machine.full_flush_fallbacks <- stats.Machine.full_flush_fallbacks + 1;
-        local_full_flush m ~cpu ~eager_user pcpu;
-        slot.Percpu.gen_seen <- Int.max latest_gen info.Flush_info.new_tlb_gen;
-        if Machine.tracing m then
-          Machine.trace_event m ~cpu
-            (Trace.Tlb_flush
-               {
-                 mm_id = info.Flush_info.mm_id;
-                 full = true;
-                 entries = 0;
-                 gen = slot.Percpu.gen_seen;
-               });
-        `Full
-      end
-      else begin
-        (* One charge run: an INVLPG per page in the kernel PCID, then
-           under PTI, when eager, an INVPCID per page in the user PCID. *)
-        let n = info.Flush_info.pages in
-        let kernel_pcid = Percpu.kernel_pcid pcpu.Percpu.curr_asid in
-        let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
-        let eager = opts.Opts.safe && user = Eager in
-        Machine.chain_upto m (if eager then 2 * n else n) ~phases:2 (fun i phase ->
-            if i < n then
-              if phase = 0 then costs.Costs.invlpg
-              else begin
-                let vpn = Flush_info.nth_vpn info i in
-                Tlb.invlpg tlb ~current_pcid:kernel_pcid ~vpn;
-                0
-              end
-            else if phase = 0 then costs.Costs.invpcid_single
-            else begin
-              let vpn = Flush_info.nth_vpn info (i - n) in
-              Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
-              0
-            end);
-        if opts.Opts.safe && user = Defer then begin
-          stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
-          Percpu.defer_user_flush pcpu info ~threshold:opts.Opts.full_flush_threshold
-        end;
-        slot.Percpu.gen_seen <- info.Flush_info.new_tlb_gen;
-        if Machine.tracing m then
-          Machine.trace_event m ~cpu
-            (Trace.Tlb_flush
-               {
-                 mm_id = info.Flush_info.mm_id;
-                 full = false;
-                 entries = n;
-                 gen = slot.Percpu.gen_seen;
-               });
-        `Ranged
-      end
+      Cache.read (Mm_struct.line mm) ~by:cpu
+
+let trace_flush m ~cpu (f : Percpu.flush) ~full ~entries =
+  if Machine.tracing m then
+    Machine.trace_event m ~cpu
+      (Trace.Tlb_flush
+         {
+           mm_id = f.Percpu.fl_info.Flush_info.mm_id;
+           full;
+           entries;
+           gen = f.Percpu.fl_slot.Percpu.gen_seen;
+         })
+
+(* The cost of ranged item [fl_i]: an INVLPG per page in the kernel PCID,
+   then under PTI, when eager, an INVPCID per page in the user PCID. Past
+   the last item, the deferral and the generation update end the flush. *)
+let next_item m ~cpu (f : Percpu.flush) =
+  let info = f.Percpu.fl_info in
+  if f.Percpu.fl_i < f.Percpu.fl_n then
+    if f.Percpu.fl_i < info.Flush_info.pages then m.Machine.costs.Costs.invlpg
+    else m.Machine.costs.Costs.invpcid_single
+  else begin
+    let opts = m.Machine.opts and stats = m.Machine.stats in
+    if opts.Opts.safe && f.Percpu.fl_user = Defer then begin
+      stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
+      Percpu.defer_user_flush (Machine.percpu m cpu) info
+        ~threshold:opts.Opts.full_flush_threshold
+    end;
+    f.Percpu.fl_slot.Percpu.gen_seen <- info.Flush_info.new_tlb_gen;
+    trace_flush m ~cpu f ~full:false ~entries:info.Flush_info.pages;
+    f.Percpu.fl_result <- `Ranged;
+    f.Percpu.fl_step <- step_idle;
+    -1
+  end
+
+let decide m ~cpu (f : Percpu.flush) =
+  let opts = m.Machine.opts and stats = m.Machine.stats in
+  let info = f.Percpu.fl_info in
+  let latest_gen =
+    match f.Percpu.fl_mm with Some mm -> Mm_struct.tlb_gen mm | None -> 0
+  in
+  if Machine.tracing m then
+    Machine.trace_event m ~cpu
+      (Trace.Gen_read { mm_id = info.Flush_info.mm_id; gen = latest_gen });
+  let behind = info.Flush_info.new_tlb_gen > f.Percpu.fl_slot.Percpu.gen_seen + 1 in
+  if info.Flush_info.full
+     || Flush_info.nr_entries info > opts.Opts.full_flush_threshold
+     || behind
+  then begin
+    (* Full flush; fast-forward to the latest generation so queued
+       requests can be skipped (the §5.2 "flush storm" shortcut). *)
+    if behind && not info.Flush_info.full then
+      stats.Machine.full_flush_fallbacks <- stats.Machine.full_flush_fallbacks + 1;
+    f.Percpu.fl_latest <- latest_gen;
+    f.Percpu.fl_step <- step_cr3;
+    m.Machine.costs.Costs.cr3_write
+  end
+  else begin
+    let n = info.Flush_info.pages in
+    f.Percpu.fl_asid <- (Machine.percpu m cpu).Percpu.curr_asid;
+    f.Percpu.fl_n <- (if opts.Opts.safe && f.Percpu.fl_user = Eager then 2 * n else n);
+    f.Percpu.fl_i <- 0;
+    f.Percpu.fl_step <- step_item;
+    next_item m ~cpu f
+  end
+
+let flush_step m ~cpu (f : Percpu.flush) =
+  let step = f.Percpu.fl_step in
+  if step = step_decide then decide m ~cpu f
+  else if step = step_item then begin
+    let info = f.Percpu.fl_info and i = f.Percpu.fl_i in
+    let tlb = Cpu.tlb (Machine.cpu m cpu) and n = info.Flush_info.pages in
+    if i < n then
+      Tlb.invlpg tlb
+        ~current_pcid:(Percpu.kernel_pcid f.Percpu.fl_asid)
+        ~vpn:(Flush_info.nth_vpn info i)
+    else
+      Tlb.invpcid_addr tlb
+        ~pcid:(Percpu.user_pcid f.Percpu.fl_asid)
+        ~vpn:(Flush_info.nth_vpn info (i - n));
+    f.Percpu.fl_i <- i + 1;
+    next_item m ~cpu f
+  end
+  else if step = step_cr3 then begin
+    (* The kernel PCID goes now; under PTI the user PCID's full flush is
+       deferred to the next return-to-user CR3 load. *)
+    let pcpu = Machine.percpu m cpu in
+    Tlb.cr3_flush (Cpu.tlb (Machine.cpu m cpu))
+      ~pcid:(Percpu.kernel_pcid pcpu.Percpu.curr_asid);
+    if m.Machine.opts.Opts.safe then pcpu.Percpu.pending_user <- Percpu.Full_flush;
+    let slot = f.Percpu.fl_slot in
+    slot.Percpu.gen_seen <-
+      Int.max f.Percpu.fl_latest f.Percpu.fl_info.Flush_info.new_tlb_gen;
+    trace_flush m ~cpu f ~full:true ~entries:0;
+    f.Percpu.fl_result <- `Full;
+    f.Percpu.fl_step <- step_idle;
+    -1
+  end
+  else invalid_arg "Flush_core.flush_step: no flush in progress"
+
+let irq_flush m ~cpu =
+  let pcpu = Machine.percpu m cpu in
+  if pcpu.Percpu.irq_flush == Percpu.no_flush then
+    pcpu.Percpu.irq_flush <- Percpu.new_flush ();
+  pcpu.Percpu.irq_flush
+
+(* A process-context flush runs its steps as one run of its own. Its
+   record is the CPU's [task_flush], or a fresh one when another process
+   on this CPU is suspended in a flush with it. *)
+let task_flush m ~cpu =
+  let pcpu = Machine.percpu m cpu in
+  if pcpu.Percpu.task_flush == Percpu.no_flush then
+    pcpu.Percpu.task_flush <- Percpu.new_flush ();
+  let f = pcpu.Percpu.task_flush in
+  if f.Percpu.fl_busy then Percpu.new_flush () else f
+
+let flush_tlb_func_impl m ~cpu ~user (info : Flush_info.t) =
+  let f = task_flush m ~cpu in
+  let d = flush_begin m f ~cpu ~user info in
+  if d >= 0 then begin
+    if f.Percpu.fl_visit == Percpu.no_visit then
+      f.Percpu.fl_visit <- (fun cpu _ -> flush_step m ~cpu f);
+    f.Percpu.fl_busy <- true;
+    Machine.chain_item m ~lead:d cpu f.Percpu.fl_visit;
+    f.Percpu.fl_busy <- false
+  end;
+  f.Percpu.fl_result
 
 (* The initiator's own flush of [info], metered at distance rank 0. *)
 let initiator_flush m ~from ~user info =
   let t0 = Machine.now m in
-  let result = flush_tlb_func_impl m ~cpu:from ~user ~eager_user:false info in
+  let result = flush_tlb_func_impl m ~cpu:from ~user info in
   if Machine.metering m then
     record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
   result

@@ -9,8 +9,8 @@
 val tracef :
   Machine.t -> cpu:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
-(** How the user-PCID half of a flush is handled under PTI. *)
-type user_flush = Eager | Defer | Skip
+(** How the user-PCID half of a ranged flush is handled under PTI. *)
+type user_flush = Percpu.user_flush = Eager | Defer | Skip
 
 (** {!Machine.phases}[.flush] kind index for a flush result. *)
 val kind_of_result : [ `Skipped | `Full | `Ranged ] -> int
@@ -27,27 +27,45 @@ val record_prep : Machine.t -> from:int -> targets:Cpuset.t -> int -> unit
     [eager_user] — the oracle's never-defer policy — flushes it on the spot. *)
 val local_full_flush : Machine.t -> cpu:int -> eager_user:bool -> Percpu.t -> unit
 
-(** The address space [cpu] still owes a flush of [info]: its loaded mm
-    when that is [info]'s and [cpu] has not flushed up to [info]'s
-    generation, else [None], and then {!flush_tlb_func_impl} skips [info]
-    without charging or suspending. *)
-val flush_due : Machine.t -> cpu:int -> Flush_info.t -> Mm_struct.t option
+(** {2 The generation-tracked flush}
 
-(** The responder flush function with Linux's generation bookkeeping: skip
-    unless {!flush_due}, full-flush (fast-forwarding) when the
-    request is full/over-threshold/multiple generations behind, otherwise
-    flush the range. [user] picks the §3.4 user-PCID policy for the ranged
-    path; [eager_user] the full-flush policy (see {!local_full_flush}). *)
+    Linux's flush function with its generation bookkeeping: skip unless
+    the CPU has the request's mm loaded and has not flushed up to its
+    generation; otherwise read the mm's generation line, then full-flush
+    (fast-forwarding to the latest generation) when the request is
+    full/over-threshold/multiple generations behind, else flush the range.
+    [user] picks the §3.4 user-PCID policy for the ranged path; under PTI
+    a full flush defers its user-PCID half to return-to-user.
+
+    It is written as the steps of a charge run ({!Machine.chain_item}), so
+    a caller can make it part of a longer run: {!flush_begin} at the
+    boundary where the request is reached, then {!flush_step} at each
+    later boundary while it returns a cost. A negative cost from either
+    means the flush is over at that boundary; its result is then in the
+    record's [fl_result] and its start time in [fl_t0]. *)
+
+(** [flush_begin m f ~cpu ~user info] starts a flush of [info] on [cpu]
+    with record [f]: the due check, returning the cost of the generation
+    read, or [-1] when the request is skipped. *)
+val flush_begin :
+  Machine.t -> Percpu.flush -> cpu:int -> user:user_flush -> Flush_info.t -> int
+
+(** The next step of [f]'s flush on [cpu]: the cost of what comes next, or
+    [-1] once the flush is over. *)
+val flush_step : Machine.t -> cpu:int -> Percpu.flush -> int
+
+(** Is [f] between {!flush_begin} and the end of its flush? *)
+val flushing : Percpu.flush -> bool
+
+(** The record of [cpu]'s IRQ handlers (one runs at a time per CPU). *)
+val irq_flush : Machine.t -> cpu:int -> Percpu.flush
+
+(** The whole flush as one charge run of the calling process. *)
 val flush_tlb_func_impl :
-  Machine.t ->
-  cpu:int ->
-  user:user_flush ->
-  eager_user:bool ->
-  Flush_info.t ->
-  [ `Skipped | `Full | `Ranged ]
+  Machine.t -> cpu:int -> user:user_flush -> Flush_info.t -> [ `Skipped | `Full | `Ranged ]
 
-(** {!flush_tlb_func_impl} on the initiator itself (never eager on the
-    full path), metered as a rank-0 flush. *)
+(** {!flush_tlb_func_impl} on the initiator itself, metered as a rank-0
+    flush. *)
 val initiator_flush :
   Machine.t -> from:int -> user:user_flush -> Flush_info.t -> [ `Skipped | `Full | `Ranged ]
 

@@ -232,35 +232,41 @@ let charge_write t line ~by = delay t (Cache.write line ~by)
 let charge_atomic t line ~by = delay t (Cache.atomic line ~by)
 let run t = Engine.run t.engine
 
-(* The charge-run walker under [chain_cpus] and [chain_upto]. Items are
-   the members of [set] when [n < 0], else [0 .. n - 1]; [at = -1] is past
-   the last one, and [d] is the cost due before phase [phase] of item
-   [at]. While each cost's window is empty the run goes on inline, as
-   [delay]'s fast path does, and allocates nothing. At the first contended
-   window it suspends once, in [Process.tick_sleep], and its boundaries
-   then run in the engine from a walker. A process is in at most one run
-   at a time, and an engine tag names one live process, so each tag keeps
-   one walker and reuses it: a suspended run allocates nothing either. *)
+(* The charge-run walker under [chain_cpus], [chain_upto] and
+   [chain_item]. Items are the members of [set] when [n < 0], else
+   [0 .. n - 1]; [at = -1] is past the last one, and [d] is the cost due
+   before phase [phase] of item [at]. A negative cost from [visit] ends the
+   run at that boundary. While each cost's window is empty the run goes on
+   inline, as [delay]'s fast path does, and allocates nothing. At the
+   first contended window it suspends once, in [Process.tick_sleep], and
+   its boundaries then run in the engine from a walker. A process is in at
+   most one run at a time, and an engine tag names one live process, so
+   each tag keeps one walker and reuses it: a suspended run allocates
+   nothing either. *)
 let next_item set n at =
   if n < 0 then Cpuset.next set (at + 1) else if at + 1 < n then at + 1 else -1
 
 let no_set = Cpuset.create ~bits:0
-let no_visit (_ : int) (_ : int) = 0
+let no_visit = Percpu.no_visit
+
+let finish w =
+  w.w_visit <- no_visit;
+  w.w_set <- no_set;
+  0
 
 let rec walker_step w () =
-  if w.w_at < 0 then begin
-    w.w_visit <- no_visit;
-    w.w_set <- no_set;
-    0
-  end
+  if w.w_at < 0 then finish w
   else begin
     let d = w.w_visit w.w_at w.w_phase in
-    if w.w_phase + 1 < w.w_phases then w.w_phase <- w.w_phase + 1
+    if d < 0 then finish w
     else begin
-      w.w_phase <- 0;
-      w.w_at <- next_item w.w_set w.w_n w.w_at
-    end;
-    if d > 0 then d else walker_step w ()
+      if w.w_phase + 1 < w.w_phases then w.w_phase <- w.w_phase + 1
+      else begin
+        w.w_phase <- 0;
+        w.w_at <- next_item w.w_set w.w_n w.w_at
+      end;
+      if d > 0 then d else walker_step w ()
+    end
   end
 
 let new_walker () =
@@ -312,7 +318,8 @@ let rec walk t set n phases visit at phase d =
   end
   else if at >= 0 then begin
     let d = visit at phase in
-    if phase + 1 < phases then walk t set n phases visit at (phase + 1) d
+    if d < 0 then ()
+    else if phase + 1 < phases then walk t set n phases visit at (phase + 1) d
     else walk t set n phases visit (next_item set n at) 0 d
   end
 
@@ -322,7 +329,7 @@ let chain_cpus t ?(lead = 0) set ~phases visit =
 let chain_upto t ?(lead = 0) n ~phases visit =
   walk t no_set n phases visit (if n > 0 then 0 else -1) 0 lead
 
-let chain_item t ~lead item visit = walk t no_set (item + 1) 1 visit item 0 lead
+let chain_item t ~lead item visit = walk t no_set (item + 1) max_int visit item 0 lead
 
 let engine_ops t = Engine.ops t.engine
 

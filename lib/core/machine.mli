@@ -138,10 +138,11 @@ val charge_atomic : t -> Cache.line -> by:int -> unit
     and returns the cost of what comes next, a charge as [Cache.read line
     ~by] and friends rather than [charge_read]. Phases [0 .. phases - 1]
     of one item run before the next item's, and a zero cost goes straight
-    on to the next phase. Event times and order are those of the same
-    work with a {!delay} after each [visit], but the run suspends the
-    calling process at most once. [visit] follows {!Process.tick_sleep}'s
-    rules for a step: it must never suspend. *)
+    on to the next phase. A negative cost ends the whole run at that
+    boundary. Event times and order are those of the same work with a
+    {!delay} after each [visit], but the run suspends the calling process
+    at most once. [visit] follows {!Process.tick_sleep}'s rules for a step:
+    it must never suspend. *)
 
 (** Walk the members of [set] in ascending order, reading the set afresh
     after each member (so [visit] may clear the member it is given). A
@@ -152,9 +153,12 @@ val chain_cpus : t -> ?lead:int -> Cpuset.t -> phases:int -> (int -> int -> int)
 (** Walk items [0 .. n - 1]; [lead] as for {!chain_cpus}. *)
 val chain_upto : t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> unit
 
-(** [chain_item t ~lead item visit] is a one-phase run of the single item
-    [item]: wait out [lead], then [visit item 0], then the cost it returns.
-    Lets a per-machine [visit] serve every CPU without a closure per call. *)
+(** [chain_item t ~lead item visit] is a run of the single item [item]
+    with no bound on its phases: wait out [lead], then [visit item 0],
+    [visit item 1], ..., each after the cost the one before returned, until
+    a visit returns a negative cost. Lets a per-machine [visit] serve every
+    CPU (the item names the CPU) without a closure per call, and keep its
+    place between boundaries in per-CPU state. *)
 val chain_item : t -> lead:int -> int -> (int -> int -> int) -> unit
 
 (** Run the engine until idle. *)

@@ -18,6 +18,65 @@ type cfd = {
 
 type pending_user = No_flush | Ranged of Flush_info.t | Full_flush
 
+(* Stands in for the request of a drain run between requests; never
+   written. *)
+let no_cfd =
+  {
+    cfd_seq = -1;
+    cfd_initiator = -1;
+    cfd_target = -1;
+    cfd_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
+    cfd_early_ack = false;
+    cfd_acked = false;
+    cfd_executed = false;
+    cfd_line = Cache.create_line (Cache.create_registry (Topology.flat 1) Costs.default);
+    cfd_info_line = None;
+  }
+
+type user_flush = Eager | Defer | Skip
+
+(* A flush between the boundaries of its charge run (Flush_core's steps).
+   A CPU keeps one for its IRQ handlers, which run one at a time, and one
+   for its processes; both are built at the CPU's first flush. *)
+type flush = {
+  mutable fl_info : Flush_info.t;
+  mutable fl_user : user_flush;
+  mutable fl_mm : Mm_struct.t option; (* the loaded mm's own [Some] cell *)
+  mutable fl_slot : asid_slot;
+  mutable fl_latest : int; (* the mm generation read at the decision *)
+  mutable fl_asid : int; (* the slot whose PCIDs a ranged flush walks *)
+  mutable fl_step : int;
+  mutable fl_i : int; (* next INVLPG/INVPCID item of a ranged flush *)
+  mutable fl_n : int;
+  mutable fl_result : [ `Skipped | `Full | `Ranged ];
+  mutable fl_t0 : int;
+  mutable fl_busy : bool;
+  mutable fl_visit : int -> int -> int;
+}
+
+let no_visit (_ : int) (_ : int) = -1
+
+let new_flush () =
+  {
+    fl_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
+    fl_user = Eager;
+    fl_mm = None;
+    fl_slot = { slot_mm = -1; gen_seen = 0; last_used = 0 };
+    fl_latest = 0;
+    fl_asid = 0;
+    fl_step = 0;
+    fl_i = 0;
+    fl_n = 0;
+    fl_result = `Skipped;
+    fl_t0 = 0;
+    fl_busy = false;
+    fl_visit = no_visit;
+  }
+
+(* Stands in for a CPU's flush records until its first flush; never
+   written. *)
+let no_flush = new_flush ()
+
 (* Monomorphic test used wherever a [pending_user = No_flush] compare would
    drag in the polymorphic-equality runtime (tlblint R1). *)
 let no_pending_user = function No_flush -> true | Ranged _ | Full_flush -> false
@@ -35,6 +94,13 @@ type t = {
   mutable batch : (Flush_info.t * Checker.token) list;
   mutable batch_overflowed : bool;
   csq : cfd Queue.t;
+  mutable csd_cur : cfd; (* the request the drain run is on, or [no_cfd] *)
+  mutable csd_base : int; (* the run phase of [csd_cur]'s CSD read *)
+  mutable csd_acking : bool; (* an ack write of [csd_cur] is in flight *)
+  mutable csd_queued : int; (* CFDs queued here, and ... *)
+  mutable csd_released : int; (* ... those executed and acked here *)
+  mutable irq_flush : flush;
+  mutable task_flush : flush;
   line_tlb : Cache.line;
   line_csq : Cache.line;
   mutable csd_lines : Cache.line option array;
@@ -95,6 +161,13 @@ let create cpu registry =
     batch = [];
     batch_overflowed = false;
     csq = Queue.create ();
+    csd_cur = no_cfd;
+    csd_base = 0;
+    csd_acking = false;
+    csd_queued = 0;
+    csd_released = 0;
+    irq_flush = no_flush;
+    task_flush = no_flush;
     line_tlb = Cache.create_line registry;
     line_csq = Cache.create_line registry;
     csd_lines = [||];

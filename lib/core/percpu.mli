@@ -33,11 +33,47 @@ type cfd = {
   cfd_info_line : Cache.line option;  (** baseline layout only *)
 }
 
+(** Stands in for a drain run's request between requests. *)
+val no_cfd : cfd
+
 (** Deferred user-address-space flush state (in-context flushing, §3.4). *)
 type pending_user = No_flush | Ranged of Flush_info.t | Full_flush
 
 (** [no_pending_user p] is [p = No_flush] without polymorphic equality. *)
 val no_pending_user : pending_user -> bool
+
+(** How the user-PCID half of a ranged flush is handled under PTI: on the
+    spot, deferred to return-to-user (§3.4), or left to the caller. *)
+type user_flush = Eager | Defer | Skip
+
+(** A flush of one request on one CPU between the boundaries of its charge
+    run: the state {!Flush_core}'s steps keep, so that a run allocates
+    nothing per request. *)
+type flush = {
+  mutable fl_info : Flush_info.t;
+  mutable fl_user : user_flush;
+  mutable fl_mm : Mm_struct.t option;  (** the loaded mm's own [Some] cell *)
+  mutable fl_slot : asid_slot;  (** the ASID slot whose generation moves *)
+  mutable fl_latest : int;  (** the mm generation read at the decision *)
+  mutable fl_asid : int;  (** the slot whose PCIDs a ranged flush walks *)
+  mutable fl_step : int;  (** the next step; see {!Flush_core.flush_step} *)
+  mutable fl_i : int;  (** next INVLPG/INVPCID item of a ranged flush *)
+  mutable fl_n : int;  (** items of a ranged flush *)
+  mutable fl_result : [ `Skipped | `Full | `Ranged ];
+  mutable fl_t0 : int;  (** when the flush began, for metering *)
+  mutable fl_busy : bool;  (** a process-context run holds the record *)
+  mutable fl_visit : int -> int -> int;
+      (** the record's steps as a charge-run visit, built at first use *)
+}
+
+(** A fresh flush record. *)
+val new_flush : unit -> flush
+
+(** The visit of a record whose [fl_visit] is not built yet. *)
+val no_visit : int -> int -> int
+
+(** Stands in for a CPU's flush records until its first flush. *)
+val no_flush : flush
 
 type t = {
   cpu : Cpu.t;
@@ -55,6 +91,20 @@ type t = {
       (** deferred infos (newest first) with their open checker windows *)
   mutable batch_overflowed : bool;
   csq : cfd Queue.t;
+  mutable csd_cur : cfd;
+      (** the request this CPU's drain run ({!Smp.drain_queue}) is on, or
+          {!no_cfd} between requests *)
+  mutable csd_base : int;  (** the drain run's phase at [csd_cur]'s CSD read *)
+  mutable csd_acking : bool;  (** an ack write of [csd_cur] is in flight *)
+  mutable csd_queued : int;  (** CFDs queued on this CPU so far *)
+  mutable csd_released : int;
+      (** CFDs this CPU has executed and acked: equal to [csd_queued] at
+          quiescence *)
+  mutable irq_flush : flush;
+      (** the flush of this CPU's IRQ handlers, which run one at a time;
+          {!no_flush} until the first *)
+  mutable task_flush : flush;
+      (** the flush of a process on this CPU; {!no_flush} until the first *)
   line_tlb : Cache.line;
   line_csq : Cache.line;
   mutable csd_lines : Cache.line option array;

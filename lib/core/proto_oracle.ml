@@ -5,40 +5,48 @@
 
 open Flush_core
 
+(* After a whole-TLB flush every ASID slot caching [info]'s mm has seen
+   its generation. *)
+let catch_up pcpu (info : Flush_info.t) =
+  let asids = pcpu.Percpu.asids in
+  for i = 0 to Array.length asids - 1 do
+    let slot = asids.(i) in
+    if slot.Percpu.slot_mm = info.Flush_info.mm_id then
+      slot.Percpu.gen_seen <- Int.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen
+  done
+
 (* The oracle responder: ignore generations and ranges, drop the whole TLB
-   (every PCID, globals included) for every request. *)
-let ipi_handler m ~me (_ : Cpu.t) =
-  let pcpu = Machine.percpu m me in
-  let tlb = Cpu.tlb (Machine.cpu m me) in
-  Smp.drain_queue m ~me ~run:(fun cfd ->
-      let info = cfd.Percpu.cfd_info in
-      let t0 = Machine.now m in
-      (* One charge run: the CR3 write, the flush and the ack write. *)
-      let acking = ref false in
-      Machine.chain_upto m 1 ~phases:3 (fun _ phase ->
-          match phase with
-          | 0 -> m.Machine.costs.Costs.cr3_write
-          | 1 ->
-              Tlb.flush_all tlb;
-              if Machine.metering m then
-                record_flush m
-                  ~rank:(Machine.distance_rank m cfd.Percpu.cfd_initiator me)
-                  ~kind:Machine.flush_kind_cr3 (Machine.now m - t0);
-              (* The flush covered whatever a deferred user flush would have. *)
-              pcpu.Percpu.pending_user <- Percpu.No_flush;
-              Array.iter
-                (fun slot ->
-                  if slot.Percpu.slot_mm = info.Flush_info.mm_id then
-                    slot.Percpu.gen_seen <-
-                      Int.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
-                pcpu.Percpu.asids;
-              cfd.Percpu.cfd_executed <- true;
-              acking := not cfd.Percpu.cfd_acked;
-              if !acking then Smp.ack_write cfd ~me else 0
-          | _ ->
-              if !acking then Smp.ack_landed m ~me ~early:false cfd;
-              0));
-  if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
+   (every PCID, globals included) for every request. Its work is three
+   phases of the drain run: the CR3 write, then the flush and the ack
+   write, then the ack landing. *)
+let work m cfd phase =
+  let me = cfd.Percpu.cfd_target in
+  match phase with
+  | 0 ->
+      (irq_flush m ~cpu:me).Percpu.fl_t0 <- Machine.now m;
+      m.Machine.costs.Costs.cr3_write
+  | 1 ->
+      let pcpu = Machine.percpu m me in
+      Tlb.flush_all (Cpu.tlb (Machine.cpu m me));
+      if Machine.metering m then
+        record_flush m
+          ~rank:(Machine.distance_rank m cfd.Percpu.cfd_initiator me)
+          ~kind:Machine.flush_kind_cr3
+          (Machine.now m - (irq_flush m ~cpu:me).Percpu.fl_t0);
+      (* The flush covered whatever a deferred user flush would have. *)
+      pcpu.Percpu.pending_user <- Percpu.No_flush;
+      catch_up pcpu cfd.Percpu.cfd_info;
+      cfd.Percpu.cfd_executed <- true;
+      Smp.ack_write m ~me cfd
+  | _ ->
+      Smp.ack_landed m ~me cfd;
+      -1
+
+let ipi_handler m =
+  let drain = Smp.drain_queue m ~work:(work m) in
+  fun ~me cpu ->
+    drain ~me;
+    if Cpu.irq_from_user cpu then flush_pending_user m ~cpu:me ~has_stack:true
 
 let irq_id m = shootdown_irq m ipi_handler
 
@@ -52,12 +60,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
   if Machine.metering m then
     record_flush m ~rank:0 ~kind:Machine.flush_kind_cr3 (Machine.now m - t0);
   pcpu.Percpu.pending_user <- Percpu.No_flush;
-  Array.iter
-    (fun slot ->
-      if slot.Percpu.slot_mm = info.Flush_info.mm_id then
-        slot.Percpu.gen_seen <-
-          Int.max slot.Percpu.gen_seen info.Flush_info.new_tlb_gen)
-    pcpu.Percpu.asids;
+  catch_up pcpu info;
   (* Flush-all broadcast: snapshot the machine's all-cpus set into the
      initiator's scratch instead of building (and filtering) per-broadcast
      lists — two word-array copies, no allocation. *)
@@ -84,5 +87,5 @@ let backend =
     perform;
     responder_pending =
       (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));
-    quiescent = (fun _ ~cpu:_ _ -> ());
+    quiescent = Smp.csd_quiescent;
   }

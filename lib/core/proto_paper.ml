@@ -7,43 +7,66 @@ open Flush_core
 
 let knobs m = Opts.knobs m.Machine.opts
 
+(* The responder's work on one request, as phases of the drain run: the
+   handler entry (with the §3.2 early ack write), the flush's steps, then
+   the late ack write and its landing. *)
+let rec work m cfd phase =
+  let me = cfd.Percpu.cfd_target in
+  let f = irq_flush m ~cpu:me in
+  if phase = 0 then begin
+    if Machine.tracing m then
+      Machine.trace_event m ~cpu:me
+        (Trace.Ipi_begin
+           {
+             seq = cfd.Percpu.cfd_seq;
+             initiator = cfd.Percpu.cfd_initiator;
+             early_ack = cfd.Percpu.cfd_early_ack;
+           });
+    if cfd.Percpu.cfd_early_ack then begin
+      (* §3.2: no user mapping can be used from inside this handler, so
+         acknowledge before flushing — unless page tables are freed,
+         which the initiator already encoded in cfd_early_ack. An NMI
+         could still preempt us between the ack and the flush: flag the
+         window so nmi_uaccess_okay refuses user accesses. *)
+      (Machine.percpu m me).Percpu.inflight_flush <- true;
+      Smp.ack_write m ~me cfd
+    end
+    else 0
+  end
+  else if phase = 1 then begin
+    Smp.ack_landed m ~me cfd;
+    let info = cfd.Percpu.cfd_info in
+    let d = flush_begin m f ~cpu:me ~user:(default_user_policy m info) info in
+    if d >= 0 then d else flushed m cfd f
+  end
+  else if flushing f then begin
+    let d = flush_step m ~cpu:me f in
+    if d >= 0 then d else flushed m cfd f
+  end
+  else begin
+    Smp.ack_landed m ~me cfd;
+    -1
+  end
+
+and flushed m cfd f =
+  let me = cfd.Percpu.cfd_target in
+  if Machine.metering m then
+    record_flush m
+      ~rank:(Machine.distance_rank m cfd.Percpu.cfd_initiator me)
+      ~kind:(kind_of_result f.Percpu.fl_result)
+      (Machine.now m - f.Percpu.fl_t0);
+  cfd.Percpu.cfd_executed <- true;
+  (Machine.percpu m me).Percpu.inflight_flush <- false;
+  if cfd.Percpu.cfd_early_ack then -1 else Smp.ack_write m ~me cfd
+
 (* The shootdown IPI handler run by responder CPUs. *)
-let ipi_handler m ~me (_ : Cpu.t) =
-  let pcpu = Machine.percpu m me in
-  Smp.drain_queue m ~me ~run:(fun cfd ->
-      let info = cfd.Percpu.cfd_info in
-      if Machine.tracing m then
-        Machine.trace_event m ~cpu:me
-          (Trace.Ipi_begin
-             {
-               seq = cfd.Percpu.cfd_seq;
-               initiator = cfd.Percpu.cfd_initiator;
-               early_ack = cfd.Percpu.cfd_early_ack;
-             });
-      if cfd.Percpu.cfd_early_ack then begin
-        (* §3.2: no user mapping can be used from inside this handler, so
-           acknowledge before flushing — unless page tables are freed,
-           which the initiator already encoded in cfd_early_ack. An NMI
-           could still preempt us between the ack and the flush: flag the
-           window so nmi_uaccess_okay refuses user accesses. *)
-        pcpu.Percpu.inflight_flush <- true;
-        Smp.ack m ~me ~early:true cfd
-      end;
-      let t0 = Machine.now m in
-      let result =
-        flush_tlb_func_impl m ~cpu:me ~user:(default_user_policy m info)
-          ~eager_user:false info
-      in
-      if Machine.metering m then
-        record_flush m
-          ~rank:(Machine.distance_rank m cfd.Percpu.cfd_initiator me)
-          ~kind:(kind_of_result result) (Machine.now m - t0);
-      cfd.Percpu.cfd_executed <- true;
-      pcpu.Percpu.inflight_flush <- false;
-      if not cfd.Percpu.cfd_early_ack then Smp.ack m ~me cfd);
-  (* If we interrupted user mode we are about to return to it: any flush
-     deferred by §3.4 must complete first. *)
-  if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
+let ipi_handler m =
+  let drain = Smp.drain_queue m ~work:(work m) in
+  fun ~me cpu ->
+    drain ~me;
+    (* If we interrupted user mode we are about to return to it: any flush
+       deferred by §3.4 must complete first. *)
+    if Cpu.irq_from_user cpu then flush_pending_user m ~cpu:me ~has_stack:true
 
 let irq_id m = shootdown_irq m ipi_handler
 
@@ -179,5 +202,5 @@ let backend =
     perform;
     responder_pending =
       (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));
-    quiescent = (fun _ ~cpu:_ _ -> ());
+    quiescent = Smp.csd_quiescent;
   }

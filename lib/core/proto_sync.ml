@@ -15,22 +15,17 @@
 
 open Flush_core
 
-(* Apply the posted [info] on responder [me] with the shared
-   generation-tracked flush function and set [me]'s done bit. Returns the
-   cost of the status-line atomic that publishes the bit, for the caller
-   to wait out. *)
-let apply m ~me info =
-  let t0 = Machine.now m in
-  let result =
-    flush_tlb_func_impl m ~cpu:me ~user:(default_user_policy m info) ~eager_user:false
-      info
-  in
+(* The end of responder [me]'s flush of the posted request: meter it and
+   set [me]'s done bit. Returns the cost of the status-line atomic that
+   publishes the bit. *)
+let set_done m ~me (f : Percpu.flush) =
   if Machine.metering m then begin
     let rank =
       if m.Machine.sync_from >= 0 then Machine.distance_rank m m.Machine.sync_from me
       else 0
     in
-    record_flush m ~rank ~kind:(kind_of_result result) (Machine.now m - t0)
+    record_flush m ~rank ~kind:(kind_of_result f.Percpu.fl_result)
+      (Machine.now m - f.Percpu.fl_t0)
   end;
   (* Status-table write: the deliberate all-responders contention point of
      the design. *)
@@ -38,40 +33,34 @@ let apply m ~me info =
   m.Machine.sync_outstanding <- m.Machine.sync_outstanding - 1;
   Cache.atomic m.Machine.line_sync_status ~by:me
 
-(* Responder: read the posted descriptor off the status line, apply it,
-   and set our done bit. The global lock serializes broadcasts, so at most
-   one posted descriptor exists at a time and the None case is unreachable
-   (kept as a no-op for robustness against spurious wakeups).
+(* Responder: read the posted descriptor off the status line, apply it
+   with the shared generation-tracked flush, and set our done bit. The
+   global lock serializes broadcasts, so at most one posted descriptor
+   exists at a time and the None case is unreachable (kept as a no-op for
+   robustness against spurious wakeups).
 
-   The status read and, when the flush is skipped (the common case on a
-   big machine, where most responders never loaded the mm), the done-bit
-   atomic are the lead and tail of one charge run, so such a responder
-   suspends at most once. A flush that is due charges and suspends as it
-   goes, so [visit] ends the run there and the handler applies it after.
-   [visit] and [due] are built once per machine: [due] names the
-   responder whose flush [visit] found due, from that visit until the
-   handler resumes at the same boundary with nothing run in between. *)
+   The whole response is one charge run: the status read as its lead,
+   the flush's steps (none when it is skipped, the common case on a big
+   machine, where most responders never loaded the mm), then the done-bit
+   atomic. [visit] is built once per machine. *)
 let ipi_handler m =
   let line = m.Machine.line_sync_status in
-  let due = ref (-1) in
-  let visit me (_ : int) =
-    match m.Machine.sync_info with
-    | Some info when not (Machine.percpu m me).Percpu.sync_done ->
-        if Option.is_none (flush_due m ~cpu:me info) then apply m ~me info
-        else begin
-          due := me;
-          0
-        end
-    | Some _ | None -> 0
+  let visit me phase =
+    let f = irq_flush m ~cpu:me in
+    if phase = 0 then
+      match m.Machine.sync_info with
+      | Some info when not (Machine.percpu m me).Percpu.sync_done ->
+          let d = flush_begin m f ~cpu:me ~user:(default_user_policy m info) info in
+          if d >= 0 then d else set_done m ~me f
+      | Some _ | None -> -1
+    else if flushing f then begin
+      let d = flush_step m ~cpu:me f in
+      if d >= 0 then d else set_done m ~me f
+    end
+    else -1
   in
   fun ~me cpu ->
     Machine.chain_item m ~lead:(Cache.read line ~by:me) me visit;
-    if !due = me then begin
-      due := -1;
-      match m.Machine.sync_info with
-      | Some info -> Machine.delay m (apply m ~me info)
-      | None -> ()
-    end;
     if Cpu.irq_from_user cpu then flush_pending_user m ~cpu:me ~has_stack:true
 
 let irq_id m = shootdown_irq m ipi_handler

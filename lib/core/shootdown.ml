@@ -28,9 +28,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
       (* LATR-style strawman: flush locally, never notify remote CPUs, and
          return as if the flush were complete. The Checker flags the stale
          accesses this permits. *)
-      ignore
-        (flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
-           ~eager_user:false info);
+      ignore (flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info) info);
       let stats = m.Machine.stats in
       stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
       Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token

@@ -48,6 +48,7 @@ let enqueue_work m ~from ~targets ~info ~early_ack =
       | _ ->
           let cfd = List.hd !acc in
           Queue.push cfd pcpu.Percpu.csq;
+          pcpu.Percpu.csd_queued <- pcpu.Percpu.csd_queued + 1;
           if Machine.tracing m then
             Machine.trace_event m ~cpu:from
               (Trace.Ipi_send { seq = cfd.Percpu.cfd_seq; target });
@@ -58,51 +59,84 @@ let send_ipis m ~from ~targets ~irq_id =
   let send_cost = Apic.send_ipi_id m.Machine.apic ~from ~targets ~irq_id in
   Machine.delay m send_cost
 
-(* The queue-line read, then before each [run] one charge run that pops
-   the next request and reads its CSD line and, under the baseline layout,
-   its info line. The baseline keeps flush_tlb_info on the initiator's
-   stack, which is 4 KiB-mapped — unlike the 2 MiB-mapped per-cpu/global
-   data — so touching it also costs a page walk the consolidated layout
-   avoids (§3.3 item 2). *)
-let drain_queue m ~me ~run =
-  let pcpu = Machine.percpu m me in
-  let csq = pcpu.Percpu.csq and next = ref None in
-  let fetch _ phase =
-    match (phase, !next) with
-    | 0, _ -> (
-        next := Queue.take_opt csq;
-        match !next with Some cfd -> Cache.read cfd.Percpu.cfd_line ~by:me | None -> 0)
-    | 1, Some { Percpu.cfd_info_line = Some line; _ } -> Cache.read line ~by:me
-    | 2, Some { Percpu.cfd_info_line = Some _; _ } -> m.Machine.costs.Costs.page_walk
-    | _ -> 0
-  in
-  let rec loop ~lead =
-    Machine.chain_upto m ~lead 1 ~phases:3 fetch;
-    match !next with
-    | Some cfd ->
-        run cfd;
-        if not (Queue.is_empty csq) then loop ~lead:0
-    | None -> ()
-  in
-  loop ~lead:(Cache.read pcpu.Percpu.line_csq ~by:me)
-
 (* [ack]'s two halves, for a charge run: the line write, which marks [cfd]
-   acked and returns its cost, and the trace event once it has landed. *)
-let ack_write cfd ~me =
-  cfd.Percpu.cfd_acked <- true;
-  Cache.write cfd.Percpu.cfd_line ~by:me
-
-let ack_landed m ~me ~early cfd =
-  if Machine.tracing m then
-    Machine.trace_event m ~cpu:me
-      (Trace.Ipi_ack
-         { seq = cfd.Percpu.cfd_seq; initiator = cfd.Percpu.cfd_initiator; early })
-
-let ack m ~me ?(early = false) cfd =
-  if not cfd.Percpu.cfd_acked then begin
-    Machine.delay m (ack_write cfd ~me);
-    ack_landed m ~me ~early cfd
+   acked and returns its cost (0 when it already is), and the trace event
+   once it has landed. The CPU's [csd_acking] carries the write from one
+   to the other. *)
+let ack_write m ~me cfd =
+  let pcpu = Machine.percpu m me in
+  pcpu.Percpu.csd_acking <- not cfd.Percpu.cfd_acked;
+  if pcpu.Percpu.csd_acking then begin
+    cfd.Percpu.cfd_acked <- true;
+    Cache.write cfd.Percpu.cfd_line ~by:me
   end
+  else 0
+
+let ack_landed m ~me cfd =
+  let pcpu = Machine.percpu m me in
+  if pcpu.Percpu.csd_acking then begin
+    pcpu.Percpu.csd_acking <- false;
+    if Machine.tracing m then
+      Machine.trace_event m ~cpu:me
+        (Trace.Ipi_ack
+           {
+             seq = cfd.Percpu.cfd_seq;
+             initiator = cfd.Percpu.cfd_initiator;
+             early = cfd.Percpu.cfd_early_ack;
+           })
+  end
+
+(* A whole drain is one charge run: the queue-line read as its lead, then
+   for each request the CSD-line read and, under the baseline layout, the
+   info-line read and a page walk, then the backend's [work] phases until
+   [work] ends the request. The baseline keeps flush_tlb_info on the
+   initiator's stack, which is 4 KiB-mapped — unlike the 2 MiB-mapped
+   per-cpu/global data — so touching it also costs a page walk the
+   consolidated layout avoids (§3.3 item 2). The run ends at the end of a
+   request that leaves the queue empty, and the CPU's [csd_cur] and
+   [csd_base] say where it is between boundaries. *)
+let drain_queue m ~work =
+  let fetch pcpu ~me phase =
+    if Queue.is_empty pcpu.Percpu.csq then -1
+    else begin
+      let cfd = Queue.pop pcpu.Percpu.csq in
+      pcpu.Percpu.csd_cur <- cfd;
+      pcpu.Percpu.csd_base <- phase;
+      Cache.read cfd.Percpu.cfd_line ~by:me
+    end
+  in
+  let visit me phase =
+    let pcpu = Machine.percpu m me in
+    let cfd = pcpu.Percpu.csd_cur in
+    if cfd == Percpu.no_cfd then fetch pcpu ~me phase
+    else
+      match (phase - pcpu.Percpu.csd_base, cfd.Percpu.cfd_info_line) with
+        | 1, Some line -> Cache.read line ~by:me
+        | 2, Some _ -> m.Machine.costs.Costs.page_walk
+        | (1 | 2), None -> 0
+        | k, _ ->
+            let d = work cfd (k - 3) in
+            if d >= 0 then d
+            else begin
+              if cfd.Percpu.cfd_executed && cfd.Percpu.cfd_acked then
+                pcpu.Percpu.csd_released <- pcpu.Percpu.csd_released + 1;
+              pcpu.Percpu.csd_cur <- Percpu.no_cfd;
+              fetch pcpu ~me phase
+            end
+  in
+  fun ~me ->
+    let pcpu = Machine.percpu m me in
+    Machine.chain_item m ~lead:(Cache.read pcpu.Percpu.line_csq ~by:me) me visit
+
+(* CSD conservation: every CFD queued on a CPU was fetched, executed and
+   acked there by quiescence. *)
+let csd_quiescent m ~cpu fail =
+  let pcpu = Machine.percpu m cpu in
+  let queued = pcpu.Percpu.csd_queued and released = pcpu.Percpu.csd_released in
+  if queued <> released then
+    fail
+      (Printf.sprintf "cpu%d: %d CFD(s) queued but %d executed and acked at quiescence"
+         cpu queued released)
 
 let wait_for_acks m ~from cfds ?(while_waiting = fun () -> ())
     ?(waiting_work = fun () -> false) () =

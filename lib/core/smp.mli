@@ -45,20 +45,30 @@ val enqueue_work :
     each once and reuses it for every send. *)
 val send_ipis : Machine.t -> from:int -> targets:Cpuset.t -> irq_id:int -> unit
 
-(** Responder: drain this CPU's call queue, paying the queue and CFD/info
-    line reads, invoking [run] on each CFD in FIFO order. *)
-val drain_queue : Machine.t -> me:int -> run:(Percpu.cfd -> unit) -> unit
+(** [drain_queue m ~work] builds, once per machine, the responder's drain
+    of its call queue; apply it as [drain ~me]. The drain is one charge run
+    ({!Machine.chain_item}): the queue-line read, then for each CFD in FIFO
+    order the CSD-line read and, under the baseline layout, the info-line
+    read and a page walk, then [work cfd 0], [work cfd 1], ... — the
+    backend's phases, which follow the rules of a charge-run visit — until
+    [work] returns a negative cost. The run ends at the end of a request
+    that leaves the queue empty. A request counts as released when [work]
+    has left it executed and acked (see {!csd_quiescent}). *)
+val drain_queue :
+  Machine.t -> work:(Percpu.cfd -> int -> int) -> me:int -> unit
 
-(** Responder: flip the CFD's ack flag (one line write). Idempotent.
-    [early] only annotates the trace event (§3.2 early ack). *)
-val ack : Machine.t -> me:int -> ?early:bool -> Percpu.cfd -> unit
+(** An ack as two phases of a [work] run: [ack_write m ~me cfd] flips the
+    CFD's ack flag and returns the cost of the line write (0, and nothing
+    in flight, when it was already acked); [ack_landed m ~me cfd], at the
+    boundary after, emits the trace event of a write in flight, marked
+    early when the CFD allowed an early ack (§3.2). *)
+val ack_write : Machine.t -> me:int -> Percpu.cfd -> int
 
-(** {!ack}'s halves for a charge run, when the CFD is not acked yet: the
-    line write, which flips the flag and returns its cost, and the trace
-    event once that cost has elapsed. *)
-val ack_write : Percpu.cfd -> me:int -> int
+val ack_landed : Machine.t -> me:int -> Percpu.cfd -> unit
 
-val ack_landed : Machine.t -> me:int -> early:bool -> Percpu.cfd -> unit
+(** CSD conservation at quiescence: calls [fail] when [cpu] has not
+    executed and acked every CFD queued on it. *)
+val csd_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit
 
 (** Initiator: spin until every CFD is acked, servicing our own IRQs while
     spinning. [while_waiting] is called between polls while at least one ack

@@ -34,6 +34,8 @@ type t = {
       (* processes bound to this CPU. IRQ handlers must never interleave
          with user-mode execution of an occupant, so detached dispatch is
          only legal in kernel context or on an empty CPU. *)
+  mutable quiesce_step : unit -> int;
+      (* [quiesce_and_mask]'s poll tick, built at its first wait *)
 }
 
 and irq = { vector : int; maskable : bool; handler : t -> unit }
@@ -49,6 +51,7 @@ let dispatch_name_of id =
   else Printf.sprintf "irq-dispatch-cpu%d" id
 
 let no_irq = { vector = -1; maskable = true; handler = ignore }
+let no_quiesce () = 0
 
 let create eng topo cost ~id ~safe ?tlb_capacity () =
   if id < 0 || id >= Topology.n_cpus topo then
@@ -77,6 +80,7 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     irq_was_user = false;
     service_depth = 0;
     occupancy = 0;
+    quiesce_step = no_quiesce;
   }
 
 let id t = t.cpu_id
@@ -285,11 +289,16 @@ let vacate t =
   if t.occupancy < 0 then invalid_arg "Cpu.vacate: not occupied";
   maybe_dispatch t
 
+(* Wait out a running drain in [spin_poll] ticks, one suspension for the
+   whole wait: each tick is its own engine event, as a [delay] per poll
+   would make. *)
 let quiesce_and_mask t =
   t.masked <- true;
-  while t.draining do
-    Process.delay t.eng t.cost.spin_poll
-  done
+  if t.draining then begin
+    if t.quiesce_step == no_quiesce then
+      t.quiesce_step <- (fun () -> if t.draining then t.cost.spin_poll else 0);
+    Process.tick_sleep t.eng ~first:t.cost.spin_poll t.quiesce_step
+  end
 
 let irq_enable t =
   t.masked <- false;

@@ -2,8 +2,10 @@
    of: the event arena at [base + field] with [base] a stride-aligned
    offset handed out by [alloc] (< [t.cap], and the arena never shrinks),
    including a ring slot's tail row and the rows its circular [f_next]
-   links reach; the power-of-two ring (slot = time land ring_mask); its occupancy
-   bitmap (word = slot lsr 5, or a word index masked by [occ_words - 1]);
+   links reach; the power-of-two ring (slot = time land ring_mask), as
+   chunk [slot lsr chunk_bits] of [ring_size / chunk_size] and index
+   [slot land chunk_mask] in it; its occupancy bitmap (word = slot lsr 5,
+   or a word index masked by [occ_words - 1]);
    the 32-entry de Bruijn table (index = a 32-bit product lsr 27); the
    heap's parallel key/event arrays within [t.size]; the handler table
    below [t.n_handlers] (schedule-time range check, and the table never
@@ -77,10 +79,15 @@ let nil = -1
    simulated time rather than for events.
 
    Each slot stores only the tail row of its FIFO, and the tail's [f_next]
-   points back at the head: append and pop stay O(1) with a single array
-   for both ends. The ring array is the
-   engine's one allocation straight into the major heap (2,049 words), and
-   every simulated machine builds an engine, so its size is a per-run cost.
+   points back at the head: append and pop stay O(1) with a single entry
+   for both ends. The slots are kept in chunks of [chunk_size] = 256, the
+   largest array OCaml allocates in the minor heap. As one array of 2,049
+   words the ring was allocated straight into the major heap, and every
+   simulated machine builds an engine: on apache-mmap those rings were
+   most of the words allocated there, garbage once the cell ended. The
+   major GC runs its slices only at minor collections, so that garbage
+   piled up between them. In chunks, a short-lived engine's ring dies in
+   the minor heap.
    2048 cycles covers the workloads' delays: on pass 0 of seed 11 of the
    repository benchmark, no scheduled event on micro-madvise,
    sysbench-write, apache-mmap or fuzz-diff fell in [2048, 4096), and 3.6%
@@ -89,6 +96,9 @@ let nil = -1
 let ring_size = 2048
 let ring_mask = ring_size - 1
 let occ_words = ring_size / 32
+let chunk_bits = 8
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
 
 (* Index of the lowest set bit of a nonzero 32-bit word, branch-free:
    [x land (-x)] isolates the bit, and multiplying by a de Bruijn sequence
@@ -118,7 +128,7 @@ type t = {
   mutable hkey : int array; (* binary min-heap keys, far/chooser events *)
   mutable hev : int array; (* heap rows (base offsets), parallel to [hkey] *)
   mutable size : int; (* heap population *)
-  ring : int array; (* slot tail rows, [nil] = empty *)
+  ring : int array array; (* slot tail rows, [nil] = empty, in chunks *)
   occ : int array; (* bit [slot land 31] of word [slot lsr 5]: slot non-empty *)
   mutable ring_count : int; (* ring population *)
   mutable ring_min : int;
@@ -149,7 +159,7 @@ let create () =
     hkey = [||];
     hev = [||];
     size = 0;
-    ring = Array.make ring_size nil;
+    ring = Array.init (ring_size / chunk_size) (fun _ -> Array.make chunk_size nil);
     occ = Array.make occ_words 0;
     ring_count = 0;
     ring_min = 0;
@@ -282,7 +292,8 @@ let release_handler t tag =
 let ring_append t ~time ev =
   let slot = time land ring_mask in
   let s = t.store in
-  let tail = Array.unsafe_get t.ring slot in
+  let chunk = Array.unsafe_get t.ring (slot lsr chunk_bits) in
+  let tail = Array.unsafe_get chunk (slot land chunk_mask) in
   if tail = nil then begin
     Array.unsafe_set s (ev + f_next) ev;
     let w = slot lsr 5 in
@@ -292,7 +303,7 @@ let ring_append t ~time ev =
     Array.unsafe_set s (ev + f_next) (Array.unsafe_get s (tail + f_next));
     Array.unsafe_set s (tail + f_next) ev
   end;
-  Array.unsafe_set t.ring slot ev;
+  Array.unsafe_set chunk (slot land chunk_mask) ev;
   t.ring_count <- t.ring_count + 1;
   if time < t.ring_min then t.ring_min <- time
 
@@ -329,10 +340,11 @@ let ring_earliest t =
 let ring_pop t pos =
   let slot = pos land ring_mask in
   let s = t.store in
-  let tail = Array.unsafe_get t.ring slot in
+  let chunk = Array.unsafe_get t.ring (slot lsr chunk_bits) in
+  let tail = Array.unsafe_get chunk (slot land chunk_mask) in
   let head = Array.unsafe_get s (tail + f_next) in
   if head = tail then begin
-    Array.unsafe_set t.ring slot nil;
+    Array.unsafe_set chunk (slot land chunk_mask) nil;
     let w = slot lsr 5 in
     Array.unsafe_set t.occ w
       (Array.unsafe_get t.occ w land lnot (1 lsl (slot land 31)))
@@ -347,7 +359,8 @@ let ring_pop t pos =
 let drain_ring_to_push t push =
   if t.ring_count > 0 then begin
     for s = 0 to ring_size - 1 do
-      let tail = Array.unsafe_get t.ring s in
+      let chunk = Array.unsafe_get t.ring (s lsr chunk_bits) in
+      let tail = Array.unsafe_get chunk (s land chunk_mask) in
       if tail >= 0 then begin
         (* Walk head .. tail once round the circle. *)
         let ev = ref (Array.unsafe_get t.store (tail + f_next)) in
@@ -357,7 +370,7 @@ let drain_ring_to_push t push =
           push e
         done;
         push tail;
-        Array.unsafe_set t.ring s nil
+        Array.unsafe_set chunk (s land chunk_mask) nil
       end
     done;
     Array.fill t.occ 0 occ_words 0;
@@ -643,8 +656,9 @@ let run t =
           else begin
             if rt > t.now then t.now <- rt;
             let slot = rt land ring_mask in
+            let chunk = Array.unsafe_get t.ring (slot lsr chunk_bits) in
             while
-              Array.unsafe_get t.ring slot >= 0
+              Array.unsafe_get chunk (slot land chunk_mask) >= 0
               && t.now = rt
               && match t.chooser with None -> true | Some _ -> false
             do

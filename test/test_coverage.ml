@@ -78,14 +78,18 @@ let test_smp_ack_idempotent () =
       Cpuset.set targets 1;
       match Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false with
       | [| cfd |] ->
-          Smp.ack m ~me:1 cfd;
-          Smp.ack m ~me:1 cfd;
-          (* idempotent *)
+          Machine.delay m (Smp.ack_write m ~me:1 cfd);
+          Smp.ack_landed m ~me:1 cfd;
+          check int_t "a second ack writes nothing" 0 (Smp.ack_write m ~me:1 cfd);
           check bool_t "acked" true cfd.Percpu.cfd_acked;
           (* Drain the queued work so the machine quiesces cleanly. *)
-          Smp.drain_queue m ~me:1 ~run:(fun _ -> ())
+          Smp.drain_queue m ~me:1
+            ~work:(fun cfd _ ->
+              cfd.Percpu.cfd_executed <- true;
+              -1)
       | _ -> Alcotest.fail "expected one cfd");
-  Kernel.run m
+  Kernel.run m;
+  Smp.csd_quiescent m ~cpu:1 Alcotest.fail
 
 let test_microbench_responder_cpus () =
   let topo = Topology.paper_machine in

@@ -133,7 +133,7 @@ let test_no_dispatch_interleaves_user_mode () =
 let test_quiesce_and_mask_waits_for_handler () =
   let m = make () in
   let handler_done = ref false in
-  let checked_after = ref false in
+  let checked_after = ref false and suspensions = ref (-1) in
   (* Detached handler starts on cpu 7 (no occupant), taking 2000 cycles. *)
   Helpers.spawn_kernel m ~cpu:0 ~name:"sender" (fun () ->
       ignore
@@ -149,11 +149,14 @@ let test_quiesce_and_mask_waits_for_handler () =
   Helpers.spawn_kernel m ~cpu:7 ~name:"quiescer" (fun () ->
       Machine.delay m 1_200;
       (* The detached handler is mid-flight now. *)
+      let s0 = Engine.suspensions m.Machine.engine in
       Cpu.quiesce_and_mask (Machine.cpu m 7);
+      suspensions := Engine.suspensions m.Machine.engine - s0;
       checked_after := !handler_done;
       Cpu.irq_enable (Machine.cpu m 7));
   Kernel.run m;
-  check bool_t "quiesce returned only after the handler finished" true !checked_after
+  check bool_t "quiesce returned only after the handler finished" true !checked_after;
+  check int_t "the wait is one suspension" 1 !suspensions
 
 (* --- paravirtual fracturing hint (§7 extension) --- *)
 

@@ -375,13 +375,13 @@ let broadcast_suspensions protocol n = fst (broadcast_counts protocol n)
    sync-broadcast responder's status-line read and done-bit atomic are one
    charge run; IRQ entry and exit are dispatch-handler events. An oracle
    responder's queue, CSD and info reads, page walk, CR3 write and ack
-   write are two charge runs. *)
+   write are one charge run. *)
 let test_responder_suspensions () =
   let per_responder protocol =
     broadcast_suspensions protocol 4 - broadcast_suspensions protocol 3
   in
   check int_t "idle sync-broadcast responder" 1 (per_responder Opts.Sync_broadcast);
-  check int_t "oracle responder" 2 (per_responder Opts.Oracle)
+  check int_t "oracle responder" 1 (per_responder Opts.Oracle)
 
 (* A sync-broadcast responder whose flush is skipped (the mm is not loaded
    there) suspends at most once per IPI, at any responder count, and the
@@ -398,6 +398,133 @@ let test_sync_skipped_responder_one_run () =
           (s - s2);
       check int_t (Printf.sprintf "engine ops, %d CPUs" n) ops o)
     [ (3, 100_060); (5, 100_072); (8, 100_090); (16, 100_138) ]
+
+(* The same shootdown with the mm loaded on every responder, so each
+   responder's flush is due: suspensions from the shootdown on, engine
+   ops, and the flushes skipped. *)
+let due_counts protocol n =
+  let m =
+    Machine.create ~topo:(Topology.flat n)
+      ~opts:(Opts.with_protocol protocol ~safe:true)
+      ~seed:3L ()
+  in
+  let mm = Machine.new_mm m in
+  let s0 = ref 0 in
+  keep_busy m 100_000;
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
+      let vpn = map_pages m mm ~pages:1 in
+      for c = 1 to n - 1 do
+        Sched.switch_mm m ~cpu:c mm
+      done;
+      s0 := Engine.suspensions m.Machine.engine;
+      Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn);
+  Kernel.run m;
+  Kernel.check_run m ~who:"due flush";
+  check int_t "no responder skipped its flush" 0
+    m.Machine.stats.Machine.flush_requests_skipped;
+  (Engine.suspensions m.Machine.engine - !s0, Machine.engine_ops m)
+
+(* A responder whose flush is due runs it inside its one charge run: the
+   paper responder's CSD read, generation read, INVLPG, INVPCID and ack
+   write; the sync-broadcast responder's status read, the same flush and
+   its done-bit atomic; the oracle's CR3 write. One more responder costs
+   one suspension, and the engine ops are those each charge took when it
+   suspended on its own. *)
+let test_due_responder_one_run () =
+  List.iter
+    (fun (name, protocol, ops) ->
+      let s3, _ = due_counts protocol 3 in
+      let s4, _ = due_counts protocol 4 in
+      check int_t (name ^ " responder") 1 (s4 - s3);
+      List.iter
+        (fun (n, ops) ->
+          check int_t
+            (Printf.sprintf "%s engine ops, %d CPUs" name n)
+            ops
+            (snd (due_counts protocol n)))
+        ops)
+    [
+      ("paper", paper, [ (3, 100_110); (5, 100_150); (8, 100_210); (16, 100_370) ]);
+      ( "sync-broadcast",
+        Opts.Sync_broadcast,
+        [ (3, 100_092); (5, 100_118); (8, 100_157); (16, 100_261) ] );
+      ("oracle", Opts.Oracle, [ (3, 100_090); (5, 100_124); (8, 100_175); (16, 100_311) ]);
+    ]
+
+(* [k] requests queued on one responder before its IPI lands, drained by
+   a handler around [Smp.drain_queue]: the queue read, and per request the
+   CSD read, the baseline layout's info read and page walk, and the work's
+   three phases. The whole drain suspends the handler once, and every CFD
+   counts as released. *)
+let test_drain_k_requests_one_run () =
+  List.iter
+    (fun k ->
+      let m =
+        Machine.create ~topo:(Topology.flat 4)
+          ~opts:(Opts.with_protocol paper ~safe:true)
+          ~seed:3L ()
+      in
+      let e = m.Machine.engine in
+      keep_busy m 100_000;
+      let drain =
+        Smp.drain_queue m ~work:(fun cfd phase ->
+            match phase with
+            | 0 -> 7
+            | 1 ->
+                cfd.Percpu.cfd_executed <- true;
+                Smp.ack_write m ~me:1 cfd
+            | _ ->
+                Smp.ack_landed m ~me:1 cfd;
+                -1)
+      in
+      let during = ref (-1) and drained_at = ref 0 in
+      let handler _ =
+        let s0 = Engine.suspensions e in
+        drain ~me:1;
+        during := Engine.suspensions e - s0;
+        drained_at := Engine.now e
+      in
+      let irq = { Cpu.vector = Smp.tlb_shootdown_vector; maskable = true; handler } in
+      Process.spawn e ~name:"initiator" (fun () ->
+          let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+          let targets = Cpuset.create ~bits:4 in
+          Cpuset.set targets 1;
+          for _ = 1 to k do
+            ignore (Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false)
+          done;
+          Machine.delay m
+            (Apic.send_ipi_id m.Machine.apic ~from:0 ~targets
+               ~irq_id:(Apic.register_irq m.Machine.apic irq)));
+      Machine.run m;
+      Kernel.check_run m ~who:"k requests";
+      check bool_t "drained on a busy engine" true (!drained_at < 100_000);
+      check int_t (Printf.sprintf "%d requests, one suspension" k) 1 !during;
+      check int_t "every CFD released" k (Machine.percpu m 1).Percpu.csd_released)
+    [ 1; 4; 7 ]
+
+(* CSD conservation: a CFD the drain fetched but never executed or acked
+   is reported at quiescence, under both call-queue backends. *)
+let test_unexecuted_cfd_reported () =
+  List.iter
+    (fun protocol ->
+      let m =
+        Machine.create ~topo:(Topology.flat 2)
+          ~opts:(Opts.with_protocol protocol ~safe:true)
+          ~seed:3L ()
+      in
+      Process.spawn m.Machine.engine ~name:"t" (fun () ->
+          let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+          let targets = Cpuset.create ~bits:2 in
+          Cpuset.set targets 1;
+          ignore (Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false);
+          Smp.drain_queue m ~work:(fun _ _ -> -1) ~me:1);
+      Machine.run m;
+      let failures = ref [] in
+      Kernel.check_quiescent m (fun f -> failures := f :: !failures);
+      check (Alcotest.list Alcotest.string) "the unexecuted CFD is reported"
+        [ "cpu1: 1 CFD(s) queued but 0 executed and acked at quiescence" ]
+        !failures)
+    [ paper; Opts.Oracle ]
 
 (* Enqueueing work for k targets is 2k line writes, one charge run. *)
 let test_enqueue_work_suspensions () =
@@ -451,4 +578,10 @@ let suite =
       test_enqueue_work_suspensions;
     Alcotest.test_case "suspensions: skipped sync-broadcast responder is one run"
       `Quick test_sync_skipped_responder_one_run;
+    Alcotest.test_case "suspensions: a due responder flush is one run" `Quick
+      test_due_responder_one_run;
+    Alcotest.test_case "suspensions: k queued requests drain in one run" `Quick
+      test_drain_k_requests_one_run;
+    Alcotest.test_case "csd conservation: an unexecuted CFD is reported" `Quick
+      test_unexecuted_cfd_reported;
   ]

@@ -208,8 +208,7 @@ let test_full_flush_over_threshold () =
 
 (* The responder flush as the paper backend's IPI handler runs it. *)
 let flush_tlb_func m ~cpu info =
-  Flush_core.flush_tlb_func_impl m ~cpu ~user:(Flush_core.default_user_policy m info)
-    ~eager_user:false info
+  Flush_core.flush_tlb_func_impl m ~cpu ~user:(Flush_core.default_user_policy m info) info
 
 let test_responder_gen_skip () =
   let m = make () in

@@ -677,14 +677,19 @@ let suspension_mix rounds =
 (* --- Chains are delays ---
 
    Processes run random programs of delays, actions on a shared counter
-   and k-step runs (a delay, then an action, k times). Costs include zero,
-   which makes no event, and long sleeps, whose windows are often empty so
-   [try_advance] succeeds. Every program runs once with each run written
-   as [delay]s and once with each run as one [Process.chain] whose steps
-   do the actions at their boundaries. The (time, actor, counter) logs,
-   [events_run] and [advances] must be identical, both in (time, seq)
-   order and under a seeded chooser, and the chains must suspend less. *)
-type chain_instr = Wait of int | Act | Run of int list
+   and k-step runs (a delay, then an action, k times), some of which end
+   early, before step [stop]. Costs include zero, which makes no event,
+   and long sleeps, whose windows are often empty so [try_advance]
+   succeeds. Every program runs three ways: with each run written as
+   [delay]s; as one [Process.chain] whose steps do the actions at their
+   boundaries and whose step returns 0 at [stop]; and as one
+   [Machine.chain_item] whose visit ends the run with a negative cost at
+   [stop]. The (time, actor, counter) logs, [events_run] and [advances]
+   must be identical, both in (time, seq) order and under a seeded
+   chooser, and the runs must suspend less. *)
+type chain_instr = Wait of int | Act | Run of int list * int
+
+type chain_mode = Delays | Chained | Walked
 
 let random_cost rng =
   match Rng.int rng 4 with
@@ -698,10 +703,13 @@ let random_program rng =
       match Rng.int rng 3 with
       | 0 -> Wait (random_cost rng)
       | 1 -> Act
-      | _ -> Run (List.init (1 + Rng.int rng 6) (fun _ -> random_cost rng)))
+      | _ ->
+          let k = 1 + Rng.int rng 6 in
+          Run (List.init k (fun _ -> random_cost rng), Rng.int rng (k + 2)))
 
-let run_programs ~chained ?chooser programs =
-  let e = Engine.create () in
+let run_programs mode ?chooser programs =
+  let m = Machine.create ~topo:(Topology.flat 1) ~opts:(Opts.baseline ~safe:false) () in
+  let e = m.Machine.engine in
   Option.iter
     (fun seed ->
       let rng = Rng.create ~seed in
@@ -712,33 +720,44 @@ let run_programs ~chained ?chooser programs =
     incr counter;
     log := (Engine.now e, who, !counter) :: !log
   in
-  let run who steps =
-    if chained then begin
-      (* [paid]: the head's cost has elapsed, its action is due. *)
-      let rest = ref steps and paid = ref false in
-      let rec step () =
-        match !rest with
-        | [] -> 0
-        | d :: tl ->
-            if !paid then begin
-              paid := false;
+  let run who steps stop =
+    let steps = List.filteri (fun i _ -> i < stop) steps in
+    match mode with
+    | Delays ->
+        List.iter
+          (fun d ->
+            Process.delay e d;
+            act who)
+          steps
+    | Chained ->
+        (* [paid]: the head's cost has elapsed, its action is due. *)
+        let rest = ref steps and paid = ref false in
+        let rec step () =
+          match !rest with
+          | [] -> 0
+          | d :: tl ->
+              if !paid then begin
+                paid := false;
+                act who;
+                rest := tl;
+                step ()
+              end
+              else begin
+                paid := true;
+                if d > 0 then d else step ()
+              end
+        in
+        Process.chain e step
+    | Walked ->
+        (* Phase [2i] returns step [i]'s cost, phase [2i + 1] acts. *)
+        let costs = Array.of_list steps in
+        Machine.chain_item m ~lead:0 0 (fun _ phase ->
+            if phase land 1 = 1 then begin
               act who;
-              rest := tl;
-              step ()
+              0
             end
-            else begin
-              paid := true;
-              if d > 0 then d else step ()
-            end
-      in
-      Process.chain e step
-    end
-    else
-      List.iter
-        (fun d ->
-          Process.delay e d;
-          act who)
-        steps
+            else if phase / 2 < Array.length costs then costs.(phase / 2)
+            else -1)
   in
   List.iteri
     (fun i program ->
@@ -746,7 +765,9 @@ let run_programs ~chained ?chooser programs =
       Process.spawn e ~name:who (fun () ->
           List.iter
             (function
-              | Wait d -> Process.delay e d | Act -> act who | Run steps -> run who steps)
+              | Wait d -> Process.delay e d
+              | Act -> act who
+              | Run (steps, stop) -> run who steps stop)
             program))
     programs;
   Engine.run e;
@@ -756,23 +777,32 @@ let test_chain_model () =
   let log_t =
     Alcotest.(triple (list (triple int string int)) int int)
   in
-  let advanced = ref 0 and saved = ref 0 in
+  let advanced = ref 0 and saved = ref 0 and ended_early = ref 0 in
   for seed = 1 to 60 do
     let rng = Rng.create ~seed:(Int64.of_int seed) in
     let programs = List.init (2 + Rng.int rng 4) (fun _ -> random_program rng) in
     List.iter
+      (function
+        | Run (steps, stop) when stop < List.length steps -> incr ended_early
+        | Run _ | Wait _ | Act -> ())
+      (List.concat programs);
+    List.iter
       (fun chooser ->
-        let delays, s_delays = run_programs ~chained:false ?chooser programs in
-        let chains, s_chains = run_programs ~chained:true ?chooser programs in
-        check log_t (Printf.sprintf "seed %d" seed) delays chains;
+        let delays, s_delays = run_programs Delays ?chooser programs in
         let _, _, advances = delays in
         advanced := !advanced + advances;
-        check bool_t "chains never suspend more" true (s_chains <= s_delays);
-        saved := !saved + (s_delays - s_chains))
+        List.iter
+          (fun (mode, name) ->
+            let runs, s_runs = run_programs mode ?chooser programs in
+            check log_t (Printf.sprintf "seed %d, %s" seed name) delays runs;
+            check bool_t "runs never suspend more" true (s_runs <= s_delays);
+            saved := !saved + (s_delays - s_runs))
+          [ (Chained, "Process.chain"); (Walked, "Machine.chain_item") ])
       [ None; Some (Int64.of_int seed) ]
   done;
+  check bool_t "some runs ended early" true (!ended_early > 0);
   check bool_t "some windows took the fast path" true (!advanced > 0);
-  check bool_t "chains saved suspensions" true (!saved > 0)
+  check bool_t "runs saved suspensions" true (!saved > 0)
 
 let test_process_two_domains () =
   let rounds = 20_000 in
