@@ -995,13 +995,22 @@ let bechamel () =
              done
            done))
   in
-  (* A no-op IRQ posted to an idle CPU: one detached dispatch (entry
-     boundary, handler in a pooled process, exit boundary) with nothing
-     else on the engine, so both delays take the [try_advance] fast path. *)
+  (* An IRQ whose handler is one 50-cycle step, posted to an idle CPU:
+     one detached dispatch (entry boundary, the handler's boundary, exit
+     boundary) with nothing else on the engine, so every cost takes the
+     [try_advance] fast path. *)
+  let step_irq () =
+    let started = ref false in
+    let step _ =
+      started := not !started;
+      if !started then 50 else -1
+    in
+    { Cpu.vector = 1; maskable = true; step }
+  in
   let irq_dispatch_test =
     let e = Engine.create () in
     let cpu = Cpu.create e (Topology.flat 2) Costs.default ~id:1 ~safe:false () in
-    let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+    let irq = step_irq () in
     Test.make ~name:"cpu:detached irq dispatch"
       (Staged.stage (fun () ->
            Cpu.post_irq cpu irq;
@@ -1013,7 +1022,7 @@ let bechamel () =
   let irq_dispatch_contended_test =
     let e = Engine.create () in
     let cpu = Cpu.create e (Topology.flat 2) Costs.default ~id:1 ~safe:false () in
-    let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+    let irq = step_irq () in
     ticker e ~period:150;
     Test.make ~name:"cpu:detached irq dispatch (contended)"
       (Staged.stage (fun () ->
@@ -1158,6 +1167,35 @@ let bechamel () =
              ignore (Cache.atomic l ~by)
            done))
   in
+  (* A sync-broadcast shootdown of one page from cpu 0 of the 1024-CPU
+     machine, every other CPU idle: the status-line post, 1023 IPIs, and
+     1023 detached responders, each one IRQ whose handler is one charge run
+     stepped by its CPU's dispatch events (a skipped flush: the status read
+     and the done-bit atomic), then the initiator's wait and release. One
+     run is one broadcast. *)
+  let sync_broadcast_test =
+    let sockets, cores_per_socket, smt = Bigmachine.topo_of_cpus 1024 in
+    let topo = Topology.create ~sockets ~cores_per_socket ~smt in
+    let opts = Opts.with_protocol Opts.Sync_broadcast ~safe:true in
+    let m = Machine.create ~topo ~opts () in
+    let mm = Machine.new_mm m in
+    let broadcasts = ref 0 in
+    Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
+        let vpn = Mm_struct.alloc_va_range mm ~pages:1 () in
+        Mm_struct.add_vma mm (Vma.make ~start_vpn:vpn ~pages:1 ());
+        Page_table.map (Mm_struct.page_table mm) ~vpn ~size:Tlb.Four_k
+          (Pte.user_data ~pfn:(Frame_alloc.alloc m.Machine.frames));
+        while true do
+          Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn;
+          incr broadcasts
+        done);
+    Test.make ~name:"irq:sync-broadcast broadcast (1024 cpus)"
+      (Staged.stage (fun () ->
+           let goal = !broadcasts + 1 in
+           while !broadcasts < goal do
+             ignore (Engine.step m.Machine.engine)
+           done))
+  in
   (* The responder's drain run: four requests on cpu 1's call queue under
      the baseline layout (per request the CSD read, the info read, a page
      walk, then a work of a 7-cycle charge, the ack write and its
@@ -1171,7 +1209,7 @@ let bechamel () =
     let e = m.Machine.engine in
     let csq = (Machine.percpu m 1).Percpu.csq in
     let drained = ref 0 in
-    let drain =
+    let lead, visit =
       Smp.drain_queue m ~work:(fun cfd phase ->
           match phase with
           | 0 -> 7
@@ -1198,7 +1236,7 @@ let bechamel () =
               cfd.Percpu.cfd_acked <- false;
               Queue.push cfd csq)
             cfds;
-          drain ~me:1;
+          Machine.chain_item m ~lead:(lead 1) 1 visit;
           incr drained
         done);
     Test.make ~name:"smp:drain (4 queued requests, contended)"
@@ -1261,6 +1299,7 @@ let bechamel () =
         machine_create_test;
         cache_read_test;
         cache_status_line_test;
+        sync_broadcast_test;
         drain_test;
         due_flush_test;
       ]
@@ -1373,6 +1412,8 @@ let experiment_row o =
       ("engine_ops", ops);
       ( "engine_ops_per_s",
         Option.map (fun ops -> ops /. Float.max 1e-9 m.Shard.wall_s) ops );
+      (* Deterministic: the gate compares it raw. *)
+      ("suspensions", int m.Shard.suspensions);
       ("minor_words", Some m.Shard.minor_words);
       ("major_words", Some m.Shard.major_words);
       ("promoted_words", Some m.Shard.promoted_words);

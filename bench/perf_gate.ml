@@ -14,7 +14,8 @@
    family's gated rows); the share only moves when one experiment slows
    down relative to the rest of the bench. Every other metric is a
    deterministic function of the simulation (allocation per engine op,
-   simulated cycles, simulated throughput) and is compared raw.
+   process suspensions, simulated cycles, simulated throughput) and is
+   compared raw.
 
    A file that does not parse, lacks "schema" or declares another schema
    exits 2, as does a baseline with nothing to gate. Families no gate
@@ -32,6 +33,7 @@ let gates =
   [
     gate "experiments" "engine_ops_per_s" Higher ~normalized:true;
     gate "experiments" "minor_words_per_engine_op" Lower;
+    gate "experiments" "suspensions" Lower;
     gate "bigmachine" "cycles_per_shootdown" Lower;
     gate "shootout" "initiator_mean" Lower;
     gate "workloads" "throughput" Higher;

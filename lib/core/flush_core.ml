@@ -236,28 +236,6 @@ let initiator_flush m ~from ~user info =
     record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
   result
 
-(* The irq record is fixed per machine (the handler depends only on [m];
-   the responder CPU is recovered from the [Cpu.t] the dispatcher passes
-   in), so each backend registers its handler with the APIC once, at the
-   machine's first shootdown, and sends every IPI by id — the send path
-   then allocates neither irq records nor delivery closures. *)
-let shootdown_irq m handler =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let handler = handler m in
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> handler ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
-
 (* Default user-flush policy for a CPU that is not the initiator (or an
    initiator without the concurrent-flush overlap): defer under §3.4 unless
    page tables are being freed. *)
@@ -265,63 +243,80 @@ let default_user_policy m (info : Flush_info.t) =
   if m.Machine.opts.Opts.in_context_flush && not info.Flush_info.freed_tables then Defer
   else Eager
 
-let flush_pending_user m ~cpu ~has_stack =
-  let opts = m.Machine.opts and costs = m.Machine.costs in
-  if opts.Opts.safe then begin
+(* --- the §3.4 deferred user-PCID flush ---
+
+   [pending_begin] takes the CPU's pending deferred flush. Every form but
+   a ranged flush with a stack is free and ends there, and it returns -1;
+   a ranged one returns the cost of its first step, and [pending_step]
+   runs the rest: step [2i] is the cost of item [i] and [2i + 1] its
+   INVLPG, for [i < pages]; item [pages] is the LFENCE (Spectre-v1: the
+   flush loop's bound must not be speculated past while stale user PTEs
+   linger). Past the last step, [pending_done] traces and meters it. *)
+
+let pending_done m ~cpu ~t0 ~full ~entries =
+  if Machine.tracing m then
+    Machine.trace_event m ~cpu (Trace.Deferred_flush_exec { full; entries });
+  (* The §3.4 deferred-to-return execution runs on the deferring CPU
+     itself; a near-zero sample (the free CR3 NOFLUSH-bit skip) is the
+     optimization's whole point and worth seeing in the p50. *)
+  if Machine.metering m then
+    record_flush m ~rank:0 ~kind:Machine.flush_kind_deferred (Machine.now m - t0)
+
+let pending_step m ~cpu ~pcid (info : Flush_info.t) k =
+  let n = info.Flush_info.pages and costs = m.Machine.costs in
+  let i = k / 2 in
+  if i > n then -1
+  else if k land 1 = 0 then if i < n then costs.Costs.invlpg else costs.Costs.lfence
+  else begin
+    if i < n then
+      Tlb.invlpg
+        (Cpu.tlb (Machine.cpu m cpu))
+        ~current_pcid:pcid ~vpn:(Flush_info.nth_vpn info i);
+    0
+  end
+
+(* Takes the CPU's pending flush and runs it when it is free. Returns the
+   ranged flush the caller must run as steps from the current user PCID,
+   or [No_flush]. *)
+let pending_begin m ~cpu ~has_stack =
+  let opts = m.Machine.opts in
+  if not opts.Opts.safe then Percpu.No_flush
+  else begin
     let pcpu = Machine.percpu m cpu in
-    let tlb = Cpu.tlb (Machine.cpu m cpu) in
-    let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
-    let pending = Percpu.take_pending_user pcpu in
-    let t0 = Machine.now m in
-    (match pending with
-    | Percpu.No_flush -> ()
+    match Percpu.take_pending_user pcpu with
+    | Percpu.No_flush -> Percpu.No_flush
     | (Percpu.Full_flush | Percpu.Ranged _)
       when (match opts.Opts.fault with Some Opts.Skip_deferred_flush -> true | _ -> false)
       ->
         (* Injected protocol bug for the race detector: the deferred user
            flush is silently dropped, leaving stale user-PCID entries live
            past return-to-user. *)
-        tracef m ~cpu "BUG: deferred user flush dropped"
-    | Percpu.Full_flush ->
-        (* The return-to-user CR3 load simply skips the NOFLUSH bit: the
-           whole user PCID is invalidated for free. *)
-        Tlb.cr3_flush tlb ~pcid:user_pcid;
-        if Machine.tracing m then
-          Machine.trace_event m ~cpu
-            (Trace.Deferred_flush_exec { full = true; entries = 0 })
-    | Percpu.Ranged info ->
-        if not has_stack then begin
-          (* No stack to run the INVLPG loop on (e.g. IRET return path). *)
-          Tlb.cr3_flush tlb ~pcid:user_pcid;
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu
-              (Trace.Deferred_flush_exec { full = true; entries = 0 })
-        end
-        else begin
-          (* One charge run: an INVLPG per page, then an LFENCE (item [n]):
-             Spectre-v1, the flush loop's bound must not be speculated past
-             while stale user PTEs linger. *)
-          let n = info.Flush_info.pages in
-          Machine.chain_upto m (n + 1) ~phases:2 (fun i phase ->
-              if phase = 0 then if i < n then costs.Costs.invlpg else costs.Costs.lfence
-              else begin
-                if i < n then
-                  Tlb.invlpg tlb ~current_pcid:user_pcid ~vpn:(Flush_info.nth_vpn info i);
-                0
-              end);
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu
-              (Trace.Deferred_flush_exec { full = false; entries = n })
-        end);
-    match pending with
-    | Percpu.No_flush -> ()
-    | Percpu.Full_flush | Percpu.Ranged _ ->
-        (* The §3.4 deferred-to-return execution runs on the deferring CPU
-           itself; a near-zero sample (the free CR3 NOFLUSH-bit skip) is
-           the optimization's whole point and worth seeing in the p50. *)
+        tracef m ~cpu "BUG: deferred user flush dropped";
         if Machine.metering m then
-          record_flush m ~rank:0 ~kind:Machine.flush_kind_deferred (Machine.now m - t0)
+          record_flush m ~rank:0 ~kind:Machine.flush_kind_deferred 0;
+        Percpu.No_flush
+    | Percpu.Ranged _ as ranged when has_stack -> ranged
+    | Percpu.Full_flush | Percpu.Ranged _ ->
+        (* The return-to-user CR3 load simply skips the NOFLUSH bit: the
+           whole user PCID is invalidated for free. With no stack to run
+           the INVLPG loop on (e.g. the IRET return path), a ranged flush
+           goes the same way. *)
+        Tlb.cr3_flush
+          (Cpu.tlb (Machine.cpu m cpu))
+          ~pcid:(Percpu.user_pcid pcpu.Percpu.curr_asid);
+        pending_done m ~cpu ~t0:(Machine.now m) ~full:true ~entries:0;
+        Percpu.No_flush
   end
+
+let flush_pending_user m ~cpu ~has_stack =
+  match pending_begin m ~cpu ~has_stack with
+  | Percpu.Ranged info ->
+      let t0 = Machine.now m in
+      let pcid = Percpu.user_pcid (Machine.percpu m cpu).Percpu.curr_asid in
+      Machine.chain_item m ~lead:(pending_step m ~cpu ~pcid info 0) cpu (fun cpu k ->
+          pending_step m ~cpu ~pcid info (k + 1));
+      pending_done m ~cpu ~t0 ~full:false ~entries:info.Flush_info.pages
+  | Percpu.No_flush | Percpu.Full_flush -> ()
 
 let return_to_user m ~cpu ~has_stack =
   let cpu_t = Machine.cpu m cpu in
@@ -330,3 +325,61 @@ let return_to_user m ~cpu ~has_stack =
   Machine.trace_event m ~cpu Trace.User_resume;
   Cpu.set_in_user cpu_t true;
   Cpu.irq_enable cpu_t
+
+(* --- the shootdown IRQ ---
+
+   A backend's responder is a charge run: [lead cpu] makes its first
+   charge at handler start, and [visit] its phases. The handler is that
+   run followed, when the IRQ interrupted user mode, by the return-to-user
+   tail: the CPU is about to return to user mode, so any flush deferred by
+   §3.4 must complete first. The tail is more phases of the same run,
+   counted from the phase where it began, with its state beside the run's
+   walker in the CPU's [irq_run].
+
+   The irq record is fixed per machine (the step depends only on [m]; the
+   responder CPU is recovered from the [Cpu.t] the dispatch passes in), so
+   each backend registers its handler with the APIC once, at the machine's
+   first shootdown, and sends every IPI by id — the send path then
+   allocates neither irq records nor delivery closures. *)
+let shootdown_irq m backend =
+  let id = m.Machine.proto_irq_id in
+  if id >= 0 then id
+  else begin
+    let lead, visit = backend m in
+    let lead cpu =
+      (* [irq_run] exists once the handler has started: this is its start. *)
+      (Machine.percpu m cpu).Percpu.irq_run.Percpu.tail <- -1;
+      lead cpu
+    in
+    let handler_visit cpu phase =
+      let pcpu = Machine.percpu m cpu in
+      let r = pcpu.Percpu.irq_run in
+      if r.Percpu.tail < 0 then begin
+        let d = visit cpu phase in
+        if d >= 0 || not (Cpu.irq_from_user pcpu.Percpu.cpu) then d
+        else
+          match pending_begin m ~cpu ~has_stack:true with
+          | Percpu.Ranged info ->
+              r.Percpu.tail <- phase;
+              r.Percpu.tail_info <- info;
+              r.Percpu.tail_t0 <- Machine.now m;
+              r.Percpu.tail_pcid <- Percpu.user_pcid pcpu.Percpu.curr_asid;
+              pending_step m ~cpu ~pcid:r.Percpu.tail_pcid info 0
+          | Percpu.No_flush | Percpu.Full_flush -> -1
+      end
+      else begin
+        let info = r.Percpu.tail_info in
+        let k = phase - r.Percpu.tail in
+        let d = pending_step m ~cpu ~pcid:r.Percpu.tail_pcid info k in
+        if d < 0 then
+          pending_done m ~cpu ~t0:r.Percpu.tail_t0 ~full:false
+            ~entries:info.Flush_info.pages;
+        d
+      end
+    in
+    let step cpu = Machine.irq_run m ~cpu:(Cpu.id cpu) ~lead handler_visit in
+    let irq = { Cpu.vector = Smp.tlb_shootdown_vector; maskable = true; step } in
+    let id = Apic.register_irq m.Machine.apic irq in
+    m.Machine.proto_irq_id <- id;
+    id
+  end

@@ -69,9 +69,15 @@ val flush_tlb_func_impl :
 val initiator_flush :
   Machine.t -> from:int -> user:user_flush -> Flush_info.t -> [ `Skipped | `Full | `Ranged ]
 
-(** The backend's shootdown irq id: [handler] registered with the APIC at
-    the machine's first shootdown and cached in [Machine.proto_irq_id]. *)
-val shootdown_irq : Machine.t -> (Machine.t -> me:int -> Cpu.t -> unit) -> int
+(** The backend's shootdown irq id, registered with the APIC at the
+    machine's first shootdown and cached in [Machine.proto_irq_id].
+    [backend m] gives the responder as a charge run: [lead cpu], made at
+    handler start, returns the cost of its first charge, and [visit] its
+    phases, with {!Machine.chain_item}'s rules. The handler runs that run
+    ({!Machine.irq_run}) and then, when the IRQ interrupted user mode, the
+    return-to-user tail of {!flush_pending_user} as more steps of the
+    same run. *)
+val shootdown_irq : Machine.t -> (Machine.t -> (int -> int) * (int -> int -> int)) -> int
 
 (** [Defer] under §3.4 (unless page tables are freed), else [Eager]. *)
 val default_user_policy : Machine.t -> Flush_info.t -> user_flush

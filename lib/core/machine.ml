@@ -38,19 +38,6 @@ let n_flush_kinds = 4
 let flush_kind_labels = [| "invlpg"; "cr3"; "deferred"; "skipped" |]
 let flush_index ~rank ~kind = (rank * n_flush_kinds) + kind
 
-(* Where a suspended charge run keeps its place: the items (the members of
-   [w_set] when [w_n < 0], else [0 .. w_n - 1]), the visit, and the next
-   (item, phase). [w_step] is the run's step function, built once. *)
-type walker = {
-  mutable w_set : Cpuset.t;
-  mutable w_n : int;
-  mutable w_phases : int;
-  mutable w_visit : int -> int -> int;
-  mutable w_at : int;
-  mutable w_phase : int;
-  mutable w_step : unit -> int;
-}
-
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -93,7 +80,7 @@ type t = {
   stats : stats;
   metrics : Metrics.t;
   phases : phases;
-  mutable walkers : walker array;
+  mutable walkers : Percpu.walker array;
 }
 
 let fresh_stats () =
@@ -232,29 +219,32 @@ let charge_write t line ~by = delay t (Cache.write line ~by)
 let charge_atomic t line ~by = delay t (Cache.atomic line ~by)
 let run t = Engine.run t.engine
 
-(* The charge-run walker under [chain_cpus], [chain_upto] and
-   [chain_item]. Items are the members of [set] when [n < 0], else
+(* The charge-run walker under [chain_cpus], [chain_upto], [chain_item]
+   and [irq_run]. Items are the members of [set] when [n < 0], else
    [0 .. n - 1]; [at = -1] is past the last one, and [d] is the cost due
    before phase [phase] of item [at]. A negative cost from [visit] ends the
-   run at that boundary. While each cost's window is empty the run goes on
-   inline, as [delay]'s fast path does, and allocates nothing. At the
-   first contended window it suspends once, in [Process.tick_sleep], and
-   its boundaries then run in the engine from a walker. A process is in at
-   most one run at a time, and an engine tag names one live process, so
-   each tag keeps one walker and reuses it: a suspended run allocates
-   nothing either. *)
+   run at that boundary. While each cost's window is empty a process's run
+   goes on inline, as [delay]'s fast path does, and allocates nothing. At
+   the first contended window it suspends once, in [Process.tick_sleep],
+   and its boundaries then run in the engine from a walker. A process is
+   in at most one run at a time, and an engine tag names one live process,
+   so each tag keeps one walker and reuses it: a suspended run allocates
+   nothing either. An IRQ handler's run never suspends anything: the CPU's
+   dispatch drives it from the CPU's own walker ([irq_run]). *)
 let next_item set n at =
   if n < 0 then Cpuset.next set (at + 1) else if at + 1 < n then at + 1 else -1
 
 let no_set = Cpuset.create ~bits:0
 let no_visit = Percpu.no_visit
 
-let finish w =
+let finish (w : Percpu.walker) =
   w.w_visit <- no_visit;
   w.w_set <- no_set;
-  0
+  -1
 
-let rec walker_step w () =
+(* The run's next boundary: the visits due now, then the cost of the next
+   boundary, or -1 once the run is over. *)
+let rec walker_next (w : Percpu.walker) =
   if w.w_at < 0 then finish w
   else begin
     let d = w.w_visit w.w_at w.w_phase in
@@ -265,14 +255,14 @@ let rec walker_step w () =
         w.w_phase <- 0;
         w.w_at <- next_item w.w_set w.w_n w.w_at
       end;
-      if d > 0 then d else walker_step w ()
+      if d > 0 then d else walker_next w
     end
   end
 
 let new_walker () =
   let w =
     {
-      w_set = no_set;
+      Percpu.w_set = no_set;
       w_n = 0;
       w_phases = 1;
       w_visit = no_visit;
@@ -281,39 +271,39 @@ let new_walker () =
       w_step = (fun () -> 0);
     }
   in
-  w.w_step <- walker_step w;
+  (* As a [tick_sleep] step, the end of the run resumes the process. *)
+  w.w_step <- (fun () -> Int.max 0 (walker_next w));
   w
-
-(* Stands in for the walker of a tag that has not suspended a run yet;
-   never written. *)
-let no_walker = new_walker ()
 
 let walker_of t =
   let tag = Engine.current_tag t.engine in
   if tag < 0 then invalid_arg "Machine: a charge run outside a process";
   let n = Array.length t.walkers in
   if tag >= n then begin
-    let bigger = Array.make (Int.max (tag + 1) (2 * n)) no_walker in
+    let bigger = Array.make (Int.max (tag + 1) (2 * n)) Percpu.no_walker in
     Array.blit t.walkers 0 bigger 0 n;
     t.walkers <- bigger
   end;
   let w = t.walkers.(tag) in
-  if w != no_walker then w
+  if w != Percpu.no_walker then w
   else begin
     let w = new_walker () in
     t.walkers.(tag) <- w;
     w
   end
 
+let set_run (w : Percpu.walker) set n phases visit at phase =
+  w.w_set <- set;
+  w.w_n <- n;
+  w.w_phases <- phases;
+  w.w_visit <- visit;
+  w.w_at <- at;
+  w.w_phase <- phase
+
 let rec walk t set n phases visit at phase d =
   if d > 0 && not (Engine.try_advance t.engine ~cycles:d) then begin
     let w = walker_of t in
-    w.w_set <- set;
-    w.w_n <- n;
-    w.w_phases <- phases;
-    w.w_visit <- visit;
-    w.w_at <- at;
-    w.w_phase <- phase;
+    set_run w set n phases visit at phase;
     Process.tick_sleep t.engine ~first:d w.w_step
   end
   else if at >= 0 then begin
@@ -330,6 +320,20 @@ let chain_upto t ?(lead = 0) n ~phases visit =
   walk t no_set n phases visit (if n > 0 then 0 else -1) 0 lead
 
 let chain_item t ~lead item visit = walk t no_set (item + 1) max_int visit item 0 lead
+
+(* [chain_item] as the step of [cpu]'s IRQ handler. A walker that holds no
+   run marks a handler start; the CPU runs one handler at a time, so one
+   walker per CPU serves every handler it runs. *)
+let irq_run t ~cpu ~lead visit =
+  let p = t.percpu.(cpu) in
+  if p.Percpu.irq_run == Percpu.no_irq_run then
+    p.Percpu.irq_run <- Percpu.new_irq_run (new_walker ());
+  let w = p.Percpu.irq_run.Percpu.run in
+  if w.w_visit == no_visit then begin
+    set_run w no_set (cpu + 1) max_int visit cpu 0;
+    lead cpu
+  end
+  else walker_next w
 
 let engine_ops t = Engine.ops t.engine
 
@@ -386,10 +390,6 @@ let ipi_invariants t add_failure =
       let n = Cpu.pending_irqs cpu in
       if n > 0 then
         add_failure (Printf.sprintf "cpu%d: %d IRQ(s) pending at quiescence" i n);
-      let d = Cpu.busy_dispatchers cpu in
-      if d > 0 then
-        add_failure
-          (Printf.sprintf "cpu%d: %d IRQ dispatcher(s) suspended at quiescence" i d);
       if Cpu.draining cpu then
         add_failure (Printf.sprintf "cpu%d: IRQ drain still running at quiescence" i))
     t.cpus

@@ -42,9 +42,6 @@ val flush_kind_skipped : int
 (** [flush_index ~rank ~kind] is the {!phases.flush} index. *)
 val flush_index : rank:int -> kind:int -> int
 
-(** A suspended charge run's place (see {!chain_cpus}). *)
-type walker
-
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -94,9 +91,11 @@ type t = {
       (** Phase-latency metric registry; enabled iff the machine was
           created with [~metering:true]. *)
   phases : phases;
-  mutable walkers : walker array;
-      (** one per engine tag: where a suspended charge run of the process
-          holding that tag keeps its place *)
+  mutable walkers : Percpu.walker array;
+      (** one per engine tag that has suspended a charge run: where a
+          suspended run of the process holding that tag keeps its place.
+          Tags are reused, so there are never more than the engine's
+          peak of live handlers. *)
 }
 
 (** [create ~opts ()] builds a machine. Defaults: the paper's 2x14x2
@@ -161,6 +160,15 @@ val chain_upto : t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> u
     place between boundaries in per-CPU state. *)
 val chain_item : t -> lead:int -> int -> (int -> int -> int) -> unit
 
+(** [irq_run t ~cpu ~lead visit] is [chain_item t ~lead:(lead cpu) cpu
+    visit] written as the step of an IRQ handler on [cpu] ({!Cpu.irq}):
+    the first call, at the handler's start, makes [lead cpu]'s charge and
+    returns its cost; each later call, at a boundary, runs the visits due
+    there and returns the cost of the next boundary, or a negative value
+    once a visit has ended the run. The run keeps its place in the CPU's
+    [irq_run], so it suspends nothing and allocates nothing. *)
+val irq_run : t -> cpu:int -> lead:(int -> int) -> (int -> int -> int) -> int
+
 (** Run the engine until idle. *)
 val run : t -> unit
 
@@ -198,7 +206,7 @@ val begin_window : t -> cpu:int -> Flush_info.t -> Checker.token
 val end_window : t -> cpu:int -> mm_id:int -> Checker.token -> unit
 
 (** IPI conservation at quiescence: the IPIs the APIC sent equal the IRQs
-    the CPUs handled, and no CPU has an IRQ pending, a detached dispatcher
-    suspended in a handler, or a drain still running. Calls [add_failure]
+    the CPUs handled, and no CPU has an IRQ pending or a drain still
+    running. Calls [add_failure]
     once per broken rule. Only meaningful once the engine has drained. *)
 val ipi_invariants : t -> (string -> unit) -> unit

@@ -77,6 +77,123 @@ let new_flush () =
    written. *)
 let no_flush = new_flush ()
 
+(* A charge run's place between boundaries (Machine's walker): the items
+   (the members of [w_set] when [w_n < 0], else [0 .. w_n - 1]), the
+   visit, and the next (item, phase). [w_visit] is [no_visit] while no
+   run holds the walker, and [w_step] is the run's step, built once. *)
+type walker = {
+  mutable w_set : Cpuset.t;
+  mutable w_n : int;
+  mutable w_phases : int;
+  mutable w_visit : int -> int -> int;
+  mutable w_at : int;
+  mutable w_phase : int;
+  mutable w_step : unit -> int;
+}
+
+(* Stands in for a walker not built yet; never written. *)
+let no_walker =
+  {
+    w_set = Cpuset.create ~bits:0;
+    w_n = 0;
+    w_phases = 1;
+    w_visit = no_visit;
+    w_at = -1;
+    w_phase = 0;
+    w_step = (fun () -> 0);
+  }
+
+(* A CPU's IRQ handler run between boundaries (Machine.irq_run), and the
+   return-to-user tail Flush_core.shootdown_irq appends to it. Built at
+   the CPU's first IRQ handler run, so a CPU that never takes one pays
+   one word. *)
+type irq_run = {
+  run : walker;
+  mutable tail : int; (* the run phase the tail began at, or -1 *)
+  mutable tail_info : Flush_info.t; (* the tail's ranged deferred flush ... *)
+  mutable tail_pcid : int; (* ... the user PCID it invalidates ... *)
+  mutable tail_t0 : int; (* ... and when it began *)
+}
+
+let new_irq_run run =
+  {
+    run;
+    tail = -1;
+    tail_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
+    tail_pcid = 0;
+    tail_t0 = 0;
+  }
+
+let no_irq_run = new_irq_run no_walker
+
+(* Queue_spin ring capacity. Charmos-style: small and bounded — overflow is
+   expected under bursts and collapses to a flush-all rather than blocking
+   the initiator. *)
+let queue_slots = 8
+
+(* Queue_spin's per-CPU state: the ring of posted invalidations and its
+   line, the responder's place in its drain run, and the initiator's ack
+   wait. Built at the CPU's first use of the backend, so machines that run
+   another backend do not pay for it on every CPU. *)
+type queue_state = {
+  q_mm : int array; (* bounded ring of posted invalidations: mm ids ... *)
+  q_vpn : int array; (* ... vpns ... *)
+  q_from : int array; (* ... and posting initiators, for distance attribution *)
+  mutable q_head : int; (* ring cursors, monotone; slot = cursor mod size *)
+  mutable q_tail : int;
+  mutable q_flush_all : bool;
+      (* overflow collapse: the ring filled, so the next drain does one
+         whole-TLB flush instead of replaying entries *)
+  mutable q_target_gen : int; (* newest queue generation posted to us *)
+  mutable q_ack_gen : int; (* queue generation we have drained up to *)
+  line_queue : Cache.line; (* the ring's shared cache line *)
+  mutable q_step : int; (* what the responder's run does next *)
+  mutable q_base : int; (* the run phase the entry in hand began at *)
+  mutable q_mm_id : int; (* the entry in hand: mm, vpn, initiator *)
+  mutable q_at_vpn : int;
+  mutable q_by : int;
+  mutable q_hit : bool; (* the ASID slot in hand caches the entry's mm *)
+  mutable q_t0 : int; (* when the entry or flush-all in hand began *)
+  scratch_resend : Cpuset.t;
+      (* retry-ladder resend scratch: rebuilt as the un-acked subset of
+         scratch_targets at each resend, while scratch_targets still holds
+         the full set the ack wait checks. *)
+  mutable q_wait_gen : int; (* the generation every target must reach *)
+  mutable q_deadline : int; (* the retry ladder's next resend time *)
+  mutable q_ready : unit -> bool; (* the ack wait's poll predicate *)
+}
+
+let no_ready () = true
+
+let new_queue_state registry =
+  {
+    q_mm = Array.make queue_slots (-1);
+    q_vpn = Array.make queue_slots 0;
+    q_from = Array.make queue_slots 0;
+    q_head = 0;
+    q_tail = 0;
+    q_flush_all = false;
+    q_target_gen = 0;
+    q_ack_gen = 0;
+    line_queue = Cache.create_line registry;
+    q_step = 0;
+    q_base = 0;
+    q_mm_id = -1;
+    q_at_vpn = 0;
+    q_by = 0;
+    q_hit = false;
+    q_t0 = 0;
+    scratch_resend = Cpuset.create ~bits:0;
+    q_wait_gen = 0;
+    q_deadline = 0;
+    q_ready = no_ready;
+  }
+
+(* A CPU that never used the backend: an empty ring, nothing posted or
+   pending. Never written. *)
+let no_queue_state =
+  new_queue_state (Cache.create_registry (Topology.flat 1) Costs.default)
+
 (* Monomorphic test used wherever a [pending_user = No_flush] compare would
    drag in the polymorphic-equality runtime (tlblint R1). *)
 let no_pending_user = function No_flush -> true | Ranged _ | Full_flush -> false
@@ -101,6 +218,7 @@ type t = {
   mutable csd_released : int; (* ... those executed and acked here *)
   mutable irq_flush : flush;
   mutable task_flush : flush;
+  mutable irq_run : irq_run; (* [no_irq_run] before the first IRQ handler *)
   line_tlb : Cache.line;
   line_csq : Cache.line;
   mutable csd_lines : Cache.line option array;
@@ -116,36 +234,16 @@ type t = {
          shootdown without allocation: a CPU runs one initiator at a time
          (no preemption of a syscall mid-protocol), and nothing that runs
          from this CPU's IRQ handlers selects targets. *)
-  scratch_resend : Cpuset.t;
-      (* retry-ladder resend scratch (Proto_queue): rebuilt as the un-acked
-         subset of scratch_targets at each resend, while scratch_targets
-         still holds the full set the ack wait folds over. *)
   (* --- Sync_broadcast backend (cronus-style) --- *)
   mutable sync_done : bool;
       (* this CPU's entry in the protocol-wide status table: set by the
          responder once it has applied the posted flush, cleared by the
          initiator (under the global lock) before broadcasting. *)
   (* --- Queue_spin backend (charmos-style) --- *)
-  q_mm : int array;  (* bounded per-CPU ring of posted invalidations *)
-  q_vpn : int array;
-  q_gen : int array;  (* mm tlb_gen the posted entry proves flushed *)
-  q_from : int array;  (* posting initiator, for distance attribution *)
-  mutable q_head : int;  (* ring cursors, monotone; slot = cursor mod size *)
-  mutable q_tail : int;
-  mutable q_flush_all : bool;
-      (* overflow collapse: the ring filled, so the next drain does one
-         whole-TLB flush instead of replaying entries *)
-  mutable q_target_gen : int;  (* newest queue generation posted to us *)
-  mutable q_ack_gen : int;  (* queue generation we have drained up to *)
-  line_queue : Cache.line;  (* the ring's shared cache line *)
+  mutable q_state : queue_state;  (* [no_queue_state] before first use *)
 }
 
 let n_asids = 6
-
-(* Queue_spin ring capacity. Charmos-style: small and bounded — overflow is
-   expected under bursts and collapses to a flush-all rather than blocking
-   the initiator. *)
-let queue_slots = 8
 
 let create cpu registry =
   {
@@ -168,23 +266,14 @@ let create cpu registry =
     csd_released = 0;
     irq_flush = no_flush;
     task_flush = no_flush;
+    irq_run = no_irq_run;
     line_tlb = Cache.create_line registry;
     line_csq = Cache.create_line registry;
     csd_lines = [||];
     line_stack_info = Cache.create_line registry;
     scratch_targets = Cpuset.create ~bits:0;
-    scratch_resend = Cpuset.create ~bits:0;
     sync_done = true;
-    q_mm = Array.make queue_slots (-1);
-    q_vpn = Array.make queue_slots 0;
-    q_gen = Array.make queue_slots 0;
-    q_from = Array.make queue_slots 0;
-    q_head = 0;
-    q_tail = 0;
-    q_flush_all = false;
-    q_target_gen = 0;
-    q_ack_gen = 0;
-    line_queue = Cache.create_line registry;
+    q_state = no_queue_state;
   }
 
 let csd_line t ~target =

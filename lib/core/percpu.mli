@@ -75,6 +75,89 @@ val no_visit : int -> int -> int
 (** Stands in for a CPU's flush records until its first flush. *)
 val no_flush : flush
 
+(** A charge run's place between its boundaries: the items (the members
+    of [w_set] when [w_n < 0], else [0 .. w_n - 1]), the visit, and the
+    next (item, phase). {!Machine} runs it; a process keeps one per engine
+    tag and a CPU one for its IRQ handlers. [w_visit] is {!no_visit}
+    while no run holds the walker. *)
+type walker = {
+  mutable w_set : Cpuset.t;
+  mutable w_n : int;
+  mutable w_phases : int;
+  mutable w_visit : int -> int -> int;
+  mutable w_at : int;
+  mutable w_phase : int;
+  mutable w_step : unit -> int;  (** the run's step, built once *)
+}
+
+(** Stands in for a walker not built yet; never written. *)
+val no_walker : walker
+
+(** A CPU's IRQ handler run between its boundaries ({!Machine.irq_run}),
+    and the return-to-user tail {!Flush_core.shootdown_irq} appends to
+    it: one handler runs per CPU at a time, so one record serves them
+    all. *)
+type irq_run = {
+  run : walker;  (** the run's place *)
+  mutable tail : int;
+      (** the run phase where the tail began, or -1 while the backend's
+          part runs *)
+  mutable tail_info : Flush_info.t;  (** the tail's ranged deferred flush *)
+  mutable tail_pcid : int;  (** the user PCID it invalidates *)
+  mutable tail_t0 : int;  (** when the tail began, for metering *)
+}
+
+(** A record for a CPU's first IRQ handler run, on walker [run]. *)
+val new_irq_run : walker -> irq_run
+
+(** Stands in for a CPU's [irq_run] until its first; never written. *)
+val no_irq_run : irq_run
+
+(** [Queue_spin] ring capacity; pushing past it sets [q_flush_all]. *)
+val queue_slots : int
+
+(** [Queue_spin]'s per-CPU state: the ring of posted invalidations and its
+    line, the responder's place in its drain run, and the initiator's ack
+    wait. *)
+type queue_state = {
+  q_mm : int array;  (** the ring: posted mm ids ... *)
+  q_vpn : int array;  (** ... posted vpns ... *)
+  q_from : int array;  (** ... and posting initiators *)
+  mutable q_head : int;  (** consumer cursor (monotone; slot = mod size) *)
+  mutable q_tail : int;  (** producer cursor *)
+  mutable q_flush_all : bool;  (** ring overflowed; drain as whole-TLB flush *)
+  mutable q_target_gen : int;  (** newest queue generation posted to us *)
+  mutable q_ack_gen : int;  (** queue generation drained up to *)
+  line_queue : Cache.line;  (** the ring's shared cache line *)
+  mutable q_step : int;  (** what the responder's run does next *)
+  mutable q_base : int;  (** the run phase the entry in hand began at *)
+  mutable q_mm_id : int;  (** the entry in hand: its mm ... *)
+  mutable q_at_vpn : int;  (** ... its vpn ... *)
+  mutable q_by : int;  (** ... and its posting initiator *)
+  mutable q_hit : bool;  (** the ASID slot in hand caches the entry's mm *)
+  mutable q_t0 : int;  (** when the entry or flush-all in hand began *)
+  scratch_resend : Cpuset.t;
+      (** retry-ladder scratch: the un-acked subset of the initiator's
+          [scratch_targets], rebuilt per resend *)
+  mutable q_wait_gen : int;
+      (** the queue generation every target of this CPU's shootdown must
+          drain to *)
+  mutable q_deadline : int;  (** the retry ladder's next resend time *)
+  mutable q_ready : unit -> bool;
+      (** the ack wait's poll predicate, built at the first wait *)
+}
+
+(** A fresh queue state with an empty ring and its line in [registry]; its
+    [q_ready] is {!no_ready}. *)
+val new_queue_state : Cache.registry -> queue_state
+
+(** Stands in for a CPU's [q_state] until its first use: an empty ring,
+    nothing posted or pending. Never written. *)
+val no_queue_state : queue_state
+
+(** Stands in for [q_ready] until it is built. *)
+val no_ready : unit -> bool
+
 type t = {
   cpu : Cpu.t;
   registry : Cache.registry;  (** for lazily creating CSD lines *)
@@ -105,6 +188,9 @@ type t = {
           {!no_flush} until the first *)
   mutable task_flush : flush;
       (** the flush of a process on this CPU; {!no_flush} until the first *)
+  mutable irq_run : irq_run;
+      (** where this CPU's IRQ handler run is between boundaries;
+          {!no_irq_run} until the first *)
   line_tlb : Cache.line;
   line_csq : Cache.line;
   mutable csd_lines : Cache.line option array;
@@ -118,22 +204,12 @@ type t = {
       (** this CPU's shootdown target scratch set, reused across its
           shootdowns (one initiator per CPU at a time, and IRQ handlers
           never select targets) *)
-  scratch_resend : Cpuset.t;
-      (** [Queue_spin] retry-ladder scratch: the un-acked subset of
-          [scratch_targets], rebuilt per resend *)
   mutable sync_done : bool;
       (** [Sync_broadcast] status-table entry: true once this CPU has applied
           the posted flush (initiator clears it before broadcasting) *)
-  q_mm : int array;  (** [Queue_spin] ring: posted mm ids *)
-  q_vpn : int array;  (** posted vpns *)
-  q_gen : int array;  (** mm tlb_gen each posted entry proves flushed *)
-  q_from : int array;  (** posting initiator, for distance attribution *)
-  mutable q_head : int;  (** consumer cursor (monotone; slot = mod size) *)
-  mutable q_tail : int;  (** producer cursor *)
-  mutable q_flush_all : bool;  (** ring overflowed; drain as whole-TLB flush *)
-  mutable q_target_gen : int;  (** newest queue generation posted to us *)
-  mutable q_ack_gen : int;  (** queue generation drained up to *)
-  line_queue : Cache.line;  (** the ring's shared cache line *)
+  mutable q_state : queue_state;
+      (** [Queue_spin]'s handler and ack-wait state; {!no_queue_state}
+          until the CPU first uses the backend *)
 }
 
 val create : Cpu.t -> Cache.registry -> t
@@ -145,9 +221,6 @@ val csd_line : t -> target:int -> Cache.line
 (** ASID slots per CPU (6, as in Linux's [TLB_NR_DYN_ASIDS]). *)
 val n_asids : int
 [@@tlblint.allow "R5 state accessor: tests size ASID-recycling runs by it"]
-
-(** [Queue_spin] ring capacity; pushing past it sets [q_flush_all]. *)
-val queue_slots : int
 
 (** Hardware PCID values for a slot (user PCID has bit 11 set, like Linux).
     In unsafe mode (no PTI) only the kernel PCID is used. *)

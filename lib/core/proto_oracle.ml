@@ -42,13 +42,7 @@ let work m cfd phase =
       Smp.ack_landed m ~me cfd;
       -1
 
-let ipi_handler m =
-  let drain = Smp.drain_queue m ~work:(work m) in
-  fun ~me cpu ->
-    drain ~me;
-    if Cpu.irq_from_user cpu then flush_pending_user m ~cpu:me ~has_stack:true
-
-let irq_id m = shootdown_irq m ipi_handler
+let irq_id m = shootdown_irq m (fun m -> Smp.drain_queue m ~work:(work m))
 
 let perform m ~from ~mm:_ (info : Flush_info.t) token =
   let stats = m.Machine.stats in

@@ -59,16 +59,9 @@ and flushed m cfd f =
   (Machine.percpu m me).Percpu.inflight_flush <- false;
   if cfd.Percpu.cfd_early_ack then -1 else Smp.ack_write m ~me cfd
 
-(* The shootdown IPI handler run by responder CPUs. *)
-let ipi_handler m =
-  let drain = Smp.drain_queue m ~work:(work m) in
-  fun ~me cpu ->
-    drain ~me;
-    (* If we interrupted user mode we are about to return to it: any flush
-       deferred by §3.4 must complete first. *)
-    if Cpu.irq_from_user cpu then flush_pending_user m ~cpu:me ~has_stack:true
-
-let irq_id m = shootdown_irq m ipi_handler
+(* The shootdown IPI handler run by responder CPUs: a drain of the call
+   queue. *)
+let irq_id m = shootdown_irq m (fun m -> Smp.drain_queue m ~work:(work m))
 
 (* Initiator-side local flush. Returns the list of user VPNs left for the
    §3.4/§3.1 interplay to flush during the ack wait (empty otherwise). *)

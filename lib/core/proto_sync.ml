@@ -7,11 +7,13 @@
    exactly the contention the paper's protocol avoids and the shootout
    report prices.
 
-   Blocked waiters are safe: a CPU parked in Rwsem.down_write still services
-   IPIs (Cpu.post_irq dispatches detached handlers), so an initiator-to-be
-   can acknowledge the current broadcast while queueing for the lock — the
-   same argument that keeps the paper protocol's [serialized] mode
-   deadlock-free. *)
+   Blocked waiters are safe: a CPU whose process is parked in
+   Rwsem.down_write is in kernel context, so Cpu.post_irq starts a
+   detached drain there, and the responder's handler, a step function
+   driven by the CPU's own dispatch events, runs to completion without
+   that process. An initiator-to-be thus acknowledges the current
+   broadcast while queueing for the lock — the same argument that keeps
+   the paper protocol's [serialized] mode deadlock-free. *)
 
 open Flush_core
 
@@ -42,8 +44,8 @@ let set_done m ~me (f : Percpu.flush) =
    The whole response is one charge run: the status read as its lead,
    the flush's steps (none when it is skipped, the common case on a big
    machine, where most responders never loaded the mm), then the done-bit
-   atomic. [visit] is built once per machine. *)
-let ipi_handler m =
+   atomic. [lead] and [visit] are built once per machine. *)
+let responder m =
   let line = m.Machine.line_sync_status in
   let visit me phase =
     let f = irq_flush m ~cpu:me in
@@ -59,11 +61,9 @@ let ipi_handler m =
     end
     else -1
   in
-  fun ~me cpu ->
-    Machine.chain_item m ~lead:(Cache.read line ~by:me) me visit;
-    if Cpu.irq_from_user cpu then flush_pending_user m ~cpu:me ~has_stack:true
+  ((fun me -> Cache.read line ~by:me), visit)
 
-let irq_id m = shootdown_irq m ipi_handler
+let irq_id m = shootdown_irq m responder
 
 let perform m ~from ~mm:_ (info : Flush_info.t) token =
   let stats = m.Machine.stats in

@@ -124,9 +124,8 @@ let drain_queue m ~work =
               fetch pcpu ~me phase
             end
   in
-  fun ~me ->
-    let pcpu = Machine.percpu m me in
-    Machine.chain_item m ~lead:(Cache.read pcpu.Percpu.line_csq ~by:me) me visit
+  let lead me = Cache.read (Machine.percpu m me).Percpu.line_csq ~by:me in
+  (lead, visit)
 
 (* CSD conservation: every CFD queued on a CPU was fetched, executed and
    acked there by quiescence. *)

@@ -46,8 +46,9 @@ val enqueue_work :
 val send_ipis : Machine.t -> from:int -> targets:Cpuset.t -> irq_id:int -> unit
 
 (** [drain_queue m ~work] builds, once per machine, the responder's drain
-    of its call queue; apply it as [drain ~me]. The drain is one charge run
-    ({!Machine.chain_item}): the queue-line read, then for each CFD in FIFO
+    of its call queue as one charge run ({!Machine.chain_item}), returned
+    as [(lead, visit)]: [lead me] is the queue-line read, and [visit me]
+    runs the phases after it: for each CFD in FIFO
     order the CSD-line read and, under the baseline layout, the info-line
     read and a page walk, then [work cfd 0], [work cfd 1], ... — the
     backend's phases, which follow the rules of a charge-run visit — until
@@ -55,7 +56,7 @@ val send_ipis : Machine.t -> from:int -> targets:Cpuset.t -> irq_id:int -> unit
     that leaves the queue empty. A request counts as released when [work]
     has left it executed and acked (see {!csd_quiescent}). *)
 val drain_queue :
-  Machine.t -> work:(Percpu.cfd -> int -> int) -> me:int -> unit
+  Machine.t -> work:(Percpu.cfd -> int -> int) -> (int -> int) * (int -> int -> int)
 
 (** An ack as two phases of a [work] run: [ack_write m ~me cfd] flips the
     CFD's ack flag and returns the cost of the line write (0, and nothing

@@ -95,30 +95,32 @@ let send_ipi_id t ~from ~targets ~irq_id =
   let cluster_of = t.cluster_of in
   Cpuset.iter (fun cpu -> Cpuset.set sc cluster_of.(cpu)) targets;
   let send_cost = ref 0 in
-  Cpuset.iter
-    (fun cluster ->
-      (* Each ICR write happens after the previous one; targets of later
-         clusters see correspondingly later delivery. *)
-      t.n_icr <- t.n_icr + 1;
-      send_cost := !send_cost + t.cost.icr_write;
-      let offset = !send_cost in
-      Array.iter
-        (fun target ->
-          if Cpuset.mem targets target then begin
-            t.n_ipis <- t.n_ipis + 1;
-            let d = Topology.distance t.topo from target in
-            let latency = Costs.ipi_latency t.cost d in
-            (* Delivery = queueing behind earlier ICR writes + flight time;
-               this is what the target experiences from the first ICR
-               write. *)
-            (match t.meter with
-            | Some f -> f (Topology.distance_rank d) (offset + latency)
-            | None -> ());
-            Engine.schedule_tag t.eng ~delay:(offset + latency) ~tag:t.deliver_tag
-              ~a:target ~b:irq_id
-          end)
-        t.cluster_members.(cluster))
-    sc;
+  let cluster = ref (Cpuset.next sc 0) in
+  while !cluster >= 0 do
+    (* Each ICR write happens after the previous one; targets of later
+       clusters see correspondingly later delivery. *)
+    t.n_icr <- t.n_icr + 1;
+    send_cost := !send_cost + t.cost.icr_write;
+    let offset = !send_cost in
+    let members = t.cluster_members.(!cluster) in
+    for i = 0 to Array.length members - 1 do
+      let target = members.(i) in
+      if Cpuset.mem targets target then begin
+        t.n_ipis <- t.n_ipis + 1;
+        let d = Topology.distance t.topo from target in
+        let latency = Costs.ipi_latency t.cost d in
+        (* Delivery = queueing behind earlier ICR writes + flight time;
+           this is what the target experiences from the first ICR
+           write. *)
+        (match t.meter with
+        | Some f -> f (Topology.distance_rank d) (offset + latency)
+        | None -> ());
+        Engine.schedule_tag t.eng ~delay:(offset + latency) ~tag:t.deliver_tag
+          ~a:target ~b:irq_id
+      end
+    done;
+    cluster := Cpuset.next sc (!cluster + 1)
+  done;
   !send_cost
 
 let ipis_sent t = t.n_ipis

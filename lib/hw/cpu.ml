@@ -13,8 +13,6 @@ type t = {
          and with IRQs unmasked any pending IRQ is. *)
   mutable dispatch_tag : int;
       (* engine handler of detached dispatch, -1 until the first one *)
-  mutable dispatchers : Process.pool option;
-      (* processes that run detached handlers, made with [dispatch_tag] *)
   deferred : irq Queue.t;
       (* scratch for [service_pending]: masked IRQs awaiting re-queue.
          Empty outside a drain; preallocated so drains allocate nothing. *)
@@ -36,22 +34,15 @@ type t = {
          only legal in kernel context or on an empty CPU. *)
   mutable quiesce_step : unit -> int;
       (* [quiesce_and_mask]'s poll tick, built at its first wait *)
+  mutable service_step : unit -> int;
+      (* [run_irq]'s step, built at the first service-point IRQ *)
+  mutable exiting : bool; (* [run_irq]: the handler is over, its exit runs *)
 }
 
-and irq = { vector : int; maskable : bool; handler : t -> unit }
+and irq = { vector : int; maskable : bool; step : t -> int }
 
-(* Dispatch-process names for the common CPU-id range, interned once at
-   module init: every machine names the dispatchers of its CPUs, and the
-   string is immutable, so machines (and domains) share one table. *)
-let dispatch_names =
-  Array.init 64 (fun id -> Printf.sprintf "irq-dispatch-cpu%d" id)
-
-let dispatch_name_of id =
-  if id < Array.length dispatch_names then dispatch_names.(id)
-  else Printf.sprintf "irq-dispatch-cpu%d" id
-
-let no_irq = { vector = -1; maskable = true; handler = ignore }
-let no_quiesce () = 0
+let no_irq = { vector = -1; maskable = true; step = (fun _ -> -1) }
+let no_step () = 0
 
 let create eng topo cost ~id ~safe ?tlb_capacity () =
   if id < 0 || id >= Topology.n_cpus topo then
@@ -67,7 +58,6 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     pending = Queue.create ();
     pending_unmaskable = 0;
     dispatch_tag = -1;
-    dispatchers = None;
     deferred = Queue.create ();
     user = true;
     draining = false;
@@ -80,14 +70,13 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     irq_was_user = false;
     service_depth = 0;
     occupancy = 0;
-    quiesce_step = no_quiesce;
+    quiesce_step = no_step;
+    service_step = no_step;
+    exiting = false;
   }
 
 let id t = t.cpu_id
 let draining t = t.draining
-
-let busy_dispatchers t =
-  match t.dispatchers with Some pool -> Process.busy_members pool | None -> 0
 
 let irq_from_user t = t.from_user_irq
 let tlb t = t.cpu_tlb
@@ -103,23 +92,23 @@ let has_deliverable t =
   t.pending_unmaskable > 0 || ((not t.masked) && Queue.length t.pending > 0)
 
 (* Would a [service_pending] call right now actually run handlers? While a
-   drain is in progress (e.g. a detached irq-dispatch interleaved on this
-   CPU is mid-handler), it would be a guarded no-op — so a poll boundary
+   drain is in progress (e.g. a detached drain interleaved on this CPU is
+   mid-handler), it would be a guarded no-op — so a poll boundary
    with deliverable IRQs but [draining] set has nothing to do, exactly as
    the pre-fused loops found when they woke, no-opped and re-slept. Resume
    conditions for fused ticks use this so such boundaries stay inside the
    engine handler. *)
 let serviceable t = has_deliverable t && not t.draining
 
-(* One IRQ is an entry delay, the handler and an exit delay. The prologue
-   and epilogue around them are shared by the two ways an IRQ runs: inside
-   a process at a service point ([run_irq]), and detached, driven by the
-   CPU's dispatch handler ([dispatch]). Only one drain runs per CPU at a
-   time ([draining]), so the IRQ in service lives in the CPU record and
-   [from_user_irq] is false outside a handler. Entry cost depends on
-   mitigation mode and on the privilege we interrupt; entry + handler +
-   exit is charged to interrupted_cycles. The prologue returns the entry
-   cost. *)
+(* One IRQ is an entry delay, the handler's steps and an exit delay. The
+   prologue and epilogue around them are shared by the two ways an IRQ
+   runs: as a charge run of the process at a service point ([run_irq]),
+   and detached, driven by the CPU's dispatch handler ([dispatch]). Only
+   one drain runs per CPU at a time ([draining]), so the IRQ in service
+   lives in the CPU record and [from_user_irq] is false outside a handler.
+   Entry cost depends on mitigation mode and on the privilege we
+   interrupt; entry + handler + exit is charged to interrupted_cycles. The
+   prologue returns the entry cost. *)
 let irq_prologue t irq =
   let was_user = t.user in
   t.irq <- irq;
@@ -135,11 +124,34 @@ let irq_epilogue t =
   t.t_handled <- t.t_handled + 1;
   t.t_interrupted <- t.t_interrupted + (Engine.now t.eng - t.irq_started)
 
+(* [run_irq]'s step at each boundary after the entry: the handler's steps
+   (a zero cost goes straight on), then the exit, then the epilogue, which
+   resumes the process. *)
+let rec service_step t () =
+  if t.exiting then begin
+    irq_epilogue t;
+    0
+  end
+  else begin
+    let d = t.irq.step t in
+    if d > 0 then d
+    else if d = 0 then service_step t ()
+    else begin
+      t.exiting <- true;
+      let exit = t.cost.irq_exit in
+      if exit > 0 then exit else service_step t ()
+    end
+  end
+
+(* At a service point the whole IRQ is one charge run of the servicing
+   process: at most one suspension, at the same event times as a [delay]
+   for the entry, for each handler step and for the exit. *)
 let run_irq t irq =
-  Process.delay t.eng (irq_prologue t irq);
-  irq.handler t;
-  Process.delay t.eng t.cost.irq_exit;
-  irq_epilogue t
+  if t.service_step == no_step then t.service_step <- service_step t;
+  let entry = irq_prologue t irq in
+  t.exiting <- false;
+  if entry > 0 then Process.tick_sleep t.eng ~first:entry t.service_step
+  else Process.chain t.eng t.service_step
 
 (* Deferral parks masked IRQs on the preallocated per-CPU [deferred] queue
    (empty outside a drain), so the overwhelmingly common
@@ -171,18 +183,21 @@ let service_pending t =
   end
 
 (* Detached dispatch: the same drain, driven by engine events on the CPU's
-   dispatch handler. Event [a = 0] starts the drain, [1] is an entry
-   boundary and [2] an exit boundary; each is scheduled exactly where a
-   process delaying through entry and exit would wake, so event order is
-   that of [run_irq]'s delays. Only the
-   handler body, which may suspend, runs in a pooled process, started
-   synchronously at its entry boundary. When a delay is free ([try_advance]
-   succeeds, or it costs nothing) the drain goes straight on: after a
-   handler, in the same process, to the next IRQ's handler.
+   dispatch handler, with no process at all. Event [a = 0] starts the
+   drain, [1] is a boundary where the handler's next step is due (the
+   entry's end, or a cost the handler returned) and [2] is an exit
+   boundary; each is scheduled exactly where [run_irq]'s charge run would
+   put its boundary, so event times and order are the same. A cost whose
+   window is empty ([try_advance] succeeds), or zero, goes straight on:
+   after a handler's exit, to the next IRQ's entry and handler.
 
    [next_irq] pops up to the next deliverable IRQ and runs its prologue. It
-   returns [true] when the handler is due now, [false] when the entry
-   boundary is scheduled or the drain is over. *)
+   returns [true] when the handler's first step is due now, [false] when
+   the entry boundary is scheduled or the drain is over. *)
+let ev_start = 0
+let ev_step = 1
+let ev_exit = 2
+
 let rec next_irq t =
   if Queue.is_empty t.pending then begin
     end_drain t;
@@ -194,7 +209,7 @@ let rec next_irq t =
       let entry = irq_prologue t irq in
       if entry = 0 || Engine.try_advance t.eng ~cycles:entry then true
       else begin
-        Engine.schedule_tag t.eng ~delay:entry ~tag:t.dispatch_tag ~a:1 ~b:0;
+        Engine.schedule_tag t.eng ~delay:entry ~tag:t.dispatch_tag ~a:ev_step ~b:0;
         false
       end
     end
@@ -204,43 +219,42 @@ let rec next_irq t =
     end
   end
 
-(* The pooled processes' body: handlers, with the exit delays between them
-   that take the fast path. *)
-let run_handlers t () =
-  try
-    let go = ref true in
-    while !go do
-      t.irq.handler t;
-      let exit = t.cost.irq_exit in
-      if exit = 0 || Engine.try_advance t.eng ~cycles:exit then begin
-        irq_epilogue t;
-        go := next_irq t
-      end
-      else begin
-        Engine.schedule_tag t.eng ~delay:exit ~tag:t.dispatch_tag ~a:2 ~b:0;
-        go := false
-      end
-    done
-  with e ->
-    end_drain t;
-    raise e
+(* The handler in service, from a boundary where its step is due, until a
+   cost's window holds another event or the drain is over. *)
+let rec run_handler t =
+  let d = t.irq.step t in
+  if d >= 0 then begin
+    if d = 0 || Engine.try_advance t.eng ~cycles:d then run_handler t
+    else Engine.schedule_tag t.eng ~delay:d ~tag:t.dispatch_tag ~a:ev_step ~b:0
+  end
+  else begin
+    let exit = t.cost.irq_exit in
+    if exit = 0 || Engine.try_advance t.eng ~cycles:exit then begin
+      irq_epilogue t;
+      if next_irq t then run_handler t
+    end
+    else Engine.schedule_tag t.eng ~delay:exit ~tag:t.dispatch_tag ~a:ev_exit ~b:0
+  end
 
 let dispatch t a =
-  let handler_due =
-    match a with
-    | 0 ->
-        if t.draining then false
-        else begin
-          t.draining <- true;
-          next_irq t
-        end
-    | 1 -> true
-    | _ ->
-        irq_epilogue t;
+  let step_due =
+    if a = ev_start then
+      if t.draining then false
+      else begin
+        t.draining <- true;
         next_irq t
+      end
+    else if a = ev_step then true
+    else begin
+      irq_epilogue t;
+      next_irq t
+    end
   in
-  if handler_due then
-    match t.dispatchers with Some pool -> Process.run_pooled pool | None -> ()
+  if step_due then
+    try run_handler t
+    with e ->
+      end_drain t;
+      raise e
 
 let in_service_window t f =
   t.service_depth <- t.service_depth + 1;
@@ -264,12 +278,9 @@ let maybe_dispatch t =
     && (not t.draining)
     && has_deliverable t
   then begin
-    if t.dispatch_tag < 0 then begin
-      let name = dispatch_name_of t.cpu_id in
-      t.dispatchers <- Some (Process.pool t.eng ~name (run_handlers t));
-      t.dispatch_tag <- Engine.register_handler t.eng (fun a _ -> dispatch t a)
-    end;
-    Engine.schedule_tag t.eng ~delay:0 ~tag:t.dispatch_tag ~a:0 ~b:0
+    if t.dispatch_tag < 0 then
+      t.dispatch_tag <- Engine.register_handler t.eng (fun a _ -> dispatch t a);
+    Engine.schedule_tag t.eng ~delay:0 ~tag:t.dispatch_tag ~a:ev_start ~b:0
   end
 
 let post_irq t irq =
@@ -295,7 +306,7 @@ let vacate t =
 let quiesce_and_mask t =
   t.masked <- true;
   if t.draining then begin
-    if t.quiesce_step == no_quiesce then
+    if t.quiesce_step == no_step then
       t.quiesce_step <- (fun () -> if t.draining then t.cost.spin_poll else 0);
     Process.tick_sleep t.eng ~first:t.cost.spin_poll t.quiesce_step
   end

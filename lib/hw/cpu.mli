@@ -2,21 +2,27 @@
 
     Interrupts are serviced at explicit points — between compute chunks,
     inside spin-wait polls, and in idle waits — which models real interrupt
-    delivery at instruction boundaries plus dispatch latency. A CPU with no
-    such point coming (idle, or running kernel code) takes them detached:
-    its dispatch handler drives the drain from engine events at the start,
-    each IRQ entry boundary and each exit boundary, and runs only the
-    handler bodies in pooled processes. Handler execution time is
-    attributed to the CPU's [interrupted_cycles], which is exactly what the
-    paper's microbenchmark reports for responder cores. *)
+    delivery at instruction boundaries plus dispatch latency. There an IRQ
+    is one charge run of the servicing process. A CPU with no such point
+    coming (idle, or running kernel code) takes them detached: its
+    dispatch handler drives the whole drain from engine events at the
+    start, each boundary of each handler and each exit, with no process.
+    Handler execution time is attributed to the CPU's
+    [interrupted_cycles], which is exactly what the paper's
+    microbenchmark reports for responder cores. *)
 
 type t
 
-(** An interrupt: the [handler] runs in the context of whichever process
-    services it and may delay, touch cachelines, flush the TLB, etc.
-    Non-[maskable] IRQs (NMIs) are serviced even while interrupts are
-    disabled. *)
-type irq = { vector : int; maskable : bool; handler : t -> unit }
+(** An interrupt. Its handler is a step function: [step cpu] is called at
+    the handler's start, after the entry cost, and again at each boundary
+    it asks for. Each call does the work due at that boundary and returns
+    the cost to the next one ([0] goes straight on to the next call), or a
+    negative value when the handler is done; the exit cost follows. A step
+    keeps its place between calls in per-CPU state (one handler runs per
+    CPU at a time), never suspends, and must follow
+    {!Process.tick_sleep}'s rules for a step. Non-[maskable] IRQs (NMIs)
+    are serviced even while interrupts are disabled. *)
+type irq = { vector : int; maskable : bool; step : t -> int }
 
 (** [create engine topo costs ~id ~safe] makes CPU [id]. [safe] selects
     mitigation-mode entry costs. *)
@@ -33,7 +39,7 @@ val in_user : t -> bool
 
 val set_in_user : t -> bool -> unit
 
-(** Disable interrupts {e and} wait for any in-flight detached handler to
+(** Disable interrupts {e and} wait for any in-flight detached drain to
     finish. After return no handler is running and none can start until
     {!irq_enable} — the state a real CPU is trivially in after CLI, which
     the model must establish explicitly because detached handlers simulate
@@ -61,11 +67,16 @@ val occupy : t -> unit
 val vacate : t -> unit
 
 (** Deliver an interrupt to this CPU (called by the APIC at arrival time).
-    Wakes idle/spinning processes. *)
+    Wakes idle/spinning processes, or starts a detached drain. An exception
+    from a detached handler's step ends the drain and escapes the engine
+    loop unwrapped. *)
 val post_irq : t -> irq -> unit
 
-(** Service all pending deliverable IRQs now, paying entry/exit costs.
-    No-op if masked (except for NMIs) or if a drain is already running. *)
+(** Service all pending deliverable IRQs now, paying entry/exit costs:
+    each IRQ is one charge run of the calling process. No-op if masked
+    (except for NMIs) or if a drain is already running. An exception from
+    a handler's step after the run's first suspension escapes the engine
+    loop unwrapped. *)
 val service_pending : t -> unit
 
 (** Execute [cycles] of work on this CPU, servicing IRQs between chunks of
@@ -101,10 +112,6 @@ val poll_wait : t -> (unit -> bool) -> unit
 (** Is a drain of the pending IRQs in progress? False whenever the CPU is
     quiescent. *)
 val draining : t -> bool
-
-(** Detached-dispatch processes running or suspended in an IRQ handler.
-    Zero whenever the CPU is quiescent. *)
-val busy_dispatchers : t -> int
 
 (** Pending IRQ count (for tests). *)
 val pending_irqs : t -> int

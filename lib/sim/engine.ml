@@ -121,7 +121,6 @@ type t = {
   mutable seq : int;
   mutable events_run : int;
   mutable advances : int; (* fast-path clock advances (skipped suspends) *)
-  mutable suspensions : int; (* process effect suspensions, see Process *)
   mutable store : int array; (* the event arena, [stride] ints per row *)
   mutable cap : int; (* ints in [store] handed out so far (arena bump pointer) *)
   mutable free : int; (* head of the row free list, [nil] = empty *)
@@ -152,7 +151,6 @@ let create () =
     seq = 0;
     events_run = 0;
     advances = 0;
-    suspensions = 0;
     store = [||];
     cap = 0;
     free = nil;
@@ -178,8 +176,12 @@ let create () =
 let now t = t.now
 let events_run t = t.events_run
 let advances t = t.advances
-let suspensions t = t.suspensions
-let note_suspension t = t.suspensions <- t.suspensions + 1
+(* Suspensions are counted per domain, not per engine: a harness reads
+   the count around a run it executes on one domain, as it reads
+   [Gc.minor_words], without a handle on the run's engines. *)
+let suspensions_key = Domain.DLS.new_key (fun () -> ref 0)
+let suspensions () = !(Domain.DLS.get suspensions_key)
+let note_suspension () = incr (Domain.DLS.get suspensions_key)
 
 (* Engine operations are a per-engine quantity: every engine belongs to
    exactly one simulation run, so a harness that wants "ops spent in this

@@ -25,16 +25,18 @@ val events_run : t -> int
 (** Number of suspend-free clock advances (the [try_advance] fast path). *)
 val advances : t -> int
 
-(** Process effect suspensions so far: every [Sleep], [Tick] and [Park]
-    a {!Process} performed on this engine. A suspension is a fiber
-    capture and a later resume, the dearest thing a process does, so this
-    counts what the [try_advance] fast path, tick fusion and
-    {!Process.chain} exist to avoid. *)
-val suspensions : t -> int
-[@@tlblint.allow "R5 state accessor: tests pin suspension counts through it"]
+(** Process effect suspensions so far on the calling domain, over all its
+    engines: every [Sleep], [Tick] and [Park] a {!Process} performed. A
+    suspension is a fiber capture and a later resume, the dearest thing a
+    process does, so this counts what the [try_advance] fast path, tick
+    fusion, {!Process.chain} and step-function IRQ handlers exist to
+    avoid. Every suspension happens inside {!run}, {!run_until} or
+    {!step}, so the difference of two reads around a run on one domain is
+    exactly that run's count, whatever other domains do. *)
+val suspensions : unit -> int
 
 (** Count one suspension; {!Process} calls it as a process suspends. *)
-val note_suspension : t -> unit
+val note_suspension : unit -> unit
 
 (** Engine operations so far: [events_run + advances]. Per-engine by
     design — each simulation run owns its engine, so a harness attributes

@@ -32,11 +32,9 @@ type _ Effect.t += Sleep : unit Effect.t | Tick : unit Effect.t | Park : unit Ef
 (* Everything a process needs between suspensions, in one record. The
    engine handler registered at spawn dispatches on the event's [a]:
    0 resumes from a sleep, 1 runs a tick boundary, 2 starts the body and
-   3 wakes a parked process; [run] starts the body synchronously instead
-   (a pool member's start). A spawned process releases its tag when it
-   completes (it cannot be suspended while it runs, so no event can still
-   carry the tag); a pool member keeps it and goes back to its pool's idle
-   stack, ready to be started again. *)
+   3 wakes a parked process. A process releases its tag when it completes
+   (it cannot be suspended while it runs, so no event can still carry the
+   tag). *)
 type proc = {
   engine : Engine.t;
   name : string;
@@ -44,17 +42,6 @@ type proc = {
   mutable k : (unit, unit) continuation option;
   mutable step : unit -> int;
   mutable parked : bool;
-  mutable run : unit -> unit;
-  home : pool option;
-}
-
-and pool = {
-  pool_engine : Engine.t;
-  pool_name : string;
-  body : unit -> unit;
-  mutable idle : proc array; (* stack of finished members, [n_idle] deep *)
-  mutable n_idle : int;
-  mutable members : int; (* live members, idle or not *)
 }
 
 let no_step () = invalid_arg "Process: tick without a step"
@@ -101,45 +88,24 @@ let wake_parked p =
   p.parked <- false;
   resume p
 
-let push_idle pool p =
-  let n = pool.n_idle in
-  if n = Array.length pool.idle then begin
-    let bigger = Array.make (Int.max 4 (2 * n)) p in
-    Array.blit pool.idle 0 bigger 0 n;
-    pool.idle <- bigger
-  end
-  else pool.idle.(n) <- p;
-  pool.n_idle <- n + 1
-
 (* Build a process and register its engine handler without starting it;
    an [a = 2] event on [p.tag] runs [f] from the top. *)
-let create engine ~name ?home f =
-  let p =
-    {
-      engine;
-      name;
-      tag = -1;
-      k = None;
-      step = no_step;
-      parked = false;
-      run = ignore;
-      home;
-    }
-  in
+let create engine ~name f =
+  let p = { engine; name; tag = -1; k = None; step = no_step; parked = false } in
   (* Built once per process, so [effc] returns a preallocated handler and
      a suspension allocates only the continuation and its [Some] slot. *)
   let on_sleep =
     Some
       (fun k ->
         p.k <- Some k;
-        Engine.note_suspension engine;
+        Engine.note_suspension ();
         Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:0 ~b:0)
   in
   let on_tick =
     Some
       (fun k ->
         p.k <- Some k;
-        Engine.note_suspension engine;
+        Engine.note_suspension ();
         p.step <- Engine.arg_step engine;
         Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:1 ~b:0)
   in
@@ -147,20 +113,15 @@ let create engine ~name ?home f =
     Some
       (fun k ->
         p.k <- Some k;
-        Engine.note_suspension engine;
+        Engine.note_suspension ();
         p.parked <- true)
   in
   let handler =
     {
-      retc =
-        (fun () ->
-          match home with
-          | None -> Engine.release_handler engine p.tag
-          | Some pool -> push_idle pool p);
+      retc = (fun () -> Engine.release_handler engine p.tag);
       exnc =
         (fun e ->
           Engine.release_handler engine p.tag;
-          (match p.home with Some pool -> pool.members <- pool.members - 1 | None -> ());
           raise (Process_failure (name, e)));
       effc =
         (fun (type a) (eff : a Effect.t) :
@@ -172,41 +133,18 @@ let create engine ~name ?home f =
           | _ -> None);
     }
   in
-  p.run <- (fun () -> match_with f () handler);
+  let run () = match_with f () handler in
   p.tag <-
     Engine.register_handler engine (fun a _ ->
         match a with
         | 0 -> resume p
         | 1 -> tick p
-        | 2 -> as_current p p.run ()
+        | 2 -> as_current p run ()
         | _ -> wake_parked p);
   p
 
 let start p = Engine.schedule_tag p.engine ~delay:0 ~tag:p.tag ~a:2 ~b:0
 let spawn engine ~name f = start (create engine ~name f)
-
-let pool engine ~name body =
-  { pool_engine = engine; pool_name = name; body; idle = [||]; n_idle = 0; members = 0 }
-
-(* A member runs to completion before it is idle again, so its fiber is
-   freed at every return and an idle member holds no stack: a pool left
-   behind by a finished run leaks nothing, where a parked process would
-   keep its fiber for good. *)
-let run_pooled pool =
-  let p =
-    if pool.n_idle > 0 then begin
-      pool.n_idle <- pool.n_idle - 1;
-      pool.idle.(pool.n_idle)
-    end
-    else begin
-      pool.members <- pool.members + 1;
-      create pool.pool_engine ~name:pool.pool_name ~home:pool pool.body
-    end
-  in
-  as_current p p.run ()
-
-let idle_members pool = pool.n_idle
-let busy_members pool = pool.members - pool.n_idle
 
 let sleep engine cycles =
   Engine.set_arg_cycles engine cycles;

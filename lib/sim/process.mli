@@ -21,36 +21,6 @@ exception Process_failure of string * exn
     out of the engine loop. *)
 val spawn : Engine.t -> name:string -> (unit -> unit) -> unit
 
-(** {2 Pools}
-
-    A pool runs one body in reusable processes, for a body that is started
-    over and over (a CPU's detached IRQ handlers). A pooled run starts
-    synchronously, inside the caller's engine event, and an idle member is
-    restarted instead of a new process being built. *)
-
-type pool
-
-(** [pool engine ~name body] is an empty pool whose members are named
-    [name] and run [body]. Members are created on demand. *)
-val pool : Engine.t -> name:string -> (unit -> unit) -> pool
-
-(** Run the pool's body once more, from the top, now: in an idle member if
-    there is one (the most recently finished), else in a new member. It
-    returns when the body returns or first suspends; a suspended member
-    goes on from its own events, like any process. A member becomes idle
-    again when [body] returns; one whose body raises is dropped, and the
-    {!Process_failure} naming it escapes from whichever call ran it (this
-    one, or the engine event that resumed it). Call it from an engine
-    event handler. *)
-val run_pooled : pool -> unit
-
-(** Members that have finished and wait to be started again. *)
-val idle_members : pool -> int
-[@@tlblint.allow "R5 state accessor: tests read the pool's idle stack through it"]
-
-(** Members started and not yet finished: running or suspended. *)
-val busy_members : pool -> int
-
 (** Advance this process's local time by [cycles] (>= 0). When no pending
     event falls inside the window this is a plain clock bump
     ({!Engine.try_advance}) with no suspend; behaviour is identical either

@@ -11,7 +11,9 @@
 
    Measures ride along per cell: wall-clock, engine ops (read from the
    run's own engines via the result extractor — there is no process-wide
-   ops counter to misattribute), and GC words. Minor words use
+   ops counter to misattribute), process suspensions (read around the run
+   from the domain-local counter, exact for the same reason minor words
+   are), and GC words. Minor words use
    [Gc.minor_words] (domain-local, exact under any [-j]); major/promoted
    deltas come from the executing domain's [quick_stat], exact because a
    cell runs on exactly one domain and no domain is joined mid-pool. *)
@@ -20,6 +22,7 @@ type measure = {
   wall_s : float;  (** summed run wall — CPU-seconds under [-j N] *)
   max_wall_s : float;  (** slowest single run: the shard-level critical path *)
   engine_ops : int option;  (** [None] = no engine-driven run (n/a, not 0) *)
+  suspensions : int;  (** exact: [Engine.suspensions] is domain-local *)
   minor_words : float;
   major_words : float;
   promoted_words : float;
@@ -31,6 +34,7 @@ let zero_measure =
     wall_s = 0.0;
     max_wall_s = 0.0;
     engine_ops = None;
+    suspensions = 0;
     minor_words = 0.0;
     major_words = 0.0;
     promoted_words = 0.0;
@@ -45,6 +49,7 @@ let add_measure a b =
       (match (a.engine_ops, b.engine_ops) with
       | None, o | o, None -> o
       | Some x, Some y -> Some (x + y));
+    suspensions = a.suspensions + b.suspensions;
     minor_words = a.minor_words +. b.minor_words;
     major_words = a.major_words +. b.major_words;
     promoted_words = a.promoted_words +. b.promoted_words;
@@ -71,9 +76,11 @@ let cell ?(label = "") ?ops ~weight f =
   let exec ~progress =
     let s0 = Gc.quick_stat () in
     let mw0 = Gc.minor_words () in
+    let su0 = Engine.suspensions () in
     let t0 = Unix.gettimeofday () in
     let v = f () in
     let wall = Unix.gettimeofday () -. t0 in
+    let su1 = Engine.suspensions () in
     let mw1 = Gc.minor_words () in
     let s1 = Gc.quick_stat () in
     slot := Some v;
@@ -83,6 +90,7 @@ let cell ?(label = "") ?ops ~weight f =
           wall_s = wall;
           max_wall_s = wall;
           engine_ops = Option.map (fun g -> g v) ops;
+          suspensions = su1 - su0;
           minor_words = mw1 -. mw0;
           major_words = s1.Gc.major_words -. s0.Gc.major_words;
           promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;

@@ -14,6 +14,9 @@ type measure = {
       (** engine events + advances, from the run's own engines via the
           cell's extractor; [None] marks "no engine-driven run" (reported
           as an explicit n/a, never a misleading 0) *)
+  suspensions : int;
+      (** process suspensions during the runs: exact, since a cell runs on
+          one domain and {!Sim.Engine.suspensions} is domain-local *)
   minor_words : float;  (** exact: [Gc.minor_words] is domain-local *)
   major_words : float;
   promoted_words : float;

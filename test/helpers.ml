@@ -26,3 +26,24 @@ let spawn_kernel m ~cpu ~name body =
       Cpu.occupy cpu_t;
       Cpu.set_in_user cpu_t false;
       Fun.protect ~finally:(fun () -> Cpu.vacate cpu_t) body)
+
+(* An IRQ whose handler calls [f] at its start, takes [cycles] (none by
+   default) and then calls [at_end]: the step-function form of a handler
+   [f cpu; Process.delay e cycles; at_end cpu]. Its place is kept per CPU,
+   so one record may run on several CPUs at once. *)
+let irq ?(maskable = true) ?(cycles = 0) ?(at_end = ignore) vector f =
+  let started = Hashtbl.create 4 in
+  let step cpu =
+    let id = Cpu.id cpu in
+    if Hashtbl.mem started id then begin
+      Hashtbl.remove started id;
+      at_end cpu;
+      -1
+    end
+    else begin
+      Hashtbl.replace started id ();
+      f cpu;
+      cycles
+    end
+  in
+  { Cpu.vector; maskable; step }

@@ -83,10 +83,12 @@ let test_smp_ack_idempotent () =
           check int_t "a second ack writes nothing" 0 (Smp.ack_write m ~me:1 cfd);
           check bool_t "acked" true cfd.Percpu.cfd_acked;
           (* Drain the queued work so the machine quiesces cleanly. *)
-          Smp.drain_queue m ~me:1
-            ~work:(fun cfd _ ->
-              cfd.Percpu.cfd_executed <- true;
-              -1)
+          let lead, visit =
+            Smp.drain_queue m ~work:(fun cfd _ ->
+                cfd.Percpu.cfd_executed <- true;
+                -1)
+          in
+          Machine.chain_item m ~lead:(lead 1) 1 visit
       | _ -> Alcotest.fail "expected one cfd");
   Kernel.run m;
   Smp.csd_quiescent m ~cpu:1 Alcotest.fail

@@ -69,14 +69,8 @@ let test_nmi_during_early_ack_window () =
          just after the IPI goes out. *)
       Helpers.schedule m.Machine.engine ~delay:900 (fun () ->
           Cpu.post_irq (Machine.cpu m 14)
-            {
-              Cpu.vector = 2;
-              maskable = false;
-              handler =
-                (fun _ ->
-                  observed_in_handler :=
-                    Some (Shootdown.nmi_uaccess_okay m ~cpu:14));
-            });
+            (Helpers.irq ~maskable:false 2 (fun _ ->
+                 observed_in_handler := Some (Shootdown.nmi_uaccess_okay m ~cpu:14))));
       Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn:start_vpn;
       Machine.delay m 20_000;
       check bool_t "okay once the responder is quiescent again" true
@@ -97,7 +91,7 @@ let test_detached_dispatch_on_empty_cpu () =
   Helpers.spawn_kernel m ~cpu:0 ~name:"sender" (fun () ->
       ignore
         (Helpers.send_ipi m.Machine.apic ~from:0 ~targets:[ 5 ]
-           { Cpu.vector = 1; maskable = true; handler = (fun _ -> handled := true) }));
+           (Helpers.irq 1 (fun _ -> handled := true))));
   Kernel.run m;
   check bool_t "handled with no occupant" true !handled
 
@@ -119,11 +113,7 @@ let test_no_dispatch_interleaves_user_mode () =
         Machine.delay m 700;
         ignore
           (Helpers.send_ipi m.Machine.apic ~from:0 ~targets:[ 2 ]
-             {
-               Cpu.vector = 1;
-               maskable = true;
-               handler = (fun cpu -> if Cpu.in_user cpu then saw_user_true := true);
-             })
+             (Helpers.irq 1 (fun cpu -> if Cpu.in_user cpu then saw_user_true := true)))
       done;
       Machine.delay m 10_000;
       stop := true);
@@ -138,20 +128,13 @@ let test_quiesce_and_mask_waits_for_handler () =
   Helpers.spawn_kernel m ~cpu:0 ~name:"sender" (fun () ->
       ignore
         (Helpers.send_ipi m.Machine.apic ~from:0 ~targets:[ 7 ]
-           {
-             Cpu.vector = 1;
-             maskable = true;
-             handler =
-               (fun _ ->
-                 Machine.delay m 2_000;
-                 handler_done := true);
-           }));
+           (Helpers.irq 1 ignore ~cycles:2_000 ~at_end:(fun _ -> handler_done := true))));
   Helpers.spawn_kernel m ~cpu:7 ~name:"quiescer" (fun () ->
       Machine.delay m 1_200;
       (* The detached handler is mid-flight now. *)
-      let s0 = Engine.suspensions m.Machine.engine in
+      let s0 = Engine.suspensions () in
       Cpu.quiesce_and_mask (Machine.cpu m 7);
-      suspensions := Engine.suspensions m.Machine.engine - s0;
+      suspensions := Engine.suspensions () - s0;
       checked_after := !handler_done;
       Cpu.irq_enable (Machine.cpu m 7));
   Kernel.run m;

@@ -562,15 +562,7 @@ let test_ipi_delivery_and_interruption () =
   Process.spawn e ~name:"sender" (fun () ->
       let cost =
         Helpers.send_ipi apic ~from:0 ~targets:[ 14 ]
-          {
-            Cpu.vector = 1;
-            maskable = true;
-            handler =
-              (fun cpu ->
-                handled := true;
-                Process.delay e 500;
-                ignore cpu);
-          }
+          (Helpers.irq 1 (fun _ -> handled := true) ~cycles:500)
       in
       Process.delay e cost);
   Process.spawn e ~name:"responder" (fun () -> Cpu.compute cpus.(14) 20_000);
@@ -594,11 +586,7 @@ let test_irq_masking_defers () =
       Process.delay e 100;
       ignore
         (Helpers.send_ipi apic ~from:0 ~targets:[ 1 ]
-           {
-             Cpu.vector = 2;
-             maskable = true;
-             handler = (fun _ -> handled_at := Engine.now e);
-           }));
+           (Helpers.irq 2 (fun _ -> handled_at := Engine.now e))));
   Engine.run e;
   check bool_t "deferred past mask window" true (!handled_at >= 5_000)
 
@@ -609,7 +597,7 @@ let test_nmi_bypasses_mask () =
   Process.spawn e ~name:"receiver" (fun () ->
       Cpu.quiesce_and_mask target;
       Cpu.post_irq target
-        { Cpu.vector = 2; maskable = false; handler = (fun _ -> handled := true) };
+        (Helpers.irq ~maskable:false 2 (fun _ -> handled := true));
       Cpu.compute target 1_000;
       check bool_t "NMI ran while masked" true !handled;
       Cpu.irq_enable target);
@@ -628,7 +616,7 @@ let test_poll_wait_services_irqs () =
       Process.delay e 1_000;
       ignore
         (Helpers.send_ipi apic ~from:0 ~targets:[ 3 ]
-           { Cpu.vector = 3; maskable = true; handler = (fun _ -> flag := true) }));
+           (Helpers.irq 3 (fun _ -> flag := true))));
   Engine.run e;
   check bool_t "irq handled" true !flag;
   check bool_t "spinner released by irq" true !released
@@ -643,7 +631,7 @@ let test_apic_multicast_cluster_cost () =
   Process.spawn e ~name:"sender" (fun () ->
       let cost =
         Helpers.send_ipi apic ~from:0 ~targets
-          { Cpu.vector = 9; maskable = true; handler = (fun _ -> ()) }
+          (Helpers.irq 9 ignore)
       in
       check int_t "one ICR write per cluster" (clusters * c.Costs.icr_write) cost);
   Engine.run e;
@@ -666,13 +654,7 @@ let test_apic_delivery_order_cluster_major () =
   in
   let apic = Apic.create e topo c ~cpus in
   let log = ref [] in
-  let irq =
-    {
-      Cpu.vector = 1;
-      maskable = true;
-      handler = (fun cpu -> log := (Cpu.id cpu, Engine.now e) :: !log);
-    }
-  in
+  let irq = Helpers.irq 1 (fun cpu -> log := (Cpu.id cpu, Engine.now e) :: !log) in
   Process.spawn e ~name:"sender" (fun () ->
       Process.delay e (Helpers.send_ipi apic ~from:0 ~targets:[ 36; 8; 28; 1 ] irq));
   Engine.run e;
@@ -692,7 +674,7 @@ let test_apic_rejects_self_ipi () =
         (Invalid_argument "Apic.send_ipi_id: self-IPI not supported") (fun () ->
           ignore
             (Helpers.send_ipi apic ~from:0 ~targets:[ 0 ]
-               { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) })));
+               (Helpers.irq 1 ignore))));
   Engine.run e
 
 (* --- Detached IRQ dispatch --- *)
@@ -706,20 +688,27 @@ let lone_cpu () =
   let e = Engine.create () in
   (e, Cpu.create e (Topology.flat 2) Costs.default ~id:1 ~safe:false ())
 
-(* Exact minor words per detached dispatch of a no-op IRQ to an idle CPU,
-   from two runs that differ only in the number of dispatches, so the
-   first dispatch (which builds the CPU's dispatcher) cancels out. An
-   engine event every cycle keeps the entry and exit delays off the
-   [try_advance] fast path. What is left per IRQ: its [pending] queue cell
-   (3 words) and the pooled handler process's start (5). The entry and
-   exit boundaries are events on the CPU's dispatch handler, so neither
-   suspends a process. A process spawned per dispatch would cost 64 words
-   on top. *)
+(* Exact minor words per detached dispatch of an IRQ to an idle CPU, from
+   two runs that differ only in the number of dispatches, so the first
+   dispatch (which registers the CPU's dispatch handler) cancels out. An
+   engine event every cycle keeps the entry, handler and exit costs off
+   the [try_advance] fast path. What is left per IRQ is its [pending]
+   queue cell (3 words): the entry boundary, the handler's one boundary
+   and the exit boundary are events on the CPU's dispatch handler, and
+   the handler is a step function, so no process runs at all. A pooled
+   handler process cost 5 words more, and a process spawned per dispatch
+   64. *)
 let test_dispatch_words () =
   let period = 2048 in
   let words n =
     let e, cpu = lone_cpu () in
-    let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+    (* 100 cycles of handler, then done. *)
+    let started = ref false in
+    let step _ =
+      started := not !started;
+      if !started then 100 else -1
+    in
+    let irq = { Cpu.vector = 1; maskable = true; step } in
     let tag = ref (-1) in
     tag :=
       Engine.register_handler e (fun left _ ->
@@ -734,9 +723,9 @@ let test_dispatch_words () =
     w
   in
   let n1 = 20 and n2 = 220 in
-  check int_t "8 words per detached dispatch" (8 * (n2 - n1)) (words n2 - words n1)
+  check int_t "3 words per detached dispatch" (3 * (n2 - n1)) (words n2 - words n1)
 
-(* A scripted idle CPU: IRQs posted while a dispatcher is mid-handler,
+(* A scripted idle CPU: IRQs posted while a drain is mid-handler,
    while the CPU is masked, twice in one instant, and inside an exit
    window that another event makes contended, then a handler that raises.
    The (time, vector) log pins when each IRQ ran and that each ran exactly
@@ -744,15 +733,8 @@ let test_dispatch_words () =
 let test_dispatch_script () =
   let e, cpu = lone_cpu () in
   let log = ref [] in
-  let irq ?(maskable = true) ?(cycles = 0) vector =
-    {
-      Cpu.vector;
-      maskable;
-      handler =
-        (fun _ ->
-          log := (Engine.now e, vector) :: !log;
-          Process.delay e cycles);
-    }
+  let irq ?maskable ?cycles vector =
+    Helpers.irq ?maskable ?cycles vector (fun _ -> log := (Engine.now e, vector) :: !log)
   in
   Process.spawn e ~name:"script" (fun () ->
       (* The running drain takes both later arrivals; no second dispatch. *)
@@ -803,13 +785,11 @@ let test_dispatch_script () =
     (List.rev !log);
   check int_t "each irq handled once" 9 (Cpu.irqs_handled cpu);
   check int_t "nothing pending" 0 (Cpu.pending_irqs cpu);
-  Cpu.post_irq cpu { Cpu.vector = 8; maskable = true; handler = (fun _ -> failwith "boom") };
-  Alcotest.check_raises "a failing handler fails its dispatcher"
-    (Process.Process_failure ("irq-dispatch-cpu1", Failure "boom"))
+  Cpu.post_irq cpu (Helpers.irq 8 (fun _ -> failwith "boom"));
+  Alcotest.check_raises "a failing handler step escapes the engine" (Failure "boom")
     (fun () -> Engine.run e);
   check bool_t "the failed drain was ended" false (Cpu.draining cpu);
-  check int_t "no dispatcher left busy" 0 (Cpu.busy_dispatchers cpu);
-  (* The failed dispatcher is gone; the next IRQ still gets one. *)
+  (* The next IRQ is still dispatched. *)
   Cpu.post_irq cpu (irq 9);
   Engine.run e;
   check int_t "dispatch works after a failure" 9 (snd (List.hd !log))
@@ -892,21 +872,16 @@ let run_spin_script ~fused ?chooser (quantum, chunk, start, flips, gaps, irqs) =
         (fun (at, cycles, v) ->
           Process.delay e (Int.max 0 (at - Engine.now e));
           Cpu.post_irq cpu
-            {
-              Cpu.vector = v;
-              maskable = true;
-              handler =
-                (fun _ ->
-                  note "irq" (Printf.sprintf "begin %d" v);
-                  Process.delay e cycles;
-                  note "irq" (Printf.sprintf "end %d" v));
-            })
+            (Helpers.irq v ~cycles
+               (fun _ -> note "irq" (Printf.sprintf "begin %d" v))
+               ~at_end:(fun _ -> note "irq" (Printf.sprintf "end %d" v))))
         irqs);
+  let s0 = Engine.suspensions () in
   Engine.run e;
   ( ( List.rev !log,
       (Engine.events_run e, Engine.advances e),
       (Cpu.compute_cycles cpu, Cpu.interrupted_cycles cpu, Cpu.irqs_handled cpu) ),
-    Engine.suspensions e )
+    Engine.suspensions () - s0 )
 
 let test_compute_until_model () =
   let result_t =
@@ -950,10 +925,11 @@ let test_compute_until_suspends_once () =
             Cpu.compute cpu ~quantum:50 100
           done;
         over := Engine.now e);
+    let s0 = Engine.suspensions () in
     Engine.run e;
     check int_t "over at the flip" 10_000 !over;
     check int_t "every cycle computed" 10_000 (Cpu.compute_cycles cpu);
-    Engine.suspensions e
+    Engine.suspensions () - s0
   in
   check int_t "the loop suspends once per chunk" 100 (run false);
   check int_t "the fused spin suspends once" 1 (run true)

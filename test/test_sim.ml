@@ -573,54 +573,6 @@ let test_alloc_spawn () =
   in
   check bool_t (Printf.sprintf "spawn + run costs %d <= 68 words" w) true (w <= 68)
 
-(* A pool restarts its finished members instead of building new ones.
-   Runs started in one instant overlap, so each needs its own member; a
-   run that suspends keeps its member busy until it returns; a member
-   whose body raises fails like a spawned process and leaves the pool. *)
-let test_process_pool () =
-  let e = Engine.create () in
-  let runs = ref [] and fail = ref false in
-  let pool =
-    Process.pool e ~name:"worker" (fun () ->
-        runs := (Engine.now e, Engine.current_name e) :: !runs;
-        Process.delay e 10;
-        if !fail then failwith "boom")
-  in
-  let start = Engine.register_handler e (fun _ _ -> Process.run_pooled pool) in
-  for _ = 1 to 3 do
-    Engine.schedule_tag e ~delay:0 ~tag:start ~a:0 ~b:0
-  done;
-  Engine.run e;
-  check int_t "three members, all idle" 3 (Process.idle_members pool);
-  (* A pending event inside the sleep keeps the restarted run suspended. *)
-  Helpers.schedule e ~delay:5 ignore;
-  Engine.schedule_tag e ~delay:0 ~tag:start ~a:0 ~b:0;
-  ignore (Engine.step e);
-  check int_t "one restarted" 2 (Process.idle_members pool);
-  check int_t "and busy while it sleeps" 1 (Process.busy_members pool);
-  Engine.run e;
-  check int_t "it came back" 3 (Process.idle_members pool);
-  check
-    Alcotest.(list (pair int string))
-    "every run named after the pool"
-    [ (0, "worker"); (0, "worker"); (0, "worker"); (10, "worker") ]
-    (List.rev !runs);
-  fail := true;
-  Engine.schedule_tag e ~delay:0 ~tag:start ~a:0 ~b:0;
-  Alcotest.check_raises "a failing member fails like a process"
-    (Process.Process_failure ("worker", Failure "boom")) (fun () -> Engine.run e);
-  check int_t "the failed member is dropped" 2 (Process.idle_members pool);
-  check int_t "and is not busy" 0 (Process.busy_members pool)
-
-(* Restarting an idle pool member and running a trivial body: only the
-   5-word effect closure [Effect.Deep.match_with] builds for each run. *)
-let test_alloc_pooled_start () =
-  let e = Engine.create () in
-  let pool = Process.pool e ~name:"p" (fun () -> ()) in
-  Process.run_pooled pool;
-  let w = minor_words (fun () -> Process.run_pooled pool) in
-  check int_t "a pooled start + run costs 5 words" 5 w
-
 (* A wake whose process is no longer parked must not resume it: the
    second wake for one park fires while the process sleeps, and raises. *)
 let test_process_stale_wake () =
@@ -770,8 +722,9 @@ let run_programs mode ?chooser programs =
               | Run (steps, stop) -> run who steps stop)
             program))
     programs;
+  let s0 = Engine.suspensions () in
   Engine.run e;
-  ((List.rev !log, Engine.events_run e, Engine.advances e), Engine.suspensions e)
+  ((List.rev !log, Engine.events_run e, Engine.advances e), Engine.suspensions () - s0)
 
 let test_chain_model () =
   let log_t =
@@ -803,6 +756,104 @@ let test_chain_model () =
   check bool_t "some runs ended early" true (!ended_early > 0);
   check bool_t "some windows took the fast path" true (!advanced > 0);
   check bool_t "runs saved suspensions" true (!saved > 0)
+
+(* --- An IRQ step handler runs the same detached and at a service point ---
+
+   The same random programs, with each [Run] now an IRQ: the program's
+   process posts it to its own CPU, and its step does the run's actions
+   at its boundaries, the step form of [Chained] above. Every IRQ runs
+   two ways: detached, its CPU idle and unoccupied, driven by the CPU's
+   dispatch events; and at a service point, its CPU occupied in user
+   mode, by a process spawned to service the CPU's IRQs. A post that
+   finds no drain running starts one either way, with one event at the
+   current instant (the dispatch start, or the process start), and either
+   start finds a drain running a no-op. The (time, actor, counter) logs,
+   [events_run], [advances] and the CPUs' IRQ counters must be identical,
+   in (time, seq) order and under a seeded chooser, and the detached runs
+   must suspend less: a servicing process suspends in its handlers'
+   contended windows, and a detached handler has no process to suspend. *)
+let run_irq_programs ~detached ?chooser programs =
+  let n = List.length programs in
+  let m = Machine.create ~topo:(Topology.flat n) ~opts:(Opts.baseline ~safe:false) () in
+  let e = m.Machine.engine in
+  Option.iter
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      Engine.set_chooser e ~horizon:8 (fun n -> Rng.int rng n))
+    chooser;
+  let counter = ref 0 and log = ref [] in
+  let act who =
+    incr counter;
+    log := (Engine.now e, who, !counter) :: !log
+  in
+  let handlers = ref 0 in
+  let irq who steps stop =
+    let rest = ref (List.filteri (fun i _ -> i < stop) steps) and paid = ref false in
+    let rec step cpu =
+      match !rest with
+      | [] -> -1
+      | d :: tl ->
+          if !paid then begin
+            paid := false;
+            act who;
+            rest := tl;
+            step cpu
+          end
+          else begin
+            paid := true;
+            d
+          end
+    in
+    { Cpu.vector = 1; maskable = true; step }
+  in
+  if not detached then Array.iter Cpu.occupy m.Machine.cpus;
+  List.iteri
+    (fun i program ->
+      let who = Printf.sprintf "p%d" i in
+      let cpu = Machine.cpu m i in
+      Process.spawn e ~name:who (fun () ->
+          List.iter
+            (function
+              | Wait d -> Process.delay e d
+              | Act -> act who
+              | Run (steps, stop) ->
+                  incr handlers;
+                  Cpu.post_irq cpu (irq (Printf.sprintf "irq%d" i) steps stop);
+                  if (not detached) && not (Cpu.draining cpu) then
+                    Process.spawn e ~name:"servicer" (fun () -> Cpu.service_pending cpu))
+            program))
+    programs;
+  let s0 = Engine.suspensions () in
+  Engine.run e;
+  let irqs =
+    Array.to_list
+      (Array.map (fun c -> (Cpu.irqs_handled c, Cpu.interrupted_cycles c)) m.Machine.cpus)
+  in
+  check int_t "every irq handled" !handlers
+    (List.fold_left (fun a (h, _) -> a + h) 0 irqs);
+  ( (List.rev !log, (Engine.events_run e, Engine.advances e), irqs),
+    Engine.suspensions () - s0 )
+
+let test_irq_step_model () =
+  let result_t =
+    Alcotest.(
+      triple (list (triple int string int)) (pair int int) (list (pair int int)))
+  in
+  let contended = ref 0 in
+  for seed = 1 to 60 do
+    let rng = Rng.create ~seed:(Int64.of_int (0x1a5 + seed)) in
+    let programs = List.init (2 + Rng.int rng 4) (fun _ -> random_program rng) in
+    List.iter
+      (fun chooser ->
+        let serviced, s_serviced = run_irq_programs ~detached:false ?chooser programs in
+        let detached, s_detached = run_irq_programs ~detached:true ?chooser programs in
+        check result_t (Printf.sprintf "seed %d" seed) serviced detached;
+        check bool_t "detached handlers never suspend more" true
+          (s_detached <= s_serviced);
+        if s_serviced > s_detached then incr contended)
+      [ None; Some (Int64.of_int seed) ]
+  done;
+  check bool_t "detached handlers saved suspensions" true (!contended > 0)
 
 let test_process_two_domains () =
   let rounds = 20_000 in
@@ -1184,7 +1235,8 @@ let suite =
     Alcotest.test_case "process: interleaving" `Quick test_process_interleaving;
     Alcotest.test_case "process: failures propagate" `Quick test_process_failure_propagates;
     Alcotest.test_case "process: self name" `Quick test_process_self_name;
-    Alcotest.test_case "process: pool restarts members" `Quick test_process_pool;
+    Alcotest.test_case "cpu: irq steps detached = serviced (randomized model)" `Quick
+      test_irq_step_model;
     Alcotest.test_case "process: stale wake raises" `Quick test_process_stale_wake;
     Alcotest.test_case "process: two engines on two domains" `Quick
       test_process_two_domains;
@@ -1199,7 +1251,6 @@ let suite =
       test_alloc_tick_suspension;
     Alcotest.test_case "alloc: wait + signal_one <= 5 words" `Quick test_alloc_wait_signal;
     Alcotest.test_case "alloc: spawn + run <= 68 words" `Quick test_alloc_spawn;
-    Alcotest.test_case "alloc: pooled start + run = 5 words" `Quick test_alloc_pooled_start;
     Alcotest.test_case "trace: disabled is no-op" `Quick test_trace_disabled_by_default;
     Alcotest.test_case "trace: records in order" `Quick test_trace_records_in_order;
     Alcotest.test_case "trace: typed events" `Quick test_trace_typed_events;

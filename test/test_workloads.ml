@@ -173,7 +173,7 @@ let test_ipi_invariants_catch_imbalance () =
     Machine.ipi_invariants m (fun s -> l := s :: !l);
     List.rev !l
   in
-  let irq = { Cpu.vector = 1; maskable = true; handler = ignore } in
+  let irq = Helpers.irq 1 ignore in
   let m = Machine.create ~opts:(Opts.all ~safe:true) () in
   Process.spawn m.Machine.engine ~name:"sender" (fun () ->
       Cpu.quiesce_and_mask (Machine.cpu m 1);
@@ -223,22 +223,34 @@ let test_engine_arena_conservation () =
   Kernel.run m;
   check Alcotest.(list string) "row returned" [] (failures m)
 
-(* Quiescence: a run must not end inside an IRQ drain. A handler that
-   parks for good leaves one behind: in a detached dispatcher on an idle
-   CPU (the dispatcher suspended, its drain running), and in a process at
-   its own service point (the drain running, no dispatcher). Nor may it
-   end with protocol state left over: an open checker window, a deferred
-   user flush, a queued call, an inflight-flush flag or a batched
-   shootdown. [Kernel.check_run] must report each, and a checker
-   violation with its first recorded instance. *)
+(* Quiescence: a run must not end inside an IRQ drain. A handler whose
+   step never ends keeps its drain running: here one that asks for 1000
+   more cycles at every boundary, on an engine with an event every 100
+   cycles (so no boundary takes the fast path), in a run stopped at a
+   fixed time. It
+   leaves a drain behind detached on an idle CPU, and in a process at its
+   own service point. Nor may a run end with protocol
+   state left over: an open checker window, a deferred user flush, a
+   queued call, an inflight-flush flag or a batched shootdown.
+   [Kernel.check_run] must report each, and a checker violation with its
+   first recorded instance. *)
 let test_dispatch_quiescence () =
-  let stuck = { Cpu.vector = 1; maskable = true; handler = (fun _ -> Process.park ()) } in
+  let stuck = { Cpu.vector = 1; maskable = true; step = (fun _ -> 1000) } in
+  let stop m =
+    let e = m.Machine.engine in
+    let tag = ref (-1) in
+    tag :=
+      Engine.register_handler e (fun _ _ ->
+          Engine.schedule_tag e ~delay:100 ~tag:!tag ~a:0 ~b:0);
+    Engine.schedule_tag e ~delay:100 ~tag:!tag ~a:0 ~b:0;
+    Engine.run_until e ~time:50_000
+  in
   let m = Machine.create ~opts:(Opts.all ~safe:true) () in
   Process.spawn m.Machine.engine ~name:"poster" (fun () ->
       Cpu.post_irq (Machine.cpu m 3) stuck);
-  Machine.run m;
-  Alcotest.check_raises "a dispatcher left suspended"
-    (Failure "Demo: cpu3: 1 IRQ dispatcher(s) suspended at quiescence") (fun () ->
+  stop m;
+  Alcotest.check_raises "a detached drain left running"
+    (Failure "Demo: cpu3: IRQ drain still running at quiescence") (fun () ->
       Kernel.check_run m ~who:"Demo");
   let m = Machine.create ~opts:(Opts.all ~safe:true) () in
   let cpu = Machine.cpu m 2 in
@@ -247,7 +259,7 @@ let test_dispatch_quiescence () =
       Cpu.occupy cpu;
       Cpu.post_irq cpu stuck;
       Cpu.service_pending cpu);
-  Machine.run m;
+  stop m;
   Alcotest.check_raises "a drain left running"
     (Failure "Demo: cpu2: IRQ drain still running at quiescence") (fun () ->
       Kernel.check_run m ~who:"Demo");
