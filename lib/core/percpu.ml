@@ -159,7 +159,6 @@ type queue_state = {
          scratch_targets at each resend, while scratch_targets still holds
          the full set the ack wait checks. *)
   mutable q_wait_gen : int; (* the generation every target must reach *)
-  mutable q_deadline : int; (* the retry ladder's next resend time *)
   mutable q_ready : unit -> bool; (* the ack wait's poll predicate *)
 }
 
@@ -185,7 +184,6 @@ let new_queue_state registry =
     q_t0 = 0;
     scratch_resend = Cpuset.create ~bits:0;
     q_wait_gen = 0;
-    q_deadline = 0;
     q_ready = no_ready;
   }
 

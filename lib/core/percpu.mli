@@ -142,7 +142,6 @@ type queue_state = {
   mutable q_wait_gen : int;
       (** the queue generation every target of this CPU's shootdown must
           drain to *)
-  mutable q_deadline : int;  (** the retry ladder's next resend time *)
   mutable q_ready : unit -> bool;
       (** the ack wait's poll predicate, built at the first wait *)
 }

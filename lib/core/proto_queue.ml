@@ -154,12 +154,11 @@ let rec acked_from m targets gen c =
 
 let all_acked m targets gen = acked_from m targets gen (Cpuset.next targets 0)
 
-(* The ack wait's poll predicate for initiator [p]: every target acked, or
-   the retry ladder's resend is due. Built once per CPU; the wait leaves
-   its generation and deadline in [q]. *)
-let ack_ready m p q () =
-  all_acked m p.Percpu.scratch_targets q.Percpu.q_wait_gen
-  || Machine.now m >= q.Percpu.q_deadline
+(* The ack wait's poll predicate for initiator [p]: every target acked.
+   Built once per CPU; the wait leaves its generation in [q]. The retry
+   ladder's resend deadline is the poll span's end, not a clock test
+   here: a spin predicate reads no clock. *)
+let ack_ready m p q () = all_acked m p.Percpu.scratch_targets q.Percpu.q_wait_gen
 
 let perform m ~from ~mm (info : Flush_info.t) token =
   let stats = m.Machine.stats in
@@ -206,11 +205,11 @@ let perform m ~from ~mm (info : Flush_info.t) token =
     q.Percpu.q_wait_gen <- gen;
     let spin = ref initial_spin in
     let retries = ref 0 in
-    q.Percpu.q_deadline <- Machine.now m + !spin;
+    let deadline = ref (Machine.now m + !spin) in
     while not (all_acked m targets gen) do
       if !retries < max_retries then begin
-        Cpu.poll_wait cpu_t q.Percpu.q_ready;
-        if (not (all_acked m targets gen)) && Machine.now m >= q.Percpu.q_deadline
+        Cpu.poll_until cpu_t ~deadline:!deadline q.Percpu.q_ready;
+        if (not (all_acked m targets gen)) && Machine.now m >= !deadline
         then begin
           (* [scratch_targets] must keep the full set for the ack check
              and the post-wait line reads, so the pending subset gets its
@@ -227,12 +226,11 @@ let perform m ~from ~mm (info : Flush_info.t) token =
             Smp.send_ipis m ~from ~targets:pending ~irq_id:(irq_id m);
           incr retries;
           spin := !spin * backoff_mult;
-          q.Percpu.q_deadline <- Machine.now m + !spin
+          deadline := Machine.now m + !spin
         end
       end
       else begin
-        (* Past the ladder the predicate is the ack check alone. *)
-        q.Percpu.q_deadline <- max_int;
+        (* Past the ladder the wait is the ack check alone. *)
         Cpu.poll_wait cpu_t q.Percpu.q_ready
       end
     done;

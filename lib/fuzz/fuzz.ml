@@ -171,8 +171,9 @@ type exec_result = {
 type region = { mutable r_addr : int; mutable r_pages : int; r_huge : bool }
 
 (* How long (simulated cycles) the driver waits for one op before declaring
-   the run wedged. Generous: oracle broadcasts make everything slow. *)
-let op_timeout_cycles = 10_000_000
+   the run wedged, a whole number of its 200-cycle polls. Generous: oracle
+   broadcasts make everything slow. *)
+let op_wait_cycles = 10_000_000
 
 let execute ~opts program =
   let topo = Topology.create ~sockets:program.p_sockets ~cores_per_socket:program.p_cores
@@ -365,14 +366,14 @@ let execute ~opts program =
              if Option.is_none !crash then begin
                let w = worker_of op mod nw in
                cmd.(w) <- Some (i, op);
-               let t0 = Machine.now m in
-               let waiting () =
-                 Option.is_some cmd.(w) && Machine.now m - t0 < op_timeout_cycles
-               in
-               (* Poll every 200 cycles until the worker takes the op or it
-                  times out; the idle boundaries stay inside the engine. *)
-               Process.tick_sleep m.Machine.engine ~first:200 (fun () ->
-                   if waiting () then 200 else 0);
+               (* Poll every 200 cycles until the worker takes the op or
+                  the wait times out: an idle spin whose one chunk ends at
+                  the timeout. *)
+               ignore
+                 (Process.spin m.Machine.engine ~quantum:200 ~chunk:op_wait_cycles
+                    ~left:op_wait_cycles
+                    (fun () -> Option.is_none cmd.(w))
+                    (fun () -> true));
                if Option.is_some cmd.(w) then
                  crash := Some (Printf.sprintf "op %d (%s) wedged" i (Format.asprintf "%a" pp_op op))
              end)

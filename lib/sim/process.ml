@@ -15,7 +15,8 @@ let () =
    on the engine ([Engine.set_arg_cycles] / [set_arg_step]) just before
    performing, and the process's handler reads it straight back.
 
-   - [Sleep]: resume after [Engine.arg_cycles] cycles.
+   - [Sleep]: resume after [Engine.arg_cycles] cycles, or when the idle
+     spin [Engine.spin] staged wakes ([Engine.suspend] queues either).
    - [Tick]: sleep [arg_cycles], then consult the step function
      ([arg_step]) at that boundary and at each later one, from inside the
      engine handler. [step () = 0] resumes the process at the current
@@ -99,7 +100,7 @@ let create engine ~name f =
       (fun k ->
         p.k <- Some k;
         Engine.note_suspension ();
-        Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:0 ~b:0)
+        Engine.suspend engine ~tag:p.tag)
   in
   let on_tick =
     Some
@@ -180,6 +181,14 @@ let chain engine step =
   let d = step () in
   if d < 0 then invalid_arg "Process.chain: negative interval"
   else if d > 0 then tick_fast engine step d
+
+let spin engine ~quantum ~chunk ~left wq wc =
+  let r = Engine.spin engine ~quantum ~chunk ~left wq wc in
+  if r <> Engine.spin_pending then r
+  else begin
+    perform Sleep;
+    Engine.spin_result engine
+  end
 
 let self_tag engine =
   let tag = Engine.current_tag engine in
