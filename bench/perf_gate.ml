@@ -56,10 +56,14 @@ let carries r name = List.mem_assoc name r.values
 let positive r name = match value r name with Some v -> v > 0.0 | None -> false
 
 (* Skip rules, shared by every family. A memoized row executed none of its
-   own cells, so its numbers belong to the experiment that owns them. *)
+   own cells, so its numbers belong to the experiment that owns them. A
+   row that ran cells measures them whatever else it reused, so a row
+   counting runs is skipped as memoized only when it ran none (older
+   files marked a partly reused row memoized). *)
 let skip_rules =
   [
-    ("memoized (cells owned by an earlier experiment)", fun r -> r.memoized);
+    ( "memoized (cells owned by an earlier experiment)",
+      fun r -> r.memoized && not (positive r "runs") );
     ("no shootdowns", fun r -> carries r "shootdowns" && not (positive r "shootdowns"));
     ( "trivial, zero-wall or no engine ops",
       fun r ->

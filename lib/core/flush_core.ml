@@ -243,6 +243,7 @@ let default_user_policy m (info : Flush_info.t) =
   if m.Machine.opts.Opts.in_context_flush && not info.Flush_info.freed_tables then Defer
   else Eager
 
+(* loc begin: in-context-flush *)
 (* --- the §3.4 deferred user-PCID flush ---
 
    [pending_begin] takes the CPU's pending deferred flush. Every form but
@@ -325,6 +326,7 @@ let return_to_user m ~cpu ~has_stack =
   Machine.trace_event m ~cpu Trace.User_resume;
   Cpu.set_in_user cpu_t true;
   Cpu.irq_enable cpu_t
+(* loc end: in-context-flush *)
 
 (* --- the shootdown IRQ ---
 

@@ -142,6 +142,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
       cfds
     in
     if knobs.Opts.concurrent_flush then begin
+      (* loc begin: concurrent-flushes *)
       (* §3.1: send first; the local flush overlaps IPI delivery. *)
       let cfds = run_remote () in
       let leftover = ref (initiator_local_flush m ~from ~has_remote_targets:true info) in
@@ -177,6 +178,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
               ~new_tlb_gen:info.Flush_info.new_tlb_gen ()
           in
           Percpu.defer_user_flush pcpu deferred ~threshold:opts.Opts.full_flush_threshold)
+      (* loc end: concurrent-flushes *)
     end
     else begin
       (* Baseline (Figure 1): local flush strictly before the IPIs. *)

@@ -59,6 +59,7 @@ let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
   let token = Machine.begin_window m ~cpu:from info in
   if knobs.Opts.userspace_batching && pcpu.Percpu.batched_mode && not freed_tables
   then begin
+    (* loc begin: batching *)
     (* §4.2: defer the flush to the mmap_sem-release barrier. Flushes that
        free page tables are never deferred: the tables must be gone from
        every TLB before their pages are recycled. Only batch_slots (4)
@@ -73,12 +74,14 @@ let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
       List.iter (fun (i, tok) -> perform m ~from ~mm i tok) overflow
     end;
     pcpu.Percpu.batch <- (info, token) :: pcpu.Percpu.batch
+    (* loc end: batching *)
   end
   else perform m ~from ~mm info token
 
 let flush_tlb_page m ~from ~mm ~vpn =
   flush_tlb_mm_range m ~from ~mm ~start_vpn:vpn ~pages:1 ()
 
+(* loc begin: cow *)
 let flush_tlb_page_cow m ~from ~mm ~vpn ~executable =
   let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
   let knobs = Opts.knobs opts in
@@ -127,6 +130,7 @@ let flush_tlb_page_cow m ~from ~mm ~vpn ~executable =
       Machine.end_window m ~cpu:from ~mm_id:(Mm_struct.id mm) token
     end
   end
+(* loc end: cow *)
 
 let flush_tlb_mm m ~from ~mm =
   let new_tlb_gen =
@@ -140,6 +144,7 @@ let flush_tlb_mm m ~from ~mm =
   let token = Machine.begin_window m ~cpu:from info in
   perform m ~from ~mm info token
 
+(* loc begin: batching *)
 let flush_batched m ~from ~mm =
   let pcpu = Machine.percpu m from in
   let batch = List.rev pcpu.Percpu.batch in
@@ -148,6 +153,7 @@ let flush_batched m ~from ~mm =
   (* Leave batched mode before flushing so nothing re-defers. *)
   pcpu.Percpu.batched_mode <- false;
   List.iter (fun (info, token) -> perform m ~from ~mm info token) batch
+(* loc end: batching *)
 
 let nmi_uaccess_okay m ~cpu =
   let pcpu = Machine.percpu m cpu in

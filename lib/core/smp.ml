@@ -1,5 +1,6 @@
 let tlb_shootdown_vector = 0xf6  (* CALL_FUNCTION_SINGLE_VECTOR-ish *)
 
+(* loc begin: early-ack-consolidation *)
 (* Consolidated layout (§3.3): the lazy/batched flags live on the same
    line as the call-queue head, which the initiator is about to write
    anyway; baseline keeps a separate tlb_state line. *)
@@ -85,6 +86,7 @@ let ack_landed m ~me cfd =
              early = cfd.Percpu.cfd_early_ack;
            })
   end
+(* loc end: early-ack-consolidation *)
 
 (* A whole drain is one charge run: the queue-line read as its lead, then
    for each request the CSD-line read and, under the baseline layout, the

@@ -64,6 +64,7 @@ let flush_entries ~stride ~pages =
   | Tlb.Four_k -> pages
   | Tlb.Two_m -> (pages + Addr.pages_per_huge - 1) / Addr.pages_per_huge
 
+(* loc begin: batching *)
 (* Bracket for batching-eligible syscalls: mmap_sem, batched mode, the
    release-time flush of deferred shootdowns, deferred frame frees, and the
    exit-side generation barrier. *)
@@ -97,6 +98,7 @@ let in_batched_section m ~cpu ~mm ~write_sem f =
   ignore to_free;
   (* The §4.2 barrier: initiators may have skipped us while batched. *)
   Shootdown.check_and_sync_tlb m ~cpu
+(* loc end: batching *)
 
 let mmap m ~cpu ~pages ?(writable = true) ?(executable = false) ?backing
     ?(page_size = Tlb.Four_k) () =

@@ -33,9 +33,9 @@ type plan = {
           one plan, so perf attribution never double-counts *)
   reused : int;
       (** cells this experiment reads from a {!memo} but does not own:
-          they were registered first by an earlier plan. Perf mode marks
-          such experiments [memoized] so the gate knows their measures
-          cover only part of what they print. *)
+          they were registered first by an earlier plan. Perf mode reports
+          the count; an experiment whose cells are all reused runs none
+          and is marked [memoized], so the gate skips it. *)
   reduce : unit -> Bench_perf.row list;
       (** prints the tables via {!Report} and returns the experiment's
           own BENCH_PERF rows (most return none); runs after every cell *)
