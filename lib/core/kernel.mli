@@ -21,7 +21,8 @@ val run : Machine.t -> unit
     CPU no surviving deferred user flush, no undrained call queue, no stuck
     inflight-flush flag, no unflushed batch and a quiescent protocol
     backend ({!Shootdown.protocol_quiescent}); last, every engine event
-    row is back on the arena's free list ({!Sim.Engine.live_rows}). Calls
+    row is back on the arena's free list and no idle spin is pending
+    ({!Sim.Engine.live_rows}). Calls
     [add_failure] once per violated invariant. *)
 val check_quiescent : Machine.t -> (string -> unit) -> unit
 
