@@ -984,11 +984,7 @@ let bechamel () =
      boundary) with nothing else on the engine, so every cost takes the
      [try_advance] fast path. *)
   let step_irq () =
-    let started = ref false in
-    let step _ =
-      started := not !started;
-      if !started then 50 else -1
-    in
+    let step _ k = if k = 0 then 50 else -1 in
     { Cpu.vector = 1; maskable = true; step }
   in
   let irq_dispatch_test =

@@ -331,12 +331,12 @@ let return_to_user m ~cpu ~has_stack =
 (* --- the shootdown IRQ ---
 
    A backend's responder is a charge run: [lead cpu] makes its first
-   charge at handler start, and [visit] its phases. The handler is that
-   run followed, when the IRQ interrupted user mode, by the return-to-user
-   tail: the CPU is about to return to user mode, so any flush deferred by
-   §3.4 must complete first. The tail is more phases of the same run,
-   counted from the phase where it began, with its state beside the run's
-   walker in the CPU's [irq_run].
+   charge at handler start, and [visit] its phases. The handler's step
+   runs [lead] at phase 0 and [visit] at the phases after it, followed,
+   when the IRQ interrupted user mode, by the return-to-user tail: the CPU
+   is about to return to user mode, so any flush deferred by §3.4 must
+   complete first. The tail is more phases of the same handler, counted
+   from the phase where it began, with its state in the CPU's [irq_run].
 
    The irq record is fixed per machine (the step depends only on [m]; the
    responder CPU is recovered from the [Cpu.t] the dispatch passes in), so
@@ -348,9 +348,11 @@ let shootdown_irq m backend =
   if id >= 0 then id
   else begin
     let lead, visit = backend m in
-    let lead cpu =
-      (* [irq_run] exists once the handler has started: this is its start. *)
-      (Machine.percpu m cpu).Percpu.irq_run.Percpu.tail <- -1;
+    let start cpu =
+      let pcpu = Machine.percpu m cpu in
+      if pcpu.Percpu.irq_run == Percpu.no_irq_run then
+        pcpu.Percpu.irq_run <- Percpu.new_irq_run ()
+      else pcpu.Percpu.irq_run.Percpu.tail <- -1;
       lead cpu
     in
     let handler_visit cpu phase =
@@ -379,7 +381,9 @@ let shootdown_irq m backend =
         d
       end
     in
-    let step cpu = Machine.irq_run m ~cpu:(Cpu.id cpu) ~lead handler_visit in
+    let step cpu k =
+      if k = 0 then start (Cpu.id cpu) else handler_visit (Cpu.id cpu) (k - 1)
+    in
     let irq = { Cpu.vector = Smp.tlb_shootdown_vector; maskable = true; step } in
     let id = Apic.register_irq m.Machine.apic irq in
     m.Machine.proto_irq_id <- id;

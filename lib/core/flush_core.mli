@@ -73,10 +73,10 @@ val initiator_flush :
     machine's first shootdown and cached in [Machine.proto_irq_id].
     [backend m] gives the responder as a charge run: [lead cpu], made at
     handler start, returns the cost of its first charge, and [visit] its
-    phases, with {!Machine.chain_item}'s rules. The handler runs that run
-    ({!Machine.irq_run}) and then, when the IRQ interrupted user mode, the
-    return-to-user tail of {!flush_pending_user} as more steps of the
-    same run. *)
+    phases, with {!Machine.chain_item}'s rules. The handler's step runs
+    [lead] at its phase 0 and [visit] at the phases after it, and then,
+    when the IRQ interrupted user mode, the return-to-user tail of
+    {!flush_pending_user} as more steps of the same handler. *)
 val shootdown_irq : Machine.t -> (Machine.t -> (int -> int) * (int -> int -> int)) -> int
 
 (** [Defer] under §3.4 (unless page tables are freed), else [Eager]. *)

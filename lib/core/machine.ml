@@ -38,6 +38,20 @@ let n_flush_kinds = 4
 let flush_kind_labels = [| "invlpg"; "cr3"; "deferred"; "skipped" |]
 let flush_index ~rank ~kind = (rank * n_flush_kinds) + kind
 
+(* A charge run's place between boundaries: the items (the members of
+   [w_set] when [w_n < 0], else [0 .. w_n - 1]), the visit, and the next
+   (item, phase). [w_visit] is [no_visit] while no run holds the walker,
+   and [w_step] is the run's step, built once. *)
+type walker = {
+  mutable w_set : Cpuset.t;
+  mutable w_n : int;
+  mutable w_phases : int;
+  mutable w_visit : int -> int -> int;
+  mutable w_at : int;
+  mutable w_phase : int;
+  mutable w_step : unit -> int;
+}
+
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -80,7 +94,7 @@ type t = {
   stats : stats;
   metrics : Metrics.t;
   phases : phases;
-  mutable walkers : Percpu.walker array;
+  mutable walkers : walker array;
 }
 
 let fresh_stats () =
@@ -219,8 +233,8 @@ let charge_write t line ~by = delay t (Cache.write line ~by)
 let charge_atomic t line ~by = delay t (Cache.atomic line ~by)
 let run t = Engine.run t.engine
 
-(* The charge-run walker under [chain_cpus], [chain_upto], [chain_item]
-   and [irq_run]. Items are the members of [set] when [n < 0], else
+(* The charge-run walker under [chain_cpus], [chain_upto] and
+   [chain_item]. Items are the members of [set] when [n < 0], else
    [0 .. n - 1]; [at = -1] is past the last one, and [d] is the cost due
    before phase [phase] of item [at]. A negative cost from [visit] ends the
    run at that boundary. While each cost's window is empty a process's run
@@ -229,22 +243,21 @@ let run t = Engine.run t.engine
    and its boundaries then run in the engine from a walker. A process is
    in at most one run at a time, and an engine tag names one live process,
    so each tag keeps one walker and reuses it: a suspended run allocates
-   nothing either. An IRQ handler's run never suspends anything: the CPU's
-   dispatch drives it from the CPU's own walker ([irq_run]). *)
+   nothing either. *)
 let next_item set n at =
   if n < 0 then Cpuset.next set (at + 1) else if at + 1 < n then at + 1 else -1
 
 let no_set = Cpuset.create ~bits:0
 let no_visit = Percpu.no_visit
 
-let finish (w : Percpu.walker) =
+let finish (w : walker) =
   w.w_visit <- no_visit;
   w.w_set <- no_set;
   -1
 
 (* The run's next boundary: the visits due now, then the cost of the next
    boundary, or -1 once the run is over. *)
-let rec walker_next (w : Percpu.walker) =
+let rec walker_next (w : walker) =
   if w.w_at < 0 then finish w
   else begin
     let d = w.w_visit w.w_at w.w_phase in
@@ -259,10 +272,23 @@ let rec walker_next (w : Percpu.walker) =
     end
   end
 
+(* Stands in for a walker not built yet, the only one with no phases;
+   never written. *)
+let no_walker =
+  {
+    w_set = no_set;
+    w_n = 0;
+    w_phases = 0;
+    w_visit = no_visit;
+    w_at = -1;
+    w_phase = 0;
+    w_step = (fun () -> 0);
+  }
+
 let new_walker () =
   let w =
     {
-      Percpu.w_set = no_set;
+      w_set = no_set;
       w_n = 0;
       w_phases = 1;
       w_visit = no_visit;
@@ -280,19 +306,19 @@ let walker_of t =
   if tag < 0 then invalid_arg "Machine: a charge run outside a process";
   let n = Array.length t.walkers in
   if tag >= n then begin
-    let bigger = Array.make (Int.max (tag + 1) (2 * n)) Percpu.no_walker in
+    let bigger = Array.make (Int.max (tag + 1) (2 * n)) no_walker in
     Array.blit t.walkers 0 bigger 0 n;
     t.walkers <- bigger
   end;
   let w = t.walkers.(tag) in
-  if w != Percpu.no_walker then w
+  if w != no_walker then w
   else begin
     let w = new_walker () in
     t.walkers.(tag) <- w;
     w
   end
 
-let set_run (w : Percpu.walker) set n phases visit at phase =
+let set_run (w : walker) set n phases visit at phase =
   w.w_set <- set;
   w.w_n <- n;
   w.w_phases <- phases;
@@ -320,20 +346,6 @@ let chain_upto t ?(lead = 0) n ~phases visit =
   walk t no_set n phases visit (if n > 0 then 0 else -1) 0 lead
 
 let chain_item t ~lead item visit = walk t no_set (item + 1) max_int visit item 0 lead
-
-(* [chain_item] as the step of [cpu]'s IRQ handler. A walker that holds no
-   run marks a handler start; the CPU runs one handler at a time, so one
-   walker per CPU serves every handler it runs. *)
-let irq_run t ~cpu ~lead visit =
-  let p = t.percpu.(cpu) in
-  if p.Percpu.irq_run == Percpu.no_irq_run then
-    p.Percpu.irq_run <- Percpu.new_irq_run (new_walker ());
-  let w = p.Percpu.irq_run.Percpu.run in
-  if w.w_visit == no_visit then begin
-    set_run w no_set (cpu + 1) max_int visit cpu 0;
-    lead cpu
-  end
-  else walker_next w
 
 let engine_ops t = Engine.ops t.engine
 

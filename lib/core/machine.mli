@@ -42,6 +42,21 @@ val flush_kind_skipped : int
 (** [flush_index ~rank ~kind] is the {!phases.flush} index. *)
 val flush_index : rank:int -> kind:int -> int
 
+(** A charge run's place between its boundaries: the items (the members
+    of [w_set] when [w_n < 0], else [0 .. w_n - 1]), the visit, and the
+    next (item, phase). A process keeps one per engine tag. [w_visit] is
+    {!Percpu.no_visit} while no run holds the walker; [w_phases = 0] marks
+    the stand-in for a walker not built yet. *)
+type walker = {
+  mutable w_set : Cpuset.t;
+  mutable w_n : int;
+  mutable w_phases : int;
+  mutable w_visit : int -> int -> int;
+  mutable w_at : int;
+  mutable w_phase : int;
+  mutable w_step : unit -> int;  (** the run's step, built once *)
+}
+
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -91,7 +106,7 @@ type t = {
       (** Phase-latency metric registry; enabled iff the machine was
           created with [~metering:true]. *)
   phases : phases;
-  mutable walkers : Percpu.walker array;
+  mutable walkers : walker array;
       (** one per engine tag that has suspended a charge run: where a
           suspended run of the process holding that tag keeps its place.
           Tags are reused, so there are never more than the engine's
@@ -159,15 +174,6 @@ val chain_upto : t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> u
     CPU (the item names the CPU) without a closure per call, and keep its
     place between boundaries in per-CPU state. *)
 val chain_item : t -> lead:int -> int -> (int -> int -> int) -> unit
-
-(** [irq_run t ~cpu ~lead visit] is [chain_item t ~lead:(lead cpu) cpu
-    visit] written as the step of an IRQ handler on [cpu] ({!Cpu.irq}):
-    the first call, at the handler's start, makes [lead cpu]'s charge and
-    returns its cost; each later call, at a boundary, runs the visits due
-    there and returns the cost of the next boundary, or a negative value
-    once a visit has ended the run. The run keeps its place in the CPU's
-    [irq_run], so it suspends nothing and allocates nothing. *)
-val irq_run : t -> cpu:int -> lead:(int -> int) -> (int -> int -> int) -> int
 
 (** Run the engine until idle. *)
 val run : t -> unit

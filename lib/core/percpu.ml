@@ -77,54 +77,25 @@ let new_flush () =
    written. *)
 let no_flush = new_flush ()
 
-(* A charge run's place between boundaries (Machine's walker): the items
-   (the members of [w_set] when [w_n < 0], else [0 .. w_n - 1]), the
-   visit, and the next (item, phase). [w_visit] is [no_visit] while no
-   run holds the walker, and [w_step] is the run's step, built once. *)
-type walker = {
-  mutable w_set : Cpuset.t;
-  mutable w_n : int;
-  mutable w_phases : int;
-  mutable w_visit : int -> int -> int;
-  mutable w_at : int;
-  mutable w_phase : int;
-  mutable w_step : unit -> int;
-}
-
-(* Stands in for a walker not built yet; never written. *)
-let no_walker =
-  {
-    w_set = Cpuset.create ~bits:0;
-    w_n = 0;
-    w_phases = 1;
-    w_visit = no_visit;
-    w_at = -1;
-    w_phase = 0;
-    w_step = (fun () -> 0);
-  }
-
-(* A CPU's IRQ handler run between boundaries (Machine.irq_run), and the
-   return-to-user tail Flush_core.shootdown_irq appends to it. Built at
-   the CPU's first IRQ handler run, so a CPU that never takes one pays
-   one word. *)
+(* The return-to-user tail Flush_core.shootdown_irq appends to a CPU's
+   IRQ handler. Built at the CPU's first shootdown IRQ, so a CPU that
+   never takes one pays one word. *)
 type irq_run = {
-  run : walker;
-  mutable tail : int; (* the run phase the tail began at, or -1 *)
+  mutable tail : int; (* the handler phase the tail began at, or -1 *)
   mutable tail_info : Flush_info.t; (* the tail's ranged deferred flush ... *)
   mutable tail_pcid : int; (* ... the user PCID it invalidates ... *)
   mutable tail_t0 : int; (* ... and when it began *)
 }
 
-let new_irq_run run =
+let new_irq_run () =
   {
-    run;
     tail = -1;
     tail_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
     tail_pcid = 0;
     tail_t0 = 0;
   }
 
-let no_irq_run = new_irq_run no_walker
+let no_irq_run = new_irq_run ()
 
 (* Queue_spin ring capacity. Charmos-style: small and bounded — overflow is
    expected under bursts and collapses to a flush-all rather than blocking
@@ -216,7 +187,7 @@ type t = {
   mutable csd_released : int; (* ... those executed and acked here *)
   mutable irq_flush : flush;
   mutable task_flush : flush;
-  mutable irq_run : irq_run; (* [no_irq_run] before the first IRQ handler *)
+  mutable irq_run : irq_run; (* [no_irq_run] before the first shootdown IRQ *)
   line_tlb : Cache.line;
   line_csq : Cache.line;
   mutable csd_lines : Cache.line option array;

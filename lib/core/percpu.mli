@@ -75,40 +75,20 @@ val no_visit : int -> int -> int
 (** Stands in for a CPU's flush records until its first flush. *)
 val no_flush : flush
 
-(** A charge run's place between its boundaries: the items (the members
-    of [w_set] when [w_n < 0], else [0 .. w_n - 1]), the visit, and the
-    next (item, phase). {!Machine} runs it; a process keeps one per engine
-    tag and a CPU one for its IRQ handlers. [w_visit] is {!no_visit}
-    while no run holds the walker. *)
-type walker = {
-  mutable w_set : Cpuset.t;
-  mutable w_n : int;
-  mutable w_phases : int;
-  mutable w_visit : int -> int -> int;
-  mutable w_at : int;
-  mutable w_phase : int;
-  mutable w_step : unit -> int;  (** the run's step, built once *)
-}
-
-(** Stands in for a walker not built yet; never written. *)
-val no_walker : walker
-
-(** A CPU's IRQ handler run between its boundaries ({!Machine.irq_run}),
-    and the return-to-user tail {!Flush_core.shootdown_irq} appends to
-    it: one handler runs per CPU at a time, so one record serves them
-    all. *)
+(** The return-to-user tail {!Flush_core.shootdown_irq} appends to a
+    CPU's IRQ handler: one handler runs per CPU at a time, so one record
+    serves them all. *)
 type irq_run = {
-  run : walker;  (** the run's place *)
   mutable tail : int;
-      (** the run phase where the tail began, or -1 while the backend's
-          part runs *)
+      (** the handler phase where the tail began, or -1 while the
+          backend's part runs *)
   mutable tail_info : Flush_info.t;  (** the tail's ranged deferred flush *)
   mutable tail_pcid : int;  (** the user PCID it invalidates *)
   mutable tail_t0 : int;  (** when the tail began, for metering *)
 }
 
-(** A record for a CPU's first IRQ handler run, on walker [run]. *)
-val new_irq_run : walker -> irq_run
+(** A record for a CPU's first shootdown IRQ. *)
+val new_irq_run : unit -> irq_run
 
 (** Stands in for a CPU's [irq_run] until its first; never written. *)
 val no_irq_run : irq_run
@@ -188,7 +168,7 @@ type t = {
   mutable task_flush : flush;
       (** the flush of a process on this CPU; {!no_flush} until the first *)
   mutable irq_run : irq_run;
-      (** where this CPU's IRQ handler run is between boundaries;
+      (** the return-to-user tail of this CPU's shootdown IRQ;
           {!no_irq_run} until the first *)
   line_tlb : Cache.line;
   line_csq : Cache.line;

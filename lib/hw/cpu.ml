@@ -14,15 +14,16 @@ type t = {
   mutable dispatch_tag : int;
       (* engine handler of detached dispatch, -1 until the first one *)
   deferred : irq Queue.t;
-      (* scratch for [service_pending]: masked IRQs awaiting re-queue.
-         Empty outside a drain; preallocated so drains allocate nothing. *)
+      (* scratch for a drain: masked IRQs awaiting re-queue. Empty outside
+         a drain; preallocated so drains allocate nothing. *)
   mutable user : bool;
   mutable draining : bool;
   mutable t_interrupted : int;
   mutable t_handled : int;
   mutable t_compute : int;
   mutable from_user_irq : bool;
-  mutable irq : irq; (* the IRQ in service, valid while [draining] *)
+  mutable irq : irq; (* the IRQ in service, [no_irq] between IRQs *)
+  mutable phase : int; (* its handler's next step, or -1 once its exit is due *)
   mutable irq_started : int;
   mutable irq_was_user : bool;
   mutable service_depth : int;
@@ -34,14 +35,14 @@ type t = {
          only legal in kernel context or on an empty CPU. *)
   mutable can_service : unit -> bool;
       (* [serviceable], the spins' wake test, built at the first spin *)
-  mutable service_step : unit -> int;
-      (* [run_irq]'s step, built at the first service-point IRQ *)
-  mutable exiting : bool; (* [run_irq]: the handler is over, its exit runs *)
+  mutable drain_step : unit -> int;
+      (* [drain] as a charge-run step, built at the first service-point
+         drain *)
 }
 
-and irq = { vector : int; maskable : bool; step : t -> int }
+and irq = { vector : int; maskable : bool; step : t -> int -> int }
 
-let no_irq = { vector = -1; maskable = true; step = (fun _ -> -1) }
+let no_irq = { vector = -1; maskable = true; step = (fun _ _ -> -1) }
 let no_step () = 0
 let never () = false
 let always () = true
@@ -68,13 +69,13 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     t_compute = 0;
     from_user_irq = false;
     irq = no_irq;
+    phase = 0;
     irq_started = 0;
     irq_was_user = false;
     service_depth = 0;
     occupancy = 0;
     can_service = never;
-    service_step = no_step;
-    exiting = false;
+    drain_step = no_step;
   }
 
 let id t = t.cpu_id
@@ -102,161 +103,112 @@ let has_deliverable t =
    engine handler. *)
 let serviceable t = has_deliverable t && not t.draining
 
-(* One IRQ is an entry delay, the handler's steps and an exit delay. The
-   prologue and epilogue around them are shared by the two ways an IRQ
-   runs: as a charge run of the process at a service point ([run_irq]),
-   and detached, driven by the CPU's dispatch handler ([dispatch]). Only
-   one drain runs per CPU at a time ([draining]), so the IRQ in service
-   lives in the CPU record and [from_user_irq] is false outside a handler.
-   Entry cost depends on mitigation mode and on the privilege we
-   interrupt; entry + handler + exit is charged to interrupted_cycles. The
-   prologue returns the entry cost. *)
-let irq_prologue t irq =
-  let was_user = t.user in
-  t.irq <- irq;
-  t.irq_started <- Engine.now t.eng;
-  t.irq_was_user <- was_user;
-  t.user <- false;
-  t.from_user_irq <- was_user;
-  Costs.irq_entry t.cost ~safe:t.safe ~from_user:was_user
+(* A drain runs the pending IRQs one at a time. One IRQ is an entry
+   delay, the handler's steps and an exit delay; entry + handler + exit is
+   charged to interrupted_cycles. Entry cost depends on mitigation mode and
+   on the privilege we interrupt. Only one drain runs per CPU at a time
+   ([draining]), so the IRQ in service and its phase live in the CPU
+   record, and [from_user_irq] is false outside a handler.
 
-let irq_epilogue t =
-  t.user <- t.irq_was_user;
-  t.from_user_irq <- false;
-  t.t_handled <- t.t_handled + 1;
-  t.t_interrupted <- t.t_interrupted + (Engine.now t.eng - t.irq_started)
+   [drain] is the whole drain as one step function, called at each of its
+   boundaries: it runs the work due there (the next deliverable IRQ's pop
+   and entry, a step of the handler, or the exit's epilogue, going
+   straight on through zero costs) and returns the cost to the next
+   boundary, or 0 once the queue is empty and the drain is over. It has
+   two drivers. At a service point the drain is one charge run of the
+   servicing process ([service_pending]); detached, the CPU's dispatch
+   handler runs it from engine events ([dispatch]). Both wait out each
+   cost at the same event times as a [delay] would.
 
-(* [run_irq]'s step at each boundary after the entry: the handler's steps
-   (a zero cost goes straight on), then the exit, then the epilogue, which
-   resumes the process. *)
-let rec service_step t () =
-  if t.exiting then begin
-    irq_epilogue t;
-    0
-  end
-  else begin
-    let d = t.irq.step t in
-    if d > 0 then d
-    else if d = 0 then service_step t ()
-    else begin
-      t.exiting <- true;
-      let exit = t.cost.irq_exit in
-      if exit > 0 then exit else service_step t ()
-    end
-  end
-
-(* At a service point the whole IRQ is one charge run of the servicing
-   process: at most one suspension, at the same event times as a [delay]
-   for the entry, for each handler step and for the exit. *)
-let run_irq t irq =
-  if t.service_step == no_step then t.service_step <- service_step t;
-  let entry = irq_prologue t irq in
-  t.exiting <- false;
-  if entry > 0 then Process.tick_sleep t.eng ~first:entry t.service_step
-  else Process.chain t.eng t.service_step
-
-(* Deferral parks masked IRQs on the preallocated per-CPU [deferred] queue
-   (empty outside a drain), so the overwhelmingly common
-   deliver-everything drain allocates nothing. An unmaskable IRQ is always
-   deliverable, so deferral never has to put the counter back. On an
-   exception the deferred IRQs (all maskable, so no counter adjustment)
-   go back on [pending], so the field is empty again for the next drain. *)
-let pop_pending t =
-  let irq = Queue.pop t.pending in
-  if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable - 1;
-  irq
-
+   Deferral parks masked IRQs on the preallocated per-CPU [deferred]
+   queue, so the overwhelmingly common deliver-everything drain allocates
+   nothing. An unmaskable IRQ is always deliverable, so deferral never has
+   to put the counter back. *)
 let end_drain t =
   Queue.transfer t.deferred t.pending;
+  t.irq <- no_irq;
   t.draining <- false
 
+let rec drain t =
+  if t.irq == no_irq then begin
+    if Queue.is_empty t.pending then begin
+      end_drain t;
+      0
+    end
+    else begin
+      let irq = Queue.pop t.pending in
+      if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable - 1;
+      if deliverable t irq then begin
+        let was_user = t.user in
+        t.irq <- irq;
+        t.phase <- 0;
+        t.irq_started <- Engine.now t.eng;
+        t.irq_was_user <- was_user;
+        t.user <- false;
+        t.from_user_irq <- was_user;
+        let entry = Costs.irq_entry t.cost ~safe:t.safe ~from_user:was_user in
+        if entry > 0 then entry else drain t
+      end
+      else begin
+        Queue.push irq t.deferred;
+        drain t
+      end
+    end
+  end
+  else if t.phase >= 0 then begin
+    let k = t.phase in
+    t.phase <- k + 1;
+    let d = t.irq.step t k in
+    if d > 0 then d
+    else if d = 0 then drain t
+    else begin
+      t.phase <- -1;
+      let exit = t.cost.irq_exit in
+      if exit > 0 then exit else drain t
+    end
+  end
+  else begin
+    t.user <- t.irq_was_user;
+    t.from_user_irq <- false;
+    t.t_handled <- t.t_handled + 1;
+    t.t_interrupted <- t.t_interrupted + (Engine.now t.eng - t.irq_started);
+    t.irq <- no_irq;
+    drain t
+  end
+
+(* At a service point the whole drain is one charge run of the servicing
+   process: at most one suspension. An exception from a handler's step
+   ends the drain: the deferred IRQs (all maskable, so no counter
+   adjustment) go back on [pending], so the queue is empty again for the
+   next drain. *)
 let service_pending t =
   if not t.draining then begin
+    if t.drain_step == no_step then t.drain_step <- (fun () -> drain t);
     t.draining <- true;
-    (try
-       while not (Queue.is_empty t.pending) do
-         let irq = pop_pending t in
-         if deliverable t irq then run_irq t irq else Queue.push irq t.deferred
-       done
-     with e ->
-       end_drain t;
-       raise e);
-    end_drain t
-  end
-
-(* Detached dispatch: the same drain, driven by engine events on the CPU's
-   dispatch handler, with no process at all. Event [a = 0] starts the
-   drain, [1] is a boundary where the handler's next step is due (the
-   entry's end, or a cost the handler returned) and [2] is an exit
-   boundary; each is scheduled exactly where [run_irq]'s charge run would
-   put its boundary, so event times and order are the same. A cost whose
-   window is empty ([try_advance] succeeds), or zero, goes straight on:
-   after a handler's exit, to the next IRQ's entry and handler.
-
-   [next_irq] pops up to the next deliverable IRQ and runs its prologue. It
-   returns [true] when the handler's first step is due now, [false] when
-   the entry boundary is scheduled or the drain is over. *)
-let ev_start = 0
-let ev_step = 1
-let ev_exit = 2
-
-let rec next_irq t =
-  if Queue.is_empty t.pending then begin
-    end_drain t;
-    false
-  end
-  else begin
-    let irq = pop_pending t in
-    if deliverable t irq then begin
-      let entry = irq_prologue t irq in
-      if entry = 0 || Engine.try_advance t.eng ~cycles:entry then true
-      else begin
-        Engine.schedule_tag t.eng ~delay:entry ~tag:t.dispatch_tag ~a:ev_step ~b:0;
-        false
-      end
-    end
-    else begin
-      Queue.push irq t.deferred;
-      next_irq t
-    end
-  end
-
-(* The handler in service, from a boundary where its step is due, until a
-   cost's window holds another event or the drain is over. *)
-let rec run_handler t =
-  let d = t.irq.step t in
-  if d >= 0 then begin
-    if d = 0 || Engine.try_advance t.eng ~cycles:d then run_handler t
-    else Engine.schedule_tag t.eng ~delay:d ~tag:t.dispatch_tag ~a:ev_step ~b:0
-  end
-  else begin
-    let exit = t.cost.irq_exit in
-    if exit = 0 || Engine.try_advance t.eng ~cycles:exit then begin
-      irq_epilogue t;
-      if next_irq t then run_handler t
-    end
-    else Engine.schedule_tag t.eng ~delay:exit ~tag:t.dispatch_tag ~a:ev_exit ~b:0
-  end
-
-let dispatch t a =
-  let step_due =
-    if a = ev_start then
-      if t.draining then false
-      else begin
-        t.draining <- true;
-        next_irq t
-      end
-    else if a = ev_step then true
-    else begin
-      irq_epilogue t;
-      next_irq t
-    end
-  in
-  if step_due then
-    try run_handler t
+    try Process.chain t.eng t.drain_step
     with e ->
       end_drain t;
       raise e
+  end
+
+(* Detached: the drain driven by the CPU's dispatch handler, with no
+   process at all. Event [a = 0] starts a drain (a no-op while one runs)
+   and [1] is a boundary of the running one. A cost whose window is empty
+   ([try_advance] succeeds) goes straight on. *)
+let rec run_detached t =
+  let d = drain t in
+  if d > 0 then
+    if Engine.try_advance t.eng ~cycles:d then run_detached t
+    else Engine.schedule_tag t.eng ~delay:d ~tag:t.dispatch_tag ~a:1 ~b:0
+
+let dispatch t a =
+  if a = 1 || not t.draining then begin
+    t.draining <- true;
+    try run_detached t
+    with e ->
+      end_drain t;
+      raise e
+  end
 
 let in_service_window t f =
   t.service_depth <- t.service_depth + 1;
@@ -282,7 +234,7 @@ let maybe_dispatch t =
   then begin
     if t.dispatch_tag < 0 then
       t.dispatch_tag <- Engine.register_handler t.eng (fun a _ -> dispatch t a);
-    Engine.schedule_tag t.eng ~delay:0 ~tag:t.dispatch_tag ~a:ev_start ~b:0
+    Engine.schedule_tag t.eng ~delay:0 ~tag:t.dispatch_tag ~a:0 ~b:0
   end
 
 let post_irq t irq =

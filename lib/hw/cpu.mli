@@ -2,27 +2,28 @@
 
     Interrupts are serviced at explicit points — between compute chunks,
     inside spin-wait polls, and in idle waits — which models real interrupt
-    delivery at instruction boundaries plus dispatch latency. There an IRQ
-    is one charge run of the servicing process. A CPU with no such point
-    coming (idle, or running kernel code) takes them detached: its
-    dispatch handler drives the whole drain from engine events at the
-    start, each boundary of each handler and each exit, with no process.
-    Handler execution time is attributed to the CPU's
-    [interrupted_cycles], which is exactly what the paper's
-    microbenchmark reports for responder cores. *)
+    delivery at instruction boundaries plus dispatch latency. A drain of
+    the pending IRQs is one step function, called at each entry, handler
+    boundary and exit. At a service point it runs as one charge run of
+    the servicing process. A CPU with no such point coming (idle, or
+    running kernel code) takes them detached: its dispatch handler drives
+    the same step from engine events, with no process. Handler execution
+    time is attributed to the CPU's [interrupted_cycles], which is exactly
+    what the paper's microbenchmark reports for responder cores. *)
 
 type t
 
-(** An interrupt. Its handler is a step function: [step cpu] is called at
-    the handler's start, after the entry cost, and again at each boundary
-    it asks for. Each call does the work due at that boundary and returns
-    the cost to the next one ([0] goes straight on to the next call), or a
-    negative value when the handler is done; the exit cost follows. A step
-    keeps its place between calls in per-CPU state (one handler runs per
-    CPU at a time), never suspends, and must follow
+(** An interrupt. Its handler is a step function: [step cpu k] is called
+    with [k = 0] at the handler's start, after the entry cost, and with
+    [k = 1, 2, ...] at each later boundary it asks for. Each call does the
+    work due at that boundary and returns the cost to the next one ([0]
+    goes straight on to the next call), or a negative value when the
+    handler is done; the exit cost follows. The CPU counts [k]; any other
+    place the step keeps between calls lives in per-CPU state (one handler
+    runs per CPU at a time). A step never suspends and must follow
     {!Process.tick_sleep}'s rules for a step. Non-[maskable] IRQs (NMIs)
     are serviced even while interrupts are disabled. *)
-type irq = { vector : int; maskable : bool; step : t -> int }
+type irq = { vector : int; maskable : bool; step : t -> int -> int }
 
 (** [create engine topo costs ~id ~safe] makes CPU [id]. [safe] selects
     mitigation-mode entry costs. *)
@@ -73,10 +74,10 @@ val vacate : t -> unit
 val post_irq : t -> irq -> unit
 
 (** Service all pending deliverable IRQs now, paying entry/exit costs:
-    each IRQ is one charge run of the calling process. No-op if masked
-    (except for NMIs) or if a drain is already running. An exception from
-    a handler's step after the run's first suspension escapes the engine
-    loop unwrapped. *)
+    the whole drain is one charge run of the calling process, which
+    suspends it at most once. No-op if masked (except for NMIs) or if a
+    drain is already running. An exception from a handler's step after the
+    run's first suspension escapes the engine loop unwrapped. *)
 val service_pending : t -> unit
 
 (** Execute [cycles] of work on this CPU, servicing IRQs between chunks of

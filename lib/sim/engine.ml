@@ -181,7 +181,17 @@ type t = {
   mutable spin_tag : int; (* handler of spin rows under a chooser, [nil] until one *)
 }
 
+(* Suspensions are counted per domain, not per engine: a harness reads
+   the count around a run it executes on one domain, as it reads
+   [Gc.minor_words], without a handle on the run's engines. *)
+let suspensions_key = Domain.DLS.new_key (fun () -> ref 0)
+let suspensions () = !(Domain.DLS.get suspensions_key)
+let note_suspension () = incr (Domain.DLS.get suspensions_key)
+
+(* Creating an engine forces its domain's suspension counter, so that the
+   first suspension of a run allocates nothing. *)
 let create () =
+  ignore (suspensions ());
   {
     now = 0;
     seq = 0;
@@ -225,12 +235,6 @@ let create () =
 let now t = t.now
 let events_run t = t.events_run
 let advances t = t.advances
-(* Suspensions are counted per domain, not per engine: a harness reads
-   the count around a run it executes on one domain, as it reads
-   [Gc.minor_words], without a handle on the run's engines. *)
-let suspensions_key = Domain.DLS.new_key (fun () -> ref 0)
-let suspensions () = !(Domain.DLS.get suspensions_key)
-let note_suspension () = incr (Domain.DLS.get suspensions_key)
 
 (* Engine operations are a per-engine quantity: every engine belongs to
    exactly one simulation run, so a harness that wants "ops spent in this

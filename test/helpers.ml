@@ -29,21 +29,17 @@ let spawn_kernel m ~cpu ~name body =
 
 (* An IRQ whose handler calls [f] at its start, takes [cycles] (none by
    default) and then calls [at_end]: the step-function form of a handler
-   [f cpu; Process.delay e cycles; at_end cpu]. Its place is kept per CPU,
-   so one record may run on several CPUs at once. *)
+   [f cpu; Process.delay e cycles; at_end cpu]. The CPU counts the
+   handler's phase, so one record may run on several CPUs at once. *)
 let irq ?(maskable = true) ?(cycles = 0) ?(at_end = ignore) vector f =
-  let started = Hashtbl.create 4 in
-  let step cpu =
-    let id = Cpu.id cpu in
-    if Hashtbl.mem started id then begin
-      Hashtbl.remove started id;
-      at_end cpu;
-      -1
-    end
-    else begin
-      Hashtbl.replace started id ();
+  let step cpu k =
+    if k = 0 then begin
       f cpu;
       cycles
+    end
+    else begin
+      at_end cpu;
+      -1
     end
   in
   { Cpu.vector; maskable; step }

@@ -703,11 +703,7 @@ let test_dispatch_words () =
   let words n =
     let e, cpu = lone_cpu () in
     (* 100 cycles of handler, then done. *)
-    let started = ref false in
-    let step _ =
-      started := not !started;
-      if !started then 100 else -1
-    in
+    let step _ k = if k = 0 then 100 else -1 in
     let irq = { Cpu.vector = 1; maskable = true; step } in
     let tag = ref (-1) in
     tag :=

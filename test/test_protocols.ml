@@ -480,10 +480,10 @@ let test_drain_k_requests_one_run () =
                 Smp.ack_landed m ~me:1 cfd;
                 -1)
       in
-      let during = ref (-1) and drained_at = ref 0 and s0 = ref (-1) in
-      let step _ =
-        if !s0 < 0 then s0 := Engine.suspensions ();
-        let d = Machine.irq_run m ~cpu:1 ~lead visit in
+      let during = ref (-1) and drained_at = ref 0 and s0 = ref 0 in
+      let step _ k =
+        if k = 0 then s0 := Engine.suspensions ();
+        let d = if k = 0 then lead 1 else visit 1 (k - 1) in
         if d < 0 then begin
           during := Engine.suspensions () - !s0;
           drained_at := Engine.now e
@@ -664,7 +664,7 @@ let walkers_after k =
   check int_t "every initiator broadcast" (k * 63) (Apic.ipis_sent m.Machine.apic);
   let walkers =
     Array.fold_left
-      (fun n w -> if w != Percpu.no_walker then n + 1 else n)
+      (fun n w -> if w.Machine.w_phases > 0 then n + 1 else n)
       0 m.Machine.walkers
   in
   check int_t "one walker per tag an initiator held"

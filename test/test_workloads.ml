@@ -235,7 +235,7 @@ let test_engine_arena_conservation () =
    [Kernel.check_run] must report each, and a checker violation with its
    first recorded instance. *)
 let test_dispatch_quiescence () =
-  let stuck = { Cpu.vector = 1; maskable = true; step = (fun _ -> 1000) } in
+  let stuck = { Cpu.vector = 1; maskable = true; step = (fun _ _ -> 1000) } in
   let stop m =
     let e = m.Machine.engine in
     let tag = ref (-1) in
