@@ -9,13 +9,16 @@
    it moves the wrong way by more than the threshold.
 
    Only the experiments' engine_ops_per_s is host wall time. Raw ops/s
-   differs run to run on CI machines, so that gate compares each row's
-   share of the run's aggregate ops/s (Σ engine_ops / Σ wall_s over the
-   family's gated rows); the share only moves when one experiment slows
-   down relative to the rest of the bench. Every other metric is a
-   deterministic function of the simulation (allocation per engine op,
-   process suspensions, simulated cycles, simulated throughput) and is
-   compared raw.
+   differs run to run on CI machines, so that gate divides each row's
+   current/baseline ratio by the median ratio over the family's gated
+   rows: a host that is uniformly faster or slower moves the median, not
+   the quotient, and a row fails only when it slowed down against the
+   typical row. Unlike a share of the run's aggregate ops/s, the median
+   does not follow the few experiments that dominate the run's ops, so a
+   large speedup of one of them fails no other row. Every other metric
+   is a deterministic function of the simulation (allocation per engine
+   op, process suspensions, simulated cycles, simulated throughput) and
+   is compared raw.
 
    A file that does not parse, lacks "schema" or declares another schema
    exits 2, as does a baseline with nothing to gate. Families no gate
@@ -73,17 +76,28 @@ let skip_rules =
 
 let skipped r = List.exists (fun (_, rule) -> rule r) skip_rules
 
-(* The family's aggregate ops/s over its gated rows. *)
-let run_rate rows family =
-  let sum name =
-    List.fold_left
-      (fun acc r ->
-        if String.equal r.family family && not (skipped r) then
-          acc +. Option.value (value r name) ~default:0.0
-        else acc)
-      0.0 rows
+let find rows family key =
+  List.find_opt (fun r -> String.equal r.family family && String.equal r.key key) rows
+
+(* The median current/baseline ratio of [metric] over the family's rows
+   that both files gate; 1 when there are none. *)
+let median_ratio base cur family metric =
+  let ratios =
+    List.filter_map
+      (fun b ->
+        match find cur family b.key with
+        | Some c when String.equal b.family family && not (skipped b || skipped c) -> (
+            match (value b metric, value c metric) with
+            | Some bv, Some cv when bv > 0.0 -> Some (cv /. bv)
+            | _ -> None)
+        | _ -> None)
+      base
+    |> List.sort Float.compare |> Array.of_list
   in
-  sum "engine_ops" /. Float.max 1e-9 (sum "wall_s")
+  let n = Array.length ratios in
+  if n = 0 then 1.0
+  else if n mod 2 = 1 then ratios.(n / 2)
+  else (ratios.((n / 2) - 1) +. ratios.(n / 2)) /. 2.0
 
 let fail_usage msg =
   prerr_endline ("perf_gate: " ^ msg);
@@ -136,25 +150,24 @@ let () =
   let check id b c g =
     match (value b g.metric, value c g.metric) with
     | Some bv, Some cv when bv > 0.0 ->
-        let bv, cv =
-          if g.normalized then (bv /. run_rate base b.family, cv /. run_rate cur b.family)
-          else (bv, cv)
+        let median =
+          if g.normalized then median_ratio base cur b.family g.metric else 1.0
         in
-        let rel = cv /. Float.max 1e-9 bv in
+        let rel = cv /. bv /. Float.max 1e-9 median in
         let limit =
           match g.better with Higher -> 1.0 -. threshold | Lower -> 1.0 +. threshold
         in
         verdict
           ~bad:(match g.better with Higher -> rel < limit | Lower -> rel > limit)
           id
-          (g.metric ^ if g.normalized then " share" else "")
+          (g.metric ^ if g.normalized then " / median" else "")
           rel
-          (Printf.sprintf "of baseline (%.6g vs %.6g, limit %.2fx)" cv bv limit);
+          (if g.normalized then
+             Printf.sprintf "of baseline (%.6g vs %.6g, median %.2fx, limit %.2fx)" cv bv
+               median limit
+           else Printf.sprintf "of baseline (%.6g vs %.6g, limit %.2fx)" cv bv limit);
         true
     | _ -> false
-  in
-  let find rows family key =
-    List.find_opt (fun r -> String.equal r.family family && String.equal r.key key) rows
   in
   List.iter
     (fun b ->

@@ -14,36 +14,39 @@ type format = Table | Json | Prometheus
 
 let pte_counts = [ 1; 10; 50 ]
 
-let metered_cell ~label ~opts ~placement ~pte_count ~iterations ~seed =
+let metered_cell b ~label ~opts ~placement ~pte_count ~iterations ~seed =
   let base = Microbench.default_config ~opts ~placement ~pte_count in
   let config = { base with Microbench.iterations; seed; metering = true } in
-  Shard.cell ~label
+  Shard.cell b ~label
     ~ops:(fun r -> r.Microbench.engine_ops)
     ~weight:(float_of_int (iterations * pte_count))
     (fun () -> Microbench.run config)
 
 let collect ?(iterations = 200) ?(seed = 7L) ~jobs () =
-  let cells =
-    List.concat_map
-      (fun placement ->
-        List.map
-          (fun pte_count ->
-            metered_cell
-              ~label:
-                (Printf.sprintf "stats/%s/%d" (Microbench.placement_label placement)
-                   pte_count)
-              ~opts:(Opts.all ~safe:true) ~placement ~pte_count ~iterations ~seed)
-          pte_counts)
-      Microbench.all_placements
-  in
-  Shard.run_cells ~jobs (List.map fst cells);
-  (* Plan-order merge into a fresh registry: every cell pre-registered the
-     same series in the same order (Machine.create), so the merged
-     registration order — and each accumulator's sample order — is a pure
-     function of the plan, independent of worker count. *)
-  let merged = Metrics.create ~enabled:false () in
-  List.iter (fun (_, get) -> Metrics.merge_into merged (get ()).Microbench.metrics) cells;
-  merged
+  Shard.run ~jobs (fun b ->
+      let cells =
+        List.concat_map
+          (fun placement ->
+            List.map
+              (fun pte_count ->
+                metered_cell b
+                  ~label:
+                    (Printf.sprintf "stats/%s/%d" (Microbench.placement_label placement)
+                       pte_count)
+                  ~opts:(Opts.all ~safe:true) ~placement ~pte_count ~iterations ~seed)
+              pte_counts)
+          Microbench.all_placements
+      in
+      (* Plan-order merge into a fresh registry: every cell pre-registered
+         the same series in the same order (Machine.create), so the merged
+         registration order — and each accumulator's sample order — is a
+         pure function of the plan, independent of worker count. *)
+      fun () ->
+        let merged = Metrics.create ~enabled:false () in
+        List.iter
+          (fun get -> Metrics.merge_into merged (get ()).Microbench.metrics)
+          cells;
+        merged)
 
 let render format metrics =
   match format with

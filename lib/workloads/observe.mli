@@ -8,16 +8,17 @@ type format = Table | Json | Prometheus
 
 (** One metered microbench cell — [iterations] madvise shootdowns of
     [pte_count] pages from CPU 0 to the [placement] responder, phase
-    metrics on — as a {!Shard} job and its result getter. The shootout
-    builds its per-backend cells with it too. *)
+    metrics on — registered with the builder; returns the result getter. The
+    shootout builds its per-backend cells with it too. *)
 val metered_cell :
+  Shard.builder ->
   label:string ->
   opts:Opts.t ->
   placement:Microbench.placement ->
   pte_count:int ->
   iterations:int ->
   seed:int64 ->
-  Shard.job * (unit -> Microbench.result)
+  (unit -> Microbench.result)
 
 (** Run the sweep on [jobs] domains and return the merged registry.
     Defaults: 200 iterations per cell, seed 7. *)

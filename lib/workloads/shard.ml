@@ -1,13 +1,14 @@
 (* Sub-experiment sharding: the run/reduce split behind `bench -j N`.
 
    An experiment is flattened at *plan* time into self-contained sim-run
-   cells — each cell owns its config (opts copied, seed fixed) and builds
-   its machine inside the cell, so cells share no mutable state. Execution
-   pushes every plan's cells onto one shared domain pool in
-   longest-task-first order; each cell writes its value and measure into
-   its own slot. Reduction then walks the plans in submission order,
-   reading slots — so the printed output is a pure function of the cell
-   values, i.e. byte-identical for every [-j], by construction.
+   cells, each registered with the plan's builder. A cell owns its config
+   (opts copied, seed fixed) and builds its machine inside the cell, so
+   cells share no mutable state. Execution pushes every plan's cells onto
+   one shared domain pool in longest-task-first order; each cell writes its
+   value and measure into its own slot. Reduction then walks the plans in
+   submission order, reading slots — so the printed output is a pure
+   function of the cell values, i.e. byte-identical for every [-j], by
+   construction.
 
    Measures ride along per cell: wall-clock, engine ops (read from the
    run's own engines via the result extractor — there is no process-wide
@@ -70,7 +71,18 @@ type plan = {
   reduce : unit -> Bench_perf.row list;  (** prints tables via {!Report}; reads cells *)
 }
 
-let cell ?(label = "") ?ops ~weight f =
+(* A plan under construction: the jobs it owns, newest first, and the
+   cells it read from a memo instead. *)
+type builder = { mutable owned : job list; mutable reused : int }
+
+let owned b = List.length b.owned
+
+let plan name build =
+  let b = { owned = []; reused = 0 } in
+  let reduce = build b in
+  { name; jobs = List.rev b.owned; reused = b.reused; reduce }
+
+let cell b ?(label = "") ?ops ~weight f =
   let slot = ref None in
   let measure = ref None in
   let exec ~progress =
@@ -106,7 +118,8 @@ let cell ?(label = "") ?ops ~weight f =
           (Printf.sprintf "Shard: cell %S read before execution (reduce before run?)"
              label)
   in
-  ({ label; weight; exec; measure }, get)
+  b.owned <- { label; weight; exec; measure } :: b.owned;
+  get
 
 (* Cross-experiment cell memoization. Identical (config, seed) cells —
    e.g. an ablation row at the same scale as a fig10 point, or the micro
@@ -121,13 +134,15 @@ type 'a memo = (string, unit -> 'a) Hashtbl.t
 
 let create_memo () : 'a memo = Hashtbl.create 64
 
-let memo_cell memo ~key ?label ?ops ~weight f =
+let memo_cell b memo ~key ?label ?ops ~weight f =
   match Hashtbl.find_opt memo key with
-  | Some get -> ([], get, false)
+  | Some get ->
+      b.reused <- b.reused + 1;
+      get
   | None ->
-      let job, get = cell ?label ?ops ~weight f in
+      let get = cell b ?label ?ops ~weight f in
       Hashtbl.add memo key get;
-      ([ job ], get, true)
+      get
 
 type outcome = {
   out_name : string;
@@ -172,6 +187,9 @@ let execute ?(progress = false) ~jobs plans =
   in
   (outcomes, !gc)
 
-let run_cells ~jobs cells =
-  let plan = { name = ""; jobs = cells; reused = 0; reduce = (fun () -> []) } in
-  ignore (execute ~jobs [ plan ])
+let run ~jobs build =
+  let b = { owned = []; reused = 0 } in
+  let read = build b in
+  let p = { name = ""; jobs = List.rev b.owned; reused = 0; reduce = (fun () -> []) } in
+  ignore (execute ~jobs [ p ]);
+  read ()

@@ -1,7 +1,8 @@
 (** Sub-experiment sharding: plan / execute / reduce for the bench harness.
 
     An experiment is flattened into self-contained sim-run {e cells} at
-    plan time; every plan's cells execute on one shared {!Sim.Domain_pool}
+    plan time, each registered with the plan's {!builder}; every plan's
+    cells execute on one shared {!Sim.Domain_pool}
     in longest-task-first order; reduction reads cell slots in plan order.
     Because a cell's value lands in its own slot whatever the schedule,
     reduced output is byte-identical for every [-j] by construction. *)
@@ -23,34 +24,39 @@ type measure = {
   runs : int;
 }
 
-type job
+(** One experiment: the cells it owns, the count it reused, and its
+    reduce. Built only through {!plan}. *)
+type plan
 
-type plan = {
-  name : string;
-  jobs : job list;
-      (** cells this experiment owns — shared cells (e.g. the micro
-          matrices figs 5–8 and table 3 both consume) belong to exactly
-          one plan, so perf attribution never double-counts *)
-  reused : int;
-      (** cells this experiment reads from a {!memo} but does not own:
-          they were registered first by an earlier plan. Perf mode reports
-          the count; an experiment whose cells are all reused runs none
-          and is marked [memoized], so the gate skips it. *)
-  reduce : unit -> Bench_perf.row list;
-      (** prints the tables via {!Report} and returns the experiment's
-          own BENCH_PERF rows (most return none); runs after every cell *)
-}
+(** A plan under construction. Cells register with it in order; it keeps
+    the jobs the plan owns, in registration order, and counts the memo
+    cells it reads but does not own. *)
+type builder
 
-(** [cell ?label ?ops ~weight f] wraps one self-contained sim run.
-    Returns the job (to attach to the owning plan) and a getter the
-    reduce phase calls; the getter raises if read before execution.
-    [ops] extracts the run's engine-op count from its result; omit it for
-    runs that drive no engine (the measure reports n/a). [weight] is the
-    estimated cost in engine-op units — only the descending order of
-    weights matters (LPT scheduling). [f] must not print: tables belong
-    in reduce, where output is captured deterministically. *)
+(** [plan name build] runs [build] on a fresh builder, so every cell
+    [build] registers belongs to this plan, and takes the reduce it
+    returns. The reduce runs after every cell has executed: it prints
+    the experiment's tables via {!Report} and returns its BENCH_PERF rows
+    (most return none). A plan that reads cells an earlier plan owns
+    still pays only for its own; one whose cells are all reused runs none
+    and perf marks it [memoized]. *)
+val plan : string -> (builder -> unit -> Bench_perf.row list) -> plan
+
+(** [cell b ?label ?ops ~weight f] registers one self-contained sim run
+    with [b] and returns the getter the reduce phase calls; the getter
+    raises if read before execution. [ops] extracts the run's engine-op
+    count from its result; omit it for runs that drive no engine (the
+    measure reports n/a). [weight] is the estimated cost in engine-op
+    units — only the descending order of weights matters (LPT
+    scheduling). [f] must not print: tables belong in reduce, where
+    output is captured deterministically. *)
 val cell :
-  ?label:string -> ?ops:('a -> int) -> weight:float -> (unit -> 'a) -> job * (unit -> 'a)
+  builder ->
+  ?label:string ->
+  ?ops:('a -> int) ->
+  weight:float ->
+  (unit -> 'a) ->
+  (unit -> 'a)
 
 (** Cross-experiment cell memoization: identical (config, seed) cells run
     once, whatever experiments consume them. *)
@@ -58,20 +64,26 @@ type 'a memo
 
 val create_memo : unit -> 'a memo
 
-(** [memo_cell memo ~key ...] is {!cell}, deduplicated on [key] (a
-    workload [config_key]). The first registration of a key builds the
-    cell and returns [([job], get, true)] — the caller owns the job.
-    Later registrations return [([], get, false)]: the same getter, no
-    job, nothing to pay for. Plan construction is sequential, so
-    ownership is deterministic (first builder in plan order). *)
+(** [memo_cell b memo ~key ...] is {!cell}, deduplicated on [key] (a
+    workload [config_key]). The first registration of a key registers the
+    cell with [b], which owns it. Later registrations return the same
+    getter and count as reused in their builder: no job, nothing to pay
+    for. Plan construction is sequential, so ownership is deterministic
+    (first builder in plan order). *)
 val memo_cell :
+  builder ->
   'a memo ->
   key:string ->
   ?label:string ->
   ?ops:('a -> int) ->
   weight:float ->
   (unit -> 'a) ->
-  job list * (unit -> 'a) * bool
+  (unit -> 'a)
+
+(** How many cells [b] owns so far: a caller that compares the count
+    around a group of {!memo_cell} calls learns whether the group owns
+    any of its cells. *)
+val owned : builder -> int
 
 type outcome = {
   out_name : string;
@@ -89,7 +101,7 @@ type outcome = {
 val execute :
   ?progress:bool -> jobs:int -> plan list -> outcome list * Domain_pool.gc_totals
 
-(** [run_cells ~jobs cells] executes standalone cells — a sweep that is
-    not part of a bench plan — on [jobs] domains; read the results back
-    through the cells' getters. *)
-val run_cells : jobs:int -> job list -> unit
+(** [run ~jobs build] is a standalone sweep, not part of a bench run:
+    it registers [build]'s cells with a fresh builder, executes them on
+    [jobs] domains, then calls the reader [build] returned. *)
+val run : jobs:int -> (builder -> unit -> 'a) -> 'a

@@ -72,30 +72,22 @@ let row_of_result label protocol (r : Microbench.result) =
     sh_line_cycles = Stats.total line;
   }
 
-(* The backend cells as Shard jobs plus a plan-order row reader, for
-   embedding in a larger plan set (the bench harness owns its own
-   Shard.execute); row order is a pure function of [backends]. *)
-let plan_cells ?(pte_count = 10) ?(iterations = 200) ?(seed = 7L) () =
+(* The backend cells, registered with [b], and a plan-order row reader:
+   a harness that owns its own Shard.execute embeds them in its plan;
+   row order is a pure function of [backends]. *)
+let plan_cells b ?(pte_count = 10) ?(iterations = 200) ?(seed = 7L) () =
   let cells =
     List.map
       (fun (label, opts) ->
-        let job, get =
-          Observe.metered_cell
+        ( label,
+          opts.Opts.protocol,
+          Observe.metered_cell b
             ~label:(Printf.sprintf "shootout/%s" label)
-            ~opts ~placement:Microbench.Cross_socket ~pte_count ~iterations ~seed
-        in
-        (label, opts.Opts.protocol, job, get))
+            ~opts ~placement:Microbench.Cross_socket ~pte_count ~iterations ~seed ))
       (backends ())
   in
-  ( List.map (fun (_, _, job, _) -> job) cells,
-    fun () ->
-      List.map (fun (label, protocol, _, get) -> row_of_result label protocol (get ())) cells
-  )
-
-let collect ?pte_count ?iterations ?seed ~jobs () =
-  let cell_jobs, get_rows = plan_cells ?pte_count ?iterations ?seed () in
-  Shard.run_cells ~jobs cell_jobs;
-  get_rows ()
+  fun () ->
+    List.map (fun (label, protocol, get) -> row_of_result label protocol (get ())) cells
 
 let opt_cell = function None -> "-" | Some v -> Printf.sprintf "%.0f" v
 
@@ -138,7 +130,7 @@ let render format rows =
   match format with Table -> render_table rows | Json -> render_json rows
 
 let run ?pte_count ?iterations ?seed ~jobs format =
-  render format (collect ?pte_count ?iterations ?seed ~jobs ())
+  render format (Shard.run ~jobs (fun b -> plan_cells b ?pte_count ?iterations ?seed ()))
 
 (* ----- Cross-backend workloads: fig10 / fig11 / bigmachine-56 ----- *)
 
@@ -172,66 +164,38 @@ type wl_report = {
   wl_rows : wl_row list;
 }
 
-let workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10 ~fig11 ~quick ()
+let workload_cells b ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10 ~fig11 ~quick ()
     =
-  let jobs = ref [] in
-  let reused_total = ref 0 in
-  let add js r =
-    jobs := List.rev_append js !jobs;
-    reused_total := !reused_total + r
-  in
-  let f10_cells =
-    List.length fig10.Figures.sys_threads * List.length fig10.Figures.sys_seeds
-  in
-  let f11_cells =
-    List.length fig11.Figures.ap_cores * List.length fig11.Figures.ap_seeds
+  (* Per backend: its protocol, its getter, and whether it owns none of
+     its cells (every one read from an earlier plan). *)
+  let per_backend cells =
+    List.map
+      (fun (label, opts) ->
+        let owned = Shard.owned b in
+        let get = cells ~label ~opts in
+        (opts.Opts.protocol, get, Shard.owned b = owned))
+      (workload_backends ())
   in
   let f10 =
-    List.map
-      (fun (label, opts) ->
-        let js, get, r =
-          Figures.fig10_backend_cells ~memo:sysbench_memo ~tag:label ~opts fig10
-        in
-        add js r;
-        (opts.Opts.protocol, get, r = f10_cells))
-      (workload_backends ())
+    per_backend (fun ~label ~opts ->
+        Figures.fig10_backend_column b ~memo:sysbench_memo ~tag:label ~opts fig10)
   in
   let f11 =
-    List.map
-      (fun (label, opts) ->
-        let js, get, r =
-          Figures.fig11_backend_cells ~memo:apache_memo ~tag:label ~opts fig11
-        in
-        add js r;
-        (opts.Opts.protocol, get, r = f11_cells))
-      (workload_backends ())
+    per_backend (fun ~label ~opts ->
+        Figures.fig11_backend_column b ~memo:apache_memo ~tag:label ~opts fig11)
   in
   let big =
-    List.map
-      (fun (label, opts) ->
-        let cfg = Bigmachine.default_config ~opts ~n_cpus:56 in
-        let cfg = if quick then Bigmachine.quick_shape cfg else cfg in
-        let js, get, fresh =
-          Shard.memo_cell bigmachine_memo ~key:(Bigmachine.config_key cfg)
-            ~label:(Printf.sprintf "wl-bigmachine-56 %s" label)
-            ~ops:(fun r -> r.Bigmachine.engine_ops)
-            ~weight:
-              (float_of_int
-                 ((cfg.Bigmachine.tenants * cfg.Bigmachine.threads_per_tenant
-                  * cfg.Bigmachine.ops_per_thread * 40)
-                 + 5600))
-            (fun () -> Bigmachine.run cfg)
-        in
-        add js (if fresh then 0 else 1);
-        (opts.Opts.protocol, get, not fresh))
-      (workload_backends ())
+    per_backend (fun ~label ~opts ->
+        Figures.bigmachine_cell b ~memo:bigmachine_memo ~quick
+          ~label:("wl-bigmachine-56 " ^ label)
+          ~opts ~n_cpus:56)
   in
   let mean_tput cells =
     List.fold_left (fun acc (_, t, _) -> acc +. t) 0.0 cells
     /. float_of_int (List.length cells)
   in
   let sum_sh cells = List.fold_left (fun acc (_, _, s) -> acc + s) 0 cells in
-  let get () =
+  fun () ->
     let fig10_rows = List.map (fun (p, g, _) -> (p, g ())) f10 in
     let fig11_rows = List.map (fun (p, g, _) -> (p, g ())) f11 in
     let big_rows = List.map (fun (p, g, _) -> (p, g ())) big in
@@ -269,8 +233,6 @@ let workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10 ~fig11 ~q
       wl_big = big_rows;
       wl_rows = tput_rows "wl-fig10" f10 @ tput_rows "wl-fig11" f11 @ big_gate_rows;
     }
-  in
-  (List.rev !jobs, get, !reused_total)
 
 (* `tlbsim shootout --workloads --format json`: one object per
    (experiment, backend) summary row. *)
@@ -330,13 +292,11 @@ let render_wl_json report =
   "[\n  " ^ String.concat ",\n  " (List.map json_of_wl_row report.wl_rows) ^ "\n]\n"
 
 let run_workloads ?(quick = true) ~jobs format =
-  let sysbench_memo = Shard.create_memo () in
-  let apache_memo = Shard.create_memo () in
-  let bigmachine_memo = Shard.create_memo () in
-  let cell_jobs, get, _reused =
-    workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo
-      ~fig10:(Figures.fig10_scale ~quick) ~fig11:(Figures.fig11_scale ~quick) ~quick ()
+  let report =
+    Shard.run ~jobs (fun b ->
+        workload_cells b ~sysbench_memo:(Shard.create_memo ())
+          ~apache_memo:(Shard.create_memo ()) ~bigmachine_memo:(Shard.create_memo ())
+          ~fig10:(Figures.fig10_scale ~quick) ~fig11:(Figures.fig11_scale ~quick)
+          ~quick ())
   in
-  Shard.run_cells ~jobs cell_jobs;
-  let report = get () in
   match format with Table -> render_workloads report | Json -> render_wl_json report

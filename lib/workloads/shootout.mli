@@ -25,15 +25,17 @@ type row = {
   sh_line_cycles : float;  (** total cycles those transfers cost *)
 }
 
-(** The backend cells as {!Shard} jobs plus a plan-order row reader (only
-    valid after the jobs executed), for embedding in a harness that owns
-    its own [Shard.execute]. Defaults: 10 PTEs, 200 iterations, seed 7. *)
+(** Registers the backend cells with the builder and returns a plan-order
+    row reader (only valid after the cells executed), for embedding in a
+    harness that owns its own [Shard.execute]. Defaults: 10 PTEs, 200
+    iterations, seed 7. *)
 val plan_cells :
+  Shard.builder ->
   ?pte_count:int ->
   ?iterations:int ->
   ?seed:int64 ->
   unit ->
-  Shard.job list * (unit -> row list)
+  (unit -> row list)
 
 (** Run every backend's cell (sharded over [jobs] domains) and render the
     rows, in backend order, as [format]. *)
@@ -73,10 +75,13 @@ type wl_report = {
   wl_rows : wl_row list;  (** flattened summary rows, fixed plan order *)
 }
 
-(** The per-backend workload cells as {!Shard} jobs plus a plan-order
-    report reader, for embedding in a harness that owns its own memos and
-    [Shard.execute]; also returns the total reused-cell count. *)
+(** Registers the per-backend workload cells with the builder (through
+    {!Figures}' memoized cells) and returns a plan-order report reader,
+    for embedding in a harness that owns its own memos and
+    [Shard.execute]. A backend's rows are [wl_memoized] when the builder
+    owns none of its cells. *)
 val workload_cells :
+  Shard.builder ->
   sysbench_memo:Sysbench.result Shard.memo ->
   apache_memo:Apache.result Shard.memo ->
   bigmachine_memo:Bigmachine.result Shard.memo ->
@@ -84,7 +89,7 @@ val workload_cells :
   fig11:Figures.fig11_scale ->
   quick:bool ->
   unit ->
-  Shard.job list * (unit -> wl_report) * int
+  (unit -> wl_report)
 
 (** Standalone run on fresh memos (the `tlbsim shootout --workloads`
     path), sharded over [jobs] domains; byte-identical at any [~jobs]. *)

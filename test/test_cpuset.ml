@@ -133,37 +133,36 @@ let sharded_bigmachine_output ~jobs =
     { cfg with Bigmachine.tenants = 3; ops_per_thread = 10; churn_every = 5;
       churn_pages = 4; file_pages = 64 }
   in
-  let cells =
-    List.map
-      (fun seed ->
-        Shard.cell
-          ~label:(Printf.sprintf "bm256 seed=%Ld" seed)
-          ~ops:(fun r -> r.Bigmachine.engine_ops)
-          ~weight:1000.0
-          (fun () -> Bigmachine.run { cfg with Bigmachine.seed }))
-      [ 37L; 911L ]
-  in
-  let reduce () =
+  let plan =
+    Shard.plan "bm256" @@ fun b ->
+    let cells =
+      List.map
+        (fun seed ->
+          Shard.cell b
+            ~label:(Printf.sprintf "bm256 seed=%Ld" seed)
+            ~ops:(fun r -> r.Bigmachine.engine_ops)
+            ~weight:1000.0
+            (fun () -> Bigmachine.run { cfg with Bigmachine.seed }))
+        [ 37L; 911L ]
+    in
     (* Reduce output is captured via Report's sink, so print through it. *)
-    Report.table ~title:"bm256" ~header:[ "cpus"; "sd"; "ipis"; "icr"; "churn"; "ops" ]
-      (List.map
-         (fun (_, get) ->
-           let r = get () in
-           [
-             string_of_int r.Bigmachine.n_cpus;
-             string_of_int r.Bigmachine.shootdowns;
-             string_of_int r.Bigmachine.ipis;
-             string_of_int r.Bigmachine.icr_writes;
-             string_of_int r.Bigmachine.churn_cycles;
-             string_of_int r.Bigmachine.engine_ops;
-           ])
-         cells);
-    []
+    fun () ->
+      Report.table ~title:"bm256" ~header:[ "cpus"; "sd"; "ipis"; "icr"; "churn"; "ops" ]
+        (List.map
+           (fun get ->
+             let r = get () in
+             [
+               string_of_int r.Bigmachine.n_cpus;
+               string_of_int r.Bigmachine.shootdowns;
+               string_of_int r.Bigmachine.ipis;
+               string_of_int r.Bigmachine.icr_writes;
+               string_of_int r.Bigmachine.churn_cycles;
+               string_of_int r.Bigmachine.engine_ops;
+             ])
+           cells);
+      []
   in
-  let outcomes, _gc =
-    Shard.execute ~jobs
-      [ { Shard.name = "bm256"; jobs = List.map fst cells; reused = 0; reduce } ]
-  in
+  let outcomes, _gc = Shard.execute ~jobs [ plan ] in
   String.concat "" (List.map (fun o -> o.Shard.output) outcomes)
 
 let test_bigmachine_256_identical_across_jobs () =
