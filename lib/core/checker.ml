@@ -12,8 +12,13 @@ type result = [ `Clean | `Benign of string | `Violation of string ]
 
 type t = {
   mutable on : bool;
-  windows : (int, Flush_info.t) Hashtbl.t; (* token -> info *)
-  by_mm : (int, (int, Flush_info.t) Hashtbl.t) Hashtbl.t; (* mm_id -> token -> info *)
+  (* The open windows, unordered, in slots [0, n_open): a token and its
+     info at the same index. Few windows are open at once, so flat arrays
+     with linear scans beat a hashtable, and closing one moves the last
+     slot into its place. *)
+  mutable tokens : int array;
+  mutable infos : Flush_info.t array;
+  mutable n_open : int;
   mutable next_token : int;
   mutable viols : violation list;
   mutable n_viols : int;
@@ -27,8 +32,9 @@ let default_max_recorded_violations = 1000
 let create ?(enabled = true) ?(max_recorded = default_max_recorded_violations) () =
   {
     on = enabled;
-    windows = Hashtbl.create 16;
-    by_mm = Hashtbl.create 16;
+    tokens = [||];
+    infos = [||];
+    n_open = 0;
     next_token = 0;
     viols = [];
     n_viols = 0;
@@ -39,52 +45,49 @@ let create ?(enabled = true) ?(max_recorded = default_max_recorded_violations) (
 
 let token_id token = token
 
+(* Grows both arrays to twice their length; [info] fills the new slots
+   of [infos], since a window's info is the only value of its type at
+   hand. *)
+let grow t info =
+  let cap = max 8 (2 * t.n_open) in
+  let tokens = Array.make cap 0 and infos = Array.make cap info in
+  Array.blit t.tokens 0 tokens 0 t.n_open;
+  Array.blit t.infos 0 infos 0 t.n_open;
+  t.tokens <- tokens;
+  t.infos <- infos
+
 let begin_invalidation t (info : Flush_info.t) =
   t.next_token <- t.next_token + 1;
   if t.on then begin
-    Hashtbl.replace t.windows t.next_token info;
-    let per_mm =
-      match Hashtbl.find_opt t.by_mm info.Flush_info.mm_id with
-      | Some tbl -> tbl
-      | None ->
-          let tbl = Hashtbl.create 4 in
-          Hashtbl.replace t.by_mm info.Flush_info.mm_id tbl;
-          tbl
-    in
-    Hashtbl.replace per_mm t.next_token info
+    if t.n_open = Array.length t.tokens then grow t info;
+    t.tokens.(t.n_open) <- t.next_token;
+    t.infos.(t.n_open) <- info;
+    t.n_open <- t.n_open + 1
   end;
   t.next_token
 
+let rec slot_of t token i =
+  if i = t.n_open || t.tokens.(i) = token then i else slot_of t token (i + 1)
+
 let end_invalidation t token =
-  match Hashtbl.find_opt t.windows token with
-  | None -> ()
-  | Some info ->
-      Hashtbl.remove t.windows token;
-      (match Hashtbl.find_opt t.by_mm info.Flush_info.mm_id with
-      | None -> ()
-      | Some per_mm ->
-          Hashtbl.remove per_mm token;
-          if Hashtbl.length per_mm = 0 then Hashtbl.remove t.by_mm info.Flush_info.mm_id)
+  let i = slot_of t token 0 in
+  if i < t.n_open then begin
+    let last = t.n_open - 1 in
+    t.tokens.(i) <- t.tokens.(last);
+    t.infos.(i) <- t.infos.(last);
+    t.n_open <- last
+  end
 
-exception Covering_window
-
-(* The hot check_hit path calls this on every stale hit: O(1) out when no
-   window is open anywhere, then look only at the mm's own windows and stop
-   at the first match instead of folding over everything in flight. *)
-(* tlblint R2 suppressed: pure existence check — the iteration raises on the
-   first covering window and returns a bool, so hash order cannot leak. *)
-let[@tlblint.allow "R2"] covered t ~mm_id ~vpn =
-  Hashtbl.length t.by_mm > 0
+let rec covered_from t ~mm_id ~vpn i =
+  i < t.n_open
   &&
-  match Hashtbl.find_opt t.by_mm mm_id with
-  | None -> false
-  | Some per_mm -> (
-      try
-        Hashtbl.iter
-          (fun _ info -> if Flush_info.covers info ~vpn then raise_notrace Covering_window)
-          per_mm;
-        false
-      with Covering_window -> true)
+  let info = t.infos.(i) in
+  (info.Flush_info.mm_id = mm_id && Flush_info.covers info ~vpn)
+  || covered_from t ~mm_id ~vpn (i + 1)
+
+(* The hot check_hit path calls this on every stale hit: out at once when
+   no window is open, and otherwise stop at the first covering window. *)
+let covered t ~mm_id ~vpn = covered_from t ~mm_id ~vpn 0
 
 let record t v =
   t.n_viols <- t.n_viols + 1;
@@ -165,13 +168,11 @@ let violations t = List.rev t.viols
 let violation_count t = t.n_viols
 let benign_races t = t.benign
 let checks t = t.n_checks
-let open_windows t = Hashtbl.length t.windows
+let open_windows t = t.n_open
 
-(* Window entries across the whole per-mm index; must equal [open_windows]
-   at all times or the index leaks (regression: window-lifecycle tests). *)
-(* tlblint R2 suppressed: commutative integer sum — order-independent. *)
-let[@tlblint.allow "R2"] by_mm_entries t =
-  Hashtbl.fold (fun _ per_mm acc -> acc + Hashtbl.length per_mm) t.by_mm 0
+(* One flat table holds every window, so no per-mm index can fall out of
+   step with it: the count per mm, summed, is the open count. *)
+let by_mm_entries t = t.n_open
 
 let max_recorded t = t.max_recorded
 

@@ -51,7 +51,7 @@ val end_invalidation : t -> token -> unit
 val token_id : token -> int
 
 (** Is some open window covering [vpn] of [mm_id]? Short-circuits on the
-    first covering window; windows are indexed per-mm. *)
+    first covering window. *)
 val covered : t -> mm_id:int -> vpn:int -> bool
 
 (** Verify a user-mode TLB hit on [cpu] against the live page table.
@@ -91,9 +91,10 @@ val checks : t -> int
 (** Open windows right now (should be 0 at quiescence). *)
 val open_windows : t -> int
 
-(** Total entries in the per-mm window index; equals {!open_windows} unless
-    the index has leaked (closed windows must leave both tables). *)
+(** Open windows counted per mm and summed. One flat table holds every
+    window, so this always equals {!open_windows}; the window-lifecycle
+    tests check that it does. *)
 val by_mm_entries : t -> int
-[@@tlblint.allow "R5 state accessor: tests read the per-mm window index through it"]
+[@@tlblint.allow "R5 state accessor: the window-lifecycle tests read it"]
 
 val pp_violation : Format.formatter -> violation -> unit

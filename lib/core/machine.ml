@@ -14,11 +14,11 @@ type stats = {
 
 (* --- shootdown phase metrics (DESIGN.md §10) ---
 
-   Handles into the machine's Metrics registry, pre-registered at creation
-   in a fixed order so every machine — metered or not — exposes the same
-   series shape and sharded aggregation merges identically-shaped
-   registries. Per-distance arrays are indexed by Topology.distance_rank;
-   [flush] is rank-major over (rank, kind). *)
+   Handles into the machine's Metrics registry, registered in a fixed
+   order so every machine — metered or not — exposes the same series shape
+   and sharded aggregation merges identically-shaped registries.
+   Per-distance arrays are indexed by Topology.distance_rank; [flush] is
+   rank-major over (rank, kind). *)
 
 type phases = {
   prep : Metrics.series array;  (** initiator prep, by farthest-target rank *)
@@ -149,6 +149,13 @@ let register_phases metrics =
     tlb_drop_pcid = drop "pcid";
   }
 
+(* Unmetered machines record nothing, so they all share one disabled
+   registry instead of building about 30 series each (fuzz-diff builds a
+   thousand machines per pass). It is built at module initialization, not
+   with [lazy]: forcing one lazy value from two domains at once raises. *)
+let unmetered_metrics = Metrics.create ~enabled:false ()
+let unmetered_phases = register_phases unmetered_metrics
+
 let create ?(topo = Topology.paper_machine) ?(costs = Costs.default)
     ?(frames = 262144) ?(seed = 42L) ?(checker = true) ?tlb_capacity
     ?(metering = false) ~opts () =
@@ -161,8 +168,8 @@ let create ?(topo = Topology.paper_machine) ?(costs = Costs.default)
   let registry = Cache.create_registry topo costs in
   let percpu = Array.map (fun cpu -> Percpu.create cpu registry) cpus in
   let apic = Apic.create engine topo costs ~cpus in
-  let metrics = Metrics.create ~enabled:metering () in
-  let phases = register_phases metrics in
+  let metrics = if metering then Metrics.create () else unmetered_metrics in
+  let phases = if metering then register_phases metrics else unmetered_phases in
   (* The hw hooks are installed only on metered machines: an unmetered
      machine's cache/IPI/TLB hot paths keep their None-check fast path. *)
   if metering then begin

@@ -18,9 +18,8 @@ type stats = {
 (** Handles into the machine's {!Sim.Metrics} registry for the shootdown
     phase-latency breakdown (DESIGN.md §10). Per-distance arrays are
     indexed by {!Hw.Topology.distance_rank}; [flush] is rank-major over
-    (distance rank, flush kind). Pre-registered on every machine so all
-    machines expose the same series shape; recording only happens when
-    {!metering} is true. *)
+    (distance rank, flush kind). Every machine exposes the same series
+    shape; recording only happens when {!metering} is true. *)
 type phases = {
   prep : Metrics.series array;  (** initiator prep, by farthest-target rank *)
   ipi : Metrics.series array;  (** IPI delivery, by sender->target rank *)
@@ -104,7 +103,9 @@ type t = {
   stats : stats;
   metrics : Metrics.t;
       (** Phase-latency metric registry; enabled iff the machine was
-          created with [~metering:true]. *)
+          created with [~metering:true]. Every unmetered machine shares
+          one disabled registry, which records nothing: read it, but never
+          merge into it. *)
   phases : phases;
   mutable walkers : walker array;
       (** one per engine tag that has suspended a charge run: where a

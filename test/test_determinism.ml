@@ -125,6 +125,28 @@ let test_metrics_report_identical_across_jobs () =
       check Alcotest.string (label ^ ": -j2 = -j1") j1 (report ~jobs:2 format))
     [ ("table", Observe.Table); ("json", Observe.Json); ("prom", Observe.Prometheus) ]
 
+(* Unmetered machines share one disabled registry. It keeps the metered
+   series shape, so merged registries line up, and stays empty through
+   unmetered runs, so no cell's samples reach another cell's registry. *)
+let test_unmetered_registry_shared_and_empty () =
+  let shape m =
+    List.map
+      (fun s -> (Metrics.series_name s, Metrics.series_labels s))
+      (Metrics.all m.Machine.metrics)
+  in
+  let opts = Opts.all ~safe:true in
+  let a = Machine.create ~opts () and b = Machine.create ~opts () in
+  check Alcotest.bool "one shared registry" true (a.Machine.metrics == b.Machine.metrics);
+  check
+    Alcotest.(list (pair string (list (pair string string))))
+    "metered shape"
+    (shape (Machine.create ~metering:true ~opts ()))
+    (shape a);
+  ignore (micro_cell ());
+  List.iter
+    (fun s -> check Alcotest.int (Metrics.series_name s) 0 (Stats.count (Metrics.stats s)))
+    (Metrics.all a.Machine.metrics)
+
 let suite =
   [
     Alcotest.test_case "microbench repeatable" `Quick test_microbench_repeatable;
@@ -138,4 +160,6 @@ let suite =
     Alcotest.test_case "per-run rng streams isolated" `Quick test_per_run_rng_isolation;
     Alcotest.test_case "metrics report: -j2 = -j1 (all formats)" `Quick
       test_metrics_report_identical_across_jobs;
+    Alcotest.test_case "unmetered machines: one empty registry" `Quick
+      test_unmetered_registry_shared_and_empty;
   ]

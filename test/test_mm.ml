@@ -640,9 +640,12 @@ let test_pt_chunk_edges () =
    indexes of 9 and 3 node records of 4, then the three [Table] boxes (2
    words each) and the [Leaf] (3), 308 words in all and all of them in the
    minor heap. One 512-slot array per table went straight to the major
-   heap as 513 words. *)
+   heap as 513 words. The PTE is hidden from the optimizer: a constant one
+   would let cross-module inlining of [Page_table.map] make the [Leaf] a
+   static constant, which the simulator, whose PTEs are not constants,
+   never gets. *)
 let test_pt_first_map_words () =
-  let pte = Pte.user_data ~pfn:1 in
+  let pte = Sys.opaque_identity (Pte.user_data ~pfn:1) in
   let pt = Page_table.create () in
   let direct_major () =
     let _, promoted, major = Gc.counters () in
