@@ -170,10 +170,6 @@ let benign_races t = t.benign
 let checks t = t.n_checks
 let open_windows t = t.n_open
 
-(* One flat table holds every window, so no per-mm index can fall out of
-   step with it: the count per mm, summed, is the open count. *)
-let by_mm_entries t = t.n_open
-
 let max_recorded t = t.max_recorded
 
 let pp_violation fmt v =

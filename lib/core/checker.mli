@@ -91,10 +91,4 @@ val checks : t -> int
 (** Open windows right now (should be 0 at quiescence). *)
 val open_windows : t -> int
 
-(** Open windows counted per mm and summed. One flat table holds every
-    window, so this always equals {!open_windows}; the window-lifecycle
-    tests check that it does. *)
-val by_mm_entries : t -> int
-[@@tlblint.allow "R5 state accessor: the window-lifecycle tests read it"]
-
 val pp_violation : Format.formatter -> violation -> unit

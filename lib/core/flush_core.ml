@@ -28,14 +28,15 @@ let record_flush m ~rank ~kind dt =
     m.Machine.phases.Machine.flush.(Machine.flush_index ~rank ~kind)
     dt
 
-(* Meter initiator prep (selection + enqueue + ICR writes) against the
-   farthest target, same attribution rule as the ack wait. Callers gate on
-   [Machine.metering]. *)
-let record_prep m ~from ~targets dt =
-  let far =
-    Cpuset.fold (fun acc c -> Int.max acc (Machine.distance_rank m from c)) 0 targets
-  in
-  Metrics.record_cycles m.Machine.phases.Machine.prep.(far) dt
+(* [src] less [from], in [from]'s scratch cpuset: the candidate targets of
+   a shootdown, snapshotted because the live set may change under a
+   charge. Two word-array copies, no allocation; valid until this CPU's
+   next shootdown. *)
+let snapshot_targets m ~from src =
+  let targets = (Machine.percpu m from).Percpu.scratch_targets in
+  Cpuset.copy_into ~dst:targets ~src;
+  Cpuset.clear targets from;
+  targets
 
 (* Full local flush of the kernel PCID. The user PCID full flush is deferred
    to the next return-to-user CR3 load (stock Linux behaviour) unless the

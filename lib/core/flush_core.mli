@@ -18,9 +18,10 @@ val kind_of_result : [ `Skipped | `Full | `Ranged ] -> int
 (** Record one flush-execution span; callers gate on {!Machine.metering}. *)
 val record_flush : Machine.t -> rank:int -> kind:int -> int -> unit
 
-(** Record one initiator-prep span, attributed to the farthest target;
-    callers gate on {!Machine.metering}. *)
-val record_prep : Machine.t -> from:int -> targets:Cpuset.t -> int -> unit
+(** [snapshot_targets m ~from src] copies [src] less [from] into [from]'s
+    scratch cpuset and returns it: a shootdown's candidate targets,
+    valid until this CPU's next shootdown. *)
+val snapshot_targets : Machine.t -> from:int -> Cpuset.t -> Cpuset.t
 
 (** Full local flush of the kernel PCID. Under PTI the user-PCID full flush
     is deferred to return-to-user ([pending_user <- Full_flush]) unless

@@ -44,8 +44,7 @@ let work m cfd phase =
 
 let irq_id m = shootdown_irq m (fun m -> Smp.drain_queue m ~work:(work m))
 
-let perform m ~from ~mm:_ (info : Flush_info.t) token =
-  let stats = m.Machine.stats in
+let perform m ~from ~mm:_ (info : Flush_info.t) =
   let pcpu = Machine.percpu m from in
   let tlb = Cpu.tlb (Machine.cpu m from) in
   let t0 = Machine.now m in
@@ -55,31 +54,22 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     record_flush m ~rank:0 ~kind:Machine.flush_kind_cr3 (Machine.now m - t0);
   pcpu.Percpu.pending_user <- Percpu.No_flush;
   catch_up pcpu info;
-  (* Flush-all broadcast: snapshot the machine's all-cpus set into the
-     initiator's scratch instead of building (and filtering) per-broadcast
-     lists — two word-array copies, no allocation. *)
-  let targets = pcpu.Percpu.scratch_targets in
-  Cpuset.copy_into ~dst:targets ~src:m.Machine.all_cpus;
-  Cpuset.clear targets from;
-  if Cpuset.is_empty targets then begin
-    stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
-  end
-  else begin
-    stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
+  (* Flush-all broadcast: every other CPU, unfiltered. *)
+  let targets = snapshot_targets m ~from m.Machine.all_cpus in
+  let remote = not (Cpuset.is_empty targets) in
+  if remote then begin
     let prep0 = Machine.now m in
     let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack:false in
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
-    if Machine.metering m then record_prep m ~from ~targets (Machine.now m - prep0);
-    Smp.wait_for_acks m ~from cfds ();
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
-  end
+    if Machine.metering m then Smp.record_prep m ~from ~targets (Machine.now m - prep0);
+    Smp.wait_for_acks m ~from ~targets cfds ()
+  end;
+  remote
 
 let backend =
   {
     Protocol.reference = true;
     perform;
-    responder_pending =
-      (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));
+    responder_pending = Smp.csd_pending;
     quiescent = Smp.csd_quiescent;
   }

@@ -81,15 +81,11 @@ let initiator_local_flush m ~from ~has_remote_targets (info : Flush_info.t) =
 (* Select remote targets into the initiator's scratch cpuset, paying one
    line read per candidate and filtering it once the read lands. The mm's
    cpumask is snapshotted first (the candidate reads take time, and a
-   remote context switch may edit the live mask under us — the
-   list-building version had the same snapshot semantics), then filtered
-   in place: the walk may clear the member it visits. Returns the scratch
-   set, valid until this CPU's next shootdown. *)
+   remote context switch may edit the live mask under us), then filtered
+   in place: the walk may clear the member it visits. *)
 let select_targets m ~from ~mm (info : Flush_info.t) =
   let batching = (knobs m).Opts.userspace_batching and stats = m.Machine.stats in
-  let targets = (Machine.percpu m from).Percpu.scratch_targets in
-  Cpuset.copy_into ~dst:targets ~src:(Mm_struct.cpuset mm);
-  Cpuset.clear targets from;
+  let targets = snapshot_targets m ~from (Mm_struct.cpuset mm) in
   Machine.chain_cpus m targets ~phases:2 (fun c phase ->
       let p = Machine.percpu m c in
       if phase = 0 then Smp.read_remote_tlb_state m ~from ~target:c
@@ -110,41 +106,44 @@ let select_targets m ~from ~mm (info : Flush_info.t) =
       end);
   targets
 
-(* One complete shootdown for [info], generation already bumped. *)
-let perform m ~from ~mm (info : Flush_info.t) token =
+(* Enqueue [info] to [targets] and IPI them. Prep = target selection
+   ([sel_dt]) + CFD enqueue + ICR writes, i.e. every initiator-side cycle
+   before the IPIs are in flight; attributed like the ack wait to the
+   farthest target. *)
+let send_remote m ~from ~targets ~early_ack ~sel_dt info =
+  let t0 = Machine.now m in
+  let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
+  Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
+  if Machine.metering m then
+    Smp.record_prep m ~from ~targets (sel_dt + (Machine.now m - t0));
+  cfds
+
+(* One complete shootdown for [info], generation already bumped; true
+   when it sent IPIs. [~local_flush:false] is the §4.1 CoW round, whose
+   caller has already replaced the initiator's flush: without a local
+   flush, the concurrent and baseline orders are the same sequence. *)
+let round m ~from ~mm ~local_flush (info : Flush_info.t) =
   let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
   let knobs = knobs m in
   let sel0 = Machine.now m in
   let targets = select_targets m ~from ~mm info in
   let sel_dt = Machine.now m - sel0 in
   if Cpuset.is_empty targets then begin
-    stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-    ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
+    if local_flush then
+      ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
+    false
   end
   else begin
-    stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
     (* FreeBSD comparator: one machine-wide shootdown at a time. *)
     if knobs.Opts.serialized then begin
       Machine.delay m m.Machine.costs.Costs.lock_uncontended;
       Rwsem.down_write m.Machine.ipi_mutex
     end;
     let early_ack = knobs.Opts.early_ack && not info.Flush_info.freed_tables in
-    let run_remote () =
-      let t0 = Machine.now m in
-      let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
-      Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
-      (* Prep = target selection + CFD enqueue + ICR writes, i.e. every
-         initiator-side cycle before the IPIs are in flight; attributed
-         like ack_wait to the farthest target. *)
-      if Machine.metering m then
-        record_prep m ~from ~targets (sel_dt + (Machine.now m - t0));
-      cfds
-    in
-    if knobs.Opts.concurrent_flush then begin
+    if local_flush && knobs.Opts.concurrent_flush then begin
       (* loc begin: concurrent-flushes *)
       (* §3.1: send first; the local flush overlaps IPI delivery. *)
-      let cfds = run_remote () in
+      let cfds = send_remote m ~from ~targets ~early_ack ~sel_dt info in
       let leftover = ref (initiator_local_flush m ~from ~has_remote_targets:true info) in
       let pcpu = Machine.percpu m from in
       let tlb = Cpu.tlb (Machine.cpu m from) in
@@ -167,7 +166,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
       let waiting_work () =
         match !leftover with [] -> false | _ :: _ -> not (any_ack ())
       in
-      Smp.wait_for_acks m ~from cfds ~while_waiting ~waiting_work ();
+      Smp.wait_for_acks m ~from ~targets cfds ~while_waiting ~waiting_work ();
       (match !leftover with
       | [] -> ()
       | vpn :: _ as rest ->
@@ -182,20 +181,19 @@ let perform m ~from ~mm (info : Flush_info.t) token =
     end
     else begin
       (* Baseline (Figure 1): local flush strictly before the IPIs. *)
-      ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
-      let cfds = run_remote () in
-      Smp.wait_for_acks m ~from cfds ()
+      if local_flush then
+        ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
+      let cfds = send_remote m ~from ~targets ~early_ack ~sel_dt info in
+      Smp.wait_for_acks m ~from ~targets cfds ()
     end;
     if knobs.Opts.serialized then Rwsem.up_write m.Machine.ipi_mutex;
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
-    tracef m ~cpu:from "shootdown complete"
+    true
   end
 
 let backend =
   {
     Protocol.reference = false;
-    perform;
-    responder_pending =
-      (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));
+    perform = (fun m ~from ~mm info -> round m ~from ~mm ~local_flush:true info);
+    responder_pending = Smp.csd_pending;
     quiescent = Smp.csd_quiescent;
   }

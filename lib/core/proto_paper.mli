@@ -4,13 +4,11 @@
 
 val backend : Protocol.t
 
-(** Select remote shootdown targets into [from]'s scratch cpuset, skipping
-    lazy-TLB CPUs and (under §4.2) CPUs inside batching syscalls; one
-    remote line read per candidate. Exposed for the CoW elision path in
-    {!Shootdown.flush_tlb_page_cow}, which is paper-protocol machinery. *)
-val select_targets :
-  Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> Cpuset.t
-
-(** The backend's registered shootdown irq id (for the CoW path's direct
-    IPI send). *)
-val irq_id : Machine.t -> int
+(** The backend's round. [~local_flush:true] is {!backend}'s [perform];
+    [~local_flush:false] is the §4.1 CoW round of
+    {!Shootdown.flush_tlb_page_cow}, whose caller has replaced the
+    initiator's local flush: target selection, the remote round and the
+    ack wait, under [serialized] inside [ipi_mutex]. Returns whether it
+    sent IPIs. *)
+val round :
+  Machine.t -> from:int -> mm:Mm_struct.t -> local_flush:bool -> Flush_info.t -> bool

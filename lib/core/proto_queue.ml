@@ -160,8 +160,7 @@ let all_acked m targets gen = acked_from m targets gen (Cpuset.next targets 0)
    here: a spin predicate reads no clock. *)
 let ack_ready m p q () = all_acked m p.Percpu.scratch_targets q.Percpu.q_wait_gen
 
-let perform m ~from ~mm (info : Flush_info.t) token =
-  let stats = m.Machine.stats in
+let perform m ~from ~mm (info : Flush_info.t) =
   let pcpu = Machine.percpu m from in
   (* Local flush first (there is no local ring): the shared
      generation-tracked flush function, with the §3.4 deferral policy. *)
@@ -169,15 +168,9 @@ let perform m ~from ~mm (info : Flush_info.t) token =
   (* Targets: every CPU the mm's cpumask names, unfiltered — the queue
      protocol has no lazy/batched skip logic; an idle target just drains a
      short ring. *)
-  let targets = pcpu.Percpu.scratch_targets in
-  Cpuset.copy_into ~dst:targets ~src:(Mm_struct.cpuset mm);
-  Cpuset.clear targets from;
-  if Cpuset.is_empty targets then begin
-    stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
-  end
-  else begin
-    stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
+  let targets = snapshot_targets m ~from (Mm_struct.cpuset mm) in
+  let remote = not (Cpuset.is_empty targets) in
+  if remote then begin
     let prep0 = Machine.now m in
     let gen = Machine.next_ipi_seq m in
     Machine.chain_cpus m targets ~phases:2 (fun c phase ->
@@ -188,7 +181,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
         end);
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
     if Machine.metering m then
-      record_prep m ~from ~targets (Machine.now m - prep0);
+      Smp.record_prep m ~from ~targets (Machine.now m - prep0);
     (* Ack wait: all targets must drain past [gen]. Initial spin, then up
        to [max_retries] resends with a backoff-multiplied spin each.
        Resends go only to the still-pending subset: re-IPIing an acked
@@ -237,17 +230,10 @@ let perform m ~from ~mm (info : Flush_info.t) token =
     (* Observing each ack generation pulls the responder's ring line back. *)
     Machine.chain_cpus m targets ~phases:1 (fun c _ ->
         Cache.read (queue_of m c).Percpu.line_queue ~by:from);
-    if Machine.metering m then begin
-      let far =
-        Cpuset.fold
-          (fun acc c -> Int.max acc (Machine.distance_rank m from c))
-          0 targets
-      in
-      Metrics.record_cycles m.Machine.phases.Machine.ack.(far) (Machine.now m - ack0)
-    end;
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
-    tracef m ~cpu:from "queue-spin shootdown complete (retries %d)" !retries
-  end
+    if Machine.metering m then Smp.record_ack m ~from ~targets (Machine.now m - ack0);
+    tracef m ~cpu:from "queue-spin acks seen (retries %d)" !retries
+  end;
+  remote
 
 let backend =
   {

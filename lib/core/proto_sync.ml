@@ -65,23 +65,15 @@ let responder m =
 
 let irq_id m = shootdown_irq m responder
 
-let perform m ~from ~mm:_ (info : Flush_info.t) token =
-  let stats = m.Machine.stats in
-  let pcpu = Machine.percpu m from in
+let perform m ~from ~mm:_ (info : Flush_info.t) =
   (* One shootdown machine-wide at a time. *)
   Machine.delay m m.Machine.costs.Costs.lock_uncontended;
   Rwsem.down_write m.Machine.ipi_mutex;
-  let targets = pcpu.Percpu.scratch_targets in
-  Cpuset.copy_into ~dst:targets ~src:m.Machine.all_cpus;
-  Cpuset.clear targets from;
-  if Cpuset.is_empty targets then begin
-    stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-    ignore (initiator_flush m ~from ~user:(default_user_policy m info) info);
-    Rwsem.up_write m.Machine.ipi_mutex;
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
-  end
+  let targets = snapshot_targets m ~from m.Machine.all_cpus in
+  let remote = not (Cpuset.is_empty targets) in
+  let user = default_user_policy m info in
+  if not remote then ignore (initiator_flush m ~from ~user info)
   else begin
-    stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
     let prep0 = Machine.now m in
     (* Post the descriptor and clear the status table, one line write. *)
     Machine.charge_write m m.Machine.line_sync_status ~by:from;
@@ -90,10 +82,10 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     Cpuset.iter (fun c -> (Machine.percpu m c).Percpu.sync_done <- false) targets;
     m.Machine.sync_outstanding <- Cpuset.count targets;
     (* Initiator self-invalidates before kicking anyone. *)
-    ignore (initiator_flush m ~from ~user:(default_user_policy m info) info);
+    ignore (initiator_flush m ~from ~user info);
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
     if Machine.metering m then
-      record_prep m ~from ~targets (Machine.now m - prep0);
+      Smp.record_prep m ~from ~targets (Machine.now m - prep0);
     (* Spin until the whole status table reads done. Every responder that
        sets its done bit also decrements [sync_outstanding], so the count is
        zero exactly when every target's bit is set: one load per poll
@@ -107,23 +99,15 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     done;
     (* Observing the table pulls the responder-written line back once. *)
     Machine.charge_read m m.Machine.line_sync_status ~by:from;
-    if Machine.metering m then begin
-      let far =
-        Cpuset.fold
-          (fun acc c -> Int.max acc (Machine.distance_rank m from c))
-          0 targets
-      in
-      Metrics.record_cycles m.Machine.phases.Machine.ack.(far) (Machine.now m - ack0)
-    end;
+    if Machine.metering m then Smp.record_ack m ~from ~targets (Machine.now m - ack0);
     (* Retire the post before releasing the lock: the next initiator's
        clear-and-post must never race a responder reading our descriptor. *)
     m.Machine.sync_info <- None;
     m.Machine.sync_from <- -1;
-    Machine.charge_write m m.Machine.line_sync_status ~by:from;
-    Rwsem.up_write m.Machine.ipi_mutex;
-    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
-    tracef m ~cpu:from "sync-broadcast complete"
-  end
+    Machine.charge_write m m.Machine.line_sync_status ~by:from
+  end;
+  Rwsem.up_write m.Machine.ipi_mutex;
+  remote
 
 let backend =
   {

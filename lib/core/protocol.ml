@@ -8,10 +8,10 @@ type t = {
       (* the differential reference (the oracle): requests are always full,
          a local full flush invalidates the user PCID on the spot, and the
          lazy strawman fault does not apply *)
-  perform :
-    Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> Checker.token -> unit;
+  perform : Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> bool;
       (* one complete shootdown for an info whose generation is already
-         bumped; must close the checker window on every path *)
+         bumped; true when it sent IPIs. Shootdown counts it and closes
+         its checker window. *)
   responder_pending : Machine.t -> cpu:int -> bool;
       (* ack-tracking hook: does this CPU have outstanding responder work
          (posted but unexecuted flushes)? Feeds nmi_uaccess_okay. *)

@@ -22,10 +22,12 @@ type t = {
           never builds ranged infos, a local full flush invalidates the user
           PCID on the spot instead of deferring to return-to-user, and the
           [Lazy_strawman] fault does not apply *)
-  perform :
-    Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> Checker.token -> unit;
+  perform : Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> bool;
       (** one complete shootdown for an info whose generation is already
-          bumped; closes the checker window on every path *)
+          bumped: the initiator's local flush and, when some remote CPU
+          needs one, the remote round. Returns whether it sent IPIs;
+          {!Shootdown} counts the shootdown (or local-only flush) and
+          closes the checker window *)
   responder_pending : Machine.t -> cpu:int -> bool;
       (** does this CPU have outstanding responder work (posted but
           unexecuted flushes)? Feeds [nmi_uaccess_okay]. *)

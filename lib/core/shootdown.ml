@@ -20,44 +20,62 @@ let backend m : Protocol.t =
 let flush_pending_user = Flush_core.flush_pending_user
 let return_to_user = Flush_core.return_to_user
 
-(* One complete shootdown for [info], generation already bumped. *)
-let perform m ~from ~mm (info : Flush_info.t) token =
+(* One complete shootdown for [info], generation already bumped: the
+   backend's round, or the lazy strawman's local flush; then its count and
+   the close of its checker window, which happen here and nowhere else.
+   [~local_flush:false] is §4.1's CoW round, whose caller has replaced the
+   local flush: its knob exists only in the paper payload, so it runs the
+   paper round, and with no remote target it counts as nothing. *)
+let perform_round m ~from ~mm ~local_flush (info : Flush_info.t) token =
   let b = backend m in
-  match m.Machine.opts.Opts.fault with
-  | Some Opts.Lazy_strawman when not b.Protocol.reference ->
-      (* LATR-style strawman: flush locally, never notify remote CPUs, and
-         return as if the flush were complete. The Checker flags the stale
-         accesses this permits. *)
-      ignore (flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info) info);
-      let stats = m.Machine.stats in
-      stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-      Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
-  | Some (Opts.Lazy_strawman | Opts.Skip_deferred_flush) | None ->
-      b.Protocol.perform m ~from ~mm info token
+  let sent =
+    if not local_flush then Proto_paper.round m ~from ~mm ~local_flush info
+    else
+      match m.Machine.opts.Opts.fault with
+      | Some Opts.Lazy_strawman when not b.Protocol.reference ->
+          (* LATR-style strawman: flush locally, never notify remote CPUs,
+             and return as if the flush were complete. The Checker flags
+             the stale accesses this permits. *)
+          let user = default_user_policy m info in
+          ignore (flush_tlb_func_impl m ~cpu:from ~user info);
+          false
+      | Some (Opts.Lazy_strawman | Opts.Skip_deferred_flush) | None ->
+          b.Protocol.perform m ~from ~mm info
+  in
+  let stats = m.Machine.stats in
+  if sent then stats.Machine.shootdowns <- stats.Machine.shootdowns + 1
+  else if local_flush then
+    stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
+  Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
+  if sent then tracef m ~cpu:from "shootdown complete"
 
-let make_info m ~mm ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen =
-  if (backend m).Protocol.reference then
-    (* The oracle never sends ranged flushes: full, always. *)
-    Flush_info.full ~mm_id:(Mm_struct.id mm) ~freed_tables ~new_tlb_gen ()
-  else if pages > m.Machine.opts.Opts.full_flush_threshold then
-    Flush_info.full ~mm_id:(Mm_struct.id mm) ~freed_tables ~new_tlb_gen ()
-  else
-    Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn ~pages ~stride ~freed_tables
-      ~new_tlb_gen ()
+let perform m ~from ~mm info token =
+  perform_round m ~from ~mm ~local_flush:true info token
 
-let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
-    ?(freed_tables = false) () =
-  let knobs = Opts.knobs m.Machine.opts and stats = m.Machine.stats in
-  let pcpu = Machine.percpu m from in
-  (* Bump the generation: one atomic RMW on the mm's shared line. *)
+(* The start of every request: bump [mm]'s generation (one atomic RMW on
+   its line), build the request for the new generation — the whole mm
+   when [full], else [pages] pages from [start_vpn] — open its checker
+   window and hand both to [k], a toplevel function, so the call
+   allocates no closure. *)
+let request m ~from ~mm ~full ~start_vpn ~pages ~stride ~freed_tables k =
   Machine.charge_atomic m (Mm_struct.line mm) ~by:from;
   let new_tlb_gen = Mm_struct.bump_tlb_gen mm in
+  let mm_id = Mm_struct.id mm in
   if Machine.tracing m then
-    Machine.trace_event m ~cpu:from
-      (Trace.Gen_bump { mm_id = Mm_struct.id mm; gen = new_tlb_gen });
-  let info = make_info m ~mm ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen in
-  let token = Machine.begin_window m ~cpu:from info in
-  if knobs.Opts.userspace_batching && pcpu.Percpu.batched_mode && not freed_tables
+    Machine.trace_event m ~cpu:from (Trace.Gen_bump { mm_id; gen = new_tlb_gen });
+  let info =
+    if full then Flush_info.full ~mm_id ~freed_tables ~new_tlb_gen ()
+    else Flush_info.ranged ~mm_id ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen ()
+  in
+  k m ~from ~mm info (Machine.begin_window m ~cpu:from info)
+
+(* A ranged request: performed now, or under §4.2 left to the
+   mmap_sem-release barrier. *)
+let perform_or_defer m ~from ~mm (info : Flush_info.t) token =
+  let knobs = Opts.knobs m.Machine.opts and stats = m.Machine.stats in
+  let pcpu = Machine.percpu m from in
+  if knobs.Opts.userspace_batching && pcpu.Percpu.batched_mode
+     && not info.Flush_info.freed_tables
   then begin
     (* loc begin: batching *)
     (* §4.2: defer the flush to the mmap_sem-release barrier. Flushes that
@@ -78,71 +96,50 @@ let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
   end
   else perform m ~from ~mm info token
 
+let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
+    ?(freed_tables = false) () =
+  (* The oracle never sends ranged flushes: full, always. *)
+  let full =
+    (backend m).Protocol.reference || pages > m.Machine.opts.Opts.full_flush_threshold
+  in
+  request m ~from ~mm ~full ~start_vpn ~pages ~stride ~freed_tables perform_or_defer
+
 let flush_tlb_page m ~from ~mm ~vpn =
   flush_tlb_mm_range m ~from ~mm ~start_vpn:vpn ~pages:1 ()
 
 (* loc begin: cow *)
+(* Local "flush": one atomic write to the page. The write-protected old
+   PTE cannot be used for a store, so the access walks the tables,
+   evicting the stale translation and caching the fresh one — without
+   INVLPG's paging-structure-cache invalidation. Remote CPUs sharing the
+   mapping still need the shootdown. *)
+let cow_round m ~from ~mm (info : Flush_info.t) token =
+  let vpn = info.Flush_info.start_vpn and pcpu = Machine.percpu m from in
+  let tlb = Cpu.tlb (Machine.cpu m from) and stats = m.Machine.stats in
+  Machine.delay m m.Machine.costs.Costs.atomic_op;
+  Tlb.drop tlb ~pcid:(Percpu.kernel_pcid pcpu.Percpu.curr_asid) ~vpn;
+  if m.Machine.opts.Opts.safe then
+    Tlb.drop tlb ~pcid:(Percpu.user_pcid pcpu.Percpu.curr_asid) ~vpn;
+  let slot = pcpu.Percpu.asids.(pcpu.Percpu.curr_asid) in
+  if slot.Percpu.slot_mm = info.Flush_info.mm_id
+     && slot.Percpu.gen_seen = info.Flush_info.new_tlb_gen - 1
+  then slot.Percpu.gen_seen <- info.Flush_info.new_tlb_gen;
+  stats.Machine.cow_flush_avoided <- stats.Machine.cow_flush_avoided + 1;
+  tracef m ~cpu:from "CoW: avoided local flush for vpn %d" vpn;
+  perform_round m ~from ~mm ~local_flush:false info token
+
+(* The instruction TLB is not affected by data accesses, so the trick is
+   unusable for executable mappings (§4.1). *)
 let flush_tlb_page_cow m ~from ~mm ~vpn ~executable =
-  let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
-  let knobs = Opts.knobs opts in
-  (* The instruction TLB is not affected by data accesses, so the trick is
-     unusable for executable mappings (§4.1). The elision composes with the
-     paper protocol's targeted remote machinery only, which is why its knob
-     exists only there; other backends take the ordinary flush path. *)
-  if not (knobs.Opts.cow_avoid_flush && not executable) then flush_tlb_page m ~from ~mm ~vpn
-  else begin
-    Machine.charge_atomic m (Mm_struct.line mm) ~by:from;
-    let new_tlb_gen = Mm_struct.bump_tlb_gen mm in
-    if Machine.tracing m then
-      Machine.trace_event m ~cpu:from
-        (Trace.Gen_bump { mm_id = Mm_struct.id mm; gen = new_tlb_gen });
-    let info =
-      Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen ()
-    in
-    let token = Machine.begin_window m ~cpu:from info in
-    (* Local "flush": one atomic write to the page. The write-protected old
-       PTE cannot be used for a store, so the access walks the tables,
-       evicting the stale translation and caching the fresh one — without
-       INVLPG's paging-structure-cache invalidation. *)
-    let pcpu = Machine.percpu m from in
-    let tlb = Cpu.tlb (Machine.cpu m from) in
-    Machine.delay m costs.Costs.atomic_op;
-    Tlb.drop tlb ~pcid:(Percpu.kernel_pcid pcpu.Percpu.curr_asid) ~vpn;
-    if opts.Opts.safe then Tlb.drop tlb ~pcid:(Percpu.user_pcid pcpu.Percpu.curr_asid) ~vpn;
-    let slot = pcpu.Percpu.asids.(pcpu.Percpu.curr_asid) in
-    if slot.Percpu.slot_mm = Mm_struct.id mm && slot.Percpu.gen_seen = new_tlb_gen - 1 then
-      slot.Percpu.gen_seen <- new_tlb_gen;
-    stats.Machine.cow_flush_avoided <- stats.Machine.cow_flush_avoided + 1;
-    tracef m ~cpu:from "CoW: avoided local flush for vpn %d" vpn;
-    (* Remote CPUs sharing the mapping still need the shootdown. *)
-    let sel0 = Machine.now m in
-    let targets = Proto_paper.select_targets m ~from ~mm info in
-    if Cpuset.is_empty targets then
-      Machine.end_window m ~cpu:from ~mm_id:(Mm_struct.id mm) token
-    else begin
-      stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
-      let early_ack = knobs.Opts.early_ack in
-      let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
-      Smp.send_ipis m ~from ~targets ~irq_id:(Proto_paper.irq_id m);
-      if Machine.metering m then
-        record_prep m ~from ~targets (Machine.now m - sel0);
-      Smp.wait_for_acks m ~from cfds ();
-      Machine.end_window m ~cpu:from ~mm_id:(Mm_struct.id mm) token
-    end
-  end
+  if (Opts.knobs m.Machine.opts).Opts.cow_avoid_flush && not executable then
+    request m ~from ~mm ~full:false ~start_vpn:vpn ~pages:1 ~stride:Tlb.Four_k
+      ~freed_tables:false cow_round
+  else flush_tlb_page m ~from ~mm ~vpn
 (* loc end: cow *)
 
 let flush_tlb_mm m ~from ~mm =
-  let new_tlb_gen =
-    (Machine.charge_atomic m (Mm_struct.line mm) ~by:from;
-     Mm_struct.bump_tlb_gen mm)
-  in
-  if Machine.tracing m then
-    Machine.trace_event m ~cpu:from
-      (Trace.Gen_bump { mm_id = Mm_struct.id mm; gen = new_tlb_gen });
-  let info = Flush_info.full ~mm_id:(Mm_struct.id mm) ~new_tlb_gen () in
-  let token = Machine.begin_window m ~cpu:from info in
-  perform m ~from ~mm info token
+  request m ~from ~mm ~full:true ~start_vpn:0 ~pages:0 ~stride:Tlb.Four_k
+    ~freed_tables:false perform
 
 (* loc begin: batching *)
 let flush_batched m ~from ~mm =

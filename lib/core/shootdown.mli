@@ -45,7 +45,8 @@ val flush_tlb_page : Machine.t -> from:int -> mm:Mm_struct.t -> vpn:int -> unit
 (** The copy-on-write variant (§4.1): when [cow_avoid_flush] is on and the
     PTE is not executable, the initiator's local INVLPG is replaced by an
     atomic dummy write to the page (which evicts the stale translation and
-    keeps the page-walk cache warm); remote CPUs are still shot down if the
+    keeps the page-walk cache warm); remote CPUs are still shot down, by
+    the paper backend's own round with the local flush skipped, if the
     address space is active elsewhere. Falls back to {!flush_tlb_page}
     otherwise. *)
 val flush_tlb_page_cow :

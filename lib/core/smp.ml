@@ -129,6 +129,10 @@ let drain_queue m ~work =
   let lead me = Cache.read (Machine.percpu m me).Percpu.line_csq ~by:me in
   (lead, visit)
 
+(* Work still queued on [cpu]'s call queue: the paper and oracle
+   backends' [responder_pending]. *)
+let csd_pending m ~cpu = not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq)
+
 (* CSD conservation: every CFD queued on a CPU was fetched, executed and
    acked there by quiescence. *)
 let csd_quiescent m ~cpu fail =
@@ -139,7 +143,20 @@ let csd_quiescent m ~cpu fail =
       (Printf.sprintf "cpu%d: %d CFD(s) queued but %d executed and acked at quiescence"
          cpu queued released)
 
-let wait_for_acks m ~from cfds ?(while_waiting = fun () -> ())
+(* Initiator prep (selection + enqueue + ICR writes) and the ack wait are
+   each one span, attributed to the distance rank of the farthest target:
+   the ack that structurally arrives last bounds the span. Callers gate on
+   [Machine.metering]. *)
+let far_rank m ~from targets =
+  Cpuset.fold (fun acc c -> Int.max acc (Machine.distance_rank m from c)) 0 targets
+
+let record_prep m ~from ~targets dt =
+  Metrics.record_cycles m.Machine.phases.Machine.prep.(far_rank m ~from targets) dt
+
+let record_ack m ~from ~targets dt =
+  Metrics.record_cycles m.Machine.phases.Machine.ack.(far_rank m ~from targets) dt
+
+let wait_for_acks m ~from ~targets cfds ?(while_waiting = fun () -> ())
     ?(waiting_work = fun () -> false) () =
   let cpu = Machine.cpu m from in
   let t0 = Machine.now m in
@@ -179,13 +196,4 @@ let wait_for_acks m ~from cfds ?(while_waiting = fun () -> ())
     Machine.trace_event m ~cpu:from
       (Trace.Acks_seen
          { seqs = Array.to_list (Array.map (fun c -> c.Percpu.cfd_seq) cfds) });
-  if n > 0 && Machine.metering m then begin
-    (* The wait is one span; attribute it to the farthest responder — the
-       ack that structurally arrives last and bounds the span. *)
-    let far =
-      Array.fold_left
-        (fun acc c -> Int.max acc (Machine.distance_rank m from c.Percpu.cfd_target))
-        0 cfds
-    in
-    Metrics.record_cycles m.Machine.phases.Machine.ack.(far) (Machine.now m - t0)
-  end
+  if n > 0 && Machine.metering m then record_ack m ~from ~targets (Machine.now m - t0)

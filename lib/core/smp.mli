@@ -67,6 +67,10 @@ val ack_write : Machine.t -> me:int -> Percpu.cfd -> int
 
 val ack_landed : Machine.t -> me:int -> Percpu.cfd -> unit
 
+(** Is work still queued on [cpu]'s call queue? The [responder_pending]
+    hook of the two call-queue backends, paper and oracle. *)
+val csd_pending : Machine.t -> cpu:int -> bool
+
 (** CSD conservation at quiescence: calls [fail] when [cpu] has not
     executed and acked every CFD queued on it. *)
 val csd_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit
@@ -80,12 +84,21 @@ val csd_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit
     landed and no IRQ is deliverable is an idle tick the initiator sleeps
     through without being resumed (the default [fun () -> false] matches
     the default no-op [while_waiting]). Pays one read per CFD to observe
-    the acks. *)
+    the acks, and meters the wait with {!record_ack}. [targets] is the set
+    the CFDs were enqueued to. *)
 val wait_for_acks :
   Machine.t ->
   from:int ->
+  targets:Cpuset.t ->
   Percpu.cfd array ->
   ?while_waiting:(unit -> unit) ->
   ?waiting_work:(unit -> bool) ->
   unit ->
   unit
+
+(** Record one initiator-prep span (selection, enqueue and ICR writes) or
+    one ack-wait span, attributed to the distance rank of the farthest of
+    [targets] from [from]; callers gate on {!Machine.metering}. *)
+val record_prep : Machine.t -> from:int -> targets:Cpuset.t -> int -> unit
+
+val record_ack : Machine.t -> from:int -> targets:Cpuset.t -> int -> unit

@@ -6,7 +6,6 @@ type t = {
   lfence : int;
   page_walk : int;
   page_walk_cold : int;
-  nested_walk_factor : int;
   atomic_op : int;
   mem_access : int;
   page_copy : int;
@@ -55,7 +54,6 @@ let default =
     lfence = 40;
     page_walk = 120;
     page_walk_cold = 220;
-    nested_walk_factor = 4;
     atomic_op = 30;
     mem_access = 4;
     page_copy = 1100;
@@ -102,7 +100,6 @@ let key
       lfence;
       page_walk;
       page_walk_cold;
-      nested_walk_factor;
       atomic_op;
       mem_access;
       page_copy;
@@ -145,7 +142,6 @@ let key
          lfence;
          page_walk;
          page_walk_cold;
-         nested_walk_factor;
          atomic_op;
          mem_access;
          page_copy;

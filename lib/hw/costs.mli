@@ -18,7 +18,6 @@ type t = {
   (* --- memory & page walks --- *)
   page_walk : int;  (** 4-level walk with warm paging-structure caches *)
   page_walk_cold : int;  (** walk after the paging-structure cache was lost *)
-  nested_walk_factor : int;  (** EPT walk multiplier (2D page walk) *)
   atomic_op : int;  (** LOCK-prefixed RMW on a cached line *)
   mem_access : int;  (** one user load/store that hits caches and TLB *)
   page_copy : int;  (** copy one 4 KiB page *)

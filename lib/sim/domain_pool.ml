@@ -1,5 +1,5 @@
-(* tlblint: proven-bounds — workers read [order] at k in [base, stop] with
-   stop < n = Array.length order, claimed via Atomic.fetch_and_add. *)
+(* tlblint: proven-bounds — workers read [order] at k < n = Array.length
+   order, claimed via Atomic.fetch_and_add. *)
 (* Fork-join execution of independent tasks over OCaml 5 domains.
 
    The bench harness uses this to run sim-run tasks in parallel: each task
@@ -93,21 +93,18 @@ let claim_order ~weights n =
         order;
       order
 
-let run_parallel ~jobs ~order ~chunk ~tune_gc tasks =
+let run_parallel ~jobs ~order ~tune_gc tasks =
   let n = Array.length tasks in
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let worker () =
     let rec loop () =
-      let base = Atomic.fetch_and_add next chunk in
-      if base < n then begin
-        let stop = Stdlib.min n (base + chunk) - 1 in
-        for k = base to stop do
-          let i = Array.unsafe_get order k in
-          results.(i) <-
-            (try Some (Value (tasks.(i) ()))
-             with e -> Some (Raised (e, Printexc.get_raw_backtrace ())))
-        done;
+      let k = Atomic.fetch_and_add next 1 in
+      if k < n then begin
+        let i = Array.unsafe_get order k in
+        results.(i) <-
+          (try Some (Value (tasks.(i) ()))
+           with e -> Some (Raised (e, Printexc.get_raw_backtrace ())));
         loop ()
       end
     in
@@ -137,9 +134,8 @@ let run_parallel ~jobs ~order ~chunk ~tune_gc tasks =
       results,
     gc )
 
-let run ~jobs ?weights ?(chunk = 1) ?(tune_gc = false) ?gc_totals
-    (tasks : (unit -> 'a) array) : 'a array =
-  if chunk < 1 then invalid_arg "Domain_pool.run: chunk must be >= 1";
+let run ~jobs ?weights ?(tune_gc = false) ?gc_totals (tasks : (unit -> 'a) array) :
+    'a array =
   (match weights with
   | Some w when Array.length w <> Array.length tasks ->
       invalid_arg "Domain_pool.run: weights length must match tasks"
@@ -159,7 +155,7 @@ let run ~jobs ?weights ?(chunk = 1) ?(tune_gc = false) ?gc_totals
   end
   else begin
     let order = claim_order ~weights (Array.length tasks) in
-    let results, gc = run_parallel ~jobs ~order ~chunk ~tune_gc tasks in
+    let results, gc = run_parallel ~jobs ~order ~tune_gc tasks in
     Option.iter (fun cell -> cell := gc) gc_totals;
     results
   end

@@ -33,10 +33,6 @@ val zero_gc_totals : gc_totals
     keep submission order. Claim order never affects results, only
     wall-clock.
 
-    [chunk] (default 1) makes each worker claim that many consecutive
-    order entries per atomic operation — for fleets of sub-millisecond
-    tasks where the shared counter would otherwise bounce between cores.
-
     [tune_gc] (default false) applies bench-tuned GC parameters (a 4M-word
     minor heap, space_overhead 200) inside each *spawned* worker domain;
     the calling domain's parameters are never touched. GC tuning cannot
@@ -52,7 +48,6 @@ val zero_gc_totals : gc_totals
 val run :
   jobs:int ->
   ?weights:float array ->
-  ?chunk:int ->
   ?tune_gc:bool ->
   ?gc_totals:gc_totals ref ->
   (unit -> 'a) array ->

@@ -45,8 +45,8 @@ let test_parallel_matches_sequential () =
   let par = Domain_pool.run ~jobs:2 tasks in
   check Alcotest.(array pairf) "-j 2 = -j 1" seq par
 
-(* LPT ordering and chunked claiming are schedule details: whatever order
-   workers claim tasks in, slot i must still hold task i's value. *)
+(* LPT ordering is a schedule detail: whatever order workers claim tasks
+   in, slot i must still hold task i's value. *)
 let test_weighted_chunked_pool_slot_order () =
   let n = 37 in
   let tasks = Array.init n (fun i () -> (i * 7) mod 13) in
@@ -54,8 +54,8 @@ let test_weighted_chunked_pool_slot_order () =
   let weights = Array.init n (fun i -> float_of_int ((i * 31) mod 17)) in
   check
     Alcotest.(array int)
-    "weighted, chunk=4, -j4" expected
-    (Domain_pool.run ~jobs:4 ~weights ~chunk:4 tasks);
+    "weighted, -j4" expected
+    (Domain_pool.run ~jobs:4 ~weights tasks);
   check
     Alcotest.(array int)
     "weighted, -j1 inline" expected

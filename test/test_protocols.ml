@@ -715,6 +715,69 @@ let test_walkers_bounded_by_live_processes () =
   check int_t "as many walkers for 24 initiators as for 8" (walkers_after 8)
     (walkers_after 24)
 
+(* ---------- the shootdown frame ---------- *)
+
+(* Every flush entry point closes the checker window it opened before it
+   returns, whatever the backend and whether or not a remote CPU holds
+   the mm: one CPU leaves no remote target, four with the mm loaded on
+   cpu 1 give one (every CPU, for the broadcasting backends). The lazy
+   strawman never sends; the CoW entry point runs the §4.1 round under
+   [cow] and the ordinary flush elsewhere. *)
+let test_window_closed_on_return () =
+  let paper_with f = Opts.map_paper f (Opts.baseline ~safe:true) in
+  let entries =
+    [
+      ("flush_tlb_page", fun m mm vpn -> Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn);
+      ( "flush_tlb_mm_range",
+        fun m mm start_vpn ->
+          Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn ~pages:4 () );
+      ("flush_tlb_mm", fun m mm _ -> Shootdown.flush_tlb_mm m ~from:0 ~mm);
+      ( "flush_tlb_page_cow",
+        fun m mm vpn ->
+          Shootdown.flush_tlb_page_cow m ~from:0 ~mm ~vpn ~executable:false );
+    ]
+  in
+  List.iter
+    (fun (label, opts, sends) ->
+      List.iter
+        (fun n ->
+          let m = Machine.create ~topo:(Topology.flat n) ~opts ~seed:3L () in
+          let mm = Machine.new_mm m in
+          Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
+              let vpn = map_pages m mm ~pages:4 in
+              if n > 1 then Sched.switch_mm m ~cpu:1 mm;
+              List.iter
+                (fun (entry, flush) ->
+                  let before = Checker.open_windows m.Machine.checker in
+                  flush m mm vpn;
+                  check int_t
+                    (Printf.sprintf "%s, %d CPU(s): %s closed its window" label n entry)
+                    before
+                    (Checker.open_windows m.Machine.checker))
+                entries;
+              Shootdown.return_to_user m ~cpu:0 ~has_stack:true);
+          Kernel.run m;
+          Kernel.check_run m ~who:label;
+          check bool_t
+            (Printf.sprintf "%s, %d CPU(s): shootdowns sent" label n)
+            (sends && n > 1)
+            (m.Machine.stats.Machine.shootdowns > 0))
+        [ 1; 4 ])
+    [
+      ("paper", Opts.baseline ~safe:true, true);
+      ("paper all", Opts.all ~safe:true, true);
+      ("paper cow", paper_with (fun p -> { p with Opts.cow_avoid_flush = true }), true);
+      ( "paper cow serialized",
+        paper_with (fun p -> { p with Opts.cow_avoid_flush = true; serialized = true }),
+        true );
+      ("oracle", Opts.oracle ~safe:true, true);
+      ("sync-broadcast", Opts.with_protocol Opts.Sync_broadcast ~safe:true, true);
+      ("queue-spin", Opts.with_protocol Opts.Queue_spin ~safe:true, true);
+      ( "lazy strawman",
+        { (Opts.baseline ~safe:true) with Opts.fault = Some Opts.Lazy_strawman },
+        false );
+    ]
+
 let suite =
   [
     Alcotest.test_case "opts key distinct per protocol" `Quick
@@ -757,4 +820,6 @@ let suite =
       test_ranged_tail_one_run;
     Alcotest.test_case "walkers: bounded by live processes" `Quick
       test_walkers_bounded_by_live_processes;
+    Alcotest.test_case "every flush call closes its window before returning" `Quick
+      test_window_closed_on_return;
   ]

@@ -509,6 +509,31 @@ let test_multiple_responders_all_flushed () =
       stop := true);
   Kernel.run m
 
+(* The §4.1 CoW round is the paper round with the local flush elided, so
+   under the FreeBSD comparator it takes [ipi_mutex] like every other
+   paper shootdown: with the mm loaded on a second, idle CPU it costs
+   exactly one uncontended lock more than without [serialized]. *)
+let cow_round_cycles ~serialized =
+  let opts = paper (fun p -> { p with Opts.cow_avoid_flush = true; serialized }) in
+  let m = Machine.create ~topo:(Topology.flat 4) ~opts ~seed:3L () in
+  let mm = Machine.new_mm m in
+  let cycles = ref 0 in
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
+      let vpn = map_pages m mm ~pages:1 in
+      Sched.switch_mm m ~cpu:1 mm;
+      let t0 = Machine.now m in
+      Shootdown.flush_tlb_page_cow m ~from:0 ~mm ~vpn ~executable:false;
+      cycles := Machine.now m - t0);
+  Kernel.run m;
+  check int_t "local flush elided" 1 m.Machine.stats.Machine.cow_flush_avoided;
+  check int_t "one shootdown" 1 m.Machine.stats.Machine.shootdowns;
+  (!cycles, m.Machine.costs.Costs.lock_uncontended)
+
+let test_cow_round_takes_ipi_mutex () =
+  let plain, _ = cow_round_cycles ~serialized:false in
+  let serialized, lock = cow_round_cycles ~serialized:true in
+  check int_t "serialized adds one uncontended lock" (plain + lock) serialized
+
 let suite =
   [
     Alcotest.test_case "local-only: no IPI" `Quick test_local_only_no_ipi;
@@ -532,4 +557,6 @@ let suite =
     Alcotest.test_case "concurrent+in-context interplay" `Quick test_concurrent_in_context_interplay;
     Alcotest.test_case "flush_tlb_mm full" `Quick test_flush_tlb_mm_full;
     Alcotest.test_case "multiple responders all flushed" `Quick test_multiple_responders_all_flushed;
+    Alcotest.test_case "cow round takes ipi_mutex when serialized" `Quick
+      test_cow_round_takes_ipi_mutex;
   ]
