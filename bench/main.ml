@@ -858,14 +858,8 @@ let bechamel () =
   let chain_test =
     Test.make ~name:"process:chain (8 steps, contended)"
       (contended (fun e ->
-           let left = ref 0 in
-           let step () =
-             decr left;
-             if !left >= 0 then 3 else 0
-           in
            while true do
-             left := 8;
-             Process.chain e step
+             Process.chain_upto e 8 ~phases:1 (fun _ _ -> 3)
            done))
   in
   let delays_test =
@@ -1135,7 +1129,7 @@ let bechamel () =
               cfd.Percpu.cfd_acked <- false;
               Queue.push cfd csq)
             cfds;
-          Machine.chain_item m ~lead:(lead 1) 1 visit;
+          Process.chain_item e ~lead:(lead 1) 1 visit;
           incr drained
         done);
     Test.make ~name:"smp:drain (4 queued requests, contended)"

@@ -282,16 +282,13 @@ let analyze_array records =
     findings = List.rev !findings;
   }
 
-(* Straight from the ring buffer, no intermediate list. *)
+(* Only the typed events are numbered: free-form [Msg] lines are not part
+   of happens-before, so adding or moving one renumbers nothing. *)
 let analyze_trace trace =
-  let n = Trace.length trace in
-  let dummy = { Trace.time = 0; cpu = -1; actor = ""; event = Trace.Msg "" } in
-  let records = Array.make n dummy in
-  let i = ref 0 in
+  let typed = ref [] in
   Trace.iter trace (fun r ->
-      records.(!i) <- r;
-      incr i);
-  analyze_array records
+      match r.Trace.event with Trace.Msg _ -> () | _ -> typed := r :: !typed);
+  analyze_array (Array.of_list (List.rev !typed))
 
 let verdict_name = function
   | Proved_in_flight -> "benign (proved in-flight)"

@@ -11,7 +11,6 @@ type token = int
 type result = [ `Clean | `Benign of string | `Violation of string ]
 
 type t = {
-  mutable on : bool;
   (* The open windows, unordered, in slots [0, n_open): a token and its
      info at the same index. Few windows are open at once, so flat arrays
      with linear scans beat a hashtable, and closing one moves the last
@@ -29,9 +28,8 @@ type t = {
 
 let default_max_recorded_violations = 1000
 
-let create ?(enabled = true) ?(max_recorded = default_max_recorded_violations) () =
+let create ?(max_recorded = default_max_recorded_violations) () =
   {
-    on = enabled;
     tokens = [||];
     infos = [||];
     n_open = 0;
@@ -58,12 +56,10 @@ let grow t info =
 
 let begin_invalidation t (info : Flush_info.t) =
   t.next_token <- t.next_token + 1;
-  if t.on then begin
-    if t.n_open = Array.length t.tokens then grow t info;
-    t.tokens.(t.n_open) <- t.next_token;
-    t.infos.(t.n_open) <- info;
-    t.n_open <- t.n_open + 1
-  end;
+  if t.n_open = Array.length t.tokens then grow t info;
+  t.tokens.(t.n_open) <- t.next_token;
+  t.infos.(t.n_open) <- info;
+  t.n_open <- t.n_open + 1;
   t.next_token
 
 let rec slot_of t token i =
@@ -98,70 +94,67 @@ let mm_bits = 20
 let mm_limit = 1 lsl mm_bits
 
 let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
-  if not t.on then `Clean
+  t.n_checks <- t.n_checks + 1;
+  (* Fast path: the entry was validated clean against this exact
+     page-table version for this mm, and nothing changed since (every
+     mutation bumps the version) — skip the software walk entirely. The
+     stamp packs (version, mm_id) so an entry revalidated under a
+     recycled ASID slot, or against a different mm's table at the same
+     version, can never false-match. *)
+  let stamp =
+    if mm_id < mm_limit then (Page_table.version pt lsl mm_bits) lor mm_id else -1
+  in
+  if stamp >= 0 && entry.Tlb.ck_ver = stamp then `Clean
   else begin
-    t.n_checks <- t.n_checks + 1;
-    (* Fast path: the entry was validated clean against this exact
-       page-table version for this mm, and nothing changed since (every
-       mutation bumps the version) — skip the software walk entirely. The
-       stamp packs (version, mm_id) so an entry revalidated under a
-       recycled ASID slot, or against a different mm's table at the same
-       version, can never false-match. *)
-    let stamp =
-      if mm_id < mm_limit then (Page_table.version pt lsl mm_bits) lor mm_id else -1
-    in
-    if stamp >= 0 && entry.Tlb.ck_ver = stamp then `Clean
-    else begin
-      match Page_table.walk pt ~vpn with
-      | None ->
-          let reason = "translation removed from page table" in
-          if covered t ~mm_id ~vpn then begin
-            t.benign <- t.benign + 1;
-            `Benign reason
-          end
-          else begin
-            record t
-              { v_time = now; v_cpu = cpu; v_mm = mm_id; v_vpn = vpn; v_detail = reason };
-            `Violation reason
-          end
-      | Some (w : Page_table.walk) ->
-          let walk_base =
-            match w.size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511
-          in
-          let walk_pfn = w.pte.Pte.pfn + (vpn - walk_base) in
-          let entry_pfn = entry.Tlb.pfn + (vpn - entry.Tlb.vpn) in
-          let stale_reason =
-            if entry_pfn <> walk_pfn then Some "page remapped to a different frame"
-            else if write && entry.Tlb.writable && not w.pte.Pte.writable then
-              Some "write through a since-write-protected mapping"
-            else None
-          in
-          (match stale_reason with
-          | None ->
-              (* Stamp only when a future hit of either kind would also be
-                 clean at this version: a writable entry over a
-                 write-protected PTE is clean for reads but must keep
-                 walking so a later write still gets flagged. *)
-              if stamp >= 0 && ((not entry.Tlb.writable) || w.pte.Pte.writable) then
-                entry.Tlb.ck_ver <- stamp;
-              `Clean
-          | Some reason ->
-              if covered t ~mm_id ~vpn then begin
-                t.benign <- t.benign + 1;
-                `Benign reason
-              end
-              else begin
-                record t
-                  {
-                    v_time = now;
-                    v_cpu = cpu;
-                    v_mm = mm_id;
-                    v_vpn = vpn;
-                    v_detail = reason;
-                  };
-                `Violation reason
-              end)
-    end
+    match Page_table.walk pt ~vpn with
+    | None ->
+        let reason = "translation removed from page table" in
+        if covered t ~mm_id ~vpn then begin
+          t.benign <- t.benign + 1;
+          `Benign reason
+        end
+        else begin
+          record t
+            { v_time = now; v_cpu = cpu; v_mm = mm_id; v_vpn = vpn; v_detail = reason };
+          `Violation reason
+        end
+    | Some (w : Page_table.walk) ->
+        let walk_base =
+          match w.size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511
+        in
+        let walk_pfn = w.pte.Pte.pfn + (vpn - walk_base) in
+        let entry_pfn = entry.Tlb.pfn + (vpn - entry.Tlb.vpn) in
+        let stale_reason =
+          if entry_pfn <> walk_pfn then Some "page remapped to a different frame"
+          else if write && entry.Tlb.writable && not w.pte.Pte.writable then
+            Some "write through a since-write-protected mapping"
+          else None
+        in
+        (match stale_reason with
+        | None ->
+            (* Stamp only when a future hit of either kind would also be
+               clean at this version: a writable entry over a
+               write-protected PTE is clean for reads but must keep
+               walking so a later write still gets flagged. *)
+            if stamp >= 0 && ((not entry.Tlb.writable) || w.pte.Pte.writable) then
+              entry.Tlb.ck_ver <- stamp;
+            `Clean
+        | Some reason ->
+            if covered t ~mm_id ~vpn then begin
+              t.benign <- t.benign + 1;
+              `Benign reason
+            end
+            else begin
+              record t
+                {
+                  v_time = now;
+                  v_cpu = cpu;
+                  v_mm = mm_id;
+                  v_vpn = vpn;
+                  v_detail = reason;
+                };
+              `Violation reason
+            end)
   end
 
 let violations t = List.rev t.viols

@@ -37,7 +37,7 @@ type result = [ `Clean | `Benign of string | `Violation of string ]
 
 (** [max_recorded] bounds the list kept by {!violations}; the total count
     ({!violation_count}) keeps growing past it. *)
-val create : ?enabled:bool -> ?max_recorded:int -> unit -> t
+val create : ?max_recorded:int -> unit -> t
 
 (** Open an invalidation window for the PTE change described by [info]. *)
 val begin_invalidation : t -> Flush_info.t -> token

@@ -221,10 +221,10 @@ let flush_tlb_func_impl m ~cpu ~user (info : Flush_info.t) =
   let f = task_flush m ~cpu in
   let d = flush_begin m f ~cpu ~user info in
   if d >= 0 then begin
-    if f.Percpu.fl_visit == Percpu.no_visit then
+    if f.Percpu.fl_visit == Process.no_visit then
       f.Percpu.fl_visit <- (fun cpu _ -> flush_step m ~cpu f);
     f.Percpu.fl_busy <- true;
-    Machine.chain_item m ~lead:d cpu f.Percpu.fl_visit;
+    Process.chain_item m.Machine.engine ~lead:d cpu f.Percpu.fl_visit;
     f.Percpu.fl_busy <- false
   end;
   f.Percpu.fl_result
@@ -315,8 +315,8 @@ let flush_pending_user m ~cpu ~has_stack =
   | Percpu.Ranged info ->
       let t0 = Machine.now m in
       let pcid = Percpu.user_pcid (Machine.percpu m cpu).Percpu.curr_asid in
-      Machine.chain_item m ~lead:(pending_step m ~cpu ~pcid info 0) cpu (fun cpu k ->
-          pending_step m ~cpu ~pcid info (k + 1));
+      Process.chain_item m.Machine.engine ~lead:(pending_step m ~cpu ~pcid info 0) cpu
+        (fun cpu k -> pending_step m ~cpu ~pcid info (k + 1));
       pending_done m ~cpu ~t0 ~full:false ~entries:info.Flush_info.pages
   | Percpu.No_flush | Percpu.Full_flush -> ()
 

@@ -38,7 +38,7 @@ val local_full_flush : Machine.t -> cpu:int -> eager_user:bool -> Percpu.t -> un
     [user] picks the §3.4 user-PCID policy for the ranged path; under PTI
     a full flush defers its user-PCID half to return-to-user.
 
-    It is written as the steps of a charge run ({!Machine.chain_item}), so
+    It is written as the steps of a charge run ({!Process.chain_item}), so
     a caller can make it part of a longer run: {!flush_begin} at the
     boundary where the request is reached, then {!flush_step} at each
     later boundary while it returns a cost. A negative cost from either
@@ -74,7 +74,7 @@ val initiator_flush :
     machine's first shootdown and cached in [Machine.proto_irq_id].
     [backend m] gives the responder as a charge run: [lead cpu], made at
     handler start, returns the cost of its first charge, and [visit] its
-    phases, with {!Machine.chain_item}'s rules. The handler's step runs
+    phases, with {!Process.chain_item}'s rules. The handler's step runs
     [lead] at its phase 0 and [visit] at the phases after it, and then,
     when the IRQ interrupted user mode, the return-to-user tail of
     {!flush_pending_user} as more steps of the same handler. *)

@@ -41,21 +41,6 @@ val flush_kind_skipped : int
 (** [flush_index ~rank ~kind] is the {!phases.flush} index. *)
 val flush_index : rank:int -> kind:int -> int
 
-(** A charge run's place between its boundaries: the items (the members
-    of [w_set] when [w_n < 0], else [0 .. w_n - 1]), the visit, and the
-    next (item, phase). A process keeps one per engine tag. [w_visit] is
-    {!Percpu.no_visit} while no run holds the walker; [w_phases = 0] marks
-    the stand-in for a walker not built yet. *)
-type walker = {
-  mutable w_set : Cpuset.t;
-  mutable w_n : int;
-  mutable w_phases : int;
-  mutable w_visit : int -> int -> int;
-  mutable w_at : int;
-  mutable w_phase : int;
-  mutable w_step : unit -> int;  (** the run's step, built once *)
-}
-
 type t = {
   engine : Engine.t;
   topo : Topology.t;
@@ -107,23 +92,17 @@ type t = {
           one disabled registry, which records nothing: read it, but never
           merge into it. *)
   phases : phases;
-  mutable walkers : walker array;
-      (** one per engine tag that has suspended a charge run: where a
-          suspended run of the process holding that tag keeps its place.
-          Tags are reused, so there are never more than the engine's
-          peak of live handlers. *)
 }
 
 (** [create ~opts ()] builds a machine. Defaults: the paper's 2x14x2
-    topology, {!Costs.default}, 1 GiB of frames, seed 42, checker on,
-    metering off. [~metering:true] enables the phase-latency metrics and
-    installs the hw observer hooks (Apic/Cache/Tlb). *)
+    topology, {!Costs.default}, 1 GiB of frames, seed 42, metering off.
+    [~metering:true] enables the phase-latency metrics and installs the hw
+    observer hooks (Apic/Cache/Tlb). *)
 val create :
   ?topo:Topology.t ->
   ?costs:Costs.t ->
   ?frames:int ->
   ?seed:int64 ->
-  ?checker:bool ->
   ?tlb_capacity:int ->
   ?metering:bool ->
   opts:Opts.t ->
@@ -145,36 +124,6 @@ val charge_read : t -> Cache.line -> by:int -> unit
 
 val charge_write : t -> Cache.line -> by:int -> unit
 val charge_atomic : t -> Cache.line -> by:int -> unit
-
-(** {2 Charge runs}
-
-    A run of charges with no suspension between them, written as one
-    {!Process.chain}: [visit item phase] does the work due at its boundary
-    and returns the cost of what comes next, a charge as [Cache.read line
-    ~by] and friends rather than [charge_read]. Phases [0 .. phases - 1]
-    of one item run before the next item's, and a zero cost goes straight
-    on to the next phase. A negative cost ends the whole run at that
-    boundary. Event times and order are those of the same work with a
-    {!delay} after each [visit], but the run suspends the calling process
-    at most once. [visit] follows {!Process.tick_sleep}'s rules for a step:
-    it must never suspend. *)
-
-(** Walk the members of [set] in ascending order, reading the set afresh
-    after each member (so [visit] may clear the member it is given). A
-    positive [lead] is the cost of a charge the caller already made, waited
-    out before the first member. *)
-val chain_cpus : t -> ?lead:int -> Cpuset.t -> phases:int -> (int -> int -> int) -> unit
-
-(** Walk items [0 .. n - 1]; [lead] as for {!chain_cpus}. *)
-val chain_upto : t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> unit
-
-(** [chain_item t ~lead item visit] is a run of the single item [item]
-    with no bound on its phases: wait out [lead], then [visit item 0],
-    [visit item 1], ..., each after the cost the one before returned, until
-    a visit returns a negative cost. Lets a per-machine [visit] serve every
-    CPU (the item names the CPU) without a closure per call, and keep its
-    place between boundaries in per-CPU state. *)
-val chain_item : t -> lead:int -> int -> (int -> int -> int) -> unit
 
 (** Run the engine until idle. *)
 val run : t -> unit

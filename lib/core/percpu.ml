@@ -54,8 +54,6 @@ type flush = {
   mutable fl_visit : int -> int -> int;
 }
 
-let no_visit (_ : int) (_ : int) = -1
-
 let new_flush () =
   {
     fl_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
@@ -70,7 +68,7 @@ let new_flush () =
     fl_result = `Skipped;
     fl_t0 = 0;
     fl_busy = false;
-    fl_visit = no_visit;
+    fl_visit = Process.no_visit;
   }
 
 (* Stands in for a CPU's flush records until its first flush; never

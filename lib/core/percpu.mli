@@ -69,9 +69,6 @@ type flush = {
 (** A fresh flush record. *)
 val new_flush : unit -> flush
 
-(** The visit of a record whose [fl_visit] is not built yet. *)
-val no_visit : int -> int -> int
-
 (** Stands in for a CPU's flush records until its first flush. *)
 val no_flush : flush
 

@@ -86,7 +86,7 @@ let initiator_local_flush m ~from ~has_remote_targets (info : Flush_info.t) =
 let select_targets m ~from ~mm (info : Flush_info.t) =
   let batching = (knobs m).Opts.userspace_batching and stats = m.Machine.stats in
   let targets = snapshot_targets m ~from (Mm_struct.cpuset mm) in
-  Machine.chain_cpus m targets ~phases:2 (fun c phase ->
+  Process.chain_cpus m.Machine.engine targets ~phases:2 (fun c phase ->
       let p = Machine.percpu m c in
       if phase = 0 then Smp.read_remote_tlb_state m ~from ~target:c
       else begin

@@ -25,7 +25,7 @@ let enqueue_work m ~from ~targets ~info ~early_ack =
      the one small allocation left on this path (the cfd records
      themselves must be allocated per target regardless). *)
   let acc = ref [] in
-  Machine.chain_cpus m ~lead targets ~phases:3 (fun target phase ->
+  Process.chain_cpus m.Machine.engine ~lead targets ~phases:3 (fun target phase ->
       let pcpu = Machine.percpu m target in
       match phase with
       | 0 ->
@@ -190,7 +190,7 @@ let wait_for_acks m ~from ~targets cfds ?(while_waiting = fun () -> ())
   in
   loop ();
   (* Observing each ack pulls the responder-written CSD line back. *)
-  Machine.chain_upto m n ~phases:1 (fun i _ ->
+  Process.chain_upto m.Machine.engine n ~phases:1 (fun i _ ->
       Cache.read cfds.(i).Percpu.cfd_line ~by:from);
   if n > 0 && Machine.tracing m then
     Machine.trace_event m ~cpu:from

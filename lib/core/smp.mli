@@ -15,7 +15,7 @@ val tlb_shootdown_vector : int
 
 (** Read the "is this CPU lazy / in a batched syscall" state of [target]
     from [from]: one cacheline read whose identity depends on the layout.
-    Returns its cost, for a charge run ({!Machine.chain_cpus}). *)
+    Returns its cost, for a charge run ({!Process.chain_cpus}). *)
 val read_remote_tlb_state : Machine.t -> from:int -> target:int -> int
 
 (** The line holding a CPU's lazy/batched flags under the active layout:
@@ -46,7 +46,7 @@ val enqueue_work :
 val send_ipis : Machine.t -> from:int -> targets:Cpuset.t -> irq_id:int -> unit
 
 (** [drain_queue m ~work] builds, once per machine, the responder's drain
-    of its call queue as one charge run ({!Machine.chain_item}), returned
+    of its call queue as one charge run ({!Process.chain_item}), returned
     as [(lead, visit)]: [lead me] is the queue-line read, and [visit me]
     runs the phases after it: for each CFD in FIFO
     order the CSD-line read and, under the baseline layout, the info-line

@@ -82,20 +82,14 @@ let in_batched_section m ~cpu ~mm ~write_sem f =
   let to_free =
     Fun.protect
       ~finally:(fun () ->
-        (* Order matters: leave batched mode and flush the deferred
-           shootdowns before anyone can observe the released semaphore,
-           then free frames only after every TLB has let go of them. *)
+        (* Flush before anyone sees the semaphore released; releasing it
+           only queues wakes, so the frees below still come first. *)
         Shootdown.flush_batched m ~from:cpu ~mm;
         pcpu.Percpu.batched_mode <- false;
         unlock sem)
-      (fun () ->
-        let to_free = f () in
-        Shootdown.flush_batched m ~from:cpu ~mm;
-        pcpu.Percpu.batched_mode <- false;
-        free_frames mm to_free;
-        [])
+      f
   in
-  ignore to_free;
+  free_frames mm to_free;
   (* The §4.2 barrier: initiators may have skipped us while batched. *)
   Shootdown.check_and_sync_tlb m ~cpu
 (* loc end: batching *)

@@ -35,15 +35,14 @@ type t = {
          only legal in kernel context or on an empty CPU. *)
   mutable can_service : unit -> bool;
       (* [serviceable], the spins' wake test, built at the first spin *)
-  mutable drain_step : unit -> int;
-      (* [drain] as a charge-run step, built at the first service-point
+  mutable drain_visit : int -> int -> int;
+      (* [drain] as a charge-run visit, built at the first service-point
          drain *)
 }
 
 and irq = { vector : int; maskable : bool; step : t -> int -> int }
 
 let no_irq = { vector = -1; maskable = true; step = (fun _ _ -> -1) }
-let no_step () = 0
 let never () = false
 let always () = true
 
@@ -75,7 +74,7 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     service_depth = 0;
     occupancy = 0;
     can_service = never;
-    drain_step = no_step;
+    drain_visit = Process.no_visit;
   }
 
 let id t = t.cpu_id
@@ -114,7 +113,7 @@ let serviceable t = has_deliverable t && not t.draining
    boundaries: it runs the work due there (the next deliverable IRQ's pop
    and entry, a step of the handler, or the exit's epilogue, going
    straight on through zero costs) and returns the cost to the next
-   boundary, or 0 once the queue is empty and the drain is over. It has
+   boundary, or -1 once the queue is empty and the drain is over. It has
    two drivers. At a service point the drain is one charge run of the
    servicing process ([service_pending]); detached, the CPU's dispatch
    handler runs it from engine events ([dispatch]). Both wait out each
@@ -133,7 +132,7 @@ let rec drain t =
   if t.irq == no_irq then begin
     if Queue.is_empty t.pending then begin
       end_drain t;
-      0
+      -1
     end
     else begin
       let irq = Queue.pop t.pending in
@@ -183,9 +182,9 @@ let rec drain t =
    next drain. *)
 let service_pending t =
   if not t.draining then begin
-    if t.drain_step == no_step then t.drain_step <- (fun () -> drain t);
+    if t.drain_visit == Process.no_visit then t.drain_visit <- (fun _ _ -> drain t);
     t.draining <- true;
-    try Process.chain t.eng t.drain_step
+    try Process.chain_item t.eng ~lead:0 t.cpu_id t.drain_visit
     with e ->
       end_drain t;
       raise e

@@ -20,9 +20,9 @@ type t
     goes straight on to the next call), or a negative value when the
     handler is done; the exit cost follows. The CPU counts [k]; any other
     place the step keeps between calls lives in per-CPU state (one handler
-    runs per CPU at a time). A step never suspends and must follow
-    {!Process.tick_sleep}'s rules for a step. Non-[maskable] IRQs (NMIs)
-    are serviced even while interrupts are disabled. *)
+    runs per CPU at a time). A step never suspends and follows the rules
+    of a charge run's visit ({!Process.chain_cpus}). Non-[maskable] IRQs
+    (NMIs) are serviced even while interrupts are disabled. *)
 type irq = { vector : int; maskable : bool; step : t -> int -> int }
 
 (** [create engine topo costs ~id ~safe] makes CPU [id]. [safe] selects

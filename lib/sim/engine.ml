@@ -130,8 +130,6 @@ let lowest_bit x =
   Array.unsafe_get debruijn
     ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
-let no_step () = invalid_arg "Engine: no suspension step"
-
 let no_handler (_ : int) (_ : int) =
   invalid_arg "Engine: tag dispatched after release_handler"
 
@@ -159,7 +157,6 @@ type t = {
   mutable cur_name : string; (* running cooperative process, see Process *)
   mutable cur_tag : int; (* its handler tag, [nil] outside any process *)
   mutable arg_cycles : int; (* argument of the next Process suspension *)
-  mutable arg_step : unit -> int; (* a tick suspension's step function *)
   mutable chooser : (int -> int) option;
   mutable horizon : int;
   (* Idle spins: a min-heap of [(time, seq)] keys and spin ids, and per id
@@ -214,7 +211,6 @@ let create () =
     cur_name = "main";
     cur_tag = nil;
     arg_cycles = 0;
-    arg_step = no_step;
     chooser = None;
     horizon = 0;
     skey = [||];
@@ -257,8 +253,6 @@ let set_arg_cycles t cycles =
   t.arg_cycles <- cycles;
   t.staged <- nil
 
-let arg_step t = t.arg_step
-let set_arg_step t step = t.arg_step <- step
 
 (* ----- event arena ----- *)
 

@@ -28,9 +28,9 @@ val advances : t -> int
 (** Process effect suspensions so far on the calling domain, over all its
     engines: every [Sleep], [Tick] and [Park] a {!Process} performed. A
     suspension is a fiber capture and a later resume, the dearest thing a
-    process does, so this counts what the [try_advance] fast path, tick
-    fusion, {!Process.chain} and step-function IRQ handlers exist to
-    avoid. Every suspension happens inside {!run}, {!run_until} or
+    process does, so this counts what the [try_advance] fast path, idle
+    spins, charge runs ({!Process.chain_cpus}) and step-function IRQ
+    handlers exist to avoid. Every suspension happens inside {!run}, {!run_until} or
     {!step}, so the difference of two reads around a run on one domain is
     exactly that run's count, whatever other domains do. *)
 val suspensions : unit -> int
@@ -169,15 +169,13 @@ val current_tag : t -> int
 val set_current : t -> name:string -> tag:int -> unit
 
 (** The argument of the next process suspension. The effects that suspend
-    a process carry no payload, so the suspending code stores the delay,
-    and a tick's step function, here just before it performs the effect,
-    and the process's handler reads them back before anything else runs
-    on this engine. Setting the delay unstages any staged spin. *)
+    a process carry no payload, so the suspending code stores the delay
+    here just before it performs the effect, and the process's handler
+    reads it back before anything else runs on this engine. Setting the
+    delay unstages any staged spin. *)
 val arg_cycles : t -> int
 
 val set_arg_cycles : t -> int -> unit
-val arg_step : t -> unit -> int
-val set_arg_step : t -> (unit -> int) -> unit
 
 (** Install a scheduling chooser: whenever more than one pending event falls
     within [horizon] cycles of the earliest one, [choose n] is called with

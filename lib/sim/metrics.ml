@@ -209,13 +209,13 @@ let prom_label_str labels extra =
   in
   match parts with [] -> "" | _ -> "{" ^ String.concat "," parts ^ "}"
 
-let to_prometheus ?(prefix = "tlbsim_") t =
+let to_prometheus t =
   let b = Buffer.create 4096 in
   let groups = sorted_all t in
   let seen_type = Hashtbl.create 8 in
   List.iter
     (fun s ->
-      let m = prom_name (prefix ^ s.name) in
+      let m = prom_name ("tlbsim_" ^ s.name) in
       if not (Hashtbl.mem seen_type m) then begin
         Hashtbl.add seen_type m ();
         Buffer.add_string b

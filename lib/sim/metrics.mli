@@ -63,8 +63,8 @@ val json_escape : string -> string
 (** Prometheus text exposition format, one histogram family per metric
     name. Bucket counts are cumulative; underflow samples are included in
     every bucket (they are ≤ each upper edge) and overflow/NaN only in
-    [le="+Inf"]. [prefix] defaults to ["tlbsim_"]. *)
-val to_prometheus : ?prefix:string -> t -> string
+    [le="+Inf"]. Every metric name takes the prefix ["tlbsim_"]. *)
+val to_prometheus : t -> string
 
 (** Aligned ASCII table: metric, labels, n, mean, p50, p99, max, and
     out-of-range counts. *)

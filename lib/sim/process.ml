@@ -11,41 +11,64 @@ let () =
 
 (* The three ways a process suspends. None carries a payload: a constant
    constructor is a static value, so [perform] allocates nothing but the
-   continuation. [delay] and [tick_sleep] leave their argument
-   on the engine ([Engine.set_arg_cycles] / [set_arg_step]) just before
-   performing, and the process's handler reads it straight back.
+   continuation. The argument goes on the engine
+   ([Engine.set_arg_cycles]) just before performing, and a suspending
+   charge run leaves its place in the domain's staged [run]; the
+   process's handler reads them straight back.
 
    - [Sleep]: resume after [Engine.arg_cycles] cycles, or when the idle
      spin [Engine.spin] staged wakes ([Engine.suspend] queues either).
-   - [Tick]: sleep [arg_cycles], then consult the step function
-     ([arg_step]) at that boundary and at each later one, from inside the
-     engine handler. [step () = 0] resumes the process at the current
-     boundary; [step () = d] sleeps [d] more cycles without resuming. One
-     suspension thus spans any run of boundaries — idle poll ticks, or
-     work that never suspends, such as a run of cacheline charges: every
-     boundary is still its own engine event at exactly the time a chain
-     of [delay]s would produce (so event counts, timestamps and seq order
-     are unchanged), but it re-arms allocation-free instead of paying a
-     continuation resume and capture.
+   - [Tick]: a charge run suspends. Sleep [arg_cycles], then run the
+     run's boundaries from inside the engine handler, each at its own
+     engine event at exactly the time a chain of [delay]s would give (so
+     event counts, timestamps and seq order are unchanged), re-arming
+     allocation-free instead of paying a continuation resume and capture,
+     and resume the process when the run is over.
    - [Park]: stay suspended until [wake] names the process's tag. *)
 type _ Effect.t += Sleep : unit Effect.t | Tick : unit Effect.t | Park : unit Effect.t
 
+(* A charge run's place between its boundaries: the items (the members of
+   [set] when [n < 0], else [0 .. n - 1]), the visit, and the next (item,
+   phase), with [at = -1] past the last item. [visit] is [no_visit] while
+   no run holds the record. *)
+type run = {
+  mutable set : Cpuset.t;
+  mutable n : int;
+  mutable phases : int;
+  mutable visit : int -> int -> int;
+  mutable at : int;
+  mutable phase : int;
+}
+
+let no_set = Cpuset.create ~bits:0
+let no_visit (_ : int) (_ : int) = -1
+let new_run () = { set = no_set; n = 0; phases = 1; visit = no_visit; at = -1; phase = 0 }
+
+(* Stands in for the run record of a process that has not suspended a
+   run yet; never written. *)
+let no_run = new_run ()
+
+(* Where a run about to suspend leaves its place. The [Tick] handler swaps
+   the staged record into its process and stages the process's idle one
+   in its place, so a suspended run allocates nothing once its process
+   has a record. Per domain: nothing runs between the staging and the
+   [perform], and an engine runs on one domain. *)
+let staged_key = Domain.DLS.new_key (fun () -> ref (new_run ()))
+
 (* Everything a process needs between suspensions, in one record. The
    engine handler registered at spawn dispatches on the event's [a]:
-   0 resumes from a sleep, 1 runs a tick boundary, 2 starts the body and
-   3 wakes a parked process. A process releases its tag when it completes
-   (it cannot be suspended while it runs, so no event can still carry the
-   tag). *)
+   0 resumes from a sleep, 1 runs a charge-run boundary, 2 starts the body
+   and 3 wakes a parked process. A process releases its tag when it
+   completes (it cannot be suspended while it runs, so no event can still
+   carry the tag). *)
 type proc = {
   engine : Engine.t;
   name : string;
   mutable tag : int;
   mutable k : (unit, unit) continuation option;
-  mutable step : unit -> int;
+  mutable run : run; (* its suspended run's place; [no_run] until the first *)
   mutable parked : bool;
 }
-
-let no_step () = invalid_arg "Process: tick without a step"
 
 (* Run [f x] with [p] as the engine's current process. Restores by hand
    instead of Fun.protect: this runs once per resumed suspension, squarely
@@ -69,18 +92,39 @@ let resume p =
       p.k <- None;
       as_current p continue_unit k
 
-(* Drive one poll boundary of a [Tick] suspension. Mirrors what the
-   resumed process itself would do after a plain sleep: consult the
-   condition, and either continue (here: [resume]), skip ahead through an
-   empty window ([try_advance], exactly like [delay]'s fast path), or
-   schedule the next boundary. *)
-let rec tick p =
-  let d = p.step () in
-  if d = 0 then begin
-    p.step <- no_step;
-    resume p
+let next_item set n at =
+  if n < 0 then Cpuset.next set (at + 1) else if at + 1 < n then at + 1 else -1
+
+let finish r =
+  r.visit <- no_visit;
+  r.set <- no_set;
+  -1
+
+(* A suspended run's next boundary: the visits due now, then the cost of
+   the next boundary, or -1 once the run is over. *)
+let rec next r =
+  if r.at < 0 then finish r
+  else begin
+    let d = r.visit r.at r.phase in
+    if d < 0 then finish r
+    else begin
+      if r.phase + 1 < r.phases then r.phase <- r.phase + 1
+      else begin
+        r.phase <- 0;
+        r.at <- next_item r.set r.n r.at
+      end;
+      if d > 0 then d else next r
+    end
   end
-  else if d < 0 then invalid_arg "Process.tick_sleep: negative interval"
+
+(* One boundary of a suspended run, in the engine: what the resumed
+   process would do after a plain sleep, without resuming it — run the
+   visits due, then skip ahead through an empty window ([try_advance],
+   exactly like [delay]'s fast path) or schedule the next boundary.
+   The end of the run resumes the process. *)
+let rec tick p =
+  let d = next p.run in
+  if d < 0 then resume p
   else if Engine.try_advance p.engine ~cycles:d then tick p
   else Engine.schedule_tag p.engine ~delay:d ~tag:p.tag ~a:1 ~b:0
 
@@ -92,7 +136,7 @@ let wake_parked p =
 (* Build a process and register its engine handler without starting it;
    an [a = 2] event on [p.tag] runs [f] from the top. *)
 let create engine ~name f =
-  let p = { engine; name; tag = -1; k = None; step = no_step; parked = false } in
+  let p = { engine; name; tag = -1; k = None; run = no_run; parked = false } in
   (* Built once per process, so [effc] returns a preallocated handler and
      a suspension allocates only the continuation and its [Some] slot. *)
   let on_sleep =
@@ -107,7 +151,10 @@ let create engine ~name f =
       (fun k ->
         p.k <- Some k;
         Engine.note_suspension ();
-        p.step <- Engine.arg_step engine;
+        let staged = Domain.DLS.get staged_key in
+        let r = !staged in
+        staged := if p.run == no_run then new_run () else p.run;
+        p.run <- r;
         Engine.schedule_tag engine ~delay:(Engine.arg_cycles engine) ~tag:p.tag ~a:1 ~b:0)
   in
   let on_park =
@@ -155,32 +202,38 @@ let delay engine cycles =
   if cycles < 0 then invalid_arg "Process.delay: negative delay";
   if cycles = 0 || Engine.try_advance engine ~cycles then () else sleep engine cycles
 
-(* [tick_sleep]'s fast path, identical to [delay]'s: while the window
-   ahead is empty, advance the clock synchronously and consult [step]
-   without ever suspending. Only when another event interleaves does the
-   span suspend — once — and hand the remaining boundaries to the
-   spawn-registered tick handler. A top-level function, so a call
-   allocates no closure. *)
-let rec tick_fast engine step d =
-  if Engine.try_advance engine ~cycles:d then begin
-    let d' = step () in
-    if d' < 0 then invalid_arg "Process.tick_sleep: negative interval"
-    else if d' > 0 then tick_fast engine step d'
-  end
-  else begin
+(* A charge run in its process: [d] is the cost due before phase [phase]
+   of item [at]. While each cost's window is empty the run goes on inline,
+   as [delay]'s fast path does, and allocates nothing. At the first window
+   that is not, it stages its place and suspends, once; [tick] runs the
+   rest. *)
+let rec walk engine set n phases visit at phase d =
+  if d > 0 && not (Engine.try_advance engine ~cycles:d) then begin
+    let r = !(Domain.DLS.get staged_key) in
+    r.set <- set;
+    r.n <- n;
+    r.phases <- phases;
+    r.visit <- visit;
+    r.at <- at;
+    r.phase <- phase;
     Engine.set_arg_cycles engine d;
-    Engine.set_arg_step engine step;
     perform Tick
   end
+  else if at >= 0 then begin
+    let d = visit at phase in
+    if d < 0 then ()
+    else if phase + 1 < phases then walk engine set n phases visit at (phase + 1) d
+    else walk engine set n phases visit (next_item set n at) 0 d
+  end
 
-let tick_sleep engine ~first step =
-  if first <= 0 then invalid_arg "Process.tick_sleep: nonpositive first interval";
-  tick_fast engine step first
+let chain_cpus engine ?(lead = 0) set ~phases visit =
+  walk engine set (-1) phases visit (Cpuset.next set 0) 0 lead
 
-let chain engine step =
-  let d = step () in
-  if d < 0 then invalid_arg "Process.chain: negative interval"
-  else if d > 0 then tick_fast engine step d
+let chain_upto engine ?(lead = 0) n ~phases visit =
+  walk engine no_set n phases visit (if n > 0 then 0 else -1) 0 lead
+
+let chain_item engine ~lead item visit =
+  walk engine no_set (item + 1) max_int visit item 0 lead
 
 let spin engine ~quantum ~chunk ~left wq wc =
   let r = Engine.spin engine ~quantum ~chunk ~left wq wc in

@@ -1,7 +1,7 @@
 (** Direct-style simulated processes on top of OCaml 5 effect handlers.
 
-    A process is ordinary OCaml code that may call {!delay},
-    {!tick_sleep} and {!park}; the handler installed by {!spawn}
+    A process is ordinary OCaml code that may call {!delay}, a charge
+    run ({!chain_cpus} and friends) and {!park}; the handler installed by {!spawn}
     turns those into engine events, so protocol code reads sequentially
     ("flush, then wait for the ack") while the engine interleaves many
     processes deterministically.
@@ -10,7 +10,8 @@
     it: the effects carry no payload, each process builds its handlers
     once, and every resume is a tagged engine event. The suspension's
     argument travels through the engine, so a process must pass the
-    engine it was spawned on. *)
+    engine it was spawned on. A suspended charge run keeps its place in
+    its process's record, allocated at the process's first suspended run. *)
 
 exception Process_failure of string * exn
 
@@ -27,36 +28,50 @@ val spawn : Engine.t -> name:string -> (unit -> unit) -> unit
     way. *)
 val delay : Engine.t -> int -> unit
 
-(** [tick_sleep engine ~first step] sleeps [first] cycles (> 0), then calls
-    [step ()] at that boundary and at each subsequent one: a return of [0]
-    resumes the process at the current boundary, [d > 0] sleeps [d] more
-    cycles first. Behaviour — event times, event counts and same-cycle
-    ordering — is exactly that of the process doing, at each boundary,
-    what [step] does and then calling [delay d], but the whole run costs
-    at most one effect suspension instead of one continuation
-    capture/resume (and its allocations) per boundary: the boundaries are
-    handled inside the engine event.
+(** {2 Charge runs}
 
-    So [step] may do the work due at its boundary — poll a condition,
-    charge a cacheline, invalidate a TLB entry — as long as it never
-    suspends. It must not call {!delay}, {!park} or anything
+    A run of charges with no suspension between them: [visit item phase]
+    does the work due at its boundary and returns the cost of what comes
+    next, a charge as [Cache.read line ~by] and friends rather than a
+    {!delay}. Phases [0 .. phases - 1] of one item run before the next
+    item's, and a zero cost goes straight on to the next phase. A negative
+    cost ends the whole run at that boundary. Event times, event counts
+    and same-cycle order are those of the same work with a {!delay} after
+    each [visit], but the run suspends the calling process at most once:
+    while each cost's window is empty it goes on inline, and from the
+    first window that is not, its boundaries run inside engine events,
+    with the run's place kept in the process's own record.
+
+    So [visit] may do the work due at its boundary (poll a condition,
+    charge a cacheline, invalidate a TLB entry) as long as it never
+    suspends. It must not call {!delay}, {!park}, a charge run or anything
     built on them ([Waitq], a machine's [charge_*]), and it must not read
-    {!Engine.current_name} or {!self_tag}: after the first boundary it runs outside
-    the process. A cost that is zero is not a boundary ([delay 0] makes no
-    event), so a step with zero-cost work must go straight on to its next
-    action instead of returning [0]. An exception raised by [step] at a
-    boundary escapes the engine loop unwrapped, not as
+    {!Engine.current_name} or {!self_tag}: after the first suspension it
+    runs outside the process. An exception raised by [visit] at a boundary
+    run in the engine escapes the engine loop unwrapped, not as
     {!Process_failure}. Must only be called from process context. *)
-val tick_sleep : Engine.t -> first:int -> (unit -> int) -> unit
 
-(** [chain engine step] runs [step ()] now; a return of [0] ends the chain,
-    and [d > 0] continues exactly as [tick_sleep engine ~first:d step].
-    This is how a run of charges is written: each step does the work due
-    at its boundary and returns the cost of the next one, so the run
-    suspends the process at most once, where a [delay] per charge would
-    suspend it once per charge whenever another event falls inside the
-    window. Same rules for [step] as {!tick_sleep}. *)
-val chain : Engine.t -> (unit -> int) -> unit
+(** The visit that ends a run at once: a stand-in for a visit not built
+    yet. *)
+val no_visit : int -> int -> int
+
+(** Walk the members of [set] in ascending order, reading the set afresh
+    after each member (so [visit] may clear the member it is given). A
+    positive [lead] is the cost of a charge the caller already made,
+    waited out before the first member. *)
+val chain_cpus :
+  Engine.t -> ?lead:int -> Cpuset.t -> phases:int -> (int -> int -> int) -> unit
+
+(** Walk items [0 .. n - 1]; [lead] as for {!chain_cpus}. *)
+val chain_upto : Engine.t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> unit
+
+(** [chain_item engine ~lead item visit] is a run of the single item
+    [item] with no bound on its phases: wait out [lead], then [visit item
+    0], [visit item 1], ..., each after the cost the one before returned,
+    until a visit returns a negative cost. Lets one [visit] serve every
+    CPU (the item names the CPU) without a closure per call, and keep its
+    place between boundaries in per-CPU state. *)
+val chain_item : Engine.t -> lead:int -> int -> (int -> int -> int) -> unit
 
 (** [spin engine ~quantum ~chunk ~left wq wc] is an idle spin
     ({!Engine.spin}): it waits out slices of [min quantum l] cycles, [l]

@@ -109,7 +109,6 @@ let fold t ~init f =
   iter t (fun r -> acc := f !acc r);
   !acc
 
-let length t = t.len
 let dropped t = t.n_dropped
 
 let clear t =

@@ -63,9 +63,6 @@ val event : t -> cpu:int -> event -> unit
     list. *)
 val iter : t -> (record -> unit) -> unit
 
-(** Records currently retained. *)
-val length : t -> int
-
 (** Records discarded because of the [max_records] cap. *)
 val dropped : t -> int
 [@@tlblint.allow "R5 state accessor: tests read the drop count through it"]

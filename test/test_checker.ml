@@ -140,15 +140,6 @@ let test_open_windows_bookkeeping () =
   List.iter (Checker.end_invalidation c) tokens;
   check int_t "still closed" 0 (Checker.open_windows c)
 
-let test_disabled_checker_windows_are_noops () =
-  let c = Checker.create ~enabled:false () in
-  let t = Checker.begin_invalidation c
-      (Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ()) in
-  check int_t "no window tracked" 0 (Checker.open_windows c);
-  check bool_t "nothing covered" false (Checker.covered c ~mm_id:1 ~vpn:10);
-  check bool_t "silent result" true (stale_hit c = `Clean);
-  Checker.end_invalidation c t
-
 (* --- recording cap --- *)
 
 let test_max_recorded_cap () =
@@ -220,7 +211,6 @@ let suite =
     Alcotest.test_case "windows: cover vpn and mm" `Quick test_window_must_cover_vpn_and_mm;
     Alcotest.test_case "windows: covered query" `Quick test_covered_matches_classification;
     Alcotest.test_case "windows: open count" `Quick test_open_windows_bookkeeping;
-    Alcotest.test_case "windows: disabled no-ops" `Quick test_disabled_checker_windows_are_noops;
     Alcotest.test_case "cap: max_recorded" `Quick test_max_recorded_cap;
     Alcotest.test_case "cap: default" `Quick test_default_cap_is_large;
     Alcotest.test_case "lifecycle: windows and by_mm in sync" `Quick

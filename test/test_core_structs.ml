@@ -478,14 +478,6 @@ let test_checker_hugepage_offset_match () =
     ~pt:(pt_of ~vpn:1024 ~size:Tlb.Two_m (Pte.user_data ~pfn:4096));
   check int_t "consistent hugepage" 0 (Checker.violation_count c)
 
-let test_checker_disabled_is_silent () =
-  let c = Checker.create ~enabled:false () in
-  run_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false
-    ~entry:(entry ~vpn:10 ~pfn:5 ~writable:true)
-    ~pt:(empty_pt ());
-  check int_t "nothing recorded" 0 (Checker.violation_count c);
-  check int_t "no checks" 0 (Checker.checks c)
-
 let suite =
   [
     Alcotest.test_case "opts: baseline all off" `Quick test_opts_baseline_everything_off;
@@ -530,5 +522,4 @@ let suite =
     Alcotest.test_case "checker: remap detected" `Quick test_checker_remap_detected;
     Alcotest.test_case "checker: write-protect detected" `Quick test_checker_write_protect_detected;
     Alcotest.test_case "checker: hugepage offsets" `Quick test_checker_hugepage_offset_match;
-    Alcotest.test_case "checker: disabled is silent" `Quick test_checker_disabled_is_silent;
   ]

@@ -88,7 +88,7 @@ let test_smp_ack_idempotent () =
                 cfd.Percpu.cfd_executed <- true;
                 -1)
           in
-          Machine.chain_item m ~lead:(lead 1) 1 visit
+          Process.chain_item m.Machine.engine ~lead:(lead 1) 1 visit
       | _ -> Alcotest.fail "expected one cfd");
   Kernel.run m;
   Smp.csd_quiescent m ~cpu:1 Alcotest.fail

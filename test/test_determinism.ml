@@ -147,6 +147,44 @@ let test_unmetered_registry_shared_and_empty () =
     (fun s -> check Alcotest.int (Metrics.series_name s) 0 (Stats.count (Metrics.stats s)))
     (Metrics.all a.Machine.metrics)
 
+(* Metering only observes: a metered run gives the numbers of the same run
+   unmetered, for every backend (and the paper protocol without its
+   mitigations), placement and flush size. *)
+let test_metering_leaves_results_unchanged () =
+  let summary (r : Microbench.result) =
+    ( (r.Microbench.initiator_mean, r.Microbench.initiator_sd, r.Microbench.responder_mean),
+      (r.Microbench.shootdowns, r.Microbench.engine_ops) )
+  in
+  let summary_t =
+    Alcotest.(
+      pair (triple (float 0.0) (float 0.0) (float 0.0)) (pair int int))
+  in
+  List.iter
+    (fun (label, opts) ->
+      List.iter
+        (fun placement ->
+          List.iter
+            (fun pte_count ->
+              let cfg = Microbench.default_config ~opts ~placement ~pte_count in
+              let run metering =
+                summary (Microbench.run { cfg with Microbench.iterations = 60; metering })
+              in
+              check summary_t
+                (Printf.sprintf "%s, %s, %d pte(s)" label
+                   (Microbench.placement_label placement)
+                   pte_count)
+                (run false) (run true))
+            [ 1; 10; 50 ])
+        Microbench.all_placements)
+    [
+      ("paper all", Opts.all ~safe:true);
+      ("paper baseline", Opts.baseline ~safe:true);
+      ("oracle", Opts.oracle ~safe:true);
+      ("sync-broadcast", Opts.with_protocol Opts.Sync_broadcast ~safe:true);
+      ("queue-spin", Opts.with_protocol Opts.Queue_spin ~safe:true);
+      ("paper all, unsafe", Opts.all ~safe:false);
+    ]
+
 let suite =
   [
     Alcotest.test_case "microbench repeatable" `Quick test_microbench_repeatable;
@@ -160,6 +198,8 @@ let suite =
     Alcotest.test_case "per-run rng streams isolated" `Quick test_per_run_rng_isolation;
     Alcotest.test_case "metrics report: -j2 = -j1 (all formats)" `Quick
       test_metrics_report_identical_across_jobs;
+    Alcotest.test_case "metering leaves results unchanged" `Quick
+      test_metering_leaves_results_unchanged;
     Alcotest.test_case "unmetered machines: one empty registry" `Quick
       test_unmetered_registry_shared_and_empty;
   ]

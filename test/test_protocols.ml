@@ -563,7 +563,7 @@ let test_unexecuted_cfd_reported () =
           Cpuset.set targets 1;
           ignore (Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false);
           let lead, visit = Smp.drain_queue m ~work:(fun _ _ -> -1) in
-          Machine.chain_item m ~lead:(lead 1) 1 visit);
+          Process.chain_item m.Machine.engine ~lead:(lead 1) 1 visit);
       Machine.run m;
       let failures = ref [] in
       Kernel.check_quiescent m (fun f -> failures := f :: !failures);
@@ -674,47 +674,6 @@ let test_ranged_tail_one_run () =
   check Alcotest.(list (pair bool int)) "nothing deferred without §3.4" [] eager_tails;
   check int_t "the tail adds no suspension" s_eager s_tail
 
-(* Charge-run walkers are kept per engine tag, and only processes hold
-   them: a responder's handler run keeps its place in its CPU's record.
-   Tags are reused once their process ends, so [k] processes that run one
-   after another, each broadcasting to 63 idle responders on a busy engine
-   (every charge run suspends), leave one walker per distinct tag they
-   held, a handful that does not grow with [k] or with the IRQs run. *)
-let walkers_after k =
-  let m =
-    Machine.create ~topo:(Topology.flat 64)
-      ~opts:(Opts.with_protocol Opts.Sync_broadcast ~safe:true)
-      ~seed:3L ()
-  in
-  let mm = Machine.new_mm m in
-  keep_busy m 1_000_000;
-  let tags = ref [] in
-  let rec start i =
-    if i < k then
-      Kernel.spawn_user m ~cpu:(i mod 2) ~mm ~name:"initiator" (fun () ->
-          tags := Process.self_tag m.Machine.engine :: !tags;
-          let vpn = map_pages m mm ~pages:1 in
-          Shootdown.flush_tlb_page m ~from:(i mod 2) ~mm ~vpn;
-          Helpers.schedule m.Machine.engine ~delay:1 (fun () -> start (i + 1)))
-  in
-  start 0;
-  Kernel.run m;
-  Kernel.check_run m ~who:"walkers";
-  check int_t "every initiator broadcast" (k * 63) (Apic.ipis_sent m.Machine.apic);
-  let walkers =
-    Array.fold_left
-      (fun n w -> if w.Machine.w_phases > 0 then n + 1 else n)
-      0 m.Machine.walkers
-  in
-  check int_t "one walker per tag an initiator held"
-    (List.length (List.sort_uniq Int.compare !tags))
-    walkers;
-  walkers
-
-let test_walkers_bounded_by_live_processes () =
-  check int_t "as many walkers for 24 initiators as for 8" (walkers_after 8)
-    (walkers_after 24)
-
 (* ---------- the shootdown frame ---------- *)
 
 (* Every flush entry point closes the checker window it opened before it
@@ -818,8 +777,6 @@ let suite =
       test_sync_broadcast_1024;
     Alcotest.test_case "suspensions: a ranged return-to-user tail is in the run" `Quick
       test_ranged_tail_one_run;
-    Alcotest.test_case "walkers: bounded by live processes" `Quick
-      test_walkers_bounded_by_live_processes;
     Alcotest.test_case "every flush call closes its window before returning" `Quick
       test_window_closed_on_return;
   ]

@@ -494,7 +494,7 @@ let test_alloc_suspended_delay () =
     (4 * 2 * (n2 - n1))
     (words n2 - words n1)
 
-(* One [tick_sleep] whose step says "not yet" at every boundary: each
+(* One charge run whose visit says "not yet" at every boundary: each
    boundary is an engine event (a chain event sits at every cycle), and an
    idle one re-arms without resuming the process. *)
 let test_alloc_idle_tick_boundary () =
@@ -502,14 +502,14 @@ let test_alloc_idle_tick_boundary () =
     let e = Engine.create () in
     let chain = cycle_chain e ignore in
     let left = ref k in
-    let step () =
+    let visit _ _ =
       decr left;
-      if !left = 0 then 0 else 1
+      if !left = 0 then -1 else 1
     in
     let w =
       minor_words (fun () ->
           Engine.schedule_tag e ~delay:0 ~tag:chain ~a:(k + 4) ~b:0;
-          Process.spawn e ~name:"ticker" (fun () -> Process.tick_sleep e ~first:1 step);
+          Process.spawn e ~name:"ticker" (fun () -> Process.chain_item e ~lead:1 0 visit);
           Engine.run e)
     in
     check int_t "every boundary was an engine event" 0 (Engine.advances e);
@@ -517,18 +517,19 @@ let test_alloc_idle_tick_boundary () =
   in
   check int_t "an idle boundary allocates nothing" 0 (words 2000 - words 200)
 
-(* [tick_sleep]s that each suspend once and resume at their first
-   boundary: the suspension itself, without idle boundaries. *)
+(* Charge runs that each suspend once and end at their first boundary:
+   the suspension itself, without idle boundaries. The process's first
+   suspended run allocates its run record; the later ones reuse it. *)
 let test_alloc_tick_suspension () =
   let words n =
     let e = Engine.create () in
     let chain = cycle_chain e ignore in
-    let step () = 0 in
+    let visit _ _ = -1 in
     minor_words (fun () ->
         Engine.schedule_tag e ~delay:0 ~tag:chain ~a:(n + 4) ~b:0;
         Process.spawn e ~name:"ticker" (fun () ->
             for _ = 1 to n do
-              Process.tick_sleep e ~first:1 step
+              Process.chain_item e ~lead:1 0 visit
             done);
         Engine.run e)
   in
@@ -594,9 +595,10 @@ let test_process_stale_wake () =
     (Invalid_argument "Process.self_tag: not inside a process") (fun () ->
       ignore (Process.self_tag e : int))
 
-(* Sleeps, ticks and waits on one engine, logged as (who, when). The
-   suspension argument travels through a slot on the engine, so two
-   engines on two domains must not see each other's. *)
+(* Sleeps, charge runs and waits on one engine, logged as (who, when).
+   The suspension argument travels through a slot on the engine, and a
+   suspending run's place through a per-domain one, so two engines on two
+   domains must not see each other's. *)
 let suspension_mix rounds =
   let e = Engine.create () in
   let q = Waitq.create e in
@@ -617,10 +619,10 @@ let suspension_mix rounds =
   Process.spawn e ~name:"ticker" (fun () ->
       for i = 1 to rounds / 4 do
         let left = ref (1 + (i mod 5)) in
-        Process.tick_sleep e ~first:(1 + (i mod 3)) (fun () ->
+        Process.chain_item e ~lead:(1 + (i mod 3)) 0 (fun _ _ ->
             incr polls;
             decr left;
-            if !left = 0 then 0 else 2);
+            if !left = 0 then -1 else 2);
         note "ticker"
       done);
   Engine.run e;
@@ -632,16 +634,15 @@ let suspension_mix rounds =
    and k-step runs (a delay, then an action, k times), some of which end
    early, before step [stop]. Costs include zero, which makes no event,
    and long sleeps, whose windows are often empty so [try_advance]
-   succeeds. Every program runs three ways: with each run written as
-   [delay]s; as one [Process.chain] whose steps do the actions at their
-   boundaries and whose step returns 0 at [stop]; and as one
-   [Machine.chain_item] whose visit ends the run with a negative cost at
-   [stop]. The (time, actor, counter) logs, [events_run] and [advances]
-   must be identical, both in (time, seq) order and under a seeded
-   chooser, and the runs must suspend less. *)
+   succeeds. Every program runs two ways: with each run written as
+   [delay]s, and as one [Process.chain_item] whose visit does the actions
+   at their boundaries and ends the run with a negative cost at [stop].
+   The (time, actor, counter) logs, [events_run] and [advances] must be
+   identical, both in (time, seq) order and under a seeded chooser, and
+   the runs must suspend less. *)
 type chain_instr = Wait of int | Act | Run of int list * int
 
-type chain_mode = Delays | Chained | Walked
+type chain_mode = Delays | Chained
 
 let random_cost rng =
   match Rng.int rng 4 with
@@ -660,8 +661,7 @@ let random_program rng =
           Run (List.init k (fun _ -> random_cost rng), Rng.int rng (k + 2)))
 
 let run_programs mode ?chooser programs =
-  let m = Machine.create ~topo:(Topology.flat 1) ~opts:(Opts.baseline ~safe:false) () in
-  let e = m.Machine.engine in
+  let e = Engine.create () in
   Option.iter
     (fun seed ->
       let rng = Rng.create ~seed in
@@ -682,28 +682,9 @@ let run_programs mode ?chooser programs =
             act who)
           steps
     | Chained ->
-        (* [paid]: the head's cost has elapsed, its action is due. *)
-        let rest = ref steps and paid = ref false in
-        let rec step () =
-          match !rest with
-          | [] -> 0
-          | d :: tl ->
-              if !paid then begin
-                paid := false;
-                act who;
-                rest := tl;
-                step ()
-              end
-              else begin
-                paid := true;
-                if d > 0 then d else step ()
-              end
-        in
-        Process.chain e step
-    | Walked ->
         (* Phase [2i] returns step [i]'s cost, phase [2i + 1] acts. *)
         let costs = Array.of_list steps in
-        Machine.chain_item m ~lead:0 0 (fun _ phase ->
+        Process.chain_item e ~lead:0 0 (fun _ phase ->
             if phase land 1 = 1 then begin
               act who;
               0
@@ -744,13 +725,10 @@ let test_chain_model () =
         let delays, s_delays = run_programs Delays ?chooser programs in
         let _, _, advances = delays in
         advanced := !advanced + advances;
-        List.iter
-          (fun (mode, name) ->
-            let runs, s_runs = run_programs mode ?chooser programs in
-            check log_t (Printf.sprintf "seed %d, %s" seed name) delays runs;
-            check bool_t "runs never suspend more" true (s_runs <= s_delays);
-            saved := !saved + (s_delays - s_runs))
-          [ (Chained, "Process.chain"); (Walked, "Machine.chain_item") ])
+        let runs, s_runs = run_programs Chained ?chooser programs in
+        check log_t (Printf.sprintf "seed %d" seed) delays runs;
+        check bool_t "runs never suspend more" true (s_runs <= s_delays);
+        saved := !saved + (s_delays - s_runs))
       [ None; Some (Int64.of_int seed) ]
   done;
   check bool_t "some runs ended early" true (!ended_early > 0);
@@ -925,7 +903,7 @@ let test_trace_ring_buffer_cap () =
   for i = 1 to 10 do
     Trace.emitf t ~actor:"p" "ev%d" i
   done;
-  check int_t "capped length" 4 (Trace.length t);
+  check int_t "capped length" 4 (List.length (records t));
   check int_t "dropped count" 6 (Trace.dropped t);
   check
     (Alcotest.list Alcotest.string)
@@ -935,9 +913,9 @@ let test_trace_ring_buffer_cap () =
   (* Lifting the cap resumes unbounded growth without losing the tail. *)
   Trace.set_max_records t None;
   Trace.emitf t ~actor:"p" "ev11";
-  check int_t "grows again" 5 (Trace.length t);
+  check int_t "grows again" 5 (List.length (records t));
   Trace.clear t;
-  check int_t "clear resets length" 0 (Trace.length t);
+  check int_t "clear resets length" 0 (List.length (records t));
   check int_t "clear resets dropped" 0 (Trace.dropped t)
 
 (* The engine's calendar-ring size: events less than this many cycles
