@@ -63,7 +63,7 @@ let bigmachine_memo : Bigmachine.result Shard.memo = Shard.create_memo ()
 let micro_matrix b ~safe ~pte_count =
   Figures.micro_matrix b ~memo:micro_memo ~iterations:(micro_iters ()) ~safe ~pte_count
 
-let print_micro_figure ~fig ~safe ~pte_count matrix =
+let micro_figure ~fig ~safe ~pte_count matrix =
   let stacks = List.map fst (List.assoc Microbench.Same_core matrix) in
   let header = "placement" :: stacks in
   let side name pick =
@@ -84,10 +84,10 @@ let print_micro_figure ~fig ~safe ~pte_count matrix =
            name)
       ~header rows
   in
-  side "initiator" (fun r -> r.Microbench.initiator_mean);
-  side "responder" (fun r -> r.Microbench.responder_mean);
+  side "initiator" (fun r -> r.Microbench.initiator_mean)
+  ^ side "responder" (fun r -> r.Microbench.responder_mean)
   (* The paper's bar-figure rendition for the farthest placement. *)
-  Report.bars
+  ^ Report.bars
     ~title:
       (Printf.sprintf "Figure %da, cross-socket initiator cycles (bars)" fig)
     (List.map
@@ -97,9 +97,7 @@ let print_micro_figure ~fig ~safe ~pte_count matrix =
 let micro_figure_plan ~fig ~safe ~pte_count () =
   Shard.plan (Printf.sprintf "fig%d" fig) @@ fun b ->
   let get = micro_matrix b ~safe ~pte_count in
-  fun () ->
-    print_micro_figure ~fig ~safe ~pte_count (get ());
-    []
+  fun () -> (micro_figure ~fig ~safe ~pte_count (get ()), [])
 
 (* ----- Table 3: latency reduction cross-socket, all four techniques ----- *)
 
@@ -116,24 +114,22 @@ let table3_plan () =
       let cells = List.assoc Microbench.Cross_socket (get ()) in
       let first = snd (List.hd cells) in
       let last = snd (List.nth cells (List.length cells - 1)) in
-      let pct baseline v =
-        if Float.equal baseline 0.0 then 0.0 else (baseline -. v) /. baseline *. 100.0
-      in
-      ( pct first.Microbench.initiator_mean last.Microbench.initiator_mean,
-        pct first.Microbench.responder_mean last.Microbench.responder_mean )
+      let cut pick = Report.reduction ~baseline:(pick first) (pick last) in
+      Printf.sprintf "%s / %s"
+        (cut (fun r -> r.Microbench.initiator_mean))
+        (cut (fun r -> r.Microbench.responder_mean))
     in
     let s1 = cell ~safe:true ~pte_count:1 in
     let s10 = cell ~safe:true ~pte_count:10 in
     let u1 = cell ~safe:false ~pte_count:1 in
     let u10 = cell ~safe:false ~pte_count:10 in
-    let fmt (i, r) = Printf.sprintf "%.0f%% / %.0f%%" i r in
-    Report.table
-      ~title:
-        "Table 3 — [initiator / responder] latency reduction, cross-socket, all \
-         techniques of §3 (paper: safe 39%/13% & 58%/22%; unsafe 39%/18% & 54%/14%)"
-      ~header:[ ""; "Safe Mode"; "Unsafe Mode" ]
-      [ [ "1 PTE"; fmt s1; fmt u1 ]; [ "10 PTEs"; fmt s10; fmt u10 ] ];
-    []
+    ( Report.table
+        ~title:
+          "Table 3 — [initiator / responder] latency reduction, cross-socket, all \
+           techniques of §3 (paper: safe 39%/13% & 58%/22%; unsafe 39%/18% & 54%/14%)"
+        ~header:[ ""; "Safe Mode"; "Unsafe Mode" ]
+        [ [ "1 PTE"; s1; u1 ]; [ "10 PTEs"; s10; u10 ] ],
+      [] )
 
 (* ----- Figure 9: CoW fault latency ----- *)
 
@@ -173,17 +169,17 @@ let fig9_plan () =
       [ true; false ]
   in
   fun () ->
-    Report.table
-      ~title:
-        "Figure 9 — CoW write latency, cycles (paper: CoW avoidance saves ~130 \
-         cycles, 3-5%)"
-      ~header:[ "mode"; "config"; "cycles"; "sd" ]
-      (List.map
-         (fun g ->
-           let mode, label, mean, sd = g () in
-           [ mode; label; Report.cycles mean; Printf.sprintf "%.0f" sd ])
-         row_getters);
-    []
+    ( Report.table
+        ~title:
+          "Figure 9 — CoW write latency, cycles (paper: CoW avoidance saves ~130 \
+           cycles, 3-5%)"
+        ~header:[ "mode"; "config"; "cycles"; "sd" ]
+        (List.map
+           (fun g ->
+             let mode, label, mean, sd = g () in
+             [ mode; label; Report.cycles mean; Printf.sprintf "%.0f" sd ])
+           row_getters),
+      [] )
 
 (* ----- Figures 10 and 11 (lib/workloads/figures.ml builds the plans) ----- *)
 
@@ -217,11 +213,11 @@ let table2_plan () =
           rows_spec)
   in
   fun () ->
-    Report.table
-      ~title:"Table 2 — lines of code per optimization (paper patch vs this repo)"
-      ~header:[ "Optimization"; "paper LoC"; "this repo (marked LoC)" ]
-      (get ());
-    []
+    ( Report.table
+        ~title:"Table 2 — lines of code per optimization (paper patch vs this repo)"
+        ~header:[ "Optimization"; "paper LoC"; "this repo (marked LoC)" ]
+        (get ()),
+      [] )
 
 (* ----- Table 4: page fracturing ----- *)
 
@@ -242,22 +238,22 @@ let table4_plan () =
       Fracture.table4_rows
   in
   fun () ->
-    Report.table
-      ~title:
-        "Table 4 — dTLB misses after full vs selective flush (paper's anomaly: \
-         guest-2M-on-host-4K makes selective ~= full)"
-      ~header:[ "configuration"; "full flush"; "selective flush"; "promoted-to-full" ]
-      (List.map
-         (fun get ->
-           let r = get () in
-           [
-             r.Fracture.shape.Fracture.label;
-             Report.count r.Fracture.full_misses;
-             Report.count r.Fracture.selective_misses;
-             Report.count r.Fracture.fracture_promotions;
-           ])
-         cells);
-    []
+    ( Report.table
+        ~title:
+          "Table 4 — dTLB misses after full vs selective flush (paper's anomaly: \
+           guest-2M-on-host-4K makes selective ~= full)"
+        ~header:[ "configuration"; "full flush"; "selective flush"; "promoted-to-full" ]
+        (List.map
+           (fun get ->
+             let r = get () in
+             [
+               r.Fracture.shape.Fracture.label;
+               Report.count r.Fracture.full_misses;
+               Report.count r.Fracture.selective_misses;
+               Report.count r.Fracture.fracture_promotions;
+             ])
+           cells),
+      [] )
 
 (* ----- Ablations: design choices DESIGN.md calls out ----- *)
 
@@ -300,16 +296,16 @@ let ablation_single_opt_plan () =
           ])
         techniques
     in
-    Report.table
-      ~title:
-        (Printf.sprintf
-           "Ablation A — each §3 technique alone (cross-socket, safe, 10 PTEs; \
-            baseline init=%s resp=%s)"
-           (Report.cycles base.Microbench.initiator_mean)
-           (Report.cycles base.Microbench.responder_mean))
-      ~header:[ "technique"; "initiator"; "init cut"; "responder"; "resp cut" ]
-      rows;
-    []
+    ( Report.table
+        ~title:
+          (Printf.sprintf
+             "Ablation A — each §3 technique alone (cross-socket, safe, 10 PTEs; \
+              baseline init=%s resp=%s)"
+             (Report.cycles base.Microbench.initiator_mean)
+             (Report.cycles base.Microbench.responder_mean))
+        ~header:[ "technique"; "initiator"; "init cut"; "responder"; "resp cut" ]
+        rows,
+      [] )
 
 let ablation_ipi_latency_plan () =
   (* §2.3.2: works evaluated without multicast IPIs saw ~500k-cycle
@@ -357,14 +353,14 @@ let ablation_ipi_latency_plan () =
           ])
         row_getters
     in
-    Report.table
-      ~title:
-        "Ablation B — IPI-latency sensitivity (initiator, cross-socket, safe, 10 \
-         PTEs): with slow pre-x2APIC IPIs the protocol work the paper optimizes \
-         is noise, which is §2.3.2's point about older evaluations"
-      ~header:[ "IPI scale"; "baseline"; "all §3"; "reduction" ]
-      rows;
-    []
+    ( Report.table
+        ~title:
+          "Ablation B — IPI-latency sensitivity (initiator, cross-socket, safe, 10 \
+           PTEs): with slow pre-x2APIC IPIs the protocol work the paper optimizes \
+           is noise, which is §2.3.2's point about older evaluations"
+        ~header:[ "IPI scale"; "baseline"; "all §3"; "reduction" ]
+        rows,
+      [] )
 
 (* A sysbench cell at fig10's scale and first seed, so a row whose config
    matches a fig10 point is that point's cell. *)
@@ -403,13 +399,13 @@ let ablation_batch_slots_plan () =
           ])
         cells
     in
-    Report.table
-      ~title:
-        "Ablation C — §4.2 batch slots (sysbench, 8 threads, safe, fig10 scale; \
-         the paper allocates 4)"
-      ~header:[ "slots"; "ops/kcyc"; "shootdowns"; "deferrals" ]
-      rows;
-    []
+    ( Report.table
+        ~title:
+          "Ablation C — §4.2 batch slots (sysbench, 8 threads, safe, fig10 scale; \
+           the paper allocates 4)"
+        ~header:[ "slots"; "ops/kcyc"; "shootdowns"; "deferrals" ]
+        rows,
+      [] )
 
 let ablation_full_flush_threshold_plan () =
   (* madvise of 24 pages: below the threshold the kernel INVLPGs 24 entries
@@ -453,15 +449,15 @@ let ablation_full_flush_threshold_plan () =
           ])
         row_getters
     in
-    Report.table
-      ~title:
-        "Ablation D — full-flush threshold on a 24-page madvise (cross-socket): \
-         a full flush is cheaper for the flusher but drops every cached \
-         translation"
-      ~header:
-        [ "threshold"; "mode"; "safe init"; "safe resp"; "unsafe init"; "unsafe resp" ]
-      rows;
-    []
+    ( Report.table
+        ~title:
+          "Ablation D — full-flush threshold on a 24-page madvise (cross-socket): \
+           a full flush is cheaper for the flusher but drops every cached \
+           translation"
+        ~header:
+          [ "threshold"; "mode"; "safe init"; "safe resp"; "unsafe init"; "unsafe resp" ]
+        rows,
+      [] )
 
 let ablation_paravirt_fracture_plan () =
   (* §7's proposed mitigation: a host-provided fracturing hint makes the
@@ -492,16 +488,16 @@ let ablation_paravirt_fracture_plan () =
   fun () ->
     let i_no, m_no = get_no () in
     let i_yes, m_yes = get_yes () in
-    Report.table
-      ~title:
-        "Extension (§7) — paravirtual fracturing hint: flushing 16 pages of a \
-         fractured guest working set"
-      ~header:[ "guest behaviour"; "flush instructions"; "misses on re-touch" ]
-      [
-        [ "16 selective flushes (unhinted)"; string_of_int i_no; Report.count m_no ];
-        [ "1 full flush (hinted)"; string_of_int i_yes; Report.count m_yes ];
-      ];
-    []
+    ( Report.table
+        ~title:
+          "Extension (§7) — paravirtual fracturing hint: flushing 16 pages of a \
+           fractured guest working set"
+        ~header:[ "guest behaviour"; "flush instructions"; "misses on re-touch" ]
+        [
+          [ "16 selective flushes (unhinted)"; string_of_int i_no; Report.count m_no ];
+          [ "1 full flush (hinted)"; string_of_int i_yes; Report.count m_yes ];
+        ],
+      [] )
 
 let ablation_freebsd_plan () =
   (* §3.3 dismisses FreeBSD's scheme because smp_ipi_mtx admits one
@@ -535,14 +531,14 @@ let ablation_freebsd_plan () =
           [ label; string_of_int threads; Printf.sprintf "%.3f" (get ()).Sysbench.throughput ])
         cells
     in
-    Report.table
-      ~title:
-        "Ablation E — protocol comparison on sysbench (safe mode, fig10 scale): \
-         FreeBSD's global shootdown mutex vs Linux's concurrent protocol vs the \
-         paper's optimizations"
-      ~header:[ "protocol"; "threads"; "ops/kcyc" ]
-      rows;
-    []
+    ( Report.table
+        ~title:
+          "Ablation E — protocol comparison on sysbench (safe mode, fig10 scale): \
+           FreeBSD's global shootdown mutex vs Linux's concurrent protocol vs the \
+           paper's optimizations"
+        ~header:[ "protocol"; "threads"; "ops/kcyc" ]
+        rows,
+      [] )
 
 let ablation_tasks =
   [
@@ -576,87 +572,46 @@ let bigmachine_plan () =
   in
   fun () ->
     let results = List.map (fun (n, get) -> (n, get ())) cells in
-    Report.table
-      ~title:
-        "Big-machine scaling — identical multi-tenant churn, growing machine \
-         (flat cycles/shootdown = O(active CPUs) hot paths)"
-      ~header:
-        [ "cpus"; "threads"; "shootdowns"; "IPIs"; "ICR writes"; "cycles/shootdown" ]
-      (List.map
-         (fun (n, r) ->
-           [
-             string_of_int n;
-             string_of_int r.Bigmachine.threads;
-             string_of_int r.Bigmachine.shootdowns;
-             string_of_int r.Bigmachine.ipis;
-             string_of_int r.Bigmachine.icr_writes;
-             Printf.sprintf "%.0f" r.Bigmachine.cycles_per_shootdown;
-           ])
-         results);
-    List.map
-      (fun (n, r) ->
-        perf_row "bigmachine" (Printf.sprintf "bigmachine-%d" n)
-          [
-            ("n_cpus", int n);
-            ("threads", int r.Bigmachine.threads);
-            ("ops", int r.Bigmachine.ops);
-            ("shootdowns", int r.Bigmachine.shootdowns);
-            ("ipis", int r.Bigmachine.ipis);
-            ("icr_writes", int r.Bigmachine.icr_writes);
-            ("churns", int r.Bigmachine.churns);
-            ("cycles_per_shootdown", Some r.Bigmachine.cycles_per_shootdown);
-            ("engine_ops", int r.Bigmachine.engine_ops);
-          ])
-      results
+    ( Report.table
+        ~title:
+          "Big-machine scaling — identical multi-tenant churn, growing machine \
+           (flat cycles/shootdown = O(active CPUs) hot paths)"
+        ~header:
+          [ "cpus"; "threads"; "shootdowns"; "IPIs"; "ICR writes"; "cycles/shootdown" ]
+        (List.map
+           (fun (n, r) ->
+             [
+               string_of_int n;
+               string_of_int r.Bigmachine.threads;
+               string_of_int r.Bigmachine.shootdowns;
+               string_of_int r.Bigmachine.ipis;
+               string_of_int r.Bigmachine.icr_writes;
+               Printf.sprintf "%.0f" r.Bigmachine.cycles_per_shootdown;
+             ])
+           results),
+      List.map
+        (fun (n, r) ->
+          perf_row "bigmachine" (Printf.sprintf "bigmachine-%d" n)
+            [
+              ("n_cpus", int n);
+              ("threads", int r.Bigmachine.threads);
+              ("ops", int r.Bigmachine.ops);
+              ("shootdowns", int r.Bigmachine.shootdowns);
+              ("ipis", int r.Bigmachine.ipis);
+              ("icr_writes", int r.Bigmachine.icr_writes);
+              ("churns", int r.Bigmachine.churns);
+              ("cycles_per_shootdown", Some r.Bigmachine.cycles_per_shootdown);
+              ("engine_ops", int r.Bigmachine.engine_ops);
+            ])
+        results )
 
 (* ----- Shootout: protocol-backend comparison (DESIGN.md §13) ----- *)
 
-let shootout_plan () =
-  Shard.plan "shootout" @@ fun b ->
-  let get_rows = Shootout.plan_cells b ~iterations:(micro_iters ()) () in
-  fun () ->
-    let rows = get_rows () in
-    let cell = function None -> "-" | Some v -> Printf.sprintf "%.0f" v in
-    Report.table
-      ~title:
-        "Shootout — protocol backends on the cross-socket madvise microbenchmark \
-         (10 PTEs, safe mode; phase p50s in cycles)"
-      ~header:
-        [
-          "backend"; "initiator"; "responder"; "prep"; "ipi"; "flush"; "ack";
-          "line xfers";
-        ]
-      (List.map
-         (fun r ->
-           [
-             r.Shootout.sh_label;
-             Report.cycles r.Shootout.sh_initiator_mean;
-             Report.cycles r.Shootout.sh_responder_mean;
-             cell r.Shootout.sh_prep_p50;
-             cell r.Shootout.sh_ipi_p50;
-             cell r.Shootout.sh_flush_p50;
-             cell r.Shootout.sh_ack_p50;
-             string_of_int r.Shootout.sh_line_transfers;
-           ])
-         rows);
-    List.map
-      (fun r ->
-        perf_row "shootout" r.Shootout.sh_label
-          [
-            ("initiator_mean", Some r.Shootout.sh_initiator_mean);
-            ("initiator_sd", Some r.Shootout.sh_initiator_sd);
-            ("responder_mean", Some r.Shootout.sh_responder_mean);
-            ("shootdowns", int r.Shootout.sh_shootdowns);
-            ("prep_p50", r.Shootout.sh_prep_p50);
-            ("ipi_p50", r.Shootout.sh_ipi_p50);
-            ("flush_p50", r.Shootout.sh_flush_p50);
-            ("ack_p50", r.Shootout.sh_ack_p50);
-            ("line_transfers", int r.Shootout.sh_line_transfers);
-            ("line_cycles", Some r.Shootout.sh_line_cycles);
-          ])
-      rows
+(* lib/workloads/shootout.ml builds both reports, tables and rows, which
+   `tlbsim shootout` prints too. *)
 
-(* ----- Shootout workloads: fig10/fig11/bigmachine-56 per backend ----- *)
+let shootout_plan () =
+  Shard.plan "shootout" @@ fun b -> Shootout.plan_cells b ~iterations:(micro_iters ()) ()
 
 (* Planned LAST (see [all_tasks]): the paper backend's cells are
    value-identical to fig10/fig11's "+batching" stack and the bigmachine
@@ -664,64 +619,7 @@ let shootout_plan () =
    and every paper row reads from the memo. *)
 let shootout_workloads_plan () =
   Shard.plan "shootout-workloads" @@ fun b ->
-  let get =
-    Shootout.workload_cells b ~sysbench_memo ~apache_memo ~bigmachine_memo
-      ~fig10:(Figures.fig10_scale ~quick:!quick)
-      ~fig11:(Figures.fig11_scale ~quick:!quick)
-      ~quick:!quick ()
-  in
-  fun () ->
-    let report = get () in
-    let backend_cols = List.map (fun (l, _) -> l) (Shootout.workload_backends ()) in
-    let tput_table ~title ~axis ~fmt rows =
-      match rows with
-      | [] -> ()
-      | (_, first) :: _ ->
-          Report.table ~title ~header:(axis :: backend_cols)
-            (List.mapi
-               (fun i (n, _, _) ->
-                 string_of_int n
-                 :: List.map
-                      (fun (_, cells) ->
-                        let _, t, _ = List.nth cells i in
-                        Printf.sprintf fmt t)
-                      rows)
-               first)
-    in
-    tput_table
-      ~title:
-        "Shootout workloads — fig10 sysbench ops/kcyc per protocol backend (safe \
-         mode)"
-      ~axis:"threads" ~fmt:"%.3f" report.Shootout.wl_fig10;
-    tput_table
-      ~title:
-        "Shootout workloads — fig11 apache req/Mcyc per protocol backend (safe mode)"
-      ~axis:"cores" ~fmt:"%.2f" report.Shootout.wl_fig11;
-    Report.table
-      ~title:
-        "Shootout workloads — bigmachine-56 multi-tenant churn per protocol backend"
-      ~header:[ "backend"; "cycles/shootdown"; "shootdowns"; "IPIs"; "ICR writes" ]
-      (List.map
-         (fun (p, r) ->
-           [
-             Opts.protocol_label p;
-             Printf.sprintf "%.0f" r.Bigmachine.cycles_per_shootdown;
-             string_of_int r.Bigmachine.shootdowns;
-             string_of_int r.Bigmachine.ipis;
-             string_of_int r.Bigmachine.icr_writes;
-           ])
-         report.Shootout.wl_big);
-    List.map
-      (fun r ->
-        perf_row "workloads" ~memoized:r.Shootout.wl_memoized
-          (Printf.sprintf "%s/%s" r.Shootout.wl_experiment
-             (Opts.protocol_label r.Shootout.wl_protocol))
-          [
-            ("throughput", r.Shootout.wl_throughput);
-            ("cycles_per_shootdown", r.Shootout.wl_cycles_per_shootdown);
-            ("shootdowns", int r.Shootout.wl_shootdowns);
-          ])
-      report.Shootout.wl_rows
+  Shootout.workload_cells b ~sysbench_memo ~apache_memo ~bigmachine_memo ~quick:!quick ()
 
 (* ----- Bechamel: wall-clock self-measurement of the harness ----- *)
 

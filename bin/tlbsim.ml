@@ -55,6 +55,14 @@ let seed_t =
   let doc = "Deterministic RNG seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
+let jobs_t =
+  let doc =
+    "Domains to shard the work over (0 = ask the runtime); output is identical at \
+     every value."
+  in
+  let resolve jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
+  Term.(const resolve $ Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc))
+
 (* [spec] under [protocol]. A paper-only option under another backend is a
    usage error naming it, not a silently ignored knob. *)
 let make_opts ?(protocol = Opts.Paper Opts.paper_baseline) ~safe spec =
@@ -248,13 +256,6 @@ let analyze_cmd =
   let rounds_t =
     Arg.(value & opt int 40 & info [ "rounds" ] ~doc:"madvise rounds in the traced scenario.")
   in
-  let jobs_t =
-    let doc =
-      "Domains for the $(b,--explore) sweep (one scenario per task; 0 = ask the \
-       runtime). Output is identical at every job count."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
-  in
   let protocol_t =
     let doc =
       "Backend whose quiescence/invariants the $(b,--explore) sweep validates: \
@@ -315,7 +316,6 @@ let analyze_cmd =
                 (label, !o)))
           protocols
       in
-      let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
       let results =
         Explorer.explore_set ~jobs
           (List.map
@@ -384,10 +384,6 @@ let fuzz_cmd =
   let no_shrink_t =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failures without ddmin shrinking.")
   in
-  let jobs_t =
-    let doc = "Domains to shard seeds over (0 = ask the runtime)." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
-  in
   let run count seed_base seed_one replay inject_bug max_ops no_shrink jobs =
     let shrink = not no_shrink in
     match seed_one with
@@ -407,7 +403,6 @@ let fuzz_cmd =
             Format.printf "%a@." Fuzz.pp_failure f;
             exit 1)
     | None ->
-        let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
         let report =
           Fuzz.run_seeds ~seed_base ~count ~jobs ~max_ops ~inject_bug ~shrink ()
         in
@@ -431,16 +426,12 @@ let fuzz_cmd =
 
 let shootout_cmd =
   let format_t =
-    let doc = "Output format: table or json." in
+    let doc =
+      "Output format: table (the bench harness's shootout tables) or json (their \
+       rows, as a BENCH_PERF file that $(b,bench/perf_gate.exe) reads)."
+    in
     let alist = [ ("table", Shootout.Table); ("json", Shootout.Json) ] in
     Arg.(value & opt (enum alist) Shootout.Table & info [ "format" ] ~doc)
-  in
-  let jobs_t =
-    let doc =
-      "Domains to shard backend cells over (0 = ask the runtime); output is \
-       byte-identical at any value."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
   in
   let workloads_t =
     let doc =
@@ -451,7 +442,6 @@ let shootout_cmd =
     Arg.(value & flag & info [ "workloads" ] ~doc)
   in
   let run format ptes iterations seed jobs workloads =
-    let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
     if workloads then print_string (Shootout.run_workloads ~jobs format)
     else
       print_string
@@ -477,13 +467,7 @@ let stats_cmd =
     in
     Arg.(value & opt (enum alist) Observe.Table & info [ "format" ] ~doc)
   in
-  let jobs_t =
-    let doc = "Domains to shard the sweep over (0 = ask the runtime); output is \
-               byte-identical at any value." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
-  in
   let run format iterations seed jobs =
-    let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
     print_string
       (Observe.run ~iterations ~seed:(Int64.of_int seed) ~jobs format)
   in

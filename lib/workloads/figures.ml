@@ -186,18 +186,21 @@ let speedup_plan name ~title ~axis ~base_header ~base_fmt ~points ~tput point =
           [ true; false ]
       in
       fun () ->
-        List.iter
-          (fun (safe, stack_labels, rows) ->
-            Report.table ~title:(title (mode safe))
-              ~header:(axis :: base_header :: stack_labels)
-              (List.map
-                 (fun (n, base, cells) ->
-                   let base = base () in
-                   string_of_int n :: base_fmt base
-                   :: List.map (fun cellv -> Report.speedup (cellv () /. base)) cells)
-                 rows))
-          sides;
-        [])
+        ( String.concat ""
+            (List.map
+               (fun (safe, stack_labels, rows) ->
+                 Report.table ~title:(title (mode safe))
+                   ~header:(axis :: base_header :: stack_labels)
+                   (List.map
+                      (fun (n, base, cells) ->
+                        let base = base () in
+                        string_of_int n :: base_fmt base
+                        :: List.map
+                             (fun cellv -> Report.speedup (cellv () /. base))
+                             cells)
+                      rows))
+               sides),
+          [] ))
 
 let fig10_plan ~memo scale =
   speedup_plan "fig10"

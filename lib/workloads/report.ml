@@ -1,26 +1,6 @@
-(* Output sink. Tables normally go straight to stdout; a bench task running
-   under the parallel runner instead captures its output into a per-domain
-   buffer (so concurrent experiments cannot interleave) and the driver
-   prints the buffers in experiment order. Domain-local state, not a plain
-   ref, because capture must not leak across domains. *)
-let sink : Buffer.t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let out_string s =
-  match !(Domain.DLS.get sink) with
-  | Some buf -> Buffer.add_string buf s
-  | None -> print_string s
-
-let out_line s =
-  out_string s;
-  out_string "\n"
-
-let capture f =
-  let cell = Domain.DLS.get sink in
-  let saved = !cell in
-  let buf = Buffer.create 4096 in
-  cell := Some buf;
-  let v = Fun.protect ~finally:(fun () -> cell := saved) f in
-  (Buffer.contents buf, v)
+(* Plain-text rendering. Every renderer returns its text; a plan's reduce
+   returns the concatenation and the harness prints it, so nothing here
+   writes to a channel. *)
 
 let table ~title ~header rows =
   let all = header :: rows in
@@ -34,7 +14,8 @@ let table ~title ~header rows =
       0 all
   in
   let widths = List.init columns width in
-  let print_row row =
+  let b = Buffer.create 1024 in
+  let add_row row =
     let cells =
       List.mapi
         (fun i w ->
@@ -43,13 +24,13 @@ let table ~title ~header rows =
           if i = 0 then Printf.sprintf "%-*s" w cell else Printf.sprintf "%*s" w cell)
         widths
     in
-    out_line ("  " ^ String.concat "  " cells)
+    Buffer.add_string b ("  " ^ String.concat "  " cells ^ "\n")
   in
-  out_string "\n";
-  out_line ("== " ^ title ^ " ==");
-  print_row header;
-  print_row (List.map (fun w -> String.make w '-') widths);
-  List.iter print_row rows
+  Buffer.add_string b ("\n== " ^ title ^ " ==\n");
+  add_row header;
+  add_row (List.map (fun w -> String.make w '-') widths);
+  List.iter add_row rows;
+  Buffer.contents b
 
 let cycles c =
   if Float.abs c >= 1_000_000.0 then Printf.sprintf "%.2fM" (c /. 1_000_000.0)
@@ -70,18 +51,17 @@ let bar_of ~width ~max value =
   end
 
 let bars ~title rows =
-  out_string "\n";
-  out_line ("-- " ^ title ^ " --");
   let label_width =
     List.fold_left (fun acc (l, _) -> Stdlib.max acc (String.length l)) 0 rows
   in
   let max_value = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 rows in
-  List.iter
-    (fun (label, value) ->
-      out_string
-        (Printf.sprintf "  %-*s %8s |%s\n" label_width label (cycles value)
-           (bar_of ~width:40 ~max:max_value value)))
-    rows
+  String.concat ""
+    (("\n-- " ^ title ^ " --\n")
+    :: List.map
+         (fun (label, value) ->
+           Printf.sprintf "  %-*s %8s |%s\n" label_width label (cycles value)
+             (bar_of ~width:40 ~max:max_value value))
+         rows)
 
 let count n =
   let s = string_of_int n in

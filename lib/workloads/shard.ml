@@ -6,9 +6,9 @@
    cells share no mutable state. Execution pushes every plan's cells onto
    one shared domain pool in longest-task-first order; each cell writes its
    value and measure into its own slot. Reduction then walks the plans in
-   submission order, reading slots — so the printed output is a pure
-   function of the cell values, i.e. byte-identical for every [-j], by
-   construction.
+   submission order, reading slots, and each reduce returns its tables
+   and rows — so the output is a pure function of the cell values, i.e.
+   byte-identical for every [-j], by construction.
 
    Measures ride along per cell: wall-clock, engine ops (read from the
    run's own engines via the result extractor — there is no process-wide
@@ -68,7 +68,7 @@ type plan = {
   name : string;
   jobs : job list;  (** cells this experiment *owns* (pays for, in perf) *)
   reused : int;  (** cells read from the memo, owned by an earlier plan *)
-  reduce : unit -> Bench_perf.row list;  (** prints tables via {!Report}; reads cells *)
+  reduce : unit -> string * Bench_perf.row list;  (** reads cells: tables, rows *)
 }
 
 (* A plan under construction: the jobs it owns, newest first, and the
@@ -174,7 +174,7 @@ let execute ?(progress = false) ~jobs plans =
     List.map
       (fun p ->
         let t0 = Unix.gettimeofday () in
-        let output, out_rows = Report.capture p.reduce in
+        let output, out_rows = p.reduce () in
         let reduce_wall = Unix.gettimeofday () -. t0 in
         {
           out_name = p.name;
@@ -190,6 +190,8 @@ let execute ?(progress = false) ~jobs plans =
 let run ~jobs build =
   let b = { owned = []; reused = 0 } in
   let read = build b in
-  let p = { name = ""; jobs = List.rev b.owned; reused = 0; reduce = (fun () -> []) } in
+  let p =
+    { name = ""; jobs = List.rev b.owned; reused = 0; reduce = (fun () -> ("", [])) }
+  in
   ignore (execute ~jobs [ p ]);
   read ()

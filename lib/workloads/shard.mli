@@ -3,7 +3,8 @@
     An experiment is flattened into self-contained sim-run {e cells} at
     plan time, each registered with the plan's {!builder}; every plan's
     cells execute on one shared {!Sim.Domain_pool}
-    in longest-task-first order; reduction reads cell slots in plan order.
+    in longest-task-first order; reduction reads cell slots in plan order,
+    and each plan's reduce returns its tables and BENCH_PERF rows as data.
     Because a cell's value lands in its own slot whatever the schedule,
     reduced output is byte-identical for every [-j] by construction. *)
 
@@ -35,12 +36,13 @@ type builder
 
 (** [plan name build] runs [build] on a fresh builder, so every cell
     [build] registers belongs to this plan, and takes the reduce it
-    returns. The reduce runs after every cell has executed: it prints
-    the experiment's tables via {!Report} and returns its BENCH_PERF rows
+    returns. The reduce runs after every cell has executed, in plan
+    order on the calling domain: it reads its cells and returns the
+    experiment's tables (rendered with {!Report}) and its BENCH_PERF rows
     (most return none). A plan that reads cells an earlier plan owns
     still pays only for its own; one whose cells are all reused runs none
     and perf marks it [memoized]. *)
-val plan : string -> (builder -> unit -> Bench_perf.row list) -> plan
+val plan : string -> (builder -> unit -> string * Bench_perf.row list) -> plan
 
 (** [cell b ?label ?ops ~weight f] registers one self-contained sim run
     with [b] and returns the getter the reduce phase calls; the getter
@@ -48,8 +50,8 @@ val plan : string -> (builder -> unit -> Bench_perf.row list) -> plan
     count from its result; omit it for runs that drive no engine (the
     measure reports n/a). [weight] is the estimated cost in engine-op
     units — only the descending order of weights matters (LPT
-    scheduling). [f] must not print: tables belong in reduce, where
-    output is captured deterministically. *)
+    scheduling). [f] must not print: tables belong in the reduce, which
+    returns them in plan order. *)
 val cell :
   builder ->
   ?label:string ->
@@ -87,7 +89,7 @@ val owned : builder -> int
 
 type outcome = {
   out_name : string;
-  output : string;  (** the experiment's captured tables *)
+  output : string;  (** the tables the plan's reduce returned *)
   out_rows : Bench_perf.row list;  (** what the plan's reduce returned *)
   out_measure : measure;  (** cells summed + reduce wall *)
   out_reused : int;  (** the plan's [reused] count, for perf reporting *)

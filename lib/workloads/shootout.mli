@@ -1,44 +1,38 @@
-(** The `tlbsim shootout` report: the metered madvise microbenchmark run
-    once per protocol backend ({!Opts.protocol} — the paper protocol with
-    all optimizations and bare, the oracle, the cronus-style synchronous
-    broadcast and the charmos-style per-CPU queue), reduced to one
-    comparison row each: initiator/responder latency, shootdown count,
-    phase-latency p50s (DESIGN.md §10) and cacheline traffic.
+(** The protocol-backend shootout (DESIGN.md §13): the metered madvise
+    microbenchmark run once per protocol backend ({!Opts.protocol} — the
+    paper protocol with all optimizations and bare, the oracle, the
+    cronus-style synchronous broadcast and the charmos-style per-CPU
+    queue), and the paper's workloads run once per real backend.
 
-    Cells run through {!Shard} and are read back in plan order, so the
-    rendered report is byte-identical at any [~jobs]. *)
+    Each report is built once, here, as its {!Report} tables and its
+    BENCH_PERF rows ({!Bench_perf.row}): the bench harness's [shootout]
+    and [shootout-workloads] plans return them, and `tlbsim shootout`
+    prints the same tables or, as JSON, the same rows through
+    {!Bench_perf.to_string}. Cells run through {!Shard} and are read back
+    in plan order, so every report is byte-identical at any [~jobs]. *)
 
+(** [Table] is the tables; [Json] is the rows as a BENCH_PERF file of
+    mode ["shootout"]. *)
 type format = Table | Json
 
-type row = {
-  sh_label : string;  (** backend row label, e.g. ["paper-baseline"] *)
-  sh_protocol : Opts.protocol;
-  sh_initiator_mean : float;  (** madvise cycles, mean over iterations *)
-  sh_initiator_sd : float;
-  sh_responder_mean : float;  (** responder interruption per shootdown *)
-  sh_shootdowns : int;
-  sh_prep_p50 : float option;  (** pooled over distance ranks; [None] = no samples *)
-  sh_ipi_p50 : float option;
-  sh_flush_p50 : float option;
-  sh_ack_p50 : float option;
-  sh_line_transfers : int;  (** metered cacheline transfers, all ranks *)
-  sh_line_cycles : float;  (** total cycles those transfers cost *)
-}
-
 (** Registers the backend cells with the builder and returns a plan-order
-    row reader (only valid after the cells executed), for embedding in a
-    harness that owns its own [Shard.execute]. Defaults: 10 PTEs, 200
-    iterations, seed 7. *)
+    reader of the report (only valid after the cells executed), for
+    embedding in a harness that owns its own [Shard.execute]: one table,
+    and one ["shootout"] row per backend keyed by its label, carrying
+    initiator mean and sd, responder mean, shootdowns, the phase p50s
+    (prep / ipi / flush / ack, pooled over distance ranks; [null] when
+    there are no samples), and the metered cacheline transfers and their
+    cycles. Defaults: 10 PTEs, 200 iterations, seed 7. *)
 val plan_cells :
   Shard.builder ->
   ?pte_count:int ->
   ?iterations:int ->
   ?seed:int64 ->
   unit ->
-  (unit -> row list)
+  (unit -> string * Bench_perf.row list)
 
-(** Run every backend's cell (sharded over [jobs] domains) and render the
-    rows, in backend order, as [format]. *)
+(** Run every backend's cell (sharded over [jobs] domains) and render
+    the report as [format]. *)
 val run :
   ?pte_count:int -> ?iterations:int -> ?seed:int64 -> jobs:int -> format -> string
 
@@ -56,40 +50,25 @@ val run :
     {!Opts.protocol_label} of the backend's protocol. *)
 val workload_backends : unit -> (string * Opts.t) list
 
-(** One gate/JSON summary row per (experiment, backend). *)
-type wl_row = {
-  wl_experiment : string;  (** ["wl-fig10"] | ["wl-fig11"] | ["wl-bigmachine-56"] *)
-  wl_protocol : Opts.protocol;
-  wl_throughput : float option;
-      (** fig10 ops/kcyc, fig11 req/Mcyc — mean over the scale's points *)
-  wl_cycles_per_shootdown : float option;  (** bigmachine only *)
-  wl_shootdowns : int;  (** summed over the family's cells *)
-  wl_memoized : bool;  (** every cell reused from an earlier plan *)
-}
-
-type wl_report = {
-  wl_fig10 : (Opts.protocol * (int * float * int) list) list;
-      (** per backend: [(threads, ops/kcyc, shootdowns)] in thread order *)
-  wl_fig11 : (Opts.protocol * (int * float * int) list) list;
-  wl_big : (Opts.protocol * Bigmachine.result) list;
-  wl_rows : wl_row list;  (** flattened summary rows, fixed plan order *)
-}
-
 (** Registers the per-backend workload cells with the builder (through
-    {!Figures}' memoized cells) and returns a plan-order report reader,
-    for embedding in a harness that owns its own memos and
-    [Shard.execute]. A backend's rows are [wl_memoized] when the builder
-    owns none of its cells. *)
+    {!Figures}' memoized cells, at {!Figures.fig10_scale} and
+    {!Figures.fig11_scale} for [quick]) and returns a plan-order reader of
+    the report, for embedding in a harness that owns its own memos and
+    [Shard.execute]: three tables (fig10, fig11 and bigmachine-56, the
+    backends as columns or rows), and one ["workloads"] row per
+    (experiment, backend) keyed e.g. ["wl-fig10/paper"], carrying the
+    throughput averaged over the scale's points (fig10 ops/kcyc, fig11
+    req/Mcyc) or the bigmachine cycles per shootdown, and the shootdowns
+    summed over the cells. A backend's rows are [memoized] when the
+    builder owns none of its cells. *)
 val workload_cells :
   Shard.builder ->
   sysbench_memo:Sysbench.result Shard.memo ->
   apache_memo:Apache.result Shard.memo ->
   bigmachine_memo:Bigmachine.result Shard.memo ->
-  fig10:Figures.fig10_scale ->
-  fig11:Figures.fig11_scale ->
   quick:bool ->
   unit ->
-  (unit -> wl_report)
+  (unit -> string * Bench_perf.row list)
 
 (** Standalone run on fresh memos (the `tlbsim shootout --workloads`
     path), sharded over [jobs] domains; byte-identical at any [~jobs]. *)

@@ -145,9 +145,8 @@ let sharded_bigmachine_output ~jobs =
             (fun () -> Bigmachine.run { cfg with Bigmachine.seed }))
         [ 37L; 911L ]
     in
-    (* Reduce output is captured via Report's sink, so print through it. *)
     fun () ->
-      Report.table ~title:"bm256" ~header:[ "cpus"; "sd"; "ipis"; "icr"; "churn"; "ops" ]
+      ( Report.table ~title:"bm256" ~header:[ "cpus"; "sd"; "ipis"; "icr"; "churn"; "ops" ]
         (List.map
            (fun get ->
              let r = get () in
@@ -159,8 +158,8 @@ let sharded_bigmachine_output ~jobs =
                string_of_int r.Bigmachine.churn_cycles;
                string_of_int r.Bigmachine.engine_ops;
              ])
-           cells);
-      []
+           cells),
+        [] )
   in
   let outcomes, _gc = Shard.execute ~jobs [ plan ] in
   String.concat "" (List.map (fun o -> o.Shard.output) outcomes)

@@ -41,14 +41,14 @@ let test_memo_cells_not_shared_across_protocols () =
     Shard.plan "memo" @@ fun b ->
     check int_t "paper owns its cell" 1 (owns b paper);
     check int_t "queue-spin owns a distinct cell" 1 (owns b Opts.Queue_spin);
-    fun () -> []
+    fun () -> ("", [])
   in
   (* A later plan that only re-registers paper owns no job, so executing
      it runs nothing; its outcome counts the one reused cell. *)
   let again =
     Shard.plan "again" @@ fun b ->
     check int_t "re-registering paper owns nothing" 0 (owns b paper);
-    fun () -> []
+    fun () -> ("", [])
   in
   let outcomes, _gc = Shard.execute ~jobs:1 [ again ] in
   check (Alcotest.list int_t) "re-registering paper reuses it" [ 1 ]
@@ -304,7 +304,7 @@ let test_paper_workload_cells_reused () =
         ~opts:(Opts.all ~safe:true) ~n_cpus:56
     in
     check int_t "the bench registration owns the 56-CPU cell" 1 (Shard.owned b);
-    fun () -> []
+    fun () -> ("", [])
   in
   let f10 =
     List.length fig10.Figures.sys_threads * List.length fig10.Figures.sys_seeds
@@ -328,7 +328,7 @@ let test_paper_workload_cells_reused () =
         ~n_cpus:56
     in
     check int_t "the paper backend owns no cell" 0 (Shard.owned b);
-    fun () -> []
+    fun () -> ("", [])
   in
   let outcomes, _gc = Shard.execute ~jobs:1 [ paper_cells ] in
   check (Alcotest.list int_t) "every paper cell reused from the earlier plans"
@@ -336,16 +336,16 @@ let test_paper_workload_cells_reused () =
     (List.map (fun o -> o.Shard.out_reused) outcomes);
   let (_ : Shard.plan) =
     Shard.plan "workloads" @@ fun b ->
-    let (_ : unit -> Shootout.wl_report) =
-      Shootout.workload_cells b ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10
-        ~fig11 ~quick:true ()
+    let (_ : unit -> string * Bench_perf.row list) =
+      Shootout.workload_cells b ~sysbench_memo ~apache_memo ~bigmachine_memo ~quick:true
+        ()
     in
     (* Four backends register f10 + f11 + 1 cells each; owning exactly
        three backends' worth means the paper's were all reused. *)
     check int_t "only the other three backends own cells"
       (3 * (f10 + f11 + 1))
       (Shard.owned b);
-    fun () -> []
+    fun () -> ("", [])
   in
   ()
 
@@ -371,6 +371,46 @@ let test_shootout_identical_at_any_j () =
        [ "paper"; "paper-baseline"; "oracle"; "sync-broadcast"; "queue-spin" ]);
   check bool_t "-j2 byte-identical to -j1" true (String.equal j1 (run 2));
   check bool_t "-j4 byte-identical to -j1" true (String.equal j1 (run 4))
+
+(* ---------- one writer, one reader ---------- *)
+
+(* The CLI's JSON is the bench's BENCH_PERF rows, so it reads back through
+   the one reader the perf gate uses, from a file. *)
+let read_back text =
+  let path = Filename.temp_file "shootout" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let rows = Bench_perf.load path in
+  Sys.remove path;
+  match rows with Ok rows -> rows | Error e -> Alcotest.failf "read back: %s" e
+
+let keys rows = List.map (fun r -> (r.Bench_perf.family, r.Bench_perf.key)) rows
+
+let test_shootout_json_reads_back () =
+  let rows = read_back (Shootout.run ~iterations:30 ~jobs:1 Shootout.Json) in
+  check
+    Alcotest.(list (pair string string))
+    "one shootout row per backend, keyed by label"
+    (List.map
+       (fun b -> ("shootout", b))
+       [ "paper"; "paper-baseline"; "oracle"; "sync-broadcast"; "queue-spin" ])
+    (keys rows);
+  check bool_t "every row carries its initiator cycles" true
+    (List.for_all (fun r -> Bench_perf.value r "initiator_mean" <> None) rows)
+
+let test_workloads_json_reads_back () =
+  let rows = read_back (Shootout.run_workloads ~quick:true ~jobs:2 Shootout.Json) in
+  check
+    Alcotest.(list (pair string string))
+    "one workloads row per (experiment, backend)"
+    (List.concat_map
+       (fun experiment ->
+         List.map
+           (fun b -> ("workloads", experiment ^ "/" ^ b))
+           [ "paper"; "oracle"; "sync-broadcast"; "queue-spin" ])
+       [ "wl-fig10"; "wl-fig11"; "wl-bigmachine-56" ])
+    (keys rows);
+  check bool_t "a standalone run owns every cell" true
+    (List.for_all (fun r -> not r.Bench_perf.memoized) rows)
 
 (* ---------- suspensions per charge run ---------- *)
 
@@ -761,6 +801,10 @@ let suite =
       test_workloads_identical_at_any_j;
     Alcotest.test_case "shootout byte-identical at any -j" `Quick
       test_shootout_identical_at_any_j;
+    Alcotest.test_case "shootout json reads back as BENCH_PERF rows" `Quick
+      test_shootout_json_reads_back;
+    Alcotest.test_case "workloads json reads back as BENCH_PERF rows" `Quick
+      test_workloads_json_reads_back;
     Alcotest.test_case "suspensions: one per responder charge run" `Quick
       test_responder_suspensions;
     Alcotest.test_case "suspensions: enqueue_work is one charge run" `Quick

@@ -402,9 +402,9 @@ let test_report_formatting () =
 
 let test_report_bars () =
   (* Bar widths in block glyphs (3 bytes of UTF-8 each), one per row, from
-     what [bars] prints after each row's '|'. *)
+     what [bars] renders after each row's '|'. *)
   let widths rows =
-    let text, () = Report.capture (fun () -> Report.bars ~title:"t" rows) in
+    let text = Report.bars ~title:"t" rows in
     List.filter_map
       (fun line ->
         Option.map
