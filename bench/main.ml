@@ -860,14 +860,11 @@ let bechamel () =
   (* Four CPUs spin in [Cpu.compute_until] (50-cycle quanta, 100-cycle
      chunks) and a fifth polls in [Cpu.poll_wait], none ever woken: every
      quantum and poll boundary is an idle one, and the five schedules
-     interleave, so none takes the fast path alone. A tick every 1000
-     cycles bounds each run: without it, the first spinner to start would
-     step through the others' idle boundaries for ever inside its own
-     [try_advance]. One run is 1000 cycles (80 quantum and 25 poll
-     boundaries, one tick). *)
+     interleave, so none takes the fast path alone. [run_until]'s time
+     bounds each run. One run is 1000 cycles (80 quantum and 25 poll
+     boundaries). *)
   let idle_spinners_test =
     let e = Engine.create () in
-    ticker e ~period:1000;
     let topo = Topology.flat 5 in
     let never () = false in
     for id = 0 to 3 do

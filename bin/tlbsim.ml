@@ -109,10 +109,10 @@ let iters_t =
   Arg.(value & opt int 200 & info [ "iterations" ] ~doc)
 
 let micro_cmd =
-  let run safe spec placement ptes iterations seed =
+  let run safe spec placement ptes iterations =
     let opts = make_opts ~safe spec in
     let cfg = Microbench.default_config ~opts ~placement ~pte_count:ptes in
-    let cfg = { cfg with Microbench.iterations; seed = Int64.of_int seed } in
+    let cfg = { cfg with Microbench.iterations } in
     let r = Microbench.run cfg in
     Printf.printf "config: %s, %d PTE(s), %s\n"
       (Microbench.placement_label placement)
@@ -124,8 +124,11 @@ let micro_cmd =
       r.Microbench.responder_mean r.Microbench.shootdowns
   in
   Cmd.v
-    (Cmd.info "micro" ~doc:"The paper's §5.1 madvise microbenchmark (Figures 5-8).")
-    Term.(const run $ safe_t $ opts_t $ placement_t $ ptes_t $ iters_t $ seed_t)
+    (Cmd.info "micro"
+       ~doc:
+         "The paper's §5.1 madvise microbenchmark (Figures 5-8). It draws no random \
+          numbers, so it takes no seed.")
+    Term.(const run $ safe_t $ opts_t $ placement_t $ ptes_t $ iters_t)
 
 (* --- sysbench --- *)
 
@@ -441,11 +444,9 @@ let shootout_cmd =
     in
     Arg.(value & flag & info [ "workloads" ] ~doc)
   in
-  let run format ptes iterations seed jobs workloads =
+  let run format ptes iterations jobs workloads =
     if workloads then print_string (Shootout.run_workloads ~jobs format)
-    else
-      print_string
-        (Shootout.run ~pte_count:ptes ~iterations ~seed:(Int64.of_int seed) ~jobs format)
+    else print_string (Shootout.run ~pte_count:ptes ~iterations ~jobs format)
   in
   Cmd.v
     (Cmd.info "shootout"
@@ -453,9 +454,10 @@ let shootout_cmd =
          "Protocol-backend comparison: run the metered madvise microbenchmark once \
           per backend (paper all/baseline, oracle, sync-broadcast, queue-spin) and \
           print one row each — initiator/responder latency, phase-latency p50s, and \
-          cacheline traffic. With $(b,--workloads), race the backends on the \
-          fig10/fig11/bigmachine workload family instead.")
-    Term.(const run $ format_t $ ptes_t $ iters_t $ seed_t $ jobs_t $ workloads_t)
+          cacheline traffic; like $(b,micro), it takes no seed. Each backend keeps \
+          its own state per machine (DESIGN.md §13). With $(b,--workloads), race \
+          the backends on the fig10/fig11/bigmachine workload family instead.")
+    Term.(const run $ format_t $ ptes_t $ iters_t $ jobs_t $ workloads_t)
 
 (* --- stats --- *)
 
@@ -467,17 +469,15 @@ let stats_cmd =
     in
     Arg.(value & opt (enum alist) Observe.Table & info [ "format" ] ~doc)
   in
-  let run format iterations seed jobs =
-    print_string
-      (Observe.run ~iterations ~seed:(Int64.of_int seed) ~jobs format)
+  let run format iterations jobs = print_string (Observe.run ~iterations ~jobs format)
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Per-shootdown phase-latency breakdown (prep / IPI delivery / flush \
           execution / ack wait / cacheline transfers) by topology distance and \
-          flush kind, from a metered microbenchmark sweep.")
-    Term.(const run $ format_t $ iters_t $ seed_t $ jobs_t)
+          flush kind, from a metered microbenchmark sweep, which takes no seed.")
+    Term.(const run $ format_t $ iters_t $ jobs_t)
 
 let () =
   let info =

@@ -58,23 +58,14 @@ type t = {
   mutable next_mm_id : int;
   mutable next_ipi_seq : int;
   mutable proto_irq_id : int;
-      (* Apic registry id for the active protocol backend's long-lived
-         shootdown irq record, created by the backend at first use (-1 =
-         not yet); per machine so IPI delivery never allocates an irq
-         record or closure. One machine runs one backend for its lifetime
-         (Opts.protocol is part of the memoization key), so one slot. *)
-  line_sync_status : Cache.line;
-      (* Sync_broadcast's protocol-wide status table + posted-info line:
-         every responder writes its done bit here and the initiator spins
-         reading it — the deliberate cronus-style contention point. *)
-  mutable sync_info : Flush_info.t option;
-      (* the flush currently posted by Sync_broadcast's initiator; None
-         outside a broadcast (the global ipi_mutex serializes writers) *)
-  mutable sync_from : int;
-      (* the posting initiator, for responder-side distance attribution *)
-  mutable sync_outstanding : int;
-      (* responders whose sync_done bit is still clear; 0 outside a
-         broadcast *)
+      (* Apic registry id for the backend's long-lived shootdown irq record,
+         created by the backend at first use (-1 = not yet); per machine so
+         IPI delivery never allocates an irq record or closure. One machine
+         runs one backend for its lifetime (Opts.protocol is part of the
+         memoization key), so one slot, which §4.1's CoW round reuses. *)
+  mutable backend : Protocol.t;
+      (* the shootdown backend instance, with whatever state it owns;
+         [Protocol.unset] until Shootdown builds it at first use *)
   checker : Checker.t;
   ipi_mutex : Rwsem.t;
   stats : stats;
@@ -204,10 +195,7 @@ let create ?(topo = Topology.paper_machine) ?(costs = Costs.default)
     next_mm_id = 1;
     next_ipi_seq = 0;
     proto_irq_id = -1;
-    line_sync_status = Cache.create_line registry;
-    sync_info = None;
-    sync_from = -1;
-    sync_outstanding = 0;
+    backend = Protocol.unset;
     checker = Checker.create ();
     ipi_mutex = Rwsem.create engine;
     stats = fresh_stats ();

@@ -60,25 +60,14 @@ type t = {
   mutable next_mm_id : int;
   mutable next_ipi_seq : int;
   mutable proto_irq_id : int;
-      (** Apic registry id for the active {!Protocol} backend's long-lived
-          shootdown irq record, created by the backend at first use ([-1] =
-          not yet); per machine so IPI delivery never allocates an irq
-          record or closure. A machine runs one backend for its lifetime
-          ([Opts.protocol] is part of the memoization key), so one slot. *)
-  line_sync_status : Cache.line;
-      (** [Sync_broadcast]'s protocol-wide status table + posted-info line:
-          responders write their done bits here and the initiator spins
-          reading it — the deliberate cronus-style contention point. *)
-  mutable sync_info : Flush_info.t option;
-      (** the flush currently posted by [Sync_broadcast]'s initiator; [None]
-          outside a broadcast (the global [ipi_mutex] serializes writers) *)
-  mutable sync_from : int;
-      (** the posting initiator, for responder-side distance attribution *)
-  mutable sync_outstanding : int;
-      (** [Sync_broadcast] responders whose done bit is still clear: set to
-          the target count when the initiator clears the bits, decremented
-          where each responder sets its bit, so the initiator's completion
-          check is one load; 0 outside a broadcast *)
+      (** Apic registry id of the shootdown irq record every backend
+          registers at first use ([-1] = not yet); per machine so IPI
+          delivery never allocates an irq record or closure. A machine runs
+          one backend for its lifetime ([Opts.protocol] is part of the
+          memoization key), so one slot; §4.1's CoW round reuses it. *)
+  mutable backend : Protocol.t;
+      (** the shootdown backend instance, which owns its own state;
+          {!Protocol.unset} until [Shootdown] builds it at first use *)
   checker : Checker.t;
   ipi_mutex : Rwsem.t;
       (** FreeBSD's smp_ipi_mtx: taken (write) around each shootdown by the

@@ -95,72 +95,6 @@ let new_irq_run () =
 
 let no_irq_run = new_irq_run ()
 
-(* Queue_spin ring capacity. Charmos-style: small and bounded — overflow is
-   expected under bursts and collapses to a flush-all rather than blocking
-   the initiator. *)
-let queue_slots = 8
-
-(* Queue_spin's per-CPU state: the ring of posted invalidations and its
-   line, the responder's place in its drain run, and the initiator's ack
-   wait. Built at the CPU's first use of the backend, so machines that run
-   another backend do not pay for it on every CPU. *)
-type queue_state = {
-  q_mm : int array; (* bounded ring of posted invalidations: mm ids ... *)
-  q_vpn : int array; (* ... vpns ... *)
-  q_from : int array; (* ... and posting initiators, for distance attribution *)
-  mutable q_head : int; (* ring cursors, monotone; slot = cursor mod size *)
-  mutable q_tail : int;
-  mutable q_flush_all : bool;
-      (* overflow collapse: the ring filled, so the next drain does one
-         whole-TLB flush instead of replaying entries *)
-  mutable q_target_gen : int; (* newest queue generation posted to us *)
-  mutable q_ack_gen : int; (* queue generation we have drained up to *)
-  line_queue : Cache.line; (* the ring's shared cache line *)
-  mutable q_step : int; (* what the responder's run does next *)
-  mutable q_base : int; (* the run phase the entry in hand began at *)
-  mutable q_mm_id : int; (* the entry in hand: mm, vpn, initiator *)
-  mutable q_at_vpn : int;
-  mutable q_by : int;
-  mutable q_hit : bool; (* the ASID slot in hand caches the entry's mm *)
-  mutable q_t0 : int; (* when the entry or flush-all in hand began *)
-  scratch_resend : Cpuset.t;
-      (* retry-ladder resend scratch: rebuilt as the un-acked subset of
-         scratch_targets at each resend, while scratch_targets still holds
-         the full set the ack wait checks. *)
-  mutable q_wait_gen : int; (* the generation every target must reach *)
-  mutable q_ready : unit -> bool; (* the ack wait's poll predicate *)
-}
-
-let no_ready () = true
-
-let new_queue_state registry =
-  {
-    q_mm = Array.make queue_slots (-1);
-    q_vpn = Array.make queue_slots 0;
-    q_from = Array.make queue_slots 0;
-    q_head = 0;
-    q_tail = 0;
-    q_flush_all = false;
-    q_target_gen = 0;
-    q_ack_gen = 0;
-    line_queue = Cache.create_line registry;
-    q_step = 0;
-    q_base = 0;
-    q_mm_id = -1;
-    q_at_vpn = 0;
-    q_by = 0;
-    q_hit = false;
-    q_t0 = 0;
-    scratch_resend = Cpuset.create ~bits:0;
-    q_wait_gen = 0;
-    q_ready = no_ready;
-  }
-
-(* A CPU that never used the backend: an empty ring, nothing posted or
-   pending. Never written. *)
-let no_queue_state =
-  new_queue_state (Cache.create_registry (Topology.flat 1) Costs.default)
-
 (* Monomorphic test used wherever a [pending_user = No_flush] compare would
    drag in the polymorphic-equality runtime (tlblint R1). *)
 let no_pending_user = function No_flush -> true | Ranged _ | Full_flush -> false
@@ -201,13 +135,6 @@ type t = {
          shootdown without allocation: a CPU runs one initiator at a time
          (no preemption of a syscall mid-protocol), and nothing that runs
          from this CPU's IRQ handlers selects targets. *)
-  (* --- Sync_broadcast backend (cronus-style) --- *)
-  mutable sync_done : bool;
-      (* this CPU's entry in the protocol-wide status table: set by the
-         responder once it has applied the posted flush, cleared by the
-         initiator (under the global lock) before broadcasting. *)
-  (* --- Queue_spin backend (charmos-style) --- *)
-  mutable q_state : queue_state;  (* [no_queue_state] before first use *)
 }
 
 let n_asids = 6
@@ -239,8 +166,6 @@ let create cpu registry =
     csd_lines = [||];
     line_stack_info = Cache.create_line registry;
     scratch_targets = Cpuset.create ~bits:0;
-    sync_done = true;
-    q_state = no_queue_state;
   }
 
 let csd_line t ~target =

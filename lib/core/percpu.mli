@@ -11,7 +11,12 @@
       stack line [line_stack_info]; the call queue head is [line_csq].
     - consolidated (Figure 4b): the lazy flag is colocated with the queue
       head (one line answers "lazy? enqueue!") and the flush info is inlined
-      into the CSD, eliminating the stack line. *)
+      into the CSD, eliminating the stack line.
+
+    The comparator backends' per-CPU state (sync-broadcast's done bits,
+    queue-spin's rings) is private to {!Proto_sync} and {!Proto_queue}:
+    this record holds what Linux keeps per CPU, which the paper's protocol,
+    the oracle and the shared flush code use. *)
 
 (** One of the 6 dynamic ASIDs Linux multiplexes per CPU. *)
 type asid_slot = {
@@ -90,50 +95,6 @@ val new_irq_run : unit -> irq_run
 (** Stands in for a CPU's [irq_run] until its first; never written. *)
 val no_irq_run : irq_run
 
-(** [Queue_spin] ring capacity; pushing past it sets [q_flush_all]. *)
-val queue_slots : int
-
-(** [Queue_spin]'s per-CPU state: the ring of posted invalidations and its
-    line, the responder's place in its drain run, and the initiator's ack
-    wait. *)
-type queue_state = {
-  q_mm : int array;  (** the ring: posted mm ids ... *)
-  q_vpn : int array;  (** ... posted vpns ... *)
-  q_from : int array;  (** ... and posting initiators *)
-  mutable q_head : int;  (** consumer cursor (monotone; slot = mod size) *)
-  mutable q_tail : int;  (** producer cursor *)
-  mutable q_flush_all : bool;  (** ring overflowed; drain as whole-TLB flush *)
-  mutable q_target_gen : int;  (** newest queue generation posted to us *)
-  mutable q_ack_gen : int;  (** queue generation drained up to *)
-  line_queue : Cache.line;  (** the ring's shared cache line *)
-  mutable q_step : int;  (** what the responder's run does next *)
-  mutable q_base : int;  (** the run phase the entry in hand began at *)
-  mutable q_mm_id : int;  (** the entry in hand: its mm ... *)
-  mutable q_at_vpn : int;  (** ... its vpn ... *)
-  mutable q_by : int;  (** ... and its posting initiator *)
-  mutable q_hit : bool;  (** the ASID slot in hand caches the entry's mm *)
-  mutable q_t0 : int;  (** when the entry or flush-all in hand began *)
-  scratch_resend : Cpuset.t;
-      (** retry-ladder scratch: the un-acked subset of the initiator's
-          [scratch_targets], rebuilt per resend *)
-  mutable q_wait_gen : int;
-      (** the queue generation every target of this CPU's shootdown must
-          drain to *)
-  mutable q_ready : unit -> bool;
-      (** the ack wait's poll predicate, built at the first wait *)
-}
-
-(** A fresh queue state with an empty ring and its line in [registry]; its
-    [q_ready] is {!no_ready}. *)
-val new_queue_state : Cache.registry -> queue_state
-
-(** Stands in for a CPU's [q_state] until its first use: an empty ring,
-    nothing posted or pending. Never written. *)
-val no_queue_state : queue_state
-
-(** Stands in for [q_ready] until it is built. *)
-val no_ready : unit -> bool
-
 type t = {
   cpu : Cpu.t;
   registry : Cache.registry;  (** for lazily creating CSD lines *)
@@ -180,12 +141,6 @@ type t = {
       (** this CPU's shootdown target scratch set, reused across its
           shootdowns (one initiator per CPU at a time, and IRQ handlers
           never select targets) *)
-  mutable sync_done : bool;
-      (** [Sync_broadcast] status-table entry: true once this CPU has applied
-          the posted flush (initiator clears it before broadcasting) *)
-  mutable q_state : queue_state;
-      (** [Queue_spin]'s handler and ack-wait state; {!no_queue_state}
-          until the CPU first uses the backend *)
 }
 
 val create : Cpu.t -> Cache.registry -> t

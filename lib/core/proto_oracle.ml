@@ -44,7 +44,7 @@ let work m cfd phase =
 
 let irq_id m = shootdown_irq m (fun m -> Smp.drain_queue m ~work:(work m))
 
-let perform m ~from ~mm:_ (info : Flush_info.t) =
+let perform m ~from (info : Flush_info.t) =
   let pcpu = Machine.percpu m from in
   let tlb = Cpu.tlb (Machine.cpu m from) in
   let t0 = Machine.now m in
@@ -66,10 +66,10 @@ let perform m ~from ~mm:_ (info : Flush_info.t) =
   end;
   remote
 
-let backend =
+let create m =
   {
     Protocol.reference = true;
-    perform;
-    responder_pending = Smp.csd_pending;
-    quiescent = Smp.csd_quiescent;
+    perform = (fun ~from ~mm:_ info -> perform m ~from info);
+    responder_pending = (fun ~cpu -> Smp.csd_pending m ~cpu);
+    quiescent = (fun ~cpu fail -> Smp.csd_quiescent m ~cpu fail);
   }

@@ -3,4 +3,5 @@
     deferral, no batching, no early ack, no target filtering. Trivially
     correct by construction; the differential fuzzer's reference. *)
 
-val backend : Protocol.t
+(** The backend instance for machine [m]. *)
+val create : Machine.t -> Protocol.t

@@ -190,10 +190,10 @@ let round m ~from ~mm ~local_flush (info : Flush_info.t) =
     true
   end
 
-let backend =
+let create m =
   {
     Protocol.reference = false;
-    perform = (fun m ~from ~mm info -> round m ~from ~mm ~local_flush:true info);
-    responder_pending = Smp.csd_pending;
-    quiescent = Smp.csd_quiescent;
+    perform = (fun ~from ~mm info -> round m ~from ~mm ~local_flush:true info);
+    responder_pending = (fun ~cpu -> Smp.csd_pending m ~cpu);
+    quiescent = (fun ~cpu fail -> Smp.csd_quiescent m ~cpu fail);
   }

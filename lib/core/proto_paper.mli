@@ -2,9 +2,10 @@
     IPIs over the mm cpumask with lazy/batched filtering, generation
     bookkeeping, and the Table-1 optimizations its {!Opts.paper} knobs switch on. *)
 
-val backend : Protocol.t
+(** The backend instance for machine [m]. *)
+val create : Machine.t -> Protocol.t
 
-(** The backend's round. [~local_flush:true] is {!backend}'s [perform];
+(** The backend's round. [~local_flush:true] is {!create}'s [perform];
     [~local_flush:false] is the §4.1 CoW round of
     {!Shootdown.flush_tlb_page_cow}, whose caller has replaced the
     initiator's local flush: target selection, the remote round and the

@@ -3,4 +3,5 @@
     posts the flush, self-invalidates, kicks every other CPU and spins
     until the whole table reads done. See SNIPPETS.md §1. *)
 
-val backend : Protocol.t
+(** The backend instance for machine [m], with its status table. *)
+val create : Machine.t -> Protocol.t

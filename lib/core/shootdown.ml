@@ -8,14 +8,23 @@
 
 open Flush_core
 
-(* The single Opts.protocol dispatch. Every protocol-conditional in this
-   module flows through the backend record this returns. *)
-let backend m : Protocol.t =
-  match m.Machine.opts.Opts.protocol with
-  | Opts.Paper _ -> Proto_paper.backend
-  | Opts.Oracle -> Proto_oracle.backend
-  | Opts.Sync_broadcast -> Proto_sync.backend
-  | Opts.Queue_spin -> Proto_queue.backend
+(* The single Opts.protocol dispatch: the machine's backend instance,
+   built at its first use. Every protocol-conditional in this module flows
+   through the hooks it returns. *)
+let backend m =
+  let b = m.Machine.backend in
+  if b != Protocol.unset then b
+  else begin
+    let b =
+      match m.Machine.opts.Opts.protocol with
+      | Opts.Paper _ -> Proto_paper.create m
+      | Opts.Oracle -> Proto_oracle.create m
+      | Opts.Sync_broadcast -> Proto_sync.create m
+      | Opts.Queue_spin -> Proto_queue.create m
+    in
+    m.Machine.backend <- b;
+    b
+  end
 
 let flush_pending_user = Flush_core.flush_pending_user
 let return_to_user = Flush_core.return_to_user
@@ -40,7 +49,7 @@ let perform_round m ~from ~mm ~local_flush (info : Flush_info.t) token =
           ignore (flush_tlb_func_impl m ~cpu:from ~user info);
           false
       | Some (Opts.Lazy_strawman | Opts.Skip_deferred_flush) | None ->
-          b.Protocol.perform m ~from ~mm info
+          b.Protocol.perform ~from ~mm info
   in
   let stats = m.Machine.stats in
   if sent then stats.Machine.shootdowns <- stats.Machine.shootdowns + 1
@@ -162,13 +171,13 @@ let nmi_uaccess_okay m ~cpu =
      treat both as off-limits — the interleaving explorer probes this. *)
   && (not pcpu.Percpu.batched_mode)
   && (not pcpu.Percpu.inflight_flush)
-  && (not ((backend m).Protocol.responder_pending m ~cpu))
+  && (not ((backend m).Protocol.responder_pending ~cpu))
   && Percpu.no_pending_user pcpu.Percpu.pending_user
 
 (* Backend-specific quiescence invariants, reported through [fail]; the
    explorer's post-run invariant pass drives this per CPU alongside its
    generic checks (pending_user drained, csq empty, ...). *)
-let protocol_quiescent m ~cpu fail = (backend m).Protocol.quiescent m ~cpu fail
+let protocol_quiescent m ~cpu fail = (backend m).Protocol.quiescent ~cpu fail
 
 let check_and_sync_tlb m ~cpu =
   let pcpu = Machine.percpu m cpu in

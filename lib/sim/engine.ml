@@ -175,6 +175,10 @@ type t = {
   mutable barrier : int;
       (* while [try_advance] steps through spins: the key its caller's
          resume would have had; [max_int] otherwise *)
+  mutable until : int;
+      (* the latest time [try_advance] and a spin's run of boundaries may
+         move the clock to: [run_until]'s time while it runs, [max_time]
+         otherwise *)
   mutable spin_tag : int; (* handler of spin rows under a chooser, [nil] until one *)
 }
 
@@ -225,6 +229,7 @@ let create () =
     spin_result = 0;
     spin_spun = 0;
     barrier = max_int;
+    until = max_time;
     spin_tag = nil;
   }
 
@@ -723,7 +728,7 @@ let rec spin_boundaries t id time rest =
     Array.unsafe_set t.sp (b + s_spun) (Array.unsafe_get t.sp (b + s_spun) + d);
     let tn = time + d in
     if
-      tn < rest && tn <= max_time
+      tn < rest && tn <= t.until
       && (match t.chooser with None -> true | Some _ -> false)
       && peek_events t > tn
     then begin
@@ -867,13 +872,14 @@ let try_advance t ~cycles =
   | Some _ -> false
   | None ->
       if cycles < 0 then invalid_arg "Engine.try_advance: negative cycles";
-      (* [cycles <= max_time - t.now] (overflow-safe: both sides are
-         non-negative ints) keeps [now] inside the packed key's time field.
-         Past that, decline the fast path so the slow path's [schedule_tag]
-         reports the clock overflow instead of [now] silently wrapping into
-         the seq bits. *)
+      (* [cycles <= t.until - t.now] (overflow-safe: both sides are
+         non-negative ints) keeps [now] inside the packed key's time field,
+         and inside [run_until]'s horizon. Past that, decline the fast path:
+         the slow path's [schedule_tag] queues the resume for the run loop,
+         or reports the clock overflow instead of [now] silently wrapping
+         into the seq bits. *)
       let limit = t.now + cycles in
-      if cycles <= max_time - t.now && peek_events t > limit then begin
+      if cycles <= t.until - t.now && peek_events t > limit then begin
         if t.n_spins = 0 || key_time (Array.unsafe_get t.skey 0) > limit then begin
           t.now <- limit;
           t.advances <- t.advances + 1;
@@ -1051,11 +1057,19 @@ let peek_time t =
   let e = peek_events t in
   if t.n_spins = 0 then e else Int.min e (key_time (Array.unsafe_get t.skey 0))
 
+let rec run_to t time =
+  if peek_time t <= time then begin
+    ignore (step t : bool);
+    run_to t time
+  end
+
 let run_until t ~time =
   if time > max_time then
     invalid_arg (Printf.sprintf "Engine.run_until: time %d overflows the clock" time);
-  let continue = ref true in
-  while !continue do
-    if peek_time t > time then continue := false else ignore (step t)
-  done;
+  t.until <- time;
+  (match run_to t time with
+  | () -> t.until <- max_time
+  | exception e ->
+      t.until <- max_time;
+      raise e);
   if t.now < time && t.ring_count = 0 && t.size = 0 && t.n_spins = 0 then t.now <- time

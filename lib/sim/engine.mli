@@ -80,7 +80,7 @@ val schedule_tag : t -> delay:int -> tag:int -> a:int -> b:int -> unit
     counts as the event the caller's resume would have been (in
     {!events_run}, not {!advances}), since that is what it replaces. So a
     process may run ahead of other spins for as long as none of them
-    wakes: {!step} and {!run_until} stop it only at an event or a wake. *)
+    wakes, but never past the time of a {!run_until} in progress. *)
 val try_advance : t -> cycles:int -> bool
 
 (** {2 Idle spins}
@@ -143,7 +143,10 @@ val step : t -> bool
 val run : t -> unit
 
 (** Run until the queue is empty or the clock passes [time]. Events at
-    exactly [time] are executed. *)
+    exactly [time] are executed. [time] is a horizon: while it runs,
+    neither {!try_advance} nor a spin's run of boundaries moves the clock
+    past it, so the call returns even when spins that never wake are all
+    that is pending. {!run} and {!step} have no horizon. *)
 val run_until : t -> time:int -> unit
 
 (** Event rows not on the arena's free list: the pending events, plus any

@@ -14,15 +14,15 @@ type format = Table | Json | Prometheus
 
 let pte_counts = [ 1; 10; 50 ]
 
-let metered_cell b ~label ~opts ~placement ~pte_count ~iterations ~seed =
+let metered_cell b ~label ~opts ~placement ~pte_count ~iterations =
   let base = Microbench.default_config ~opts ~placement ~pte_count in
-  let config = { base with Microbench.iterations; seed; metering = true } in
+  let config = { base with Microbench.iterations; metering = true } in
   Shard.cell b ~label
     ~ops:(fun r -> r.Microbench.engine_ops)
     ~weight:(float_of_int (iterations * pte_count))
     (fun () -> Microbench.run config)
 
-let collect ?(iterations = 200) ?(seed = 7L) ~jobs () =
+let collect ?(iterations = 200) ~jobs () =
   Shard.run ~jobs (fun b ->
       let cells =
         List.concat_map
@@ -33,7 +33,7 @@ let collect ?(iterations = 200) ?(seed = 7L) ~jobs () =
                   ~label:
                     (Printf.sprintf "stats/%s/%d" (Microbench.placement_label placement)
                        pte_count)
-                  ~opts:(Opts.all ~safe:true) ~placement ~pte_count ~iterations ~seed)
+                  ~opts:(Opts.all ~safe:true) ~placement ~pte_count ~iterations)
               pte_counts)
           Microbench.all_placements
       in
@@ -54,5 +54,4 @@ let render format metrics =
   | Prometheus -> Metrics.to_prometheus metrics
   | Table -> Format.asprintf "%a" Metrics.pp_table metrics
 
-let run ?iterations ?seed ~jobs format =
-  render format (collect ?iterations ?seed ~jobs ())
+let run ?iterations ~jobs format = render format (collect ?iterations ~jobs ())

@@ -17,12 +17,11 @@ val metered_cell :
   placement:Microbench.placement ->
   pte_count:int ->
   iterations:int ->
-  seed:int64 ->
   (unit -> Microbench.result)
 
 (** Run the sweep on [jobs] domains and return the merged registry.
-    Defaults: 200 iterations per cell, seed 7. *)
-val collect : ?iterations:int -> ?seed:int64 -> jobs:int -> unit -> Metrics.t
+    Defaults: 200 iterations per cell. *)
+val collect : ?iterations:int -> jobs:int -> unit -> Metrics.t
 
 (** {!collect}, rendered as [format]. *)
-val run : ?iterations:int -> ?seed:int64 -> jobs:int -> format -> string
+val run : ?iterations:int -> jobs:int -> format -> string

@@ -67,14 +67,14 @@ let columns =
 (* The backend cells, registered with [b], and a plan-order reader of the
    report: one BENCH_PERF row per backend, in [backends] order, and the
    table drawn from those rows. *)
-let plan_cells b ?(pte_count = 10) ?(iterations = 200) ?(seed = 7L) () =
+let plan_cells b ?(pte_count = 10) ?(iterations = 200) () =
   let cells =
     List.map
       (fun (label, opts) ->
         ( label,
           Observe.metered_cell b
             ~label:(Printf.sprintf "shootout/%s" label)
-            ~opts ~placement:Microbench.Cross_socket ~pte_count ~iterations ~seed ))
+            ~opts ~placement:Microbench.Cross_socket ~pte_count ~iterations ))
       (backends ())
   in
   fun () ->
@@ -121,8 +121,8 @@ let plan_cells b ?(pte_count = 10) ?(iterations = 200) ?(seed = 7L) () =
     in
     (table, rows)
 
-let run ?pte_count ?iterations ?seed ~jobs format =
-  render format (Shard.run ~jobs (fun b -> plan_cells b ?pte_count ?iterations ?seed ()))
+let run ?pte_count ?iterations ~jobs format =
+  render format (Shard.run ~jobs (fun b -> plan_cells b ?pte_count ?iterations ()))
 
 (* ----- Cross-backend workloads: fig10 / fig11 / bigmachine-56 ----- *)
 

@@ -22,19 +22,17 @@ type format = Table | Json
     initiator mean and sd, responder mean, shootdowns, the phase p50s
     (prep / ipi / flush / ack, pooled over distance ranks; [null] when
     there are no samples), and the metered cacheline transfers and their
-    cycles. Defaults: 10 PTEs, 200 iterations, seed 7. *)
+    cycles. Defaults: 10 PTEs, 200 iterations. *)
 val plan_cells :
   Shard.builder ->
   ?pte_count:int ->
   ?iterations:int ->
-  ?seed:int64 ->
   unit ->
   (unit -> string * Bench_perf.row list)
 
 (** Run every backend's cell (sharded over [jobs] domains) and render
     the report as [format]. *)
-val run :
-  ?pte_count:int -> ?iterations:int -> ?seed:int64 -> jobs:int -> format -> string
+val run : ?pte_count:int -> ?iterations:int -> jobs:int -> format -> string
 
 (** {2 Cross-backend workloads}
 

@@ -28,6 +28,38 @@ let test_microbench_repeatable () =
 let test_sysbench_repeatable () =
   check pairf "identical back-to-back" (sys_cell ()) (sys_cell ())
 
+(* The microbenchmark draws nothing from the machine's RNG, so its seed
+   selects nothing: every result field, the phase metrics included, is the
+   same at two seeds under every backend. The shootout and stats reports,
+   built from it, take no seed for that reason; an RNG draw on this path
+   must fail here first. *)
+let test_microbench_seed_inert () =
+  List.iter
+    (fun protocol ->
+      let opts = Opts.with_protocol protocol ~safe:true in
+      let cfg =
+        Microbench.default_config ~opts ~placement:Microbench.Cross_socket ~pte_count:10
+      in
+      let run seed =
+        let r =
+          Microbench.run
+            { cfg with Microbench.iterations = 20; warmup = 5; seed; metering = true }
+        in
+        ( [
+            r.Microbench.initiator_mean;
+            r.Microbench.initiator_sd;
+            r.Microbench.responder_mean;
+            r.Microbench.responder_sd;
+          ],
+          (r.Microbench.shootdowns, r.Microbench.engine_ops),
+          Metrics.to_json r.Microbench.metrics )
+      in
+      check
+        Alcotest.(triple (list (float 0.0)) (pair int int) string)
+        (Opts.protocol_label protocol ^ ": seeds 1 and 99 agree")
+        (run 1L) (run 99L))
+    Opts.all_protocols
+
 let test_domain_pool_preserves_order () =
   let tasks = Array.init 32 (fun i () -> i * i) in
   check
@@ -117,7 +149,7 @@ let test_per_run_rng_isolation () =
    order, so every export format must be byte-identical at any -j. Mini
    iteration count: this runs nine metered sim cells per jobs level. *)
 let test_metrics_report_identical_across_jobs () =
-  let report ~jobs format = Observe.run ~iterations:20 ~seed:7L ~jobs format in
+  let report ~jobs format = Observe.run ~iterations:20 ~jobs format in
   List.iter
     (fun (label, format) ->
       let j1 = report ~jobs:1 format in
@@ -202,4 +234,6 @@ let suite =
       test_metering_leaves_results_unchanged;
     Alcotest.test_case "unmetered machines: one empty registry" `Quick
       test_unmetered_registry_shared_and_empty;
+    Alcotest.test_case "microbench: the seed selects nothing" `Quick
+      test_microbench_seed_inert;
   ]

@@ -131,27 +131,29 @@ let test_sync_broadcast_ipis_every_cpu () =
   check bool_t "flushed on the responder" true !gone
 
 let test_queue_ring_overflow_collapses_to_flush_all () =
-  (* Under-capacity ranged flushes post per-page ring entries: only the
-     posted vpns are invalidated. Overflowing Percpu.queue_slots collapses
-     the post to a whole-TLB flush-all on the responder. *)
-  let small_survives = ref false and overflow_gone = ref false in
+  (* Ranged flushes that fit the ring post per-page entries: only the
+     posted vpns are invalidated. One entry past its capacity (8, as in
+     charmos) collapses the post to a whole-TLB flush-all on the
+     responder. Both sides of the boundary are pinned. *)
+  let ring = 8 in
+  let full_survives = ref false and overflow_gone = ref false in
   let _m =
     with_pair ~opts:(Opts.with_protocol Opts.Queue_spin ~safe:true) (fun m mm ->
-        let pages = Percpu.queue_slots + 1 in
+        let pages = ring + 1 in
         let vpn = map_pages m mm ~pages in
         let other = map_pages m mm ~pages:1 in
         warm m ~cpu:0 ~start_vpn:vpn ~pages;
         plant m ~cpu:14 ~vpn:other;
-        (* 2 entries fit in the ring: [other] must survive the drain. *)
-        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2 ();
+        (* [ring] entries fill the ring exactly: [other] must survive. *)
+        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:ring ();
         Machine.delay m 10_000;
-        small_survives := planted_present m ~cpu:14 ~vpn:other;
-        (* queue_slots+1 entries overflow: the responder flushes all. *)
+        full_survives := planted_present m ~cpu:14 ~vpn:other;
+        (* [ring + 1] entries overflow: the responder flushes all. *)
         Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages ();
         Machine.delay m 10_000;
         overflow_gone := not (planted_present m ~cpu:14 ~vpn:other))
   in
-  check bool_t "unposted entry survives an in-capacity drain" true !small_survives;
+  check bool_t "unposted entry survives a drain of a full ring" true !full_survives;
   check bool_t "overflow collapses to flush-all" true !overflow_gone
 
 (* ---------- the options each backend takes ---------- *)

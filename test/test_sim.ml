@@ -277,6 +277,30 @@ let test_engine_run_until () =
   check (Alcotest.list int_t) "only up to 20" [ 10; 20 ] (List.rev !fired);
   check int_t "one pending" 1 (Engine.live_rows e)
 
+(* [run_until]'s time is a horizon: four [Cpu.compute_until] spinners and
+   a [Cpu.poll_wait] that never wake, with nothing else pending, must not
+   carry the clock past it, although each spinner's fast path may step
+   through the others' idle boundaries; and a later [run_until] goes on
+   from there. *)
+let test_engine_run_until_idle_spins () =
+  let e = Engine.create () in
+  let topo = Topology.flat 5 in
+  let never () = false in
+  for id = 0 to 3 do
+    let cpu = Cpu.create e topo Costs.default ~id ~safe:false () in
+    Process.spawn e ~name:"spinner" (fun () ->
+        Cpu.compute_until cpu ~quantum:50 ~chunk:100 never)
+  done;
+  let cpu = Cpu.create e topo Costs.default ~id:4 ~safe:false () in
+  Process.spawn e ~name:"poller" (fun () -> Cpu.poll_wait cpu never);
+  List.iter
+    (fun time ->
+      Engine.run_until e ~time;
+      check bool_t (Printf.sprintf "clock within %d" time) true
+        (Engine.now e <= time && Engine.now e > time - 100);
+      check int_t "five spins pending" 5 (Engine.live_rows e))
+    [ 1000; 2000 ]
+
 (* --- Engine: packed-key boundaries --- *)
 
 (* The priority key packs (time, seq) into one int; [max_time] is the last
@@ -1242,4 +1266,6 @@ let suite =
     Alcotest.test_case "trace: ring-buffer cap" `Quick test_trace_ring_buffer_cap;
     Alcotest.test_case "process: chains are delays (randomized model)" `Quick
       test_chain_model;
+    Alcotest.test_case "engine: run_until bounds idle spins" `Quick
+      test_engine_run_until_idle_spins;
   ]

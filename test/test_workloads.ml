@@ -317,13 +317,18 @@ let test_dispatch_quiescence () =
           p.Percpu.batch <- [ (info, token) ] );
     ]
 
-(* Sync-broadcast conservation: every responder whose done bit the
-   initiator cleared sets it again and decrements [sync_outstanding], so
-   the count is 0 at the end of every run. [Kernel.check_run], which
-   ends each workload run, fails the run otherwise; these runs must both
-   broadcast and pass. A count set wrong by hand must be reported by the
-   backend's quiescence check and fail [Kernel.check_run]. *)
-let test_sync_outstanding_conserved () =
+(* Backend state that must not survive quiescence, pinned through
+   behaviour. Runs to quiescence of sync-broadcast (sysbench, bigmachine)
+   must broadcast and pass [Kernel.check_run], which ends each workload
+   run. And a shootdown stopped while its initiator waits for acks must be
+   caught: CPU 3 has the mm loaded and interrupts masked, so it never
+   acks, and [Engine.run_until] stops the run with the initiator still
+   spinning. The backend's quiescence check must report what it left —
+   sync-broadcast's posted descriptor, outstanding count and clear done
+   bit, queue-spin's undrained ring and lagging ack generation — among
+   the invariants [Kernel.check_quiescent] lists, and [Kernel.check_run]
+   must fail on the first of them. *)
+let test_backend_state_at_quiescence () =
   let opts = Opts.with_protocol Opts.Sync_broadcast ~safe:true in
   let s =
     Sysbench.run
@@ -338,19 +343,46 @@ let test_sync_outstanding_conserved () =
     Bigmachine.run (Bigmachine.quick_shape (Bigmachine.default_config ~opts ~n_cpus:56))
   in
   check bool_t "bigmachine sent IPIs" true (b.Bigmachine.ipis > 0);
-  let m = Machine.create ~opts () in
-  check int_t "fresh machine" 0 m.Machine.sync_outstanding;
-  m.Machine.sync_outstanding <- 2;
-  let failures = ref [] in
-  Shootdown.protocol_quiescent m ~cpu:0 (fun f -> failures := f :: !failures);
-  check
-    Alcotest.(list string)
-    "wrong count reported"
-    [ "sync-broadcast outstanding count 2 at quiescence" ]
-    !failures;
-  Alcotest.check_raises "a wrong count fails the run"
-    (Failure "Demo: sync-broadcast outstanding count 2 at quiescence") (fun () ->
-      Kernel.check_run m ~who:"Demo")
+  let stopped protocol expected =
+    let opts = Opts.with_protocol protocol ~safe:true in
+    let m = Machine.create ~topo:(Topology.flat 4) ~opts () in
+    let mm = Machine.new_mm m in
+    Kernel.spawn_user m ~cpu:3 ~mm ~name:"masked" (fun () ->
+        Cpu.quiesce_and_mask (Machine.cpu m 3);
+        Machine.delay m 1_000_000_000);
+    Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
+        Machine.delay m 2_000;
+        Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn:16);
+    Engine.run_until m.Machine.engine ~time:50_000;
+    let label = Opts.protocol_label protocol in
+    let reported = ref [] in
+    for cpu = 0 to 3 do
+      Shootdown.protocol_quiescent m ~cpu (fun f -> reported := f :: !reported)
+    done;
+    check Alcotest.(list string) (label ^ ": backend state reported") expected
+      (List.sort_uniq String.compare !reported);
+    let failures = ref [] in
+    Kernel.check_quiescent m (fun f -> failures := f :: !failures);
+    let failures = List.rev !failures in
+    List.iter
+      (fun f ->
+        check bool_t (label ^ ": " ^ f ^ " fails quiescence") true (List.mem f failures))
+      expected;
+    Alcotest.check_raises (label ^ ": the run fails")
+      (Failure ("Demo: " ^ List.hd failures))
+      (fun () -> Kernel.check_run m ~who:"Demo")
+  in
+  stopped Opts.Sync_broadcast
+    [
+      "cpu3 sync-broadcast done bit clear at quiescence";
+      "sync-broadcast descriptor still posted at quiescence";
+      "sync-broadcast outstanding count 1 at quiescence";
+    ];
+  stopped Opts.Queue_spin
+    [
+      "cpu3 queue-spin ack generation behind at quiescence";
+      "cpu3 queue-spin ring not drained at quiescence";
+    ]
 
 let test_fracture_table_shape () =
   let cfg = { Fracture.working_set_pages = 256; rounds = 20; tlb_capacity = 1536 } in
@@ -444,8 +476,8 @@ let suite =
       test_ipi_invariants_catch_imbalance;
     Alcotest.test_case "kernel: engine arena conservation check" `Quick
       test_engine_arena_conservation;
-    Alcotest.test_case "sync-broadcast: outstanding count conserved" `Quick
-      test_sync_outstanding_conserved;
+    Alcotest.test_case "backends: state left at quiescence" `Quick
+      test_backend_state_at_quiescence;
     Alcotest.test_case "fracture: table shape" `Quick test_fracture_table_shape;
     Alcotest.test_case "fracture: hugepages cut misses" `Quick test_fracture_2m_on_2m_fewer_misses;
     Alcotest.test_case "report: formatting" `Quick test_report_formatting;
