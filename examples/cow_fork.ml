@@ -22,10 +22,9 @@ let run ~label opts =
       (* fork: both sides now share every frame, write-protected. *)
       let child = Fork.fork m ~cpu:0 in
       let vpn0 = Addr.vpn_of_addr addr in
-      (match Page_table.walk (Mm_struct.page_table parent) ~vpn:vpn0 with
-      | Some w ->
-          shared_after_fork := Frame_alloc.refcount m.Machine.frames w.Page_table.pte.Pte.pfn
-      | None -> ());
+      let pte = Page_table.walk (Mm_struct.page_table parent) ~vpn:vpn0 in
+      if Pte.present pte then
+        shared_after_fork := Frame_alloc.refcount m.Machine.frames (Pte.pfn pte);
       (* The child reads the shared pages from another core while the
          parent writes them all, COW-breaking one page per write. *)
       let stop = ref false in

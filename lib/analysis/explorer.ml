@@ -64,11 +64,8 @@ let probe m add_failure =
           List.iter
             (fun (e : Tlb.entry) ->
               if e.Tlb.pcid = pcid then begin
-                let stale =
-                  match Page_table.walk pt ~vpn:e.Tlb.vpn with
-                  | None -> true
-                  | Some w -> w.Page_table.pte.Pte.pfn <> e.Tlb.pfn
-                in
+                let pte = Page_table.walk pt ~vpn:e.Tlb.vpn in
+                let stale = (not (Pte.present pte)) || Pte.pfn pte <> e.Tlb.pfn in
                 if
                   stale
                   && not (Checker.covered m.Machine.checker ~mm_id:(Mm_struct.id mm) ~vpn:e.Tlb.vpn)

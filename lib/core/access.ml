@@ -49,38 +49,35 @@ let rec access m ~cpu ~vaddr ~write ~attempt =
       else entry.Tlb.pfn + (vpn - entry.Tlb.vpn)
   | None -> begin
       let pt = Mm_struct.page_table mm in
-      match Page_table.walk pt ~vpn with
-      | Some w
-        when w.Page_table.pte.Pte.present
-             && ((not write) || w.Page_table.pte.Pte.writable) ->
-          let walk_cost =
-            if Tlb.pwc_warm tlb then costs.Costs.page_walk else costs.Costs.page_walk_cold
-          in
-          Machine.delay m walk_cost;
-          Tlb.warm_pwc tlb;
-          let base =
-            match w.Page_table.size with
-            | Tlb.Four_k -> vpn
-            | Tlb.Two_m -> vpn land lnot 511
-          in
-          Tlb.insert tlb
-            {
-              Tlb.vpn = base;
-              pfn = w.Page_table.pte.Pte.pfn;
-              pcid;
-              size = w.Page_table.size;
-              global = w.Page_table.pte.Pte.global;
-              writable = w.Page_table.pte.Pte.writable;
-              fractured = false;
-              ck_ver = -1;
-            };
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu
-              (Trace.Tlb_fill { mm_id = Mm_struct.id mm; vpn; pcid });
-          w.Page_table.pte.Pte.pfn + (vpn - base)
-      | Some _ | None ->
-          Fault.handle m ~cpu ~mm ~vaddr ~write;
-          access m ~cpu ~vaddr ~write ~attempt:(attempt + 1)
+      let pte = Page_table.walk pt ~vpn in
+      if Pte.present pte && ((not write) || Pte.writable pte) then begin
+        let walk_cost =
+          if Tlb.pwc_warm tlb then costs.Costs.page_walk else costs.Costs.page_walk_cold
+        in
+        Machine.delay m walk_cost;
+        Tlb.warm_pwc tlb;
+        let size = Pte.size pte in
+        let base = match size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511 in
+        Tlb.insert tlb
+          {
+            Tlb.vpn = base;
+            pfn = Pte.pfn pte;
+            pcid;
+            size;
+            global = Pte.global pte;
+            writable = Pte.writable pte;
+            fractured = false;
+            ck_ver = -1;
+          };
+        if Machine.tracing m then
+          Machine.trace_event m ~cpu
+            (Trace.Tlb_fill { mm_id = Mm_struct.id mm; vpn; pcid });
+        Pte.pfn pte + (vpn - base)
+      end
+      else begin
+        Fault.handle m ~cpu ~mm ~vaddr ~write;
+        access m ~cpu ~vaddr ~write ~attempt:(attempt + 1)
+      end
     end
 
 let translate m ~cpu ~vaddr ~write = access m ~cpu ~vaddr ~write ~attempt:0

@@ -106,55 +106,51 @@ let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
   in
   if stamp >= 0 && entry.Tlb.ck_ver = stamp then `Clean
   else begin
-    match Page_table.walk pt ~vpn with
-    | None ->
-        let reason = "translation removed from page table" in
-        if covered t ~mm_id ~vpn then begin
-          t.benign <- t.benign + 1;
-          `Benign reason
-        end
-        else begin
-          record t
-            { v_time = now; v_cpu = cpu; v_mm = mm_id; v_vpn = vpn; v_detail = reason };
-          `Violation reason
-        end
-    | Some (w : Page_table.walk) ->
-        let walk_base =
-          match w.size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511
-        in
-        let walk_pfn = w.pte.Pte.pfn + (vpn - walk_base) in
-        let entry_pfn = entry.Tlb.pfn + (vpn - entry.Tlb.vpn) in
-        let stale_reason =
-          if entry_pfn <> walk_pfn then Some "page remapped to a different frame"
-          else if write && entry.Tlb.writable && not w.pte.Pte.writable then
-            Some "write through a since-write-protected mapping"
-          else None
-        in
-        (match stale_reason with
-        | None ->
-            (* Stamp only when a future hit of either kind would also be
-               clean at this version: a writable entry over a
-               write-protected PTE is clean for reads but must keep
-               walking so a later write still gets flagged. *)
-            if stamp >= 0 && ((not entry.Tlb.writable) || w.pte.Pte.writable) then
-              entry.Tlb.ck_ver <- stamp;
-            `Clean
-        | Some reason ->
-            if covered t ~mm_id ~vpn then begin
-              t.benign <- t.benign + 1;
-              `Benign reason
-            end
-            else begin
-              record t
-                {
-                  v_time = now;
-                  v_cpu = cpu;
-                  v_mm = mm_id;
-                  v_vpn = vpn;
-                  v_detail = reason;
-                };
-              `Violation reason
-            end)
+    let pte = Page_table.walk pt ~vpn in
+    if not (Pte.present pte) then begin
+      let reason = "translation removed from page table" in
+      if covered t ~mm_id ~vpn then begin
+        t.benign <- t.benign + 1;
+        `Benign reason
+      end
+      else begin
+        record t
+          { v_time = now; v_cpu = cpu; v_mm = mm_id; v_vpn = vpn; v_detail = reason };
+        `Violation reason
+      end
+    end
+    else begin
+      let walk_base =
+        match Pte.size pte with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511
+      in
+      let walk_pfn = Pte.pfn pte + (vpn - walk_base) in
+      let entry_pfn = entry.Tlb.pfn + (vpn - entry.Tlb.vpn) in
+      let stale_reason =
+        if entry_pfn <> walk_pfn then Some "page remapped to a different frame"
+        else if write && entry.Tlb.writable && not (Pte.writable pte) then
+          Some "write through a since-write-protected mapping"
+        else None
+      in
+      match stale_reason with
+      | None ->
+          (* Stamp only when a future hit of either kind would also be
+             clean at this version: a writable entry over a
+             write-protected PTE is clean for reads but must keep
+             walking so a later write still gets flagged. *)
+          if stamp >= 0 && ((not entry.Tlb.writable) || Pte.writable pte) then
+            entry.Tlb.ck_ver <- stamp;
+          `Clean
+      | Some reason ->
+          if covered t ~mm_id ~vpn then begin
+            t.benign <- t.benign + 1;
+            `Benign reason
+          end
+          else begin
+            record t
+              { v_time = now; v_cpu = cpu; v_mm = mm_id; v_vpn = vpn; v_detail = reason };
+            `Violation reason
+          end
+    end
   end
 
 let violations t = List.rev t.viols

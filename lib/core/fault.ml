@@ -7,12 +7,16 @@ let current_pcids m pcpu =
 
 (* Install a freshly built PTE unless another CPU faulted the page in
    while we were allocating/copying (the pte_none re-check Linux performs
-   under the page-table lock). Returns the frame to release on a lost
-   race, if the caller allocated one. *)
+   under the page-table lock); on a lost race, drop the caller's reference
+   on [owned_frame] instead. *)
 let map_unless_raced pt ~vpn ~size pte ~owned_frame ~frames =
-  match Page_table.walk pt ~vpn with
-  | Some _ -> Option.iter (Frame_alloc.free frames) owned_frame
-  | None -> Page_table.map pt ~vpn ~size pte
+  if Pte.present (Page_table.walk pt ~vpn) then Frame_alloc.free frames owned_frame
+  else Page_table.map pt ~vpn ~size pte
+
+(* A user PTE for [pfn] with [vma]'s permissions. *)
+let vma_pte ~pfn ~vma =
+  Pte.with_executable (Pte.with_writable (Pte.user_data ~pfn) vma.Vma.writable)
+    vma.Vma.executable
 
 let demand_map m ~mm ~vma ~vpn ~write =
   let costs = m.Machine.costs in
@@ -22,30 +26,19 @@ let demand_map m ~mm ~vma ~vpn ~write =
   | Vma.Anonymous when vma.Vma.page_size = Tlb.Two_m ->
       (* Hugepage fault: one 2 MiB mapping covers the whole aligned run. *)
       let base = vpn land lnot (Addr.pages_per_huge - 1) in
-      (match Page_table.walk pt ~vpn:base with
-      | Some _ -> ()
-      | None ->
-          let pfn = Frame_alloc.alloc_huge frames in
-          Machine.delay m (costs.Costs.page_zero * Addr.pages_per_huge);
-          (match Page_table.walk pt ~vpn:base with
-          | Some _ -> Frame_alloc.free_huge frames pfn
-          | None ->
-              Page_table.map pt ~vpn:base ~size:Tlb.Two_m
-                {
-                  (Pte.user_data ~pfn) with
-                  writable = vma.Vma.writable;
-                  executable = vma.Vma.executable;
-                }))
+      if not (Pte.present (Page_table.walk pt ~vpn:base)) then begin
+        let pfn = Frame_alloc.alloc_huge frames in
+        Machine.delay m (costs.Costs.page_zero * Addr.pages_per_huge);
+        if Pte.present (Page_table.walk pt ~vpn:base) then
+          Frame_alloc.free_huge frames pfn
+        else
+          Page_table.map pt ~vpn:base ~size:Tlb.Two_m (vma_pte ~pfn ~vma)
+      end
   | Vma.Anonymous ->
       let pfn = Frame_alloc.alloc frames in
       Machine.delay m costs.Costs.page_zero;
-      map_unless_raced pt ~vpn ~size:Tlb.Four_k
-        {
-          (Pte.user_data ~pfn) with
-          writable = vma.Vma.writable;
-          executable = vma.Vma.executable;
-        }
-        ~owned_frame:(Some pfn) ~frames
+      map_unless_raced pt ~vpn ~size:Tlb.Four_k (vma_pte ~pfn ~vma) ~owned_frame:pfn
+        ~frames
   | Vma.File_shared _ ->
       let file, index = Option.get (Vma.file_page vma ~vpn) in
       let fresh = not (File.cached file ~index) in
@@ -57,13 +50,8 @@ let demand_map m ~mm ~vma ~vpn ~write =
          re-dirty cycle is observable (the msync/fdatasync path). *)
       let writable = vma.Vma.writable && write in
       map_unless_raced pt ~vpn ~size:Tlb.Four_k
-        {
-          (Pte.user_data ~pfn) with
-          writable;
-          dirty = write;
-          executable = vma.Vma.executable;
-        }
-        ~owned_frame:(Some pfn) ~frames;
+        (Pte.with_dirty (Pte.with_writable (vma_pte ~pfn ~vma) writable) write)
+        ~owned_frame:pfn ~frames;
       if write then File.mark_dirty file ~index
   | Vma.File_private _ ->
       let file, index = Option.get (Vma.file_page vma ~vpn) in
@@ -76,21 +64,19 @@ let demand_map m ~mm ~vma ~vpn ~write =
         let pfn = Frame_alloc.alloc frames in
         Machine.delay m costs.Costs.page_copy;
         map_unless_raced pt ~vpn ~size:Tlb.Four_k
-          { (Pte.user_data ~pfn) with executable = vma.Vma.executable; dirty = true }
-          ~owned_frame:(Some pfn) ~frames
+          (Pte.with_dirty
+             (Pte.with_executable (Pte.user_data ~pfn) vma.Vma.executable)
+             true)
+          ~owned_frame:pfn ~frames
       end
       else begin
         (* Map the page-cache frame read-only and COW-marked, with its own
            reference. *)
         Frame_alloc.ref_get frames src_pfn;
         map_unless_raced pt ~vpn ~size:Tlb.Four_k
-          {
-            (Pte.user_data ~pfn:src_pfn) with
-            writable = false;
-            cow = true;
-            executable = vma.Vma.executable;
-          }
-          ~owned_frame:(Some src_pfn) ~frames
+          (Pte.make_cow
+             (Pte.with_executable (Pte.user_data ~pfn:src_pfn) vma.Vma.executable))
+          ~owned_frame:src_pfn ~frames
       end
 
 let cow_break m ~cpu ~mm ~vma ~vpn (old : Pte.t) =
@@ -119,7 +105,7 @@ let cow_break m ~cpu ~mm ~vma ~vpn (old : Pte.t) =
       (Cpu.tlb (Machine.cpu m cpu))
       {
         Tlb.vpn;
-        pfn = old.Pte.pfn;
+        pfn = Pte.pfn old;
         pcid;
         size = Tlb.Four_k;
         global = false;
@@ -131,16 +117,15 @@ let cow_break m ~cpu ~mm ~vma ~vpn (old : Pte.t) =
   (* Re-check under the "page-table lock": another CPU may have broken the
      COW while we copied; if so, discard our copy and take no flush. *)
   let raced = ref false in
-  (match
-     Page_table.update pt ~vpn ~f:(fun pte ->
-         if pte.Pte.cow then Pte.break_cow pte ~new_pfn
-         else begin
-           raced := true;
-           pte
-         end)
-   with
-  | Some _ -> ()
-  | None -> raced := true);
+  let current =
+    Page_table.update pt ~vpn ~f:(fun pte ->
+        if Pte.cow pte then Pte.break_cow pte ~new_pfn
+        else begin
+          raced := true;
+          pte
+        end)
+  in
+  if not (Pte.present current) then raced := true;
   ignore vma;
   if !raced then Frame_alloc.free (Mm_struct.frames mm) new_pfn
   else begin
@@ -148,8 +133,8 @@ let cow_break m ~cpu ~mm ~vma ~vpn (old : Pte.t) =
     if Machine.tracing m then
       Machine.trace_event m ~cpu
         (Trace.Pte_write { mm_id = Mm_struct.id mm; vpn; pages = 1 });
-    Frame_alloc.free (Mm_struct.frames mm) old.Pte.pfn;
-    Shootdown.flush_tlb_page_cow m ~from:cpu ~mm ~vpn ~executable:old.Pte.executable
+    Frame_alloc.free (Mm_struct.frames mm) (Pte.pfn old);
+    Shootdown.flush_tlb_page_cow m ~from:cpu ~mm ~vpn ~executable:(Pte.executable old)
   end
 
 let write_notify ~mm ~vma ~vpn =
@@ -158,44 +143,67 @@ let write_notify ~mm ~vma ~vpn =
      entry take their own spurious fault. The local stale entry was already
      dropped by the faulting hardware. *)
   let pt = Mm_struct.page_table mm in
-  (match Page_table.update pt ~vpn ~f:(fun pte -> Pte.mark_dirty { pte with Pte.writable = true }) with
-  | Some _ -> ()
-  | None -> assert false);
+  let old =
+    Page_table.update pt ~vpn ~f:(fun pte -> Pte.mark_dirty (Pte.with_writable pte true))
+  in
+  if not (Pte.present old) then assert false;
   match Vma.file_page vma ~vpn with
   | Some (file, index) -> File.mark_dirty file ~index
   | None -> ()
 
+(* The fault proper, under [mm]'s mmap_sem held for reading. *)
+let resolve m ~cpu ~mm ~vaddr ~write ~vpn =
+  match Mm_struct.find_vma mm ~vpn with
+  | None -> raise (Segfault { sf_cpu = cpu; sf_vaddr = vaddr; sf_write = write })
+  | Some vma ->
+      if write && not vma.Vma.writable then
+        raise (Segfault { sf_cpu = cpu; sf_vaddr = vaddr; sf_write = write });
+      let pte = Page_table.walk (Mm_struct.page_table mm) ~vpn in
+      if not (Pte.present pte) then demand_map m ~mm ~vma ~vpn ~write
+      else if write && not (Pte.writable pte) then
+        if Pte.cow pte then cow_break m ~cpu ~mm ~vma ~vpn pte
+        else write_notify ~mm ~vma ~vpn
+(* Otherwise spurious: another CPU already resolved it. *)
+
+(* An exception raised by a clean-up escapes as [Fun.protect] would let
+   it: wrapped in [Fun.Finally_raised]. *)
+let cleanup_raised e =
+  let bt = Printexc.get_raw_backtrace () in
+  Printexc.raise_with_backtrace (Fun.Finally_raised e) bt
+
+let up_read sem = try Rwsem.up_read sem with e -> cleanup_raised e
+
+(* Resume whichever mode faulted. Returning to user runs the full
+   IRQ-disabled exit protocol so deferred user flushes (e.g. from the CoW
+   shootdown) cannot be skipped by a racing IPI. *)
+let leave m ~cpu ~was_user =
+  if was_user then
+    try Shootdown.return_to_user m ~cpu ~has_stack:true with e -> cleanup_raised e
+
+(* The clean-ups that [Fun.protect] would run, for the fault and for its
+   read-locked section, written out so that a fault builds no closures. *)
 let handle m ~cpu ~mm ~vaddr ~write =
   let costs = m.Machine.costs and opts = m.Machine.opts and stats = m.Machine.stats in
   stats.Machine.faults <- stats.Machine.faults + 1;
   let cpu_t = Machine.cpu m cpu in
   let was_user = Cpu.in_user cpu_t in
   Cpu.set_in_user cpu_t false;
-  Fun.protect
-    ~finally:(fun () ->
-      (* Resume whichever mode faulted. Returning to user runs the full
-         IRQ-disabled exit protocol so deferred user flushes (e.g. from the
-         CoW shootdown) cannot be skipped by a racing IPI. *)
-      if was_user then Shootdown.return_to_user m ~cpu ~has_stack:true)
-    (fun () ->
-      Machine.delay m
-        (costs.Costs.fault_fixed
-        + if opts.Opts.safe then costs.Costs.fault_fixed_safe_extra else 0);
-      let vpn = Addr.vpn_of_addr vaddr in
-      let sem = Mm_struct.mmap_sem mm in
-      Rwsem.with_read sem (fun () ->
-          match Mm_struct.find_vma mm ~vpn with
-          | None -> raise (Segfault { sf_cpu = cpu; sf_vaddr = vaddr; sf_write = write })
-          | Some vma ->
-              if write && not vma.Vma.writable then
-                raise (Segfault { sf_cpu = cpu; sf_vaddr = vaddr; sf_write = write });
-              let pt = Mm_struct.page_table mm in
-              (match Page_table.walk pt ~vpn with
-              | None -> demand_map m ~mm ~vma ~vpn ~write
-              | Some w when write && not w.Page_table.pte.Pte.writable ->
-                  if w.Page_table.pte.Pte.cow then
-                    cow_break m ~cpu ~mm ~vma ~vpn w.Page_table.pte
-                  else write_notify ~mm ~vma ~vpn
-              | Some _ ->
-                  (* Spurious: another CPU already resolved it. *)
-                  ())))
+  match
+    Machine.delay m
+      (costs.Costs.fault_fixed
+      + if opts.Opts.safe then costs.Costs.fault_fixed_safe_extra else 0);
+    let vpn = Addr.vpn_of_addr vaddr in
+    let sem = Mm_struct.mmap_sem mm in
+    Rwsem.down_read sem;
+    match resolve m ~cpu ~mm ~vaddr ~write ~vpn with
+    | () -> up_read sem
+    | exception ex ->
+        let bt = Printexc.get_raw_backtrace () in
+        up_read sem;
+        Printexc.raise_with_backtrace ex bt
+  with
+  | () -> leave m ~cpu ~was_user
+  | exception ex ->
+      let bt = Printexc.get_raw_backtrace () in
+      leave m ~cpu ~was_user;
+      Printexc.raise_with_backtrace ex bt

@@ -21,15 +21,15 @@ let share_leaf m ~parent ~child ~vpn (pte : Pte.t) =
   | None -> false
   | Some (Vma.File_shared _) ->
       (* Shared mappings stay shared and writable in both. *)
-      Frame_alloc.ref_get frames pte.Pte.pfn;
+      Frame_alloc.ref_get frames (Pte.pfn pte);
       Page_table.map (Mm_struct.page_table child) ~vpn ~size:Tlb.Four_k pte;
       false
   | Some (Vma.Anonymous | Vma.File_private _) ->
-      if pte.Pte.writable then begin
+      if Pte.writable pte then begin
         (* Both sides must COW from now on. *)
         ignore
           (Page_table.update (Mm_struct.page_table parent) ~vpn ~f:Pte.make_cow);
-        Frame_alloc.ref_get frames pte.Pte.pfn;
+        Frame_alloc.ref_get frames (Pte.pfn pte);
         Page_table.map (Mm_struct.page_table child) ~vpn ~size:Tlb.Four_k
           (Pte.make_cow pte);
         ignore m;
@@ -37,7 +37,7 @@ let share_leaf m ~parent ~child ~vpn (pte : Pte.t) =
       end
       else begin
         (* Already read-only (COW or protected): share as-is. *)
-        Frame_alloc.ref_get frames pte.Pte.pfn;
+        Frame_alloc.ref_get frames (Pte.pfn pte);
         Page_table.map (Mm_struct.page_table child) ~vpn ~size:Tlb.Four_k pte;
         false
       end
@@ -71,8 +71,8 @@ let fork m ~cpu =
             ~finally:(fun () -> Checker.end_invalidation m.Machine.checker window)
             (fun () ->
               let leaves = ref [] in
-              Page_table.iter (Mm_struct.page_table parent) ~f:(fun vpn pte size ->
-                  if size = Tlb.Four_k then leaves := (vpn, pte) :: !leaves);
+              Page_table.iter (Mm_struct.page_table parent) ~f:(fun vpn pte ->
+                  if Pte.size pte = Tlb.Four_k then leaves := (vpn, pte) :: !leaves);
               let changed = ref 0 in
               List.iter
                 (fun (vpn, pte) ->

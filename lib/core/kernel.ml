@@ -43,4 +43,7 @@ let check_run m ~who =
   | [] -> ()
   | v :: _ ->
       failwith (Format.asprintf "%s: TLB coherence violation: %a" who Checker.pp_violation v));
-  check_quiescent m (fun what -> failwith (who ^ ": " ^ what))
+  let failures = ref [] in
+  check_quiescent m (fun what -> failures := what :: !failures);
+  if not (List.is_empty !failures) then
+    failwith (who ^ ": " ^ String.concat "; " (List.rev !failures))

@@ -27,7 +27,9 @@ val run : Machine.t -> unit
 val check_quiescent : Machine.t -> (string -> unit) -> unit
 
 (** End-of-run check for the workloads, after {!run}: {!check_quiescent},
-    raising [Failure (who ^ ": " ^ reason)] on the first failure. A checker
-    violation is reported first, as ["TLB coherence violation: "] and the
-    first recorded violation ({!Checker.pp_violation}). *)
+    raising [Failure (who ^ ": " ^ reasons)] once, where [reasons] names
+    every failure in {!check_quiescent}'s order, separated by ["; "]. A
+    checker violation is reported before any of them, and alone, as
+    ["TLB coherence violation: "] and the first recorded violation
+    ({!Checker.pp_violation}). *)
 val check_run : Machine.t -> who:string -> unit

@@ -19,44 +19,44 @@ let merge_pages m ~cpu ~mm ~keep ~dup =
   let frames = Mm_struct.frames mm in
   in_kernel_service m ~cpu @@ fun () ->
   Rwsem.with_write (Mm_struct.mmap_sem mm) (fun () ->
-      match (Page_table.walk pt ~vpn:keep, Page_table.walk pt ~vpn:dup) with
-      | Some kw, Some dw
-        when kw.Page_table.size = Tlb.Four_k
-             && dw.Page_table.size = Tlb.Four_k
-             && anonymous_4k mm ~vpn:keep && anonymous_4k mm ~vpn:dup
-             && kw.Page_table.pte.Pte.pfn <> dw.Page_table.pte.Pte.pfn ->
-          let keep_pfn = kw.Page_table.pte.Pte.pfn in
-          let dup_pfn = dw.Page_table.pte.Pte.pfn in
-          (* Write-protect both pages and make the change globally visible
-             before trusting the contents to stay identical. *)
-          let wp_info vpn =
-            Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1
-              ~new_tlb_gen:(Mm_struct.tlb_gen mm) ()
-          in
-          let freeze vpn =
-            let window = Checker.begin_invalidation m.Machine.checker (wp_info vpn) in
-            (match Page_table.update pt ~vpn ~f:(fun pte -> Pte.make_cow pte) with
-            | Some _ -> Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
-            | None -> ());
-            Checker.end_invalidation m.Machine.checker window
-          in
-          freeze keep;
-          freeze dup;
-          (* The scanner would memcmp here. *)
-          Machine.delay m m.Machine.costs.Costs.page_copy;
-          (* Retarget the duplicate at the survivor's frame. *)
-          let window = Checker.begin_invalidation m.Machine.checker (wp_info dup) in
-          Frame_alloc.ref_get frames keep_pfn;
-          (match
-             Page_table.update pt ~vpn:dup ~f:(fun pte ->
-                 { pte with Pte.pfn = keep_pfn })
-           with
-          | Some _ -> Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn:dup
-          | None -> ());
-          Checker.end_invalidation m.Machine.checker window;
-          Frame_alloc.free frames dup_pfn;
-          `Merged
-      | _ -> `Skipped)
+      let kpte = Page_table.walk pt ~vpn:keep and dpte = Page_table.walk pt ~vpn:dup in
+      if
+        Pte.present kpte && Pte.present dpte
+        && Pte.size kpte = Tlb.Four_k
+        && Pte.size dpte = Tlb.Four_k
+        && anonymous_4k mm ~vpn:keep && anonymous_4k mm ~vpn:dup
+        && Pte.pfn kpte <> Pte.pfn dpte
+      then begin
+        let keep_pfn = Pte.pfn kpte in
+        let dup_pfn = Pte.pfn dpte in
+        (* Write-protect both pages and make the change globally visible
+           before trusting the contents to stay identical. *)
+        let wp_info vpn =
+          Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1
+            ~new_tlb_gen:(Mm_struct.tlb_gen mm) ()
+        in
+        let freeze vpn =
+          let window = Checker.begin_invalidation m.Machine.checker (wp_info vpn) in
+          if Pte.present (Page_table.update pt ~vpn ~f:Pte.make_cow) then
+            Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn;
+          Checker.end_invalidation m.Machine.checker window
+        in
+        freeze keep;
+        freeze dup;
+        (* The scanner would memcmp here. *)
+        Machine.delay m m.Machine.costs.Costs.page_copy;
+        (* Retarget the duplicate at the survivor's frame. *)
+        let window = Checker.begin_invalidation m.Machine.checker (wp_info dup) in
+        Frame_alloc.ref_get frames keep_pfn;
+        if
+          Pte.present
+            (Page_table.update pt ~vpn:dup ~f:(fun pte -> Pte.with_pfn pte keep_pfn))
+        then Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn:dup;
+        Checker.end_invalidation m.Machine.checker window;
+        Frame_alloc.free frames dup_pfn;
+        `Merged
+      end
+      else `Skipped)
 
 let dedup_range m ~cpu ~mm ~vpn ~pages =
   let merged = ref 0 in
@@ -65,7 +65,7 @@ let dedup_range m ~cpu ~mm ~vpn ~pages =
     match !keep with
     | None ->
         if anonymous_4k mm ~vpn:v
-           && Option.is_some (Page_table.walk (Mm_struct.page_table mm) ~vpn:v)
+           && Pte.present (Page_table.walk (Mm_struct.page_table mm) ~vpn:v)
         then keep := Some v
     | Some k -> begin
         match merge_pages m ~cpu ~mm ~keep:k ~dup:v with

@@ -24,47 +24,45 @@ let migrate_page m ~cpu ~mm ~vpn =
   (* The write lock freezes the page: concurrent faulters block until the
      copy is installed (standing in for Linux's migration entries + PTL). *)
   Rwsem.with_write (Mm_struct.mmap_sem mm) (fun () ->
-      match Page_table.walk pt ~vpn with
-      | None -> `Skipped
-      | Some w
-        when w.Page_table.size <> Tlb.Four_k
-             || (not (migratable mm ~vpn))
-             || Frame_alloc.refcount (Mm_struct.frames mm) w.Page_table.pte.Pte.pfn <> 1
-        ->
-          (* Hugepages would need splitting first; file pages live in the
-             page cache; COW-shared frames are mapped by other address
-             spaces whose PTEs we cannot rewrite. *)
-          `Skipped
-      | Some w ->
-          let old = w.Page_table.pte in
-          let info () =
-            Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1
-              ~new_tlb_gen:(Mm_struct.tlb_gen mm) ()
-          in
-          (* Phase 1: freeze the page. Write-protect so concurrent writers
-             fault; the shootdown guarantees no TLB lets a write slip past
-             the copy. *)
-          let window1 = Checker.begin_invalidation m.Machine.checker (info ()) in
-          let was_writable = old.Pte.writable in
-          (match Page_table.update pt ~vpn ~f:Pte.write_protect with
-          | Some _ -> Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
-          | None -> ());
-          Checker.end_invalidation m.Machine.checker window1;
-          (* Phase 2: copy to the new frame. *)
-          let new_pfn = Frame_alloc.alloc (Mm_struct.frames mm) in
-          Machine.delay m costs.Costs.page_copy;
-          (* Phase 3: install the new frame and invalidate the old
-             translation everywhere before the old frame is recycled. *)
-          let window2 = Checker.begin_invalidation m.Machine.checker (info ()) in
-          (match
-             Page_table.update pt ~vpn ~f:(fun pte ->
-                 { pte with Pte.pfn = new_pfn; writable = was_writable })
-           with
-          | Some _ -> Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
-          | None -> ());
-          Checker.end_invalidation m.Machine.checker window2;
-          Frame_alloc.free (Mm_struct.frames mm) old.Pte.pfn;
-          `Migrated)
+      let old = Page_table.walk pt ~vpn in
+      if not (Pte.present old) then `Skipped
+      else if
+        Pte.size old <> Tlb.Four_k
+        || (not (migratable mm ~vpn))
+        || Frame_alloc.refcount (Mm_struct.frames mm) (Pte.pfn old) <> 1
+      then
+        (* Hugepages would need splitting first; file pages live in the
+           page cache; COW-shared frames are mapped by other address
+           spaces whose PTEs we cannot rewrite. *)
+        `Skipped
+      else begin
+        let info () =
+          Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1
+            ~new_tlb_gen:(Mm_struct.tlb_gen mm) ()
+        in
+        (* Phase 1: freeze the page. Write-protect so concurrent writers
+           fault; the shootdown guarantees no TLB lets a write slip past
+           the copy. *)
+        let window1 = Checker.begin_invalidation m.Machine.checker (info ()) in
+        let was_writable = Pte.writable old in
+        if Pte.present (Page_table.update pt ~vpn ~f:Pte.write_protect) then
+          Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn;
+        Checker.end_invalidation m.Machine.checker window1;
+        (* Phase 2: copy to the new frame. *)
+        let new_pfn = Frame_alloc.alloc (Mm_struct.frames mm) in
+        Machine.delay m costs.Costs.page_copy;
+        (* Phase 3: install the new frame and invalidate the old
+           translation everywhere before the old frame is recycled. *)
+        let window2 = Checker.begin_invalidation m.Machine.checker (info ()) in
+        if
+          Pte.present
+            (Page_table.update pt ~vpn ~f:(fun pte ->
+                 Pte.with_writable (Pte.with_pfn pte new_pfn) was_writable))
+        then Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn;
+        Checker.end_invalidation m.Machine.checker window2;
+        Frame_alloc.free (Mm_struct.frames mm) (Pte.pfn old);
+        `Migrated
+      end)
 
 let migrate_range m ~cpu ~mm ~vpn ~pages =
   let migrated = ref 0 in

@@ -33,10 +33,6 @@ let up_write t =
   t.writer <- false;
   Waitq.signal_all t.q
 
-let with_read t f =
-  down_read t;
-  Fun.protect ~finally:(fun () -> up_read t) f
-
 let with_write t f =
   down_write t;
   Fun.protect ~finally:(fun () -> up_write t) f

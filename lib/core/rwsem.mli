@@ -16,7 +16,5 @@ val up_read : t -> unit
 val down_write : t -> unit
 val up_write : t -> unit
 
-(** Run [f] under the lock, releasing on exception. *)
-val with_read : t -> (unit -> 'a) -> 'a
-
+(** Run [f] under the write lock, releasing on exception. *)
 val with_write : t -> (unit -> 'a) -> 'a

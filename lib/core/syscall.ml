@@ -36,21 +36,19 @@ let in_syscall m ~cpu f =
 (* Every removed PTE drops its frame reference: privately owned frames
    (anonymous, broken-CoW copies, at refcount 1) are released outright;
    shared frames (page cache, COW-shared after fork) survive on their
-   remaining references. *)
-let private_frames removed ~vma_of =
-  List.filter_map
-    (fun (vpn, (pte : Pte.t), size) ->
-      match vma_of vpn with None -> None | Some _ -> Some (pte.Pte.pfn, size))
-    removed
+   remaining references. A zap lists the PTEs whose frames it frees, most
+   recently removed first; they are freed in the order they were removed. *)
+let rec free_frames mm = function
+  | [] -> ()
+  | pte :: earlier -> (
+      free_frames mm earlier;
+      let frames = Mm_struct.frames mm in
+      match Pte.size pte with
+      | Tlb.Four_k -> Frame_alloc.free frames (Pte.pfn pte)
+      | Tlb.Two_m -> Frame_alloc.free_huge frames (Pte.pfn pte))
 
-let free_frames mm frames_to_free =
-  let frames = Mm_struct.frames mm in
-  List.iter
-    (fun (pfn, size) ->
-      match size with
-      | Tlb.Four_k -> Frame_alloc.free frames pfn
-      | Tlb.Two_m -> Frame_alloc.free_huge frames pfn)
-    frames_to_free
+let rec covered vmas ~vpn =
+  match vmas with [] -> false | vma :: rest -> Vma.contains vma ~vpn || covered rest ~vpn
 
 (* Flush geometry for a range: hugepage VMAs flush one entry per 2 MiB
    (the flush_tlb_info "stride shift"), everything else per 4 KiB page. *)
@@ -120,24 +118,25 @@ let munmap m ~cpu ~addr ~pages =
               let stride = stride_of mm ~vpn in
               Machine.delay m m.Machine.costs.Costs.vma_op;
               let removed_vmas = Mm_struct.remove_vma_range mm ~vpn ~pages in
-              let r =
+              let removed = ref 0 and to_free = ref [] in
+              let freed_tables =
                 Page_table.unmap_range (Mm_struct.page_table mm) ~vpn ~pages
-                  ~free_tables:true ()
+                  ~free_tables:true
+                  ~f:(fun v pte ->
+                    incr removed;
+                    if covered removed_vmas ~vpn:v then
+                      to_free := pte :: !to_free)
+                  ()
               in
-              if not (List.is_empty r.Page_table.removed) then trace_pte_write m ~cpu ~mm ~vpn ~pages;
-              Machine.delay m
-                (m.Machine.costs.Costs.zap_pte * List.length r.Page_table.removed);
-              let vma_of v =
-                List.find_opt (fun vma -> Vma.contains vma ~vpn:v) removed_vmas
-              in
-              let to_free = private_frames r.Page_table.removed ~vma_of in
+              if !removed > 0 then trace_pte_write m ~cpu ~mm ~vpn ~pages;
+              Machine.delay m (m.Machine.costs.Costs.zap_pte * !removed);
               (* Linux batches the whole munmap range into one flush; freed
                  page tables disable early ack and batching deferral. *)
-              if (not (List.is_empty r.Page_table.removed)) || r.Page_table.freed_tables then
+              if !removed > 0 || freed_tables then
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn
                   ~pages:(flush_entries ~stride ~pages)
-                  ~stride ~freed_tables:r.Page_table.freed_tables ();
-              to_free)))
+                  ~stride ~freed_tables ();
+              !to_free)))
 
 let madvise_dontneed m ~cpu ~addr ~pages =
   in_syscall m ~cpu (fun () ->
@@ -146,20 +145,22 @@ let madvise_dontneed m ~cpu ~addr ~pages =
       in_batched_section m ~cpu ~mm ~write_sem:false (fun () ->
           with_invalidation_window m ~cpu ~mm ~start_vpn:vpn ~pages (fun () ->
               let stride = stride_of mm ~vpn in
-              let r =
-                Page_table.unmap_range (Mm_struct.page_table mm) ~vpn ~pages
-                  ~free_tables:false ()
-              in
-              if not (List.is_empty r.Page_table.removed) then trace_pte_write m ~cpu ~mm ~vpn ~pages;
-              Machine.delay m
-                (m.Machine.costs.Costs.zap_pte * Stdlib.max 1 (List.length r.Page_table.removed));
-              let vma_of v = Mm_struct.find_vma mm ~vpn:v in
-              let to_free = private_frames r.Page_table.removed ~vma_of in
-              if not (List.is_empty r.Page_table.removed) then
+              let removed = ref 0 and to_free = ref [] in
+              ignore
+                (Page_table.unmap_range (Mm_struct.page_table mm) ~vpn ~pages
+                   ~f:(fun v pte ->
+                     incr removed;
+                     if Option.is_some (Mm_struct.find_vma mm ~vpn:v) then
+                       to_free := pte :: !to_free)
+                   ()
+                  : bool);
+              if !removed > 0 then trace_pte_write m ~cpu ~mm ~vpn ~pages;
+              Machine.delay m (m.Machine.costs.Costs.zap_pte * Stdlib.max 1 !removed);
+              if !removed > 0 then
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn
                   ~pages:(flush_entries ~stride ~pages)
                   ~stride ();
-              to_free)))
+              !to_free)))
 
 let mprotect m ~cpu ~addr ~pages ~writable =
   in_syscall m ~cpu (fun () ->
@@ -174,16 +175,14 @@ let mprotect m ~cpu ~addr ~pages ~writable =
                 (fun vma -> Mm_struct.add_vma mm { vma with Vma.writable })
                 removed;
               let pt = Mm_struct.page_table mm in
+              let f =
+                if writable then fun pte -> Pte.with_writable pte (not (Pte.cow pte))
+                else Pte.write_protect
+              in
               let changed = ref 0 in
               for v = vpn to vpn + pages - 1 do
                 Machine.delay m m.Machine.costs.Costs.zap_pte;
-                match
-                  Page_table.update pt ~vpn:v ~f:(fun pte ->
-                      if writable then { pte with Pte.writable = not pte.Pte.cow }
-                      else Pte.write_protect pte)
-                with
-                | Some _ -> incr changed
-                | None -> ()
+                if Pte.present (Page_table.update pt ~vpn:v ~f) then incr changed
               done;
               if !changed > 0 then begin
                 trace_pte_write m ~cpu ~mm ~vpn ~pages;
@@ -209,20 +208,25 @@ let mremap m ~cpu ~addr ~pages =
                 removed_vmas;
               (* Move live PTEs: the frame references move with them. *)
               let pt = Mm_struct.page_table mm in
-              let r = Page_table.unmap_range pt ~vpn ~pages ~free_tables:true () in
-              if not (List.is_empty r.Page_table.removed) then trace_pte_write m ~cpu ~mm ~vpn ~pages;
-              Machine.delay m
-                (m.Machine.costs.Costs.zap_pte * List.length r.Page_table.removed);
+              let removed = ref [] in
+              let freed_tables =
+                Page_table.unmap_range pt ~vpn ~pages ~free_tables:true
+                  ~f:(fun old_vpn pte -> removed := (old_vpn, pte) :: !removed)
+                  ()
+              in
+              let removed = List.rev !removed in
+              if not (List.is_empty removed) then trace_pte_write m ~cpu ~mm ~vpn ~pages;
+              Machine.delay m (m.Machine.costs.Costs.zap_pte * List.length removed);
               List.iter
-                (fun (old_vpn, pte, size) ->
-                  Page_table.map pt ~vpn:(rebase old_vpn) ~size pte)
-                r.Page_table.removed;
+                (fun (old_vpn, pte) ->
+                  Page_table.map pt ~vpn:(rebase old_vpn) ~size:(Pte.size pte) pte)
+                removed;
               (* The old translations must die everywhere before anything
                  reuses the old range; tables were freed, so no early ack. *)
-              if (not (List.is_empty r.Page_table.removed)) || r.Page_table.freed_tables then
+              if (not (List.is_empty removed)) || freed_tables then
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn
                   ~pages:(flush_entries ~stride ~pages)
-                  ~stride ~freed_tables:r.Page_table.freed_tables ();
+                  ~stride ~freed_tables ();
               Addr.addr_of_vpn new_vpn)))
 
 (* Write back one dirty file page mapped at [vpn]: write-protect + clean
@@ -235,20 +239,19 @@ let writeback_page m ~cpu ~mm ~file ~index ~vpn =
     let pt = Mm_struct.page_table mm in
     let owned = ref true in
     with_invalidation_window m ~cpu ~mm ~start_vpn:vpn ~pages:1 (fun () ->
-        match
+        let old =
           Page_table.update pt ~vpn ~f:(fun pte -> Pte.clean (Pte.write_protect pte))
-        with
-        | Some (old, _) when old.Pte.writable || old.Pte.dirty ->
-            trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
-            Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
-        | Some _ ->
-            (* Clean and protected already: a concurrent writeback owns this
-               page and will complete the IO. *)
-            owned := false
-        | None ->
-            (* Dirty data without a live mapping (e.g. unmapped since):
-               just write it out. *)
-            ());
+        in
+        if Pte.writable old || Pte.dirty old then begin
+          trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
+          Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
+        end
+        else if Pte.present old then
+          (* Clean and protected already: a concurrent writeback owns this
+             page and will complete the IO. *)
+          owned := false
+        (* Otherwise dirty data without a live mapping (e.g. unmapped
+           since): just write it out. *));
     if !owned then begin
       Machine.delay m m.Machine.costs.Costs.io_page;
       File.clear_dirty file ~index

@@ -39,30 +39,45 @@ let file_page t ~vpn =
   end
 
 module Set = struct
-  module M = Map.Make (Int)
+  (* Sorted by [start_vpn]. Each VMA is kept in the option [find] returns,
+     so a lookup that hits allocates nothing. An address space holds a
+     handful of VMAs, and a change copies the array. *)
+  type set = t option array
 
-  type set = t M.t  (* keyed by start_vpn *)
+  let empty = [||]
+  let cardinal = Array.length
+  let vma_at set i = Option.get set.(i)
+  let of_list vmas = Array.of_list (List.map Option.some vmas)
+  let to_list set = List.map Option.get (Array.to_list set)
+  let iter set ~f = Array.iter (fun vma -> f (Option.get vma)) set
 
-  let empty = M.empty
-  let cardinal = M.cardinal
+  (* Index of the last VMA starting at or below [vpn], or -1. *)
+  let last_from set vpn =
+    let lo = ref 0 and hi = ref (Array.length set) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if (vma_at set mid).start_vpn <= vpn then lo := mid + 1 else hi := mid
+    done;
+    !lo - 1
 
   let find set ~vpn =
-    match M.find_last_opt (fun start -> start <= vpn) set with
-    | Some (_, vma) when contains vma ~vpn -> Some vma
-    | Some _ | None -> None
+    let i = last_from set vpn in
+    if i >= 0 && contains (vma_at set i) ~vpn then set.(i) else None
 
   let overlaps set ~vpn ~pages =
-    let stop = vpn + pages in
-    (* A VMA overlapping [vpn, stop) either starts inside it or covers vpn. *)
-    let starts_inside =
-      M.exists (fun start _ -> start >= vpn && start < stop) set
-    in
-    starts_inside || Option.is_some (find set ~vpn)
+    (* A VMA overlapping [vpn, vpn + pages) either starts inside it or
+       covers vpn. *)
+    let next = last_from set (vpn - 1) + 1 in
+    (next < Array.length set && (vma_at set next).start_vpn < vpn + pages)
+    || Option.is_some (find set ~vpn)
 
   let add set vma =
     if overlaps set ~vpn:vma.start_vpn ~pages:vma.pages then
       invalid_arg "Vma.Set.add: overlapping VMA";
-    M.add vma.start_vpn vma set
+    let at = last_from set vma.start_vpn + 1 in
+    Array.init
+      (Array.length set + 1)
+      (fun i -> if i < at then set.(i) else if i = at then Some vma else set.(i - 1))
 
   (* Clip [vma] to [vpn, stop), adjusting file offsets; assumes overlap. *)
   let clip vma ~vpn ~stop =
@@ -82,37 +97,18 @@ module Set = struct
     in
     { vma with start_vpn = new_start; pages = new_end - new_start; backing }
 
+  (* Remove [vpn, vpn + pages): the pieces outside it stay, in order. *)
   let remove_range set ~vpn ~pages =
     let stop = vpn + pages in
-    let affected =
-      M.fold
-        (fun _ vma acc ->
-          if vma.start_vpn < stop && end_vpn vma > vpn then vma :: acc else acc)
-        set []
-    in
-    let set =
-      List.fold_left
-        (fun set vma ->
-          let set = M.remove vma.start_vpn set in
-          (* Re-insert the pieces outside the removed range. *)
-          let set =
-            if vma.start_vpn < vpn then
-              let left = clip vma ~vpn:vma.start_vpn ~stop:vpn in
-              M.add left.start_vpn left set
-            else set
-          in
+    let kept = ref [] and removed = ref [] in
+    iter set ~f:(fun vma ->
+        if vma.start_vpn < stop && end_vpn vma > vpn then begin
+          if vma.start_vpn < vpn then
+            kept := clip vma ~vpn:vma.start_vpn ~stop:vpn :: !kept;
           if end_vpn vma > stop then
-            let right = clip vma ~vpn:stop ~stop:(end_vpn vma) in
-            M.add right.start_vpn right set
-          else set)
-        set affected
-    in
-    let removed =
-      List.map (fun vma -> clip vma ~vpn ~stop) affected
-      |> List.sort (fun a b -> Int.compare a.start_vpn b.start_vpn)
-    in
-    (set, removed)
-
-  let iter set ~f = M.iter (fun _ vma -> f vma) set
-  let to_list set = M.fold (fun _ vma acc -> vma :: acc) set [] |> List.rev
+            kept := clip vma ~vpn:stop ~stop:(end_vpn vma) :: !kept;
+          removed := clip vma ~vpn ~stop :: !removed
+        end
+        else kept := vma :: !kept);
+    (of_list (List.rev !kept), List.rev !removed)
 end

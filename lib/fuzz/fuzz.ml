@@ -392,11 +392,11 @@ let execute ~opts program =
       | Some mm ->
           let pt = Mm_struct.page_table mm in
           let lines = ref [] in
-          Page_table.iter pt ~f:(fun vpn pte size ->
+          Page_table.iter pt ~f:(fun vpn pte ->
               lines :=
-                Printf.sprintf "mm%d vpn=%d pfn=%d w=%b %s" id vpn pte.Pte.pfn
-                  pte.Pte.writable
-                  (match size with Tlb.Four_k -> "4k" | Tlb.Two_m -> "2m")
+                Printf.sprintf "mm%d vpn=%d pfn=%d w=%b %s" id vpn (Pte.pfn pte)
+                  (Pte.writable pte)
+                  (match Pte.size pte with Tlb.Four_k -> "4k" | Tlb.Two_m -> "2m")
                 :: !lines);
           final := List.sort String.compare !lines @ !final)
     (List.sort Int.compare mm_ids);

@@ -34,31 +34,27 @@ let fill t ~vpn =
               pcid = t.pcid;
               size = r.Ept.Nested.effective_size;
               global = false;
-              writable = r.Ept.Nested.pte.Pte.writable;
+              writable = Pte.writable r.Ept.Nested.pte;
               fractured = r.Ept.Nested.fractured;
               ck_ver = -1;
             }
     end
   | None -> begin
-      match Page_table.walk t.guest ~vpn with
-      | None -> raise (Guest_fault vpn)
-      | Some w ->
-          let base =
-            match w.Page_table.size with
-            | Tlb.Four_k -> vpn
-            | Tlb.Two_m -> vpn land lnot 511
-          in
-          Tlb.insert t.mmu_tlb
-            {
-              Tlb.vpn = base;
-              pfn = w.Page_table.pte.Pte.pfn;
-              pcid = t.pcid;
-              size = w.Page_table.size;
-              global = w.Page_table.pte.Pte.global;
-              writable = w.Page_table.pte.Pte.writable;
-              fractured = false;
-              ck_ver = -1;
-            }
+      let pte = Page_table.walk t.guest ~vpn in
+      if not (Pte.present pte) then raise (Guest_fault vpn);
+      let size = Pte.size pte in
+      let base = match size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511 in
+      Tlb.insert t.mmu_tlb
+        {
+          Tlb.vpn = base;
+          pfn = Pte.pfn pte;
+          pcid = t.pcid;
+          size;
+          global = Pte.global pte;
+          writable = Pte.writable pte;
+          fractured = false;
+          ck_ver = -1;
+        }
     end
 
 let access t ~vpn =

@@ -6,42 +6,47 @@
     must be disabled in that case (paper §3.2: speculative page walks
     through freed tables can machine-check). A freed table leaves the tree
     at once but stays with this page table, which reuses it, empty, for the
-    next table it needs at that level. *)
+    next table it needs at that level.
+
+    A table stores its leaves as {!Pte.t} ints and sets the PS bit on every
+    2 MiB leaf, so the size of a mapping, and the levels its walk touched
+    (4 for 4 KiB, 3 for 2 MiB), follow from its PTE. Walks, updates,
+    unmaps that free no table and [iter] allocate nothing. *)
 
 type t
-
-(** Result of a software page walk. *)
-type walk = {
-  pte : Pte.t;
-  size : Tlb.page_size;
-  levels : int;  (** page-table levels touched (4 for 4 KiB, 3 for 2 MiB) *)
-}
-
-type range_unmap = {
-  removed : (int * Pte.t * Tlb.page_size) list;  (** (vpn, old pte, size) *)
-  freed_tables : bool;  (** page-table pages were released *)
-}
 
 val create : unit -> t
 
 (** Map one page. For [Two_m] the VPN must be 2 MiB-aligned; raises
     [Invalid_argument] otherwise or if the slot is occupied by a conflicting
-    mapping. The PTE must be present. *)
+    mapping. The PTE must be present; its PS bit is set from [size]. *)
 val map : t -> vpn:int -> size:Tlb.page_size -> Pte.t -> unit
 
 (** Remove the mapping covering [vpn] (an unaligned VPN inside a hugepage
-    removes the whole hugepage). *)
-val unmap : t -> vpn:int -> ?free_tables:bool -> unit -> range_unmap
+    removes the whole hugepage), passing its base VPN and old PTE to [f].
+    Returns whether page-table pages were released, which only
+    [free_tables] allows. [f] must not change this page table. *)
+val unmap :
+  t -> vpn:int -> ?free_tables:bool -> ?f:(int -> Pte.t -> unit) -> unit -> bool
 
-(** Remove all mappings whose pages intersect \[vpn, vpn+pages). *)
-val unmap_range : t -> vpn:int -> pages:int -> ?free_tables:bool -> unit -> range_unmap
+(** Remove all mappings whose pages intersect \[vpn, vpn+pages), passing
+    each to [f] in ascending VPN order, as {!unmap} does. *)
+val unmap_range :
+  t ->
+  vpn:int ->
+  pages:int ->
+  ?free_tables:bool ->
+  ?f:(int -> Pte.t -> unit) ->
+  unit ->
+  bool
 
-(** Apply [f] to the PTE covering [vpn]; returns (old, new) or [None] if
-    unmapped. *)
-val update : t -> vpn:int -> f:(Pte.t -> Pte.t) -> (Pte.t * Pte.t) option
+(** Replace the PTE covering [vpn] with [f] of it and return the old one,
+    or {!Pte.none} if [vpn] is unmapped. [f] must keep the PTE present and
+    its PS bit as it is. *)
+val update : t -> vpn:int -> f:(Pte.t -> Pte.t) -> Pte.t
 
-(** Software page walk. Returns [None] for non-present. *)
-val walk : t -> vpn:int -> walk option
+(** Software page walk: the PTE covering [vpn], or {!Pte.none}. *)
+val walk : t -> vpn:int -> Pte.t
 
 (** Present leaf count (hugepages count once). *)
 val mapped_count : t -> int
@@ -58,5 +63,6 @@ val tables_freed : t -> int
 (** Monotone version, bumped by every mutation; lets caches detect change. *)
 val version : t -> int
 
-(** Iterate over present leaves as (vpn, pte, size). *)
-val iter : t -> f:(int -> Pte.t -> Tlb.page_size -> unit) -> unit
+(** Iterate over present leaves as (base vpn, pte), in ascending VPN
+    order. *)
+val iter : t -> f:(int -> Pte.t -> unit) -> unit

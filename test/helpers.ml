@@ -43,3 +43,96 @@ let irq ?(maskable = true) ?(cycles = 0) ?(at_end = ignore) vector f =
     end
   in
   { Cpu.vector; maskable; step }
+
+module Int_map = Map.Make (Int)
+
+(* A reference model of [Page_table]: leaves in a map keyed by base VPN,
+   each with its payload (a frame number or the whole PTE), and tables as
+   a set of (level, prefix), where a level-[l] table covers the VPNs with
+   prefix [vpn lsr (9 * l)]. *)
+module Pt_model = struct
+  type 'a t = {
+    mutable leaves : ('a * Tlb.page_size) Int_map.t;  (** base vpn -> leaf, size *)
+    mutable tables : (int * int) list;  (** (level, prefix) *)
+    mutable freed : int;
+  }
+
+  let create () = { leaves = Int_map.empty; tables = []; freed = 0 }
+  let prefix level vpn = vpn lsr (9 * level)
+  let has_table m level vpn = List.mem (level, prefix level vpn) m.tables
+
+  let add_table m level vpn =
+    if not (has_table m level vpn) then m.tables <- (level, prefix level vpn) :: m.tables
+
+  let covering m vpn =
+    match Int_map.find_opt vpn m.leaves with
+    | Some (leaf, Tlb.Four_k) -> Some (vpn, leaf, Tlb.Four_k)
+    | Some (_, Tlb.Two_m) | None -> (
+        let base = vpn land lnot 511 in
+        match Int_map.find_opt base m.leaves with
+        | Some (leaf, Tlb.Two_m) -> Some (base, leaf, Tlb.Two_m)
+        | Some (_, Tlb.Four_k) | None -> None)
+
+  (* [None] when the page table must refuse the mapping. *)
+  let map m ~vpn ~size leaf =
+    let refused =
+      match size with
+      | Tlb.Four_k -> Option.is_some (covering m vpn)
+      | Tlb.Two_m -> Int_map.mem vpn m.leaves || has_table m 1 vpn
+    in
+    if refused then None
+    else begin
+      add_table m 3 vpn;
+      add_table m 2 vpn;
+      if size = Tlb.Four_k then add_table m 1 vpn;
+      m.leaves <- Int_map.add vpn (leaf, size) m.leaves;
+      Some ()
+    end
+
+  let table_empty m level p =
+    let leaf_level = function Tlb.Four_k -> 1 | Tlb.Two_m -> 2 in
+    not
+      (Int_map.exists
+         (fun vpn (_, size) -> leaf_level size <= level && prefix level vpn = p)
+         m.leaves
+      || List.exists (fun (l, q) -> l = level - 1 && q lsr 9 = p) m.tables)
+
+  let unmap m ~vpn ~free_tables =
+    match covering m vpn with
+    | None -> ([], false)
+    | Some (base, leaf, size) ->
+        m.leaves <- Int_map.remove base m.leaves;
+        let freed = ref false in
+        if free_tables then
+          List.iter
+            (fun level ->
+              let p = prefix level base in
+              if has_table m level base && table_empty m level p then begin
+                m.tables <- List.filter (fun t -> t <> (level, p)) m.tables;
+                m.freed <- m.freed + 1;
+                freed := true
+              end)
+            (if size = Tlb.Four_k then [ 1; 2; 3 ] else [ 2; 3 ]);
+        ([ (base, leaf, size) ], !freed)
+
+  (* [Some old] after replacing the leaf covering [vpn] with [f old]. *)
+  let update m ~vpn f =
+    match covering m vpn with
+    | None -> None
+    | Some (base, leaf, size) ->
+        m.leaves <- Int_map.add base (f leaf, size) m.leaves;
+        Some leaf
+
+  let unmap_range m ~vpn ~pages ~free_tables =
+    let removed = ref [] and freed = ref false and cursor = ref vpn in
+    while !cursor < vpn + pages do
+      let r, f = unmap m ~vpn:!cursor ~free_tables in
+      (match r with
+      | [ (base, _, size) ] ->
+          removed := List.hd r :: !removed;
+          cursor := Stdlib.max (!cursor + 1) (base + Addr.pages_of_size size)
+      | _ -> incr cursor);
+      if f then freed := true
+    done;
+    (List.rev !removed, !freed)
+end

@@ -31,7 +31,7 @@ let test_clean_result () =
   check bool_t "clean via stamp" true (r2 = `Clean);
   (* Any mutation bumps the version: the stamp stops matching and the next
      check walks again, seeing the remap. *)
-  ignore (Page_table.unmap pt ~vpn:10 () : Page_table.range_unmap);
+  ignore (Page_table.unmap pt ~vpn:10 () : bool);
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:99);
   (match Checker.check_hit c ~now:2 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false ~entry:e ~pt with
   | `Violation reason ->

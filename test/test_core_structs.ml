@@ -5,6 +5,10 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+let with_read sem f =
+  Rwsem.down_read sem;
+  Fun.protect ~finally:(fun () -> Rwsem.up_read sem) f
+
 (* --- Opts --- *)
 
 let test_opts_baseline_everything_off () =
@@ -189,7 +193,7 @@ let test_rwsem_readers_share () =
   let inside = ref 0 and max_inside = ref 0 in
   for i = 1 to 3 do
     Process.spawn e ~name:(Printf.sprintf "r%d" i) (fun () ->
-        Rwsem.with_read sem (fun () ->
+        with_read sem (fun () ->
             incr inside;
             max_inside := Stdlib.max !max_inside !inside;
             Process.delay e 100;
@@ -219,14 +223,14 @@ let test_rwsem_writer_blocks_new_readers () =
   let sem = Rwsem.create e in
   let log = ref [] in
   Process.spawn e ~name:"r1" (fun () ->
-      Rwsem.with_read sem (fun () -> Process.delay e 100));
+      with_read sem (fun () -> Process.delay e 100));
   Process.spawn e ~name:"w" (fun () ->
       Process.delay e 10;
       Rwsem.with_write sem (fun () -> log := "w" :: !log));
   Process.spawn e ~name:"r2" (fun () ->
       Process.delay e 20;
       (* Arrives while the writer waits: must queue behind it. *)
-      Rwsem.with_read sem (fun () -> log := "r2" :: !log));
+      with_read sem (fun () -> log := "r2" :: !log));
   Engine.run e;
   check (Alcotest.list Alcotest.string) "writer first" [ "w"; "r2" ] (List.rev !log)
 

@@ -102,18 +102,16 @@ let test_cow_fault_copies_and_preserves_original () =
         (* Read maps the page-cache frame, write-protected + COW. *)
         Access.read m ~cpu:0 ~vaddr:addr;
         let pt = Mm_struct.page_table mm in
-        (match Page_table.walk pt ~vpn:(Addr.vpn_of_addr addr) with
-        | Some w ->
-            check int_t "maps pagecache frame" original w.Page_table.pte.Pte.pfn;
-            check bool_t "cow" true w.Page_table.pte.Pte.cow
-        | None -> Alcotest.fail "expected mapping");
+        let pte = Page_table.walk pt ~vpn:(Addr.vpn_of_addr addr) in
+        check bool_t "mapped" true (Pte.present pte);
+        check int_t "maps pagecache frame" original (Pte.pfn pte);
+        check bool_t "cow" true (Pte.cow pte);
         Access.write m ~cpu:0 ~vaddr:addr;
-        (match Page_table.walk pt ~vpn:(Addr.vpn_of_addr addr) with
-        | Some w ->
-            check bool_t "private copy" true (w.Page_table.pte.Pte.pfn <> original);
-            check bool_t "writable" true w.Page_table.pte.Pte.writable;
-            check bool_t "no longer cow" false w.Page_table.pte.Pte.cow
-        | None -> Alcotest.fail "expected mapping");
+        let pte = Page_table.walk pt ~vpn:(Addr.vpn_of_addr addr) in
+        check bool_t "still mapped" true (Pte.present pte);
+        check bool_t "private copy" true (Pte.pfn pte <> original);
+        check bool_t "writable" true (Pte.writable pte);
+        check bool_t "no longer cow" false (Pte.cow pte);
         check int_t "one cow break" 1 m.Machine.stats.Machine.cow_breaks)
   in
   ()

@@ -7,9 +7,8 @@ let int_t = Alcotest.int
 let make ?(opts = Opts.all ~safe:true) () = Machine.create ~opts ~seed:61L ()
 
 let pfn_of mm ~vpn =
-  match Page_table.walk (Mm_struct.page_table mm) ~vpn with
-  | Some w -> Some w.Page_table.pte.Pte.pfn
-  | None -> None
+  let pte = Page_table.walk (Mm_struct.page_table mm) ~vpn in
+  if Pte.present pte then Some (Pte.pfn pte) else None
 
 let test_fork_shares_frames_cow () =
   let m = make () in
@@ -26,11 +25,10 @@ let test_fork_shares_frames_cow () =
       (* Shared, write-protected, COW on both sides. *)
       check int_t "two references" 2 (Frame_alloc.refcount m.Machine.frames pfn0);
       check bool_t "same frame in child" true (pfn_of child ~vpn = Some pfn0);
-      (match Page_table.walk (Mm_struct.page_table parent) ~vpn with
-      | Some w ->
-          check bool_t "parent write-protected" false w.Page_table.pte.Pte.writable;
-          check bool_t "parent cow" true w.Page_table.pte.Pte.cow
-      | None -> Alcotest.fail "parent mapping lost");
+      let pte = Page_table.walk (Mm_struct.page_table parent) ~vpn in
+      check bool_t "parent still mapped" true (Pte.present pte);
+      check bool_t "parent write-protected" false (Pte.writable pte);
+      check bool_t "parent cow" true (Pte.cow pte);
       (* Parent write breaks COW: parent moves to a private copy, child
          keeps the original. *)
       Access.write m ~cpu:0 ~vaddr:addr;
@@ -106,13 +104,12 @@ let test_fork_unmap_both_releases_once () =
       check int_t "frames alive via child" (before + 4)
         (Frame_alloc.allocated m.Machine.frames);
       (* Tear down the child's mappings directly (it never ran). *)
-      let r =
-        Page_table.unmap_range (Mm_struct.page_table child)
-          ~vpn:(Addr.vpn_of_addr addr) ~pages:4 ~free_tables:true ()
-      in
-      List.iter
-        (fun (_, (pte : Pte.t), _) -> Frame_alloc.free m.Machine.frames pte.Pte.pfn)
-        r.Page_table.removed;
+      ignore
+        (Page_table.unmap_range (Mm_struct.page_table child)
+           ~vpn:(Addr.vpn_of_addr addr) ~pages:4 ~free_tables:true
+           ~f:(fun _ pte -> Frame_alloc.free m.Machine.frames (Pte.pfn pte))
+           ()
+          : bool);
       check int_t "all frames released exactly once" before
         (Frame_alloc.allocated m.Machine.frames));
   Kernel.run m
@@ -129,12 +126,11 @@ let test_fork_shared_file_stays_shared () =
       let vpn = Addr.vpn_of_addr addr in
       let child = Fork.fork m ~cpu:0 in
       (* Shared file pages: same frame, still writable in both, no COW. *)
-      (match Page_table.walk (Mm_struct.page_table child) ~vpn with
-      | Some w ->
-          check bool_t "child writable" true w.Page_table.pte.Pte.writable;
-          check bool_t "no cow" false w.Page_table.pte.Pte.cow;
-          check bool_t "same frame" true (pfn_of parent ~vpn = Some w.Page_table.pte.Pte.pfn)
-      | None -> Alcotest.fail "child lost shared mapping");
+      let pte = Page_table.walk (Mm_struct.page_table child) ~vpn in
+      check bool_t "child still mapped" true (Pte.present pte);
+      check bool_t "child writable" true (Pte.writable pte);
+      check bool_t "no cow" false (Pte.cow pte);
+      check bool_t "same frame" true (pfn_of parent ~vpn = Some (Pte.pfn pte));
       (* Parent still writable too (no protect for shared mappings). *)
       Access.write m ~cpu:0 ~vaddr:addr);
   Kernel.run m;

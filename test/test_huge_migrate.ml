@@ -18,9 +18,9 @@ let test_huge_mmap_fault_maps_2m () =
       Access.write m ~cpu:0 ~vaddr:addr;
       (* One fault maps a whole 2 MiB page. *)
       let pt = Mm_struct.page_table mm in
-      (match Page_table.walk pt ~vpn:(Addr.vpn_of_addr addr + 37) with
-      | Some w -> check bool_t "2M mapping" true (w.Page_table.size = Tlb.Two_m)
-      | None -> Alcotest.fail "hugepage not mapped");
+      let pte = Page_table.walk pt ~vpn:(Addr.vpn_of_addr addr + 37) in
+      check bool_t "mapped" true (Pte.present pte);
+      check bool_t "2M mapping" true (Pte.size pte = Tlb.Two_m);
       check int_t "one fault" 1 m.Machine.stats.Machine.faults;
       (* Accesses within the hugepage hit without further faults. *)
       Access.touch_range m ~cpu:0 ~addr ~pages:512 ~write:false;
@@ -100,17 +100,14 @@ let test_migration_moves_frame () =
       Access.write m ~cpu:0 ~vaddr:addr;
       let vpn = Addr.vpn_of_addr addr in
       let pt = Mm_struct.page_table mm in
-      let old_pfn =
-        match Page_table.walk pt ~vpn with
-        | Some w -> w.Page_table.pte.Pte.pfn
-        | None -> Alcotest.fail "not mapped"
-      in
+      let old = Page_table.walk pt ~vpn in
+      if not (Pte.present old) then Alcotest.fail "not mapped";
+      let old_pfn = Pte.pfn old in
       check int_t "migrated" 1 (Migrate.migrate_range m ~cpu:0 ~mm ~vpn ~pages:1);
-      (match Page_table.walk pt ~vpn with
-      | Some w ->
-          check bool_t "new frame" true (w.Page_table.pte.Pte.pfn <> old_pfn);
-          check bool_t "still writable" true w.Page_table.pte.Pte.writable
-      | None -> Alcotest.fail "mapping lost");
+      let pte = Page_table.walk pt ~vpn in
+      check bool_t "still mapped" true (Pte.present pte);
+      check bool_t "new frame" true (Pte.pfn pte <> old_pfn);
+      check bool_t "still writable" true (Pte.writable pte);
       check bool_t "old frame recycled" false (Frame_alloc.is_allocated m.Machine.frames old_pfn);
       (* Access after migration works and is checker-clean. *)
       Access.write m ~cpu:0 ~vaddr:addr);

@@ -8,9 +8,8 @@ let int_t = Alcotest.int
 let make ?(opts = Opts.all ~safe:true) () = Machine.create ~opts ~seed:67L ()
 
 let pfn_of mm ~vpn =
-  match Page_table.walk (Mm_struct.page_table mm) ~vpn with
-  | Some w -> Some w.Page_table.pte.Pte.pfn
-  | None -> None
+  let pte = Page_table.walk (Mm_struct.page_table mm) ~vpn in
+  if Pte.present pte then Some (Pte.pfn pte) else None
 
 let test_merge_shares_frame () =
   let m = make () in
@@ -27,9 +26,9 @@ let test_merge_shares_frame () =
       check int_t "shared frame has two refs" 2
         (Frame_alloc.refcount m.Machine.frames (Option.get (pfn_of mm ~vpn:keep)));
       (* Both sides are COW write-protected. *)
-      (match Page_table.walk (Mm_struct.page_table mm) ~vpn:keep with
-      | Some w -> check bool_t "keep protected" false w.Page_table.pte.Pte.writable
-      | None -> Alcotest.fail "keep unmapped"));
+      let pte = Page_table.walk (Mm_struct.page_table mm) ~vpn:keep in
+      check bool_t "keep mapped" true (Pte.present pte);
+      check bool_t "keep protected" false (Pte.writable pte));
   Kernel.run m;
   check int_t "no violations" 0 (Checker.violation_count m.Machine.checker)
 

@@ -22,22 +22,42 @@ let test_addr_huge () =
 
 let test_pte_transitions () =
   let p = Pte.user_data ~pfn:42 in
-  check bool_t "present" true p.Pte.present;
-  check bool_t "writable" true p.Pte.writable;
+  check bool_t "present" true (Pte.present p);
+  check bool_t "writable" true (Pte.writable p);
   let cow = Pte.make_cow p in
-  check bool_t "cow write-protected" false cow.Pte.writable;
-  check bool_t "cow marked" true cow.Pte.cow;
+  check bool_t "cow write-protected" false (Pte.writable cow);
+  check bool_t "cow marked" true (Pte.cow cow);
   let broken = Pte.break_cow cow ~new_pfn:77 in
-  check int_t "new frame" 77 broken.Pte.pfn;
-  check bool_t "writable again" true broken.Pte.writable;
-  check bool_t "not cow" false broken.Pte.cow;
-  check bool_t "dirty" true broken.Pte.dirty
+  check int_t "new frame" 77 (Pte.pfn broken);
+  check bool_t "writable again" true (Pte.writable broken);
+  check bool_t "not cow" false (Pte.cow broken);
+  check bool_t "dirty" true (Pte.dirty broken)
 
 let test_pte_clean_protect () =
   let p = Pte.mark_dirty (Pte.user_data ~pfn:1) in
   let wb = Pte.clean (Pte.write_protect p) in
-  check bool_t "clean" false wb.Pte.dirty;
-  check bool_t "write-protected" false wb.Pte.writable
+  check bool_t "clean" false (Pte.dirty wb);
+  check bool_t "write-protected" false (Pte.writable wb)
+
+(* The x86-64 layout: P, R/W and U/S in bits 0-2, the frame number from
+   bit 12, NX at the top (bit 62 of an OCaml int); D in bit 6, PS in bit 7,
+   and COW in bit 9, the first software-available bit. *)
+let test_pte_bits () =
+  let bits p = (p : Pte.t :> int) in
+  let p = Pte.user_data ~pfn:42 in
+  check int_t "user data" ((42 lsl 12) lor 0b111 lor (1 lsl 62)) (bits p);
+  check int_t "none" 0 (bits Pte.none);
+  check bool_t "none not present" false (Pte.present Pte.none);
+  check int_t "dirty" (bits p lor (1 lsl 6) lor (1 lsl 5)) (bits (Pte.mark_dirty p));
+  check int_t "2m" (bits p lor (1 lsl 7)) (bits (Pte.with_size p Tlb.Two_m));
+  check bool_t "2m size" true (Pte.size (Pte.with_size p Tlb.Two_m) = Tlb.Two_m);
+  check int_t "cow" ((bits p land lnot 2) lor (1 lsl 9)) (bits (Pte.make_cow p));
+  check bool_t "executable" true (Pte.executable (Pte.with_executable p true));
+  let largest = (1 lsl 40) - 1 in
+  check int_t "largest frame" largest (Pte.pfn (Pte.with_pfn p largest));
+  Alcotest.check_raises "frame out of range"
+    (Invalid_argument "Pte.with_pfn: frame number out of range") (fun () ->
+      ignore (Pte.user_data ~pfn:(1 lsl 40)))
 
 (* --- Frame_alloc --- *)
 
@@ -297,22 +317,19 @@ let test_frames_growable_vs_eager ~frames () =
 let test_pt_map_walk () =
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:1000 ~size:Tlb.Four_k (Pte.user_data ~pfn:50);
-  (match Page_table.walk pt ~vpn:1000 with
-  | Some w ->
-      check int_t "pfn" 50 w.Page_table.pte.Pte.pfn;
-      check int_t "4 levels" 4 w.Page_table.levels
-  | None -> Alcotest.fail "expected mapping");
-  check bool_t "unmapped misses" true (Page_table.walk pt ~vpn:1001 = None);
+  let pte = Page_table.walk pt ~vpn:1000 in
+  check int_t "pfn" 50 (Pte.pfn pte);
+  check bool_t "4 KiB leaf" true (Pte.size pte = Tlb.Four_k);
+  check bool_t "unmapped misses" true (Page_table.walk pt ~vpn:1001 = Pte.none);
   check int_t "mapped count" 1 (Page_table.mapped_count pt)
 
 let test_pt_hugepage () =
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:1024 ~size:Tlb.Two_m (Pte.user_data ~pfn:8192);
-  (match Page_table.walk pt ~vpn:(1024 + 100) with
-  | Some w ->
-      check int_t "3 levels" 3 w.Page_table.levels;
-      check bool_t "2m size" true (w.Page_table.size = Tlb.Two_m)
-  | None -> Alcotest.fail "hugepage covers inner vpn");
+  let pte = Page_table.walk pt ~vpn:(1024 + 100) in
+  check bool_t "hugepage covers inner vpn" true (Pte.present pte);
+  check int_t "pfn" 8192 (Pte.pfn pte);
+  check bool_t "2m size" true (Pte.size pte = Tlb.Two_m);
   Alcotest.check_raises "unaligned huge"
     (Invalid_argument "Page_table.map: hugepage VPN must be 2MiB-aligned") (fun () ->
       Page_table.map pt ~vpn:7 ~size:Tlb.Two_m (Pte.user_data ~pfn:0))
@@ -327,25 +344,27 @@ let test_pt_double_map_rejected () =
 let test_pt_unmap () =
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:1);
-  let r = Page_table.unmap pt ~vpn:10 () in
-  (match r.Page_table.removed with
-  | [ (vpn, pte, size) ] ->
+  let removed = ref [] in
+  let f vpn pte = removed := (vpn, pte) :: !removed in
+  let freed = Page_table.unmap pt ~vpn:10 ~f () in
+  (match !removed with
+  | [ (vpn, pte) ] ->
       check int_t "vpn" 10 vpn;
-      check int_t "pfn" 1 pte.Pte.pfn;
-      check bool_t "4k" true (size = Tlb.Four_k)
+      check int_t "pfn" 1 (Pte.pfn pte);
+      check bool_t "4k" true (Pte.size pte = Tlb.Four_k)
   | _ -> Alcotest.fail "expected one removal");
-  check bool_t "no tables freed without flag" false r.Page_table.freed_tables;
+  check bool_t "no tables freed without flag" false freed;
   check int_t "empty" 0 (Page_table.mapped_count pt);
-  let r2 = Page_table.unmap pt ~vpn:10 () in
-  check bool_t "second unmap empty" true (r2.Page_table.removed = [])
+  removed := [];
+  ignore (Page_table.unmap pt ~vpn:10 ~f () : bool);
+  check bool_t "second unmap empty" true (!removed = [])
 
 let test_pt_unmap_frees_tables () =
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:1);
   let tables_before = Page_table.table_pages pt in
   check int_t "three intermediate tables" 3 tables_before;
-  let r = Page_table.unmap pt ~vpn:10 ~free_tables:true () in
-  check bool_t "tables freed" true r.Page_table.freed_tables;
+  check bool_t "tables freed" true (Page_table.unmap pt ~vpn:10 ~free_tables:true ());
   check int_t "no tables left" 0 (Page_table.table_pages pt);
   check int_t "freed counter" 3 (Page_table.tables_freed pt)
 
@@ -354,19 +373,22 @@ let test_pt_unmap_range_spans_hugepage () =
   Page_table.map pt ~vpn:0 ~size:Tlb.Four_k (Pte.user_data ~pfn:1);
   Page_table.map pt ~vpn:512 ~size:Tlb.Two_m (Pte.user_data ~pfn:512);
   Page_table.map pt ~vpn:1024 ~size:Tlb.Four_k (Pte.user_data ~pfn:2);
-  let r = Page_table.unmap_range pt ~vpn:0 ~pages:1025 () in
-  check int_t "three removed" 3 (List.length r.Page_table.removed);
+  let removed = ref 0 in
+  ignore
+    (Page_table.unmap_range pt ~vpn:0 ~pages:1025 ~f:(fun _ _ -> incr removed) () : bool);
+  check int_t "three removed" 3 !removed;
   check int_t "nothing left" 0 (Page_table.mapped_count pt)
 
 let test_pt_update () =
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:1);
-  (match Page_table.update pt ~vpn:10 ~f:Pte.write_protect with
-  | Some (old_pte, new_pte) ->
-      check bool_t "was writable" true old_pte.Pte.writable;
-      check bool_t "now protected" false new_pte.Pte.writable
-  | None -> Alcotest.fail "expected update");
-  check bool_t "unmapped update" true (Page_table.update pt ~vpn:11 ~f:Fun.id = None)
+  let old_pte = Page_table.update pt ~vpn:10 ~f:Pte.write_protect in
+  check bool_t "was writable" true (Pte.writable old_pte);
+  check bool_t "now protected" false (Pte.writable (Page_table.walk pt ~vpn:10));
+  check bool_t "unmapped update" true (Page_table.update pt ~vpn:11 ~f:Fun.id = Pte.none);
+  Alcotest.check_raises "update keeps the PTE present"
+    (Invalid_argument "Page_table.update: f must keep the PTE present and its size")
+    (fun () -> ignore (Page_table.update pt ~vpn:10 ~f:(fun _ -> Pte.none)))
 
 let test_pt_version_bumps () =
   let pt = Page_table.create () in
@@ -383,10 +405,10 @@ let test_pt_iter () =
   Page_table.map pt ~vpn:1024 ~size:Tlb.Two_m (Pte.user_data ~pfn:2048);
   Page_table.map pt ~vpn:((1 lsl 27) + 5) ~size:Tlb.Four_k (Pte.user_data ~pfn:3);
   let seen = ref [] in
-  Page_table.iter pt ~f:(fun vpn _ _ -> seen := vpn :: !seen);
-  check (Alcotest.list int_t) "all leaves with correct vpns"
+  Page_table.iter pt ~f:(fun vpn _ -> seen := vpn :: !seen);
+  check (Alcotest.list int_t) "all leaves with correct vpns, in order"
     [ 10; 1024; (1 lsl 27) + 5 ]
-    (List.sort compare !seen)
+    (List.rev !seen)
 
 (* A page table against a reference model: leaves in a map keyed by base
    VPN, tables as a set of (level, prefix), where a level-[l] table covers
@@ -395,86 +417,8 @@ let test_pt_iter () =
    level-2 and level-3 table boundaries, recycle freed tables into other
    parts of the tree; every walk, count and listing must match the model,
    so a recycled table that kept a stale slot shows up as a wrong walk. *)
-module Int_map = Map.Make (Int)
-
-module Pt_model = struct
-  type t = {
-    mutable leaves : (int * Tlb.page_size) Int_map.t;  (** base vpn -> pfn, size *)
-    mutable tables : (int * int) list;  (** (level, prefix) *)
-    mutable freed : int;
-  }
-
-  let create () = { leaves = Int_map.empty; tables = []; freed = 0 }
-  let prefix level vpn = vpn lsr (9 * level)
-  let has_table m level vpn = List.mem (level, prefix level vpn) m.tables
-
-  let add_table m level vpn =
-    if not (has_table m level vpn) then m.tables <- (level, prefix level vpn) :: m.tables
-
-  let covering m vpn =
-    match Int_map.find_opt vpn m.leaves with
-    | Some (pfn, Tlb.Four_k) -> Some (vpn, pfn, Tlb.Four_k)
-    | Some (_, Tlb.Two_m) | None -> (
-        let base = vpn land lnot 511 in
-        match Int_map.find_opt base m.leaves with
-        | Some (pfn, Tlb.Two_m) -> Some (base, pfn, Tlb.Two_m)
-        | Some (_, Tlb.Four_k) | None -> None)
-
-  (* [None] when the page table must refuse the mapping. *)
-  let map m ~vpn ~size pfn =
-    let refused =
-      match size with
-      | Tlb.Four_k -> Option.is_some (covering m vpn)
-      | Tlb.Two_m -> Int_map.mem vpn m.leaves || has_table m 1 vpn
-    in
-    if refused then None
-    else begin
-      add_table m 3 vpn;
-      add_table m 2 vpn;
-      if size = Tlb.Four_k then add_table m 1 vpn;
-      m.leaves <- Int_map.add vpn (pfn, size) m.leaves;
-      Some ()
-    end
-
-  let table_empty m level p =
-    let leaf_level = function Tlb.Four_k -> 1 | Tlb.Two_m -> 2 in
-    not
-      (Int_map.exists
-         (fun vpn (_, size) -> leaf_level size <= level && prefix level vpn = p)
-         m.leaves
-      || List.exists (fun (l, q) -> l = level - 1 && q lsr 9 = p) m.tables)
-
-  let unmap m ~vpn ~free_tables =
-    match covering m vpn with
-    | None -> ([], false)
-    | Some (base, pfn, size) ->
-        m.leaves <- Int_map.remove base m.leaves;
-        let freed = ref false in
-        if free_tables then
-          List.iter
-            (fun level ->
-              let p = prefix level base in
-              if has_table m level base && table_empty m level p then begin
-                m.tables <- List.filter (fun t -> t <> (level, p)) m.tables;
-                m.freed <- m.freed + 1;
-                freed := true
-              end)
-            (if size = Tlb.Four_k then [ 1; 2; 3 ] else [ 2; 3 ]);
-        ([ (base, pfn, size) ], !freed)
-
-  let unmap_range m ~vpn ~pages ~free_tables =
-    let removed = ref [] and freed = ref false and cursor = ref vpn in
-    while !cursor < vpn + pages do
-      let r, f = unmap m ~vpn:!cursor ~free_tables in
-      (match r with
-      | [ (base, _, size) ] ->
-          removed := List.hd r :: !removed;
-          cursor := Stdlib.max (!cursor + 1) (base + Addr.pages_of_size size)
-      | _ -> incr cursor);
-      if f then freed := true
-    done;
-    (List.rev !removed, !freed)
-end
+module Int_map = Helpers.Int_map
+module Pt_model = Helpers.Pt_model
 
 let test_pt_vs_model () =
   let rng = Rng.create ~seed:17L in
@@ -501,15 +445,19 @@ let test_pt_vs_model () =
       ( = )
   in
   let removal_t = Alcotest.(pair (list (triple int int size_t)) bool) in
-  let of_result r =
-    ( List.map (fun (vpn, pte, size) -> (vpn, pte.Pte.pfn, size)) r.Page_table.removed,
-      r.Page_table.freed_tables )
+  let removal unmap =
+    let removed = ref [] in
+    let freed =
+      unmap ~f:(fun vpn pte -> removed := (vpn, Pte.pfn pte, Pte.size pte) :: !removed)
+    in
+    (List.rev !removed, freed)
   in
   let check_walk what vpn =
+    let pte = Page_table.walk pt ~vpn in
     let got =
-      Option.map
-        (fun w -> (w.Page_table.pte.Pte.pfn, w.Page_table.size, w.Page_table.levels))
-        (Page_table.walk pt ~vpn)
+      if Pte.present pte then
+        Some (Pte.pfn pte, Pte.size pte, if Pte.size pte = Tlb.Four_k then 4 else 3)
+      else None
     and want =
       Option.map
         (fun (_, pfn, size) -> (pfn, size, if size = Tlb.Four_k then 4 else 3))
@@ -540,13 +488,13 @@ let test_pt_vs_model () =
         let vpn = random_vpn () and free_tables = Rng.int rng 4 > 0 in
         check removal_t (what ^ ": unmap")
           (Pt_model.unmap m ~vpn ~free_tables)
-          (of_result (Page_table.unmap pt ~vpn ~free_tables ()))
+          (removal (fun ~f -> Page_table.unmap pt ~vpn ~free_tables ~f ()))
     | 8 ->
         let vpn = random_vpn () and pages = 1 + Rng.int rng 1100 in
         let free_tables = Rng.int rng 4 > 0 in
         check removal_t (what ^ ": unmap_range")
           (Pt_model.unmap_range m ~vpn ~pages ~free_tables)
-          (of_result (Page_table.unmap_range pt ~vpn ~pages ~free_tables ()))
+          (removal (fun ~f -> Page_table.unmap_range pt ~vpn ~pages ~free_tables ~f ()))
     | _ -> ());
     for _ = 1 to 4 do
       check_walk what (random_vpn ())
@@ -558,7 +506,8 @@ let test_pt_vs_model () =
     check int_t (what ^ ": tables_freed") m.Pt_model.freed (Page_table.tables_freed pt);
     if step mod 100 = 0 then begin
       let listed = ref [] in
-      Page_table.iter pt ~f:(fun vpn pte size -> listed := (vpn, pte.Pte.pfn, size) :: !listed);
+      Page_table.iter pt ~f:(fun vpn pte ->
+          listed := (vpn, Pte.pfn pte, Pte.size pte) :: !listed);
       check
         Alcotest.(list (triple int int size_t))
         (what ^ ": iter")
@@ -590,7 +539,8 @@ let test_pt_chunk_edges () =
     (fun vpn -> Page_table.map pt ~vpn ~size:Tlb.Four_k (Pte.user_data ~pfn:vpn))
     vpns;
   let walk vpn =
-    Option.map (fun w -> w.Page_table.pte.Pte.pfn) (Page_table.walk pt ~vpn)
+    let pte = Page_table.walk pt ~vpn in
+    if Pte.present pte then Some (Pte.pfn pte) else None
   in
   let mapped = Hashtbl.create 256 in
   List.iter (fun vpn -> Hashtbl.replace mapped vpn ()) vpns;
@@ -608,8 +558,8 @@ let test_pt_chunk_edges () =
   in
   check_walks "mapped";
   let listed = ref [] in
-  Page_table.iter pt ~f:(fun vpn pte _ ->
-      check int_t "leaf pfn" vpn pte.Pte.pfn;
+  Page_table.iter pt ~f:(fun vpn pte ->
+      check int_t "leaf pfn" vpn (Pte.pfn pte);
       listed := vpn :: !listed);
   check (Alcotest.list int_t) "iter in ascending vpn order" (List.sort Int.compare vpns)
     (List.rev !listed);
@@ -625,8 +575,10 @@ let test_pt_chunk_edges () =
   done;
   Array.iteri
     (fun i vpn ->
-      let r = Page_table.unmap pt ~vpn ~free_tables:true () in
-      check int_t "removed" 1 (List.length r.Page_table.removed);
+      let removed = ref 0 in
+      ignore
+        (Page_table.unmap pt ~vpn ~free_tables:true ~f:(fun _ _ -> incr removed) () : bool);
+      check int_t "removed" 1 !removed;
       Hashtbl.remove mapped vpn;
       if i mod 37 = 0 then check_walks (Printf.sprintf "after %d unmaps" (i + 1)))
     order;
@@ -636,16 +588,14 @@ let test_pt_chunk_edges () =
   check int_t "tables freed" (4 + 16 + 64) (Page_table.tables_freed pt)
 
 (* The first map into an empty tree builds three tables and writes one
-   chunk of each, and one of the root's: 4 chunks of 65 words, 3 chunk
-   indexes of 9 and 3 node records of 4, then the three [Table] boxes (2
-   words each) and the [Leaf] (3), 308 words in all and all of them in the
-   minor heap. One 512-slot array per table went straight to the major
-   heap as 513 words. The PTE is hidden from the optimizer: a constant one
-   would let cross-module inlining of [Page_table.map] make the [Leaf] a
-   static constant, which the simulator, whose PTEs are not constants,
-   never gets. *)
+   chunk of each, and one of the root's child chunks: 4 chunks of 65
+   words, 4 chunk indexes of 9 (the level-2 table has one for leaves and
+   one for child tables) and 3 node records of 5, 311 words in all and all
+   of them in the minor heap. The PTE itself is an int and costs nothing
+   to store. One 512-slot array per table went straight to the major heap
+   as 513 words. *)
 let test_pt_first_map_words () =
-  let pte = Sys.opaque_identity (Pte.user_data ~pfn:1) in
+  let pte = Pte.user_data ~pfn:1 in
   let pt = Page_table.create () in
   let direct_major () =
     let _, promoted, major = Gc.counters () in
@@ -655,7 +605,7 @@ let test_pt_first_map_words () =
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k pte;
   let minor = int_of_float (Gc.minor_words () -. minor0) in
   check int_t "no direct major words" 0 (int_of_float (direct_major () -. major0));
-  check int_t "minor words" 308 minor
+  check int_t "minor words" 311 minor
 
 (* A map followed by an unmap that frees the page's three tables, over
    and over: after the first round the freed tables come back for the next
@@ -680,6 +630,73 @@ let test_pt_recycled_tables_no_major_words () =
   check int_t "no direct major words" 0 (int_of_float (direct_major () -. before));
   check int_t "three tables freed per cycle" 3003 (Page_table.tables_freed pt);
   check int_t "none left in the tree" 0 (Page_table.table_pages pt)
+
+(* The hot page-table calls allocate nothing on a warm table: a walk, an
+   update with a closure that captures nothing, an unmap of a 4 KiB page
+   that frees no table, and an [iter] whose callback allocates nothing.
+   PTEs are ints, walks and updates return the PTE itself, and an unmap
+   hands its leaf to a callback instead of returning a list. (Passing
+   that callback costs its option box, 2 words, where the call is not
+   inlined, as under the dev profile's -opaque, so the unmap here passes
+   none.) Each call runs 1000 times. *)
+let test_pt_hot_calls_allocate_nothing () =
+  let pt = Page_table.create () in
+  let vpns = [ 10; 11; 700; 1024; (1 lsl 27) + 5 ] in
+  List.iter
+    (fun vpn -> Page_table.map pt ~vpn ~size:Tlb.Four_k (Pte.user_data ~pfn:vpn))
+    vpns;
+  Page_table.map pt ~vpn:4096 ~size:Tlb.Two_m (Pte.user_data ~pfn:4096);
+  let leaves = ref 0 in
+  let count _ _ = incr leaves in
+  let words what f =
+    let before = Gc.minor_words () in
+    for i = 1 to 1000 do
+      f i
+    done;
+    check int_t (what ^ ": minor words") 0 (int_of_float (Gc.minor_words () -. before))
+  in
+  words "walk" (fun i ->
+      ignore (Page_table.walk pt ~vpn:(List.nth vpns (i mod 5)) : Pte.t));
+  words "walk a hugepage" (fun i -> ignore (Page_table.walk pt ~vpn:(4096 + i) : Pte.t));
+  words "walk a miss" (fun i -> ignore (Page_table.walk pt ~vpn:(20_000 + i) : Pte.t));
+  words "update" (fun _ ->
+      ignore (Page_table.update pt ~vpn:700 ~f:Pte.mark_dirty : Pte.t));
+  let unmap_words = ref 0 in
+  for i = 1 to 1000 do
+    let vpn = 12 + (i land 31) in
+    Page_table.map pt ~vpn ~size:Tlb.Four_k (Pte.user_data ~pfn:vpn);
+    let before = Gc.minor_words () in
+    let freed = Page_table.unmap pt ~vpn ~free_tables:true () in
+    unmap_words := !unmap_words + int_of_float (Gc.minor_words () -. before);
+    if freed then Alcotest.fail "unmap freed a table"
+  done;
+  check int_t "unmap: minor words" 0 !unmap_words;
+  check int_t "unmap: leaves left" 6 (Page_table.mapped_count pt);
+  words "iter" (fun _ -> Page_table.iter pt ~f:count);
+  check int_t "iter: leaves" 6000 !leaves
+
+(* An anonymous demand fault on a 1-CPU machine whose page tables already
+   exist allocates nothing. With nothing else pending, each of its delays
+   advances the clock without suspending the process ([try_advance]'s
+   fast path), so the count has no engine state in it: the PTE is an
+   int, the walk returns it, and neither the VMA lookup nor the fault's
+   clean-up builds a closure or an option. *)
+let test_demand_fault_words () =
+  let m =
+    Machine.create ~topo:(Topology.flat 1) ~opts:(Opts.baseline ~safe:true) ~seed:17L ()
+  in
+  let mm = Machine.new_mm m in
+  let words = ref (-1) in
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"faulter" (fun () ->
+      let addr = Syscall.mmap m ~cpu:0 ~pages:2 () in
+      Fault.handle m ~cpu:0 ~mm ~vaddr:addr ~write:true;
+      let vaddr = Addr.addr_of_vpn (Addr.vpn_of_addr addr + 1) in
+      let before = Gc.minor_words () in
+      Fault.handle m ~cpu:0 ~mm ~vaddr ~write:true;
+      words := int_of_float (Gc.minor_words () -. before));
+  Kernel.run m;
+  check int_t "mapped" 2 (Page_table.mapped_count (Mm_struct.page_table mm));
+  check int_t "minor words" 0 !words
 
 (* --- Ept / Nested --- *)
 
@@ -804,4 +821,9 @@ let suite =
     Alcotest.test_case "nested mmu: hit/miss counting" `Quick test_nested_mmu_access_counts;
     Alcotest.test_case "nested mmu: guest fault" `Quick test_nested_mmu_guest_fault;
     Alcotest.test_case "nested mmu: fracture flag" `Quick test_nested_mmu_fracture_flag_set;
+    Alcotest.test_case "pte: x86-64 bit layout" `Quick test_pte_bits;
+    Alcotest.test_case "pt: hot calls allocate nothing" `Quick
+      test_pt_hot_calls_allocate_nothing;
+    Alcotest.test_case "fault: anonymous demand fault, minor words" `Quick
+      test_demand_fault_words;
   ]

@@ -94,7 +94,7 @@ let prop_pt_roundtrip =
         (fun i vpn -> Page_table.map pt ~vpn ~size:Tlb.Four_k (Pte.user_data ~pfn:i))
         vpns;
       let all_present =
-        List.for_all (fun vpn -> Page_table.walk pt ~vpn <> None) vpns
+        List.for_all (fun vpn -> Pte.present (Page_table.walk pt ~vpn)) vpns
       in
       List.iter (fun vpn -> ignore (Page_table.unmap pt ~vpn ~free_tables:true ())) vpns;
       all_present
@@ -110,8 +110,122 @@ let prop_pt_iter_complete =
         (fun i vpn -> Page_table.map pt ~vpn ~size:Tlb.Four_k (Pte.user_data ~pfn:i))
         vpns;
       let seen = ref [] in
-      Page_table.iter pt ~f:(fun vpn _ _ -> seen := vpn :: !seen);
+      Page_table.iter pt ~f:(fun vpn _ -> seen := vpn :: !seen);
       List.sort compare !seen = vpns)
+
+(* --- Page_table: every operation against a reference model --- *)
+
+type pt_op =
+  | Pt_map of int * Tlb.page_size * int  (** vpn, size, pfn *)
+  | Pt_update of int * int  (** vpn, index into [pte_updates] *)
+  | Pt_unmap of int * bool  (** vpn, free_tables *)
+  | Pt_unmap_range of int * int * bool  (** vpn, pages, free_tables *)
+
+(* PTE functions that keep a PTE present and its size, as
+   [Page_table.update] requires. *)
+let pte_updates =
+  [|
+    Pte.write_protect;
+    Pte.mark_dirty;
+    Pte.make_cow;
+    Pte.clean;
+    (fun pte -> Pte.break_cow pte ~new_pfn:7);
+  |]
+
+(* Windows of 1200 pages that straddle a level-1, a level-2 and a level-3
+   table boundary, and (at [64 lsl 9]) a 64-slot chunk boundary. *)
+let pt_bases = [| 0; (64 lsl 9) - 600; (1 lsl 18) - 600; (1 lsl 27) - 600 |]
+
+let pt_op_gen =
+  let open QCheck.Gen in
+  let vpn = map2 (fun b o -> pt_bases.(b) + o) (0 -- 3) (0 -- 1199) in
+  frequency
+    [
+      (4, map2 (fun vpn pfn -> Pt_map (vpn, Tlb.Four_k, pfn)) vpn (0 -- 1000));
+      (1, map2 (fun vpn pfn -> Pt_map (vpn land lnot 511, Tlb.Two_m, pfn)) vpn (0 -- 1000));
+      (2, map2 (fun vpn i -> Pt_update (vpn, i)) vpn (0 -- (Array.length pte_updates - 1)));
+      (2, map2 (fun vpn free -> Pt_unmap (vpn, free)) vpn bool);
+      (1, map3 (fun v pages free -> Pt_unmap_range (v, pages, free)) vpn (1 -- 1100) bool);
+    ]
+
+let print_pt_op = function
+  | Pt_map (vpn, size, pfn) ->
+      Printf.sprintf "map %d %s pfn %d" vpn (if size = Tlb.Four_k then "4k" else "2m") pfn
+  | Pt_update (vpn, i) -> Printf.sprintf "update %d f%d" vpn i
+  | Pt_unmap (vpn, free) -> Printf.sprintf "unmap %d free=%b" vpn free
+  | Pt_unmap_range (vpn, pages, free) ->
+      Printf.sprintf "unmap_range %d +%d free=%b" vpn pages free
+
+(* Maps of 4 KiB and 2 MiB pages, updates, and unmaps and range unmaps
+   with and without table freeing, each checked as it happens: its result
+   (a refused map, the old PTE, the removed (vpn, pte, size) leaves in
+   order and whether tables were freed), walks around its VPN, the leaf
+   and table counts; at the end, [iter]'s listing in ascending VPN order.
+   The model keeps whole PTEs, PS bit included. *)
+let prop_pt_vs_model =
+  QCheck.Test.make ~count:100 ~name:"page table matches a model under every operation"
+    (QCheck.make
+       ~print:QCheck.Print.(list print_pt_op)
+       QCheck.Gen.(list_size (1 -- 60) pt_op_gen))
+    (fun ops ->
+      let module M = Helpers.Pt_model in
+      let pt = Page_table.create () and m = M.create () in
+      let removal unmap =
+        let removed = ref [] in
+        let freed =
+          unmap ~f:(fun vpn pte -> removed := (vpn, pte, Pte.size pte) :: !removed)
+        in
+        (List.rev !removed, freed)
+      in
+      let walk_agrees vpn =
+        let want =
+          match M.covering m vpn with Some (_, pte, _) -> pte | None -> Pte.none
+        in
+        Page_table.walk pt ~vpn = want
+      in
+      let step op =
+        let vpn, agrees =
+          match op with
+          | Pt_map (vpn, size, pfn) ->
+              let pte = Pte.user_data ~pfn in
+              let accepted =
+                match Page_table.map pt ~vpn ~size pte with
+                | () -> true
+                | exception Invalid_argument _ -> false
+              in
+              let modelled = M.map m ~vpn ~size (Pte.with_size pte size) in
+              (vpn, accepted = Option.is_some modelled)
+          | Pt_update (vpn, i) ->
+              let f = pte_updates.(i) in
+              let want =
+                match M.update m ~vpn f with Some old -> old | None -> Pte.none
+              in
+              (vpn, Page_table.update pt ~vpn ~f = want)
+          | Pt_unmap (vpn, free_tables) ->
+              ( vpn,
+                removal (fun ~f -> Page_table.unmap pt ~vpn ~free_tables ~f ())
+                = M.unmap m ~vpn ~free_tables )
+          | Pt_unmap_range (vpn, pages, free_tables) ->
+              ( vpn,
+                removal (fun ~f ->
+                    Page_table.unmap_range pt ~vpn ~pages ~free_tables ~f ())
+                = M.unmap_range m ~vpn ~pages ~free_tables )
+        in
+        agrees
+        && List.for_all walk_agrees [ vpn - 1; vpn; vpn + 1; vpn + 511; vpn + 512 ]
+        && Page_table.mapped_count pt = Helpers.Int_map.cardinal m.M.leaves
+        && Page_table.table_pages pt = List.length m.M.tables
+        && Page_table.tables_freed pt = m.M.freed
+      in
+      let listed = ref [] in
+      List.for_all step ops
+      && begin
+           Page_table.iter pt ~f:(fun vpn pte -> listed := (vpn, pte) :: !listed);
+           List.rev !listed
+           = List.map
+               (fun (vpn, (pte, _)) -> (vpn, pte))
+               (Helpers.Int_map.bindings m.M.leaves)
+         end)
 
 (* --- Tlb: after any op sequence, lookups never return flushed entries --- *)
 
@@ -402,4 +516,8 @@ let suite =
       prop_coherence_under_random_churn_baseline;
       prop_frames_conserved_end_to_end;
       prop_mapped_readable_unmapped_faults;
+    ]
+  @ [
+      (* A fixed seed: the same 100 operation lists on every run. *)
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 35 |]) prop_pt_vs_model;
     ]
