@@ -1,17 +1,15 @@
 exception Segfault of { sf_cpu : int; sf_vaddr : int; sf_write : bool }
 
-let current_pcids m pcpu =
-  let kernel = Percpu.kernel_pcid pcpu.Percpu.curr_asid in
-  if m.Machine.opts.Opts.safe then (kernel, Percpu.user_pcid pcpu.Percpu.curr_asid)
-  else (kernel, kernel)
-
 (* Install a freshly built PTE unless another CPU faulted the page in
    while we were allocating/copying (the pte_none re-check Linux performs
    under the page-table lock); on a lost race, drop the caller's reference
    on [owned_frame] instead. *)
 let map_unless_raced pt ~vpn ~size pte ~owned_frame ~frames =
-  if Pte.present (Page_table.walk pt ~vpn) then Frame_alloc.free frames owned_frame
-  else Page_table.map pt ~vpn ~size pte
+  if not (Pte.present (Page_table.walk pt ~vpn)) then Page_table.map pt ~vpn ~size pte
+  else
+    match size with
+    | Tlb.Four_k -> Frame_alloc.free frames owned_frame
+    | Tlb.Two_m -> Frame_alloc.free_huge frames owned_frame
 
 (* A user PTE for [pfn] with [vma]'s permissions. *)
 let vma_pte ~pfn ~vma =
@@ -29,10 +27,8 @@ let demand_map m ~mm ~vma ~vpn ~write =
       if not (Pte.present (Page_table.walk pt ~vpn:base)) then begin
         let pfn = Frame_alloc.alloc_huge frames in
         Machine.delay m (costs.Costs.page_zero * Addr.pages_per_huge);
-        if Pte.present (Page_table.walk pt ~vpn:base) then
-          Frame_alloc.free_huge frames pfn
-        else
-          Page_table.map pt ~vpn:base ~size:Tlb.Two_m (vma_pte ~pfn ~vma)
+        map_unless_raced pt ~vpn:base ~size:Tlb.Two_m (vma_pte ~pfn ~vma) ~owned_frame:pfn
+          ~frames
       end
   | Vma.Anonymous ->
       let pfn = Frame_alloc.alloc frames in
@@ -79,28 +75,21 @@ let demand_map m ~mm ~vma ~vpn ~write =
           ~owned_frame:src_pfn ~frames
       end
 
-let cow_break m ~cpu ~mm ~vma ~vpn (old : Pte.t) =
+let cow_break m ~cpu ~mm ~vpn (old : Pte.t) =
   let costs = m.Machine.costs and opts = m.Machine.opts and stats = m.Machine.stats in
   stats.Machine.cow_breaks <- stats.Machine.cow_breaks + 1;
   let pt = Mm_struct.page_table mm in
   (* The PTE changes before the flush API runs: keep the checker's
      invalidation window open across the whole break. *)
-  let window =
-    Machine.begin_window m ~cpu
-      (Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1
-         ~new_tlb_gen:(Mm_struct.tlb_gen mm) ())
-  in
-  Fun.protect
-    ~finally:(fun () -> Machine.end_window m ~cpu ~mm_id:(Mm_struct.id mm) window)
-  @@ fun () ->
+  Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages:1) @@ fun () ->
   let new_pfn = Frame_alloc.alloc (Mm_struct.frames mm) in
   Machine.delay m costs.Costs.page_copy;
   (* The CPU may speculatively re-walk and re-cache the stale PTE between
      the fault and the PTE update (§4.1) — the reason a flush (or the dummy
      write) is needed even though faults invalidate the faulting entry. *)
   if Rng.bool m.Machine.rng ~p:opts.Opts.spec_pte_recache_p then begin
-    let pcpu = Machine.percpu m cpu in
-    let _, pcid = current_pcids m pcpu in
+    let asid = (Machine.percpu m cpu).Percpu.curr_asid in
+    let pcid = Percpu.(if opts.Opts.safe then user_pcid asid else kernel_pcid asid) in
     Tlb.insert
       (Cpu.tlb (Machine.cpu m cpu))
       {
@@ -116,18 +105,12 @@ let cow_break m ~cpu ~mm ~vma ~vpn (old : Pte.t) =
   end;
   (* Re-check under the "page-table lock": another CPU may have broken the
      COW while we copied; if so, discard our copy and take no flush. *)
-  let raced = ref false in
   let current =
     Page_table.update pt ~vpn ~f:(fun pte ->
-        if Pte.cow pte then Pte.break_cow pte ~new_pfn
-        else begin
-          raced := true;
-          pte
-        end)
+        if Pte.cow pte then Pte.break_cow pte ~new_pfn else pte)
   in
-  if not (Pte.present current) then raced := true;
-  ignore vma;
-  if !raced then Frame_alloc.free (Mm_struct.frames mm) new_pfn
+  if not (Pte.present current && Pte.cow current) then
+    Frame_alloc.free (Mm_struct.frames mm) new_pfn
   else begin
     (* This mapping's reference moves to the private copy. *)
     if Machine.tracing m then
@@ -161,49 +144,31 @@ let resolve m ~cpu ~mm ~vaddr ~write ~vpn =
       let pte = Page_table.walk (Mm_struct.page_table mm) ~vpn in
       if not (Pte.present pte) then demand_map m ~mm ~vma ~vpn ~write
       else if write && not (Pte.writable pte) then
-        if Pte.cow pte then cow_break m ~cpu ~mm ~vma ~vpn pte
+        if Pte.cow pte then cow_break m ~cpu ~mm ~vpn pte
         else write_notify ~mm ~vma ~vpn
 (* Otherwise spurious: another CPU already resolved it. *)
 
-(* An exception raised by a clean-up escapes as [Fun.protect] would let
-   it: wrapped in [Fun.Finally_raised]. *)
-let cleanup_raised e =
-  let bt = Printexc.get_raw_backtrace () in
-  Printexc.raise_with_backtrace (Fun.Finally_raised e) bt
-
-let up_read sem = try Rwsem.up_read sem with e -> cleanup_raised e
-
-(* Resume whichever mode faulted. Returning to user runs the full
-   IRQ-disabled exit protocol so deferred user flushes (e.g. from the CoW
-   shootdown) cannot be skipped by a racing IPI. *)
-let leave m ~cpu ~was_user =
-  if was_user then
-    try Shootdown.return_to_user m ~cpu ~has_stack:true with e -> cleanup_raised e
-
-(* The clean-ups that [Fun.protect] would run, for the fault and for its
-   read-locked section, written out so that a fault builds no closures. *)
+(* The kernel-service and read-locked brackets, entered and left by
+   hand so that a fault builds no closure. *)
 let handle m ~cpu ~mm ~vaddr ~write =
   let costs = m.Machine.costs and opts = m.Machine.opts and stats = m.Machine.stats in
   stats.Machine.faults <- stats.Machine.faults + 1;
-  let cpu_t = Machine.cpu m cpu in
-  let was_user = Cpu.in_user cpu_t in
-  Cpu.set_in_user cpu_t false;
+  let was_user = Kernel.enter_service m ~cpu in
   match
     Machine.delay m
       (costs.Costs.fault_fixed
       + if opts.Opts.safe then costs.Costs.fault_fixed_safe_extra else 0);
     let vpn = Addr.vpn_of_addr vaddr in
-    let sem = Mm_struct.mmap_sem mm in
-    Rwsem.down_read sem;
+    Kernel.lock_mmap m ~cpu ~mm ~write:false ~batched:false;
     match resolve m ~cpu ~mm ~vaddr ~write ~vpn with
-    | () -> up_read sem
+    | () -> Kernel.unlock_mmap m ~cpu ~mm ~write:false ~batched:false
     | exception ex ->
         let bt = Printexc.get_raw_backtrace () in
-        up_read sem;
+        Kernel.unlock_mmap m ~cpu ~mm ~write:false ~batched:false;
         Printexc.raise_with_backtrace ex bt
   with
-  | () -> leave m ~cpu ~was_user
+  | () -> Kernel.leave_service m ~cpu ~was_user
   | exception ex ->
       let bt = Printexc.get_raw_backtrace () in
-      leave m ~cpu ~was_user;
+      Kernel.leave_service m ~cpu ~was_user;
       Printexc.raise_with_backtrace ex bt

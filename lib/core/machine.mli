@@ -144,7 +144,9 @@ val distance_rank : t -> int -> int -> int
 
 (** Open a checker invalidation window and emit the matching
     {!Sim.Trace.Flush_start} event, so the analyzer sees exactly the
-    windows the checker reasons with. *)
+    windows the checker reasons with: every window opens here, through
+    {!Shootdown} or {!Kernel.in_window}. Untraced, it is exactly
+    {!Checker.begin_invalidation}. *)
 val begin_window : t -> cpu:int -> Flush_info.t -> Checker.token
 
 (** Close the window and emit {!Sim.Trace.Flush_done}. *)

@@ -12,5 +12,5 @@
 (** Migrate every present page in \[vpn, vpn+pages) to a fresh frame;
     returns the number migrated. A page is skipped when it has no present
     anonymous mapping, or when the migration raced. Takes mmap_sem for
-    read. *)
+    write. *)
 val migrate_range : Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> pages:int -> int

@@ -32,7 +32,3 @@ let up_write t =
   if not t.writer then invalid_arg "Rwsem.up_write: not held";
   t.writer <- false;
   Waitq.signal_all t.q
-
-let with_write t f =
-  down_write t;
-  Fun.protect ~finally:(fun () -> up_write t) f

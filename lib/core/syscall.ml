@@ -1,17 +1,3 @@
-(* PTE changes become visible before the flush API is even called; stale
-   hits in that window are legal ("in flight"). Wrap every modify-then-
-   flush sequence so the checker knows. The inner windows opened by the
-   flush itself (and kept open by batching deferral) take over from here. *)
-let with_invalidation_window m ~cpu ~mm ~start_vpn ~pages f =
-  let info =
-    Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn ~pages
-      ~new_tlb_gen:(Mm_struct.tlb_gen mm) ()
-  in
-  let token = Machine.begin_window m ~cpu info in
-  Fun.protect
-    ~finally:(fun () -> Machine.end_window m ~cpu ~mm_id:(Mm_struct.id mm) token)
-    f
-
 let trace_pte_write m ~cpu ~mm ~vpn ~pages =
   if Machine.tracing m then
     Machine.trace_event m ~cpu (Trace.Pte_write { mm_id = Mm_struct.id mm; vpn; pages })
@@ -20,18 +6,6 @@ let current_mm m ~cpu =
   match (Machine.percpu m cpu).Percpu.loaded_mm with
   | Some mm -> mm
   | None -> invalid_arg "Syscall: no address space loaded on this CPU"
-
-(* Kernel entry/exit bracket. The exit path performs the deferred
-   user-PCID flush (§3.4) right before the return-to-user CR3 switch. *)
-let in_syscall m ~cpu f =
-  let costs = m.Machine.costs and safe = m.Machine.opts.Opts.safe in
-  Cpu.set_in_user (Machine.cpu m cpu) false;
-  Machine.delay m (Costs.syscall_entry costs ~safe);
-  Fun.protect
-    ~finally:(fun () ->
-      Machine.delay m (Costs.syscall_exit costs ~safe);
-      Shootdown.return_to_user m ~cpu ~has_stack:true)
-    f
 
 (* Every removed PTE drops its frame reference: privately owned frames
    (anonymous, broken-CoW copies, at refcount 1) are released outright;
@@ -63,58 +37,35 @@ let flush_entries ~stride ~pages =
   | Tlb.Two_m -> (pages + Addr.pages_per_huge - 1) / Addr.pages_per_huge
 
 (* loc begin: batching *)
-(* Bracket for batching-eligible syscalls: mmap_sem, batched mode, the
-   release-time flush of deferred shootdowns, deferred frame frees, and the
-   exit-side generation barrier. *)
-let in_batched_section m ~cpu ~mm ~write_sem f =
-  let pcpu = Machine.percpu m cpu in
-  let sem = Mm_struct.mmap_sem mm in
-  let lock, unlock =
-    if write_sem then (Rwsem.down_write, Rwsem.up_write)
-    else (Rwsem.down_read, Rwsem.up_read)
-  in
+(* Bracket for batching-eligible syscalls: the batched mmap_sem section
+   (batched mode, and the flush of the deferred shootdowns at release),
+   then the frees of the zapped frames, which must wait for that flush,
+   and the exit-side generation barrier. *)
+let in_batched_section m ~cpu ~mm ~write f =
   Machine.delay m m.Machine.costs.Costs.lock_uncontended;
-  lock sem;
-  if (Opts.knobs m.Machine.opts).Opts.userspace_batching then
-    pcpu.Percpu.batched_mode <- true;
-  let to_free =
-    Fun.protect
-      ~finally:(fun () ->
-        (* Flush before anyone sees the semaphore released; releasing it
-           only queues wakes, so the frees below still come first. *)
-        Shootdown.flush_batched m ~from:cpu ~mm;
-        pcpu.Percpu.batched_mode <- false;
-        unlock sem)
-      f
-  in
-  free_frames mm to_free;
+  free_frames mm (Kernel.in_mmap_sem m ~cpu ~mm ~write ~batched:true f);
   (* The §4.2 barrier: initiators may have skipped us while batched. *)
   Shootdown.check_and_sync_tlb m ~cpu
 (* loc end: batching *)
 
 let mmap m ~cpu ~pages ?(writable = true) ?(executable = false) ?backing
     ?(page_size = Tlb.Four_k) () =
-  in_syscall m ~cpu (fun () ->
+  Kernel.in_syscall m ~cpu (fun () ->
       let mm = current_mm m ~cpu in
-      Rwsem.with_write (Mm_struct.mmap_sem mm) (fun () ->
+      Kernel.in_mmap_sem m ~cpu ~mm ~write:true ~batched:false (fun () ->
           Machine.delay m m.Machine.costs.Costs.vma_op;
           let align = Addr.pages_of_size page_size in
           let start_vpn = Mm_struct.alloc_va_range mm ~align ~pages () in
-          let vma =
-            match backing with
-            | Some backing ->
-                Vma.make ~start_vpn ~pages ~writable ~executable ~backing ~page_size ()
-            | None -> Vma.make ~start_vpn ~pages ~writable ~executable ~page_size ()
-          in
-          Mm_struct.add_vma mm vma;
+          Mm_struct.add_vma mm
+            (Vma.make ~start_vpn ~pages ~writable ~executable ?backing ~page_size ());
           Addr.addr_of_vpn start_vpn))
 
 let munmap m ~cpu ~addr ~pages =
-  in_syscall m ~cpu (fun () ->
+  Kernel.in_syscall m ~cpu (fun () ->
       let mm = current_mm m ~cpu in
       let vpn = Addr.vpn_of_addr addr in
-      in_batched_section m ~cpu ~mm ~write_sem:true (fun () ->
-          with_invalidation_window m ~cpu ~mm ~start_vpn:vpn ~pages (fun () ->
+      in_batched_section m ~cpu ~mm ~write:true (fun () ->
+          Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages) (fun () ->
               let stride = stride_of mm ~vpn in
               Machine.delay m m.Machine.costs.Costs.vma_op;
               let removed_vmas = Mm_struct.remove_vma_range mm ~vpn ~pages in
@@ -139,11 +90,11 @@ let munmap m ~cpu ~addr ~pages =
               !to_free)))
 
 let madvise_dontneed m ~cpu ~addr ~pages =
-  in_syscall m ~cpu (fun () ->
+  Kernel.in_syscall m ~cpu (fun () ->
       let mm = current_mm m ~cpu in
       let vpn = Addr.vpn_of_addr addr in
-      in_batched_section m ~cpu ~mm ~write_sem:false (fun () ->
-          with_invalidation_window m ~cpu ~mm ~start_vpn:vpn ~pages (fun () ->
+      in_batched_section m ~cpu ~mm ~write:false (fun () ->
+          Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages) (fun () ->
               let stride = stride_of mm ~vpn in
               let removed = ref 0 and to_free = ref [] in
               ignore
@@ -163,11 +114,11 @@ let madvise_dontneed m ~cpu ~addr ~pages =
               !to_free)))
 
 let mprotect m ~cpu ~addr ~pages ~writable =
-  in_syscall m ~cpu (fun () ->
+  Kernel.in_syscall m ~cpu (fun () ->
       let mm = current_mm m ~cpu in
       let vpn = Addr.vpn_of_addr addr in
-      Rwsem.with_write (Mm_struct.mmap_sem mm) (fun () ->
-          with_invalidation_window m ~cpu ~mm ~start_vpn:vpn ~pages (fun () ->
+      Kernel.in_mmap_sem m ~cpu ~mm ~write:true ~batched:false (fun () ->
+          Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages) (fun () ->
               Machine.delay m m.Machine.costs.Costs.vma_op;
               (* Split and re-add the covered VMA pieces with the new mode. *)
               let removed = Mm_struct.remove_vma_range mm ~vpn ~pages in
@@ -190,11 +141,11 @@ let mprotect m ~cpu ~addr ~pages ~writable =
               end)))
 
 let mremap m ~cpu ~addr ~pages =
-  in_syscall m ~cpu (fun () ->
+  Kernel.in_syscall m ~cpu (fun () ->
       let mm = current_mm m ~cpu in
       let vpn = Addr.vpn_of_addr addr in
-      Rwsem.with_write (Mm_struct.mmap_sem mm) (fun () ->
-          with_invalidation_window m ~cpu ~mm ~start_vpn:vpn ~pages (fun () ->
+      Kernel.in_mmap_sem m ~cpu ~mm ~write:true ~batched:false (fun () ->
+          Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages) (fun () ->
               let stride = stride_of mm ~vpn in
               Machine.delay m (2 * m.Machine.costs.Costs.vma_op);
               let removed_vmas = Mm_struct.remove_vma_range mm ~vpn ~pages in
@@ -237,69 +188,64 @@ let mremap m ~cpu ~addr ~pages =
 let writeback_page m ~cpu ~mm ~file ~index ~vpn =
   if File.is_dirty file ~index then begin
     let pt = Mm_struct.page_table mm in
-    let owned = ref true in
-    with_invalidation_window m ~cpu ~mm ~start_vpn:vpn ~pages:1 (fun () ->
-        let old =
-          Page_table.update pt ~vpn ~f:(fun pte -> Pte.clean (Pte.write_protect pte))
-        in
-        if Pte.writable old || Pte.dirty old then begin
-          trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
-          Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
-        end
-        else if Pte.present old then
-          (* Clean and protected already: a concurrent writeback owns this
-             page and will complete the IO. *)
-          owned := false
-        (* Otherwise dirty data without a live mapping (e.g. unmapped
-           since): just write it out. *));
-    if !owned then begin
+    let owned =
+      Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages:1) (fun () ->
+          let old =
+            Page_table.update pt ~vpn ~f:(fun pte -> Pte.clean (Pte.write_protect pte))
+          in
+          if Pte.writable old || Pte.dirty old then begin
+            trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
+            Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn;
+            true
+          end
+          else
+            (* Clean and protected already: a concurrent writeback owns
+               this page and will complete the IO. Dirty data without a
+               live mapping (e.g. unmapped since) is just written out. *)
+            not (Pte.present old))
+    in
+    if owned then begin
       Machine.delay m m.Machine.costs.Costs.io_page;
       File.clear_dirty file ~index
     end
   end
 
+(* Write back the dirty pages among file pages [first, first + count) of
+   [file], which [vma] maps from file page [offset]. *)
+let writeback_range m ~cpu ~mm ~vma ~file ~offset ~first ~count =
+  List.iter
+    (fun index ->
+      writeback_page m ~cpu ~mm ~file ~index ~vpn:(vma.Vma.start_vpn + (index - offset)))
+    (File.dirty_in_range file ~index:first ~count)
+
 let msync m ~cpu ~addr ~pages =
-  in_syscall m ~cpu (fun () ->
+  Kernel.in_syscall m ~cpu (fun () ->
       let mm = current_mm m ~cpu in
       let vpn = Addr.vpn_of_addr addr in
-      in_batched_section m ~cpu ~mm ~write_sem:false (fun () ->
+      in_batched_section m ~cpu ~mm ~write:false (fun () ->
           (match Mm_struct.find_vma mm ~vpn with
           | Some ({ Vma.backing = Vma.File_shared { file; offset }; _ } as vma) ->
-              let first = offset + (vpn - vma.Vma.start_vpn) in
-              let dirty = File.dirty_in_range file ~index:first ~count:pages in
-              List.iter
-                (fun index ->
-                  let page_vpn = vma.Vma.start_vpn + (index - offset) in
-                  writeback_page m ~cpu ~mm ~file ~index ~vpn:page_vpn)
-                dirty
+              writeback_range m ~cpu ~mm ~vma ~file ~offset
+                ~first:(offset + (vpn - vma.Vma.start_vpn)) ~count:pages
           | Some _ | None -> ());
           []))
 
 let fdatasync m ~cpu ~file =
-  in_syscall m ~cpu (fun () ->
+  Kernel.in_syscall m ~cpu (fun () ->
       let mm = current_mm m ~cpu in
-      (* Find a shared mapping of the file in this address space. *)
-      let mapping =
-        List.find_opt
-          (fun vma ->
-            match vma.Vma.backing with
-            | Vma.File_shared { file = f; _ } -> f == file
-            | Vma.File_private _ | Vma.Anonymous -> false)
-          (Vma.Set.to_list (Mm_struct.vmas mm))
+      let maps_file vma =
+        match vma.Vma.backing with
+        | Vma.File_shared { file = f; _ } -> f == file
+        | Vma.File_private _ | Vma.Anonymous -> false
       in
-      match mapping with
-      | None -> ()
+      match List.find_opt maps_file (Vma.Set.to_list (Mm_struct.vmas mm)) with
       | Some ({ Vma.backing = Vma.File_shared { offset; _ }; _ } as vma) ->
           (* Journal commit and writeback-machinery work independent of the
              dirty count. *)
           Machine.delay m m.Machine.costs.Costs.fsync_fixed;
-          in_batched_section m ~cpu ~mm ~write_sem:false (fun () ->
-              let dirty = File.dirty_in_range file ~index:offset ~count:vma.Vma.pages in
-              List.iter
-                (fun index ->
-                  let page_vpn = vma.Vma.start_vpn + (index - offset) in
-                  writeback_page m ~cpu ~mm ~file ~index ~vpn:page_vpn)
-                dirty;
+          in_batched_section m ~cpu ~mm ~write:false (fun () ->
+              writeback_range m ~cpu ~mm ~vma ~file ~offset ~first:offset
+                ~count:vma.Vma.pages;
               [])
-      | Some _ -> ())
+      | Some _ | None -> ())
 

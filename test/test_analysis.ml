@@ -201,6 +201,63 @@ let test_latr_strawman_flagged_genuine () =
   check bool_t "flagged genuine" true (r.Hb.genuine > 0);
   check bool_t "checker concurs" true (Checker.violation_count m.Machine.checker > 0)
 
+(* Fork, KSM and migration open their invalidation windows through
+   [Machine.begin_window] like every other kernel path, so a traced run
+   that does all three, while a sibling thread keeps reading the pages,
+   has one Flush_start and one Flush_done per checker window. *)
+let test_fork_ksm_migrate_windows_traced () =
+  let m =
+    Machine.create ~topo:(Topology.flat 2) ~opts:(Opts.all_general ~safe:true) ~seed:5L ()
+  in
+  Trace.enable m.Machine.trace;
+  let mm = Machine.new_mm m in
+  let pages = 4 in
+  let addr = ref 0 and stop = ref false and merged = ref 0 and migrated = ref 0 in
+  let ready = Waitq.Completion.create m.Machine.engine in
+  Kernel.spawn_user m ~cpu:1 ~mm ~name:"reader" (fun () ->
+      Waitq.Completion.wait ready;
+      while not !stop do
+        Access.touch_range m ~cpu:1 ~addr:!addr ~pages ~write:false;
+        Cpu.compute (Machine.cpu m 1) ~quantum:100 200
+      done);
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"main" (fun () ->
+      addr := Syscall.mmap m ~cpu:0 ~pages ();
+      Access.touch_range m ~cpu:0 ~addr:!addr ~pages ~write:true;
+      Waitq.Completion.fire ready;
+      Machine.delay m 2_000;
+      ignore (Fork.fork m ~cpu:0 : Mm_struct.t);
+      let vpn = Addr.vpn_of_addr !addr in
+      (* Breaking CoW gives page 2 a private frame again, which may move. *)
+      Access.write m ~cpu:0 ~vaddr:(Addr.addr_of_vpn (vpn + 2));
+      merged := Ksm.dedup_range m ~cpu:0 ~mm ~vpn ~pages:2;
+      migrated := Migrate.migrate_range m ~cpu:0 ~mm ~vpn:(vpn + 2) ~pages:1;
+      Machine.delay m 2_000;
+      stop := true);
+  Kernel.run m;
+  Kernel.check_run m ~who:"traced fork/ksm/migrate";
+  check int_t "merged" 1 !merged;
+  check int_t "migrated" 1 !migrated;
+  check int_t "no record dropped" 0 (Trace.dropped m.Machine.trace);
+  let starts = ref [] and dones = ref [] in
+  Trace.iter m.Machine.trace (fun r ->
+      match r.Trace.event with
+      | Trace.Flush_start { window; _ } -> starts := window :: !starts
+      | Trace.Flush_done { window; _ } -> dones := window :: !dones
+      | _ -> ());
+  (* Checker tokens count up from 1 in the order windows open, so one more
+     window's id counts every window the run opened. *)
+  let c = m.Machine.checker in
+  check int_t "every window closed" 0 (Checker.open_windows c);
+  let probe = Checker.begin_invalidation c (Flush_info.full ~mm_id:0 ~new_tlb_gen:0 ()) in
+  Checker.end_invalidation c probe;
+  let windows = List.init (Checker.token_id probe - 1) (fun i -> i + 1) in
+  let ints = Alcotest.(list int) in
+  check ints "one Flush_start per window" windows (List.sort compare !starts);
+  check ints "one Flush_done per window" windows (List.sort compare !dones);
+  let r = Hb.analyze_trace m.Machine.trace in
+  check bool_t "stale hits occurred" true (r.Hb.stale_hits > 0);
+  check int_t "no genuine race" 0 r.Hb.genuine
+
 (* --- scenarios --- *)
 
 let test_scenarios_deterministic () =
@@ -350,4 +407,6 @@ let suite =
     Alcotest.test_case "explorer: branching works" `Quick
       test_explore_branches_reach_new_interleavings;
     Alcotest.test_case "explorer: catches injected bug" `Quick test_explore_catches_injected_bug;
+    Alcotest.test_case "hb: fork, KSM and migrate windows traced" `Quick
+      test_fork_ksm_migrate_windows_traced;
   ]

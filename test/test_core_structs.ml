@@ -9,6 +9,10 @@ let with_read sem f =
   Rwsem.down_read sem;
   Fun.protect ~finally:(fun () -> Rwsem.up_read sem) f
 
+let with_write sem f =
+  Rwsem.down_write sem;
+  Fun.protect ~finally:(fun () -> Rwsem.up_write sem) f
+
 (* --- Opts --- *)
 
 let test_opts_baseline_everything_off () =
@@ -207,13 +211,13 @@ let test_rwsem_writer_excludes () =
   let sem = Rwsem.create e in
   let log = ref [] in
   Process.spawn e ~name:"w1" (fun () ->
-      Rwsem.with_write sem (fun () ->
+      with_write sem (fun () ->
           log := "w1-in" :: !log;
           Process.delay e 100;
           log := "w1-out" :: !log));
   Process.spawn e ~name:"w2" (fun () ->
       Process.delay e 10;
-      Rwsem.with_write sem (fun () -> log := "w2-in" :: !log));
+      with_write sem (fun () -> log := "w2-in" :: !log));
   Engine.run e;
   check (Alcotest.list Alcotest.string) "serialized"
     [ "w1-in"; "w1-out"; "w2-in" ] (List.rev !log)
@@ -226,7 +230,7 @@ let test_rwsem_writer_blocks_new_readers () =
       with_read sem (fun () -> Process.delay e 100));
   Process.spawn e ~name:"w" (fun () ->
       Process.delay e 10;
-      Rwsem.with_write sem (fun () -> log := "w" :: !log));
+      with_write sem (fun () -> log := "w" :: !log));
   Process.spawn e ~name:"r2" (fun () ->
       Process.delay e 20;
       (* Arrives while the writer waits: must queue behind it. *)

@@ -303,6 +303,86 @@ let test_access_inserts_under_user_pcid () =
   in
   ()
 
+(* --- the kernel brackets --- *)
+
+exception Boom
+
+(* Each bracket of [Kernel], as a way to run a body inside it on CPU 0. *)
+let brackets =
+  [
+    ("syscall", fun m ~mm:_ body -> Kernel.in_syscall m ~cpu:0 body);
+    ("kernel service", fun m ~mm:_ body -> Kernel.in_service m ~cpu:0 body);
+    ( "mmap_sem, read",
+      fun m ~mm body -> Kernel.in_mmap_sem m ~cpu:0 ~mm ~write:false ~batched:false body );
+    ( "mmap_sem, write, batched",
+      fun m ~mm body -> Kernel.in_mmap_sem m ~cpu:0 ~mm ~write:true ~batched:true body );
+    ( "invalidation window",
+      fun m ~mm body ->
+        Kernel.in_window m ~cpu:0 (Kernel.range_info mm ~start_vpn:0 ~pages:1) body );
+  ]
+
+(* A body that raises leaves each bracket as it found it, run from a user
+   thread: its exception escapes unchanged, mmap_sem is free (the thread
+   can take it for writing), no window is open, batched mode is off and
+   the CPU is back in user mode. *)
+let test_brackets_body_raises () =
+  List.iter
+    (fun (name, bracket) ->
+      let escaped = ref false and sem_free = ref false in
+      let _m =
+        run_user ~opts:(Opts.all_general ~safe:true) (fun m mm ->
+            (match bracket m ~mm (fun () -> raise Boom) with
+            | () -> ()
+            | exception Boom -> escaped := true);
+            check int_t (name ^ ": windows open") 0 (Checker.open_windows m.Machine.checker);
+            check bool_t (name ^ ": batched mode") false
+              (Machine.percpu m 0).Percpu.batched_mode;
+            check bool_t (name ^ ": in user mode") true (Cpu.in_user (Machine.cpu m 0));
+            Rwsem.down_write (Mm_struct.mmap_sem mm);
+            Rwsem.up_write (Mm_struct.mmap_sem mm);
+            sem_free := true)
+      in
+      check bool_t (name ^ ": same exception") true !escaped;
+      check bool_t (name ^ ": mmap_sem free") true !sem_free)
+    brackets
+
+(* From kernel context the service bracket leaves the CPU in kernel mode. *)
+let test_service_keeps_kernel_mode () =
+  let m = make () in
+  let in_user = ref true in
+  Helpers.spawn_kernel m ~cpu:0 ~name:"kthread" (fun () ->
+      (try Kernel.in_service m ~cpu:0 (fun () -> raise Boom) with Boom -> ());
+      in_user := Cpu.in_user (Machine.cpu m 0));
+  Kernel.run m;
+  check bool_t "still in kernel mode" false !in_user
+
+(* A clean-up that raises escapes as [Fun.Finally_raised], whether the body
+   returned or raised: here the body releases mmap_sem itself, so the
+   section's own release finds it not held. *)
+let test_bracket_cleanup_raises () =
+  List.iter
+    (fun (what, write, body_raises) ->
+      let got = ref "nothing escaped" in
+      let _m =
+        run_user (fun m mm ->
+            let sem = Mm_struct.mmap_sem mm in
+            match
+              Kernel.in_mmap_sem m ~cpu:0 ~mm ~write ~batched:false (fun () ->
+                  if write then Rwsem.up_write sem else Rwsem.up_read sem;
+                  if body_raises then raise Boom)
+            with
+            | () -> ()
+            | exception Fun.Finally_raised (Invalid_argument msg) -> got := msg
+            | exception e -> got := Printexc.to_string e)
+      in
+      let expected = if write then "Rwsem.up_write: not held" else "Rwsem.up_read: not held" in
+      check Alcotest.string what expected !got)
+    [
+      ("write, body returns", true, false);
+      ("write, body raises", true, true);
+      ("read, body raises", false, true);
+    ]
+
 let suite =
   [
     Alcotest.test_case "anon demand paging" `Quick test_anon_demand_paging;
@@ -321,4 +401,9 @@ let suite =
     Alcotest.test_case "safe syscalls cost more" `Quick test_safe_mode_syscalls_cost_more;
     Alcotest.test_case "munmap partial range splits vma" `Quick test_munmap_partial_range;
     Alcotest.test_case "accesses fill the user pcid" `Quick test_access_inserts_under_user_pcid;
+    Alcotest.test_case "brackets: body exception cleans up" `Quick test_brackets_body_raises;
+    Alcotest.test_case "brackets: service from kernel context" `Quick
+      test_service_keeps_kernel_mode;
+    Alcotest.test_case "brackets: clean-up exception is Finally_raised" `Quick
+      test_bracket_cleanup_raises;
   ]

@@ -698,6 +698,68 @@ let test_demand_fault_words () =
   check int_t "mapped" 2 (Page_table.mapped_count (Mm_struct.page_table mm));
   check int_t "minor words" 0 !words
 
+(* Minor words of the calls the system-call, mmap_sem and window brackets
+   wrap, on a warm 1-CPU machine with every paper optimization (safe
+   mode), where delays advance the clock without suspending the process.
+   [f] runs in a user thread and returns the words it counted. *)
+let on_warm_cpu f =
+  let m =
+    Machine.create ~topo:(Topology.flat 1) ~opts:(Opts.all_general ~safe:true) ~seed:17L ()
+  in
+  let mm = Machine.new_mm m in
+  let words = ref (-1) in
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"pinned" (fun () -> words := f m);
+  Kernel.run m;
+  Kernel.check_run m ~who:"pinned";
+  !words
+
+let words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* The zap of a 1-page madvise(DONTNEED), its page refaulted in between. *)
+let test_madvise_words () =
+  let words =
+    on_warm_cpu (fun m ->
+        let addr = Syscall.mmap m ~cpu:0 ~pages:2 () in
+        let zap () = Syscall.madvise_dontneed m ~cpu:0 ~addr ~pages:1 in
+        Access.write m ~cpu:0 ~vaddr:addr;
+        zap ();
+        Access.write m ~cpu:0 ~vaddr:addr;
+        words_of zap)
+  in
+  check int_t "minor words" 82 words
+
+(* An 8-page munmap with 1 page mapped, after one warm-up cycle. *)
+let test_munmap_words () =
+  let words =
+    on_warm_cpu (fun m ->
+        let mapped () =
+          let addr = Syscall.mmap m ~cpu:0 ~pages:8 () in
+          Access.write m ~cpu:0 ~vaddr:addr;
+          addr
+        in
+        let addr = mapped () in
+        Syscall.munmap m ~cpu:0 ~addr ~pages:8;
+        let addr = mapped () in
+        words_of (fun () -> Syscall.munmap m ~cpu:0 ~addr ~pages:8))
+  in
+  check int_t "minor words" 113 words
+
+(* A CoW write access after fork, fault included, after one warm-up break. *)
+let test_cow_write_words () =
+  let words =
+    on_warm_cpu (fun m ->
+        let addr = Syscall.mmap m ~cpu:0 ~pages:2 () in
+        Access.touch_range m ~cpu:0 ~addr ~pages:2 ~write:true;
+        ignore (Fork.fork m ~cpu:0 : Mm_struct.t);
+        Access.write m ~cpu:0 ~vaddr:addr;
+        let vaddr = Addr.addr_of_vpn (Addr.vpn_of_addr addr + 1) in
+        words_of (fun () -> Access.write m ~cpu:0 ~vaddr))
+  in
+  check int_t "minor words" 76 words
+
 (* --- Ept / Nested --- *)
 
 (* The EPT's GPA→HPA half of a nested walk, seen through a guest 4 KiB
@@ -826,4 +888,7 @@ let suite =
       test_pt_hot_calls_allocate_nothing;
     Alcotest.test_case "fault: anonymous demand fault, minor words" `Quick
       test_demand_fault_words;
+    Alcotest.test_case "syscall: warm 1-page madvise, minor words" `Quick test_madvise_words;
+    Alcotest.test_case "syscall: warm 8-page munmap, minor words" `Quick test_munmap_words;
+    Alcotest.test_case "fault: warm CoW write, minor words" `Quick test_cow_write_words;
   ]
