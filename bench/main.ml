@@ -988,14 +988,15 @@ let bechamel () =
      the baseline layout (per request the CSD read, the info read, a page
      walk, then a work of a 7-cycle charge, the ack write and its
      landing; about 700 cycles), with a tick every 500 cycles so the run
-     suspends once. One run puts the four CFDs back on the queue and
-     drains them. *)
+     suspends once. One run drains the four CFDs and puts them back on the
+     queue. The four enqueues before any drain leave each earlier request
+     busy, so each takes a fresh record from cpu 0's slot. *)
   let drain_test =
     let m =
       Machine.create ~topo:(Topology.flat 4) ~opts:(Opts.baseline ~safe:true) ()
     in
     let e = m.Machine.engine in
-    let csq = (Machine.percpu m 1).Percpu.csq in
+    let p1 = Machine.percpu m 1 in
     let drained = ref 0 in
     let lead, visit =
       Smp.drain_queue m ~work:(fun cfd phase ->
@@ -1015,17 +1016,17 @@ let bechamel () =
         let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
         let cfds =
           Array.init 4 (fun _ ->
-              (Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false).(0))
+              Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false;
+              (Machine.percpu m 0).Percpu.csds.(1))
         in
-        Queue.clear csq;
         while true do
+          Process.chain_item e ~lead:(lead 1) 1 visit;
+          incr drained;
           Array.iter
             (fun cfd ->
               cfd.Percpu.cfd_acked <- false;
-              Queue.push cfd csq)
-            cfds;
-          Process.chain_item e ~lead:(lead 1) 1 visit;
-          incr drained
+              Percpu.csq_push p1 cfd)
+            cfds
         done);
     Test.make ~name:"smp:drain (4 queued requests, contended)"
       (Staged.stage (fun () ->

@@ -132,7 +132,7 @@ let check_quiescent m add_failure =
     let pcpu = Machine.percpu m cpu in
     if not (Percpu.no_pending_user pcpu.Percpu.pending_user) then
       add_failure (Printf.sprintf "cpu%d: deferred user flush survives quiescence" cpu);
-    if not (Queue.is_empty pcpu.Percpu.csq) then
+    if not (Percpu.csq_is_empty pcpu) then
       add_failure (Printf.sprintf "cpu%d: undrained call queue at quiescence" cpu);
     if pcpu.Percpu.inflight_flush then
       add_failure (Printf.sprintf "cpu%d: inflight-flush flag stuck at quiescence" cpu);

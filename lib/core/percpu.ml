@@ -5,22 +5,24 @@ type asid_slot = {
 }
 
 type cfd = {
-  cfd_seq : int;
+  mutable cfd_seq : int;
   cfd_initiator : int;
   cfd_target : int;
-  cfd_info : Flush_info.t;
-  cfd_early_ack : bool;
+  mutable cfd_info : Flush_info.t;
+  mutable cfd_early_ack : bool;
   mutable cfd_acked : bool;
   mutable cfd_executed : bool;
+  mutable cfd_busy : bool; (* from its enqueue to its release *)
+  mutable cfd_next : cfd; (* the next request on its call queue, or [no_cfd] *)
   cfd_line : Cache.line;
   cfd_info_line : Cache.line option;
 }
 
 type pending_user = No_flush | Ranged of Flush_info.t | Full_flush
 
-(* Stands in for the request of a drain run between requests; never
-   written. *)
-let no_cfd =
+(* Stands in for the request of a drain run between requests, for the
+   end of a call queue and for a slot not yet used; never written. *)
+let rec no_cfd =
   {
     cfd_seq = -1;
     cfd_initiator = -1;
@@ -29,6 +31,8 @@ let no_cfd =
     cfd_early_ack = false;
     cfd_acked = false;
     cfd_executed = false;
+    cfd_busy = false;
+    cfd_next = no_cfd;
     cfd_line = Cache.create_line (Cache.create_registry (Topology.flat 1) Costs.default);
     cfd_info_line = None;
   }
@@ -111,7 +115,8 @@ type t = {
   mutable batched_mode : bool;
   mutable batch : (Flush_info.t * Checker.token) list;
   mutable batch_overflowed : bool;
-  csq : cfd Queue.t;
+  mutable csq_head : cfd; (* the call queue, oldest first, linked through *)
+  mutable csq_tail : cfd; (* [cfd_next]; both [no_cfd] when it is empty *)
   mutable csd_cur : cfd; (* the request the drain run is on, or [no_cfd] *)
   mutable csd_base : int; (* the run phase of [csd_cur]'s CSD read *)
   mutable csd_acking : bool; (* an ack write of [csd_cur] is in flight *)
@@ -122,14 +127,16 @@ type t = {
   mutable irq_run : irq_run; (* [no_irq_run] before the first shootdown IRQ *)
   line_tlb : Cache.line;
   line_csq : Cache.line;
-  mutable csd_lines : Cache.line option array;
-      (* indexed by destination, created on first shootdown to it via
-         [csd_line], and the array itself grown by doubling to cover the
-         highest destination shot down: a workload only ever touches the
-         (initiator, responder) pairs it shoots down, while n_cpus^2 lines,
-         or even slots, would dominate machine construction at 1024
-         CPUs. *)
+  mutable csds : cfd array;
+      (* indexed by destination, [no_cfd] until the first shootdown to it
+         ([claim_csd]) creates the slot and its CSD line, and the array
+         itself grown by doubling to cover the highest destination shot
+         down: a workload only ever touches the (initiator, responder)
+         pairs it shoots down, while n_cpus^2 lines, or even slots, would
+         dominate machine construction at 1024 CPUs. *)
   line_stack_info : Cache.line;
+  mutable enqueue_visit : int -> int -> int;
+      (* Smp.enqueue_work's charge-run visit, built at the first *)
   scratch_targets : Cpuset.t;
       (* per-initiator shootdown target scratch. Safe to reuse per
          shootdown without allocation: a CPU runs one initiator at a time
@@ -152,7 +159,8 @@ let create cpu registry =
     batched_mode = false;
     batch = [];
     batch_overflowed = false;
-    csq = Queue.create ();
+    csq_head = no_cfd;
+    csq_tail = no_cfd;
     csd_cur = no_cfd;
     csd_base = 0;
     csd_acking = false;
@@ -163,24 +171,70 @@ let create cpu registry =
     irq_run = no_irq_run;
     line_tlb = Cache.create_line registry;
     line_csq = Cache.create_line registry;
-    csd_lines = [||];
+    csds = [||];
     line_stack_info = Cache.create_line registry;
+    enqueue_visit = Process.no_visit;
     scratch_targets = Cpuset.create ~bits:0;
   }
 
-let csd_line t ~target =
-  let n = Array.length t.csd_lines in
+let new_cfd t ~target ~line ~info_line =
+  {
+    cfd_seq = -1;
+    cfd_initiator = Cpu.id t.cpu;
+    cfd_target = target;
+    cfd_info = no_cfd.cfd_info;
+    cfd_early_ack = false;
+    cfd_acked = false;
+    cfd_executed = false;
+    cfd_busy = false;
+    cfd_next = no_cfd;
+    cfd_line = line;
+    cfd_info_line = info_line;
+  }
+
+(* Linux's csd_lock_wait: a slot is reused once its responder released
+   the request it last carried. A request still busy (acked early, its
+   flush still running) keeps its record, and a fresh one, on the same
+   line, takes the slot. *)
+let claim_csd t ~target ~consolidated ~info ~early_ack =
+  let n = Array.length t.csds in
   if target >= n then begin
-    let bigger = Array.make (Stdlib.max (target + 1) (2 * n)) None in
-    Array.blit t.csd_lines 0 bigger 0 n;
-    t.csd_lines <- bigger
+    let bigger = Array.make (Stdlib.max (target + 1) (2 * n)) no_cfd in
+    Array.blit t.csds 0 bigger 0 n;
+    t.csds <- bigger
   end;
-  match t.csd_lines.(target) with
-  | Some l -> l
-  | None ->
-      let l = Cache.create_line t.registry in
-      t.csd_lines.(target) <- Some l;
-      l
+  let old = t.csds.(target) in
+  let cfd =
+    if old == no_cfd then
+      new_cfd t ~target ~line:(Cache.create_line t.registry)
+        ~info_line:(if consolidated then None else Some t.line_stack_info)
+    else if old.cfd_busy then
+      new_cfd t ~target ~line:old.cfd_line ~info_line:old.cfd_info_line
+    else old
+  in
+  t.csds.(target) <- cfd;
+  cfd.cfd_seq <- -1;
+  cfd.cfd_info <- info;
+  cfd.cfd_early_ack <- early_ack;
+  cfd.cfd_acked <- false;
+  cfd.cfd_executed <- false;
+  cfd.cfd_busy <- true;
+  cfd
+
+let csq_is_empty t = t.csq_head == no_cfd
+
+let csq_push t cfd =
+  if t.csq_head == no_cfd then t.csq_head <- cfd else t.csq_tail.cfd_next <- cfd;
+  t.csq_tail <- cfd
+
+let csq_pop t =
+  let cfd = t.csq_head in
+  if cfd != no_cfd then begin
+    t.csq_head <- cfd.cfd_next;
+    if t.csq_head == no_cfd then t.csq_tail <- no_cfd;
+    cfd.cfd_next <- no_cfd
+  end;
+  cfd
 
 let kernel_pcid slot = slot + 1
 let user_pcid slot = slot + 1 + 2048

@@ -7,7 +7,7 @@
 
     - baseline (Figure 4a): the lazy-mode flag shares [line_tlb] with other
       TLB state; each outbound call-function-data (CSD) occupies its own
-      line [csd_lines.(dest)]; the flush_tlb_info lives on the initiator's
+      line, [(csds.(dest)).cfd_line]; the flush_tlb_info lives on the initiator's
       stack line [line_stack_info]; the call queue head is [line_csq].
     - consolidated (Figure 4b): the lazy flag is colocated with the queue
       head (one line answers "lazy? enqueue!") and the flush info is inlined
@@ -25,20 +25,28 @@ type asid_slot = {
   mutable last_used : int;  (** for round-robin eviction *)
 }
 
-(** Call-function data: one outbound shootdown request to one CPU. *)
+(** Call-function data: one outbound shootdown request to one CPU. An
+    initiator keeps one per target as a reusable slot ({!claim_csd}), as
+    Linux keeps its [cfd_data] CSDs, so the request fields are rewritten
+    per request. *)
 type cfd = {
-  cfd_seq : int;  (** machine-wide IPI sequence number, for trace pairing *)
+  mutable cfd_seq : int;  (** machine-wide IPI sequence number, for trace pairing *)
   cfd_initiator : int;
-  cfd_target : int;  (** responder CPU this CFD was queued on *)
-  cfd_info : Flush_info.t;
-  cfd_early_ack : bool;  (** responder may ack on handler entry *)
+  cfd_target : int;  (** responder CPU this CFD is queued on *)
+  mutable cfd_info : Flush_info.t;
+  mutable cfd_early_ack : bool;  (** responder may ack on handler entry *)
   mutable cfd_acked : bool;
   mutable cfd_executed : bool;  (** flush function completed *)
-  cfd_line : Cache.line;
+  mutable cfd_busy : bool;
+      (** from its enqueue until the responder has executed and acked it
+          (Linux's CSD lock) *)
+  mutable cfd_next : cfd;  (** the next request on the call queue, or {!no_cfd} *)
+  cfd_line : Cache.line;  (** the slot's CSD line, shared by its records *)
   cfd_info_line : Cache.line option;  (** baseline layout only *)
 }
 
-(** Stands in for a drain run's request between requests. *)
+(** Stands in for a drain run's request between requests, the end of a
+    call queue and a slot not yet used; never written. *)
 val no_cfd : cfd
 
 (** Deferred user-address-space flush state (in-context flushing, §3.4). *)
@@ -110,7 +118,10 @@ type t = {
   mutable batch : (Flush_info.t * Checker.token) list;
       (** deferred infos (newest first) with their open checker windows *)
   mutable batch_overflowed : bool;
-  csq : cfd Queue.t;
+  mutable csq_head : cfd;
+      (** the call queue's oldest request, or {!no_cfd} when it is empty;
+          the queue is linked through [cfd_next] *)
+  mutable csq_tail : cfd;  (** its newest request, or {!no_cfd} *)
   mutable csd_cur : cfd;
       (** the request this CPU's drain run ({!Smp.drain_queue}) is on, or
           {!no_cfd} between requests *)
@@ -130,13 +141,17 @@ type t = {
           {!no_irq_run} until the first *)
   line_tlb : Cache.line;
   line_csq : Cache.line;
-  mutable csd_lines : Cache.line option array;
-      (** outbound CSD lines by destination, created on first use by
-          {!csd_line}, in an array grown on demand to the highest
-          destination shot down: materializing all n_cpus² of them (or even
+  mutable csds : cfd array;
+      (** outbound CSD slots by destination, {!no_cfd} until the first
+          shootdown to it, which creates the slot and its CSD line
+          ({!claim_csd}), in an array grown on demand to the highest
+          destination shot down: materializing all n_cpus² lines (or even
           their slots) up front dominated machine-setup allocation at 1024
           CPUs *)
   line_stack_info : Cache.line;
+  mutable enqueue_visit : int -> int -> int;
+      (** {!Smp.enqueue_work}'s charge-run visit for this initiator, built
+          at its first enqueue *)
   scratch_targets : Cpuset.t;
       (** this CPU's shootdown target scratch set, reused across its
           shootdowns (one initiator per CPU at a time, and IRQ handlers
@@ -145,9 +160,32 @@ type t = {
 
 val create : Cpu.t -> Cache.registry -> t
 
-(** The CSD line this CPU uses to shoot down [target], created in the
-    registry on first use. *)
-val csd_line : t -> target:int -> Cache.line
+(** [claim_csd t ~target ~consolidated ~info ~early_ack] is the record
+    of a new request from this CPU to [target], marked busy with its ack
+    and executed flags clear and its [cfd_seq] still to be set. It is the slot's own record when the
+    responder has released the request it last carried; otherwise (an
+    early ack lets the initiator move on while the responder still
+    flushes) a fresh record on the same CSD line replaces it in the slot,
+    and the busy one finishes untouched. The first claim for [target]
+    creates the slot and its line in the registry, with the info line of
+    the baseline layout unless [consolidated]. Linux waits for the CSD
+    lock here instead; no wait is modelled, so no cost changes. *)
+val claim_csd :
+  t ->
+  target:int ->
+  consolidated:bool ->
+  info:Flush_info.t ->
+  early_ack:bool ->
+  cfd
+
+(** The call queue, a FIFO linked through [cfd_next]. A record is on at
+    most one queue at a time: {!claim_csd} never hands out a busy one. *)
+val csq_is_empty : t -> bool
+
+val csq_push : t -> cfd -> unit
+
+(** The oldest request, unlinked, or {!no_cfd} when the queue is empty. *)
+val csq_pop : t -> cfd
 
 (** ASID slots per CPU (6, as in Linux's [TLB_NR_DYN_ASIDS]). *)
 val n_asids : int

@@ -59,10 +59,10 @@ let perform m ~from (info : Flush_info.t) =
   let remote = not (Cpuset.is_empty targets) in
   if remote then begin
     let prep0 = Machine.now m in
-    let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack:false in
+    Smp.enqueue_work m ~from ~targets ~info ~early_ack:false;
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
     if Machine.metering m then Smp.record_prep m ~from ~targets (Machine.now m - prep0);
-    Smp.wait_for_acks m ~from ~targets cfds ()
+    Smp.wait_for_acks m ~from ~targets ()
   end;
   remote
 

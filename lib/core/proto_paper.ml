@@ -112,11 +112,10 @@ let select_targets m ~from ~mm (info : Flush_info.t) =
    farthest target. *)
 let send_remote m ~from ~targets ~early_ack ~sel_dt info =
   let t0 = Machine.now m in
-  let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
+  Smp.enqueue_work m ~from ~targets ~info ~early_ack;
   Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
   if Machine.metering m then
-    Smp.record_prep m ~from ~targets (sel_dt + (Machine.now m - t0));
-  cfds
+    Smp.record_prep m ~from ~targets (sel_dt + (Machine.now m - t0))
 
 (* One complete shootdown for [info], generation already bumped; true
    when it sent IPIs. [~local_flush:false] is the §4.1 CoW round, whose
@@ -143,19 +142,18 @@ let round m ~from ~mm ~local_flush (info : Flush_info.t) =
     if local_flush && knobs.Opts.concurrent_flush then begin
       (* loc begin: concurrent-flushes *)
       (* §3.1: send first; the local flush overlaps IPI delivery. *)
-      let cfds = send_remote m ~from ~targets ~early_ack ~sel_dt info in
+      send_remote m ~from ~targets ~early_ack ~sel_dt info;
       let leftover = ref (initiator_local_flush m ~from ~has_remote_targets:true info) in
       let pcpu = Machine.percpu m from in
       let tlb = Cpu.tlb (Machine.cpu m from) in
       let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
-      let any_ack () = Array.exists (fun c -> c.Percpu.cfd_acked) cfds in
       let while_waiting () =
         (* §3.4 interplay: burn the wait on user-PTE INVPCIDs until the
            first ack lands, then defer the rest to kernel exit. *)
         match !leftover with
         | [] -> ()
         | vpn :: rest ->
-            if not (any_ack ()) then begin
+            if not (Smp.any_acked m ~from ~targets) then begin
               Machine.delay m costs.Costs.invpcid_single;
               Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
               leftover := rest
@@ -164,9 +162,9 @@ let round m ~from ~mm ~local_flush (info : Flush_info.t) =
       (* Same condition [while_waiting] acts on, minus the action: lets
          the ack wait skip resuming us on poll ticks with nothing to do. *)
       let waiting_work () =
-        match !leftover with [] -> false | _ :: _ -> not (any_ack ())
+        (not (List.is_empty !leftover)) && not (Smp.any_acked m ~from ~targets)
       in
-      Smp.wait_for_acks m ~from ~targets cfds ~while_waiting ~waiting_work ();
+      Smp.wait_for_acks m ~from ~targets ~while_waiting ~waiting_work ();
       (match !leftover with
       | [] -> ()
       | vpn :: _ as rest ->
@@ -183,8 +181,8 @@ let round m ~from ~mm ~local_flush (info : Flush_info.t) =
       (* Baseline (Figure 1): local flush strictly before the IPIs. *)
       if local_flush then
         ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
-      let cfds = send_remote m ~from ~targets ~early_ack ~sel_dt info in
-      Smp.wait_for_acks m ~from ~targets cfds ()
+      send_remote m ~from ~targets ~early_ack ~sel_dt info;
+      Smp.wait_for_acks m ~from ~targets ()
     end;
     if knobs.Opts.serialized then Rwsem.up_write m.Machine.ipi_mutex;
     true

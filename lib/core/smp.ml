@@ -12,49 +12,41 @@ let tlb_state_line m pcpu =
 let read_remote_tlb_state m ~from ~target =
   Cache.read (tlb_state_line m (Machine.percpu m target)) ~by:from
 
+(* The charge run of [me]'s enqueue, once per target in ascending cpu
+   order — cfd_seq assignment order is part of the deterministic output —
+   over the slots [enqueue_work] claimed: number the request and write its
+   CSD line, write the target's queue line, then queue the request. *)
+let enqueue_visit m me target phase =
+  let cfd = me.Percpu.csds.(target) and from = Cpu.id me.Percpu.cpu in
+  match phase with
+  | 0 ->
+      cfd.Percpu.cfd_seq <- Machine.next_ipi_seq m;
+      Cache.write cfd.Percpu.cfd_line ~by:from
+  | 1 -> Cache.write (Machine.percpu m target).Percpu.line_csq ~by:from
+  | _ ->
+      let pcpu = Machine.percpu m target in
+      Percpu.csq_push pcpu cfd;
+      pcpu.Percpu.csd_queued <- pcpu.Percpu.csd_queued + 1;
+      if Machine.tracing m then
+        Machine.trace_event m ~cpu:from
+          (Trace.Ipi_send { seq = cfd.Percpu.cfd_seq; target });
+      0
+
 let enqueue_work m ~from ~targets ~info ~early_ack =
   let me = Machine.percpu m from in
   let consolidated = (Opts.knobs m.Machine.opts).Opts.cacheline_consolidation in
+  let target = ref (Cpuset.next targets 0) in
+  while !target >= 0 do
+    ignore (Percpu.claim_csd me ~target:!target ~consolidated ~info ~early_ack : Percpu.cfd);
+    target := Cpuset.next targets (!target + 1)
+  done;
   (* Baseline keeps flush_tlb_info on the initiator's stack and points every
      CSD at it: one extra shared line written here and read by every
      responder. *)
   let lead = if consolidated then 0 else Cache.write me.Percpu.line_stack_info ~by:from in
-  (* Walk the target set in ascending cpu order — cfd_seq assignment order
-     is part of the deterministic output — writing each CSD line, then the
-     target's queue line, then queueing the CSD. The accumulator list is
-     the one small allocation left on this path (the cfd records
-     themselves must be allocated per target regardless). *)
-  let acc = ref [] in
-  Process.chain_cpus m.Machine.engine ~lead targets ~phases:3 (fun target phase ->
-      let pcpu = Machine.percpu m target in
-      match phase with
-      | 0 ->
-          let cfd =
-            {
-              Percpu.cfd_seq = Machine.next_ipi_seq m;
-              cfd_initiator = from;
-              cfd_target = target;
-              cfd_info = info;
-              cfd_early_ack = early_ack;
-              cfd_acked = false;
-              cfd_executed = false;
-              cfd_line = Percpu.csd_line me ~target;
-              cfd_info_line =
-                (if consolidated then None else Some me.Percpu.line_stack_info);
-            }
-          in
-          acc := cfd :: !acc;
-          Cache.write cfd.Percpu.cfd_line ~by:from
-      | 1 -> Cache.write pcpu.Percpu.line_csq ~by:from
-      | _ ->
-          let cfd = List.hd !acc in
-          Queue.push cfd pcpu.Percpu.csq;
-          pcpu.Percpu.csd_queued <- pcpu.Percpu.csd_queued + 1;
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu:from
-              (Trace.Ipi_send { seq = cfd.Percpu.cfd_seq; target });
-          0);
-  Array.of_list (List.rev !acc)
+  if me.Percpu.enqueue_visit == Process.no_visit then
+    me.Percpu.enqueue_visit <- enqueue_visit m me;
+  Process.chain_cpus m.Machine.engine ~lead targets ~phases:3 me.Percpu.enqueue_visit
 
 let send_ipis m ~from ~targets ~irq_id =
   let send_cost = Apic.send_ipi_id m.Machine.apic ~from ~targets ~irq_id in
@@ -99,9 +91,9 @@ let ack_landed m ~me cfd =
    [csd_base] say where it is between boundaries. *)
 let drain_queue m ~work =
   let fetch pcpu ~me phase =
-    if Queue.is_empty pcpu.Percpu.csq then -1
+    let cfd = Percpu.csq_pop pcpu in
+    if cfd == Percpu.no_cfd then -1
     else begin
-      let cfd = Queue.pop pcpu.Percpu.csq in
       pcpu.Percpu.csd_cur <- cfd;
       pcpu.Percpu.csd_base <- phase;
       Cache.read cfd.Percpu.cfd_line ~by:me
@@ -120,8 +112,11 @@ let drain_queue m ~work =
             let d = work cfd (k - 3) in
             if d >= 0 then d
             else begin
-              if cfd.Percpu.cfd_executed && cfd.Percpu.cfd_acked then
+              if cfd.Percpu.cfd_executed && cfd.Percpu.cfd_acked then begin
+                (* The release: the initiator may reuse the slot. *)
                 pcpu.Percpu.csd_released <- pcpu.Percpu.csd_released + 1;
+                cfd.Percpu.cfd_busy <- false
+              end;
               pcpu.Percpu.csd_cur <- Percpu.no_cfd;
               fetch pcpu ~me phase
             end
@@ -131,7 +126,7 @@ let drain_queue m ~work =
 
 (* Work still queued on [cpu]'s call queue: the paper and oracle
    backends' [responder_pending]. *)
-let csd_pending m ~cpu = not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq)
+let csd_pending m ~cpu = not (Percpu.csq_is_empty (Machine.percpu m cpu))
 
 (* CSD conservation: every CFD queued on a CPU was fetched, executed and
    acked there by quiescence. *)
@@ -156,20 +151,31 @@ let record_prep m ~from ~targets dt =
 let record_ack m ~from ~targets dt =
   Metrics.record_cycles m.Machine.phases.Machine.ack.(far_rank m ~from targets) dt
 
-let wait_for_acks m ~from ~targets cfds ?(while_waiting = fun () -> ())
+(* Has any of [from]'s requests to [targets] been acked? *)
+let any_acked m ~from ~targets =
+  let csds = (Machine.percpu m from).Percpu.csds in
+  let t = ref (Cpuset.next targets 0) in
+  while !t >= 0 && not csds.(!t).Percpu.cfd_acked do
+    t := Cpuset.next targets (!t + 1)
+  done;
+  !t >= 0
+
+let wait_for_acks m ~from ~targets ?(while_waiting = fun () -> ())
     ?(waiting_work = fun () -> false) () =
   let cpu = Machine.cpu m from in
+  let csds = (Machine.percpu m from).Percpu.csds in
   let t0 = Machine.now m in
-  let n = Array.length cfds in
-  (* Acks are monotone while we wait, so once a prefix of [cfds] is acked
-     it stays acked: keep a cursor instead of rescanning from the head on
-     every poll (this loop runs once per spin_poll window per shootdown). *)
-  let next = ref 0 in
+  (* Acks are monotone while we wait, so once the requests to a prefix of
+     [targets] are acked they stay acked: keep a cursor instead of
+     rescanning from the lowest target on every poll (this loop runs once
+     per spin_poll window per shootdown). The slots keep this round's
+     records until the next round from this CPU. *)
+  let next = ref (Cpuset.next targets 0) in
   let all_acked () =
-    while !next < n && cfds.(!next).Percpu.cfd_acked do
-      incr next
+    while !next >= 0 && csds.(!next).Percpu.cfd_acked do
+      next := Cpuset.next targets (!next + 1)
     done;
-    !next = n
+    !next < 0
   in
   (* Spin with IRQ servicing; between polls give the §3.4 interplay a
      chance to flush user PTEs in the otherwise-dead time. A poll boundary
@@ -190,10 +196,12 @@ let wait_for_acks m ~from ~targets cfds ?(while_waiting = fun () -> ())
   in
   loop ();
   (* Observing each ack pulls the responder-written CSD line back. *)
-  Process.chain_upto m.Machine.engine n ~phases:1 (fun i _ ->
-      Cache.read cfds.(i).Percpu.cfd_line ~by:from);
-  if n > 0 && Machine.tracing m then
-    Machine.trace_event m ~cpu:from
-      (Trace.Acks_seen
-         { seqs = Array.to_list (Array.map (fun c -> c.Percpu.cfd_seq) cfds) });
-  if n > 0 && Machine.metering m then record_ack m ~from ~targets (Machine.now m - t0)
+  Process.chain_cpus m.Machine.engine targets ~phases:1 (fun c _ ->
+      Cache.read csds.(c).Percpu.cfd_line ~by:from);
+  if not (Cpuset.is_empty targets) then begin
+    if Machine.tracing m then begin
+      let seqs = Cpuset.fold (fun l c -> csds.(c).Percpu.cfd_seq :: l) [] targets in
+      Machine.trace_event m ~cpu:from (Trace.Acks_seen { seqs = List.rev seqs })
+    end;
+    if Machine.metering m then record_ack m ~from ~targets (Machine.now m - t0)
+  end

@@ -22,20 +22,17 @@ val read_remote_tlb_state : Machine.t -> from:int -> target:int -> int
     its call-queue line when consolidated, its tlb_state line otherwise. *)
 val tlb_state_line : Machine.t -> Percpu.t -> Cache.line
 
-(** Build and enqueue one CFD per member of the target set (pays the CSD
-    writes, the info write under the baseline layout, and the queue-head
-    writes), returning the CFDs in ascending target order. Does not send
-    IPIs. [targets] is typically the caller's scratch cpuset; it is read
-    before each enqueue and must not change until the matching
-    {!send_ipis} — nothing that runs during the charge-yields selects
-    targets on this CPU. *)
+(** Claim one CSD slot of [from] per member of the target set
+    ({!Percpu.claim_csd}), fill it and queue it on the target's call
+    queue, paying the CSD writes, the info write under the baseline layout
+    and the queue-head writes. Does not send IPIs. The requests stay in
+    [from]'s slots, read by target, for {!wait_for_acks} and
+    {!any_acked}. [targets] is typically the caller's scratch cpuset; it
+    is read before each enqueue and must not change until the matching
+    {!wait_for_acks} returns — nothing that runs during the charge-yields
+    or the ack wait selects targets on this CPU. *)
 val enqueue_work :
-  Machine.t ->
-  from:int ->
-  targets:Cpuset.t ->
-  info:Flush_info.t ->
-  early_ack:bool ->
-  Percpu.cfd array
+  Machine.t -> from:int -> targets:Cpuset.t -> info:Flush_info.t -> early_ack:bool -> unit
 
 (** Send the shootdown vector to [targets]; the pre-registered irq
     [irq_id] (see {!Apic.register_irq}) runs on each target when it
@@ -49,12 +46,13 @@ val send_ipis : Machine.t -> from:int -> targets:Cpuset.t -> irq_id:int -> unit
     of its call queue as one charge run ({!Process.chain_item}), returned
     as [(lead, visit)]: [lead me] is the queue-line read, and [visit me]
     runs the phases after it: for each CFD in FIFO
-    order the CSD-line read and, under the baseline layout, the info-line
+    order ({!Percpu.csq_pop}) the CSD-line read and, under the baseline layout, the info-line
     read and a page walk, then [work cfd 0], [work cfd 1], ... — the
     backend's phases, which follow the rules of a charge-run visit — until
     [work] returns a negative cost. The run ends at the end of a request
     that leaves the queue empty. A request counts as released when [work]
-    has left it executed and acked (see {!csd_quiescent}). *)
+    has left it executed and acked (see {!csd_quiescent}); its slot is
+    then free for the initiator's next request to this CPU. *)
 val drain_queue :
   Machine.t -> work:(Percpu.cfd -> int -> int) -> (int -> int) * (int -> int -> int)
 
@@ -75,7 +73,12 @@ val csd_pending : Machine.t -> cpu:int -> bool
     executed and acked every CFD queued on it. *)
 val csd_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit
 
-(** Initiator: spin until every CFD is acked, servicing our own IRQs while
+(** Has any of the requests {!enqueue_work} last queued from [from] to
+    [targets] been acked? Allocates nothing. *)
+val any_acked : Machine.t -> from:int -> targets:Cpuset.t -> bool
+
+(** Initiator: spin until the requests {!enqueue_work} last queued from
+    [from] to [targets] are all acked, servicing our own IRQs while
     spinning. [while_waiting] is called between polls while at least one ack
     is outstanding (used by the in-context/concurrent interplay of §3.4);
     it must be cheap or advance time itself. [waiting_work] must report —
@@ -83,14 +86,13 @@ val csd_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit
     anything right now: a poll boundary where it is [false], no ack has
     landed and no IRQ is deliverable is an idle tick the initiator sleeps
     through without being resumed (the default [fun () -> false] matches
-    the default no-op [while_waiting]). Pays one read per CFD to observe
-    the acks, and meters the wait with {!record_ack}. [targets] is the set
-    the CFDs were enqueued to. *)
+    the default no-op [while_waiting]). Pays one read per request, in
+    ascending target order, to observe the acks, and meters the wait with
+    {!record_ack}. *)
 val wait_for_acks :
   Machine.t ->
   from:int ->
   targets:Cpuset.t ->
-  Percpu.cfd array ->
   ?while_waiting:(unit -> unit) ->
   ?waiting_work:(unit -> bool) ->
   unit ->

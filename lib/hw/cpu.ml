@@ -6,16 +6,16 @@ type t = {
   safe : bool;
   cpu_tlb : Tlb.t;
   mutable masked : bool;
-  pending : irq Queue.t;
+  pending : ring;
   mutable pending_unmaskable : int;
       (* unmaskable entries in [pending]: lets [has_deliverable] answer in
          O(1) — an unmaskable IRQ is deliverable regardless of [masked],
          and with IRQs unmasked any pending IRQ is. *)
   mutable dispatch_tag : int;
       (* engine handler of detached dispatch, -1 until the first one *)
-  deferred : irq Queue.t;
+  deferred : ring;
       (* scratch for a drain: masked IRQs awaiting re-queue. Empty outside
-         a drain; preallocated so drains allocate nothing. *)
+         a drain; kept across drains so they allocate nothing. *)
   mutable user : bool;
   mutable draining : bool;
   mutable t_interrupted : int;
@@ -42,7 +42,41 @@ type t = {
 
 and irq = { vector : int; maskable : bool; step : t -> int -> int }
 
+(* A FIFO of IRQs in a power-of-two array, doubled when full, so pushes and
+   pops allocate nothing once it has grown to the most IRQs ever waiting
+   at once. *)
+and ring = { mutable buf : irq array; mutable head : int; mutable len : int }
+
 let no_irq = { vector = -1; maskable = true; step = (fun _ _ -> -1) }
+let new_ring () = { buf = [||]; head = 0; len = 0 }
+
+let ring_push r irq =
+  let cap = Array.length r.buf in
+  if r.len = cap then begin
+    let bigger = Array.make (Int.max 8 (2 * cap)) no_irq in
+    for i = 0 to r.len - 1 do
+      bigger.(i) <- r.buf.((r.head + i) land (cap - 1))
+    done;
+    r.buf <- bigger;
+    r.head <- 0
+  end;
+  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- irq;
+  r.len <- r.len + 1
+
+(* The oldest IRQ, its cell cleared; the ring must not be empty. *)
+let ring_pop r =
+  let irq = r.buf.(r.head) in
+  r.buf.(r.head) <- no_irq;
+  r.head <- (r.head + 1) land (Array.length r.buf - 1);
+  r.len <- r.len - 1;
+  irq
+
+(* Append [src]'s IRQs to [dst] in order, leaving [src] empty. *)
+let ring_transfer src dst =
+  while src.len > 0 do
+    ring_push dst (ring_pop src)
+  done
+
 let never () = false
 let always () = true
 
@@ -57,10 +91,10 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     safe;
     cpu_tlb = Tlb.create ?capacity:tlb_capacity ();
     masked = false;
-    pending = Queue.create ();
+    pending = new_ring ();
     pending_unmaskable = 0;
     dispatch_tag = -1;
-    deferred = Queue.create ();
+    deferred = new_ring ();
     user = true;
     draining = false;
     t_interrupted = 0;
@@ -83,7 +117,7 @@ let draining t = t.draining
 let irq_from_user t = t.from_user_irq
 let tlb t = t.cpu_tlb
 let in_user t = t.user
-let pending_irqs t = Queue.length t.pending
+let pending_irqs t = t.pending.len
 let interrupted_cycles t = t.t_interrupted
 let irqs_handled t = t.t_handled
 let compute_cycles t = t.t_compute
@@ -91,7 +125,7 @@ let compute_cycles t = t.t_compute
 let deliverable t irq = (not irq.maskable) || not t.masked
 
 let has_deliverable t =
-  t.pending_unmaskable > 0 || ((not t.masked) && Queue.length t.pending > 0)
+  t.pending_unmaskable > 0 || ((not t.masked) && t.pending.len > 0)
 
 (* Would a [service_pending] call right now actually run handlers? While a
    drain is in progress (e.g. a detached drain interleaved on this CPU is
@@ -119,23 +153,23 @@ let serviceable t = has_deliverable t && not t.draining
    handler runs it from engine events ([dispatch]). Both wait out each
    cost at the same event times as a [delay] would.
 
-   Deferral parks masked IRQs on the preallocated per-CPU [deferred]
-   queue, so the overwhelmingly common deliver-everything drain allocates
-   nothing. An unmaskable IRQ is always deliverable, so deferral never has
+   Deferral parks masked IRQs on the per-CPU [deferred] ring, and both
+   rings keep their arrays, so a drain allocates nothing once they have
+   grown. An unmaskable IRQ is always deliverable, so deferral never has
    to put the counter back. *)
 let end_drain t =
-  Queue.transfer t.deferred t.pending;
+  ring_transfer t.deferred t.pending;
   t.irq <- no_irq;
   t.draining <- false
 
 let rec drain t =
   if t.irq == no_irq then begin
-    if Queue.is_empty t.pending then begin
+    if t.pending.len = 0 then begin
       end_drain t;
       -1
     end
     else begin
-      let irq = Queue.pop t.pending in
+      let irq = ring_pop t.pending in
       if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable - 1;
       if deliverable t irq then begin
         let was_user = t.user in
@@ -149,7 +183,7 @@ let rec drain t =
         if entry > 0 then entry else drain t
       end
       else begin
-        Queue.push irq t.deferred;
+        ring_push t.deferred irq;
         drain t
       end
     end
@@ -237,7 +271,7 @@ let maybe_dispatch t =
   end
 
 let post_irq t irq =
-  Queue.push irq t.pending;
+  ring_push t.pending irq;
   if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable + 1;
   maybe_dispatch t
 

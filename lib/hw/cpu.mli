@@ -9,7 +9,13 @@
     running kernel code) takes them detached: its dispatch handler drives
     the same step from engine events, with no process. Handler execution
     time is attributed to the CPU's [interrupted_cycles], which is exactly
-    what the paper's microbenchmark reports for responder cores. *)
+    what the paper's microbenchmark reports for responder cores.
+
+    Pending IRQs wait in a FIFO ring, and masked ones a drain passes over
+    wait in a second ring until the drain ends, then go back on the first
+    behind anything still pending. Both rings are power-of-two arrays that
+    double when full, so posting and draining allocate nothing once they
+    have grown to the most IRQs ever waiting at once. *)
 
 type t
 
@@ -67,8 +73,9 @@ val occupy : t -> unit
 
 val vacate : t -> unit
 
-(** Deliver an interrupt to this CPU (called by the APIC at arrival time).
-    Wakes idle/spinning processes, or starts a detached drain. An exception
+(** Deliver an interrupt to this CPU (called by the APIC at arrival time):
+    it joins the pending ring in arrival order. Wakes idle/spinning
+    processes, or starts a detached drain. An exception
     from a detached handler's step ends the drain and escapes the engine
     loop unwrapped. *)
 val post_irq : t -> irq -> unit

@@ -13,7 +13,7 @@
    first write a chunk is [no_ptes] or [no_kids], which every node shares
    and nothing writes, and a level without leaves or without children
    keeps a shared index of them. A fresh level-1, -3 or -4 table thus
-   costs a record, one chunk index and one chunk, 79 minor-heap words, a
+   costs a record, one chunk index and one chunk, 80 minor-heap words, a
    level-2 one 9 more for its second index; one 512-slot array would be a
    513-word allocation straight into the major heap. [live] counts
    occupied slots so emptiness checks stay O(1). *)
@@ -22,9 +22,10 @@ type node = {
   mutable live : int;
   ptes : Pte.t array array;
   kids : node array array;
+  mutable next_spare : node; (* the next freed table, while this one is spare *)
 }
 
-let no_node = { level = 0; live = 0; ptes = [||]; kids = [||] }
+let rec no_node = { level = 0; live = 0; ptes = [||]; kids = [||]; next_spare = no_node }
 let no_ptes : Pte.t array = Array.make 64 Pte.none
 let no_kids = Array.make 64 no_node
 let no_pte_chunks = Array.make 8 no_ptes
@@ -32,11 +33,12 @@ let no_kid_chunks = Array.make 8 no_kids
 
 type t = {
   root : node;  (* level 4 *)
-  spare : node list array;
-      (* [spare.(l)]: freed level-[l] tables, all slots empty, kept with
-         their chunks for the next table this tree needs at that level, so
-         unmap-then-map churn (apache's per-request mmap) allocates no
-         table per request. *)
+  spare : node array;
+      (* [spare.(l)]: a stack of freed level-[l] tables linked through
+         [next_spare], [no_node] when empty. A spare table has all slots
+         empty and keeps its chunks for the next table this tree needs at
+         that level, so unmap-then-map churn (apache's per-request mmap)
+         allocates nothing per request. *)
   mutable n_mapped : int;
   mutable n_tables : int;
   mutable n_tables_freed : int;
@@ -51,6 +53,7 @@ let fresh_node level =
     live = 0;
     ptes = (if level <= 2 then Array.make 8 no_ptes else no_pte_chunks);
     kids = (if level >= 2 then Array.make 8 no_kids else no_kid_chunks);
+    next_spare = no_node;
   }
 
 let pte_at node idx =
@@ -77,7 +80,7 @@ let put_pte node idx pte =
 let create () =
   {
     root = fresh_node 4;
-    spare = Array.make 4 [];
+    spare = Array.make 4 no_node;
     n_mapped = 0;
     n_tables = 0;
     ver = 0;
@@ -85,11 +88,13 @@ let create () =
   }
 
 let take_node t level =
-  match t.spare.(level) with
-  | node :: rest ->
-      t.spare.(level) <- rest;
-      node
-  | [] -> fresh_node level
+  let node = t.spare.(level) in
+  if node == no_node then fresh_node level
+  else begin
+    t.spare.(level) <- node.next_spare;
+    node.next_spare <- no_node;
+    node
+  end
 
 let leaf_level = function Tlb.Four_k -> 1 | Tlb.Two_m -> 2
 
@@ -170,7 +175,8 @@ let ignore_leaf (_ : int) (_ : Pte.t) = ()
 let free_kid t node idx kid =
   Array.unsafe_set (Array.unsafe_get node.kids (idx lsr 6)) (idx land 63) no_node;
   node.live <- node.live - 1;
-  t.spare.(kid.level) <- kid :: t.spare.(kid.level);
+  kid.next_spare <- t.spare.(kid.level);
+  t.spare.(kid.level) <- kid;
   t.n_tables <- t.n_tables - 1;
   t.n_tables_freed <- t.n_tables_freed + 1
 

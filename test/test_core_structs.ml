@@ -324,15 +324,37 @@ let test_percpu_defer_merging () =
       check bool_t "taken clears" true (p.Percpu.pending_user = Percpu.No_flush)
   | _ -> Alcotest.fail "expected ranged"
 
+(* The CSD slots grow on demand, each with its own line; a claim on a
+   busy slot takes a fresh record on the slot's line, and a released slot
+   is reused as it stands. *)
 let test_percpu_csd_lines_on_demand () =
   let p = make_percpu () in
-  check int_t "no slots before any shootdown" 0 (Array.length p.Percpu.csd_lines);
-  let l3 = Percpu.csd_line p ~target:3 in
-  check bool_t "stable per target" true (l3 == Percpu.csd_line p ~target:3);
-  let l55 = Percpu.csd_line p ~target:55 in
+  check int_t "no slots before any shootdown" 0 (Array.length p.Percpu.csds);
+  let info = Flush_info.full ~mm_id:1 ~new_tlb_gen:1 () in
+  let claim target seq =
+    let cfd = Percpu.claim_csd p ~target ~consolidated:false ~info ~early_ack:false in
+    cfd.Percpu.cfd_seq <- seq;
+    cfd
+  in
+  let c3 = claim 3 0 in
+  let l3 = c3.Percpu.cfd_line in
+  check bool_t "the slot holds the claim" true (p.Percpu.csds.(3) == c3);
+  check bool_t "busy once claimed" true c3.Percpu.cfd_busy;
+  check bool_t "lower slots unused" true (p.Percpu.csds.(2) == Percpu.no_cfd);
+  check bool_t "baseline info line" true
+    (Option.fold ~none:false ~some:(fun l -> l == p.Percpu.line_stack_info)
+       c3.Percpu.cfd_info_line);
+  let l55 = (claim 55 1).Percpu.cfd_line in
   check bool_t "distinct per target" true (l3 != l55);
-  check bool_t "growth keeps earlier lines" true (l3 == Percpu.csd_line p ~target:3);
-  check bool_t "sized to the highest target" true (Array.length p.Percpu.csd_lines <= 2 * 56)
+  check bool_t "growth keeps earlier slots" true (p.Percpu.csds.(3) == c3);
+  check bool_t "sized to the highest target" true (Array.length p.Percpu.csds <= 2 * 56);
+  let fresh = claim 3 2 in
+  check bool_t "a busy slot takes a fresh record" true (fresh != c3);
+  check bool_t "on the slot's line" true (fresh.Percpu.cfd_line == l3);
+  check int_t "the busy request keeps its seq" 0 c3.Percpu.cfd_seq;
+  fresh.Percpu.cfd_busy <- false;
+  check bool_t "a released slot is reused" true (claim 3 3 == fresh);
+  check int_t "with the new request's seq" 3 fresh.Percpu.cfd_seq
 
 let test_percpu_defer_overflows_to_full () =
   let p = make_percpu () in

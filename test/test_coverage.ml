@@ -76,20 +76,19 @@ let test_smp_ack_idempotent () =
       in
       let targets = Cpuset.create ~bits:2 in
       Cpuset.set targets 1;
-      match Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false with
-      | [| cfd |] ->
-          Machine.delay m (Smp.ack_write m ~me:1 cfd);
-          Smp.ack_landed m ~me:1 cfd;
-          check int_t "a second ack writes nothing" 0 (Smp.ack_write m ~me:1 cfd);
-          check bool_t "acked" true cfd.Percpu.cfd_acked;
-          (* Drain the queued work so the machine quiesces cleanly. *)
-          let lead, visit =
-            Smp.drain_queue m ~work:(fun cfd _ ->
-                cfd.Percpu.cfd_executed <- true;
-                -1)
-          in
-          Process.chain_item m.Machine.engine ~lead:(lead 1) 1 visit
-      | _ -> Alcotest.fail "expected one cfd");
+      Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false;
+      let cfd = (Machine.percpu m 0).Percpu.csds.(1) in
+      Machine.delay m (Smp.ack_write m ~me:1 cfd);
+      Smp.ack_landed m ~me:1 cfd;
+      check int_t "a second ack writes nothing" 0 (Smp.ack_write m ~me:1 cfd);
+      check bool_t "acked" true cfd.Percpu.cfd_acked;
+      (* Drain the queued work so the machine quiesces cleanly. *)
+      let lead, visit =
+        Smp.drain_queue m ~work:(fun cfd _ ->
+            cfd.Percpu.cfd_executed <- true;
+            -1)
+      in
+      Process.chain_item m.Machine.engine ~lead:(lead 1) 1 visit);
   Kernel.run m;
   Smp.csd_quiescent m ~cpu:1 Alcotest.fail
 

@@ -692,12 +692,12 @@ let lone_cpu () =
    two runs that differ only in the number of dispatches, so the first
    dispatch (which registers the CPU's dispatch handler) cancels out. An
    engine event every cycle keeps the entry, handler and exit costs off
-   the [try_advance] fast path. What is left per IRQ is its [pending]
-   queue cell (3 words): the entry boundary, the handler's one boundary
-   and the exit boundary are events on the CPU's dispatch handler, and
-   the handler is a step function, so no process runs at all. A pooled
-   handler process cost 5 words more, and a process spawned per dispatch
-   64. *)
+   the [try_advance] fast path. Nothing is left per IRQ: it waits in the
+   CPU's pending ring, which the first dispatch grew, the entry boundary,
+   the handler's one boundary and the exit boundary are events on the
+   CPU's dispatch handler, and the handler is a step function, so no
+   process runs at all. A pooled handler process
+   cost 5 words more, and a process spawned per dispatch 64. *)
 let test_dispatch_words () =
   let period = 2048 in
   let words n =
@@ -719,7 +719,51 @@ let test_dispatch_words () =
     w
   in
   let n1 = 20 and n2 = 220 in
-  check int_t "3 words per detached dispatch" (3 * (n2 - n1)) (words n2 - words n1)
+  check int_t "0 words per detached dispatch" 0 (words n2 - words n1)
+
+(* The pending ring at a service point of an occupant in user mode, so no
+   drain starts on its own: FIFO order across a growth from a wrapped
+   head, the NMIs of a masked drain run in order with the masked IRQs
+   deferred behind them, and those run in order once unmasked. *)
+let test_irq_ring () =
+  let e, cpu = lone_cpu () in
+  let log = ref [] in
+  let irq vector maskable =
+    let step _ _ =
+      log := vector :: !log;
+      -1
+    in
+    { Cpu.vector; maskable; step }
+  in
+  let ran () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  let ints = Alcotest.(list int) in
+  Process.spawn e ~name:"occupant" (fun () ->
+      Cpu.occupy cpu;
+      for v = 0 to 4 do
+        Cpu.post_irq cpu (irq v true)
+      done;
+      Cpu.service_pending cpu;
+      check ints "FIFO" [ 0; 1; 2; 3; 4 ] (ran ());
+      Cpu.quiesce_and_mask cpu;
+      for v = 10 to 29 do
+        Cpu.post_irq cpu (irq v (v mod 3 <> 0))
+      done;
+      check int_t "all 20 pending across the growth" 20 (Cpu.pending_irqs cpu);
+      Cpu.service_pending cpu;
+      check ints "masked: the NMIs, in order" [ 12; 15; 18; 21; 24; 27 ] (ran ());
+      check int_t "the masked IRQs deferred" 14 (Cpu.pending_irqs cpu);
+      Cpu.irq_enable cpu;
+      check ints "unmasked: the deferred IRQs, in order"
+        [ 10; 11; 13; 14; 16; 17; 19; 20; 22; 23; 25; 26; 28; 29 ]
+        (ran ());
+      check int_t "nothing pending" 0 (Cpu.pending_irqs cpu);
+      Cpu.vacate cpu);
+  Engine.run e;
+  check int_t "every irq handled" 25 (Cpu.irqs_handled cpu)
 
 (* A scripted idle CPU: IRQs posted while a drain is mid-handler,
    while the CPU is masked, twice in one instant, and inside an exit
@@ -1313,4 +1357,5 @@ let suite =
       test_spin_window_wakes;
     Alcotest.test_case "cpu: idle spins across a seq renumber" `Quick
       test_spin_model_renumber;
+    Alcotest.test_case "cpu: irq ring order, deferral and growth" `Quick test_irq_ring;
   ]

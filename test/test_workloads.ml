@@ -299,20 +299,10 @@ let test_dispatch_quiescence () =
       ( "cpu1: deferred user flush survives quiescence",
         fun _ p -> p.Percpu.pending_user <- Percpu.Full_flush );
       ( "cpu1: undrained call queue at quiescence",
-        fun _ p ->
-          Queue.push
-            {
-              Percpu.cfd_seq = 0;
-              cfd_initiator = 0;
-              cfd_target = 1;
-              cfd_info = info;
-              cfd_early_ack = false;
-              cfd_acked = false;
-              cfd_executed = false;
-              cfd_line = Cache.create_line p.Percpu.registry;
-              cfd_info_line = None;
-            }
-            p.Percpu.csq );
+        fun m p ->
+          Percpu.csq_push p
+            (Percpu.claim_csd (Machine.percpu m 0) ~target:1 ~consolidated:true
+               ~info ~early_ack:false) );
       ( "cpu1: inflight-flush flag stuck at quiescence",
         fun _ p -> p.Percpu.inflight_flush <- true );
       ( "cpu1: unflushed batched shootdowns at quiescence",
