@@ -757,7 +757,7 @@ let bechamel () =
     Test.make ~name:"process:chain (8 steps, contended)"
       (contended (fun e ->
            while true do
-             Process.chain_upto e 8 ~phases:1 (fun _ _ -> 3)
+             Process.chain_upto e ~lead:0 8 ~phases:1 (fun _ _ -> 3)
            done))
   in
   let delays_test =
@@ -876,6 +876,23 @@ let bechamel () =
     Process.spawn e ~name:"poller" (fun () -> Cpu.poll_wait cpu never);
     Test.make ~name:"cpu:idle spins (4 spinners + 1 poller)"
       (Staged.stage (fun () -> Engine.run_until e ~time:(Engine.now e + 1000)))
+  in
+  (* One 750-cycle [try_advance] across three bare spins that never wake:
+     the fuzz driver's 200-cycle op wait beside two workers' 50-cycle
+     quanta, at three phases. One run is one walk through about 34 spin
+     boundaries. *)
+  let walk_test =
+    let e = Engine.create () in
+    let never () = false in
+    List.iter
+      (fun (quantum, phase) ->
+        Process.spawn e ~name:"spinner" (fun () ->
+            Process.delay e phase;
+            ignore (Process.spin e ~quantum ~chunk:quantum ~left:quantum never never : int)))
+      [ (200, 0); (50, 10); (50, 35) ];
+    Engine.run_until e ~time:100;
+    Test.make ~name:"engine:walk (3 idle spins 200/50/50, 750-cycle window)"
+      (Staged.stage (fun () -> ignore (Engine.try_advance e ~cycles:750 : bool)))
   in
   (* A first map into a fresh tree: three new tables and the root's first
      chunk. *)
@@ -1013,7 +1030,10 @@ let bechamel () =
     Process.spawn e ~name:"responder" (fun () ->
         let targets = Cpuset.create ~bits:4 in
         Cpuset.set targets 1;
-        let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+        let info =
+          Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~stride:Tlb.Four_k
+            ~freed_tables:false ~new_tlb_gen:1
+        in
         let cfds =
           Array.init 4 (fun _ ->
               Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false;
@@ -1050,7 +1070,8 @@ let bechamel () =
         while true do
           let new_tlb_gen = Mm_struct.bump_tlb_gen mm in
           let info =
-            Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:0 ~pages:4 ~new_tlb_gen ()
+            Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:0 ~pages:4 ~stride:Tlb.Four_k
+              ~freed_tables:false ~new_tlb_gen
           in
           ignore (Flush_core.flush_tlb_func_impl m ~cpu:0 ~user:Flush_core.Eager info);
           incr flushed
@@ -1084,6 +1105,7 @@ let bechamel () =
         compute_until_test;
         compute_loop_test;
         idle_spinners_test;
+        walk_test;
         pt_fresh_map_test;
         tlb_flush_test;
         machine_create_test;

@@ -15,10 +15,10 @@ type t = {
 }
 
 val ranged :
-  mm_id:int -> start_vpn:int -> pages:int -> ?stride:Tlb.page_size ->
-  ?freed_tables:bool -> new_tlb_gen:int -> unit -> t
+  mm_id:int -> start_vpn:int -> pages:int -> stride:Tlb.page_size -> freed_tables:bool ->
+  new_tlb_gen:int -> t
 
-val full : mm_id:int -> ?freed_tables:bool -> new_tlb_gen:int -> unit -> t
+val full : mm_id:int -> freed_tables:bool -> new_tlb_gen:int -> t
 
 (** Number of TLB entries a ranged flush touches ([max_int] when full). *)
 val nr_entries : t -> int

@@ -41,7 +41,7 @@ let fork m ~cpu =
          until the flush below completes. *)
       Kernel.in_window m ~cpu
         (Flush_info.full ~mm_id:(Mm_struct.id parent)
-           ~new_tlb_gen:(Mm_struct.tlb_gen parent) ())
+           ~freed_tables:false ~new_tlb_gen:(Mm_struct.tlb_gen parent))
         (fun () ->
           let leaves = ref [] in
           Page_table.iter (Mm_struct.page_table parent) ~f:(fun vpn pte ->

@@ -102,7 +102,7 @@ let in_mmap_sem m ~cpu ~mm ~write ~batched f =
 
 let range_info mm ~start_vpn ~pages =
   Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn ~pages
-    ~new_tlb_gen:(Mm_struct.tlb_gen mm) ()
+    ~stride:Tlb.Four_k ~freed_tables:false ~new_tlb_gen:(Mm_struct.tlb_gen mm)
 
 let close_window m ~cpu (info : Flush_info.t) token =
   try Machine.end_window m ~cpu ~mm_id:info.Flush_info.mm_id token

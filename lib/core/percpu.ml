@@ -27,7 +27,7 @@ let rec no_cfd =
     cfd_seq = -1;
     cfd_initiator = -1;
     cfd_target = -1;
-    cfd_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
+    cfd_info = Flush_info.full ~mm_id:(-1) ~freed_tables:false ~new_tlb_gen:0;
     cfd_early_ack = false;
     cfd_acked = false;
     cfd_executed = false;
@@ -60,7 +60,7 @@ type flush = {
 
 let new_flush () =
   {
-    fl_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
+    fl_info = Flush_info.full ~mm_id:(-1) ~freed_tables:false ~new_tlb_gen:0;
     fl_user = Eager;
     fl_mm = None;
     fl_slot = { slot_mm = -1; gen_seen = 0; last_used = 0 };
@@ -92,7 +92,7 @@ type irq_run = {
 let new_irq_run () =
   {
     tail = -1;
-    tail_info = Flush_info.full ~mm_id:(-1) ~new_tlb_gen:0 ();
+    tail_info = Flush_info.full ~mm_id:(-1) ~freed_tables:false ~new_tlb_gen:0;
     tail_pcid = 0;
     tail_t0 = 0;
   }

@@ -86,7 +86,7 @@ let initiator_local_flush m ~from ~has_remote_targets (info : Flush_info.t) =
 let select_targets m ~from ~mm (info : Flush_info.t) =
   let batching = (knobs m).Opts.userspace_batching and stats = m.Machine.stats in
   let targets = snapshot_targets m ~from (Mm_struct.cpuset mm) in
-  Process.chain_cpus m.Machine.engine targets ~phases:2 (fun c phase ->
+  Process.chain_cpus m.Machine.engine ~lead:0 targets ~phases:2 (fun c phase ->
       let p = Machine.percpu m c in
       if phase = 0 then Smp.read_remote_tlb_state m ~from ~target:c
       else begin
@@ -171,8 +171,8 @@ let round m ~from ~mm ~local_flush (info : Flush_info.t) =
           stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
           let deferred =
             Flush_info.ranged ~mm_id:info.Flush_info.mm_id ~start_vpn:vpn
-              ~pages:(List.length rest) ~stride:info.Flush_info.stride
-              ~new_tlb_gen:info.Flush_info.new_tlb_gen ()
+              ~pages:(List.length rest) ~stride:info.Flush_info.stride ~freed_tables:false
+              ~new_tlb_gen:info.Flush_info.new_tlb_gen
           in
           Percpu.defer_user_flush pcpu deferred ~threshold:opts.Opts.full_flush_threshold)
       (* loc end: concurrent-flushes *)

@@ -234,7 +234,7 @@ let perform m qs ~responder ~from ~mm (info : Flush_info.t) =
   if remote then begin
     let prep0 = Machine.now m in
     let gen = Machine.next_ipi_seq m in
-    Process.chain_cpus m.Machine.engine targets ~phases:2 (fun c phase ->
+    Process.chain_cpus m.Machine.engine ~lead:0 targets ~phases:2 (fun c phase ->
         if phase = 0 then Cache.atomic (queue_of m qs c).line_queue ~by:from
         else begin
           post_to m qs ~from ~gen info c;
@@ -289,7 +289,7 @@ let perform m qs ~responder ~from ~mm (info : Flush_info.t) =
       end
     done;
     (* Observing each ack generation pulls the responder's ring line back. *)
-    Process.chain_cpus m.Machine.engine targets ~phases:1 (fun c _ ->
+    Process.chain_cpus m.Machine.engine ~lead:0 targets ~phases:1 (fun c _ ->
         Cache.read (queue_of m qs c).line_queue ~by:from);
     if Machine.metering m then Smp.record_ack m ~from ~targets (Machine.now m - ack0);
     tracef m ~cpu:from "queue-spin acks seen (retries %d)" !retries

@@ -73,8 +73,8 @@ let request m ~from ~mm ~full ~start_vpn ~pages ~stride ~freed_tables k =
   if Machine.tracing m then
     Machine.trace_event m ~cpu:from (Trace.Gen_bump { mm_id; gen = new_tlb_gen });
   let info =
-    if full then Flush_info.full ~mm_id ~freed_tables ~new_tlb_gen ()
-    else Flush_info.ranged ~mm_id ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen ()
+    if full then Flush_info.full ~mm_id ~freed_tables ~new_tlb_gen
+    else Flush_info.ranged ~mm_id ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen
   in
   k m ~from ~mm info (Machine.begin_window m ~cpu:from info)
 
@@ -105,8 +105,7 @@ let perform_or_defer m ~from ~mm (info : Flush_info.t) token =
   end
   else perform m ~from ~mm info token
 
-let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
-    ?(freed_tables = false) () =
+let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ~stride ~freed_tables =
   (* The oracle never sends ranged flushes: full, always. *)
   let full =
     (backend m).Protocol.reference || pages > m.Machine.opts.Opts.full_flush_threshold
@@ -114,7 +113,7 @@ let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
   request m ~from ~mm ~full ~start_vpn ~pages ~stride ~freed_tables perform_or_defer
 
 let flush_tlb_page m ~from ~mm ~vpn =
-  flush_tlb_mm_range m ~from ~mm ~start_vpn:vpn ~pages:1 ()
+  flush_tlb_mm_range m ~from ~mm ~start_vpn:vpn ~pages:1 ~stride:Tlb.Four_k ~freed_tables:false
 
 (* loc begin: cow *)
 (* Local "flush": one atomic write to the page. The write-protected old

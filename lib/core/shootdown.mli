@@ -34,9 +34,8 @@ val flush_tlb_mm_range :
   mm:Mm_struct.t ->
   start_vpn:int ->
   pages:int ->
-  ?stride:Tlb.page_size ->
-  ?freed_tables:bool ->
-  unit ->
+  stride:Tlb.page_size ->
+  freed_tables:bool ->
   unit
 
 (** One-page convenience wrapper. *)

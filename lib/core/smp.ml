@@ -196,7 +196,7 @@ let wait_for_acks m ~from ~targets ?(while_waiting = fun () -> ())
   in
   loop ();
   (* Observing each ack pulls the responder-written CSD line back. *)
-  Process.chain_cpus m.Machine.engine targets ~phases:1 (fun c _ ->
+  Process.chain_cpus m.Machine.engine ~lead:0 targets ~phases:1 (fun c _ ->
       Cache.read csds.(c).Percpu.cfd_line ~by:from);
   if not (Cpuset.is_empty targets) then begin
     if Machine.tracing m then begin

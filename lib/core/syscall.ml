@@ -77,7 +77,6 @@ let munmap m ~cpu ~addr ~pages =
                     incr removed;
                     if covered removed_vmas ~vpn:v then
                       to_free := pte :: !to_free)
-                  ()
               in
               if !removed > 0 then trace_pte_write m ~cpu ~mm ~vpn ~pages;
               Machine.delay m (m.Machine.costs.Costs.zap_pte * !removed);
@@ -86,7 +85,7 @@ let munmap m ~cpu ~addr ~pages =
               if !removed > 0 || freed_tables then
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn
                   ~pages:(flush_entries ~stride ~pages)
-                  ~stride ~freed_tables ();
+                  ~stride ~freed_tables;
               !to_free)))
 
 let madvise_dontneed m ~cpu ~addr ~pages =
@@ -99,18 +98,18 @@ let madvise_dontneed m ~cpu ~addr ~pages =
               let removed = ref 0 and to_free = ref [] in
               ignore
                 (Page_table.unmap_range (Mm_struct.page_table mm) ~vpn ~pages
+                   ~free_tables:false
                    ~f:(fun v pte ->
                      incr removed;
                      if Option.is_some (Mm_struct.find_vma mm ~vpn:v) then
                        to_free := pte :: !to_free)
-                   ()
                   : bool);
               if !removed > 0 then trace_pte_write m ~cpu ~mm ~vpn ~pages;
               Machine.delay m (m.Machine.costs.Costs.zap_pte * Stdlib.max 1 !removed);
               if !removed > 0 then
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn
                   ~pages:(flush_entries ~stride ~pages)
-                  ~stride ();
+                  ~stride ~freed_tables:false;
               !to_free)))
 
 let mprotect m ~cpu ~addr ~pages ~writable =
@@ -137,7 +136,8 @@ let mprotect m ~cpu ~addr ~pages ~writable =
               done;
               if !changed > 0 then begin
                 trace_pte_write m ~cpu ~mm ~vpn ~pages;
-                Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn ~pages ()
+                Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn ~pages
+                  ~stride:Tlb.Four_k ~freed_tables:false
               end)))
 
 let mremap m ~cpu ~addr ~pages =
@@ -163,7 +163,6 @@ let mremap m ~cpu ~addr ~pages =
               let freed_tables =
                 Page_table.unmap_range pt ~vpn ~pages ~free_tables:true
                   ~f:(fun old_vpn pte -> removed := (old_vpn, pte) :: !removed)
-                  ()
               in
               let removed = List.rev !removed in
               if not (List.is_empty removed) then trace_pte_write m ~cpu ~mm ~vpn ~pages;
@@ -177,7 +176,7 @@ let mremap m ~cpu ~addr ~pages =
               if (not (List.is_empty removed)) || freed_tables then
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn
                   ~pages:(flush_entries ~stride ~pages)
-                  ~stride ~freed_tables ();
+                  ~stride ~freed_tables;
               Addr.addr_of_vpn new_vpn)))
 
 (* Write back one dirty file page mapped at [vpn]: write-protect + clean

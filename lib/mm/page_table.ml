@@ -251,7 +251,7 @@ let rec zap t node base lo hi free_tables f =
   done;
   !freed
 
-let unmap_range t ~vpn ~pages ?(free_tables = false) ?(f = ignore_leaf) () =
+let unmap_range t ~vpn ~pages ~free_tables ~f =
   pages > 0 && zap t t.root 0 vpn (vpn + pages) free_tables f
 
 let mapped_count t = t.n_mapped

@@ -32,13 +32,7 @@ val unmap :
 (** Remove all mappings whose pages intersect \[vpn, vpn+pages), passing
     each to [f] in ascending VPN order, as {!unmap} does. *)
 val unmap_range :
-  t ->
-  vpn:int ->
-  pages:int ->
-  ?free_tables:bool ->
-  ?f:(int -> Pte.t -> unit) ->
-  unit ->
-  bool
+  t -> vpn:int -> pages:int -> free_tables:bool -> f:(int -> Pte.t -> unit) -> bool
 
 (** Replace the PTE covering [vpn] with [f] of it and return the old one,
     or {!Pte.none} if [vpn] is unmapped. [f] must keep the PTE present and

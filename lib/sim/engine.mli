@@ -78,9 +78,13 @@ val schedule_tag : t -> delay:int -> tag:int -> a:int -> b:int -> unit
     (see {!spin}) none of which wakes its spin does not stop it: those
     boundaries run, in key order, before the clock moves, and the advance
     counts as the event the caller's resume would have been (in
-    {!events_run}, not {!advances}), since that is what it replaces. So a
-    process may run ahead of other spins for as long as none of them
-    wakes, but never past the time of a {!run_until} in progress. *)
+    {!events_run}, not {!advances}), since that is what it replaces. When
+    every slice of those spins is one quantum (it divides the chunk and
+    what is left of it), their boundaries are counted rather than
+    visited, at a cost independent of the window's length, with the same
+    counts and order. So a process may run ahead of other spins for as
+    long as none of them wakes, but never past the time of a {!run_until}
+    in progress. *)
 val try_advance : t -> cycles:int -> bool
 
 (** {2 Idle spins}

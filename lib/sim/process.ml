@@ -226,10 +226,10 @@ let rec walk engine set n phases visit at phase d =
     else walk engine set n phases visit (next_item set n at) 0 d
   end
 
-let chain_cpus engine ?(lead = 0) set ~phases visit =
+let chain_cpus engine ~lead set ~phases visit =
   walk engine set (-1) phases visit (Cpuset.next set 0) 0 lead
 
-let chain_upto engine ?(lead = 0) n ~phases visit =
+let chain_upto engine ~lead n ~phases visit =
   walk engine no_set n phases visit (if n > 0 then 0 else -1) 0 lead
 
 let chain_item engine ~lead item visit =

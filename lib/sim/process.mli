@@ -58,12 +58,12 @@ val no_visit : int -> int -> int
 (** Walk the members of [set] in ascending order, reading the set afresh
     after each member (so [visit] may clear the member it is given). A
     positive [lead] is the cost of a charge the caller already made,
-    waited out before the first member. *)
+    waited out before the first member; 0 when there is none. *)
 val chain_cpus :
-  Engine.t -> ?lead:int -> Cpuset.t -> phases:int -> (int -> int -> int) -> unit
+  Engine.t -> lead:int -> Cpuset.t -> phases:int -> (int -> int -> int) -> unit
 
 (** Walk items [0 .. n - 1]; [lead] as for {!chain_cpus}. *)
-val chain_upto : Engine.t -> ?lead:int -> int -> phases:int -> (int -> int -> int) -> unit
+val chain_upto : Engine.t -> lead:int -> int -> phases:int -> (int -> int -> int) -> unit
 
 (** [chain_item engine ~lead item visit] is a run of the single item
     [item] with no bound on its phases: wait out [lead], then [visit item

@@ -248,7 +248,7 @@ let test_fork_ksm_migrate_windows_traced () =
      window's id counts every window the run opened. *)
   let c = m.Machine.checker in
   check int_t "every window closed" 0 (Checker.open_windows c);
-  let probe = Checker.begin_invalidation c (Flush_info.full ~mm_id:0 ~new_tlb_gen:0 ()) in
+  let probe = Checker.begin_invalidation c (Flush_info.full ~mm_id:0 ~new_tlb_gen:0 ~freed_tables:false) in
   Checker.end_invalidation c probe;
   let windows = List.init (Checker.token_id probe - 1) (fun i -> i + 1) in
   let ints = Alcotest.(list int) in

@@ -74,7 +74,7 @@ let test_write_protected_read_not_stamped () =
 
 let test_benign_inside_window () =
   let c = Checker.create () in
-  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 () in
+  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
   let token = Checker.begin_invalidation c info in
   (match stale_hit c with
   | `Benign _ -> ()
@@ -90,7 +90,7 @@ let test_benign_inside_window () =
 
 let test_window_must_cover_vpn_and_mm () =
   let c = Checker.create () in
-  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:4 ~new_tlb_gen:2 () in
+  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:4 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
   let token = Checker.begin_invalidation c info in
   (* Same mm, vpn outside the flushed range: no excuse. *)
   (match stale_hit c ~vpn:10 with
@@ -110,8 +110,8 @@ let test_covered_matches_classification () =
   let c = Checker.create () in
   check bool_t "nothing covered" false (Checker.covered c ~mm_id:1 ~vpn:10);
   let t1 = Checker.begin_invalidation c
-      (Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ()) in
-  let t2 = Checker.begin_invalidation c (Flush_info.full ~mm_id:2 ~new_tlb_gen:3 ()) in
+      (Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false) in
+  let t2 = Checker.begin_invalidation c (Flush_info.full ~mm_id:2 ~new_tlb_gen:3 ~freed_tables:false) in
   check bool_t "ranged covers" true (Checker.covered c ~mm_id:1 ~vpn:10);
   check bool_t "range bound" false (Checker.covered c ~mm_id:1 ~vpn:11);
   check bool_t "full covers any vpn" true (Checker.covered c ~mm_id:2 ~vpn:123456);
@@ -129,7 +129,7 @@ let test_open_windows_bookkeeping () =
   let tokens =
     List.init 3 (fun i ->
         Checker.begin_invalidation c
-          (Flush_info.ranged ~mm_id:(i + 1) ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ()))
+          (Flush_info.ranged ~mm_id:(i + 1) ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false))
   in
   check int_t "three open" 3 (Checker.open_windows c);
   check bool_t "distinct tokens" true
@@ -169,10 +169,10 @@ let test_window_lifecycle_tables_in_sync () =
   in_sync "empty" 0;
   (* Several windows on the same mm, plus one on another mm. *)
   let w1 = Checker.begin_invalidation c
-      (Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:4 ~new_tlb_gen:2 ()) in
+      (Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:4 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false) in
   let w2 = Checker.begin_invalidation c
-      (Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:4 ~new_tlb_gen:3 ()) in
-  let w3 = Checker.begin_invalidation c (Flush_info.full ~mm_id:2 ~new_tlb_gen:2 ()) in
+      (Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:4 ~new_tlb_gen:3 ~stride:Tlb.Four_k ~freed_tables:false) in
+  let w3 = Checker.begin_invalidation c (Flush_info.full ~mm_id:2 ~new_tlb_gen:2 ~freed_tables:false) in
   in_sync "three open" 3;
   (* Close out of order; coverage must shrink exactly with the closes. *)
   Checker.end_invalidation c w2;

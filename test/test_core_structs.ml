@@ -72,20 +72,20 @@ let test_paper_only_switches_refused_elsewhere () =
 (* --- Flush_info --- *)
 
 let test_flush_info_ranged () =
-  let i = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:5 ~new_tlb_gen:3 () in
+  let i = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:5 ~new_tlb_gen:3 ~stride:Tlb.Four_k ~freed_tables:false in
   check int_t "entries" 5 (Flush_info.nr_entries i);
   check (Alcotest.list int_t) "vpns" [ 100; 101; 102; 103; 104 ] (Flush_info.vpns i);
   check bool_t "covers inside" true (Flush_info.covers i ~vpn:104);
   check bool_t "not outside" false (Flush_info.covers i ~vpn:105)
 
 let test_flush_info_full () =
-  let i = Flush_info.full ~mm_id:1 ~new_tlb_gen:3 () in
+  let i = Flush_info.full ~mm_id:1 ~new_tlb_gen:3 ~freed_tables:false in
   check bool_t "covers everything" true (Flush_info.covers i ~vpn:123456);
   check int_t "entries" max_int (Flush_info.nr_entries i)
 
 let test_flush_info_merge_ranges () =
-  let a = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:5 ~new_tlb_gen:3 () in
-  let b = Flush_info.ranged ~mm_id:1 ~start_vpn:110 ~pages:2 ~new_tlb_gen:5 () in
+  let a = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:5 ~new_tlb_gen:3 ~stride:Tlb.Four_k ~freed_tables:false in
+  let b = Flush_info.ranged ~mm_id:1 ~start_vpn:110 ~pages:2 ~new_tlb_gen:5 ~stride:Tlb.Four_k ~freed_tables:false in
   let m = Flush_info.merge a b in
   check bool_t "not full" false m.Flush_info.full;
   check int_t "start" 100 m.Flush_info.start_vpn;
@@ -94,21 +94,21 @@ let test_flush_info_merge_ranges () =
 
 let test_flush_info_merge_freed_tables_sticky () =
   let a =
-    Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~freed_tables:true ~new_tlb_gen:1 ()
+    Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~freed_tables:true ~new_tlb_gen:1 ~stride:Tlb.Four_k
   in
-  let b = Flush_info.ranged ~mm_id:1 ~start_vpn:5 ~pages:1 ~new_tlb_gen:2 () in
+  let b = Flush_info.ranged ~mm_id:1 ~start_vpn:5 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
   check bool_t "freed sticky" true (Flush_info.merge a b).Flush_info.freed_tables
 
 let test_flush_info_merge_stride_mismatch_goes_full () =
-  let a = Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+  let a = Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
   let b =
-    Flush_info.ranged ~mm_id:1 ~start_vpn:512 ~pages:1 ~stride:Tlb.Two_m ~new_tlb_gen:2 ()
+    Flush_info.ranged ~mm_id:1 ~start_vpn:512 ~pages:1 ~stride:Tlb.Two_m ~new_tlb_gen:2 ~freed_tables:false
   in
   check bool_t "full" true (Flush_info.merge a b).Flush_info.full
 
 let test_flush_info_merge_rejects_cross_mm () =
-  let a = Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
-  let b = Flush_info.ranged ~mm_id:2 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+  let a = Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
+  let b = Flush_info.ranged ~mm_id:2 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
   Alcotest.check_raises "cross-mm merge"
     (Invalid_argument "Flush_info.merge: different address spaces") (fun () ->
       ignore (Flush_info.merge a b))
@@ -310,8 +310,8 @@ let test_percpu_slot_eviction_lru () =
 
 let test_percpu_defer_merging () =
   let p = make_percpu () in
-  let info1 = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:2 ~new_tlb_gen:2 () in
-  let info2 = Flush_info.ranged ~mm_id:1 ~start_vpn:14 ~pages:2 ~new_tlb_gen:3 () in
+  let info1 = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:2 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
+  let info2 = Flush_info.ranged ~mm_id:1 ~start_vpn:14 ~pages:2 ~new_tlb_gen:3 ~stride:Tlb.Four_k ~freed_tables:false in
   Percpu.defer_user_flush p info1 ~threshold:33;
   Percpu.defer_user_flush p info2 ~threshold:33;
   (match p.Percpu.pending_user with
@@ -330,7 +330,7 @@ let test_percpu_defer_merging () =
 let test_percpu_csd_lines_on_demand () =
   let p = make_percpu () in
   check int_t "no slots before any shootdown" 0 (Array.length p.Percpu.csds);
-  let info = Flush_info.full ~mm_id:1 ~new_tlb_gen:1 () in
+  let info = Flush_info.full ~mm_id:1 ~new_tlb_gen:1 ~freed_tables:false in
   let claim target seq =
     let cfd = Percpu.claim_csd p ~target ~consolidated:false ~info ~early_ack:false in
     cfd.Percpu.cfd_seq <- seq;
@@ -358,17 +358,17 @@ let test_percpu_csd_lines_on_demand () =
 
 let test_percpu_defer_overflows_to_full () =
   let p = make_percpu () in
-  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:34 ~new_tlb_gen:2 () in
+  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:34 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
   Percpu.defer_user_flush p info ~threshold:33;
   check bool_t "full" true (p.Percpu.pending_user = Percpu.Full_flush)
 
 let test_percpu_defer_cross_mm_goes_full () =
   let p = make_percpu () in
   Percpu.defer_user_flush p
-    (Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ())
+    (Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false)
     ~threshold:33;
   Percpu.defer_user_flush p
-    (Flush_info.ranged ~mm_id:2 ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ())
+    (Flush_info.ranged ~mm_id:2 ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false)
     ~threshold:33;
   check bool_t "full on mm mix" true (p.Percpu.pending_user = Percpu.Full_flush)
 
@@ -464,7 +464,7 @@ let test_checker_stale_unmapped_is_violation () =
 
 let test_checker_inflight_window_excuses () =
   let c = Checker.create () in
-  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 () in
+  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
   let token = Checker.begin_invalidation c info in
   run_hit c ~now:5 ~cpu:2 ~mm_id:1 ~vpn:10 ~write:false
     ~entry:(entry ~vpn:10 ~pfn:5 ~writable:true)

@@ -72,7 +72,7 @@ let test_smp_ack_idempotent () =
       Sched.switch_mm m ~cpu:0 mm;
       Sched.switch_mm m ~cpu:1 mm;
       let info =
-        Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ()
+        Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false
       in
       let targets = Cpuset.create ~bits:2 in
       Cpuset.set targets 1;

@@ -36,7 +36,7 @@ let test_nmi_not_okay_with_pending_user_flush () =
       Access.touch_range m ~cpu:0 ~addr:(Addr.addr_of_vpn start_vpn) ~pages:2
         ~write:false;
       (* In-context deferral leaves a pending user flush behind. *)
-      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn ~pages:2 ();
+      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn ~pages:2 ~stride:Tlb.Four_k ~freed_tables:false;
       check bool_t "pending deferral blocks NMI uaccess" false
         (Shootdown.nmi_uaccess_okay m ~cpu:0);
       Shootdown.flush_pending_user m ~cpu:0 ~has_stack:true;

@@ -108,7 +108,6 @@ let test_fork_unmap_both_releases_once () =
         (Page_table.unmap_range (Mm_struct.page_table child)
            ~vpn:(Addr.vpn_of_addr addr) ~pages:4 ~free_tables:true
            ~f:(fun _ pte -> Frame_alloc.free m.Machine.frames (Pte.pfn pte))
-           ()
           : bool);
       check int_t "all frames released exactly once" before
         (Frame_alloc.allocated m.Machine.frames));

@@ -1061,9 +1061,10 @@ let model_poll e cpu ?(deadline = max_int) ready =
 
 let run_spin_model_script ~model ?chooser ?renumber_after (ops, flips, irqs, delays) =
   let e = Engine.create () in
-  let topo = Topology.flat 2 in
+  let n_cpus = Array.length ops in
+  let topo = Topology.flat n_cpus in
   let cpus =
-    Array.init 2 (fun id -> Cpu.create e topo Costs.default ~id ~safe:false ())
+    Array.init n_cpus (fun id -> Cpu.create e topo Costs.default ~id ~safe:false ())
   in
   (* Take all but [n] of the 2^25 - 1 sequence numbers on no-op events, so
      the engine renumbers its pending keys [n] schedules into the script. *)
@@ -1089,7 +1090,7 @@ let run_spin_model_script ~model ?chooser ?renumber_after (ops, flips, irqs, del
   let note who what = log := (Engine.now e, who, what) :: !log in
   let flags = Array.make 64 false in
   let flag k () = flags.(k) in
-  let computed = Array.make 2 (ref 0) |> Array.map (fun _ -> ref 0) in
+  let computed = Array.init n_cpus (fun _ -> ref 0) in
   Array.iteri
     (fun c ops ->
       let cpu = cpus.(c) in
@@ -1206,6 +1207,74 @@ let spin_result_t =
       (pair int int)
       (list (pair int (pair int int))))
 
+(* Three or four bare spins side by side, each CPU's spinner one [Raw]
+   after a gap that sets its phase, while two delayers sleep windows of up
+   to 2,000 cycles through them: the windows [try_advance] steps through
+   in closed form ([Engine] counts a window's boundaries and runs rather
+   than stepping them) and in the stepping loop it falls back to. Quanta
+   are 40, 50, 100 and 200. A spin is fixed-step when its quantum divides
+   its chunk and its first [left]; a third of them are not. Phases are 0
+   or multiples of 50 two times in three, so boundaries tie. Flags flip
+   late, so the spins stay idle across many windows, and several at one
+   instant, so that tied spins wake at one boundary, in key order. *)
+let walk_model_script rng =
+  let flag = ref 0 in
+  let fresh () =
+    incr flag;
+    !flag
+  in
+  let spinner () =
+    let quantum = [| 40; 50; 100; 200 |].(Rng.int rng 4) in
+    let chunk, left =
+      match Rng.int rng 3 with
+      | 0 -> (quantum * 333, 1 + Rng.int rng (quantum * 3))
+      | _ ->
+          let chunk = quantum * [| 1; 2; 5; 20 |].(Rng.int rng 4) in
+          (chunk, quantum * (1 + Rng.int rng (chunk / quantum)))
+    in
+    let phase =
+      match Rng.int rng 3 with 0 -> 0 | 1 -> 50 * Rng.int rng 4 | _ -> Rng.int rng 200
+    in
+    [ Gap phase; Raw (quantum, chunk, left, fresh (), fresh ()) ]
+  in
+  let ops = Array.init (3 + Rng.int rng 2) (fun _ -> spinner ()) in
+  let flips =
+    List.sort compare (List.init !flag (fun k -> (2000 + (250 * Rng.int rng 32), k + 1)))
+  in
+  let delays =
+    List.init 2 (fun _ -> List.init (2 + Rng.int rng 6) (fun _ -> 1 + Rng.int rng 2000))
+  in
+  (ops, flips, [], delays)
+
+let test_walk_model () =
+  for seed = 1 to 150 do
+    let rng = Rng.create ~seed:(Int64.of_int (0x3a1c + seed)) in
+    let script = walk_model_script rng in
+    List.iter
+      (fun (what, chooser, renumber_after) ->
+        check spin_result_t
+          (Printf.sprintf "walk seed %d%s" seed what)
+          (run_spin_model_script ~model:true ?chooser script)
+          (run_spin_model_script ~model:false ?chooser ?renumber_after script))
+      ([ ("", None, None); (", chooser", Some (Int64.of_int seed), None) ]
+      @ if seed mod 75 = 0 then [ (", renumbered", None, Some (seed / 5)) ] else [])
+  done;
+  (* Two 50-cycle spins in phase, one a quantum behind the other when the
+     delayer's 175-cycle window starts at 100: spinner1 started its spin
+     at 50, after the delayer suspended there, so its boundary at 100 is
+     keyed after the delayer's wake, while spinner0 took its own before
+     it and is keyed at 150. Both next keys fall at 300, where flags
+     flipped at 290 wake both, spinner0 (the later start) first. *)
+  let script =
+    ( [| [ Raw (50, 50, 50, 1, 2) ]; [ Gap 25; Gap 25; Raw (50, 50, 50, 3, 4) ] |],
+      [ (290, 1); (290, 3) ],
+      [],
+      [ [ 50; 50; 175 ] ] )
+  in
+  check spin_result_t "walk: equal quanta tied at the window's end"
+    (run_spin_model_script ~model:true script)
+    (run_spin_model_script ~model:false script)
+
 let test_spin_model () =
   let result_t = spin_result_t in
   for seed = 1 to 200 do
@@ -1218,7 +1287,8 @@ let test_spin_model () =
           (run_spin_model_script ~model:true ?chooser script)
           (run_spin_model_script ~model:false ?chooser script))
       [ None; Some (Int64.of_int seed) ]
-  done
+  done;
+  test_walk_model ()
 
 (* The same across a sequence-number renumbering, which rewrites the keys
    of pending spins, and of a [try_advance]'s barrier while it steps

@@ -375,7 +375,7 @@ let test_pt_unmap_range_spans_hugepage () =
   Page_table.map pt ~vpn:1024 ~size:Tlb.Four_k (Pte.user_data ~pfn:2);
   let removed = ref 0 in
   ignore
-    (Page_table.unmap_range pt ~vpn:0 ~pages:1025 ~f:(fun _ _ -> incr removed) () : bool);
+    (Page_table.unmap_range pt ~vpn:0 ~pages:1025 ~f:(fun _ _ -> incr removed) ~free_tables:false : bool);
   check int_t "three removed" 3 !removed;
   check int_t "nothing left" 0 (Page_table.mapped_count pt)
 
@@ -494,7 +494,7 @@ let test_pt_vs_model () =
         let free_tables = Rng.int rng 4 > 0 in
         check removal_t (what ^ ": unmap_range")
           (Pt_model.unmap_range m ~vpn ~pages ~free_tables)
-          (removal (fun ~f -> Page_table.unmap_range pt ~vpn ~pages ~free_tables ~f ()))
+          (removal (fun ~f -> Page_table.unmap_range pt ~vpn ~pages ~free_tables ~f))
     | _ -> ());
     for _ = 1 to 4 do
       check_walk what (random_vpn ())

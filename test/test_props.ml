@@ -208,7 +208,7 @@ let prop_pt_vs_model =
           | Pt_unmap_range (vpn, pages, free_tables) ->
               ( vpn,
                 removal (fun ~f ->
-                    Page_table.unmap_range pt ~vpn ~pages ~free_tables ~f ())
+                    Page_table.unmap_range pt ~vpn ~pages ~free_tables ~f)
                 = M.unmap_range m ~vpn ~pages ~free_tables )
         in
         agrees
@@ -302,7 +302,7 @@ let info_gen =
   QCheck.Gen.(
     map2
       (fun start pages ->
-        Flush_info.ranged ~mm_id:1 ~start_vpn:start ~pages ~new_tlb_gen:1 ())
+        Flush_info.ranged ~mm_id:1 ~start_vpn:start ~pages ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false)
       (0 -- 1000) (1 -- 40))
 
 let prop_flush_info_merge_covers =

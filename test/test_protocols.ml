@@ -145,11 +145,11 @@ let test_queue_ring_overflow_collapses_to_flush_all () =
         warm m ~cpu:0 ~start_vpn:vpn ~pages;
         plant m ~cpu:14 ~vpn:other;
         (* [ring] entries fill the ring exactly: [other] must survive. *)
-        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:ring ();
+        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:ring ~stride:Tlb.Four_k ~freed_tables:false;
         Machine.delay m 10_000;
         full_survives := planted_present m ~cpu:14 ~vpn:other;
         (* [ring + 1] entries overflow: the responder flushes all. *)
-        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages ();
+        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages ~stride:Tlb.Four_k ~freed_tables:false;
         Machine.delay m 10_000;
         overflow_gone := not (planted_present m ~cpu:14 ~vpn:other))
   in
@@ -200,7 +200,7 @@ let test_in_context_changes_cycles () =
           let vpn = map_pages m mm ~pages:8 in
           warm m ~cpu:0 ~start_vpn:vpn ~pages:8;
           let t0 = Machine.now m in
-          Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:8 ();
+          Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:8 ~stride:Tlb.Four_k ~freed_tables:false;
           dt := Machine.now m - t0)
     in
     !dt
@@ -573,7 +573,7 @@ let test_drain_k_requests_one_run () =
       in
       let irq = { Cpu.vector = Smp.tlb_shootdown_vector; maskable = true; step } in
       Process.spawn e ~name:"initiator" (fun () ->
-          let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+          let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
           let targets = Cpuset.create ~bits:4 in
           Cpuset.set targets 1;
           for _ = 1 to k do
@@ -600,7 +600,7 @@ let test_unexecuted_cfd_reported () =
           ~seed:3L ()
       in
       Process.spawn m.Machine.engine ~name:"t" (fun () ->
-          let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+          let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
           let targets = Cpuset.create ~bits:2 in
           Cpuset.set targets 1;
           Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false;
@@ -649,7 +649,7 @@ let test_csd_slot_lifecycle () =
             cfd.Percpu.cfd_executed <- true;
             -1)
   in
-  let info n = Flush_info.ranged ~mm_id:0 ~start_vpn:n ~pages:1 ~new_tlb_gen:n () in
+  let info n = Flush_info.ranged ~mm_id:0 ~start_vpn:n ~pages:1 ~new_tlb_gen:n ~stride:Tlb.Four_k ~freed_tables:false in
   let info1 = info 1 and info2 = info 2 in
   let first = ref Percpu.no_cfd and second = ref Percpu.no_cfd in
   let targets = Cpuset.create ~bits:2 in
@@ -708,7 +708,7 @@ let test_csd_two_initiators_fifo () =
   in
   let targets = Cpuset.create ~bits:3 in
   Cpuset.set targets 1;
-  let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+  let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
   let queued = ref [] in
   Process.spawn e ~name:"initiators" (fun () ->
       List.iter
@@ -740,7 +740,7 @@ let test_ipi_round_words () =
   let lead, visit = ack_drain m ~me:1 in
   let targets = Cpuset.create ~bits:2 in
   Cpuset.set targets 1;
-  let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+  let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
   let round () =
     Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false;
     Process.chain_item e ~lead:(lead 1) 1 visit
@@ -772,7 +772,7 @@ let test_enqueue_work_suspensions () =
   Process.spawn e ~name:"initiator" (fun () ->
       let targets = Cpuset.create ~bits:8 in
       List.iter (Cpuset.set targets) [ 1; 2; 3; 5; 7 ];
-      let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 () in
+      let info = Flush_info.ranged ~mm_id:0 ~start_vpn:0 ~pages:1 ~new_tlb_gen:1 ~stride:Tlb.Four_k ~freed_tables:false in
       let s0 = Engine.suspensions () in
       Smp.enqueue_work m ~from:0 ~targets ~info ~early_ack:false;
       suspensions := Engine.suspensions () - s0;
@@ -839,7 +839,7 @@ let ranged_tail ~in_context =
       vpn := map_pages m mm ~pages:3;
       Machine.delay m 2_000;
       let s0 = Engine.suspensions () in
-      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:!vpn ~pages:3 ();
+      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:!vpn ~pages:3 ~stride:Tlb.Four_k ~freed_tables:false;
       Machine.delay m 5_000;
       s := Engine.suspensions () - s0;
       stop := true;
@@ -878,7 +878,7 @@ let test_window_closed_on_return () =
       ("flush_tlb_page", fun m mm vpn -> Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn);
       ( "flush_tlb_mm_range",
         fun m mm start_vpn ->
-          Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn ~pages:4 () );
+          Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn ~pages:4 ~stride:Tlb.Four_k ~freed_tables:false );
       ("flush_tlb_mm", fun m mm _ -> Shootdown.flush_tlb_mm m ~from:0 ~mm);
       ( "flush_tlb_page_cow",
         fun m mm vpn ->

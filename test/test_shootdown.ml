@@ -60,7 +60,7 @@ let test_local_only_no_ipi () =
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
       let vpn = map_pages m mm ~pages:2 in
       warm m ~cpu:0 ~start_vpn:vpn ~pages:2;
-      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2 ();
+      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2 ~stride:Tlb.Four_k ~freed_tables:false;
       check bool_t "entry flushed" false
         (Tlb.mem (tlb_of m 0) ~pcid:(user_pcid_of m 0) ~vpn));
   Kernel.run m;
@@ -110,7 +110,7 @@ let measure_flush ~opts ~pages ~responder =
         let vpn = map_pages m mm ~pages in
         warm m ~cpu:0 ~start_vpn:vpn ~pages;
         let t0 = Machine.now m in
-        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages ();
+        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages ~stride:Tlb.Four_k ~freed_tables:false;
         cycles := Machine.now m - t0)
   in
   !cycles
@@ -145,7 +145,7 @@ let measure_flush_freed ~opts =
         warm m ~cpu:0 ~start_vpn:vpn ~pages:4;
         let t0 = Machine.now m in
         Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:4
-          ~freed_tables:true ();
+          ~freed_tables:true ~stride:Tlb.Four_k;
         cycles := Machine.now m - t0)
   in
   !cycles
@@ -194,7 +194,7 @@ let test_full_flush_over_threshold () =
       (* Also warm an address outside the flush range. *)
       let other = map_pages m mm ~pages:1 in
       warm m ~cpu:0 ~start_vpn:other ~pages:1;
-      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:40 ();
+      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:40 ~stride:Tlb.Four_k ~freed_tables:false;
       (* 40 > 33: everything in the kernel PCID went, and the user PCID
          full flush is pending (safe mode defers it). *)
       check bool_t "outside range flushed too (pending user full)" true
@@ -217,7 +217,7 @@ let test_responder_gen_skip () =
       let vpn = map_pages m mm ~pages:1 in
       warm m ~cpu:0 ~start_vpn:vpn ~pages:1;
       let gen = Mm_struct.bump_tlb_gen mm in
-      let info = Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:gen () in
+      let info = Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:gen ~stride:Tlb.Four_k ~freed_tables:false in
       check bool_t "first executes" true (flush_tlb_func m ~cpu:0 info = `Ranged);
       check bool_t "second skips" true (flush_tlb_func m ~cpu:0 info = `Skipped));
   Kernel.run m;
@@ -234,14 +234,14 @@ let test_responder_gen_fast_forward_full () =
       let _g2 = Mm_struct.bump_tlb_gen mm in
       let g3 = Mm_struct.bump_tlb_gen mm in
       let old_info =
-        Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:g3 ()
+        Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:g3 ~stride:Tlb.Four_k ~freed_tables:false
       in
       ignore g1;
       check bool_t "multiple gens behind takes a full flush" true
         (flush_tlb_func m ~cpu:0 old_info = `Full);
       (* Fast-forwarded: a request for an intermediate gen now skips. *)
       let mid_info =
-        Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:g3 ()
+        Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1 ~new_tlb_gen:g3 ~stride:Tlb.Four_k ~freed_tables:false
       in
       check bool_t "subsequent skipped" true
         (flush_tlb_func m ~cpu:0 mid_info = `Skipped));
@@ -291,7 +291,7 @@ let test_in_context_defers_user_flush () =
   Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
       let vpn = map_pages m mm ~pages:2 in
       warm m ~cpu:0 ~start_vpn:vpn ~pages:2;
-      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2 ();
+      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2 ~stride:Tlb.Four_k ~freed_tables:false;
       (* Kernel PCID flushed eagerly; user PCID deferred. *)
       check bool_t "user entry still cached" true
         (Tlb.mem (tlb_of m 0) ~pcid:(user_pcid_of m 0) ~vpn);
@@ -313,7 +313,7 @@ let test_in_context_no_stack_full_flush () =
       let other = map_pages m mm ~pages:1 in
       warm m ~cpu:0 ~start_vpn:vpn ~pages:2;
       warm m ~cpu:0 ~start_vpn:other ~pages:1;
-      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2 ();
+      Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2 ~stride:Tlb.Four_k ~freed_tables:false;
       (* Returning without a stack (IRET path): the whole user PCID goes. *)
       Shootdown.flush_pending_user m ~cpu:0 ~has_stack:false;
       check bool_t "unrelated user entry also gone" false
@@ -328,7 +328,7 @@ let test_in_context_eager_when_tables_freed () =
       let vpn = map_pages m mm ~pages:2 in
       warm m ~cpu:0 ~start_vpn:vpn ~pages:2;
       Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:2
-        ~freed_tables:true ();
+        ~freed_tables:true ~stride:Tlb.Four_k;
       check bool_t "user entry flushed eagerly" false
         (Tlb.mem (tlb_of m 0) ~pcid:(user_pcid_of m 0) ~vpn);
       check bool_t "nothing pending" true
@@ -427,7 +427,7 @@ let test_batched_target_not_skipped_for_freed_tables () =
       let vpn = map_pages m mm ~pages:1 in
       warm m ~cpu:0 ~start_vpn:vpn ~pages:1;
       Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:1
-        ~freed_tables:true ();
+        ~freed_tables:true ~stride:Tlb.Four_k;
       check int_t "IPI still sent when tables freed" 1 (Apic.ipis_sent m.Machine.apic);
       stop := true);
   Kernel.run m
@@ -439,7 +439,7 @@ let test_concurrent_in_context_interplay () =
     with_pair ~opts ~responder:14 (fun m mm ->
         let vpn = map_pages m mm ~pages:10 in
         warm m ~cpu:0 ~start_vpn:vpn ~pages:10;
-        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:10 ();
+        Shootdown.flush_tlb_mm_range m ~from:0 ~mm ~start_vpn:vpn ~pages:10 ~stride:Tlb.Four_k ~freed_tables:false;
         (* With 10 user PTEs and a same/cross-socket ack latency the
            initiator cannot INVPCID them all before the first ack: a
            remainder must be deferred. *)

@@ -1201,6 +1201,34 @@ let test_engine_ring_boundary_model () =
     check int_t "engine drained" 0 (Engine.live_rows e);
     check int_t "model drained" 0 (List.length !pending)
   done;
+  (* Pops that empty a slot, and appends at and below the earliest ring
+     time they leave. Each round queues an event at [a] (sometimes two)
+     and a later one at [b], fires [a]'s, so the next earliest is searched
+     from [a + 1] (round the ring whenever [b]'s slot lies below [a]'s),
+     then appends at [b], between the clock and [b], and at the clock
+     itself, probing around them, and drains. The clock crosses the ring
+     many times. *)
+  for _round = 1 to 400 do
+    let a = Engine.now e + 1 + Rng.int rng 200 in
+    let b = a + 1 + Rng.int rng (ring - 202) in
+    add ~time:a ~children:0;
+    if Rng.int rng 3 = 0 then add ~time:a ~children:0;
+    add ~time:b ~children:0;
+    step ();
+    if Rng.int rng 2 = 0 then step ();
+    let now = Engine.now e in
+    add ~time:b ~children:0;
+    if b > now then add ~time:(now + Rng.int rng (b - now)) ~children:0;
+    probe ();
+    add ~time:(Engine.now e) ~children:0;
+    probe ();
+    for _ = 1 to Rng.int rng 4 do
+      step ()
+    done;
+    probe ();
+    Engine.run e;
+    check int_t "model drained" 0 (List.length !pending)
+  done;
   check int_t "every scheduled event fired once" !next_id !n_fired
 
 let suite =

@@ -268,7 +268,7 @@ let test_dispatch_quiescence () =
        "Demo: cpu2: IRQ drain still running at quiescence; engine arena: 2 event row(s) \
         not back on the free list") (fun () ->
       Kernel.check_run m ~who:"Demo");
-  let info = Flush_info.full ~mm_id:0 ~new_tlb_gen:1 () in
+  let info = Flush_info.full ~mm_id:0 ~new_tlb_gen:1 ~freed_tables:false in
   List.iter
     (fun (what, leave) ->
       let m = Machine.create ~opts:(Opts.all ~safe:true) () in
