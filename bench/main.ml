@@ -552,13 +552,6 @@ let ablation_tasks =
 
 (* ----- Big-machine scaling (DESIGN.md §12) ----- *)
 
-(* A BENCH_PERF row (lib/workloads/bench_perf.ml owns the format). Plans
-   whose results perf mode reports return their rows from reduce. *)
-let perf_row ?(memoized = false) family key values =
-  { Bench_perf.family; key; values; memoized }
-
-let int n = Some (float_of_int n)
-
 let bigmachine_plan () =
   Shard.plan "bigmachine" @@ fun b ->
   let cells =
@@ -591,18 +584,19 @@ let bigmachine_plan () =
            results),
       List.map
         (fun (n, r) ->
-          perf_row "bigmachine" (Printf.sprintf "bigmachine-%d" n)
-            [
-              ("n_cpus", int n);
-              ("threads", int r.Bigmachine.threads);
-              ("ops", int r.Bigmachine.ops);
-              ("shootdowns", int r.Bigmachine.shootdowns);
-              ("ipis", int r.Bigmachine.ipis);
-              ("icr_writes", int r.Bigmachine.icr_writes);
-              ("churns", int r.Bigmachine.churns);
-              ("cycles_per_shootdown", Some r.Bigmachine.cycles_per_shootdown);
-              ("engine_ops", int r.Bigmachine.engine_ops);
-            ])
+          Bench_perf.(
+            row "bigmachine" (Printf.sprintf "bigmachine-%d" n)
+              [
+                ("n_cpus", int n);
+                ("threads", int r.Bigmachine.threads);
+                ("ops", int r.Bigmachine.ops);
+                ("shootdowns", int r.Bigmachine.shootdowns);
+                ("ipis", int r.Bigmachine.ipis);
+                ("icr_writes", int r.Bigmachine.icr_writes);
+                ("churns", int r.Bigmachine.churns);
+                ("cycles_per_shootdown", Some r.Bigmachine.cycles_per_shootdown);
+                ("engine_ops", int r.Bigmachine.engine_ops);
+              ]))
         results )
 
 (* ----- Shootout: protocol-backend comparison (DESIGN.md §13) ----- *)
@@ -1204,12 +1198,13 @@ let phases_rows ~jobs =
           else Printf.sprintf "%s{%s}" (Metrics.series_name s) labels
         in
         Some
-          (perf_row "phases" id
-             [
-               ("count", int (Stats.count st));
-               ("p50", Stats.percentile_opt st 50.0);
-               ("p99", Stats.percentile_opt st 99.0);
-             ]))
+          Bench_perf.(
+            row "phases" id
+              [
+                ("count", int (Stats.count st));
+                ("p50", Stats.percentile_opt st 50.0);
+                ("p99", Stats.percentile_opt st 99.0);
+              ]))
     (Metrics.all metrics)
 
 (* One "experiments" row per plan: the host cost of the cells it owns.
@@ -1218,25 +1213,26 @@ let phases_rows ~jobs =
 let experiment_row o =
   let m = o.Shard.out_measure in
   let ops = Option.map float_of_int m.Shard.engine_ops in
-  perf_row "experiments" o.Shard.out_name ~memoized:(m.Shard.runs = 0)
-    [
-      ("wall_s", Some m.Shard.wall_s);
-      ("max_run_wall_s", Some m.Shard.max_wall_s);
-      ("runs", int m.Shard.runs);
-      ("reused", int o.Shard.out_reused);
-      ("engine_ops", ops);
-      ( "engine_ops_per_s",
-        Option.map (fun ops -> ops /. Float.max 1e-9 m.Shard.wall_s) ops );
-      (* Deterministic: the gate compares it raw. *)
-      ("suspensions", int m.Shard.suspensions);
-      ("minor_words", Some m.Shard.minor_words);
-      ("major_words", Some m.Shard.major_words);
-      ("promoted_words", Some m.Shard.promoted_words);
-      (* Deterministic, unlike wall time: the gate compares it raw. *)
-      ( "minor_words_per_engine_op",
-        Option.bind ops (fun ops ->
-            if ops > 0.0 then Some (m.Shard.minor_words /. ops) else None) );
-    ]
+  Bench_perf.(
+    row "experiments" o.Shard.out_name ~memoized:(m.Shard.runs = 0)
+      [
+        ("wall_s", Some m.Shard.wall_s);
+        ("max_run_wall_s", Some m.Shard.max_wall_s);
+        ("runs", int m.Shard.runs);
+        ("reused", int o.Shard.out_reused);
+        ("engine_ops", ops);
+        ( "engine_ops_per_s",
+          Option.map (fun ops -> ops /. Float.max 1e-9 m.Shard.wall_s) ops );
+        (* Deterministic: the gate compares it raw. *)
+        ("suspensions", int m.Shard.suspensions);
+        ("minor_words", Some m.Shard.minor_words);
+        ("major_words", Some m.Shard.major_words);
+        ("promoted_words", Some m.Shard.promoted_words);
+        (* Deterministic, unlike wall time: the gate compares it raw. *)
+        ( "minor_words_per_engine_op",
+          Option.bind ops (fun ops ->
+              if ops > 0.0 then Some (m.Shard.minor_words /. ops) else None) );
+      ])
 
 let perf ~jobs () =
   let t0 = Unix.gettimeofday () in
@@ -1271,8 +1267,8 @@ let perf ~jobs () =
      sums every domain — the cross-domain aggregate perf mode reports. *)
   let gc = Gc.quick_stat () in
   let run_rows =
-    [
-      perf_row "run" "total"
+    Bench_perf.[
+      row "run" "total"
         [
           ("jobs", int jobs);
           ("wall_s", Some total_wall);
@@ -1281,7 +1277,7 @@ let perf ~jobs () =
           ( "engine_ops_per_s",
             Some (float_of_int total_ops /. Float.max 1e-9 total_wall) );
         ];
-      perf_row "run" "pool_gc"
+      row "run" "pool_gc"
         [
           ("minor_words", Some pool_gc.Domain_pool.pool_minor_words);
           ("major_words", Some pool_gc.Domain_pool.pool_major_words);
@@ -1289,7 +1285,7 @@ let perf ~jobs () =
           ("minor_collections", int pool_gc.Domain_pool.pool_minor_collections);
           ("major_collections", int pool_gc.Domain_pool.pool_major_collections);
         ];
-      perf_row "run" "gc"
+      row "run" "gc"
         [
           ("minor_collections", int gc.Gc.minor_collections);
           ("major_collections", int gc.Gc.major_collections);

@@ -113,9 +113,7 @@ let cow_break m ~cpu ~mm ~vpn (old : Pte.t) =
     Frame_alloc.free (Mm_struct.frames mm) new_pfn
   else begin
     (* This mapping's reference moves to the private copy. *)
-    if Machine.tracing m then
-      Machine.trace_event m ~cpu
-        (Trace.Pte_write { mm_id = Mm_struct.id mm; vpn; pages = 1 });
+    Kernel.trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
     Frame_alloc.free (Mm_struct.frames mm) (Pte.pfn old);
     Shootdown.flush_tlb_page_cow m ~from:cpu ~mm ~vpn ~executable:(Pte.executable old)
   end

@@ -10,8 +10,8 @@ let copy_vmas parent child =
 (* Share one parent 4 KiB leaf into the child. Shared mappings stay shared
    and writable in both; a writable private page becomes COW on both
    sides, and a read-only one (COW or protected) is shared as-is. Returns
-   true when the parent PTE changed (and so needs flushing). *)
-let share_leaf ~parent ~child ~vpn (pte : Pte.t) =
+   true when the parent PTE changed (traced, and so needs flushing). *)
+let share_leaf m ~cpu ~parent ~child ~vpn (pte : Pte.t) =
   match Mm_struct.find_vma parent ~vpn with
   | None -> false
   | Some vma ->
@@ -20,8 +20,10 @@ let share_leaf ~parent ~child ~vpn (pte : Pte.t) =
         | Vma.File_shared _ -> false
         | Vma.Anonymous | Vma.File_private _ -> Pte.writable pte
       in
-      if cow then
+      if cow then begin
         ignore (Page_table.update (Mm_struct.page_table parent) ~vpn ~f:Pte.make_cow);
+        Kernel.trace_pte_write m ~cpu ~mm:parent ~vpn ~pages:1
+      end;
       Frame_alloc.ref_get (Mm_struct.frames parent) (Pte.pfn pte);
       Page_table.map (Mm_struct.page_table child) ~vpn ~size:Tlb.Four_k
         (if cow then Pte.make_cow pte else pte);
@@ -50,7 +52,7 @@ let fork m ~cpu =
           List.iter
             (fun (vpn, pte) ->
               Machine.delay m m.Machine.costs.Costs.zap_pte;
-              if share_leaf ~parent ~child ~vpn pte then incr changed)
+              if share_leaf m ~cpu ~parent ~child ~vpn pte then incr changed)
             !leaves;
           (* Like Linux's fork path: one full shootdown of the parent's
              address space clears any stale writable translations. *)

@@ -119,6 +119,17 @@ let in_window m ~cpu info f =
       close_window m ~cpu info token;
       Printexc.raise_with_backtrace ex bt
 
+let trace_pte_write m ~cpu ~mm ~vpn ~pages =
+  if Machine.tracing m then
+    Machine.trace_event m ~cpu (Trace.Pte_write { mm_id = Mm_struct.id mm; vpn; pages })
+
+let change_pte m ~cpu ~mm ~vpn ~f =
+  in_window m ~cpu (range_info mm ~start_vpn:vpn ~pages:1) (fun () ->
+      if Pte.present (Page_table.update (Mm_struct.page_table mm) ~vpn ~f) then begin
+        trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
+        Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
+      end)
+
 let run m = Machine.run m
 
 let check_quiescent m add_failure =

@@ -1,5 +1,6 @@
-(** Thread and process plumbing, and the brackets around every PTE change:
-    the top of the public API.
+(** Thread and process plumbing, the brackets around every PTE change, a
+    one-page change in its window ([change_pte]) and the trace of a PTE
+    write ([trace_pte_write]): the top of the public API.
 
     A "user thread" is a simulated process pinned to one CPU with one
     address space loaded; its body calls {!Access} and {!Syscall}. At most
@@ -52,6 +53,18 @@ val in_window : Machine.t -> cpu:int -> Flush_info.t -> (unit -> 'a) -> 'a
 
 (** A change to [pages] pages of [mm] from [start_vpn], at its current generation. *)
 val range_info : Mm_struct.t -> start_vpn:int -> pages:int -> Flush_info.t
+
+(** Record that [pages] PTEs of [mm] from [vpn] changed ({!Trace.Pte_write}),
+    when tracing. Every PTE write that needs a shootdown calls it inside
+    the change's window, so the race detector can tie a stale hit to it. *)
+val trace_pte_write :
+  Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> pages:int -> unit
+
+(** One PTE change of §2.3.2: in the page's window, the PTE covering [vpn]
+    becomes [f] of it ({!Page_table.update}) and, if it was present, the
+    write is traced and shot down ({!Shootdown.flush_tlb_page}). *)
+val change_pte :
+  Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> f:(Pte.t -> Pte.t) -> unit
 
 (** Run the machine to quiescence and re-raise any process failure. *)
 val run : Machine.t -> unit

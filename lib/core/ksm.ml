@@ -20,22 +20,13 @@ let merge_pages m ~cpu ~mm ~keep ~dup =
         let keep_pfn = Pte.pfn kpte and dup_pfn = Pte.pfn dpte in
         (* Write-protect both pages and make the change globally visible
            before trusting the contents to stay identical. *)
-        let freeze v =
-          Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:v ~pages:1) (fun () ->
-              if Pte.present (Page_table.update pt ~vpn:v ~f:Pte.make_cow) then
-                Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn:v)
-        in
-        freeze keep;
-        freeze dup;
+        Kernel.change_pte m ~cpu ~mm ~vpn:keep ~f:Pte.make_cow;
+        Kernel.change_pte m ~cpu ~mm ~vpn:dup ~f:Pte.make_cow;
         (* The scanner would memcmp here. *)
         Machine.delay m m.Machine.costs.Costs.page_copy;
         (* Retarget the duplicate at the survivor's frame. *)
-        Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:dup ~pages:1) (fun () ->
-            Frame_alloc.ref_get frames keep_pfn;
-            if
-              Pte.present
-                (Page_table.update pt ~vpn:dup ~f:(fun pte -> Pte.with_pfn pte keep_pfn))
-            then Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn:dup);
+        Frame_alloc.ref_get frames keep_pfn;
+        Kernel.change_pte m ~cpu ~mm ~vpn:dup ~f:(fun pte -> Pte.with_pfn pte keep_pfn);
         Frame_alloc.free frames dup_pfn;
         `Merged
       end

@@ -29,20 +29,14 @@ let migrate_page m ~cpu ~mm ~vpn =
            fault; the shootdown guarantees no TLB lets a write slip past
            the copy. *)
         let was_writable = Pte.writable old in
-        Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages:1) (fun () ->
-            if Pte.present (Page_table.update pt ~vpn ~f:Pte.write_protect) then
-              Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn);
+        Kernel.change_pte m ~cpu ~mm ~vpn ~f:Pte.write_protect;
         (* Phase 2: copy to the new frame. *)
         let new_pfn = Frame_alloc.alloc (Mm_struct.frames mm) in
         Machine.delay m m.Machine.costs.Costs.page_copy;
         (* Phase 3: install the new frame and invalidate the old
            translation everywhere before the old frame is recycled. *)
-        Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages:1) (fun () ->
-            if
-              Pte.present
-                (Page_table.update pt ~vpn ~f:(fun pte ->
-                     Pte.with_writable (Pte.with_pfn pte new_pfn) was_writable))
-            then Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn);
+        Kernel.change_pte m ~cpu ~mm ~vpn ~f:(fun pte ->
+            Pte.with_writable (Pte.with_pfn pte new_pfn) was_writable);
         Frame_alloc.free (Mm_struct.frames mm) (Pte.pfn old);
         `Migrated
       end)

@@ -1,7 +1,3 @@
-let trace_pte_write m ~cpu ~mm ~vpn ~pages =
-  if Machine.tracing m then
-    Machine.trace_event m ~cpu (Trace.Pte_write { mm_id = Mm_struct.id mm; vpn; pages })
-
 let current_mm m ~cpu =
   match (Machine.percpu m cpu).Percpu.loaded_mm with
   | Some mm -> mm
@@ -78,7 +74,7 @@ let munmap m ~cpu ~addr ~pages =
                     if covered removed_vmas ~vpn:v then
                       to_free := pte :: !to_free)
               in
-              if !removed > 0 then trace_pte_write m ~cpu ~mm ~vpn ~pages;
+              if !removed > 0 then Kernel.trace_pte_write m ~cpu ~mm ~vpn ~pages;
               Machine.delay m (m.Machine.costs.Costs.zap_pte * !removed);
               (* Linux batches the whole munmap range into one flush; freed
                  page tables disable early ack and batching deferral. *)
@@ -104,7 +100,7 @@ let madvise_dontneed m ~cpu ~addr ~pages =
                      if Option.is_some (Mm_struct.find_vma mm ~vpn:v) then
                        to_free := pte :: !to_free)
                   : bool);
-              if !removed > 0 then trace_pte_write m ~cpu ~mm ~vpn ~pages;
+              if !removed > 0 then Kernel.trace_pte_write m ~cpu ~mm ~vpn ~pages;
               Machine.delay m (m.Machine.costs.Costs.zap_pte * Stdlib.max 1 !removed);
               if !removed > 0 then
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn
@@ -135,7 +131,7 @@ let mprotect m ~cpu ~addr ~pages ~writable =
                 if Pte.present (Page_table.update pt ~vpn:v ~f) then incr changed
               done;
               if !changed > 0 then begin
-                trace_pte_write m ~cpu ~mm ~vpn ~pages;
+                Kernel.trace_pte_write m ~cpu ~mm ~vpn ~pages;
                 Shootdown.flush_tlb_mm_range m ~from:cpu ~mm ~start_vpn:vpn ~pages
                   ~stride:Tlb.Four_k ~freed_tables:false
               end)))
@@ -165,7 +161,8 @@ let mremap m ~cpu ~addr ~pages =
                   ~f:(fun old_vpn pte -> removed := (old_vpn, pte) :: !removed)
               in
               let removed = List.rev !removed in
-              if not (List.is_empty removed) then trace_pte_write m ~cpu ~mm ~vpn ~pages;
+              if not (List.is_empty removed) then
+                Kernel.trace_pte_write m ~cpu ~mm ~vpn ~pages;
               Machine.delay m (m.Machine.costs.Costs.zap_pte * List.length removed);
               List.iter
                 (fun (old_vpn, pte) ->
@@ -193,7 +190,7 @@ let writeback_page m ~cpu ~mm ~file ~index ~vpn =
             Page_table.update pt ~vpn ~f:(fun pte -> Pte.clean (Pte.write_protect pte))
           in
           if Pte.writable old || Pte.dirty old then begin
-            trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
+            Kernel.trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
             Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn;
             true
           end

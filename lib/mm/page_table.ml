@@ -164,10 +164,6 @@ let update t ~vpn ~f =
     pte
   end
 
-(* Base VPN of the page a leaf covering [vpn] maps. *)
-let leaf_base vpn pte =
-  match Pte.size pte with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511
-
 let ignore_leaf (_ : int) (_ : Pte.t) = ()
 
 (* Take child table [kid] out of slot [idx] of [node]: its slots are all
@@ -179,39 +175,6 @@ let free_kid t node idx kid =
   t.spare.(kid.level) <- kid;
   t.n_tables <- t.n_tables - 1;
   t.n_tables_freed <- t.n_tables_freed + 1
-
-(* Free the empty tables on [vpn]'s path below [node], bottom-up, by
-   descending again from the top; true if any was freed. *)
-let rec prune t node vpn =
-  if node.level = 1 then false
-  else begin
-    let idx = index_at ~level:node.level vpn in
-    let kid = kid_at node idx in
-    if kid == no_node then false
-    else begin
-      let freed = prune t kid vpn in
-      if kid.live = 0 then begin
-        free_kid t node idx kid;
-        true
-      end
-      else freed
-    end
-  end
-
-let unmap t ~vpn ?(free_tables = false) ?(f = ignore_leaf) () =
-  let node = leaf_node t.root vpn in
-  if node == no_node then false
-  else begin
-    let idx = index_at ~level:node.level vpn in
-    let pte = pte_at node idx in
-    put_pte node idx Pte.none;
-    node.live <- node.live - 1;
-    t.n_mapped <- t.n_mapped - 1;
-    t.ver <- t.ver + 1;
-    let freed = free_tables && prune t t.root vpn in
-    f (leaf_base vpn pte) pte;
-    freed
-  end
 
 (* Remove every leaf below [node], whose first VPN is [base], that
    intersects \[lo, hi), in ascending VPN order. With [free_tables], a
@@ -253,6 +216,9 @@ let rec zap t node base lo hi free_tables f =
 
 let unmap_range t ~vpn ~pages ~free_tables ~f =
   pages > 0 && zap t t.root 0 vpn (vpn + pages) free_tables f
+
+let unmap t ~vpn ?(free_tables = false) ?(f = ignore_leaf) () =
+  zap t t.root 0 vpn (vpn + 1) free_tables f
 
 let mapped_count t = t.n_mapped
 let table_pages t = t.n_tables

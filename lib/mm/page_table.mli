@@ -22,17 +22,18 @@ val create : unit -> t
     mapping. The PTE must be present; its PS bit is set from [size]. *)
 val map : t -> vpn:int -> size:Tlb.page_size -> Pte.t -> unit
 
-(** Remove the mapping covering [vpn] (an unaligned VPN inside a hugepage
-    removes the whole hugepage), passing its base VPN and old PTE to [f].
-    Returns whether page-table pages were released, which only
-    [free_tables] allows. [f] must not change this page table. *)
-val unmap :
-  t -> vpn:int -> ?free_tables:bool -> ?f:(int -> Pte.t -> unit) -> unit -> bool
-
-(** Remove all mappings whose pages intersect \[vpn, vpn+pages), passing
-    each to [f] in ascending VPN order, as {!unmap} does. *)
+(** Remove all mappings whose pages intersect \[vpn, vpn+pages) (a
+    hugepage the range only partly covers goes whole), passing each one's
+    base VPN and old PTE to [f] in ascending VPN order. Returns whether
+    page-table pages were released, which only [free_tables] allows: a
+    table that lost a leaf and is left empty, released after [f] has seen
+    its leaves. [f] must not change this page table. *)
 val unmap_range :
   t -> vpn:int -> pages:int -> free_tables:bool -> f:(int -> Pte.t -> unit) -> bool
+
+(** {!unmap_range} over the one page [vpn]: the mapping covering it. *)
+val unmap :
+  t -> vpn:int -> ?free_tables:bool -> ?f:(int -> Pte.t -> unit) -> unit -> bool
 
 (** Replace the PTE covering [vpn] with [f] of it and return the old one,
     or {!Pte.none} if [vpn] is unmapped. [f] must keep the PTE present and

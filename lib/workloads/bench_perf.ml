@@ -14,6 +14,8 @@ type row = {
 }
 
 let schema = 8
+let row ?(memoized = false) family key values = { family; key; values; memoized }
+let int n = Some (float_of_int n)
 let value r name = Option.join (List.assoc_opt name r.values)
 
 (* ----- writer ----- *)

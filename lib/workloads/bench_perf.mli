@@ -16,6 +16,12 @@ type row = {
           measured under the experiment that owns them *)
 }
 
+(** [row family key values], not [memoized] unless said. *)
+val row : ?memoized:bool -> string -> string -> (string * float option) list -> row
+
+(** [int n]: the value [n]. *)
+val int : int -> float option
+
 (** [value row name] is [name]'s value; [None] when null or absent. *)
 val value : row -> string -> float option
 

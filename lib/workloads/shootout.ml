@@ -41,11 +41,6 @@ let pooled_stats metrics name =
     (Metrics.all metrics);
   acc
 
-let perf_row ?(memoized = false) family key values =
-  { Bench_perf.family; key; values; memoized }
-
-let int n = Some (float_of_int n)
-
 (* What the CLI prints of a report: its tables, or with [Json] its rows as
    a BENCH_PERF file. *)
 let render format (tables, rows) =
@@ -86,19 +81,20 @@ let plan_cells b ?(pte_count = 10) ?(iterations = 200) () =
             Stats.percentile_opt (pooled_stats r.Microbench.metrics name) 50.0
           in
           let line = pooled_stats r.Microbench.metrics "cacheline_transfer_cycles" in
-          perf_row "shootout" label
-            [
-              ("initiator_mean", Some r.Microbench.initiator_mean);
-              ("initiator_sd", Some r.Microbench.initiator_sd);
-              ("responder_mean", Some r.Microbench.responder_mean);
-              ("shootdowns", int r.Microbench.shootdowns);
-              ("prep_p50", p50 "shootdown_prep_cycles");
-              ("ipi_p50", p50 "ipi_delivery_cycles");
-              ("flush_p50", p50 "flush_exec_cycles");
-              ("ack_p50", p50 "ack_wait_cycles");
-              ("line_transfers", int (Stats.count line));
-              ("line_cycles", Some (Stats.total line));
-            ])
+          Bench_perf.(
+            row "shootout" label
+              [
+                ("initiator_mean", Some r.Microbench.initiator_mean);
+                ("initiator_sd", Some r.Microbench.initiator_sd);
+                ("responder_mean", Some r.Microbench.responder_mean);
+                ("shootdowns", int r.Microbench.shootdowns);
+                ("prep_p50", p50 "shootdown_prep_cycles");
+                ("ipi_p50", p50 "ipi_delivery_cycles");
+                ("flush_p50", p50 "flush_exec_cycles");
+                ("ack_p50", p50 "ack_wait_cycles");
+                ("line_transfers", int (Stats.count line));
+                ("line_cycles", Some (Stats.total line));
+              ]))
         cells
     in
     let table =
@@ -189,7 +185,7 @@ let workload_cells b ~sysbench_memo ~apache_memo ~bigmachine_memo ~quick () =
       List.map
         (fun (label, cells, memoized) ->
           let sum f = List.fold_left (fun acc cell -> acc +. f cell) 0.0 cells in
-          perf_row "workloads" ~memoized
+          Bench_perf.row "workloads" ~memoized
             (experiment ^ "/" ^ label)
             [
               ( "throughput",
@@ -202,12 +198,13 @@ let workload_cells b ~sysbench_memo ~apache_memo ~bigmachine_memo ~quick () =
     let big_rows =
       List.map
         (fun (label, r, memoized) ->
-          perf_row "workloads" ~memoized ("wl-bigmachine-56/" ^ label)
-            [
-              ("throughput", None);
-              ("cycles_per_shootdown", Some r.Bigmachine.cycles_per_shootdown);
-              ("shootdowns", int r.Bigmachine.shootdowns);
-            ])
+          Bench_perf.(
+            row "workloads" ~memoized ("wl-bigmachine-56/" ^ label)
+              [
+                ("throughput", None);
+                ("cycles_per_shootdown", Some r.Bigmachine.cycles_per_shootdown);
+                ("shootdowns", int r.Bigmachine.shootdowns);
+              ]))
         big
     in
     ( tput_table

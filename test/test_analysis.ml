@@ -204,7 +204,12 @@ let test_latr_strawman_flagged_genuine () =
 (* Fork, KSM and migration open their invalidation windows through
    [Machine.begin_window] like every other kernel path, so a traced run
    that does all three, while a sibling thread keeps reading the pages,
-   has one Flush_start and one Flush_done per checker window. *)
+   has one Flush_start and one Flush_done per checker window. Every PTE
+   they change has a Pte_write for its page inside a window of the same
+   CPU that covers it: fork write-protects the four pages (from the
+   highest), the CoW break gives page 2 a copy, KSM write-protects pages
+   0 and 1 and retargets page 1, and migration freezes page 2 and moves
+   it. *)
 let test_fork_ksm_migrate_windows_traced () =
   let m =
     Machine.create ~topo:(Topology.flat 2) ~opts:(Opts.all_general ~safe:true) ~seed:5L ()
@@ -239,11 +244,33 @@ let test_fork_ksm_migrate_windows_traced () =
   check int_t "migrated" 1 !migrated;
   check int_t "no record dropped" 0 (Trace.dropped m.Machine.trace);
   let starts = ref [] and dones = ref [] in
+  let open_windows = Hashtbl.create 8 and writes = ref [] in
+  let base = Addr.vpn_of_addr !addr in
   Trace.iter m.Machine.trace (fun r ->
       match r.Trace.event with
-      | Trace.Flush_start { window; _ } -> starts := window :: !starts
-      | Trace.Flush_done { window; _ } -> dones := window :: !dones
+      | Trace.Flush_start { window; _ } ->
+          starts := window :: !starts;
+          Hashtbl.replace open_windows window (r.Trace.cpu, r.Trace.event)
+      | Trace.Flush_done { window; _ } ->
+          dones := window :: !dones;
+          Hashtbl.remove open_windows window
+      | Trace.Pte_write { mm_id; vpn; pages } ->
+          let covers _ (cpu, w) inside =
+            inside
+            ||
+            match w with
+            | Trace.Flush_start { mm_id = id; start_vpn; span; full; _ } ->
+                cpu = r.Trace.cpu && id = mm_id
+                && (full || (start_vpn <= vpn && vpn + pages <= start_vpn + span))
+            | _ -> false
+          in
+          writes := (vpn - base, Hashtbl.fold covers open_windows false) :: !writes
       | _ -> ());
+  check
+    Alcotest.(list (pair int bool))
+    "a Pte_write per changed PTE, inside its window"
+    (List.map (fun v -> (v, true)) [ 3; 2; 1; 0; 2; 0; 1; 1; 2; 2 ])
+    (List.rev !writes);
   (* Checker tokens count up from 1 in the order windows open, so one more
      window's id counts every window the run opened. *)
   let c = m.Machine.checker in

@@ -758,6 +758,49 @@ let test_ipi_round_words () =
   check int_t "every request released" 101 (Machine.percpu m 1).Percpu.csd_released;
   check int_t "minor words" 0 !words
 
+(* Minor words of ten warm one-page shootdowns from cpu 0 of a 2-CPU
+   machine to cpu 1, which computes in the same address space, inside one
+   system call (whose exit runs the deferred user flushes), after three
+   warm-up calls. Every call sends an IPI. The words of one call vary
+   with where cpu 1's compute quantum stands when it lands (all: 98-120,
+   baseline: 81-93, oracle: 59-71), so the ten calls' total is pinned,
+   as the baseline for an allocation-free shootdown round. *)
+let shootdown_words opts =
+  let m = Machine.create ~topo:(Topology.flat 2) ~opts ~seed:3L () in
+  let mm = Machine.new_mm m in
+  let stop = ref false and words = ref (-1) and shootdowns = ref (-1) in
+  Kernel.spawn_user m ~cpu:1 ~mm ~name:"responder" (fun () ->
+      while not !stop do
+        Cpu.compute (Machine.cpu m 1) ~quantum:100 200
+      done);
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"initiator" (fun () ->
+      let addr = Syscall.mmap m ~cpu:0 ~pages:1 () in
+      Access.write m ~cpu:0 ~vaddr:addr;
+      let vpn = Addr.vpn_of_addr addr in
+      let flushes n =
+        for _ = 1 to n do
+          Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn
+        done
+      in
+      Kernel.in_syscall m ~cpu:0 (fun () -> flushes 3);
+      let s0 = m.Machine.stats.Machine.shootdowns in
+      Kernel.in_syscall m ~cpu:0 (fun () ->
+          let before = Gc.minor_words () in
+          flushes 10;
+          words := int_of_float (Gc.minor_words () -. before));
+      shootdowns := m.Machine.stats.Machine.shootdowns - s0;
+      stop := true);
+  Kernel.run m;
+  Kernel.check_run m ~who:"shootdown words";
+  check int_t "every call a shootdown" 10 !shootdowns;
+  !words
+
+let test_shootdown_words () =
+  check int_t "all: minor words" 1138 (shootdown_words (Opts.all ~safe:true));
+  check int_t "baseline: minor words" 866 (shootdown_words (Opts.baseline ~safe:true));
+  check int_t "oracle: minor words" 678
+    (shootdown_words (Opts.with_protocol Opts.Oracle ~safe:true))
+
 (* Enqueueing work for k targets is 2k line writes, one charge run. *)
 let test_enqueue_work_suspensions () =
   let opts =
@@ -978,4 +1021,6 @@ let suite =
       test_csd_two_initiators_fifo;
     Alcotest.test_case "allocation: an IPI round's enqueue, drain and ack" `Quick
       test_ipi_round_words;
+    Alcotest.test_case "allocation: ten warm one-page shootdowns" `Quick
+      test_shootdown_words;
   ]
