@@ -227,74 +227,216 @@ let prop_pt_vs_model =
                (Helpers.Int_map.bindings m.M.leaves)
          end)
 
-(* --- Tlb: after any op sequence, lookups never return flushed entries --- *)
+(* --- Tlb: a capacity-bounded FIFO model, checked after every op --- *)
 
 type tlb_op =
-  | Insert of int * int  (* vpn, pcid in {1,2} *)
+  | Insert of Tlb.entry
+  | Lookup of int * int  (* pcid, vpn *)
   | Invlpg of int * int
   | Invpcid of int * int
+  | Drop of int * int
   | Flush_pcid of int
   | Flush_all
 
+(* Few keys, so re-inserts of resident and of invalidated keys are common:
+   4 KiB pages at vpns [k * 512 + j] and 2 MiB pages at [k * 512], for
+   k < 3 and j < 6; PCIDs 1 and 2; some entries global, a few fractured. *)
+let tlb_vpn_gen = QCheck.Gen.(map2 (fun k j -> (k * 512) + j) (0 -- 2) (0 -- 5))
+let tlb_pcid_gen = QCheck.Gen.(1 -- 2)
+
+let tlb_entry_gen =
+  QCheck.Gen.(
+    map
+      (fun (((vpn, pcid), (huge, global)), (fractured, writable)) ->
+        let size = if huge then Tlb.Two_m else Tlb.Four_k in
+        let vpn = if huge then vpn land lnot 511 else vpn in
+        { Tlb.vpn; pfn = vpn + 7; pcid; size; global; writable; fractured; ck_ver = -1 })
+      (pair
+         (pair (pair tlb_vpn_gen tlb_pcid_gen) (pair (frequency [ (3, return false); (1, return true) ]) (frequency [ (4, return false); (1, return true) ])))
+         (pair (frequency [ (19, return false); (1, return true) ]) bool)))
+
 let tlb_op_gen =
   QCheck.Gen.(
-    oneof
+    frequency
       [
-        map2 (fun v p -> Insert (v, 1 + (p land 1))) (0 -- 64) int;
-        map2 (fun v p -> Invlpg (v, 1 + (p land 1))) (0 -- 64) int;
-        map2 (fun v p -> Invpcid (v, 1 + (p land 1))) (0 -- 64) int;
-        map (fun p -> Flush_pcid (1 + (p land 1))) int;
-        return Flush_all;
+        (6, map (fun e -> Insert e) tlb_entry_gen);
+        (4, map2 (fun p v -> Lookup (p, v)) tlb_pcid_gen tlb_vpn_gen);
+        (1, map2 (fun p v -> Invlpg (p, v)) tlb_pcid_gen tlb_vpn_gen);
+        (1, map2 (fun p v -> Invpcid (p, v)) tlb_pcid_gen tlb_vpn_gen);
+        (1, map2 (fun p v -> Drop (p, v)) tlb_pcid_gen tlb_vpn_gen);
+        (1, map (fun p -> Flush_pcid p) tlb_pcid_gen);
+        (1, return Flush_all);
       ])
 
-(* A reference model: a set of (pcid, vpn). INVLPG in our model flushes the
-   addressed vpn in the current pcid and global entries; we only insert
-   non-global 4K entries here, so the model is a plain set. *)
+(* The reference model. Non-global entries sit in a FIFO list, oldest
+   first, keyed (pcid, tag, size); re-inserting a resident key rewrites it
+   in place, and a new key at capacity evicts the head. Globals are keyed
+   (tag, size) and never evicted. A fractured insert sets the fracture
+   flag, which promotes the next INVLPG or INVPCID to a full flush. *)
+type tlb_model = {
+  cap : int;
+  mutable fifo : ((int * int * Tlb.page_size) * Tlb.entry) list;
+  mutable globals : ((int * Tlb.page_size) * Tlb.entry) list;
+  mutable fracture : bool;
+  mutable st : Tlb.stats;
+}
+
+let tag_of (e : Tlb.entry) = match e.Tlb.size with Tlb.Four_k -> e.Tlb.vpn | Tlb.Two_m -> e.Tlb.vpn lsr 9
+let size_bit = function Tlb.Four_k -> 0 | Tlb.Two_m -> 1
+
+let model_full_flush md =
+  md.fifo <- [];
+  md.globals <- [];
+  md.fracture <- false
+
+let model_drop md ~pcid ~vpn ~globals =
+  let gone (p, tag, size) =
+    p = pcid && ((size = Tlb.Four_k && tag = vpn) || (size = Tlb.Two_m && tag = vpn lsr 9))
+  in
+  md.fifo <- List.filter (fun (k, _) -> not (gone k)) md.fifo;
+  if globals then
+    md.globals <-
+      List.filter
+        (fun ((tag, size), _) -> not (gone (pcid, tag, size)))
+        md.globals
+
+(* [lookup]'s order: 4 KiB, 4 KiB global, 2 MiB, 2 MiB global. *)
+let model_find md ~pcid ~vpn =
+  List.find_map Fun.id
+    [
+      List.assoc_opt (pcid, vpn, Tlb.Four_k) md.fifo;
+      List.assoc_opt (vpn, Tlb.Four_k) md.globals;
+      List.assoc_opt (pcid, vpn lsr 9, Tlb.Two_m) md.fifo;
+      List.assoc_opt (vpn lsr 9, Tlb.Two_m) md.globals;
+    ]
+
+let model_promote md =
+  md.st <- { md.st with Tlb.fracture_full_flushes = md.st.Tlb.fracture_full_flushes + 1 };
+  model_full_flush md
+
+(* Applies [op] to the model; returns what [lookup] finds, [None] for the
+   other ops. *)
+let model_step md op =
+  let st = md.st in
+  match op with
+  | Insert e ->
+      md.st <- { st with Tlb.insertions = st.Tlb.insertions + 1 };
+      if e.Tlb.fractured then md.fracture <- true;
+      if e.Tlb.global then begin
+        let k = (tag_of e, e.Tlb.size) in
+        md.globals <- (k, e) :: List.remove_assoc k md.globals
+      end
+      else begin
+        let k = (e.Tlb.pcid, tag_of e, e.Tlb.size) in
+        if List.mem_assoc k md.fifo then
+          md.fifo <- List.map (fun (k', e') -> if k' = k then (k, e) else (k', e')) md.fifo
+        else begin
+          while List.length md.fifo >= md.cap do
+            md.fifo <- List.tl md.fifo;
+            md.st <- { md.st with Tlb.evictions = md.st.Tlb.evictions + 1 }
+          done;
+          md.fifo <- md.fifo @ [ (k, e) ]
+        end
+      end;
+      None
+  | Lookup (pcid, vpn) ->
+      let r = model_find md ~pcid ~vpn in
+      md.st <-
+        (if Option.is_some r then { st with Tlb.hits = st.Tlb.hits + 1 }
+         else { st with Tlb.misses = st.Tlb.misses + 1 });
+      r
+  | Invlpg (pcid, vpn) ->
+      md.st <- { st with Tlb.invlpg_ops = st.Tlb.invlpg_ops + 1 };
+      if md.fracture then model_promote md else model_drop md ~pcid ~vpn ~globals:true;
+      None
+  | Invpcid (pcid, vpn) ->
+      md.st <- { st with Tlb.invpcid_ops = st.Tlb.invpcid_ops + 1 };
+      if md.fracture then model_promote md else model_drop md ~pcid ~vpn ~globals:false;
+      None
+  | Drop (pcid, vpn) ->
+      model_drop md ~pcid ~vpn ~globals:false;
+      None
+  | Flush_pcid pcid ->
+      md.st <- { st with Tlb.invpcid_ops = st.Tlb.invpcid_ops + 1 };
+      md.fifo <- List.filter (fun ((p, _, _), _) -> p <> pcid) md.fifo;
+      None
+  | Flush_all ->
+      md.st <- { st with Tlb.full_flushes = st.Tlb.full_flushes + 1 };
+      model_full_flush md;
+      None
+
+(* [Tlb.entries]: non-global entries sorted by (tag, pcid, size), then
+   globals sorted by (tag, size) — the packed keys' order. *)
+let model_entries md =
+  let nonglobal =
+    List.sort
+      (fun ((p, t, s), _) ((p', t', s'), _) -> compare (t, p, size_bit s) (t', p', size_bit s'))
+      md.fifo
+  in
+  let globals =
+    List.sort (fun ((t, s), _) ((t', s'), _) -> compare (t, size_bit s) (t', size_bit s')) md.globals
+  in
+  List.map snd nonglobal @ List.map snd globals
+
+let tlb_apply t = function
+  | Insert e ->
+      Tlb.insert t e;
+      None
+  | Lookup (pcid, vpn) -> Tlb.lookup t ~pcid ~vpn
+  | Invlpg (pcid, vpn) ->
+      Tlb.invlpg t ~current_pcid:pcid ~vpn;
+      None
+  | Invpcid (pcid, vpn) ->
+      Tlb.invpcid_addr t ~pcid ~vpn;
+      None
+  | Drop (pcid, vpn) ->
+      Tlb.drop t ~pcid ~vpn;
+      None
+  | Flush_pcid pcid ->
+      Tlb.flush_pcid t ~pcid;
+      None
+  | Flush_all ->
+      Tlb.flush_all t;
+      None
+
+let tlb_zero_stats =
+  {
+    Tlb.hits = 0;
+    misses = 0;
+    insertions = 0;
+    evictions = 0;
+    invlpg_ops = 0;
+    invpcid_ops = 0;
+    full_flushes = 0;
+    fracture_full_flushes = 0;
+  }
+
+(* Capacities 1-8 evict; 4096 never does. After every op, what [lookup]
+   returned, [mem] of every generated address, [entries] and [stats] must
+   equal the model's. *)
 let prop_tlb_matches_model =
   QCheck.Test.make ~count ~name:"tlb agrees with a set model"
-    (QCheck.make QCheck.Gen.(list_size (0 -- 200) tlb_op_gen))
-    (fun ops ->
-      let t = Tlb.create ~capacity:4096 () in
-      let model = Hashtbl.create 64 in
-      List.iter
+    (QCheck.make
+       QCheck.Gen.(
+         pair (frequency [ (4, 1 -- 8); (1, return 4096) ]) (list_size (0 -- 200) tlb_op_gen)))
+    (fun (cap, ops) ->
+      let t = Tlb.create ~capacity:cap () in
+      let md = { cap; fifo = []; globals = []; fracture = false; st = tlb_zero_stats } in
+      List.for_all
         (fun op ->
-          match op with
-          | Insert (vpn, pcid) ->
-              Tlb.insert t
-                {
-                  Tlb.vpn;
-                  pfn = vpn;
-                  pcid;
-                  size = Tlb.Four_k;
-                  global = false;
-                  writable = true;
-                  fractured = false;
-              ck_ver = -1;
-                };
-              Hashtbl.replace model (pcid, vpn) ()
-          | Invlpg (vpn, pcid) ->
-              Tlb.invlpg t ~current_pcid:pcid ~vpn;
-              Hashtbl.remove model (pcid, vpn)
-          | Invpcid (vpn, pcid) ->
-              Tlb.invpcid_addr t ~pcid ~vpn;
-              Hashtbl.remove model (pcid, vpn)
-          | Flush_pcid pcid ->
-              Tlb.flush_pcid t ~pcid;
-              Hashtbl.iter (fun (p, v) () -> if p = pcid then Hashtbl.remove model (p, v))
-                (Hashtbl.copy model)
-          | Flush_all ->
-              Tlb.flush_all t;
-              Hashtbl.reset model)
-        ops;
-      (* The TLB may hold FEWER entries than the model (capacity), but
-         never an entry the model flushed. *)
-      let ok = ref true in
-      for pcid = 1 to 2 do
-        for vpn = 0 to 64 do
-          if Tlb.mem t ~pcid ~vpn && not (Hashtbl.mem model (pcid, vpn)) then ok := false
-        done
-      done;
-      !ok)
+          let got = tlb_apply t op in
+          let expect = model_step md op in
+          got = expect
+          && List.for_all
+               (fun vpn ->
+                 List.for_all
+                   (fun pcid ->
+                     Tlb.mem t ~pcid ~vpn = Option.is_some (model_find md ~pcid ~vpn))
+                   [ 1; 2 ])
+               [ 0; 1; 5; 511; 512; 515; 1024; 1029; 1535; 1536 ]
+          && Tlb.entries t = model_entries md
+          && Tlb.stats t = md.st)
+        ops)
 
 (* --- Flush_info: merge covers both inputs --- *)
 
