@@ -897,7 +897,8 @@ let bechamel () =
            Page_table.map (Page_table.create ()) ~vpn:10 ~size:Tlb.Four_k pte))
   in
   (* A full flush of a TLB whose tables grew to hold its capacity: one
-     insert, then the flush clears every bucket of the grown tables. *)
+     insert, then the flush clears that entry's index run, not the grown
+     index. *)
   let tlb_flush_test =
     let t = Tlb.create () in
     let entry vpn =

@@ -24,61 +24,53 @@ let rec access m ~cpu ~vaddr ~write ~attempt =
      (user code is never interleaved with a handler, only preceded). *)
   Cpu.service_pending (Machine.cpu m cpu);
   Machine.delay m costs.Costs.mem_access;
-  match Tlb.lookup tlb ~pcid ~vpn with
-  | Some entry ->
-      let pt = Mm_struct.page_table mm in
-      (match
-         Checker.check_hit m.Machine.checker ~now:(Machine.now m) ~cpu
-           ~mm_id:(Mm_struct.id mm) ~vpn ~write ~entry ~pt
-       with
-      | `Clean -> ()
-      | `Benign detail ->
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu
-              (Trace.Stale_hit { mm_id = Mm_struct.id mm; vpn; benign = true; detail })
-      | `Violation detail ->
-          if Machine.tracing m then
-            Machine.trace_event m ~cpu
-              (Trace.Stale_hit { mm_id = Mm_struct.id mm; vpn; benign = false; detail }));
-      if write && not entry.Tlb.writable then begin
-        (* Permission fault; the hardware invalidates the faulting entry. *)
-        Tlb.drop tlb ~pcid ~vpn;
-        Fault.handle m ~cpu ~mm ~vaddr ~write;
-        access m ~cpu ~vaddr ~write ~attempt:(attempt + 1)
-      end
-      else entry.Tlb.pfn + (vpn - entry.Tlb.vpn)
-  | None -> begin
-      let pt = Mm_struct.page_table mm in
-      let pte = Page_table.walk pt ~vpn in
-      if Pte.present pte && ((not write) || Pte.writable pte) then begin
-        let walk_cost =
-          if Tlb.pwc_warm tlb then costs.Costs.page_walk else costs.Costs.page_walk_cold
-        in
-        Machine.delay m walk_cost;
-        Tlb.warm_pwc tlb;
-        let size = Pte.size pte in
-        let base = match size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511 in
-        Tlb.insert tlb
-          {
-            Tlb.vpn = base;
-            pfn = Pte.pfn pte;
-            pcid;
-            size;
-            global = Pte.global pte;
-            writable = Pte.writable pte;
-            fractured = false;
-            ck_ver = -1;
-          };
+  let entry = Tlb.probe tlb ~pcid ~vpn in
+  if entry != Tlb.no_entry then begin
+    let pt = Mm_struct.page_table mm in
+    (match
+       Checker.check_hit m.Machine.checker ~now:(Machine.now m) ~cpu
+         ~mm_id:(Mm_struct.id mm) ~vpn ~write ~entry ~pt
+     with
+    | `Clean -> ()
+    | `Benign detail ->
         if Machine.tracing m then
           Machine.trace_event m ~cpu
-            (Trace.Tlb_fill { mm_id = Mm_struct.id mm; vpn; pcid });
-        Pte.pfn pte + (vpn - base)
-      end
-      else begin
-        Fault.handle m ~cpu ~mm ~vaddr ~write;
-        access m ~cpu ~vaddr ~write ~attempt:(attempt + 1)
-      end
+            (Trace.Stale_hit { mm_id = Mm_struct.id mm; vpn; benign = true; detail })
+    | `Violation detail ->
+        if Machine.tracing m then
+          Machine.trace_event m ~cpu
+            (Trace.Stale_hit { mm_id = Mm_struct.id mm; vpn; benign = false; detail }));
+    if write && not entry.Tlb.writable then begin
+      (* Permission fault; the hardware invalidates the faulting entry. *)
+      Tlb.drop tlb ~pcid ~vpn;
+      Fault.handle m ~cpu ~mm ~vaddr ~write;
+      access m ~cpu ~vaddr ~write ~attempt:(attempt + 1)
     end
+    else entry.Tlb.pfn + (vpn - entry.Tlb.vpn)
+  end
+  else begin
+    let pt = Mm_struct.page_table mm in
+    let pte = Page_table.walk pt ~vpn in
+    if Pte.present pte && ((not write) || Pte.writable pte) then begin
+      let walk_cost =
+        if Tlb.pwc_warm tlb then costs.Costs.page_walk else costs.Costs.page_walk_cold
+      in
+      Machine.delay m walk_cost;
+      Tlb.warm_pwc tlb;
+      let size = Pte.size pte in
+      let base = match size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511 in
+      Tlb.fill tlb ~vpn:base ~pfn:(Pte.pfn pte) ~pcid ~size ~global:(Pte.global pte)
+        ~writable:(Pte.writable pte) ~fractured:false;
+      if Machine.tracing m then
+        Machine.trace_event m ~cpu
+          (Trace.Tlb_fill { mm_id = Mm_struct.id mm; vpn; pcid });
+      Pte.pfn pte + (vpn - base)
+    end
+    else begin
+      Fault.handle m ~cpu ~mm ~vaddr ~write;
+      access m ~cpu ~vaddr ~write ~attempt:(attempt + 1)
+    end
+  end
 
 let translate m ~cpu ~vaddr ~write = access m ~cpu ~vaddr ~write ~attempt:0
 let read m ~cpu ~vaddr = ignore (access m ~cpu ~vaddr ~write:false ~attempt:0)

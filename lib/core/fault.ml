@@ -90,18 +90,10 @@ let cow_break m ~cpu ~mm ~vpn (old : Pte.t) =
   if Rng.bool m.Machine.rng ~p:opts.Opts.spec_pte_recache_p then begin
     let asid = (Machine.percpu m cpu).Percpu.curr_asid in
     let pcid = Percpu.(if opts.Opts.safe then user_pcid asid else kernel_pcid asid) in
-    Tlb.insert
+    Tlb.fill
       (Cpu.tlb (Machine.cpu m cpu))
-      {
-        Tlb.vpn;
-        pfn = Pte.pfn old;
-        pcid;
-        size = Tlb.Four_k;
-        global = false;
-        writable = false;
-        fractured = false;
-              ck_ver = -1;
-      }
+      ~vpn ~pfn:(Pte.pfn old) ~pcid ~size:Tlb.Four_k ~global:false ~writable:false
+      ~fractured:false
   end;
   (* Re-check under the "page-table lock": another CPU may have broken the
      COW while we copied; if so, discard our copy and take no flush. *)

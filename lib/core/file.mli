@@ -20,5 +20,7 @@ val mark_dirty : t -> index:int -> unit
 val clear_dirty : t -> index:int -> unit
 val is_dirty : t -> index:int -> bool
 
-(** Dirty page indices intersecting \[index, index+count), ascending. *)
-val dirty_in_range : t -> index:int -> count:int -> int list
+(** [iter_dirty t ~index ~count f] calls [f] on each page of
+    \[index, index+count) that is dirty when the call starts, in ascending
+    order, whatever [f] or concurrent writers dirty or clean meanwhile. *)
+val iter_dirty : t -> index:int -> count:int -> (int -> unit) -> unit

@@ -142,11 +142,21 @@ type t = {
          shootdown without allocation: a CPU runs one initiator at a time
          (no preemption of a syscall mid-protocol), and nothing that runs
          from this CPU's IRQ handlers selects targets. *)
+  mutable ack_targets : Cpuset.t;
+  mutable ack_next : int;
+  mutable ack_work : unit -> bool;
+  mutable ack_ready : unit -> bool;
+  mutable ack_visit : int -> int -> int;
+      (* Smp.wait_for_acks's state and its two callbacks, built at the
+         first wait: one wait per CPU at a time, as for [scratch_targets]. *)
 }
 
 let n_asids = 6
 
+let never () = false
+
 let create cpu registry =
+  let scratch_targets = Cpuset.create ~bits:0 in
   {
     cpu;
     registry;
@@ -174,7 +184,12 @@ let create cpu registry =
     csds = [||];
     line_stack_info = Cache.create_line registry;
     enqueue_visit = Process.no_visit;
-    scratch_targets = Cpuset.create ~bits:0;
+    scratch_targets;
+    ack_targets = scratch_targets;
+    ack_next = -1;
+    ack_work = never;
+    ack_ready = never;
+    ack_visit = Process.no_visit;
   }
 
 let new_cfd t ~target ~line ~info_line =

@@ -156,6 +156,17 @@ type t = {
       (** this CPU's shootdown target scratch set, reused across its
           shootdowns (one initiator per CPU at a time, and IRQ handlers
           never select targets) *)
+  mutable ack_targets : Cpuset.t;  (** the set {!Smp.wait_for_acks} is waiting on *)
+  mutable ack_next : int;
+      (** that wait's cursor: the lowest target not yet seen acked, -1
+          once all are *)
+  mutable ack_work : unit -> bool;  (** that wait's [waiting_work] *)
+  mutable ack_ready : unit -> bool;
+      (** {!Smp.wait_for_acks}'s poll predicate for this initiator, built
+          at its first wait *)
+  mutable ack_visit : int -> int -> int;
+      (** {!Smp.wait_for_acks}'s ack-observation visit, built with
+          [ack_ready] *)
 }
 
 val create : Cpu.t -> Cache.registry -> t

@@ -62,7 +62,7 @@ let perform m ~from (info : Flush_info.t) =
     Smp.enqueue_work m ~from ~targets ~info ~early_ack:false;
     Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
     if Machine.metering m then Smp.record_prep m ~from ~targets (Machine.now m - prep0);
-    Smp.wait_for_acks m ~from ~targets ()
+    Smp.wait_for_acks m ~from ~targets
   end;
   remote
 

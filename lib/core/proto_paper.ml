@@ -164,7 +164,7 @@ let round m ~from ~mm ~local_flush (info : Flush_info.t) =
       let waiting_work () =
         (not (List.is_empty !leftover)) && not (Smp.any_acked m ~from ~targets)
       in
-      Smp.wait_for_acks m ~from ~targets ~while_waiting ~waiting_work ();
+      Smp.wait_for_acks_working m ~from ~targets ~while_waiting ~waiting_work;
       (match !leftover with
       | [] -> ()
       | vpn :: _ as rest ->
@@ -182,7 +182,7 @@ let round m ~from ~mm ~local_flush (info : Flush_info.t) =
       if local_flush then
         ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
       send_remote m ~from ~targets ~early_ack ~sel_dt info;
-      Smp.wait_for_acks m ~from ~targets ()
+      Smp.wait_for_acks m ~from ~targets
     end;
     if knobs.Opts.serialized then Rwsem.up_write m.Machine.ipi_mutex;
     true

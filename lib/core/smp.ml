@@ -160,48 +160,57 @@ let any_acked m ~from ~targets =
   done;
   !t >= 0
 
-let wait_for_acks m ~from ~targets ?(while_waiting = fun () -> ())
-    ?(waiting_work = fun () -> false) () =
+(* Acks are monotone while an initiator waits, so once the requests to a
+   prefix of its targets are acked they stay acked: advance the cursor
+   instead of rescanning from the lowest target on every poll (the wait
+   polls once per spin_poll window per shootdown). The slots keep this
+   round's records until the next round from this CPU. *)
+let all_acked me =
+  let csds = me.Percpu.csds and targets = me.Percpu.ack_targets in
+  let next = ref me.Percpu.ack_next in
+  while !next >= 0 && csds.(!next).Percpu.cfd_acked do
+    next := Cpuset.next targets (!next + 1)
+  done;
+  me.Percpu.ack_next <- !next;
+  !next < 0
+
+let no_work () = false
+
+let wait_for_acks_working m ~from ~targets ~while_waiting ~waiting_work =
   let cpu = Machine.cpu m from in
-  let csds = (Machine.percpu m from).Percpu.csds in
+  let me = Machine.percpu m from in
   let t0 = Machine.now m in
-  (* Acks are monotone while we wait, so once the requests to a prefix of
-     [targets] are acked they stay acked: keep a cursor instead of
-     rescanning from the lowest target on every poll (this loop runs once
-     per spin_poll window per shootdown). The slots keep this round's
-     records until the next round from this CPU. *)
-  let next = ref (Cpuset.next targets 0) in
-  let all_acked () =
-    while !next >= 0 && csds.(!next).Percpu.cfd_acked do
-      next := Cpuset.next targets (!next + 1)
-    done;
-    !next < 0
-  in
   (* Spin with IRQ servicing; between polls give the §3.4 interplay a
      chance to flush user PTEs in the otherwise-dead time. A poll boundary
      where nothing changed — no ack landed, no IRQ deliverable, and
      [waiting_work] says [while_waiting] would be a no-op — is a pure idle
      tick, so [poll_wait] keeps it inside the engine event instead of
      resuming this process (the cursor bump in [all_acked] is private
-     state, which [ready] is allowed to touch). *)
-  let ready () = all_acked () || waiting_work () in
-  let rec loop () =
-    if not (all_acked ()) then begin
-      while_waiting ();
-      if not (all_acked ()) then begin
-        Cpu.poll_wait cpu ready;
-        loop ()
-      end
-    end
-  in
-  loop ();
+     state, which [ack_ready] is allowed to touch). Both callbacks are
+     built once per initiator; the wait's state lives in its Percpu. *)
+  if me.Percpu.ack_visit == Process.no_visit then begin
+    me.Percpu.ack_ready <- (fun () -> all_acked me || me.Percpu.ack_work ());
+    me.Percpu.ack_visit <-
+      (fun c _ -> Cache.read me.Percpu.csds.(c).Percpu.cfd_line ~by:from)
+  end;
+  me.Percpu.ack_targets <- targets;
+  me.Percpu.ack_next <- Cpuset.next targets 0;
+  me.Percpu.ack_work <- waiting_work;
+  while not (all_acked me) do
+    while_waiting ();
+    if not (all_acked me) then Cpu.poll_wait cpu me.Percpu.ack_ready
+  done;
+  me.Percpu.ack_work <- no_work;
   (* Observing each ack pulls the responder-written CSD line back. *)
-  Process.chain_cpus m.Machine.engine ~lead:0 targets ~phases:1 (fun c _ ->
-      Cache.read csds.(c).Percpu.cfd_line ~by:from);
+  Process.chain_cpus m.Machine.engine ~lead:0 targets ~phases:1 me.Percpu.ack_visit;
   if not (Cpuset.is_empty targets) then begin
     if Machine.tracing m then begin
+      let csds = me.Percpu.csds in
       let seqs = Cpuset.fold (fun l c -> csds.(c).Percpu.cfd_seq :: l) [] targets in
       Machine.trace_event m ~cpu:from (Trace.Acks_seen { seqs = List.rev seqs })
     end;
     if Machine.metering m then record_ack m ~from ~targets (Machine.now m - t0)
   end
+
+let wait_for_acks m ~from ~targets =
+  wait_for_acks_working m ~from ~targets ~while_waiting:ignore ~waiting_work:no_work

@@ -79,23 +79,23 @@ val any_acked : Machine.t -> from:int -> targets:Cpuset.t -> bool
 
 (** Initiator: spin until the requests {!enqueue_work} last queued from
     [from] to [targets] are all acked, servicing our own IRQs while
-    spinning. [while_waiting] is called between polls while at least one ack
-    is outstanding (used by the in-context/concurrent interplay of §3.4);
-    it must be cheap or advance time itself. [waiting_work] must report —
-    without observable side effects — whether [while_waiting] would do
-    anything right now: a poll boundary where it is [false], no ack has
-    landed and no IRQ is deliverable is an idle tick the initiator sleeps
-    through without being resumed (the default [fun () -> false] matches
-    the default no-op [while_waiting]). Pays one read per request, in
-    ascending target order, to observe the acks, and meters the wait with
-    {!record_ack}. *)
-val wait_for_acks :
+    spinning. Pays one read per request, in ascending target order, to
+    observe the acks, and meters the wait with {!record_ack}. *)
+val wait_for_acks : Machine.t -> from:int -> targets:Cpuset.t -> unit
+
+(** {!wait_for_acks}, calling [while_waiting] between polls while at least
+    one ack is outstanding (used by the in-context/concurrent interplay of
+    §3.4); it must be cheap or advance time itself. [waiting_work] must
+    report — without observable side effects — whether [while_waiting]
+    would do anything right now: a poll boundary where it is [false], no
+    ack has landed and no IRQ is deliverable is an idle tick the initiator
+    sleeps through without being resumed. *)
+val wait_for_acks_working :
   Machine.t ->
   from:int ->
   targets:Cpuset.t ->
-  ?while_waiting:(unit -> unit) ->
-  ?waiting_work:(unit -> bool) ->
-  unit ->
+  while_waiting:(unit -> unit) ->
+  waiting_work:(unit -> bool) ->
   unit
 
 (** Record one initiator-prep span (selection, enqueue and ICR writes) or

@@ -209,10 +209,8 @@ let writeback_page m ~cpu ~mm ~file ~index ~vpn =
 (* Write back the dirty pages among file pages [first, first + count) of
    [file], which [vma] maps from file page [offset]. *)
 let writeback_range m ~cpu ~mm ~vma ~file ~offset ~first ~count =
-  List.iter
-    (fun index ->
+  File.iter_dirty file ~index:first ~count (fun index ->
       writeback_page m ~cpu ~mm ~file ~index ~vpn:(vma.Vma.start_vpn + (index - offset)))
-    (File.dirty_in_range file ~index:first ~count)
 
 let msync m ~cpu ~addr ~pages =
   Kernel.in_syscall m ~cpu (fun () ->

@@ -1,9 +1,12 @@
 type t = {
   eng : Engine.t;
-  topo : Topology.t;
   cost : Costs.t;
   cpus : Cpu.t array;
   cluster_of : int array; (* cpu -> x2APIC cluster id, precomputed *)
+  place : int array;
+      (* cpu -> [socket lsl 32 lor physical core], precomputed: two CPUs
+         share a core iff their places are equal and a socket iff the high
+         halves are, so pricing a delivery needs no division *)
   cluster_members : int array array;
       (* cluster -> member cpus in ascending id order. With [cluster_of],
          marking target clusters in [scratch_clusters] and walking each
@@ -27,6 +30,10 @@ let create eng topo cost ~cpus =
     invalid_arg "Apic.create: cpu array does not match topology";
   let n = Topology.n_cpus topo in
   let cluster_of = Array.init n (fun cpu -> Topology.cluster_of topo cpu) in
+  let place =
+    Array.init n (fun cpu ->
+        (Topology.socket_of topo cpu lsl 32) lor Topology.physical_core_of topo cpu)
+  in
   let n_clusters = 1 + Array.fold_left (fun acc c -> Stdlib.max acc c) 0 cluster_of in
   let counts = Array.make n_clusters 0 in
   Array.iter (fun c -> counts.(c) <- counts.(c) + 1) cluster_of;
@@ -40,10 +47,10 @@ let create eng topo cost ~cpus =
   let t =
     {
       eng;
-      topo;
       cost;
       cpus;
       cluster_of;
+      place;
       cluster_members;
       scratch_clusters = Cpuset.create ~bits:n_clusters;
       irqs = [||];
@@ -77,6 +84,14 @@ let register_irq t irq =
   t.n_irqs <- n + 1;
   n
 
+(* [Topology.distance] from the precomputed places. *)
+let distance t a b =
+  let pa = t.place.(a) and pb = t.place.(b) in
+  if a = b then Topology.Self
+  else if pa = pb then Topology.Smt_sibling
+  else if pa lsr 32 = pb lsr 32 then Topology.Same_socket
+  else Topology.Cross_socket
+
 (* Hierarchical x2APIC fan-out over a target cpuset: mark the clusters the
    targets span in the scratch cluster set, then walk present clusters in
    ascending id order, pricing one ICR write each, and deliver to that
@@ -93,7 +108,11 @@ let send_ipi_id t ~from ~targets ~irq_id =
   let sc = t.scratch_clusters in
   Cpuset.clear_all sc;
   let cluster_of = t.cluster_of in
-  Cpuset.iter (fun cpu -> Cpuset.set sc cluster_of.(cpu)) targets;
+  let cpu = ref (Cpuset.next targets 0) in
+  while !cpu >= 0 do
+    Cpuset.set sc cluster_of.(!cpu);
+    cpu := Cpuset.next targets (!cpu + 1)
+  done;
   let send_cost = ref 0 in
   let cluster = ref (Cpuset.next sc 0) in
   while !cluster >= 0 do
@@ -107,7 +126,7 @@ let send_ipi_id t ~from ~targets ~irq_id =
       let target = members.(i) in
       if Cpuset.mem targets target then begin
         t.n_ipis <- t.n_ipis + 1;
-        let d = Topology.distance t.topo from target in
+        let d = distance t from target in
         let latency = Costs.ipi_latency t.cost d in
         (* Delivery = queueing behind earlier ICR writes + flight time;
            this is what the target experiences from the first ICR

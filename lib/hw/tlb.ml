@@ -1,13 +1,13 @@
 type page_size = Four_k | Two_m
 
 type entry = {
-  vpn : int;
-  pfn : int;
-  pcid : int;
-  size : page_size;
-  global : bool;
-  writable : bool;
-  fractured : bool;
+  mutable vpn : int;
+  mutable pfn : int;
+  mutable pcid : int;
+  mutable size : page_size;
+  mutable global : bool;
+  mutable writable : bool;
+  mutable fractured : bool;
   mutable ck_ver : int;
 }
 
@@ -22,23 +22,24 @@ type stats = {
   fracture_full_flushes : int;
 }
 
+let no_entry =
+  {
+    vpn = -1;
+    pfn = -1;
+    pcid = -1;
+    size = Four_k;
+    global = false;
+    writable = false;
+    fractured = false;
+    ck_ver = -1;
+  }
+
 (* Keys are packed ints: [tag lsl 13 | pcid lsl 1 | size_bit]. PCIDs fit 12
    bits (kernel PCIDs are small slot numbers, user PCIDs are slot + 2048 <
    4096); 2 MiB entries are tagged by [vpn lsr 9] so a 4 KiB lookup can find
    its covering hugepage. Global entries match regardless of PCID, so they
-   live in a separate table keyed [tag lsl 1 | size_bit]. Packed keys give
-   one-word hashing and comparison where the old (pcid, tag, size) tuples
-   paid polymorphic-hash tuple traversal per probe. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  (* Multiplicative (Fibonacci) hash: adjacent tags — the common access
-     pattern — spread across buckets. *)
-  let hash k = (k * 0x2545f4914f6cdd1d) lsr 17 land max_int
-end)
-
+   live in a separate table keyed [tag lsl 1 | size_bit]. Keys are never
+   negative, so -1 marks a free cell. *)
 let pcid_bits = 12
 let pcid_mask = (1 lsl pcid_bits) - 1
 let size_bit = function Four_k -> 0 | Two_m -> 1
@@ -50,17 +51,179 @@ let key ~pcid ~tag size =
 let gkey ~tag size = (tag lsl 1) lor size_bit size
 let key_pcid k = (k lsr 1) land pcid_mask
 
+(* One table: cells that never move, each owning one entry record that
+   fills rewrite in place, and an open-addressed index of cell ids
+   (linear probing, load at most 1/2, backward-shift deletion, so no
+   tombstones). Cells [0, used) were handed out since the last clear; the
+   freed ones among them wait on the [free] stack. Every array starts
+   empty and grows by doubling only when a fill finds no free cell, so a
+   TLB that never fills holds no table and a warm one allocates
+   nothing. *)
+type tbl = {
+  mutable index : int array;  (* power-of-two length; -1 = empty, else a cell *)
+  mutable shift : int;  (* [Sys.int_size - log2 (length index)] *)
+  mutable keys : int array;  (* cell -> key, -1 when free *)
+  mutable cells : entry array;  (* cell -> its record, [no_entry] until first used *)
+  mutable stamps : int array;  (* cell -> stamp of its live FIFO slot *)
+  mutable free : int array;
+  mutable n_free : int;
+  mutable used : int;
+  mutable count : int;  (* live keys *)
+}
+
+let new_tbl () =
+  {
+    index = [||];
+    shift = 0;
+    keys = [||];
+    cells = [||];
+    stamps = [||];
+    free = [||];
+    n_free = 0;
+    used = 0;
+    count = 0;
+  }
+
+(* Multiplicative (Fibonacci) hash, top bits: adjacent tags — the common
+   access pattern — spread across the index. *)
+let[@inline] home tb k = (k * 0x2545f4914f6cdd1d) lsr tb.shift
+
+(* The cell holding [k], or -1. *)
+let find tb k =
+  let index = tb.index in
+  let n = Array.length index in
+  if n = 0 then -1
+  else begin
+    let mask = n - 1 in
+    let s = ref (home tb k) in
+    let c = ref index.(!s) in
+    while !c >= 0 && tb.keys.(!c) <> k do
+      s := (!s + 1) land mask;
+      c := index.(!s)
+    done;
+    !c
+  end
+
+let index_add tb c =
+  let index = tb.index in
+  let mask = Array.length index - 1 in
+  let s = ref (home tb tb.keys.(c)) in
+  while index.(!s) >= 0 do
+    s := (!s + 1) land mask
+  done;
+  index.(!s) <- c
+
+(* Double the cells, at most to [limit], and rebuild the index for them. *)
+let grow tb ~limit =
+  let n = Array.length tb.keys in
+  let n' = Int.min limit (Int.max 8 (2 * n)) in
+  let extend a fill =
+    let a' = Array.make n' fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  tb.keys <- extend tb.keys (-1);
+  tb.cells <- extend tb.cells no_entry;
+  tb.stamps <- extend tb.stamps (-1);
+  tb.free <- extend tb.free 0;
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * n' do
+    incr bits
+  done;
+  tb.index <- Array.make (1 lsl !bits) (-1);
+  tb.shift <- Sys.int_size - !bits;
+  for c = 0 to tb.used - 1 do
+    if tb.keys.(c) >= 0 then index_add tb c
+  done
+
+(* A cell for the new key [k], which is not in the table. *)
+let add tb k ~limit =
+  let c =
+    if tb.n_free > 0 then begin
+      tb.n_free <- tb.n_free - 1;
+      tb.free.(tb.n_free)
+    end
+    else begin
+      if tb.used = Array.length tb.keys then grow tb ~limit;
+      let c = tb.used in
+      tb.used <- c + 1;
+      if tb.cells.(c) == no_entry then tb.cells.(c) <- { no_entry with vpn = -1 };
+      c
+    end
+  in
+  tb.keys.(c) <- k;
+  index_add tb c;
+  tb.count <- tb.count + 1;
+  c
+
+(* Empty index slot [s]: pull each later entry of its run back into the
+   hole unless its home lies cyclically after the hole. *)
+let delete_slot tb s =
+  let index = tb.index in
+  let mask = Array.length index - 1 in
+  let c = index.(s) in
+  let hole = ref s and j = ref ((s + 1) land mask) in
+  while index.(!j) >= 0 do
+    let h = home tb tb.keys.(index.(!j)) in
+    if (!j - h) land mask >= (!j - !hole) land mask then begin
+      index.(!hole) <- index.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  index.(!hole) <- -1;
+  tb.keys.(c) <- -1;
+  tb.stamps.(c) <- -1;
+  tb.free.(tb.n_free) <- c;
+  tb.n_free <- tb.n_free + 1;
+  tb.count <- tb.count - 1
+
+let remove_key tb k =
+  let index = tb.index in
+  let n = Array.length index in
+  if n > 0 then begin
+    let mask = n - 1 in
+    let s = ref (home tb k) in
+    while index.(!s) >= 0 && tb.keys.(index.(!s)) <> k do
+      s := (!s + 1) land mask
+    done;
+    if index.(!s) >= 0 then delete_slot tb !s
+  end
+
+(* Every occupied index slot holds a live cell and sits in the run that
+   starts at that cell's home, so clearing each live key's run from its
+   home empties the index in O(live entries), whatever its size. *)
+let clear tb =
+  let index = tb.index in
+  let mask = Array.length index - 1 in
+  for c = 0 to tb.used - 1 do
+    let k = tb.keys.(c) in
+    if k >= 0 then begin
+      let s = ref (home tb k) in
+      while index.(!s) >= 0 do
+        index.(!s) <- -1;
+        s := (!s + 1) land mask
+      done;
+      tb.keys.(c) <- -1
+    end
+  done;
+  tb.used <- 0;
+  tb.n_free <- 0;
+  tb.count <- 0
+
 type t = {
   cap : int;
-  table : entry Itbl.t;
-  globals : entry Itbl.t;
-  order : (int * int) Queue.t;
-      (* FIFO eviction order for the non-global table: (key, stamp) pairs.
-         A key's queue slot is live only while [stamps] still maps it to
-         that stamp; invalidation drops the stamp, so a later re-insert of
-         the same key gets a fresh stamp and a fresh tail position instead
-         of inheriting the dead slot near the head. *)
-  stamps : int Itbl.t; (* key -> stamp of its live queue slot *)
+  table : tbl;
+  globals : tbl;
+  mutable ring : int array;
+      (* FIFO eviction order for [table]: (cell, stamp) pairs, two ints
+         each, [ring_len] of them from [ring_head], modulo the ring's
+         power-of-two size. A pair is live only while the cell's stamp is
+         still that stamp; invalidation clears the stamp, so a later
+         re-insert of the same key gets a fresh stamp and a fresh tail
+         position instead of inheriting the dead pair near the head. *)
+  mutable ring_head : int;
+  mutable ring_len : int;
   mutable next_stamp : int;
   mutable s_hits : int;
   mutable s_misses : int;
@@ -77,20 +240,15 @@ type t = {
          flush; installed by the metrics layer. *)
 }
 
-(* Tables start at the stdlib minimum of 16 buckets and grow only in TLBs
-   that fill: most TLBs of a big machine stay near-empty, and every machine
-   builds one per CPU. No result depends on bucket count: [entries] sorts,
-   and [drop_pcid] collects every matching key before dropping any.
-   Flushes [clear] rather than [reset], so a TLB that has grown keeps its
-   buckets instead of regrowing after every full flush. *)
 let create ?(capacity = 1536) () =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   {
     cap = capacity;
-    table = Itbl.create 16;
-    globals = Itbl.create 16;
-    order = Queue.create ();
-    stamps = Itbl.create 16;
+    table = new_tbl ();
+    globals = new_tbl ();
+    ring = [||];
+    ring_head = 0;
+    ring_len = 0;
     next_stamp = 0;
     s_hits = 0;
     s_misses = 0;
@@ -109,94 +267,136 @@ let set_flush_meter t f = t.flush_meter <- Some f
 
 let capacity t = t.cap
 
-let find t ~pcid ~vpn =
-  match Itbl.find_opt t.table (key ~pcid ~tag:vpn Four_k) with
-  | Some _ as r -> r
-  | None -> (
-      match Itbl.find_opt t.globals (gkey ~tag:vpn Four_k) with
-      | Some _ as r -> r
-      | None -> (
-          let tag = vpn lsr 9 in
-          match Itbl.find_opt t.table (key ~pcid ~tag Two_m) with
-          | Some _ as r -> r
-          | None -> Itbl.find_opt t.globals (gkey ~tag Two_m)))
+let find_entry t ~pcid ~vpn =
+  let c = find t.table (key ~pcid ~tag:vpn Four_k) in
+  if c >= 0 then t.table.cells.(c)
+  else
+    let c = find t.globals (gkey ~tag:vpn Four_k) in
+    if c >= 0 then t.globals.cells.(c)
+    else
+      let tag = vpn lsr 9 in
+      let c = find t.table (key ~pcid ~tag Two_m) in
+      if c >= 0 then t.table.cells.(c)
+      else
+        let c = find t.globals (gkey ~tag Two_m) in
+        if c >= 0 then t.globals.cells.(c) else no_entry
+
+let probe t ~pcid ~vpn =
+  let e = find_entry t ~pcid ~vpn in
+  if e == no_entry then t.s_misses <- t.s_misses + 1 else t.s_hits <- t.s_hits + 1;
+  e
 
 let lookup t ~pcid ~vpn =
-  match find t ~pcid ~vpn with
-  | Some e ->
-      t.s_hits <- t.s_hits + 1;
-      Some e
-  | None ->
-      t.s_misses <- t.s_misses + 1;
-      None
+  let e = probe t ~pcid ~vpn in
+  if e == no_entry then None else Some e
 
-let mem t ~pcid ~vpn = Option.is_some (find t ~pcid ~vpn)
+let mem t ~pcid ~vpn = find_entry t ~pcid ~vpn != no_entry
 
-(* A queue slot is live iff [stamps] still maps its key to its stamp.
-   Invalidation paths remove the stamp, so slots left behind by selective
-   flushes — and the older slot of a key that was invalidated and then
-   re-inserted — are skipped for free instead of evicting the wrong
-   (newer) incarnation of the key. *)
-let slot_live t key stamp =
-  match Itbl.find_opt t.stamps key with
-  | Some s -> s = stamp
-  | None -> false
+let[@inline] ring_pos t i = 2 * ((t.ring_head + i) land ((Array.length t.ring / 2) - 1))
 
-(* Evict FIFO until under capacity, skipping dead queue slots. *)
-let rec make_room t =
-  if Itbl.length t.table >= t.cap then begin
-    match Queue.take_opt t.order with
-    | None -> ()
-    | Some (key, stamp) ->
-        if slot_live t key stamp then begin
-          Itbl.remove t.table key;
-          Itbl.remove t.stamps key;
-          t.s_evictions <- t.s_evictions + 1
-        end;
-        make_room t
-  end
+(* Drop the dead pairs, keeping the live ones in order. *)
+let ring_compact t =
+  let ring = t.ring and stamps = t.table.stamps in
+  let live = ref 0 in
+  for i = 0 to t.ring_len - 1 do
+    let p = ring_pos t i in
+    let c = ring.(p) and stamp = ring.(p + 1) in
+    if stamps.(c) = stamp then begin
+      let q = ring_pos t !live in
+      ring.(q) <- c;
+      ring.(q + 1) <- stamp;
+      incr live
+    end
+  done;
+  t.ring_len <- !live
 
-(* Selective flushes leave dead slots behind in [order]; under a
-   drop-selective-heavy workload the queue would grow without bound. Once
-   dead slots dominate, rebuild it keeping only live slots (each key has at
-   most one), preserving their relative order — eviction order is
-   unchanged. *)
-let compact_order t =
-  let fresh = Queue.create () in
-  Queue.iter
-    (fun (k, s) -> if slot_live t k s then Queue.push (k, s) fresh)
-    t.order;
-  Queue.clear t.order;
-  Queue.transfer fresh t.order
+(* A full ring is compacted in place while at most three quarters of its
+   pairs can be live, else doubled: it stays within 8/3 of the table's
+   live entries, and compaction frees at least a quarter of the ring, so
+   each push moves O(1) pairs on average. *)
+let ring_push t c stamp =
+  let n = Array.length t.ring / 2 in
+  if t.ring_len = n then begin
+    if 4 * t.table.count <= 3 * n then ring_compact t
+    else begin
+      let ring = Array.make (2 * Int.max 8 (2 * n)) 0 in
+      for i = 0 to t.ring_len - 1 do
+        let p = ring_pos t i in
+        ring.(2 * i) <- t.ring.(p);
+        ring.((2 * i) + 1) <- t.ring.(p + 1)
+      done;
+      t.ring <- ring;
+      t.ring_head <- 0
+    end
+  end;
+  let q = ring_pos t t.ring_len in
+  t.ring.(q) <- c;
+  t.ring.(q + 1) <- stamp;
+  t.ring_len <- t.ring_len + 1
+
+(* Evict FIFO until under capacity, skipping dead pairs. *)
+let make_room t =
+  let tb = t.table in
+  while tb.count >= t.cap && t.ring_len > 0 do
+    let p = ring_pos t 0 in
+    let c = t.ring.(p) and stamp = t.ring.(p + 1) in
+    t.ring_head <- (t.ring_head + 1) land ((Array.length t.ring / 2) - 1);
+    t.ring_len <- t.ring_len - 1;
+    if tb.stamps.(c) = stamp then begin
+      remove_key tb tb.keys.(c);
+      t.s_evictions <- t.s_evictions + 1
+    end
+  done
+
+let fill t ~vpn ~pfn ~pcid ~size ~global ~writable ~fractured =
+  if pcid < 0 || pcid > pcid_mask then invalid_arg "Tlb.fill: pcid out of range";
+  t.s_insertions <- t.s_insertions + 1;
+  if fractured then t.fracture <- true;
+  let tag = tag_of vpn size in
+  let e =
+    if global then begin
+      let tb = t.globals and k = gkey ~tag size in
+      let c = find tb k in
+      tb.cells.(if c >= 0 then c else add tb k ~limit:max_int)
+    end
+    else begin
+      let tb = t.table and k = key ~pcid ~tag size in
+      let c = find tb k in
+      (* Overwriting a resident key keeps its FIFO place (FIFO, not LRU)
+         and must not evict anything — only a new key needs room. *)
+      if c >= 0 then tb.cells.(c)
+      else begin
+        make_room t;
+        let c = add tb k ~limit:t.cap in
+        let stamp = t.next_stamp in
+        t.next_stamp <- stamp + 1;
+        tb.stamps.(c) <- stamp;
+        ring_push t c stamp;
+        tb.cells.(c)
+      end
+    end
+  in
+  e.vpn <- vpn;
+  e.pfn <- pfn;
+  e.pcid <- pcid;
+  e.size <- size;
+  e.global <- global;
+  e.writable <- writable;
+  e.fractured <- fractured;
+  e.ck_ver <- -1
 
 let insert t e =
-  if e.pcid < 0 || e.pcid > pcid_mask then invalid_arg "Tlb.insert: pcid out of range";
-  t.s_insertions <- t.s_insertions + 1;
-  if e.fractured then t.fracture <- true;
-  if e.global then Itbl.replace t.globals (gkey ~tag:(tag_of e.vpn e.size) e.size) e
-  else begin
-    let key = key ~pcid:e.pcid ~tag:(tag_of e.vpn e.size) e.size in
-    (* Overwriting a resident key keeps its queue slot (FIFO, not LRU) and
-       must not evict anything — only a genuinely new key needs room. *)
-    if not (Itbl.mem t.table key) then begin
-      if Queue.length t.order > (2 * Itbl.length t.table) + 64 then compact_order t;
-      make_room t;
-      let stamp = t.next_stamp in
-      t.next_stamp <- stamp + 1;
-      Itbl.replace t.stamps key stamp;
-      Queue.push (key, stamp) t.order
-    end;
-    Itbl.replace t.table key e
-  end
+  fill t ~vpn:e.vpn ~pfn:e.pfn ~pcid:e.pcid ~size:e.size ~global:e.global
+    ~writable:e.writable ~fractured:e.fractured
 
 let full_flush_internal t =
   (match t.flush_meter with
-  | Some f -> f true (Itbl.length t.table + Itbl.length t.globals)
+  | Some f -> f true (t.table.count + t.globals.count)
   | None -> ());
-  Itbl.clear t.table;
-  Itbl.clear t.globals;
-  Itbl.clear t.stamps;
-  Queue.clear t.order;
+  clear t.table;
+  clear t.globals;
+  t.ring_head <- 0;
+  t.ring_len <- 0;
   t.pwc <- false;
   t.fracture <- false
 
@@ -209,16 +409,12 @@ let fracture_promote t =
   t.s_fracture_full <- t.s_fracture_full + 1;
   full_flush_internal t
 
-let remove_key t key =
-  Itbl.remove t.table key;
-  Itbl.remove t.stamps key
-
 let drop_selective t ~pcid ~vpn ~drop_globals =
-  remove_key t (key ~pcid ~tag:vpn Four_k);
-  remove_key t (key ~pcid ~tag:(vpn lsr 9) Two_m);
+  remove_key t.table (key ~pcid ~tag:vpn Four_k);
+  remove_key t.table (key ~pcid ~tag:(vpn lsr 9) Two_m);
   if drop_globals then begin
-    Itbl.remove t.globals (gkey ~tag:vpn Four_k);
-    Itbl.remove t.globals (gkey ~tag:(vpn lsr 9) Two_m)
+    remove_key t.globals (gkey ~tag:vpn Four_k);
+    remove_key t.globals (gkey ~tag:(vpn lsr 9) Two_m)
   end
 
 let invlpg t ~current_pcid ~vpn =
@@ -236,14 +432,18 @@ let invpcid_addr t ~pcid ~vpn =
   if t.fracture then fracture_promote t
   else drop_selective t ~pcid ~vpn ~drop_globals:false
 
+(* Cells never move, so removing while walking them is safe. *)
 let drop_pcid t ~pcid =
-  let doomed =
-    Itbl.fold (fun key _ acc -> if key_pcid key = pcid then key :: acc else acc) t.table []
-  in
-  (match t.flush_meter with
-  | Some f -> f false (List.length doomed)
-  | None -> ());
-  List.iter (remove_key t) doomed
+  let tb = t.table in
+  let dropped = ref 0 in
+  for c = 0 to tb.used - 1 do
+    let k = tb.keys.(c) in
+    if k >= 0 && key_pcid k = pcid then begin
+      remove_key tb k;
+      incr dropped
+    end
+  done;
+  match t.flush_meter with Some f -> f false !dropped | None -> ()
 
 let flush_pcid t ~pcid =
   t.s_invpcid <- t.s_invpcid + 1;
@@ -267,12 +467,18 @@ let stats t =
     fracture_full_flushes = t.s_fracture_full;
   }
 
-(* Sorted by packed key, so the order depends only on the contents, never
-   on bucket count or insert/flush history. *)
+(* Copies, sorted by packed key, so the listing depends only on the
+   contents, never on cell order or insert/flush history, and no later
+   fill rewrites it. *)
 let entries t =
-  let sorted tbl =
-    Itbl.fold (fun k e acc -> (k, e) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
+  let sorted tb =
+    let acc = ref [] in
+    for c = 0 to tb.used - 1 do
+      if tb.keys.(c) >= 0 then begin
+        let e = tb.cells.(c) in
+        acc := (tb.keys.(c), { e with ck_ver = e.ck_ver }) :: !acc
+      end
+    done;
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc |> List.map snd
   in
   sorted t.table @ sorted t.globals

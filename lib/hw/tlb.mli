@@ -14,14 +14,19 @@
 
 type page_size = Four_k | Two_m
 
+(** A translation. The TLB keeps one record per slot and rewrites it in
+    place on each fill, so a record {!probe} or {!lookup} returns is valid
+    until the next fill or flush of that TLB; {!entries} returns copies.
+    Only {!Core.Checker} writes a record it was handed, and only
+    [ck_ver]. *)
 type entry = {
-  vpn : int;  (** virtual page number in 4 KiB units (base of the page) *)
-  pfn : int;  (** physical frame number backing [vpn] *)
-  pcid : int;  (** must fit 12 bits (0..4095) *)
-  size : page_size;
-  global : bool;  (** G-bit entries survive CR3 writes *)
-  writable : bool;
-  fractured : bool;  (** produced by a guest-2M x host-4K nested walk *)
+  mutable vpn : int;  (** virtual page number in 4 KiB units (base of the page) *)
+  mutable pfn : int;  (** physical frame number backing [vpn] *)
+  mutable pcid : int;  (** must fit 12 bits (0..4095) *)
+  mutable size : page_size;
+  mutable global : bool;  (** G-bit entries survive CR3 writes *)
+  mutable writable : bool;
+  mutable fractured : bool;  (** produced by a guest-2M x host-4K nested walk *)
   mutable ck_ver : int;
       (** scratch for {!Core.Checker}: the packed page-table version this
           entry was last validated against, [-1] when never validated. Not
@@ -42,7 +47,8 @@ type stats = {
 type t
 
 (** [create ~capacity ()] with FIFO eviction. Default capacity 1536 (Skylake
-    STLB-sized). *)
+    STLB-sized). The tables are allocated by the first fills and grow by
+    doubling; a warm TLB fills, hits and flushes without allocating. *)
 val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
@@ -53,14 +59,37 @@ val capacity : t -> int
     ([full = false]: flush_pcid / cr3_flush). Used by the metrics layer. *)
 val set_flush_meter : t -> (bool -> int -> unit) -> unit
 
-(** [lookup t ~pcid ~vpn] checks the 4 KiB mapping, a covering 2 MiB
-    mapping, and global entries. Counts a hit or miss. *)
+(** The record {!probe} returns on a miss. Never written. *)
+val no_entry : entry
+
+(** [probe t ~pcid ~vpn] checks the 4 KiB mapping, a 4 KiB global, a
+    covering 2 MiB mapping and a 2 MiB global, in that order, and returns
+    the first found or {!no_entry} (compare with [==]). Counts a hit or
+    miss; allocates nothing. *)
+val probe : t -> pcid:int -> vpn:int -> entry
+
+(** {!probe} as an option. *)
 val lookup : t -> pcid:int -> vpn:int -> entry option
 
 (** Is the translation present (no stats recorded)? *)
 val mem : t -> pcid:int -> vpn:int -> bool
 [@@tlblint.allow "R5 state accessor: tests read TLB contents through it"]
 
+(** Cache a translation, with [ck_ver = -1]. A resident key is rewritten
+    in place and keeps its FIFO place; a new non-global key at capacity
+    evicts the oldest live one. Global entries are never evicted. *)
+val fill :
+  t ->
+  vpn:int ->
+  pfn:int ->
+  pcid:int ->
+  size:page_size ->
+  global:bool ->
+  writable:bool ->
+  fractured:bool ->
+  unit
+
+(** {!fill} with the fields of an entry. *)
 val insert : t -> entry -> unit
 
 (** INVLPG: selective flush of [vpn] in the current PCID [current_pcid];

@@ -21,7 +21,11 @@ type t = {
       (* hugepage frames: chunk [(frames - 1 - pfn) / chunk_size] *)
   mutable hi_refcounts : int array array;
   mutable hi_generations : int array array;
-  free_list : int Queue.t;  (* singles *)
+  mutable free_ring : int array;
+      (* freed singles, reused oldest first: [free_len] of them from
+         [free_head], modulo the ring's power-of-two length *)
+  mutable free_head : int;
+  mutable free_len : int;
   mutable next_fresh : int;  (* frames never yet allocated, bump pointer *)
   mutable huge_floor : int;  (* hugepage runs grow down from the top *)
   mutable n_allocated : int;
@@ -41,7 +45,9 @@ let create ~frames =
     hi_used = [||];
     hi_refcounts = [||];
     hi_generations = [||];
-    free_list = Queue.create ();
+    free_ring = [||];
+    free_head = 0;
+    free_len = 0;
     next_fresh = 0;
     huge_floor = frames;
     n_allocated = 0;
@@ -114,18 +120,36 @@ let bump_generation t pfn =
   end
   else t.generations.(pfn) <- t.generations.(pfn) + 1
 
+(* Queue a freed single at the ring's tail, doubling a full ring. *)
+let push_free t pfn =
+  let n = Array.length t.free_ring in
+  if t.free_len = n then begin
+    let ring = Array.make (Stdlib.max 64 (2 * n)) 0 in
+    for i = 0 to n - 1 do
+      ring.(i) <- t.free_ring.((t.free_head + i) land (n - 1))
+    done;
+    t.free_ring <- ring;
+    t.free_head <- 0
+  end;
+  let ring = t.free_ring in
+  ring.((t.free_head + t.free_len) land (Array.length ring - 1)) <- pfn;
+  t.free_len <- t.free_len + 1
+
 let alloc t =
   let pfn =
-    match Queue.take_opt t.free_list with
-    | Some pfn -> pfn
-    | None ->
-        if t.next_fresh >= t.huge_floor then raise Out_of_memory
-        else begin
-          let pfn = t.next_fresh in
-          t.next_fresh <- t.next_fresh + 1;
-          ensure t pfn;
-          pfn
-        end
+    if t.free_len > 0 then begin
+      let pfn = t.free_ring.(t.free_head) in
+      t.free_head <- (t.free_head + 1) land (Array.length t.free_ring - 1);
+      t.free_len <- t.free_len - 1;
+      pfn
+    end
+    else if t.next_fresh >= t.huge_floor then raise Out_of_memory
+    else begin
+      let pfn = t.next_fresh in
+      t.next_fresh <- t.next_fresh + 1;
+      ensure t pfn;
+      pfn
+    end
   in
   assert (not (is_allocated t pfn));
   mark t pfn true;
@@ -164,7 +188,7 @@ let free t pfn =
     mark t pfn false;
     bump_generation t pfn;
     t.n_allocated <- t.n_allocated - 1;
-    Queue.push pfn t.free_list
+    push_free t pfn
   end
 
 let free_huge t base =

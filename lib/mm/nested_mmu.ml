@@ -27,42 +27,25 @@ let fill t ~vpn =
             | Tlb.Two_m -> vpn land lnot 511
           in
           let hfn_base = r.Ept.Nested.hfn - (vpn - base) in
-          Tlb.insert t.mmu_tlb
-            {
-              Tlb.vpn = base;
-              pfn = hfn_base;
-              pcid = t.pcid;
-              size = r.Ept.Nested.effective_size;
-              global = false;
-              writable = Pte.writable r.Ept.Nested.pte;
-              fractured = r.Ept.Nested.fractured;
-              ck_ver = -1;
-            }
+          Tlb.fill t.mmu_tlb ~vpn:base ~pfn:hfn_base ~pcid:t.pcid
+            ~size:r.Ept.Nested.effective_size ~global:false
+            ~writable:(Pte.writable r.Ept.Nested.pte) ~fractured:r.Ept.Nested.fractured
     end
   | None -> begin
       let pte = Page_table.walk t.guest ~vpn in
       if not (Pte.present pte) then raise (Guest_fault vpn);
       let size = Pte.size pte in
       let base = match size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511 in
-      Tlb.insert t.mmu_tlb
-        {
-          Tlb.vpn = base;
-          pfn = Pte.pfn pte;
-          pcid = t.pcid;
-          size;
-          global = Pte.global pte;
-          writable = Pte.writable pte;
-          fractured = false;
-          ck_ver = -1;
-        }
+      Tlb.fill t.mmu_tlb ~vpn:base ~pfn:(Pte.pfn pte) ~pcid:t.pcid ~size
+        ~global:(Pte.global pte) ~writable:(Pte.writable pte) ~fractured:false
     end
 
 let access t ~vpn =
-  match Tlb.lookup t.mmu_tlb ~pcid:t.pcid ~vpn with
-  | Some _ -> `Hit
-  | None ->
-      fill t ~vpn;
-      `Miss_filled
+  if Tlb.probe t.mmu_tlb ~pcid:t.pcid ~vpn != Tlb.no_entry then `Hit
+  else begin
+    fill t ~vpn;
+    `Miss_filled
+  end
 
 let touch_range t ~start_vpn ~pages =
   let hits = ref 0 and misses = ref 0 in

@@ -4,7 +4,10 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let dirty_pages file = List.length (File.dirty_in_range file ~index:0 ~count:16)
+let dirty_pages file =
+  let n = ref 0 in
+  File.iter_dirty file ~index:0 ~count:16 (fun _ -> incr n);
+  !n
 
 let make ?(opts = Opts.baseline ~safe:true) () = Machine.create ~opts ~seed:17L ()
 

@@ -455,6 +455,60 @@ let test_tlb_reinsert_after_invalidate_is_youngest () =
   check int_t "exactly one eviction" 1 (Tlb.stats t).Tlb.evictions;
   check int_t "occupancy exact" 4 (occupancy t)
 
+(* The checker stamps the record a hit returns, and a fill rewrites its
+   slot's record in place: the fill must clear the stamp, both when it
+   re-fills the resident key and when it takes a freed slot. *)
+let test_tlb_fill_resets_checker_stamp () =
+  let t = Tlb.create ~capacity:2 () in
+  Tlb.insert t (entry ~vpn:1 ~pfn:1 ());
+  (Tlb.probe t ~pcid:1 ~vpn:1).Tlb.ck_ver <- 7;
+  Tlb.insert t (entry ~vpn:1 ~pfn:2 ());
+  let e = Tlb.probe t ~pcid:1 ~vpn:1 in
+  check int_t "re-filled pfn" 2 e.Tlb.pfn;
+  check int_t "re-fill of a resident key" (-1) e.Tlb.ck_ver;
+  e.Tlb.ck_ver <- 7;
+  Tlb.drop t ~pcid:1 ~vpn:1;
+  Tlb.insert t (entry ~vpn:3 ~pfn:3 ());
+  check int_t "fill into a freed slot" (-1) (Tlb.probe t ~pcid:1 ~vpn:3).Tlb.ck_ver;
+  check bool_t "a miss is the sentinel" true (Tlb.probe t ~pcid:1 ~vpn:1 == Tlb.no_entry)
+
+(* A TLB grown to its capacity fills, hits, misses and flushes without
+   allocating: each slot's record is rewritten in place, and the index,
+   the free cells and the FIFO ring are int arrays. *)
+let test_tlb_warm_words () =
+  let t = Tlb.create () in
+  let fill ?(global = false) vpn =
+    Tlb.fill t ~vpn ~pfn:vpn ~pcid:1 ~size:Tlb.Four_k ~global ~writable:true
+      ~fractured:false
+  in
+  for vpn = 0 to Tlb.capacity t - 1 do
+    fill vpn
+  done;
+  fill ~global:true 100_000;
+  (* Each op runs once before it is counted: the first global fill after
+     the table's one global takes a second cell and its first record. *)
+  let words what f =
+    f 0;
+    let before = Gc.minor_words () in
+    for i = 1 to 100 do
+      f i
+    done;
+    check int_t (what ^ ": minor words") 0 (int_of_float (Gc.minor_words () -. before))
+  in
+  words "fill, evicting" (fun i -> fill (5000 + i));
+  words "re-fill a resident key" (fun i -> fill (5000 + i));
+  words "probe hit" (fun i -> ignore (Tlb.probe t ~pcid:1 ~vpn:(5000 + i) : Tlb.entry));
+  words "probe miss" (fun i -> ignore (Tlb.probe t ~pcid:2 ~vpn:i : Tlb.entry));
+  words "invlpg" (fun i -> Tlb.invlpg t ~current_pcid:1 ~vpn:(5000 + i));
+  words "fill + flush_pcid" (fun i ->
+      fill i;
+      Tlb.flush_pcid t ~pcid:1);
+  words "fill + flush_all" (fun i ->
+      fill i;
+      fill ~global:true (100_000 + i);
+      Tlb.flush_all t);
+  check int_t "one live entry" 0 (occupancy t)
+
 (* Random inserts/overwrites/invalidations/flushes against a reference
    FIFO model: membership, occupancy and eviction victim must match the
    model after every operation. *)
@@ -1406,6 +1460,10 @@ let suite =
       test_tlb_random_vs_fifo_model;
     Alcotest.test_case "tlb: entries independent of history" `Quick
       test_tlb_entries_history_independent;
+    Alcotest.test_case "tlb: warm fill, hit and flushes, minor words" `Quick
+      test_tlb_warm_words;
+    Alcotest.test_case "tlb: a fill resets the checker stamp" `Quick
+      test_tlb_fill_resets_checker_stamp;
     Alcotest.test_case "cpu: compute accounting" `Quick test_cpu_compute_accounting;
     Alcotest.test_case "cpu+apic: delivery and interruption" `Quick test_ipi_delivery_and_interruption;
     Alcotest.test_case "cpu: masking defers irqs" `Quick test_irq_masking_defers;
