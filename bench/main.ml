@@ -1168,7 +1168,7 @@ let execute ~jobs tasks =
   Shard.execute ~progress:!verbose ~jobs plans
 
 let run_tasks ~jobs tasks =
-  let outcomes, _gc = execute ~jobs tasks in
+  let outcomes = execute ~jobs tasks in
   List.iter
     (fun o ->
       let m = o.Shard.out_measure in
@@ -1237,7 +1237,7 @@ let experiment_row o =
 
 let perf ~jobs () =
   let t0 = Unix.gettimeofday () in
-  let outcomes, pool_gc = execute ~jobs all_tasks in
+  let outcomes = execute ~jobs all_tasks in
   let elapsed = Unix.gettimeofday () -. t0 in
   List.iter
     (fun o ->
@@ -1277,14 +1277,6 @@ let perf ~jobs () =
           ("engine_ops", int total_ops);
           ( "engine_ops_per_s",
             Some (float_of_int total_ops /. Float.max 1e-9 total_wall) );
-        ];
-      row "run" "pool_gc"
-        [
-          ("minor_words", Some pool_gc.Domain_pool.pool_minor_words);
-          ("major_words", Some pool_gc.Domain_pool.pool_major_words);
-          ("promoted_words", Some pool_gc.Domain_pool.pool_promoted_words);
-          ("minor_collections", int pool_gc.Domain_pool.pool_minor_collections);
-          ("major_collections", int pool_gc.Domain_pool.pool_major_collections);
         ];
       row "run" "gc"
         [

@@ -54,19 +54,24 @@ let key_pcid k = (k lsr 1) land pcid_mask
 (* One table: cells that never move, each owning one entry record that
    fills rewrite in place, and an open-addressed index of cell ids
    (linear probing, load at most 1/2, backward-shift deletion, so no
-   tombstones). Cells [0, used) were handed out since the last clear; the
-   freed ones among them wait on the [free] stack. Every array starts
-   empty and grows by doubling only when a fill finds no free cell, so a
-   TLB that never fills holds no table and a warm one allocates
-   nothing. *)
+   tombstones). [prev]/[next] thread the live cells into one list from
+   oldest to newest fill, the FIFO eviction order: a new key links at the
+   tail, a removal unlinks in O(1) and eviction takes the head. Cells
+   [0, used) were handed out since the last clear; the freed ones among
+   them wait on a free list through [next]. Every array starts empty and
+   grows by doubling only when a fill finds no free cell, so a TLB that
+   never fills holds no table and a warm one allocates nothing. *)
 type tbl = {
   mutable index : int array;  (* power-of-two length; -1 = empty, else a cell *)
   mutable shift : int;  (* [Sys.int_size - log2 (length index)] *)
   mutable keys : int array;  (* cell -> key, -1 when free *)
   mutable cells : entry array;  (* cell -> its record, [no_entry] until first used *)
-  mutable stamps : int array;  (* cell -> stamp of its live FIFO slot *)
-  mutable free : int array;
-  mutable n_free : int;
+  mutable prev : int array;  (* live cell -> the next older one, -1 at [head] *)
+  mutable next : int array;  (* live cell -> the next newer one, -1 at [tail];
+                                free cell -> the next free one *)
+  mutable head : int;  (* oldest live cell, or -1 *)
+  mutable tail : int;  (* newest live cell, or -1 *)
+  mutable free : int;  (* first cell of the free list, or -1 *)
   mutable used : int;
   mutable count : int;  (* live keys *)
 }
@@ -77,9 +82,11 @@ let new_tbl () =
     shift = 0;
     keys = [||];
     cells = [||];
-    stamps = [||];
-    free = [||];
-    n_free = 0;
+    prev = [||];
+    next = [||];
+    head = -1;
+    tail = -1;
+    free = -1;
     used = 0;
     count = 0;
   }
@@ -124,8 +131,8 @@ let grow tb ~limit =
   in
   tb.keys <- extend tb.keys (-1);
   tb.cells <- extend tb.cells no_entry;
-  tb.stamps <- extend tb.stamps (-1);
-  tb.free <- extend tb.free 0;
+  tb.prev <- extend tb.prev (-1);
+  tb.next <- extend tb.next (-1);
   let bits = ref 1 in
   while 1 lsl !bits < 2 * n' do
     incr bits
@@ -136,12 +143,14 @@ let grow tb ~limit =
     if tb.keys.(c) >= 0 then index_add tb c
   done
 
-(* A cell for the new key [k], which is not in the table. *)
+(* A cell for the new key [k], which is not in the table, linked as the
+   newest. *)
 let add tb k ~limit =
   let c =
-    if tb.n_free > 0 then begin
-      tb.n_free <- tb.n_free - 1;
-      tb.free.(tb.n_free)
+    if tb.free >= 0 then begin
+      let c = tb.free in
+      tb.free <- tb.next.(c);
+      c
     end
     else begin
       if tb.used = Array.length tb.keys then grow tb ~limit;
@@ -153,6 +162,10 @@ let add tb k ~limit =
   in
   tb.keys.(c) <- k;
   index_add tb c;
+  tb.prev.(c) <- tb.tail;
+  tb.next.(c) <- -1;
+  if tb.tail >= 0 then tb.next.(tb.tail) <- c else tb.head <- c;
+  tb.tail <- c;
   tb.count <- tb.count + 1;
   c
 
@@ -173,9 +186,11 @@ let delete_slot tb s =
   done;
   index.(!hole) <- -1;
   tb.keys.(c) <- -1;
-  tb.stamps.(c) <- -1;
-  tb.free.(tb.n_free) <- c;
-  tb.n_free <- tb.n_free + 1;
+  let p = tb.prev.(c) and n = tb.next.(c) in
+  if p >= 0 then tb.next.(p) <- n else tb.head <- n;
+  if n >= 0 then tb.prev.(n) <- p else tb.tail <- p;
+  tb.next.(c) <- tb.free;
+  tb.free <- c;
   tb.count <- tb.count - 1
 
 let remove_key tb k =
@@ -208,23 +223,15 @@ let clear tb =
     end
   done;
   tb.used <- 0;
-  tb.n_free <- 0;
+  tb.head <- -1;
+  tb.tail <- -1;
+  tb.free <- -1;
   tb.count <- 0
 
 type t = {
   cap : int;
   table : tbl;
   globals : tbl;
-  mutable ring : int array;
-      (* FIFO eviction order for [table]: (cell, stamp) pairs, two ints
-         each, [ring_len] of them from [ring_head], modulo the ring's
-         power-of-two size. A pair is live only while the cell's stamp is
-         still that stamp; invalidation clears the stamp, so a later
-         re-insert of the same key gets a fresh stamp and a fresh tail
-         position instead of inheriting the dead pair near the head. *)
-  mutable ring_head : int;
-  mutable ring_len : int;
-  mutable next_stamp : int;
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_insertions : int;
@@ -246,10 +253,6 @@ let create ?(capacity = 1536) () =
     cap = capacity;
     table = new_tbl ();
     globals = new_tbl ();
-    ring = [||];
-    ring_head = 0;
-    ring_len = 0;
-    next_stamp = 0;
     s_hits = 0;
     s_misses = 0;
     s_insertions = 0;
@@ -292,61 +295,13 @@ let lookup t ~pcid ~vpn =
 
 let mem t ~pcid ~vpn = find_entry t ~pcid ~vpn != no_entry
 
-let[@inline] ring_pos t i = 2 * ((t.ring_head + i) land ((Array.length t.ring / 2) - 1))
-
-(* Drop the dead pairs, keeping the live ones in order. *)
-let ring_compact t =
-  let ring = t.ring and stamps = t.table.stamps in
-  let live = ref 0 in
-  for i = 0 to t.ring_len - 1 do
-    let p = ring_pos t i in
-    let c = ring.(p) and stamp = ring.(p + 1) in
-    if stamps.(c) = stamp then begin
-      let q = ring_pos t !live in
-      ring.(q) <- c;
-      ring.(q + 1) <- stamp;
-      incr live
-    end
-  done;
-  t.ring_len <- !live
-
-(* A full ring is compacted in place while at most three quarters of its
-   pairs can be live, else doubled: it stays within 8/3 of the table's
-   live entries, and compaction frees at least a quarter of the ring, so
-   each push moves O(1) pairs on average. *)
-let ring_push t c stamp =
-  let n = Array.length t.ring / 2 in
-  if t.ring_len = n then begin
-    if 4 * t.table.count <= 3 * n then ring_compact t
-    else begin
-      let ring = Array.make (2 * Int.max 8 (2 * n)) 0 in
-      for i = 0 to t.ring_len - 1 do
-        let p = ring_pos t i in
-        ring.(2 * i) <- t.ring.(p);
-        ring.((2 * i) + 1) <- t.ring.(p + 1)
-      done;
-      t.ring <- ring;
-      t.ring_head <- 0
-    end
-  end;
-  let q = ring_pos t t.ring_len in
-  t.ring.(q) <- c;
-  t.ring.(q + 1) <- stamp;
-  t.ring_len <- t.ring_len + 1
-
-(* Evict FIFO until under capacity, skipping dead pairs. *)
+(* A new non-global key at capacity evicts the oldest live one. *)
 let make_room t =
   let tb = t.table in
-  while tb.count >= t.cap && t.ring_len > 0 do
-    let p = ring_pos t 0 in
-    let c = t.ring.(p) and stamp = t.ring.(p + 1) in
-    t.ring_head <- (t.ring_head + 1) land ((Array.length t.ring / 2) - 1);
-    t.ring_len <- t.ring_len - 1;
-    if tb.stamps.(c) = stamp then begin
-      remove_key tb tb.keys.(c);
-      t.s_evictions <- t.s_evictions + 1
-    end
-  done
+  if tb.count >= t.cap then begin
+    remove_key tb tb.keys.(tb.head);
+    t.s_evictions <- t.s_evictions + 1
+  end
 
 let fill t ~vpn ~pfn ~pcid ~size ~global ~writable ~fractured =
   if pcid < 0 || pcid > pcid_mask then invalid_arg "Tlb.fill: pcid out of range";
@@ -367,12 +322,7 @@ let fill t ~vpn ~pfn ~pcid ~size ~global ~writable ~fractured =
       if c >= 0 then tb.cells.(c)
       else begin
         make_room t;
-        let c = add tb k ~limit:t.cap in
-        let stamp = t.next_stamp in
-        t.next_stamp <- stamp + 1;
-        tb.stamps.(c) <- stamp;
-        ring_push t c stamp;
-        tb.cells.(c)
+        tb.cells.(add tb k ~limit:t.cap)
       end
     end
   in
@@ -395,8 +345,6 @@ let full_flush_internal t =
   | None -> ());
   clear t.table;
   clear t.globals;
-  t.ring_head <- 0;
-  t.ring_len <- 0;
   t.pwc <- false;
   t.fracture <- false
 

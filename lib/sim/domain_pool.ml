@@ -18,52 +18,6 @@
 
 type 'a outcome = Value of 'a | Raised of exn * Printexc.raw_backtrace
 
-type gc_totals = {
-  pool_minor_words : float;
-  pool_major_words : float;
-  pool_promoted_words : float;
-  pool_minor_collections : int;
-  pool_major_collections : int;
-}
-
-let zero_gc_totals =
-  {
-    pool_minor_words = 0.0;
-    pool_major_words = 0.0;
-    pool_promoted_words = 0.0;
-    pool_minor_collections = 0;
-    pool_major_collections = 0;
-  }
-
-let add_gc_totals a b =
-  {
-    pool_minor_words = a.pool_minor_words +. b.pool_minor_words;
-    pool_major_words = a.pool_major_words +. b.pool_major_words;
-    pool_promoted_words = a.pool_promoted_words +. b.pool_promoted_words;
-    pool_minor_collections = a.pool_minor_collections + b.pool_minor_collections;
-    pool_major_collections = a.pool_major_collections + b.pool_major_collections;
-  }
-
-(* GC deltas are measured per worker domain: in OCaml 5 [Gc.quick_stat]'s
-   allocation counters are domain-local while a domain is alive (a child's
-   counters fold into its parent only at [Domain.join]), so sampling before
-   and after a worker's stint and summing the deltas gives the true
-   cross-domain total — and the caller's own sample must be taken *before*
-   joining the children or it would double-count them. *)
-let gc_delta_around f =
-  let s0 = Gc.quick_stat () in
-  let finally () = f (Gc.quick_stat ()) s0 in
-  finally
-
-let gc_delta s1 (s0 : Gc.stat) =
-  {
-    pool_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
-    pool_major_words = s1.Gc.major_words -. s0.Gc.major_words;
-    pool_promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-    pool_minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
-    pool_major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
-  }
-
 (* fig10-class workloads allocate ~10⁹ minor words per run; the default
    256k-word minor heap turns that into tens of thousands of minor
    collections with heavy promotion. A larger per-domain minor arena and a
@@ -111,53 +65,34 @@ let run_parallel ~jobs ~order ~tune_gc tasks =
     loop ()
   in
   let spawned = Stdlib.min (jobs - 1) (n - 1) in
-  let worker_gc = Array.make (spawned + 1) zero_gc_totals in
-  let spawn k =
+  let spawn _ =
     Domain.spawn (fun () ->
         if tune_gc then tune_current_domain ();
-        let finish = gc_delta_around (fun s1 s0 -> worker_gc.(k + 1) <- gc_delta s1 s0) in
-        worker ();
-        finish ())
+        worker ())
   in
   (* The calling domain is one of the workers; spawn the rest. *)
   let domains = Array.init spawned spawn in
-  let finish = gc_delta_around (fun s1 s0 -> worker_gc.(0) <- gc_delta s1 s0) in
   worker ();
-  finish ();
   Array.iter Domain.join domains;
-  let gc = Array.fold_left add_gc_totals zero_gc_totals worker_gc in
-  ( Array.map
-      (function
-        | Some (Value v) -> v
-        | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | None -> assert false)
-      results,
-    gc )
+  Array.map
+    (function
+      | Some (Value v) -> v
+      | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false)
+    results
 
-let run ~jobs ?weights ?(tune_gc = false) ?gc_totals (tasks : (unit -> 'a) array) :
-    'a array =
+let run ~jobs ?weights ?(tune_gc = false) (tasks : (unit -> 'a) array) : 'a array =
   (match weights with
   | Some w when Array.length w <> Array.length tasks ->
       invalid_arg "Domain_pool.run: weights length must match tasks"
   | _ -> ());
-  if jobs <= 1 || Array.length tasks <= 1 then begin
+  if jobs <= 1 || Array.length tasks <= 1 then
     (* Inline sequential execution: no domains are spawned, so [jobs = 1]
        behaves exactly like a plain loop (same exception propagation, same
        evaluation order) — the parallel runner's byte-identical baseline. *)
-    let finish =
-      match gc_totals with
-      | None -> ignore
-      | Some cell -> gc_delta_around (fun s1 s0 -> cell := gc_delta s1 s0)
-    in
-    let results = Array.map (fun f -> f ()) tasks in
-    finish ();
-    results
-  end
-  else begin
+    Array.map (fun f -> f ()) tasks
+  else
     let order = claim_order ~weights (Array.length tasks) in
-    let results, gc = run_parallel ~jobs ~order ~tune_gc tasks in
-    Option.iter (fun cell -> cell := gc) gc_totals;
-    results
-  end
+    run_parallel ~jobs ~order ~tune_gc tasks
 
 let default_jobs () = Domain.recommended_domain_count ()

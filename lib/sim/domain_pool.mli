@@ -4,20 +4,6 @@
     builds its own {!Engine.t} and machines), so running them on separate
     domains is safe as long as they share no mutable state. *)
 
-(** Summed GC activity of every worker domain across one {!run} call.
-    Counters are sampled per domain ([Gc.quick_stat] allocation counters
-    are domain-local while a domain lives) and added, so the total covers
-    all domains — the figure a perf harness should report. *)
-type gc_totals = {
-  pool_minor_words : float;
-  pool_major_words : float;
-  pool_promoted_words : float;
-  pool_minor_collections : int;
-  pool_major_collections : int;
-}
-
-val zero_gc_totals : gc_totals
-
 (** [run ~jobs tasks] runs every task and returns their results in task
     order. With [jobs <= 1] (or fewer than two tasks) the tasks run inline
     on the calling domain, strictly in order, with no domains spawned — so
@@ -38,10 +24,6 @@ val zero_gc_totals : gc_totals
     the calling domain's parameters are never touched. GC tuning cannot
     change simulated results, only wall-clock and memory.
 
-    [gc_totals], when given, receives the summed per-domain GC deltas for
-    this call (caller's stint included, children sampled before join so
-    nothing is double-counted).
-
     If a task raises, the parallel runner still completes the remaining
     tasks, then re-raises the first (lowest-index) exception with its
     original backtrace. *)
@@ -49,7 +31,6 @@ val run :
   jobs:int ->
   ?weights:float array ->
   ?tune_gc:bool ->
-  ?gc_totals:gc_totals ref ->
   (unit -> 'a) array ->
   'a array
 

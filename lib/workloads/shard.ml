@@ -167,25 +167,20 @@ let execute ?(progress = false) ~jobs plans =
   let all = Array.of_list (List.concat_map (fun p -> p.jobs) plans) in
   let weights = Array.map (fun j -> j.weight) all in
   let thunks = Array.map (fun j () -> j.exec ~progress) all in
-  let gc = ref Domain_pool.zero_gc_totals in
-  ignore
-    (Domain_pool.run ~jobs ~weights ~tune_gc:true ~gc_totals:gc thunks : unit array);
-  let outcomes =
-    List.map
-      (fun p ->
-        let t0 = Unix.gettimeofday () in
-        let output, out_rows = p.reduce () in
-        let reduce_wall = Unix.gettimeofday () -. t0 in
-        {
-          out_name = p.name;
-          output;
-          out_rows;
-          out_measure = aggregate p.jobs ~reduce_wall;
-          out_reused = p.reused;
-        })
-      plans
-  in
-  (outcomes, !gc)
+  ignore (Domain_pool.run ~jobs ~weights ~tune_gc:true thunks : unit array);
+  List.map
+    (fun p ->
+      let t0 = Unix.gettimeofday () in
+      let output, out_rows = p.reduce () in
+      let reduce_wall = Unix.gettimeofday () -. t0 in
+      {
+        out_name = p.name;
+        output;
+        out_rows;
+        out_measure = aggregate p.jobs ~reduce_wall;
+        out_reused = p.reused;
+      })
+    plans
 
 let run ~jobs build =
   let b = { owned = []; reused = 0 } in

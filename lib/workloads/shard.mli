@@ -98,10 +98,8 @@ type outcome = {
 (** [execute ~jobs plans] runs every plan's cells on the shared pool
     ([jobs] domains, LPT order, per-worker GC tuning) and reduces in plan
     order. [progress] prints one per-cell elapsed line to stderr as cells
-    finish (unordered across domains; stdout stays schedule-independent).
-    Also returns the pool's summed per-domain GC deltas. *)
-val execute :
-  ?progress:bool -> jobs:int -> plan list -> outcome list * Domain_pool.gc_totals
+    finish (unordered across domains; stdout stays schedule-independent). *)
+val execute : ?progress:bool -> jobs:int -> plan list -> outcome list
 
 (** [run ~jobs build] is a standalone sweep, not part of a bench run:
     it registers [build]'s cells with a fresh builder, executes them on

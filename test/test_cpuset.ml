@@ -161,7 +161,7 @@ let sharded_bigmachine_output ~jobs =
            cells),
         [] )
   in
-  let outcomes, _gc = Shard.execute ~jobs [ plan ] in
+  let outcomes = Shard.execute ~jobs [ plan ] in
   String.concat "" (List.map (fun o -> o.Shard.output) outcomes)
 
 let test_bigmachine_256_identical_across_jobs () =

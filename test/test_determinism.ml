@@ -108,7 +108,7 @@ let fig11_mini = { Figures.ap_cores = [ 1; 2 ]; ap_seeds = [ 31L ]; ap_requests 
 
 let sharded_output ~jobs =
   (* Fresh memos per call so every jobs level executes its own cells. *)
-  let outcomes, _gc =
+  let outcomes =
     Shard.execute ~jobs
       [
         Figures.fig10_plan ~memo:(Shard.create_memo ()) fig10_mini;

@@ -268,6 +268,39 @@ let tlb_op_gen =
         (1, return Flush_all);
       ])
 
+(* One plain fill of each of the generator's 42 non-global keys (PCIDs 1
+   and 2, a 2 MiB page and six 4 KiB pages for each k) and up to 10 drops,
+   which unlink cells from the middle of the FIFO, in a random order. *)
+let tlb_fill_every_key_gen =
+  let fill pcid vpn size =
+    Insert
+      {
+        Tlb.vpn;
+        pfn = vpn + 7;
+        pcid;
+        size;
+        global = false;
+        writable = true;
+        fractured = false;
+        ck_ver = -1;
+      }
+  in
+  let fills =
+    List.concat_map
+      (fun pcid ->
+        List.concat_map
+          (fun k ->
+            fill pcid (k * 512) Tlb.Two_m
+            :: List.init 6 (fun j -> fill pcid ((k * 512) + j) Tlb.Four_k))
+          [ 0; 1; 2 ])
+      [ 1; 2 ]
+  in
+  QCheck.Gen.(
+    let* drops =
+      list_size (0 -- 10) (map2 (fun p v -> Drop (p, v)) tlb_pcid_gen tlb_vpn_gen)
+    in
+    shuffle_l (fills @ drops))
+
 (* The reference model. Non-global entries sit in a FIFO list, oldest
    first, keyed (pcid, tag, size); re-inserting a resident key rewrites it
    in place, and a new key at capacity evicts the head. Globals are keyed
@@ -411,14 +444,21 @@ let tlb_zero_stats =
     fracture_full_flushes = 0;
   }
 
-(* Capacities 1-8 evict; 4096 never does. After every op, what [lookup]
-   returned, [mem] of every generated address, [entries] and [stats] must
-   equal the model's. *)
+(* Capacities 1-8 evict from a table that never grows past 8 cells;
+   4096 never evicts. Capacities 16-32 start with a fill of every
+   non-global key, so the table grows while its cells are linked and then
+   evicts: the random ops alone flush too often to reach 16 live keys.
+   After every op, what [lookup] returned, [mem] of every generated
+   address, [entries] and [stats] must equal the model's. *)
 let prop_tlb_matches_model =
   QCheck.Test.make ~count ~name:"tlb agrees with a set model"
     (QCheck.make
        QCheck.Gen.(
-         pair (frequency [ (4, 1 -- 8); (1, return 4096) ]) (list_size (0 -- 200) tlb_op_gen)))
+         let* cap = frequency [ (4, 1 -- 8); (2, 16 -- 32); (1, return 4096) ] in
+         let* fills =
+           if cap >= 16 && cap <= 32 then tlb_fill_every_key_gen else return []
+         in
+         map (fun ops -> (cap, fills @ ops)) (list_size (0 -- 200) tlb_op_gen)))
     (fun (cap, ops) ->
       let t = Tlb.create ~capacity:cap () in
       let md = { cap; fifo = []; globals = []; fracture = false; st = tlb_zero_stats } in

@@ -50,7 +50,7 @@ let test_memo_cells_not_shared_across_protocols () =
     check int_t "re-registering paper owns nothing" 0 (owns b paper);
     fun () -> ("", [])
   in
-  let outcomes, _gc = Shard.execute ~jobs:1 [ again ] in
+  let outcomes = Shard.execute ~jobs:1 [ again ] in
   check (Alcotest.list int_t) "re-registering paper reuses it" [ 1 ]
     (List.map (fun o -> o.Shard.out_reused) outcomes)
 
@@ -332,7 +332,7 @@ let test_paper_workload_cells_reused () =
     check int_t "the paper backend owns no cell" 0 (Shard.owned b);
     fun () -> ("", [])
   in
-  let outcomes, _gc = Shard.execute ~jobs:1 [ paper_cells ] in
+  let outcomes = Shard.execute ~jobs:1 [ paper_cells ] in
   check (Alcotest.list int_t) "every paper cell reused from the earlier plans"
     [ f10 + f11 + 1 ]
     (List.map (fun o -> o.Shard.out_reused) outcomes);
