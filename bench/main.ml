@@ -1304,7 +1304,7 @@ let perf ~jobs () =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [quick] [-v] [-j N] [fig5..fig11 | figs5-8 | table2 | table3 | \
+    "usage: main.exe [quick] [-v] [-j N] [--reference-engine] [fig5..fig11 | figs5-8 | table2 | table3 | \
      table4 | ablation | all | perf | bechamel]\n";
   exit 2
 
@@ -1317,6 +1317,9 @@ let () =
         parse acc rest
     | ("-v" | "--verbose") :: rest ->
         verbose := true;
+        parse acc rest
+    | "--reference-engine" :: rest ->
+        Engine.set_default_chooser (Some (fun _ -> 0));
         parse acc rest
     | ("-j" | "--jobs") :: n :: rest when Option.is_some (int_of_string_opt n) ->
         jobs := int_of_string n;

@@ -387,7 +387,17 @@ let fuzz_cmd =
   let no_shrink_t =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failures without ddmin shrinking.")
   in
-  let run count seed_base seed_one replay inject_bug max_ops no_shrink jobs =
+  let reference_engine_t =
+    let doc =
+      "Run every simulation on the reference engine: each event through the event heap \
+       in (time, seq) order, with none of the engine's fast paths. The output must not \
+       change."
+    in
+    Arg.(value & flag & info [ "reference-engine" ] ~doc)
+  in
+  let run count seed_base seed_one replay inject_bug max_ops no_shrink reference_engine
+      jobs =
+    if reference_engine then Engine.set_default_chooser (Some (fun _ -> 0));
     let shrink = not no_shrink in
     match seed_one with
     | Some seed ->
@@ -423,7 +433,7 @@ let fuzz_cmd =
           observable, and ddmin-shrink any divergence.")
     Term.(
       const run $ count_t $ seed_base_t $ seed_one_t $ replay_t $ inject_bug_t $ max_ops_t
-      $ no_shrink_t $ jobs_t)
+      $ no_shrink_t $ reference_engine_t $ jobs_t)
 
 (* --- shootout --- *)
 

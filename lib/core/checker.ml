@@ -11,12 +11,12 @@ type token = int
 type result = [ `Clean | `Benign of string | `Violation of string ]
 
 type t = {
-  (* The open windows, unordered, in slots [0, n_open): a token and its
-     info at the same index. Few windows are open at once, so flat arrays
-     with linear scans beat a hashtable, and closing one moves the last
-     slot into its place. *)
-  mutable tokens : int array;
-  mutable infos : Flush_info.t array;
+  (* The open windows, unordered, in slots [0, n_open): slot [i] holds its
+     token, mm id, first vpn and end vpn at [w_stride * i] of [wins]. Few
+     windows are open at once, so one flat int array with linear scans
+     beats a hashtable, and closing one moves the last slot into its
+     place. *)
+  mutable wins : int array;
   mutable n_open : int;
   mutable next_token : int;
   mutable viols : violation list;
@@ -26,12 +26,18 @@ type t = {
   max_recorded : int;
 }
 
+let w_stride = 4
+let w_token = 0
+let w_mm = 1
+let w_first = 2
+let w_end = 3
+let full_end = max_int
+
 let default_max_recorded_violations = 1000
 
 let create ?(max_recorded = default_max_recorded_violations) () =
   {
-    tokens = [||];
-    infos = [||];
+    wins = [||];
     n_open = 0;
     next_token = 0;
     viols = [];
@@ -43,47 +49,44 @@ let create ?(max_recorded = default_max_recorded_violations) () =
 
 let token_id token = token
 
-(* Grows both arrays to twice their length; [info] fills the new slots
-   of [infos], since a window's info is the only value of its type at
-   hand. *)
-let grow t info =
-  let cap = max 8 (2 * t.n_open) in
-  let tokens = Array.make cap 0 and infos = Array.make cap info in
-  Array.blit t.tokens 0 tokens 0 t.n_open;
-  Array.blit t.infos 0 infos 0 t.n_open;
-  t.tokens <- tokens;
-  t.infos <- infos
+let grow t =
+  let wins = Array.make (w_stride * max 8 (2 * t.n_open)) 0 in
+  Array.blit t.wins 0 wins 0 (w_stride * t.n_open);
+  t.wins <- wins
 
-let begin_invalidation t (info : Flush_info.t) =
+let begin_invalidation t ~mm_id ~first_vpn ~end_vpn =
   t.next_token <- t.next_token + 1;
-  if t.n_open = Array.length t.tokens then grow t info;
-  t.tokens.(t.n_open) <- t.next_token;
-  t.infos.(t.n_open) <- info;
+  let o = w_stride * t.n_open in
+  if o = Array.length t.wins then grow t;
+  let w = t.wins in
+  w.(o + w_token) <- t.next_token;
+  w.(o + w_mm) <- mm_id;
+  w.(o + w_first) <- first_vpn;
+  w.(o + w_end) <- end_vpn;
   t.n_open <- t.n_open + 1;
   t.next_token
 
 let rec slot_of t token i =
-  if i = t.n_open || t.tokens.(i) = token then i else slot_of t token (i + 1)
+  if i = t.n_open || t.wins.((w_stride * i) + w_token) = token then i
+  else slot_of t token (i + 1)
 
 let end_invalidation t token =
   let i = slot_of t token 0 in
   if i < t.n_open then begin
     let last = t.n_open - 1 in
-    t.tokens.(i) <- t.tokens.(last);
-    t.infos.(i) <- t.infos.(last);
+    Array.blit t.wins (w_stride * last) t.wins (w_stride * i) w_stride;
     t.n_open <- last
   end
 
-let rec covered_from t ~mm_id ~vpn i =
-  i < t.n_open
-  &&
-  let info = t.infos.(i) in
-  (info.Flush_info.mm_id = mm_id && Flush_info.covers info ~vpn)
-  || covered_from t ~mm_id ~vpn (i + 1)
+let rec covered_from t ~mm_id ~vpn o stop =
+  o < stop
+  && (let w = t.wins in
+      (w.(o + w_mm) = mm_id && vpn >= w.(o + w_first) && vpn < w.(o + w_end))
+      || covered_from t ~mm_id ~vpn (o + w_stride) stop)
 
 (* The hot check_hit path calls this on every stale hit: out at once when
    no window is open, and otherwise stop at the first covering window. *)
-let covered t ~mm_id ~vpn = covered_from t ~mm_id ~vpn 0
+let covered t ~mm_id ~vpn = covered_from t ~mm_id ~vpn 0 (w_stride * t.n_open)
 
 let record t v =
   t.n_viols <- t.n_viols + 1;

@@ -39,8 +39,13 @@ type result = [ `Clean | `Benign of string | `Violation of string ]
     ({!violation_count}) keeps growing past it. *)
 val create : ?max_recorded:int -> unit -> t
 
-(** Open an invalidation window for the PTE change described by [info]. *)
-val begin_invalidation : t -> Flush_info.t -> token
+(** Open an invalidation window over the 4 KiB pages [\[first_vpn,
+    end_vpn)] of address space [mm_id]. A window over the whole address
+    space runs from 0 to {!full_end}. *)
+val begin_invalidation : t -> mm_id:int -> first_vpn:int -> end_vpn:int -> token
+
+(** The [end_vpn] of a window over a whole address space: past every vpn. *)
+val full_end : int
 
 (** Close the window: from now on a stale hit covered only by this window
     is a violation. Idempotent. *)

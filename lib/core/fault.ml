@@ -75,13 +75,10 @@ let demand_map m ~mm ~vma ~vpn ~write =
           ~owned_frame:src_pfn ~frames
       end
 
-let cow_break m ~cpu ~mm ~vpn (old : Pte.t) =
-  let costs = m.Machine.costs and opts = m.Machine.opts and stats = m.Machine.stats in
-  stats.Machine.cow_breaks <- stats.Machine.cow_breaks + 1;
+(* The break itself, inside its page's window. *)
+let cow_break_body m ~cpu ~mm ~vpn ~pages:_ (old : Pte.t) =
+  let costs = m.Machine.costs and opts = m.Machine.opts in
   let pt = Mm_struct.page_table mm in
-  (* The PTE changes before the flush API runs: keep the checker's
-     invalidation window open across the whole break. *)
-  Kernel.in_window m ~cpu (Kernel.range_info mm ~start_vpn:vpn ~pages:1) @@ fun () ->
   let new_pfn = Frame_alloc.alloc (Mm_struct.frames mm) in
   Machine.delay m costs.Costs.page_copy;
   (* The CPU may speculatively re-walk and re-cache the stale PTE between
@@ -109,6 +106,13 @@ let cow_break m ~cpu ~mm ~vpn (old : Pte.t) =
     Frame_alloc.free (Mm_struct.frames mm) (Pte.pfn old);
     Shootdown.flush_tlb_page_cow m ~from:cpu ~mm ~vpn ~executable:(Pte.executable old)
   end
+
+let cow_break m ~cpu ~mm ~vpn old =
+  let stats = m.Machine.stats in
+  stats.Machine.cow_breaks <- stats.Machine.cow_breaks + 1;
+  (* The PTE changes before the flush API runs: keep the checker's
+     invalidation window open across the whole break. *)
+  Kernel.in_window m ~cpu ~mm ~vpn ~pages:1 old cow_break_body
 
 let write_notify ~mm ~vma ~vpn =
   (* Shared-file write to a clean, write-protected page: upgrading

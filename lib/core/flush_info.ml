@@ -25,9 +25,6 @@ let vpns t =
   if t.full then invalid_arg "Flush_info.vpns: full flush"
   else List.init t.pages (nth_vpn t)
 
-let covers t ~vpn =
-  t.full || (vpn >= t.start_vpn && vpn < t.start_vpn + span_4k t)
-
 let merge a b =
   if a.mm_id <> b.mm_id then invalid_arg "Flush_info.merge: different address spaces";
   let freed_tables = a.freed_tables || b.freed_tables in

@@ -32,9 +32,6 @@ val vpns : t -> int list
 (** [nth_vpn t i] is [List.nth (vpns t) i], without the list. *)
 val nth_vpn : t -> int -> int
 
-(** Does the flush cover 4 KiB page [vpn]? (Full flushes cover all.) *)
-val covers : t -> vpn:int -> bool
-
 (** Smallest single info covering both; falls back to [full] when the
     strides differ. Used when merging deferred in-context flushes (§3.4). *)
 val merge : t -> t -> t

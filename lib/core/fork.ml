@@ -29,6 +29,23 @@ let share_leaf m ~cpu ~parent ~child ~vpn (pte : Pte.t) =
         (if cow then Pte.make_cow pte else pte);
       cow
 
+(* Write-protect and share every 4 KiB leaf of [parent] with [child],
+   inside a whole-mm window, then shoot the parent's address space down
+   once if any leaf changed. *)
+let share_leaves m ~cpu ~mm:parent ~vpn:_ ~pages:_ child =
+  let leaves = ref [] in
+  Page_table.iter (Mm_struct.page_table parent) ~f:(fun vpn pte ->
+      if Pte.size pte = Tlb.Four_k then leaves := (vpn, pte) :: !leaves);
+  let changed = ref 0 in
+  List.iter
+    (fun (vpn, pte) ->
+      Machine.delay m m.Machine.costs.Costs.zap_pte;
+      if share_leaf m ~cpu ~parent ~child ~vpn pte then incr changed)
+    !leaves;
+  (* Like Linux's fork path: one full shootdown of the parent's address
+     space clears any stale writable translations. *)
+  if !changed > 0 then Shootdown.flush_tlb_mm m ~from:cpu ~mm:parent
+
 let fork m ~cpu =
   let parent =
     match (Machine.percpu m cpu).Percpu.loaded_mm with
@@ -40,21 +57,6 @@ let fork m ~cpu =
   Kernel.in_mmap_sem m ~cpu ~mm:parent ~write:true ~batched:false (fun () ->
       copy_vmas parent child;
       (* Write-protecting live PTEs: open a whole-mm checker window
-         until the flush below completes. *)
-      Kernel.in_window m ~cpu
-        (Flush_info.full ~mm_id:(Mm_struct.id parent)
-           ~freed_tables:false ~new_tlb_gen:(Mm_struct.tlb_gen parent))
-        (fun () ->
-          let leaves = ref [] in
-          Page_table.iter (Mm_struct.page_table parent) ~f:(fun vpn pte ->
-              if Pte.size pte = Tlb.Four_k then leaves := (vpn, pte) :: !leaves);
-          let changed = ref 0 in
-          List.iter
-            (fun (vpn, pte) ->
-              Machine.delay m m.Machine.costs.Costs.zap_pte;
-              if share_leaf m ~cpu ~parent ~child ~vpn pte then incr changed)
-            !leaves;
-          (* Like Linux's fork path: one full shootdown of the parent's
-             address space clears any stale writable translations. *)
-          if !changed > 0 then Shootdown.flush_tlb_mm m ~from:cpu ~mm:parent));
+         until the flush completes. *)
+      Kernel.in_mm_window m ~cpu ~mm:parent child share_leaves);
   child

@@ -100,35 +100,41 @@ let in_mmap_sem m ~cpu ~mm ~write ~batched f =
       unlock_mmap m ~cpu ~mm ~write ~batched;
       Printexc.raise_with_backtrace ex bt
 
-let range_info mm ~start_vpn ~pages =
-  Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn ~pages
-    ~stride:Tlb.Four_k ~freed_tables:false ~new_tlb_gen:(Mm_struct.tlb_gen mm)
+let close_window m ~cpu ~mm_id token =
+  try Machine.end_window m ~cpu ~mm_id token with e -> cleanup_raised e
 
-let close_window m ~cpu (info : Flush_info.t) token =
-  try Machine.end_window m ~cpu ~mm_id:info.Flush_info.mm_id token
-  with e -> cleanup_raised e
-
-let in_window m ~cpu info f =
-  let token = Machine.begin_window m ~cpu info in
-  match f () with
+(* Both window brackets: the window is [pages] pages of [mm] from [vpn], or
+   all of [mm] when [end_vpn] is [Checker.full_end]. *)
+let window m ~cpu ~mm ~vpn ~pages ~end_vpn x body =
+  let mm_id = Mm_struct.id mm in
+  let token = Machine.begin_window m ~cpu ~mm_id ~first_vpn:vpn ~end_vpn in
+  match body m ~cpu ~mm ~vpn ~pages x with
   | v ->
-      close_window m ~cpu info token;
+      close_window m ~cpu ~mm_id token;
       v
   | exception ex ->
       let bt = Printexc.get_raw_backtrace () in
-      close_window m ~cpu info token;
+      close_window m ~cpu ~mm_id token;
       Printexc.raise_with_backtrace ex bt
+
+let in_window m ~cpu ~mm ~vpn ~pages x body =
+  if pages <= 0 then invalid_arg "Kernel.in_window: pages must be positive";
+  window m ~cpu ~mm ~vpn ~pages ~end_vpn:(vpn + pages) x body
+
+let in_mm_window m ~cpu ~mm x body =
+  window m ~cpu ~mm ~vpn:0 ~pages:0 ~end_vpn:Checker.full_end x body
 
 let trace_pte_write m ~cpu ~mm ~vpn ~pages =
   if Machine.tracing m then
     Machine.trace_event m ~cpu (Trace.Pte_write { mm_id = Mm_struct.id mm; vpn; pages })
 
-let change_pte m ~cpu ~mm ~vpn ~f =
-  in_window m ~cpu (range_info mm ~start_vpn:vpn ~pages:1) (fun () ->
-      if Pte.present (Page_table.update (Mm_struct.page_table mm) ~vpn ~f) then begin
-        trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
-        Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
-      end)
+let change_pte_body m ~cpu ~mm ~vpn ~pages:_ f =
+  if Pte.present (Page_table.update (Mm_struct.page_table mm) ~vpn ~f) then begin
+    trace_pte_write m ~cpu ~mm ~vpn ~pages:1;
+    Shootdown.flush_tlb_page m ~from:cpu ~mm ~vpn
+  end
+
+let change_pte m ~cpu ~mm ~vpn ~f = in_window m ~cpu ~mm ~vpn ~pages:1 f change_pte_body
 
 let run m = Machine.run m
 

@@ -45,14 +45,22 @@ val lock_mmap :
 val unlock_mmap :
   Machine.t -> cpu:int -> mm:Mm_struct.t -> write:bool -> batched:bool -> unit
 
-(** An invalidation window for the PTE change [info] describes, through
-    {!Machine.begin_window} and {!Machine.end_window}: stale hits stay
-    legal from the change until the flush returns, and the windows the
-    flush opens (and batching keeps open) take over from there. *)
-val in_window : Machine.t -> cpu:int -> Flush_info.t -> (unit -> 'a) -> 'a
+(** [in_window m ~cpu ~mm ~vpn ~pages x body] is [body m ~cpu ~mm ~vpn
+    ~pages x] inside an invalidation window over [pages] pages of [mm] from
+    [vpn] (the window is opened with {!Machine.begin_window} and closed
+    with {!Machine.end_window}): stale hits stay legal from the change
+    until the flush returns, and the windows the flush opens (and batching
+    keeps open) take over from there. [body] gets the window's own
+    arguments, and [x] for anything else it needs, so a toplevel [body]
+    makes the bracket allocate nothing. [pages] must be positive. *)
+val in_window :
+  Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> pages:int -> 'x ->
+  (Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> pages:int -> 'x -> 'a) -> 'a
 
-(** A change to [pages] pages of [mm] from [start_vpn], at its current generation. *)
-val range_info : Mm_struct.t -> start_vpn:int -> pages:int -> Flush_info.t
+(** {!in_window} over the whole of [mm]; [body] gets [~vpn:0 ~pages:0]. *)
+val in_mm_window :
+  Machine.t -> cpu:int -> mm:Mm_struct.t -> 'x ->
+  (Machine.t -> cpu:int -> mm:Mm_struct.t -> vpn:int -> pages:int -> 'x -> 'a) -> 'a
 
 (** Record that [pages] PTEs of [mm] from [vpn] changed ({!Trace.Pte_write}),
     when tracing. Every PTE write that needs a shootdown calls it inside

@@ -247,18 +247,20 @@ let trace_event t ~cpu ev = if Trace.enabled t.trace then Trace.event t.trace ~c
 
 (* Checker window plus its trace event, emitted together so the analysis
    layer sees exactly the windows the checker reasons with. *)
-let begin_window t ~cpu (info : Flush_info.t) =
-  let token = Checker.begin_invalidation t.checker info in
-  if tracing t then
+let begin_window t ~cpu ~mm_id ~first_vpn ~end_vpn =
+  let token = Checker.begin_invalidation t.checker ~mm_id ~first_vpn ~end_vpn in
+  if tracing t then begin
+    let full = end_vpn = Checker.full_end in
     trace_event t ~cpu
       (Trace.Flush_start
          {
            window = Checker.token_id token;
-           mm_id = info.Flush_info.mm_id;
-           start_vpn = info.Flush_info.start_vpn;
-           span = Flush_info.span_4k info;
-           full = info.Flush_info.full;
-         });
+           mm_id;
+           start_vpn = first_vpn;
+           span = (if full then 0 else end_vpn - first_vpn);
+           full;
+         })
+  end;
   token
 
 let end_window t ~cpu ~mm_id token =

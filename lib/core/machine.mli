@@ -145,9 +145,12 @@ val distance_rank : t -> int -> int -> int
 (** Open a checker invalidation window and emit the matching
     {!Sim.Trace.Flush_start} event, so the analyzer sees exactly the
     windows the checker reasons with: every window opens here, through
-    {!Shootdown} or {!Kernel.in_window}. Untraced, it is exactly
-    {!Checker.begin_invalidation}. *)
-val begin_window : t -> cpu:int -> Flush_info.t -> Checker.token
+    {!Shootdown} or a {!Kernel} window bracket. Its arguments are
+    {!Checker.begin_invalidation}'s; the event records a window ending at
+    {!Checker.full_end} as full, from vpn 0 with span 0. Untraced, it is
+    exactly {!Checker.begin_invalidation}. *)
+val begin_window :
+  t -> cpu:int -> mm_id:int -> first_vpn:int -> end_vpn:int -> Checker.token
 
 (** Close the window and emit {!Sim.Trace.Flush_done}. *)
 val end_window : t -> cpu:int -> mm_id:int -> Checker.token -> unit

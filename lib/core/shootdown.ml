@@ -76,7 +76,11 @@ let request m ~from ~mm ~full ~start_vpn ~pages ~stride ~freed_tables k =
     if full then Flush_info.full ~mm_id ~freed_tables ~new_tlb_gen
     else Flush_info.ranged ~mm_id ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen
   in
-  k m ~from ~mm info (Machine.begin_window m ~cpu:from info)
+  let end_vpn =
+    if full then Checker.full_end else info.Flush_info.start_vpn + Flush_info.span_4k info
+  in
+  k m ~from ~mm info
+    (Machine.begin_window m ~cpu:from ~mm_id ~first_vpn:info.Flush_info.start_vpn ~end_vpn)
 
 (* A ranged request: performed now, or under §4.2 left to the
    mmap_sem-release barrier. *)

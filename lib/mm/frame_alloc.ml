@@ -1,26 +1,29 @@
 exception Out_of_memory
 
 (* Single frames are bump-allocated up from 0; hugepage runs are carved
-   down from the top. The singles' per-frame arrays cover frames
-   [0, size) only, where size tracks the highest single handed out and
-   grows by doubling; frames at or above it have never been allocated, so
-   they read as free, count 0 and generation 0. [create] then costs the
-   same at any RAM size: no workload comes near filling the 1 GiB default,
-   and a machine is built per simulation cell. Frames at or above
-   [huge_floor] (the hugepage runs) keep their state apart, indexed down
-   from the top frame in chunks of [chunk_size] frames, the largest array
-   OCaml allocates in the minor heap: one dense table reaching the top
-   frame would be as large as the machine's RAM, straight into the major
-   heap, for one hugepage. *)
+   down from the top. Each kind keeps its per-frame state in its own
+   [half], indexed by a row: a single's row is its pfn, a hugepage
+   frame's is its distance below the top frame. A half holds its rows in
+   chunks of [chunk_size], added as the rows in use grow, so [create]
+   costs the same at any RAM size (no workload comes near filling the
+   1 GiB default, and a machine is built per simulation cell), and every
+   table is small enough for the minor heap: a table grown as one array
+   would drop ever larger arrays straight into the major heap as a
+   machine warms up, and one dense table reaching the top frame would be
+   as large as the machine's RAM, for one hugepage. Rows past a half's
+   chunks have never been allocated, so they read as free, count 0 and
+   generation 0. *)
+type half = {
+  mutable chunks : int;  (* chunks in use: rows [0, chunks * chunk_size) *)
+  mutable used : Bytes.t array;  (* 1 byte per frame: 0 free, 1 allocated *)
+  mutable refcounts : int array array;
+  mutable generations : int array array;
+}
+
 type t = {
   frames : int;
-  mutable used : Bytes.t;  (* 1 byte per frame: 0 free, 1 allocated *)
-  mutable refcounts : int array;
-  mutable generations : int array;
-  mutable hi_used : Bytes.t array;
-      (* hugepage frames: chunk [(frames - 1 - pfn) / chunk_size] *)
-  mutable hi_refcounts : int array array;
-  mutable hi_generations : int array array;
+  lo : half;  (* single frames, below [huge_floor] *)
+  hi : half;  (* hugepage frames, at or above [huge_floor] *)
   mutable free_ring : int array;
       (* freed singles, reused oldest first: [free_len] of them from
          [free_head], modulo the ring's power-of-two length *)
@@ -31,20 +34,18 @@ type t = {
   mutable n_allocated : int;
 }
 
-let chunk_bits = 8
+let chunk_bits = 6
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
+
+let new_half () = { chunks = 0; used = [||]; refcounts = [||]; generations = [||] }
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Frame_alloc.create: frames must be positive";
   {
     frames;
-    used = Bytes.empty;
-    refcounts = [||];
-    generations = [||];
-    hi_used = [||];
-    hi_refcounts = [||];
-    hi_generations = [||];
+    lo = new_half ();
+    hi = new_half ();
     free_ring = [||];
     free_head = 0;
     free_len = 0;
@@ -53,72 +54,62 @@ let create ~frames =
     n_allocated = 0;
   }
 
-(* Make single frames [0, pfn] addressable: at least double, never into
-   the hugepage runs. *)
-let grow t pfn =
-  let size = Array.length t.refcounts in
-  let size' = Stdlib.min t.huge_floor (Stdlib.max (pfn + 1) (Stdlib.max 64 (2 * size))) in
-  let used = Bytes.make size' '\000' in
-  Bytes.blit t.used 0 used 0 size;
-  let extend a =
-    let a' = Array.make size' 0 in
-    Array.blit a 0 a' 0 size;
-    a'
-  in
-  t.used <- used;
-  t.refcounts <- extend t.refcounts;
-  t.generations <- extend t.generations
+let extend a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
-let[@inline] ensure t pfn = if pfn >= Array.length t.refcounts then grow t pfn
-
-(* Make the hugepage frames [pfn, frames) addressable. *)
-let ensure_high t pfn =
-  let chunks = ((t.frames - 1 - pfn) lsr chunk_bits) + 1 in
-  let have = Array.length t.hi_used in
-  if chunks > have then begin
-    let extend a fresh =
-      Array.init chunks (fun c -> if c < have then a.(c) else fresh ())
-    in
-    t.hi_used <- extend t.hi_used (fun () -> Bytes.make chunk_size '\000');
-    t.hi_refcounts <- extend t.hi_refcounts (fun () -> Array.make chunk_size 0);
-    t.hi_generations <- extend t.hi_generations (fun () -> Array.make chunk_size 0)
+(* Make rows [0, rows) of [h] addressable, doubling its chunk lists when
+   they are full. *)
+let ensure h rows =
+  let need = (rows + chunk_mask) lsr chunk_bits in
+  if need > h.chunks then begin
+    if need > Array.length h.used then begin
+      let n = Stdlib.max need (Stdlib.max 4 (2 * Array.length h.used)) in
+      h.used <- extend h.used n Bytes.empty;
+      h.refcounts <- extend h.refcounts n [||];
+      h.generations <- extend h.generations n [||]
+    end;
+    for c = h.chunks to need - 1 do
+      h.used.(c) <- Bytes.make chunk_size '\000';
+      h.refcounts.(c) <- Array.make chunk_size 0;
+      h.generations.(c) <- Array.make chunk_size 0
+    done;
+    h.chunks <- need
   end
 
-(* Where a hugepage frame's state sits: its chunk, and its index there. *)
-let[@inline] hi_chunk t pfn = (t.frames - 1 - pfn) lsr chunk_bits
-let[@inline] hi_index t pfn = (t.frames - 1 - pfn) land chunk_mask
+(* Where a frame's state sits: its half, and its row there. *)
+let[@inline] half t pfn = if pfn >= t.huge_floor then t.hi else t.lo
+let[@inline] row t pfn = if pfn >= t.huge_floor then t.frames - 1 - pfn else pfn
+let[@inline] has h r = r lsr chunk_bits < h.chunks
 
 let is_allocated t pfn =
-  if pfn >= t.huge_floor then
-    pfn < t.frames && Bytes.get t.hi_used.(hi_chunk t pfn) (hi_index t pfn) = '\001'
-  else pfn >= 0 && pfn < Bytes.length t.used && Bytes.get t.used pfn = '\001'
+  pfn >= 0 && pfn < t.frames
+  &&
+  let h = half t pfn and r = row t pfn in
+  has h r && Bytes.get h.used.(r lsr chunk_bits) (r land chunk_mask) = '\001'
 
 let mark t pfn v =
-  let c = if v then '\001' else '\000' in
-  if pfn >= t.huge_floor then Bytes.set t.hi_used.(hi_chunk t pfn) (hi_index t pfn) c
-  else Bytes.set t.used pfn c
+  let h = half t pfn and r = row t pfn in
+  Bytes.set h.used.(r lsr chunk_bits) (r land chunk_mask) (if v then '\001' else '\000')
 
-(* A frame's count and generation; 0 past the singles' tables. *)
+(* A frame's count and generation; 0 past its half's chunks. *)
 let get_count t pfn =
-  if pfn >= t.huge_floor then t.hi_refcounts.(hi_chunk t pfn).(hi_index t pfn)
-  else if pfn < Array.length t.refcounts then t.refcounts.(pfn)
-  else 0
+  let h = half t pfn and r = row t pfn in
+  if has h r then h.refcounts.(r lsr chunk_bits).(r land chunk_mask) else 0
 
 let set_count t pfn v =
-  if pfn >= t.huge_floor then t.hi_refcounts.(hi_chunk t pfn).(hi_index t pfn) <- v
-  else t.refcounts.(pfn) <- v
+  let h = half t pfn and r = row t pfn in
+  h.refcounts.(r lsr chunk_bits).(r land chunk_mask) <- v
 
 let get_generation t pfn =
-  if pfn >= t.huge_floor then t.hi_generations.(hi_chunk t pfn).(hi_index t pfn)
-  else if pfn < Array.length t.generations then t.generations.(pfn)
-  else 0
+  let h = half t pfn and r = row t pfn in
+  if has h r then h.generations.(r lsr chunk_bits).(r land chunk_mask) else 0
 
 let bump_generation t pfn =
-  if pfn >= t.huge_floor then begin
-    let g = t.hi_generations.(hi_chunk t pfn) in
-    g.(hi_index t pfn) <- g.(hi_index t pfn) + 1
-  end
-  else t.generations.(pfn) <- t.generations.(pfn) + 1
+  let h = half t pfn and r = row t pfn in
+  let g = h.generations.(r lsr chunk_bits) in
+  g.(r land chunk_mask) <- g.(r land chunk_mask) + 1
 
 (* Queue a freed single at the ring's tail, doubling a full ring. *)
 let push_free t pfn =
@@ -147,7 +138,7 @@ let alloc t =
     else begin
       let pfn = t.next_fresh in
       t.next_fresh <- t.next_fresh + 1;
-      ensure t pfn;
+      ensure t.lo (pfn + 1);
       pfn
     end
   in
@@ -171,7 +162,7 @@ let alloc_huge t =
   let base = (t.huge_floor - Addr.pages_per_huge) land lnot (Addr.pages_per_huge - 1) in
   if base < t.next_fresh then raise Out_of_memory;
   t.huge_floor <- base;
-  ensure_high t base;
+  ensure t.hi (t.frames - base);
   for pfn = base to base + Addr.pages_per_huge - 1 do
     assert (not (is_allocated t pfn));
     mark t pfn true

@@ -197,6 +197,11 @@ let suspensions_key = Domain.DLS.new_key (fun () -> ref 0)
 let suspensions () = !(Domain.DLS.get suspensions_key)
 let note_suspension () = incr (Domain.DLS.get suspensions_key)
 
+(* The chooser [create] installs, per domain; a domain spawned later
+   starts with its parent's. *)
+let default_chooser_key = Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> None)
+let set_default_chooser choose = Domain.DLS.set default_chooser_key choose
+
 (* Creating an engine forces its domain's suspension counter, so that the
    first suspension of a run allocates nothing. *)
 let create () =
@@ -223,7 +228,7 @@ let create () =
     cur_name = "main";
     cur_tag = nil;
     arg_cycles = 0;
-    chooser = None;
+    chooser = Domain.DLS.get default_chooser_key;
     horizon = 0;
     skey = [||];
     sid = [||];

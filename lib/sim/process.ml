@@ -55,6 +55,27 @@ let no_run = new_run ()
    [perform], and an engine runs on one domain. *)
 let staged_key = Domain.DLS.new_key (fun () -> ref (new_run ()))
 
+(* The initial value of every process's continuation field: captured once
+   here, from an effect performed for that purpose, and never resumed. A
+   process keeps its continuation in a plain field, with [has_k] saying
+   whether it holds a live one, so a suspension allocates only the
+   runtime's continuation and no [Some] cell around it. *)
+type _ Effect.t += Capture : unit Effect.t
+
+let no_k : (unit, unit) continuation =
+  let captured = ref None in
+  match_with perform Capture
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Capture -> Some (fun (k : (unit, unit) continuation) -> captured := Some k)
+          | _ -> None);
+    };
+  match !captured with Some k -> k | None -> assert false
+
 (* Everything a process needs between suspensions, in one record. The
    engine handler registered at spawn dispatches on the event's [a]:
    0 resumes from a sleep, 1 runs a charge-run boundary, 2 starts the body
@@ -65,7 +86,8 @@ type proc = {
   engine : Engine.t;
   name : string;
   mutable tag : int;
-  mutable k : (unit, unit) continuation option;
+  mutable k : (unit, unit) continuation; (* live only while [has_k] *)
+  mutable has_k : bool;
   mutable run : run; (* its suspended run's place; [no_run] until the first *)
   mutable parked : bool;
 }
@@ -86,11 +108,16 @@ let as_current p f x =
 let continue_unit k = continue k ()
 
 let resume p =
-  match p.k with
-  | None -> invalid_arg (Printf.sprintf "Process %s resumed twice" p.name)
-  | Some k ->
-      p.k <- None;
-      as_current p continue_unit k
+  if not p.has_k then invalid_arg (Printf.sprintf "Process %s resumed twice" p.name);
+  let k = p.k in
+  p.k <- no_k;
+  p.has_k <- false;
+  as_current p continue_unit k
+
+let keep p k =
+  p.k <- k;
+  p.has_k <- true;
+  Engine.note_suspension ()
 
 let next_item set n at =
   if n < 0 then Cpuset.next set (at + 1) else if at + 1 < n then at + 1 else -1
@@ -136,21 +163,19 @@ let wake_parked p =
 (* Build a process and register its engine handler without starting it;
    an [a = 2] event on [p.tag] runs [f] from the top. *)
 let create engine ~name f =
-  let p = { engine; name; tag = -1; k = None; run = no_run; parked = false } in
+  let p = { engine; name; tag = -1; k = no_k; has_k = false; run = no_run; parked = false } in
   (* Built once per process, so [effc] returns a preallocated handler and
-     a suspension allocates only the continuation and its [Some] slot. *)
+     a suspension allocates only the continuation. *)
   let on_sleep =
     Some
       (fun k ->
-        p.k <- Some k;
-        Engine.note_suspension ();
+        keep p k;
         Engine.suspend engine ~tag:p.tag)
   in
   let on_tick =
     Some
       (fun k ->
-        p.k <- Some k;
-        Engine.note_suspension ();
+        keep p k;
         let staged = Domain.DLS.get staged_key in
         let r = !staged in
         staged := if p.run == no_run then new_run () else p.run;
@@ -160,8 +185,7 @@ let create engine ~name f =
   let on_park =
     Some
       (fun k ->
-        p.k <- Some k;
-        Engine.note_suspension ();
+        keep p k;
         p.parked <- true)
   in
   let handler =

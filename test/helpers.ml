@@ -136,3 +136,9 @@ module Pt_model = struct
     done;
     (List.rev !removed, !freed)
 end
+
+(* Does [info] cover 4 KiB page [vpn]? A full flush covers every page. *)
+let flush_covers (info : Flush_info.t) ~vpn =
+  info.Flush_info.full
+  || (vpn >= info.Flush_info.start_vpn
+     && vpn < info.Flush_info.start_vpn + Flush_info.span_4k info)

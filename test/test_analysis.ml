@@ -275,7 +275,7 @@ let test_fork_ksm_migrate_windows_traced () =
      window's id counts every window the run opened. *)
   let c = m.Machine.checker in
   check int_t "every window closed" 0 (Checker.open_windows c);
-  let probe = Checker.begin_invalidation c (Flush_info.full ~mm_id:0 ~new_tlb_gen:0 ~freed_tables:false) in
+  let probe = Checker.begin_invalidation c ~mm_id:0 ~first_vpn:0 ~end_vpn:Checker.full_end in
   Checker.end_invalidation c probe;
   let windows = List.init (Checker.token_id probe - 1) (fun i -> i + 1) in
   let ints = Alcotest.(list int) in

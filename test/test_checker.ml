@@ -74,8 +74,7 @@ let test_write_protected_read_not_stamped () =
 
 let test_benign_inside_window () =
   let c = Checker.create () in
-  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
-  let token = Checker.begin_invalidation c info in
+  let token = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:10 ~end_vpn:11 in
   (match stale_hit c with
   | `Benign _ -> ()
   | `Clean -> Alcotest.fail "stale hit reported clean"
@@ -90,8 +89,7 @@ let test_benign_inside_window () =
 
 let test_window_must_cover_vpn_and_mm () =
   let c = Checker.create () in
-  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:4 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
-  let token = Checker.begin_invalidation c info in
+  let token = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:100 ~end_vpn:104 in
   (* Same mm, vpn outside the flushed range: no excuse. *)
   (match stale_hit c ~vpn:10 with
   | `Violation _ -> ()
@@ -109,9 +107,8 @@ let test_window_must_cover_vpn_and_mm () =
 let test_covered_matches_classification () =
   let c = Checker.create () in
   check bool_t "nothing covered" false (Checker.covered c ~mm_id:1 ~vpn:10);
-  let t1 = Checker.begin_invalidation c
-      (Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false) in
-  let t2 = Checker.begin_invalidation c (Flush_info.full ~mm_id:2 ~new_tlb_gen:3 ~freed_tables:false) in
+  let t1 = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:10 ~end_vpn:11 in
+  let t2 = Checker.begin_invalidation c ~mm_id:2 ~first_vpn:0 ~end_vpn:Checker.full_end in
   check bool_t "ranged covers" true (Checker.covered c ~mm_id:1 ~vpn:10);
   check bool_t "range bound" false (Checker.covered c ~mm_id:1 ~vpn:11);
   check bool_t "full covers any vpn" true (Checker.covered c ~mm_id:2 ~vpn:123456);
@@ -128,8 +125,7 @@ let test_open_windows_bookkeeping () =
   check int_t "none open" 0 (Checker.open_windows c);
   let tokens =
     List.init 3 (fun i ->
-        Checker.begin_invalidation c
-          (Flush_info.ranged ~mm_id:(i + 1) ~start_vpn:0 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false))
+        Checker.begin_invalidation c ~mm_id:(i + 1) ~first_vpn:0 ~end_vpn:1)
   in
   check int_t "three open" 3 (Checker.open_windows c);
   check bool_t "distinct tokens" true
@@ -168,11 +164,9 @@ let test_window_lifecycle_tables_in_sync () =
   let in_sync what n = check int_t what n (Checker.open_windows c) in
   in_sync "empty" 0;
   (* Several windows on the same mm, plus one on another mm. *)
-  let w1 = Checker.begin_invalidation c
-      (Flush_info.ranged ~mm_id:1 ~start_vpn:0 ~pages:4 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false) in
-  let w2 = Checker.begin_invalidation c
-      (Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:4 ~new_tlb_gen:3 ~stride:Tlb.Four_k ~freed_tables:false) in
-  let w3 = Checker.begin_invalidation c (Flush_info.full ~mm_id:2 ~new_tlb_gen:2 ~freed_tables:false) in
+  let w1 = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:0 ~end_vpn:4 in
+  let w2 = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:100 ~end_vpn:104 in
+  let w3 = Checker.begin_invalidation c ~mm_id:2 ~first_vpn:0 ~end_vpn:Checker.full_end in
   in_sync "three open" 3;
   (* Close out of order; coverage must shrink exactly with the closes. *)
   Checker.end_invalidation c w2;
@@ -201,6 +195,63 @@ let test_cap_accounting_consistency () =
   check int_t "all counted" 10 (Checker.violation_count c);
   check int_t "recorded at cap" 3 (List.length (Checker.violations c))
 
+(* --- window slots --- *)
+
+let test_full_window_covers_its_mm () =
+  let c = Checker.create () in
+  let w = Checker.begin_invalidation c ~mm_id:3 ~first_vpn:0 ~end_vpn:Checker.full_end in
+  List.iter
+    (fun vpn ->
+      check bool_t (Printf.sprintf "mm 3 vpn %d covered" vpn) true
+        (Checker.covered c ~mm_id:3 ~vpn);
+      check bool_t (Printf.sprintf "mm 4 vpn %d not covered" vpn) false
+        (Checker.covered c ~mm_id:4 ~vpn))
+    [ 0; 1; 511; 512; 1 lsl 20; (1 lsl 36) - 1; max_int - 1 ];
+  Checker.end_invalidation c w;
+  check bool_t "closed" false (Checker.covered c ~mm_id:3 ~vpn:0)
+
+(* A ranged window spans [start, start + span_4k) of the request: one
+   4 KiB page per entry, or 512 per entry at a 2 MiB stride. *)
+let test_ranged_window_span () =
+  List.iter
+    (fun (stride, start_vpn, pages) ->
+      let c = Checker.create () in
+      let info =
+        Flush_info.ranged ~mm_id:1 ~start_vpn ~pages ~stride ~freed_tables:false
+          ~new_tlb_gen:1
+      in
+      let end_vpn = start_vpn + Flush_info.span_4k info in
+      let w = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:start_vpn ~end_vpn in
+      let covered vpn = Checker.covered c ~mm_id:1 ~vpn in
+      check bool_t "before start" false (covered (start_vpn - 1));
+      check bool_t "start" true (covered start_vpn);
+      check bool_t "last page" true (covered (end_vpn - 1));
+      check bool_t "end" false (covered end_vpn);
+      check bool_t "other mm" false (Checker.covered c ~mm_id:2 ~vpn:start_vpn);
+      Checker.end_invalidation c w)
+    [ (Tlb.Four_k, 100, 3); (Tlb.Two_m, 1024, 2) ];
+  check int_t "2 MiB stride: 512 pages per entry" 1024
+    (Flush_info.span_4k
+       (Flush_info.ranged ~mm_id:1 ~start_vpn:1024 ~pages:2 ~stride:Tlb.Two_m
+          ~freed_tables:false ~new_tlb_gen:1))
+
+(* Closing a middle window moves the last slot into its place: the first
+   and last windows keep their own ranges and tokens. *)
+let test_close_middle_window () =
+  let c = Checker.create () in
+  let open_at first = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:first ~end_vpn:(first + 4) in
+  let w1 = open_at 0 and w2 = open_at 100 and w3 = open_at 200 in
+  Checker.end_invalidation c w2;
+  check int_t "two open" 2 (Checker.open_windows c);
+  check bool_t "first kept" true (Checker.covered c ~mm_id:1 ~vpn:3);
+  check bool_t "middle gone" false (Checker.covered c ~mm_id:1 ~vpn:100);
+  check bool_t "last kept" true (Checker.covered c ~mm_id:1 ~vpn:203);
+  Checker.end_invalidation c w3;
+  check bool_t "last closes by its own token" false (Checker.covered c ~mm_id:1 ~vpn:200);
+  check bool_t "first still kept" true (Checker.covered c ~mm_id:1 ~vpn:0);
+  Checker.end_invalidation c w1;
+  check int_t "none open" 0 (Checker.open_windows c)
+
 let suite =
   [
     Alcotest.test_case "result: clean" `Quick test_clean_result;
@@ -217,4 +268,10 @@ let suite =
       test_window_lifecycle_tables_in_sync;
     Alcotest.test_case "lifecycle: cap accounting" `Quick
       test_cap_accounting_consistency;
+    Alcotest.test_case "windows: a full window covers its mm only" `Quick
+      test_full_window_covers_its_mm;
+    Alcotest.test_case "windows: a ranged window spans span_4k" `Quick
+      test_ranged_window_span;
+    Alcotest.test_case "windows: closing a middle window keeps the others" `Quick
+      test_close_middle_window;
   ]

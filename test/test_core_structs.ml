@@ -75,12 +75,12 @@ let test_flush_info_ranged () =
   let i = Flush_info.ranged ~mm_id:1 ~start_vpn:100 ~pages:5 ~new_tlb_gen:3 ~stride:Tlb.Four_k ~freed_tables:false in
   check int_t "entries" 5 (Flush_info.nr_entries i);
   check (Alcotest.list int_t) "vpns" [ 100; 101; 102; 103; 104 ] (Flush_info.vpns i);
-  check bool_t "covers inside" true (Flush_info.covers i ~vpn:104);
-  check bool_t "not outside" false (Flush_info.covers i ~vpn:105)
+  check bool_t "covers inside" true (Helpers.flush_covers i ~vpn:104);
+  check bool_t "not outside" false (Helpers.flush_covers i ~vpn:105)
 
 let test_flush_info_full () =
   let i = Flush_info.full ~mm_id:1 ~new_tlb_gen:3 ~freed_tables:false in
-  check bool_t "covers everything" true (Flush_info.covers i ~vpn:123456);
+  check bool_t "covers everything" true (Helpers.flush_covers i ~vpn:123456);
   check int_t "entries" max_int (Flush_info.nr_entries i)
 
 let test_flush_info_merge_ranges () =
@@ -409,7 +409,7 @@ let test_percpu_defer_cross_mm_goes_full () =
    [Gc.minor] under a minor heap large enough that no collection runs
    inside it; what the second [Gc.minor] promotes counts in both the major
    and the promoted words and cancels out. *)
-let words_allocated f =
+let words_split f =
   let gc = Gc.get () in
   Gc.set { gc with Gc.minor_heap_size = 2 * 1024 * 1024 };
   Fun.protect
@@ -425,7 +425,25 @@ let words_allocated f =
       Gc.minor ();
       let minor1, direct1 = sample () in
       ignore (Sys.opaque_identity r);
-      int_of_float (minor1 -. minor0 +. (direct1 -. direct0)))
+      (int_of_float (minor1 -. minor0), int_of_float (direct1 -. direct0)))
+
+let words_allocated f =
+  let minor, direct = words_split f in
+  minor + direct
+
+(* A frame allocator growing to 4096 single frames keeps every table in
+   the minor heap: chunks of rows, not one array per table doubling into
+   the major heap. *)
+let test_frame_alloc_growth_direct_major () =
+  let t = Frame_alloc.create ~frames:262144 in
+  let _, direct =
+    words_split (fun () ->
+        for _ = 1 to 4096 do
+          ignore (Frame_alloc.alloc t : int)
+        done)
+  in
+  check int_t "direct major words" 0 direct;
+  check int_t "all allocated" 4096 (Frame_alloc.allocated t)
 
 (* One Machine.create must cost what a run touches, not the configured RAM,
    TLB capacity or n_cpus^2: each layer has its own budget, so a regression
@@ -493,8 +511,7 @@ let test_checker_stale_unmapped_is_violation () =
 
 let test_checker_inflight_window_excuses () =
   let c = Checker.create () in
-  let info = Flush_info.ranged ~mm_id:1 ~start_vpn:10 ~pages:1 ~new_tlb_gen:2 ~stride:Tlb.Four_k ~freed_tables:false in
-  let token = Checker.begin_invalidation c info in
+  let token = Checker.begin_invalidation c ~mm_id:1 ~first_vpn:10 ~end_vpn:11 in
   run_hit c ~now:5 ~cpu:2 ~mm_id:1 ~vpn:10 ~write:false
     ~entry:(entry ~vpn:10 ~pfn:5 ~writable:true)
     ~pt:(empty_pt ());
@@ -583,4 +600,6 @@ let suite =
     Alcotest.test_case "checker: hugepage offsets" `Quick test_checker_hugepage_offset_match;
     Alcotest.test_case "file: iter_dirty walks a snapshot" `Quick
       test_file_iter_dirty_snapshot;
+    Alcotest.test_case "frames: growth to 4096, 0 direct major words" `Quick
+      test_frame_alloc_growth_direct_major;
   ]

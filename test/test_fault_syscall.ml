@@ -321,7 +321,8 @@ let brackets =
       fun m ~mm body -> Kernel.in_mmap_sem m ~cpu:0 ~mm ~write:true ~batched:true body );
     ( "invalidation window",
       fun m ~mm body ->
-        Kernel.in_window m ~cpu:0 (Kernel.range_info mm ~start_vpn:0 ~pages:1) body );
+        Kernel.in_window m ~cpu:0 ~mm ~vpn:0 ~pages:1 body
+          (fun _ ~cpu:_ ~mm:_ ~vpn:_ ~pages:_ body -> body ()) );
   ]
 
 (* A body that raises leaves each bracket as it found it, run from a user

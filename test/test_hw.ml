@@ -1053,7 +1053,7 @@ let test_compute_words () =
   let n1 = 100 and n2 = 1100 in
   check int_t "0 words per call" 0
     (words ~contended:false n2 - words ~contended:false n1);
-  check int_t "4 words per contended call" (4 * (n2 - n1))
+  check int_t "2 words per contended call" (2 * (n2 - n1))
     (words ~contended:true n2 - words ~contended:true n1)
 
 (* --- Idle spins against their reference model ---

@@ -494,7 +494,7 @@ let prop_flush_info_merge_covers =
       let m = Flush_info.merge a b in
       let covered_by_m (i : Flush_info.t) =
         i.Flush_info.full
-        || List.for_all (fun vpn -> Flush_info.covers m ~vpn) (Flush_info.vpns i)
+        || List.for_all (fun vpn -> Helpers.flush_covers m ~vpn) (Flush_info.vpns i)
       in
       covered_by_m a && covered_by_m b)
 

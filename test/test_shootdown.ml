@@ -534,6 +534,35 @@ let test_cow_round_takes_ipi_mutex () =
   let serialized, lock = cow_round_cycles ~serialized:true in
   check int_t "serialized adds one uncontended lock" (plain + lock) serialized
 
+(* A responder at generation g that receives the ranged request for g+2
+   before the one for g+1, each for a page of its own, is two generations
+   behind: a ranged flush is allowed only for the very next generation,
+   so it takes a full flush. A ranged flush of g+2's page would record
+   g+2, skip g+1's request as seen, and leave g+1's page cached. *)
+let test_responder_gen_out_of_order () =
+  let m = make () in
+  let mm = Machine.new_mm m in
+  Kernel.spawn_user m ~cpu:0 ~mm ~name:"solo" (fun () ->
+      let a = map_pages m mm ~pages:1 in
+      let b = map_pages m mm ~pages:1 in
+      warm m ~cpu:0 ~start_vpn:a ~pages:1;
+      warm m ~cpu:0 ~start_vpn:b ~pages:1;
+      let request vpn =
+        Flush_info.ranged ~mm_id:(Mm_struct.id mm) ~start_vpn:vpn ~pages:1
+          ~new_tlb_gen:(Mm_struct.bump_tlb_gen mm) ~stride:Tlb.Four_k ~freed_tables:false
+      in
+      let for_a = request a in
+      let for_b = request b in
+      check bool_t "the newer request takes a full flush" true
+        (flush_tlb_func m ~cpu:0 for_b = `Full);
+      check bool_t "the older request is then skipped" true
+        (flush_tlb_func m ~cpu:0 for_a = `Skipped);
+      Shootdown.flush_pending_user m ~cpu:0 ~has_stack:true;
+      check bool_t "the older request's page is not cached" false
+        (Tlb.mem (tlb_of m 0) ~pcid:(user_pcid_of m 0) ~vpn:a));
+  Kernel.run m;
+  check int_t "fallback counted" 1 m.Machine.stats.Machine.full_flush_fallbacks
+
 let suite =
   [
     Alcotest.test_case "local-only: no IPI" `Quick test_local_only_no_ipi;
@@ -559,4 +588,6 @@ let suite =
     Alcotest.test_case "multiple responders all flushed" `Quick test_multiple_responders_all_flushed;
     Alcotest.test_case "cow round takes ipi_mutex when serialized" `Quick
       test_cow_round_takes_ipi_mutex;
+    Alcotest.test_case "gen g+2 before g+1 takes a full flush" `Quick
+      test_responder_gen_out_of_order;
   ]

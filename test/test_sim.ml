@@ -514,8 +514,8 @@ let test_alloc_suspended_delay () =
     w
   in
   let n1 = 100 and n2 = 1100 in
-  check int_t "4 words per suspended delay (continuation + its slot)"
-    (4 * 2 * (n2 - n1))
+  check int_t "2 words per suspended delay (the continuation)"
+    (2 * 2 * (n2 - n1))
     (words n2 - words n1)
 
 (* One charge run whose visit says "not yet" at every boundary: each
@@ -558,7 +558,7 @@ let test_alloc_tick_suspension () =
         Engine.run e)
   in
   let n1 = 100 and n2 = 1100 in
-  check int_t "4 words per tick suspension" (4 * (n2 - n1)) (words n2 - words n1)
+  check int_t "2 words per tick suspension" (2 * (n2 - n1)) (words n2 - words n1)
 
 (* A waiter parked on a wait queue, woken by an allocation-free engine
    handler once per cycle. *)
@@ -1280,11 +1280,11 @@ let suite =
     Alcotest.test_case "waitq: signal_all" `Quick test_waitq_signal_all;
     Alcotest.test_case "waitq: signal_one FIFO" `Quick test_waitq_signal_one_fifo;
     Alcotest.test_case "waitq: completion" `Quick test_completion;
-    Alcotest.test_case "alloc: suspended delay is 4 words" `Quick
+    Alcotest.test_case "alloc: suspended delay is 2 words" `Quick
       test_alloc_suspended_delay;
     Alcotest.test_case "alloc: idle tick boundary is 0 words" `Quick
       test_alloc_idle_tick_boundary;
-    Alcotest.test_case "alloc: tick suspension is 4 words" `Quick
+    Alcotest.test_case "alloc: tick suspension is 2 words" `Quick
       test_alloc_tick_suspension;
     Alcotest.test_case "alloc: wait + signal_one <= 5 words" `Quick test_alloc_wait_signal;
     Alcotest.test_case "alloc: spawn + run <= 68 words" `Quick test_alloc_spawn;

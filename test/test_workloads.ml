@@ -295,7 +295,10 @@ let test_dispatch_quiescence () =
                ~entry ~pt:(Page_table.create ())
               : Checker.result) );
       ( "1 invalidation window(s) open at quiescence",
-        fun m _ -> ignore (Checker.begin_invalidation m.Machine.checker info) );
+        fun m _ ->
+          ignore (Checker.begin_invalidation m.Machine.checker ~mm_id:0 ~first_vpn:0
+              ~end_vpn:Checker.full_end)
+      );
       ( "cpu1: deferred user flush survives quiescence",
         fun _ p -> p.Percpu.pending_user <- Percpu.Full_flush );
       ( "cpu1: undrained call queue at quiescence",
@@ -307,7 +310,10 @@ let test_dispatch_quiescence () =
         fun _ p -> p.Percpu.inflight_flush <- true );
       ( "cpu1: unflushed batched shootdowns at quiescence",
         fun m p ->
-          let token = Checker.begin_invalidation m.Machine.checker info in
+          let token =
+            Checker.begin_invalidation m.Machine.checker ~mm_id:0 ~first_vpn:0
+              ~end_vpn:Checker.full_end
+          in
           Checker.end_invalidation m.Machine.checker token;
           p.Percpu.batch <- [ (info, token) ] );
     ]
