@@ -1319,7 +1319,7 @@ let () =
         verbose := true;
         parse acc rest
     | "--reference-engine" :: rest ->
-        Engine.set_default_chooser (Some (fun _ -> 0));
+        Engine.use_reference_engine ();
         parse acc rest
     | ("-j" | "--jobs") :: n :: rest when Option.is_some (int_of_string_opt n) ->
         jobs := int_of_string n;

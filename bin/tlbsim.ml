@@ -397,7 +397,7 @@ let fuzz_cmd =
   in
   let run count seed_base seed_one replay inject_bug max_ops no_shrink reference_engine
       jobs =
-    if reference_engine then Engine.set_default_chooser (Some (fun _ -> 0));
+    if reference_engine then Engine.use_reference_engine ();
     let shrink = not no_shrink in
     match seed_one with
     | Some seed ->

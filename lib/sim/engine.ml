@@ -200,7 +200,8 @@ let note_suspension () = incr (Domain.DLS.get suspensions_key)
 (* The chooser [create] installs, per domain; a domain spawned later
    starts with its parent's. *)
 let default_chooser_key = Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> None)
-let set_default_chooser choose = Domain.DLS.set default_chooser_key choose
+let reference_chooser (_ : int) = 0
+let use_reference_engine () = Domain.DLS.set default_chooser_key (Some reference_chooser)
 
 (* Creating an engine forces its domain's suspension counter, so that the
    first suspension of a run allocates nothing. *)

@@ -198,10 +198,11 @@ val set_chooser : t -> ?horizon:int -> (int -> int) -> unit
 
 val clear_chooser : t -> unit
 
-(** Install [choose] at horizon 0 on every engine that {!create} builds
-    from now on, on this domain and on the domains it spawns later ([None],
-    the default, installs none). [Some (fun _ -> 0)] is the reference
-    engine: every event goes through the heap in strict (time, seq) order,
-    with no calendar ring, no {!try_advance} and no idle-spin fast path,
-    so a run under it must print what the production engine prints. *)
-val set_default_chooser : (int -> int) option -> unit
+(** Make every engine that {!create} builds from now on, on this domain
+    and on the domains it spawns later, a reference engine: the constant
+    chooser [fun _ -> 0] at horizon 0, so every event goes through the
+    heap in strict (time, seq) order, with no calendar ring, no
+    {!try_advance} and no idle-spin fast path. A run under it must print
+    what the production engine prints. By default [create] installs no
+    chooser. *)
+val use_reference_engine : unit -> unit

@@ -57,8 +57,8 @@ let staged_key = Domain.DLS.new_key (fun () -> ref (new_run ()))
 
 (* The initial value of every process's continuation field: captured once
    here, from an effect performed for that purpose, and never resumed. A
-   process keeps its continuation in a plain field, with [has_k] saying
-   whether it holds a live one, so a suspension allocates only the
+   process keeps its continuation in a plain field, holding [no_k]
+   whenever it has no live one, so a suspension allocates only the
    runtime's continuation and no [Some] cell around it. *)
 type _ Effect.t += Capture : unit Effect.t
 
@@ -86,8 +86,7 @@ type proc = {
   engine : Engine.t;
   name : string;
   mutable tag : int;
-  mutable k : (unit, unit) continuation; (* live only while [has_k] *)
-  mutable has_k : bool;
+  mutable k : (unit, unit) continuation; (* [no_k] while none is live *)
   mutable run : run; (* its suspended run's place; [no_run] until the first *)
   mutable parked : bool;
 }
@@ -108,15 +107,13 @@ let as_current p f x =
 let continue_unit k = continue k ()
 
 let resume p =
-  if not p.has_k then invalid_arg (Printf.sprintf "Process %s resumed twice" p.name);
   let k = p.k in
+  if k == no_k then invalid_arg (Printf.sprintf "Process %s resumed twice" p.name);
   p.k <- no_k;
-  p.has_k <- false;
   as_current p continue_unit k
 
 let keep p k =
   p.k <- k;
-  p.has_k <- true;
   Engine.note_suspension ()
 
 let next_item set n at =
@@ -163,7 +160,7 @@ let wake_parked p =
 (* Build a process and register its engine handler without starting it;
    an [a = 2] event on [p.tag] runs [f] from the top. *)
 let create engine ~name f =
-  let p = { engine; name; tag = -1; k = no_k; has_k = false; run = no_run; parked = false } in
+  let p = { engine; name; tag = -1; k = no_k; run = no_run; parked = false } in
   (* Built once per process, so [effc] returns a preallocated handler and
      a suspension allocates only the continuation. *)
   let on_sleep =

@@ -873,6 +873,39 @@ let test_process_two_domains () =
   check bool_t "domain 1 = sequential run" true (ra = expected);
   check bool_t "domain 2 = sequential run" true (rb = expected)
 
+(* [Engine.use_reference_engine] reaches every engine built after it on
+   its domain and on the domains spawned from it, a [Domain_pool] worker
+   included, and no other domain. A reference engine has a chooser, so it
+   declines [try_advance] even when nothing is queued; a production
+   engine takes it. The setting is made inside a spawned domain so the
+   test's own domain keeps its default. *)
+let test_engine_reference_default_inherited () =
+  let reference () = not (Engine.try_advance (Engine.create ()) ~cycles:1) in
+  check bool_t "production engine by default" false (reference ());
+  let here, nested, pooled =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Engine.use_reference_engine ();
+           let here = reference () in
+           let nested = Domain.join (Domain.spawn reference) in
+           (* Each task waits for the other to start, so the caller and
+              the pool's spawned worker run one each. *)
+           let started = Atomic.make 0 in
+           let task () =
+             Atomic.incr started;
+             while Atomic.get started < 2 do
+               Domain.cpu_relax ()
+             done;
+             ((Domain.self () :> int), reference ())
+           in
+           (here, nested, Domain_pool.run ~jobs:2 [| task; task |])))
+  in
+  check bool_t "reference engine on the setting domain" true here;
+  check bool_t "reference engine on a domain it spawns" true nested;
+  check bool_t "pool tasks ran on two domains" true (fst pooled.(0) <> fst pooled.(1));
+  Array.iter (fun (_, r) -> check bool_t "reference engine in a pool task" true r) pooled;
+  check bool_t "the test's domain keeps its default" false (reference ())
+
 (* --- Trace --- *)
 
 let records t =
@@ -1296,4 +1329,6 @@ let suite =
       test_chain_model;
     Alcotest.test_case "engine: run_until bounds idle spins" `Quick
       test_engine_run_until_idle_spins;
+    Alcotest.test_case "engine: reference-engine default reaches spawned domains" `Quick
+      test_engine_reference_default_inherited;
   ]
